@@ -1,6 +1,5 @@
 //! Array configuration.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_ssd::SsdConfig;
 
 use crate::placement::{PlacementMap, RebalanceConfig};
@@ -39,7 +38,7 @@ pub const MAX_DEVICES: usize = 64;
 /// .with_stripe_kb(256);
 /// hetero.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayConfig {
     /// Per-device configurations; the array's width is this list's length.
     pub devices: Vec<SsdConfig>,

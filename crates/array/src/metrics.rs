@@ -1,6 +1,5 @@
 //! Merged array metrics: the host's view of a striped replay.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::TelemetrySnapshot;
 use sprinkler_ssd::{merged_latency_quantile, weighted_mean_latency_ns, RunMetrics};
 
@@ -8,7 +7,7 @@ use crate::placement::PlacementStats;
 
 /// Per-device imbalance statistics: how evenly the striping map spread the
 /// workload, and how much the slowest device dragged the array.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceSkew {
     /// Fewest bytes any device moved.
     pub min_device_bytes: u64,
@@ -91,7 +90,7 @@ impl DeviceSkew {
 /// Everything a striped array replay measures: host-level aggregates merged
 /// from the per-device [`RunMetrics`], imbalance statistics, and the full
 /// per-device breakdown for drill-down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayMetrics {
     /// Scheduler every device ran.
     pub scheduler: String,

@@ -33,7 +33,6 @@
 //! indirection is
 //! behavior-preserving until a rebalancer actually acts.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_workloads::TraceRecord;
 
 use crate::stripe::Fragment;
@@ -42,7 +41,7 @@ use crate::stripe::Fragment;
 const FREE: u64 = u64::MAX;
 
 /// One applied stripe relocation: where the stripe was, and where it is now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Migration {
     /// The global stripe index that moved.
     pub stripe: u64,
@@ -72,7 +71,7 @@ pub struct Migration {
 /// // The bijection survives: the new location maps back to the same offset.
 /// assert_eq!(map.to_global(2, m.to_slot * (1 << 20)), 5 << 20);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementMap {
     devices: usize,
     stripe_bytes: u64,
@@ -343,7 +342,7 @@ impl PlacementMap {
 
 /// Counters the placement layer accumulates while rebalancing; merged into
 /// the array telemetry (`TelemetrySnapshot`) when a replay finishes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementStats {
     /// Stripes relocated between devices.
     pub stripes_migrated: u64,
@@ -355,7 +354,7 @@ pub struct PlacementStats {
 }
 
 /// Tuning of the between-windows rebalancer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Trace records per rebalance window: heat is examined (and decayed)
     /// every time this many records have been routed.

@@ -8,7 +8,6 @@
 //! flash page size, the LPN map — a bijection between the global address space
 //! and the disjoint union of the devices' local address spaces.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_workloads::TraceRecord;
 
 /// One piece of a split trace record: a contiguous local byte range on one
@@ -18,7 +17,7 @@ use sprinkler_workloads::TraceRecord;
 /// so a 1-device array reproduces the original record exactly and a large
 /// request becomes at most a handful of per-device requests, not one per
 /// stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fragment {
     /// The device the fragment lands on.
     pub device: usize,
@@ -42,7 +41,7 @@ pub struct Fragment {
 /// assert_eq!(local, 1024 * 1024 + 17); // local stripe 5 / 4 = 1
 /// assert_eq!(map.to_global(device, local), 5 * 1024 * 1024 + 17);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StripeMap {
     devices: usize,
     stripe_bytes: u64,

@@ -7,8 +7,7 @@
 //! * `scheduler_rounds` — a single `schedule()` round over a standing 32-deep
 //!   queue at 256 and 1024 chips, for the optimized SPK3 and its full-scan
 //!   reference twin.  This isolates the per-round decision cost the index
-//!   refactor targets; the optimized/reference ratio is the figure recorded in
-//!   `BENCH_scaling.json`.
+//!   refactor targets.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sprinkler_bench::representative_run;

@@ -1,12 +1,14 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every bench target in `benches/` regenerates one table or figure of the paper
-//! (printing it to stdout) and then lets Criterion time a representative slice of
-//! the underlying simulation so regressions in simulator performance are visible.
+//! The bench targets in `benches/` time the simulator on the host, one layer
+//! each: scheduling rounds and one small run per scheduler
+//! (`scheduler_micro`), 1024-chip sweep points (`scaling_1024`), streaming
+//! ingestion (`streaming_replay`), the array frontend (`array_scaleout`,
+//! `placement_rebalance`), and the tenant front (`tenant_fairness`).
 //!
 //! # Example
 //!
-//! The shared measurement body the committed `BENCH_*.json` baselines time:
+//! The small run `scheduler_micro` times once per scheduler:
 //!
 //! ```
 //! use sprinkler_core::SchedulerKind;
@@ -23,8 +25,6 @@ use sprinkler_ssd::RunMetrics;
 
 /// The scale used by bench targets: small enough that `cargo bench` finishes in
 /// minutes, large enough that every qualitative trend of the paper still shows.
-/// Shared with `regen_baselines` via `sprinkler_experiments::micro` so the
-/// committed baselines always describe the scene `cargo bench` times.
 pub fn bench_scale() -> ExperimentScale {
     sprinkler_experiments::micro::bench_scale()
 }

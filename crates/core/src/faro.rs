@@ -14,11 +14,10 @@
 //! The I/O request with the highest overlap depth is over-committed first; ties
 //! break on connectivity, then on arrival order.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_ssd::request::TagId;
 
 /// Configuration of the over-commitment policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaroConfig {
     /// Maximum committed-but-incomplete memory requests FARO keeps per chip.
     pub overcommit_depth: usize,
@@ -62,7 +61,7 @@ pub struct FaroScratch {
 }
 
 /// The FARO candidate selector.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaroSelector {
     config: FaroConfig,
 }

@@ -54,11 +54,10 @@ pub use rios::RiosTraversal;
 pub use sprinkler::SprinklerScheduler;
 pub use vas::VirtualAddressScheduler;
 
-use serde::{Deserialize, Serialize};
 use sprinkler_ssd::IoScheduler;
 
 /// The five schedulers evaluated in the paper (§5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Virtual address scheduler (FIFO).
     Vas,

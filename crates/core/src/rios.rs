@@ -7,7 +7,6 @@
 //! channels (channel stripping) and successive offsets pipeline within each channel
 //! (channel pipelining).
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::FlashGeometry;
 
 /// The chip visit order used by RIOS.
@@ -22,7 +21,7 @@ use sprinkler_flash::FlashGeometry;
 /// let t = RiosTraversal::new(&FlashGeometry::small_test());
 /// assert_eq!(t.order(), &[0, 2, 1, 3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RiosTraversal {
     order: Vec<usize>,
     /// Inverse permutation: `position[chip]` is the visit rank of `chip`.

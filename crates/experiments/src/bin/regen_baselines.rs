@@ -1,43 +1,37 @@
-//! Regenerates — and gates on — the repository benchmark baselines
+//! Regenerates — and gates on — the repository's simulated-figure baselines
 //! (`BENCH_seed.json`, `BENCH_scaling.json`, `BENCH_array.json`,
 //! `BENCH_tenants.json`) through the parallel experiment runner.
 //!
 //! ```sh
-//! # Rewrite all four baselines (commitment-stream-changing PRs):
+//! # Rewrite all four baselines (changes that move a simulated figure):
 //! cargo run --release -p sprinkler_experiments --bin regen_baselines -- \
-//!     --label "PR N: what changed the streams"
+//!     --label "what changed the figures"
 //!
 //! # CI perf-regression gate: recompute the deterministic metrics_check
 //! # sections and diff them against the committed files (nonzero exit on
 //! # drift):
 //! cargo run --release -p sprinkler_experiments --bin regen_baselines -- --check
-//!
-//! # Fire-and-forget smoke of the parallel fan-out paths:
-//! cargo run --release -p sprinkler_experiments --bin regen_baselines -- --quick
 //! ```
 //!
 //! `--label` stamps the rewritten files with the change they baseline (an
-//! unlabeled run says so in the output).  Each baseline file carries two kinds
-//! of content: *timings* (machine-dependent, informational) and a
-//! `metrics_check` object of **simulated** figures — bandwidth ratios,
-//! aggregate KB/s — that are deterministic across machines.  `--check`
-//! recomputes only the latter and compares within [`CHECK_TOLERANCE`], so a
-//! scheduler or replay change that silently shifts any headline result fails
-//! CI until the baselines are regenerated deliberately.
+//! unlabeled run says so in the output).  Every figure in a baseline file is
+//! simulated — bandwidth ratios, aggregate KB/s, exact telemetry counts — and
+//! so identical on every machine; host time is measured by the criterion bench
+//! targets and by `perfbench/`, and recorded in neither.  `--check` recomputes
+//! the `metrics_check` figures and compares them within [`CHECK_TOLERANCE`],
+//! so a scheduler or replay change that silently shifts any headline result
+//! fails CI until the baselines are regenerated deliberately.
 
 use std::cell::Cell;
+use std::process::ExitCode;
 use std::rc::Rc;
-use std::time::Instant;
 
-use sprinkler_core::reference::ReferenceScheduler;
 use sprinkler_core::SchedulerKind;
-use sprinkler_experiments::micro::{representative_run, standing_scene};
 use sprinkler_experiments::runner::ExperimentScale;
 use sprinkler_experiments::{fig10, fig15_scaling, scenario};
 use sprinkler_flash::Lpn;
 use sprinkler_sim::{AllocScope, CountingAllocator, SimTime};
 use sprinkler_ssd::request::{Direction, HostRequest};
-use sprinkler_ssd::scheduler::{IoScheduler, SchedulerContext};
 use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig};
 
 /// Every baseline figure is measured under the counting allocator, so the
@@ -46,36 +40,10 @@ use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Matches the vendored criterion shim: one untimed warmup, then `samples`
-/// timed iterations.
-const SAMPLES: usize = 10;
-
 /// Relative tolerance of the `--check` gate.  The simulated metrics are
 /// deterministic; the slack only absorbs the 4-decimal rounding the baseline
 /// files store.
 const CHECK_TOLERANCE: f64 = 1e-3;
-
-struct Timing {
-    mean_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-}
-
-fn time_runs(mut body: impl FnMut()) -> Timing {
-    body(); // warmup
-    let mut samples = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let start = Instant::now();
-        body();
-        samples.push(start.elapsed().as_nanos() as f64);
-    }
-    let sum: f64 = samples.iter().sum();
-    Timing {
-        mean_ns: sum / samples.len() as f64,
-        min_ns: samples.iter().cloned().fold(f64::INFINITY, f64::min),
-        max_ns: samples.iter().cloned().fold(0.0, f64::max),
-    }
-}
 
 /// Escapes a string for interpolation into a JSON string literal.
 fn json_escape(raw: &str) -> String {
@@ -89,20 +57,6 @@ fn json_escape(raw: &str) -> String {
         }
     }
     out
-}
-
-fn time_round(scheduler: &mut dyn IoScheduler, chips: usize) -> Timing {
-    let (geometry, queue, ledger) = standing_scene(chips);
-    scheduler.initialize(&geometry);
-    let ctx = SchedulerContext {
-        now: SimTime::ZERO,
-        geometry: &geometry,
-        queue: &queue,
-        ledger: &ledger,
-    };
-    time_runs(|| {
-        std::hint::black_box(scheduler.schedule(&ctx));
-    })
 }
 
 fn workspace_root() -> std::path::PathBuf {
@@ -428,284 +382,85 @@ fn tenant_metrics() -> Vec<(&'static str, f64)> {
     ]
 }
 
-/// Renders a metrics_check object (4-decimal values; the gate's tolerance
-/// absorbs the rounding).
-fn metrics_check_json(metrics: &[(&str, f64)]) -> String {
-    let mut out = String::from("  \"metrics_check\": {\n");
+// ---------------------------------------------------------------------------
+// The baseline files: one row each, rendered by one JSON writer
+// ---------------------------------------------------------------------------
+
+/// One committed baseline file.
+struct Baseline {
+    file: &'static str,
+    /// `(key, JSON value)` pairs saying what the figures are, written
+    /// verbatim ahead of `metrics_check`.
+    context: &'static [(&'static str, &'static str)],
+    /// Recomputes the file's `metrics_check` figures.
+    metrics: fn() -> Vec<(&'static str, f64)>,
+}
+
+const BASELINES: [Baseline; 4] = [
+    Baseline {
+        file: "BENCH_seed.json",
+        context: &[
+            (
+                "scale",
+                r#"{ "ios_per_workload": 200, "blocks_per_plane": 32, "note": "fig10 at bench scale; the steady_* keys are the zero-allocation steady-state replay at 64 chips" }"#,
+            ),
+            (
+                "paper",
+                r#"{ "spk3_vs_vas_bandwidth_x": [1.8, 2.2], "spk3_vs_vas_latency_reduction_min_pct": 56.6, "note": "the bench-scale run overshoots the paper's bandwidth ratio; directionally correct" }"#,
+            ),
+        ],
+        metrics: seed_metrics,
+    },
+    Baseline {
+        file: "BENCH_scaling.json",
+        context: &[(
+            "scale",
+            r#"{ "ios_per_workload": 300, "blocks_per_plane": 32, "transfer_kb": 32, "note": "fig15_scaling at quick scale, 16 and 64 chips; the steady_* keys are the zero-allocation steady-state replay at 1024 chips" }"#,
+        )],
+        metrics: scaling_metrics,
+    },
+    Baseline {
+        file: "BENCH_array.json",
+        context: &[(
+            "scenario",
+            r#""array-scaleout: one 256KB-transfer workload striped over n devices at a fixed 64-chip budget and fixed 512MB footprint (32KB stripes); plus adaptive-placement figures: array-skew uniform/hot-shard/hot-shard-rebalance at the 12x figure horizon, array-rebalance and array-hetero static/adaptive cells with the rebalancer's migration telemetry; all at quick scale to match the CI scenario run""#,
+        )],
+        metrics: array_metrics,
+    },
+    Baseline {
+        file: "BENCH_tenants.json",
+        context: &[
+            (
+                "scenario",
+                r#""tenant-mix: interactive (95% 4KB random reads, 5ms SLO) + streaming (sequential 256KB reads, 50ms SLO) + batch (128KB writes behind a 64MB/s token bucket) sharing one device through the deficit-round-robin admission front; tenant-storm: the same tenants with the batch lane at 8x volume in one dense burst — the *_p99_ratio keys are storm/baseline per victim and must stay within the isolation bound while the batch ratio shows the storm cost its sender; all at quick scale to match the CI scenario run""#,
+            ),
+            (
+                "isolation_contract",
+                r#"{ "storm_factor": 8, "victim_p99_bound_x": 2.0, "note": "tenant_storm_spk3_interactive_p99_ratio and tenant_storm_spk3_streaming_p99_ratio must hold under victim_p99_bound_x; asserted by scenario::tests::tenant_storm_holds_isolated_tenant_p99 and gated here" }"#,
+            ),
+        ],
+        metrics: tenant_metrics,
+    },
+];
+
+/// Renders one baseline file: the stamp, the context, and the
+/// `metrics_check` object (4-decimal values; the gate's tolerance absorbs
+/// the rounding).
+fn render(baseline: &Baseline, label: &str, date: &str, metrics: &[(&str, f64)]) -> String {
+    let mut out = format!(
+        "{{\n  \"baseline\": \"{label}\",\n  \"date\": \"{date}\",\n  \"command\": \"cargo run --release -p sprinkler_experiments --bin regen_baselines -- --label '...'\",\n"
+    );
+    for (key, value) in baseline.context {
+        out.push_str(&format!("  \"{key}\": {value},\n"));
+    }
     out.push_str(&format!(
-        "    \"tolerance_rel\": {CHECK_TOLERANCE},\n    \"note\": \"simulated figures, deterministic across machines; checked by regen_baselines --check\",\n"
+        "  \"metrics_check\": {{\n    \"tolerance_rel\": {CHECK_TOLERANCE},\n    \"note\": \"simulated figures, deterministic across machines; checked by regen_baselines --check\""
     ));
-    for (i, (key, value)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{key}\": {value:.4}{comma}\n"));
+    for (key, value) in metrics {
+        out.push_str(&format!(",\n    \"{key}\": {value:.4}"));
     }
-    out.push_str("  }");
+    out.push_str("\n  }\n}\n");
     out
-}
-
-// ---------------------------------------------------------------------------
-// Baseline regeneration
-// ---------------------------------------------------------------------------
-
-fn regen_seed_baseline(label: &str, date: &str) -> String {
-    println!("== BENCH_seed.json: fig10 at bench scale ==");
-    let spk3 = time_runs(|| {
-        std::hint::black_box(representative_run(SchedulerKind::Spk3));
-    });
-    println!("fig10/spk3_run mean {:.1} ns", spk3.mean_ns);
-
-    let start = Instant::now();
-    let metrics = seed_metrics();
-    let panel_s = start.elapsed().as_secs_f64();
-    let bandwidth_x = metrics[0].1;
-    let latency_pct = metrics[1].1;
-    println!(
-        "fig10 panel (parallel): {panel_s:.2} s; SPK3/VAS bandwidth {bandwidth_x:.2}x, latency -{latency_pct:.1}%"
-    );
-
-    format!(
-        r#"{{
-  "baseline": "{label}",
-  "date": "{date}",
-  "command": "cargo run --release -p sprinkler_experiments --bin regen_baselines -- --label '...'",
-  "scale": {{
-    "ios_per_workload": 200,
-    "blocks_per_plane": 32,
-    "note": "bench scale; the timed body is the 120-I/O representative_run recipe of sprinkler_bench"
-  }},
-  "profile": "release, 1 untimed warmup then {SAMPLES} timed iterations (regen_baselines)",
-  "results": [
-    {{
-      "bench": "fig10/spk3_run",
-      "mean_ns": {mean:.1},
-      "min_ns": {min:.1},
-      "max_ns": {max:.1},
-      "samples": {SAMPLES}
-    }}
-  ],
-  "figure_check": {{
-    "spk3_vs_vas_bandwidth_x": {bandwidth_x:.2},
-    "paper_range_x": [1.8, 2.2],
-    "spk3_vs_vas_latency_reduction_pct": {latency_pct:.1},
-    "paper_min_pct": 56.6,
-    "fig10_panel_wall_clock_s": {panel_s:.2},
-    "note": "bench-scale run overshoots the paper's bandwidth ratio; directionally correct"
-  }},
-{metrics_check}
-}}
-"#,
-        mean = spk3.mean_ns,
-        min = spk3.min_ns,
-        max = spk3.max_ns,
-        metrics_check = metrics_check_json(&metrics),
-    )
-}
-
-fn regen_scaling_baseline(label: &str, date: &str) -> String {
-    let scale = ExperimentScale::bench();
-    println!("== BENCH_scaling.json: scaling_1024 + scheduler_rounds ==");
-    let mut scaling_results = String::new();
-    for (i, kind) in [SchedulerKind::Vas, SchedulerKind::Spk3].iter().enumerate() {
-        let timing = time_runs(|| {
-            std::hint::black_box(fig15_scaling::run_point(&scale, 1024, 32, *kind));
-        });
-        println!(
-            "scaling_1024/{}_1024chips_32kb mean {:.1} ns",
-            kind.label(),
-            timing.mean_ns
-        );
-        if i > 0 {
-            scaling_results.push_str(",\n");
-        }
-        scaling_results.push_str(&format!(
-            r#"      {{ "bench": "scaling_1024/{}_1024chips_32kb", "mean_ns": {:.1}, "samples": {SAMPLES} }}"#,
-            kind.label(),
-            timing.mean_ns
-        ));
-    }
-
-    let mut rounds_results = String::new();
-    let mut speedups = String::new();
-    for (i, &chips) in [256usize, 1024].iter().enumerate() {
-        for (j, kind) in [SchedulerKind::Spk2, SchedulerKind::Spk3]
-            .iter()
-            .enumerate()
-        {
-            let fast = time_round(kind.build().as_mut(), chips);
-            let mut reference = ReferenceScheduler::new(*kind);
-            let naive = time_round(&mut reference, chips);
-            println!(
-                "scheduler_rounds/{}_{chips}chips mean {:.1} ns (reference {:.1} ns)",
-                kind.label(),
-                fast.mean_ns,
-                naive.mean_ns
-            );
-            if i > 0 || j > 0 {
-                rounds_results.push_str(",\n");
-                speedups.push_str(",\n");
-            }
-            rounds_results.push_str(&format!(
-                r#"      {{ "bench": "scheduler_rounds/{label}_{chips}chips", "mean_ns": {:.1}, "rounds_per_sec": {:.0} }},
-      {{ "bench": "scheduler_rounds/{label}ref_{chips}chips", "mean_ns": {:.1} }}"#,
-                fast.mean_ns,
-                1e9 / fast.mean_ns,
-                naive.mean_ns,
-                label = kind.label(),
-            ));
-            speedups.push_str(&format!(
-                r#"      "{}_{chips}chips_x": {:.1}"#,
-                kind.label(),
-                naive.mean_ns / fast.mean_ns
-            ));
-        }
-    }
-
-    let start = Instant::now();
-    let result = fig15_scaling::run(&ExperimentScale::full(), None, None);
-    let full_s = start.elapsed().as_secs_f64();
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "fig15_scaling full panel ({} points, {workers} workers): {full_s:.2} s",
-        result.points.len()
-    );
-    let metrics = scaling_metrics();
-
-    format!(
-        r#"{{
-  "baseline": "{label}",
-  "date": "{date}",
-  "command": "cargo run --release -p sprinkler_experiments --bin regen_baselines -- --label '...'",
-  "profile": "release, 1 untimed warmup then {SAMPLES} timed iterations (regen_baselines)",
-  "scaling_1024": {{
-    "scale": {{ "ios_per_workload": 200, "blocks_per_plane": 32, "transfer_kb": 32 }},
-    "results": [
-{scaling_results}
-    ]
-  }},
-  "scheduler_rounds": {{
-    "scene": "standing 32-deep queue of 256-page tags, all but 4 pages per tag committed (steady-state round shape), overlapping read/write LPN ranges",
-    "note": "SPKn = optimized columnar path; SPKnref = full-scan reference twin; both against the CommitmentLedger semantics; rounds_per_sec is informational (1e9/mean_ns), not gated",
-    "results": [
-{rounds_results}
-    ],
-    "round_speedup_vs_reference": {{
-{speedups}
-    }}
-  }},
-  "full_scale_sweep_point": {{
-    "note": "fig15_scaling at ExperimentScale::full() (2000 I/Os, 64 blocks/plane), all 4 chip counts x 3 transfer panels x 2 schedulers, via the parallel cell runner",
-    "wall_clock_s": {full_s:.2},
-    "worker_threads": {workers},
-    "budget_s": 60
-  }},
-{metrics_check}
-}}
-"#,
-        metrics_check = metrics_check_json(&metrics),
-    )
-}
-
-fn regen_array_baseline(label: &str, date: &str) -> String {
-    println!("== BENCH_array.json: array-scaleout (bench-scale timing, quick-scale metrics) ==");
-    // The timed body runs at bench scale — the same recipe the
-    // `array_scaleout/spk3_n4_256kb` criterion bench times — so the committed
-    // mean is directly comparable to a local `cargo bench` run.  The
-    // metrics_check figures below stay at quick scale, matching the scenario
-    // CI runs.
-    let timing = time_runs(|| {
-        std::hint::black_box(scenario::array_scaleout_metrics(
-            &ExperimentScale::bench(),
-            4,
-            SchedulerKind::Spk3,
-        ));
-    });
-    println!("array_scaleout/spk3_n4_256kb mean {:.1} ns", timing.mean_ns);
-    let start = Instant::now();
-    let metrics = array_metrics();
-    let panel_s = start.elapsed().as_secs_f64();
-    println!(
-        "array metrics (n1/n4/n16): {panel_s:.2} s; SPK3 n16/n1 scale-out {:.2}x",
-        metrics[4].1
-    );
-
-    format!(
-        r#"{{
-  "baseline": "{label}",
-  "date": "{date}",
-  "command": "cargo run --release -p sprinkler_experiments --bin regen_baselines -- --label '...'",
-  "scenario": "array-scaleout: one 256KB-transfer workload striped over n devices at a fixed 64-chip budget and fixed 512MB footprint (32KB stripes); plus adaptive-placement figures: array-skew uniform/hot-shard/hot-shard-rebalance at the 12x figure horizon, array-rebalance and array-hetero static/adaptive cells with the rebalancer's migration telemetry; timing at bench scale to match the array_scaleout criterion bench, metrics_check at quick scale to match the CI scenario run",
-  "profile": "release, 1 untimed warmup then {SAMPLES} timed iterations (regen_baselines)",
-  "results": [
-    {{
-      "bench": "array_scaleout/spk3_n4_256kb",
-      "mean_ns": {mean:.1},
-      "min_ns": {min:.1},
-      "max_ns": {max:.1},
-      "samples": {SAMPLES}
-    }}
-  ],
-{metrics_check}
-}}
-"#,
-        mean = timing.mean_ns,
-        min = timing.min_ns,
-        max = timing.max_ns,
-        metrics_check = metrics_check_json(&metrics),
-    )
-}
-
-fn regen_tenant_baseline(label: &str, date: &str) -> String {
-    println!("== BENCH_tenants.json: tenant-mix + tenant-storm (quick-scale metrics) ==");
-    // The timed body matches the `tenant_fairness/spk3_mix_3tenants` criterion
-    // bench: the whole admission front — slicing, DRR, buckets, per-tenant
-    // attribution — at bench scale.
-    let timing = time_runs(|| {
-        std::hint::black_box(scenario::tenant_mix_outcome(
-            &ExperimentScale::bench(),
-            SchedulerKind::Spk3,
-        ));
-    });
-    println!(
-        "tenant_fairness/spk3_mix_3tenants mean {:.1} ns",
-        timing.mean_ns
-    );
-    let start = Instant::now();
-    let metrics = tenant_metrics();
-    let panel_s = start.elapsed().as_secs_f64();
-    println!(
-        "tenant metrics (mix + storm pair): {panel_s:.2} s; storm victim p99 ratio {:.2}",
-        metrics[5].1
-    );
-
-    format!(
-        r#"{{
-  "baseline": "{label}",
-  "date": "{date}",
-  "command": "cargo run --release -p sprinkler_experiments --bin regen_baselines -- --label '...'",
-  "scenario": "tenant-mix: interactive (95% 4KB random reads, 5ms SLO) + streaming (sequential 256KB reads, 50ms SLO) + batch (128KB writes behind a 64MB/s token bucket) sharing one device through the deficit-round-robin admission front; tenant-storm: the same tenants with the batch lane at 8x volume in one dense burst — the *_p99_ratio keys are storm/baseline per victim and must stay within the isolation bound while the batch ratio shows the storm cost its sender; timing at bench scale to match the tenant_fairness criterion bench, metrics_check at quick scale to match the CI scenario run",
-  "profile": "release, 1 untimed warmup then {SAMPLES} timed iterations (regen_baselines)",
-  "results": [
-    {{
-      "bench": "tenant_fairness/spk3_mix_3tenants",
-      "mean_ns": {mean:.1},
-      "min_ns": {min:.1},
-      "max_ns": {max:.1},
-      "samples": {SAMPLES}
-    }}
-  ],
-  "isolation_contract": {{
-    "storm_factor": 8,
-    "victim_p99_bound_x": 2.0,
-    "note": "tenant_storm_spk3_interactive_p99_ratio and tenant_storm_spk3_streaming_p99_ratio must hold under victim_p99_bound_x; asserted by scenario::tests::tenant_storm_holds_isolated_tenant_p99 and gated here"
-  }},
-{metrics_check}
-}}
-"#,
-        mean = timing.mean_ns,
-        min = timing.min_ns,
-        max = timing.max_ns,
-        metrics_check = metrics_check_json(&metrics),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -762,80 +517,26 @@ fn check_file(root: &std::path::Path, file: &str, expected: &[(&str, f64)]) -> u
     drifted
 }
 
-/// The CI perf-regression gate: recompute every deterministic metrics_check
-/// value and compare against the committed baselines.  Exits nonzero on any
-/// drift so a change that shifts a headline simulated result cannot land
-/// without a deliberate re-baseline.
-fn check_gate() -> ! {
-    let root = workspace_root();
-    let start = Instant::now();
-    let mut drifted = 0;
-    drifted += check_file(&root, "BENCH_seed.json", &seed_metrics());
-    drifted += check_file(&root, "BENCH_scaling.json", &scaling_metrics());
-    drifted += check_file(&root, "BENCH_array.json", &array_metrics());
-    drifted += check_file(&root, "BENCH_tenants.json", &tenant_metrics());
-    let elapsed = start.elapsed().as_secs_f64();
-    if drifted > 0 {
-        println!(
-            "perf gate FAILED: {drifted} metric(s) drifted ({elapsed:.2} s). If the change is \
-             intentional, regenerate with: cargo run --release -p sprinkler_experiments --bin \
-             regen_baselines -- --label '<PR description>'"
-        );
-        std::process::exit(1);
-    }
-    println!("perf gate OK: all committed baseline metrics reproduced ({elapsed:.2} s)");
-    std::process::exit(0);
-}
-
-fn quick_smoke() {
-    let scale = ExperimentScale::quick();
-    let start = Instant::now();
-    let comparison = fig10::run(&scale, Some(4));
-    println!(
-        "quick fig10 panel via parallel runner: {} cells in {:.2} s",
-        comparison.cells.len(),
-        start.elapsed().as_secs_f64()
-    );
-    println!("{}", comparison.bandwidth_table().render());
-    assert!(
-        comparison.bandwidth_speedup(SchedulerKind::Spk3, SchedulerKind::Vas) > 1.0,
-        "SPK3 must beat VAS at quick scale"
-    );
-
-    let start = Instant::now();
-    let result = fig15_scaling::run(&scale, Some(&[16, 64]), Some(&[32]));
-    println!(
-        "quick scaling panel via parallel runner: {} points in {:.2} s",
-        result.points.len(),
-        start.elapsed().as_secs_f64()
-    );
-    println!("{}", result.panel(32).render());
-
-    let start = Instant::now();
-    let outcomes = sprinkler_experiments::scenario::run_all(&scale);
-    let cells: usize = outcomes.iter().map(|o| o.cells.len()).sum();
-    println!(
-        "scenario registry via parallel runner: {cells} cells in {:.2} s",
-        { start.elapsed().as_secs_f64() }
-    );
-    for outcome in &outcomes {
-        assert!(
-            outcome.cells.iter().all(|c| c.metrics.io_count > 0),
-            "scenario {} dropped I/Os",
-            outcome.scenario
-        );
-    }
-    println!("quick smoke OK (no baseline files written)");
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    let root = workspace_root();
     if args.iter().any(|arg| arg == "--check") {
-        check_gate();
-    }
-    if args.iter().any(|arg| arg == "--quick") {
-        quick_smoke();
-        return;
+        // The CI perf-regression gate: a change that shifts a headline
+        // simulated result cannot land without a deliberate re-baseline.
+        let drifted: usize = BASELINES
+            .iter()
+            .map(|baseline| check_file(&root, baseline.file, &(baseline.metrics)()))
+            .sum();
+        if drifted > 0 {
+            println!(
+                "perf gate FAILED: {drifted} metric(s) drifted. If the change is intentional, \
+                 regenerate with: cargo run --release -p sprinkler_experiments --bin \
+                 regen_baselines -- --label '<change description>'"
+            );
+            return ExitCode::FAILURE;
+        }
+        println!("perf gate OK: all committed baseline metrics reproduced");
+        return ExitCode::SUCCESS;
     }
     let date = today();
     // Every committed re-baseline should say which change it belongs to; an
@@ -847,20 +548,19 @@ fn main() {
             .and_then(|at| args.get(at + 1))
             .cloned()
             .unwrap_or_else(|| {
-                format!("unlabeled regen_baselines run ({date}); pass --label '<PR description>'")
+                format!(
+                    "unlabeled regen_baselines run ({date}); pass --label '<change description>'"
+                )
             }),
     );
-    let root = workspace_root();
-    let seed = regen_seed_baseline(&label, &date);
-    std::fs::write(root.join("BENCH_seed.json"), seed).expect("write BENCH_seed.json");
-    let scaling = regen_scaling_baseline(&label, &date);
-    std::fs::write(root.join("BENCH_scaling.json"), scaling).expect("write BENCH_scaling.json");
-    let array = regen_array_baseline(&label, &date);
-    std::fs::write(root.join("BENCH_array.json"), array).expect("write BENCH_array.json");
-    let tenants = regen_tenant_baseline(&label, &date);
-    std::fs::write(root.join("BENCH_tenants.json"), tenants).expect("write BENCH_tenants.json");
-    println!(
-        "rewrote BENCH_seed.json, BENCH_scaling.json, BENCH_array.json, and BENCH_tenants.json \
-         ({label})"
-    );
+    for baseline in &BASELINES {
+        let metrics = (baseline.metrics)();
+        let path = root.join(baseline.file);
+        if let Err(error) = std::fs::write(&path, render(baseline, &label, &date, &metrics)) {
+            println!("cannot write {}: {error}", path.display());
+            return ExitCode::FAILURE;
+        }
+        println!("rewrote {} ({} figures)", baseline.file, metrics.len());
+    }
+    ExitCode::SUCCESS
 }

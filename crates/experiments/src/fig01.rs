@@ -1,7 +1,6 @@
 //! Fig 1 — performance stagnation, chip utilization, and memory-level idleness as
 //! the number of flash dies grows, under a conventional (VAS) controller.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::SsdConfig;
 
@@ -9,7 +8,7 @@ use crate::report::{fmt_f64, fmt_pct, Table};
 use crate::runner::{run_one, ExperimentScale};
 
 /// One measured point of Fig 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig01Point {
     /// Number of flash dies in the configuration.
     pub dies: usize,
@@ -24,7 +23,7 @@ pub struct Fig01Point {
 }
 
 /// The full Fig 1 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig01Result {
     /// All measured points.
     pub points: Vec<Fig01Point>,

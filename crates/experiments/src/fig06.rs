@@ -3,7 +3,6 @@
 //! scenario where both parallelism dependency and transactional-locality are solved
 //! (realized here by SPK3).
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::SsdConfig;
 use sprinkler_workloads::paper_workloads;
@@ -12,7 +11,7 @@ use crate::report::{fmt_pct, Table};
 use crate::runner::{find_cell, run_matrix, ExperimentScale, MatrixCell};
 
 /// The Fig 6 measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig06Result {
     /// One cell per workload and scenario scheduler.
     pub cells: Vec<MatrixCell>,

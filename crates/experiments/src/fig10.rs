@@ -2,7 +2,6 @@
 //! stall time for VAS, PAS, SPK1, SPK2, and SPK3 across the sixteen Table 1
 //! workloads.  The same scheduler × workload matrix feeds Figs 11, 13, and 14.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::{RunMetrics, SsdConfig};
 use sprinkler_workloads::paper_workloads;
@@ -11,7 +10,7 @@ use crate::report::{fmt_f64, Table};
 use crate::runner::{find_cell, run_matrix, ExperimentScale, MatrixCell};
 
 /// The scheduler × workload matrix underlying Figs 10, 11, 13, and 14.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MainComparison {
     /// Every (workload, scheduler) run.
     pub cells: Vec<MatrixCell>,

@@ -1,7 +1,6 @@
 //! Fig 12 — latency time-series analysis over the first requests of `msnfs1`,
 //! comparing VAS against PAS and against SPK3.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::{RunMetrics, SsdConfig};
 use sprinkler_workloads::workload;
@@ -14,7 +13,7 @@ pub const FIG12_SCHEDULERS: [SchedulerKind; 3] =
     [SchedulerKind::Vas, SchedulerKind::Pas, SchedulerKind::Spk3];
 
 /// The Fig 12 measurement: per-I/O latency series per scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig12Result {
     /// Per-scheduler run metrics including the latency series.
     pub runs: Vec<(SchedulerKind, RunMetrics)>,

@@ -1,7 +1,6 @@
 //! Fig 15 — chip utilization as a function of the data transfer size (4 KB – 4 MB)
 //! and the SSD population (64, 256, 1024 chips) for VAS, SPK1, SPK2, and SPK3.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::SsdConfig;
 
@@ -20,7 +19,7 @@ pub const FIG15_SCHEDULERS: [SchedulerKind; 4] = [
 pub const CHIP_COUNTS: [usize; 3] = [64, 256, 1024];
 
 /// One measured point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig15Point {
     /// Total flash chips in the SSD.
     pub chips: usize,
@@ -33,7 +32,7 @@ pub struct Fig15Point {
 }
 
 /// The full Fig 15 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig15Result {
     /// All measured points.
     pub points: Vec<Fig15Point>,

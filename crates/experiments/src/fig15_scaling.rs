@@ -11,7 +11,6 @@
 //! [`ExperimentScale::full`]: the scheduler hot path is index-driven, so round
 //! cost tracks queued work rather than queue depth × pages or the chip count.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::SsdConfig;
 
@@ -28,7 +27,7 @@ pub const CHIP_COUNTS: [usize; 4] = [16, 64, 256, 1024];
 pub const TRANSFER_SIZES_KB: [u64; 3] = [4, 32, 128];
 
 /// One measured point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Total flash chips in the SSD.
     pub chips: usize,
@@ -49,7 +48,7 @@ pub struct ScalingPoint {
 }
 
 /// The full scaling sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingResult {
     /// All measured points.
     pub points: Vec<ScalingPoint>,

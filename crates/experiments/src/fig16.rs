@@ -2,7 +2,6 @@
 //! transfer size, for 64-chip and 1024-chip SSDs.  FARO's over-commitment lets the
 //! controllers coalesce memory requests, roughly halving the transaction count.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::SsdConfig;
 
@@ -21,7 +20,7 @@ pub const FIG16_SCHEDULERS: [SchedulerKind; 4] = [
 pub const CHIP_COUNTS: [usize; 2] = [64, 1024];
 
 /// One measured point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fig16Point {
     /// Total flash chips.
     pub chips: usize,
@@ -36,7 +35,7 @@ pub struct Fig16Point {
 }
 
 /// The full Fig 16 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig16Result {
     /// All measured points.
     pub points: Vec<Fig16Point>,

@@ -1,7 +1,6 @@
 //! Fig 17 — garbage collection and readdressing impact: bandwidth versus transfer
 //! size on pristine and fragmented (95 % pre-filled) SSDs for VAS, PAS, and SPK3.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::{GcConfig, SsdConfig};
 
@@ -19,7 +18,7 @@ pub const CHIP_COUNTS: [usize; 2] = [64, 256];
 pub const FRAGMENTED_FILL: f64 = 0.95;
 
 /// One measured point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig17Point {
     /// Total flash chips.
     pub chips: usize,
@@ -36,7 +35,7 @@ pub struct Fig17Point {
 }
 
 /// The full Fig 17 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig17Result {
     /// All measured points.
     pub points: Vec<Fig17Point>,

@@ -1,11 +1,5 @@
-//! Shared micro-benchmark fixtures.
-//!
-//! The standing scheduling scene below is timed by two consumers that must stay
-//! in lockstep: the `scheduler_rounds` group of the `scheduler_micro` bench
-//! target (`crates/bench/benches/scheduler_micro.rs`) and the
-//! `regen_baselines` binary that rewrites `BENCH_scaling.json`.  Keeping the
-//! fixture here guarantees the committed baseline numbers describe exactly the
-//! scene `cargo bench` measures.
+//! Shared micro-benchmark fixtures, timed by the `scheduler_micro` bench
+//! target (`crates/bench/benches/scheduler_micro.rs`).
 
 use sprinkler_core::SchedulerKind;
 use sprinkler_flash::{FlashGeometry, Lpn};
@@ -17,17 +11,14 @@ use sprinkler_workloads::SyntheticSpec;
 
 use crate::runner::{run_one, ExperimentScale};
 
-/// The scale used by bench targets and the baseline regenerator — an alias
-/// for [`ExperimentScale::bench`], the shared scale-resolution source of
-/// truth.
+/// The scale used by bench targets — an alias for [`ExperimentScale::bench`],
+/// the shared scale-resolution source of truth.
 pub fn bench_scale() -> ExperimentScale {
     ExperimentScale::bench()
 }
 
-/// A single small simulation run used as the timed measurement body by both the
-/// criterion bench targets (via `sprinkler_bench`) and `regen_baselines` — one
-/// recipe, so the committed `fig10/spk3_run` baseline always describes the
-/// scene `cargo bench` times.
+/// A single small simulation run: the body the `scheduler_micro` bench target
+/// times once per scheduler (via `sprinkler_bench`).
 pub fn representative_run(kind: SchedulerKind) -> RunMetrics {
     let scale = bench_scale();
     let config = SsdConfig::paper_default().with_blocks_per_plane(scale.blocks_per_plane);

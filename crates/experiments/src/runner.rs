@@ -1,6 +1,5 @@
 //! Shared experiment machinery.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::request::HostRequest;
 use sprinkler_ssd::{RunMetrics, SsdConfig};
@@ -11,7 +10,7 @@ use crate::replay::{self, CapacityPolicy};
 /// How large each experiment should be.  The full scale approximates the paper's
 /// runs; the quick scale keeps `cargo bench`/CI runs in the seconds range while
 /// preserving every qualitative trend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Host I/O requests per workload run.
     pub ios_per_workload: u64,
@@ -24,7 +23,7 @@ pub struct ExperimentScale {
 /// resolves its knobs through [`ExperimentScale::resolve`] (or
 /// [`ExperimentScale::from_args`] for CLI flags), so `--quick` semantics are
 /// defined in exactly one place and cannot diverge per consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleMode {
     /// CI/smoke scale: seconds-range runs preserving every qualitative trend.
     Quick,
@@ -219,7 +218,7 @@ where
 }
 
 /// One cell of a scheduler × workload matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
     /// Workload name.
     pub workload: String,

@@ -24,7 +24,6 @@
 //! `run_all` call.  The `scenarios` binary runs the registry from the command
 //! line (CI runs it at quick scale).
 
-use serde::{Deserialize, Serialize};
 use sprinkler_array::{run_array, ArrayConfig, ArrayMetrics, RebalanceConfig};
 use sprinkler_core::SchedulerKind;
 use sprinkler_sim::{SimTime, SplitMix64};
@@ -66,7 +65,7 @@ pub const ARRAY_CHIP_BUDGET: usize = 64;
 const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Vas, SchedulerKind::Spk3];
 
 /// One measured cell of a scenario: a workload variant under one scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioCell {
     /// The workload variant (e.g. `"sample_msr"`, `"qd16"`).
     pub label: String,
@@ -77,7 +76,7 @@ pub struct ScenarioCell {
 }
 
 /// The result of one scenario run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// The scenario's registry name.
     pub scenario: String,

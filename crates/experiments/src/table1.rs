@@ -1,13 +1,12 @@
 //! Table 1 — trace characteristics, regenerated from the synthetic workloads.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_workloads::{paper_workloads, TraceStats};
 
 use crate::report::{fmt_f64, Table};
 use crate::runner::ExperimentScale;
 
 /// One regenerated row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Entry {
     /// Workload name.
     pub name: String,
@@ -18,7 +17,7 @@ pub struct Table1Entry {
 }
 
 /// The regenerated Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Report {
     /// One entry per workload, in Table 1 order.
     pub entries: Vec<Table1Entry>,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A logical page number: the host-visible (virtual) address space, in units of one
 /// flash page.
 ///
@@ -16,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(lpn.value(), 42);
 /// assert_eq!(lpn.offset(3).value(), 45);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lpn(u64);
 
 impl Lpn {
@@ -48,9 +44,7 @@ impl fmt::Display for Lpn {
 ///
 /// Use [`crate::FlashGeometry::ppn_of`] / [`crate::FlashGeometry::addr_of`] to
 /// convert between [`Ppn`] and [`PhysicalPageAddr`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ppn(u64);
 
 impl Ppn {
@@ -72,9 +66,7 @@ impl fmt::Display for Ppn {
 }
 
 /// Identifies a flash chip by its channel and its position ("way") on that channel.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChipLocation {
     /// Channel index.
     pub channel: u32,
@@ -101,9 +93,7 @@ impl fmt::Display for ChipLocation {
 /// assert_eq!(addr.chip(), g.chip_location(g.chip_index(1, 0)));
 /// assert_eq!(g.addr_of(g.ppn_of(addr)), addr);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysicalPageAddr {
     /// Channel index.
     pub channel: u32,

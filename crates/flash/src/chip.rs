@@ -6,7 +6,6 @@
 //! transaction ([`ChipPhase`]), and accounts per-die / per-plane busy time used by
 //! the intra-chip idleness and FLP metrics.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::{Duration, SimTime};
 
 use crate::address::ChipLocation;
@@ -25,7 +24,7 @@ use crate::transaction::{FlashTransaction, ParallelismLevel};
 /// * The completion bus phase (read data out, status) is arbitrated separately by
 ///   the controller once the cell phase finishes, because the channel may be busy
 ///   at that moment; its *duration* is `completion_bus`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChipPhase {
     /// When the issue bus phase starts.
     pub start: SimTime,
@@ -56,7 +55,7 @@ impl ChipPhase {
 }
 
 /// Per-chip execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChipStats {
     /// Number of flash transactions executed.
     pub transactions: u64,
@@ -93,7 +92,7 @@ pub struct ChipStats {
 /// chip.complete_transaction(phase.earliest_completion());
 /// assert!(!chip.is_busy());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chip {
     location: ChipLocation,
     dies: Vec<Die>,

@@ -9,12 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::transaction::{FlashOp, FlashTransaction};
 
 /// The ONFI command opcodes the simulated controller issues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlashCommand {
     /// `00h` — read setup (column/row address follows).
     ReadSetup,
@@ -72,7 +70,7 @@ impl fmt::Display for FlashCommand {
 }
 
 /// One logical phase of bus activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusCycleKind {
     /// A command latch cycle.
     Command(FlashCommand),
@@ -111,7 +109,7 @@ pub enum BusCycleKind {
 /// assert_eq!(seq.data_out_bytes(), 2048);
 /// assert_eq!(seq.data_in_bytes(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommandSequence {
     issue: Vec<BusCycleKind>,
     completion: Vec<BusCycleKind>,

@@ -1,12 +1,11 @@
 //! Die-level state: an independent memory island behind the shared chip interface.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::{Duration, SimTime};
 
 use crate::plane::Plane;
 
 /// A flash die: holds its planes and accounts its own busy (R/B asserted) time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Die {
     planes: Vec<Plane>,
     busy_total: Duration,

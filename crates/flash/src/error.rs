@@ -24,18 +24,6 @@ pub enum FlashError {
     },
     /// Attempted to build an empty transaction.
     EmptyTransaction,
-    /// A program targeted a page out of the in-block sequential program order.
-    ProgramOrderViolation {
-        /// The offending address.
-        addr: PhysicalPageAddr,
-        /// The next page index the block expects to be programmed.
-        expected_page: u32,
-    },
-    /// A program targeted a block whose pages are exhausted (needs erase first).
-    BlockFull {
-        /// The offending address.
-        addr: PhysicalPageAddr,
-    },
     /// A transaction was admitted to a chip that is still busy.
     ChipBusy {
         /// Channel index of the busy chip.
@@ -60,16 +48,6 @@ impl fmt::Display for FlashError {
                 write!(f, "cannot coalesce request into transaction: {reason}")
             }
             FlashError::EmptyTransaction => write!(f, "transaction contains no requests"),
-            FlashError::ProgramOrderViolation {
-                addr,
-                expected_page,
-            } => write!(
-                f,
-                "program order violation at {addr}: expected page {expected_page}"
-            ),
-            FlashError::BlockFull { addr } => {
-                write!(f, "block at {addr} is fully programmed and needs an erase")
-            }
             FlashError::ChipBusy { channel, way } => {
                 write!(f, "chip (channel {channel}, way {way}) is busy")
             }
@@ -100,11 +78,6 @@ mod tests {
                 reason: "different chip",
             },
             FlashError::EmptyTransaction,
-            FlashError::ProgramOrderViolation {
-                addr,
-                expected_page: 3,
-            },
-            FlashError::BlockFull { addr },
             FlashError::ChipBusy { channel: 1, way: 2 },
             FlashError::InvalidGeometry { field: "channels" },
         ];

@@ -1,7 +1,5 @@
 //! SSD / NAND flash geometry description.
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::{ChipLocation, PhysicalPageAddr, Ppn};
 use crate::error::FlashError;
 
@@ -28,7 +26,7 @@ use crate::error::FlashError;
 /// let big = g.with_chip_count(1024);
 /// assert_eq!(big.total_chips(), 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FlashGeometry {
     /// Number of independent channels (shared data paths).
     pub channels: usize,

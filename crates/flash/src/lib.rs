@@ -16,8 +16,6 @@
 //!   (plane sharing), PAL2 (die interleaving), or PAL3 (both).
 //! * [`Chip`] / [`Die`] / [`Plane`] — the chip state machine (R/B signalling, busy
 //!   windows, per-resource busy accounting used for intra-chip idleness metrics).
-//! * [`CellArray`] — program/erase ordering ground truth (write pointers, erase
-//!   counts) used to validate FTL behaviour.
 //!
 //! # Example
 //!
@@ -42,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod address;
-pub mod cell;
 pub mod chip;
 pub mod command;
 pub mod die;
@@ -53,7 +50,6 @@ pub mod timing;
 pub mod transaction;
 
 pub use address::{ChipLocation, Lpn, PhysicalPageAddr, Ppn};
-pub use cell::CellArray;
 pub use chip::{Chip, ChipPhase};
 pub use command::{BusCycleKind, BusPhaseCounts, CommandSequence, FlashCommand};
 pub use die::Die;

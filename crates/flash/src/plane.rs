@@ -1,6 +1,5 @@
 //! Plane-level state: the memory array sharing wordline and voltage drivers.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::{Duration, SimTime};
 
 /// A single flash plane.
@@ -9,7 +8,7 @@ use sprinkler_sim::{Duration, SimTime};
 /// machine ([`crate::Chip`]) enforces that only one transaction occupies the chip,
 /// so the plane only needs to account its own busy time (used for the intra-chip
 /// idleness metric) and how many operations it has served.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Plane {
     busy_total: Duration,
     operations: u64,

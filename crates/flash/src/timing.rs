@@ -6,7 +6,6 @@
 //! address within the block, and a conventional block erase in the millisecond
 //! range.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::Duration;
 
 use crate::command::BusPhaseCounts;
@@ -14,7 +13,7 @@ use crate::transaction::{FlashOp, FlashTransaction};
 
 /// ONFI interface speed grades.  The paper notes vendors ship ONFI 2.x rather than
 /// the 400 MHz interface even for PCIe SSDs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OnfiMode {
     /// Legacy asynchronous SDR interface (~33 MB/s).
     Sdr33,
@@ -56,7 +55,7 @@ impl OnfiMode {
 }
 
 /// How page program latency is assigned within a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramLatencyModel {
     /// Every page programs in the same time (SLC-like behaviour).
     Uniform,
@@ -79,7 +78,7 @@ pub enum ProgramLatencyModel {
 /// assert_eq!(t.program_latency(1), Duration::from_micros(2200));  // slow page
 /// assert!(t.bus_mode() == OnfiMode::Ddr166);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashTiming {
     bus_mode: OnfiMode,
     read_latency: Duration,

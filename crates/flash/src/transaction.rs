@@ -12,14 +12,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::address::{ChipLocation, PhysicalPageAddr};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 
 /// The operation a flash transaction performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlashOp {
     /// Page read (cell array → data register → bus).
     Read,
@@ -48,7 +46,7 @@ impl fmt::Display for FlashOp {
 }
 
 /// Flash-level parallelism classification of a transaction (Fig 14 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ParallelismLevel {
     /// Single request: served only by system-level parallelism.
     NonPal,
@@ -107,7 +105,7 @@ impl fmt::Display for ParallelismLevel {
 /// assert_eq!(txn.active_dies(), 2);
 /// assert_eq!(txn.active_planes(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashTransaction {
     op: FlashOp,
     chip: ChipLocation,

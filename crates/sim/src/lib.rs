@@ -44,7 +44,7 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use rng::{DeterministicRng, SplitMix64};
-pub use stats::{Counter, Histogram, MeanStat, RateTracker, Summary, TimeWeighted};
+pub use stats::{Histogram, MeanStat};
 pub use telemetry::{
     alloc_count, bytes_allocated, panic_on_alloc, AllocScope, CountingAllocator, TelemetryCounters,
     TelemetrySnapshot,

@@ -5,8 +5,6 @@
 //! xoshiro256**-style generator seeded explicitly, so repeated runs of the same
 //! experiment produce byte-identical results.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 generator, used to expand a single `u64` seed into the state of the
 /// main generator.  Also usable on its own for cheap hashing-style randomness.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SplitMix64::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -57,7 +55,7 @@ impl SplitMix64 {
 /// let p = rng.uniform_f64();
 /// assert!((0.0..1.0).contains(&p));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterministicRng {
     s: [u64; 4],
 }

@@ -20,8 +20,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Relaxed-ordering atomic counters for the scheduling/replay hot path.
 ///
 /// All increments use [`Ordering::Relaxed`]: the counters are statistics, not
@@ -96,7 +94,7 @@ impl TelemetryCounters {
 
 /// A frozen, plain-`u64` view of [`TelemetryCounters`], carried by run metrics
 /// and summable across devices of an array.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Scheduling rounds executed.
     pub sched_rounds: u64,
@@ -120,13 +118,10 @@ pub struct TelemetrySnapshot {
     /// EWMA decay passes applied to the per-stripe heat table.
     pub heat_decays: u64,
     /// Host requests admitted through the multi-tenant fair-share front.
-    #[serde(default)]
     pub tenant_admissions: u64,
     /// Tenant head-of-line records deferred past arrival by the fair scheduler.
-    #[serde(default)]
     pub tenant_deferrals: u64,
     /// Tenant head-of-line records held back by the burst-isolation bucket.
-    #[serde(default)]
     pub tenant_throttles: u64,
 }
 

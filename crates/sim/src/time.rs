@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute instant in simulated time, measured in nanoseconds from the start of
 /// the simulation.
 ///
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_nanos(), 20_000);
 /// assert_eq!(t - SimTime::ZERO, Duration::from_nanos(20_000));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time in nanoseconds.
@@ -38,9 +34,7 @@ pub struct SimTime(u64);
 /// assert_eq!(bus.as_nanos(), 12_300);
 /// assert_eq!(bus * 2, Duration::from_nanos(24_600));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
 impl SimTime {

@@ -33,8 +33,6 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 /// Smallest extent capacity handed to a chip on its first insert.
 const MIN_EXTENT_CAP: u32 = 4;
 
@@ -68,7 +66,7 @@ pub fn pri_plane(pri: u32) -> u32 {
 }
 
 /// One chip's contiguous range of the column arena.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Extent {
     start: u32,
     len: u32,
@@ -108,7 +106,7 @@ impl CandidateView<'_> {
 }
 
 /// The struct-of-arrays per-chip candidate index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CandidateIndex {
     col_seq: Vec<u64>,
     col_pri: Vec<u32>,

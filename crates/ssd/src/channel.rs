@@ -8,7 +8,6 @@
 //! *contention*: time a transaction had to wait for the bus, which feeds the
 //! execution-time breakdown of Fig 13.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::{Duration, SimTime};
 
 /// A single channel bus and its occupancy accounting.
@@ -26,7 +25,7 @@ use sprinkler_sim::{Duration, SimTime};
 /// assert_eq!(grant2.start, SimTime::from_micros(10)); // waited for the bus
 /// assert_eq!(grant2.waited, Duration::from_micros(6));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Channel {
     index: usize,
     free_at: SimTime,
@@ -36,7 +35,7 @@ pub struct Channel {
 }
 
 /// The result of acquiring the channel for a bus phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusGrant {
     /// When the bus phase actually starts.
     pub start: SimTime,

@@ -1,6 +1,5 @@
 //! SSD configuration.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::{FlashGeometry, FlashTiming};
 use sprinkler_sim::Duration;
 
@@ -11,7 +10,7 @@ use sprinkler_sim::Duration;
 /// stripping), then across the chips of a channel (channel pipelining), then across
 /// dies and planes — the classic C-W-D-P order that maximizes system-level
 /// parallelism for sequential logical addresses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {
     /// Channel → way → die → plane striping (the default, highest SLP for
     /// sequential streams).
@@ -25,7 +24,7 @@ pub enum AllocationPolicy {
 }
 
 /// Garbage collection configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcConfig {
     /// Whether garbage collection runs at all.  Experiments on pristine SSDs
     /// disable it to isolate scheduling effects (Figs 10–16); Fig 17 enables it.
@@ -73,7 +72,7 @@ impl GcConfig {
 /// assert_eq!(cfg.queue_depth, 32);
 /// cfg.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdConfig {
     /// Flash array geometry.
     pub geometry: FlashGeometry,

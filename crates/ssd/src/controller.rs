@@ -8,7 +8,6 @@
 //! over-committed for the chip, the higher the flash-level parallelism of the
 //! transaction — this is exactly the mechanism FARO exploits.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::{
     FlashGeometry, FlashOp, FlashTransaction, PhysicalPageAddr, TransactionBuilder,
 };
@@ -17,7 +16,7 @@ use sprinkler_sim::{Duration, SimTime};
 use crate::request::{MemReqId, TagId};
 
 /// A memory request waiting at the controller to join a flash transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingRequest {
     /// The memory request's identifier.
     pub id: MemReqId,
@@ -107,7 +106,7 @@ impl TxnScratch {
 }
 
 /// The flash controller of one channel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashController {
     channel: usize,
     pending: Vec<Vec<PendingRequest>>,

@@ -6,7 +6,6 @@
 //! corresponding memory requests can be delivered to the flash controllers; read
 //! data crosses it after the flash transaction completes.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::{Duration, SimTime};
 
 /// The shared host DMA engine.
@@ -22,7 +21,7 @@ use sprinkler_sim::{Duration, SimTime};
 /// let second = dma.transfer(SimTime::ZERO, 2048);
 /// assert!(second > first); // transfers serialize on the engine
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DmaEngine {
     bytes_per_sec: u64,
     free_at: SimTime,

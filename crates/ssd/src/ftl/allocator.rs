@@ -8,13 +8,12 @@
 //! the FTL preprocessor expose a stable physical layout preview to the schedulers
 //! before the data is actually written — the capability PAS and Sprinkler rely on.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::{FlashGeometry, Lpn, PhysicalPageAddr};
 
 use crate::config::AllocationPolicy;
 
 /// Per-plane allocation state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PlaneState {
     /// Blocks with no valid data and fully erased, available for allocation.
     free_blocks: Vec<u32>,
@@ -46,7 +45,7 @@ impl PlaneState {
 }
 
 /// The physical location of one plane in the SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlaneLocation {
     /// Channel index.
     pub channel: u32,
@@ -74,7 +73,7 @@ pub struct PlaneLocation {
 /// assert_eq!(addr.channel, place.channel);
 /// assert_eq!(addr.page, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocator {
     geometry: FlashGeometry,
     policy: AllocationPolicy,

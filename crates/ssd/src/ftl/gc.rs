@@ -7,11 +7,10 @@
 //! whose timing competes with host I/O, and fires the readdressing callback for
 //! schedulers that support it.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::{Lpn, PhysicalPageAddr};
 
 /// One live page moved by garbage collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMigration {
     /// The logical page that moved.
     pub lpn: Lpn,
@@ -25,7 +24,7 @@ pub struct PageMigration {
 }
 
 /// A fully planned garbage-collection invocation for one plane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcPlan {
     /// The plane being collected (flat plane index).
     pub plane_index: usize,
@@ -57,7 +56,7 @@ impl GcPlan {
 }
 
 /// Counters describing garbage-collection activity over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Number of GC invocations.
     pub invocations: u64,

@@ -6,7 +6,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::{Lpn, Ppn};
 
 /// Bidirectional page-level map: LPN → PPN and PPN → LPN.
@@ -23,7 +22,7 @@ use sprinkler_flash::{Lpn, Ppn};
 /// assert_eq!(map.lookup(Lpn::new(7)), Some(Ppn::new(100)));
 /// assert_eq!(map.lpn_of(Ppn::new(100)), Some(Lpn::new(7)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageMap {
     l2p: HashMap<u64, u64>,
     p2l: HashMap<u64, u64>,

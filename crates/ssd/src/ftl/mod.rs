@@ -12,7 +12,6 @@ pub use gc::{GcPlan, GcStats, PageMigration};
 pub use mapping::PageMap;
 pub use wear::WearTracker;
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::{FlashGeometry, Lpn, PhysicalPageAddr};
 use sprinkler_sim::DeterministicRng;
 
@@ -20,7 +19,7 @@ use crate::config::AllocationPolicy;
 use crate::request::{Direction, Placement};
 
 /// Counters describing FTL activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FtlStats {
     /// Host page reads translated.
     pub host_reads: u64,
@@ -33,7 +32,7 @@ pub struct FtlStats {
 }
 
 /// The result of allocating a physical page for a host (or GC) write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteAllocation {
     /// The freshly allocated physical page.
     pub addr: PhysicalPageAddr,
@@ -61,7 +60,7 @@ pub struct WriteAllocation {
 /// assert_eq!(preview.channel, w.addr.channel);
 /// assert_eq!(preview.die, w.addr.die);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ftl {
     geometry: FlashGeometry,
     map: PageMap,

@@ -1,7 +1,5 @@
 //! Block erase (wear) accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Tracks per-block erase counts and summarizes wear across the SSD.
 ///
 /// # Example
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(wear.max(), 2);
 /// assert_eq!(wear.total(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WearTracker {
     counts: Vec<u32>,
     total: u64,

@@ -33,10 +33,8 @@
 //! commits and silently halving the effective over-commitment headroom FARO
 //! depends on — the bug this module exists to make structurally impossible.)
 
-use serde::{Deserialize, Serialize};
-
 /// Occupancy of one flash chip, as visible to the scheduler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChipOccupancy {
     /// Flat chip index.
     pub chip: usize,
@@ -67,7 +65,7 @@ pub struct ChipOccupancy {
 /// ledger.retire(0);
 /// assert_eq!(ledger.headroom(0), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitmentLedger {
     max_committed_per_chip: usize,
     /// Outstanding committed-but-incomplete requests per chip (dense column).

@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::ParallelismLevel;
 use sprinkler_sim::{Duration, Histogram, MeanStat, SimTime, TelemetryCounters, TelemetrySnapshot};
 
@@ -76,7 +75,7 @@ pub fn weighted_mean_latency_ns<'a>(runs: impl IntoIterator<Item = &'a RunMetric
 
 /// Fractions of memory requests served at each flash-level parallelism class
 /// (Fig 14).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FlpBreakdown {
     /// Served with no flash-level parallelism.
     pub non_pal: f64,
@@ -103,7 +102,7 @@ impl FlpBreakdown {
 
 /// Execution-time breakdown fractions (Fig 13).  Fractions are of total chip-time
 /// (elapsed time × number of chips) and sum to ≤ 1, the remainder being idle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecutionBreakdown {
     /// Time chips spent driving bus operations (commands, addresses, payload).
     pub bus_operation: f64,
@@ -116,7 +115,7 @@ pub struct ExecutionBreakdown {
 }
 
 /// All measurements from one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     /// Scheduler that produced this run.
     pub scheduler: String,
@@ -213,7 +212,7 @@ impl RunMetrics {
 
 /// Identity and QoS contract of one tenant lane, registered with
 /// [`MetricsCollector::configure_tenants`] before a multi-tenant replay.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantLaneSpec {
     /// Tenant name, carried into [`TenantMetrics::name`].
     pub name: String,
@@ -230,7 +229,7 @@ pub struct TenantLaneSpec {
 /// which measure from device arrival.  The latency buckets use the same shared
 /// bounds as [`RunMetrics::latency_buckets`] ([`latency_bucket_bounds`]), so
 /// per-tenant histograms from independent runs merge exactly.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantMetrics {
     /// Tenant name from the lane spec.
     pub name: String,

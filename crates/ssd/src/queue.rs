@@ -45,7 +45,6 @@
 //! queue ([`DeviceQueue::commit_page`], [`DeviceQueue::complete_page`],
 //! [`DeviceQueue::refresh_placements`]); queued tags are only handed out immutably.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::SimTime;
 
 use crate::cand::{pack_pri, pri_page, CandidateIndex, CandidateView};
@@ -80,7 +79,7 @@ pub fn read_filter_bucket(lpn: u64) -> usize {
 /// tag are bounded by the transfer size, so a handful of words covers even the
 /// 4 MB configuration, and [`PageBits::zeros`] turns the "which pages are
 /// uncommitted" scan into a bit-scan over one or two cache lines.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageBits {
     words: Vec<u64>,
     len: usize,
@@ -206,7 +205,7 @@ impl Iterator for ZeroBits<'_> {
 }
 
 /// Per-tag state while the I/O request sits in the device queue.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagState {
     /// The tag identifier.
     pub id: TagId,
@@ -306,7 +305,7 @@ impl TagState {
 }
 
 /// One recycled storage slot of the queue's slot map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Slot {
     state: Option<TagState>,
     /// Previous slot in arrival order (`NIL` at the head).
@@ -323,7 +322,7 @@ struct Slot {
 /// live tags can still collide modulo the ring size (one tag outliving many
 /// churn cycles, or tests using arbitrary ids); colliders spill into a small
 /// linear-scanned overflow list bounded by the queue depth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TagMap {
     mask: u64,
     /// `(raw tag id, slot)` cells; `slot == NO_SLOT` marks an empty cell.
@@ -405,7 +404,7 @@ impl TagMap {
 /// assert!(q.admit(TagId(0), host, SimTime::ZERO, vec![]));
 /// assert_eq!(q.len(), 1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceQueue {
     capacity: usize,
     /// Slot-map storage; never grows past `capacity` entries.

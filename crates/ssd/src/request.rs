@@ -7,12 +7,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use sprinkler_flash::{Lpn, PhysicalPageAddr};
 use sprinkler_sim::SimTime;
 
 /// Direction of a host request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Host reads data from the SSD.
     Read,
@@ -42,9 +41,7 @@ impl fmt::Display for Direction {
 }
 
 /// Identifier of a device-queue tag (one admitted host I/O request).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TagId(pub u64);
 
 impl fmt::Display for TagId {
@@ -54,9 +51,7 @@ impl fmt::Display for TagId {
 }
 
 /// Identifier of a page-level memory request.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemReqId(pub u64);
 
 impl fmt::Display for MemReqId {
@@ -69,7 +64,7 @@ impl fmt::Display for MemReqId {
 ///
 /// Sizes and offsets are expressed in pages (the atomic flash unit); the workload
 /// layer converts byte-level traces into page units.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostRequest {
     /// Monotonic request identifier assigned by the workload.
     pub id: u64,
@@ -142,7 +137,7 @@ impl HostRequest {
 
 /// The physical placement (preview) of one page of an I/O request, computed by the
 /// FTL preprocessor at admission time (Algorithm 1's `core.preprocess(tag)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Placement {
     /// Flat chip index.
     pub chip: usize,
@@ -170,7 +165,7 @@ impl Placement {
 }
 
 /// The lifecycle of a page-level memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemReqPhase {
     /// Committed by the scheduler; waiting for host data movement (writes only).
     AwaitingData,
@@ -186,7 +181,7 @@ pub enum MemReqPhase {
 
 /// A page-level memory request: the unit the scheduler commits and the flash
 /// controller coalesces into transactions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryRequest {
     /// Identifier.
     pub id: MemReqId,

@@ -1,7 +1,6 @@
 //! Tenant identity: priority classes, weights, SLOs, and burst-isolation
 //! bucket configuration.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_ssd::TenantLaneSpec;
 
 /// The service class of a tenant, determining its default fair-share weight.
@@ -9,7 +8,7 @@ use sprinkler_ssd::TenantLaneSpec;
 /// The classes mirror the serving-system taxonomy the ROADMAP targets:
 /// latency-sensitive request/response traffic, deadline-driven sequential
 /// streaming, and throughput-oriented background work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PriorityClass {
     /// Small, latency-critical I/O (request/response serving).
     Interactive,
@@ -46,7 +45,7 @@ impl PriorityClass {
 /// whose head-of-line record exceeds its accumulated tokens is held back until
 /// the bucket refills, so one tenant's burst cannot monopolize admission no
 /// matter how much backlog it presents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenBucketConfig {
     /// Sustained refill rate in bytes per second.  `0` disables throttling.
     pub rate_bytes_per_sec: u64,
@@ -74,7 +73,7 @@ impl TokenBucketConfig {
 }
 
 /// Everything the admission front needs to know about one tenant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Tenant name, carried into the per-tenant metrics lane.
     pub name: String,

@@ -1,11 +1,9 @@
 //! Trace analysis: the statistics Table 1 reports, recomputed from a trace.
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::Trace;
 
 /// Summary statistics of a trace, mirroring the columns of Table 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TraceStats {
     /// Total bytes read.
     pub read_bytes: u64,

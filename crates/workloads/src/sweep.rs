@@ -4,7 +4,6 @@
 //! keeping the access pattern simple (random offsets, saturating arrivals).  The
 //! [`SweepSpec`] generator produces those workloads.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::{DeterministicRng, Duration, SimTime};
 
 use crate::source::TraceSource;
@@ -21,7 +20,7 @@ use crate::trace::{Trace, TraceOp, TraceRecord};
 /// assert_eq!(trace.len(), 100);
 /// assert!(trace.iter().all(|r| r.bytes == 64 * 1024));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Transfer size in KB (every request has exactly this size).
     pub transfer_kb: u64,

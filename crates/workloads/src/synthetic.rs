@@ -1,6 +1,5 @@
 //! Synthetic trace generation parameterized by the statistics of Table 1.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::{DeterministicRng, Duration, SimTime};
 
 use crate::source::TraceSource;
@@ -8,7 +7,7 @@ use crate::trace::{Trace, TraceOp, TraceRecord};
 
 /// Transactional-locality class of a workload (last column of Table 1): how likely
 /// the requests outstanding at any instant are to form high-FLP flash transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Locality {
     /// Requests are scattered; little opportunity to coalesce.
     Low,
@@ -55,7 +54,7 @@ impl Locality {
 /// assert_eq!(trace.len(), 200);
 /// assert_eq!(trace.name(), "demo");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
     /// Workload name.
     pub name: String,

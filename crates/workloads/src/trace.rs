@@ -1,10 +1,9 @@
 //! The block-level trace model.
 
-use serde::{Deserialize, Serialize};
 use sprinkler_sim::SimTime;
 
 /// Whether a trace record reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceOp {
     /// Read request.
     Read,
@@ -20,7 +19,7 @@ impl TraceOp {
 }
 
 /// One block-level I/O request of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Monotonic record identifier.
     pub id: u64,
@@ -45,7 +44,7 @@ impl TraceRecord {
 }
 
 /// A complete trace: a named, time-ordered sequence of records.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     name: String,
     records: Vec<TraceRecord>,

@@ -48,7 +48,7 @@
 //! ```text
 //! cargo build --release   # every crate
 //! cargo test -q           # unit + integration + property + doc tests
-//! cargo bench --no-run    # compiles the 18 bench targets in crates/bench
+//! cargo bench --no-run    # compiles the 6 bench targets in crates/bench
 //! ```
 //!
 //! Crate dependency order (each depends on the ones before it):
