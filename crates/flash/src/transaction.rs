@@ -214,15 +214,12 @@ impl FlashTransaction {
 ///
 /// * every request targets the same chip and uses the same operation,
 /// * at most one request per (die, plane) pair (planes hold one page in their data
-///   register at a time),
-/// * optionally, plane sharing may be restricted to requests with identical page
-///   offsets (the strictest reading of the ONFI multi-plane constraint).
+///   register at a time).
 #[derive(Debug, Clone)]
 pub struct TransactionBuilder {
     op: FlashOp,
     geometry: FlashGeometry,
     requests: Vec<PhysicalPageAddr>,
-    strict_plane_pairing: bool,
 }
 
 impl TransactionBuilder {
@@ -245,15 +242,7 @@ impl TransactionBuilder {
             op,
             geometry,
             requests: buffer,
-            strict_plane_pairing: false,
         }
-    }
-
-    /// Enables the strict ONFI multi-plane pairing rule: requests that share a die
-    /// must also share their page offset (and differ in plane/block only).
-    pub fn with_strict_plane_pairing(mut self, strict: bool) -> Self {
-        self.strict_plane_pairing = strict;
-        self
     }
 
     /// Number of requests accepted so far.
@@ -278,17 +267,14 @@ impl TransactionBuilder {
                 reason: "request targets a different chip",
             });
         }
-        for existing in &self.requests {
-            if existing.die == addr.die && existing.plane == addr.plane {
-                return Err(FlashError::CoalesceConflict {
-                    reason: "plane already occupied by this transaction",
-                });
-            }
-            if self.strict_plane_pairing && existing.die == addr.die && existing.page != addr.page {
-                return Err(FlashError::CoalesceConflict {
-                    reason: "strict plane pairing requires matching page offsets",
-                });
-            }
+        if self
+            .requests
+            .iter()
+            .any(|existing| existing.die == addr.die && existing.plane == addr.plane)
+        {
+            return Err(FlashError::CoalesceConflict {
+                reason: "plane already occupied by this transaction",
+            });
         }
         Ok(())
     }
@@ -402,20 +388,6 @@ mod tests {
         // can_add does not mutate: adding a valid one still works.
         b.try_add(g.page_addr(0, 0, 0, 1, 9, 5)).unwrap();
         assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn strict_plane_pairing_requires_same_page_offset() {
-        let g = g();
-        let mut b =
-            TransactionBuilder::new(FlashOp::Program, g.clone()).with_strict_plane_pairing(true);
-        b.try_add(g.page_addr(0, 0, 0, 0, 1, 7)).unwrap();
-        let err = b.try_add(g.page_addr(0, 0, 0, 1, 2, 8)).unwrap_err();
-        assert!(matches!(err, FlashError::CoalesceConflict { .. }));
-        b.try_add(g.page_addr(0, 0, 0, 1, 2, 7)).unwrap();
-        // A different die is not constrained by the first die's page offset.
-        b.try_add(g.page_addr(0, 0, 1, 0, 2, 3)).unwrap();
-        assert_eq!(b.len(), 3);
     }
 
     #[test]

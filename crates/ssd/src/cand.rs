@@ -116,6 +116,10 @@ pub struct CandidateIndex {
     extents: Vec<Extent>,
     /// Sorted chip indices with at least one live row.
     active: Vec<u32>,
+    /// Chips whose extent holds arena capacity (`cap > 0`), unordered: the
+    /// active chips plus those emptied since the last compaction.  Compaction
+    /// resets only these, so it never walks every chip's extent.
+    held: Vec<u32>,
     /// Live rows across all extents.
     live: u32,
     /// Compaction spares: the arena is rewritten into these and the buffers
@@ -263,6 +267,9 @@ impl CandidateIndex {
     /// Relocates a full extent to the end of the arena with doubled capacity.
     fn grow(&mut self, chip: usize) {
         let ext = self.extents[chip];
+        if ext.cap == 0 {
+            self.held.push(chip as u32);
+        }
         let new_cap = (ext.cap * 2).max(MIN_EXTENT_CAP);
         let new_start = self.col_seq.len();
         self.col_seq.resize(new_start + new_cap as usize, 0);
@@ -307,44 +314,51 @@ impl CandidateIndex {
     }
 
     /// Rewrites every live extent tightly (with 50% slack) into the spare
-    /// buffers and swaps them in.  O(live rows + chips), allocation-free once
-    /// the spares have reached the arena's high-water capacity.
+    /// buffers, in chip order, and swaps them in.  Emptied extents give up
+    /// their capacity.  O(live rows + held extents), never O(chips), and
+    /// allocation-free once the spares have reached the arena's high-water
+    /// capacity.
     fn compact(&mut self) {
-        let total: usize = self
-            .extents
-            .iter()
-            .filter(|ext| ext.len > 0)
-            .map(|ext| {
-                let len = ext.len as usize;
-                len + len / 2 + 2
-            })
-            .sum();
-        self.spare_seq.clear();
-        self.spare_seq.resize(total, 0);
-        self.spare_pri.clear();
-        self.spare_pri.resize(total, 0);
-        self.spare_lpn.clear();
-        self.spare_lpn.resize(total, 0);
-        self.spare_slot.clear();
-        self.spare_slot.resize(total, 0);
-        let mut cursor = 0usize;
         let Self {
             col_seq,
             col_pri,
             col_lpn,
             col_slot,
             extents,
+            active,
+            held,
             spare_seq,
             spare_pri,
             spare_lpn,
             spare_slot,
             ..
         } = self;
-        for ext in extents.iter_mut() {
+        for &chip in held.iter() {
+            let ext = &mut extents[chip as usize];
             if ext.len == 0 {
                 *ext = Extent::default();
-                continue;
             }
+        }
+        held.clear();
+        held.extend_from_slice(active);
+        let total: usize = active
+            .iter()
+            .map(|&chip| {
+                let len = extents[chip as usize].len as usize;
+                len + len / 2 + 2
+            })
+            .sum();
+        spare_seq.clear();
+        spare_seq.resize(total, 0);
+        spare_pri.clear();
+        spare_pri.resize(total, 0);
+        spare_lpn.clear();
+        spare_lpn.resize(total, 0);
+        spare_slot.clear();
+        spare_slot.resize(total, 0);
+        let mut cursor = 0usize;
+        for &chip in active.iter() {
+            let ext = &mut extents[chip as usize];
             let (start, len) = (ext.start as usize, ext.len as usize);
             let cap = len + len / 2 + 2;
             spare_seq[cursor..cursor + len].copy_from_slice(&col_seq[start..start + len]);
@@ -444,5 +458,40 @@ mod tests {
             let chip_rows = rows(&index, chip);
             assert!(chip_rows.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    #[test]
+    fn compaction_releases_only_emptied_extents() {
+        let mut index = CandidateIndex::new();
+        // One row on each of 40 chips: 40 minimum-size extents.
+        for chip in 0..40u64 {
+            index.insert(chip as usize, chip, pack_pri(0, 0, 0), chip, 0);
+        }
+        assert_eq!(index.held.len(), 40);
+        // Emptying all but two chips compacts along the way (dead space
+        // passes 4x the live rows).
+        for chip in (0..40u64).filter(|&c| c != 7 && c != 31) {
+            index.remove(chip as usize, chip, pack_pri(0, 0, 0));
+        }
+        assert_eq!(index.active_chips(), &[7, 31]);
+        // Exactly the held chips own arena capacity.
+        for (chip, ext) in index.extents.iter().enumerate() {
+            assert_eq!(
+                ext.cap > 0,
+                index.held.contains(&(chip as u32)),
+                "chip {chip}"
+            );
+        }
+        assert!(index.held.len() < 40, "compaction must have run");
+        index.compact();
+        assert_eq!(index.held, vec![7, 31]);
+        assert_eq!(index.extents[3], Extent::default());
+        // A released chip takes fresh capacity at the end of the arena.
+        index.insert(3, 100, pack_pri(1, 0, 0), 100, 1);
+        assert_eq!(index.held, vec![7, 31, 3]);
+        assert_eq!(rows(&index, 3), vec![(100, pack_pri(1, 0, 0), 100, 1)]);
+        assert_eq!(rows(&index, 7), vec![(7, pack_pri(0, 0, 0), 7, 0)]);
+        assert_eq!(rows(&index, 31), vec![(31, pack_pri(0, 0, 0), 31, 0)]);
+        assert_eq!(index.len(), 3);
     }
 }

@@ -7,19 +7,27 @@
 //! the flash microarchitecture allows.  The more requests the scheduler has
 //! over-committed for the chip, the higher the flash-level parallelism of the
 //! transaction — this is exactly the mechanism FARO exploits.
+//!
+//! Requests are identified twice: by their monotone [`MemReqId`], which orders
+//! service (ids are never reused, so ties break by age), and by the SSD's
+//! recycled `u32` slab handle, which is what a built transaction hands back.
 
 use sprinkler_flash::{
     FlashGeometry, FlashOp, FlashTransaction, PhysicalPageAddr, TransactionBuilder,
 };
 use sprinkler_sim::{Duration, SimTime};
 
-use crate::request::{MemReqId, TagId};
+use crate::request::MemReqId;
 
 /// A memory request waiting at the controller to join a flash transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingRequest {
-    /// The memory request's identifier.
+    /// The memory request's identifier (monotone: the service-order
+    /// tie-break).
     pub id: MemReqId,
+    /// The request's slab handle in the SSD (recycled, so never used for
+    /// ordering).
+    pub handle: u32,
     /// Fully resolved physical address.
     pub addr: PhysicalPageAddr,
     /// The flash operation required.
@@ -28,8 +36,6 @@ pub struct PendingRequest {
     pub delivered_at: SimTime,
     /// Whether this is internal garbage-collection traffic (served with priority).
     pub gc: bool,
-    /// The owning tag, if any.
-    pub tag: Option<TagId>,
     /// Extra service delay (stale readdressing penalty for schedulers without a
     /// readdressing callback).
     pub extra_delay: Duration,
@@ -40,8 +46,9 @@ pub struct PendingRequest {
 pub struct BuiltTransaction {
     /// The coalesced flash transaction.
     pub txn: FlashTransaction,
-    /// The memory requests folded into it, in the same order as `txn.requests()`.
-    pub members: Vec<MemReqId>,
+    /// The slab handles of the memory requests folded into it, in the same
+    /// order as `txn.requests()`.
+    pub members: Vec<u32>,
     /// The largest extra delay among the members.
     pub extra_delay: Duration,
     /// True when any member is GC traffic.
@@ -59,14 +66,25 @@ pub struct BuiltTransaction {
 /// transaction completes.
 #[derive(Debug, Default)]
 pub struct TxnScratch {
-    /// Candidate pending-set indices, sorted into service order.
-    order: Vec<usize>,
+    /// Per (die, plane): the pending-set index of the first request of the
+    /// chosen operation in service order, or [`NO_REQUEST`].
+    first: Vec<usize>,
     /// Pending-set indices accepted into the transaction, in builder order.
     accepted: Vec<usize>,
     /// Recycled request buffers for [`TransactionBuilder::new_with_buffer`].
     request_pool: Vec<Vec<PhysicalPageAddr>>,
-    /// Recycled member-id buffers for [`BuiltTransaction::members`].
-    member_pool: Vec<Vec<MemReqId>>,
+    /// Recycled member-handle buffers for [`BuiltTransaction::members`].
+    member_pool: Vec<Vec<u32>>,
+}
+
+/// Empty cell of [`TxnScratch::first`].
+const NO_REQUEST: usize = usize::MAX;
+
+/// Service order: GC traffic first, then oldest delivery, then the monotone
+/// id (a total order, so selection never depends on the pending set's
+/// internal order).
+fn service_key(request: &PendingRequest) -> (bool, SimTime, MemReqId) {
+    (!request.gc, request.delivered_at, request.id)
 }
 
 impl TxnScratch {
@@ -83,7 +101,7 @@ impl TxnScratch {
 
     /// Returns a spent member buffer (from [`BuiltTransaction::members`]) to
     /// the pool.
-    pub fn recycle_members(&mut self, buffer: Vec<MemReqId>) {
+    pub fn recycle_members(&mut self, buffer: Vec<u32>) {
         self.member_pool.push(buffer);
     }
 
@@ -94,8 +112,8 @@ impl TxnScratch {
     /// of member buffers simultaneously checked out (live transactions, at
     /// most one per chip plus one being built).
     pub fn preallocate(&mut self, max_pending: usize, max_fold: usize, txn_slots: usize) {
-        self.order.reserve(max_pending);
-        self.accepted.reserve(max_pending);
+        self.first.reserve(max_fold);
+        self.accepted.reserve(max_pending.min(max_fold));
         while self.request_pool.len() < 2 {
             self.request_pool.push(Vec::with_capacity(max_fold));
         }
@@ -177,8 +195,8 @@ impl FlashController {
     /// 1. GC traffic is served before host traffic.
     /// 2. The operation type of the oldest eligible request wins (reads and
     ///    programs are never mixed in one transaction).
-    /// 3. Further requests of the same operation are folded in while they target
-    ///    distinct (die, plane) pairs — die interleaving and plane sharing.
+    /// 3. For each (die, plane) pair, the oldest request of that operation
+    ///    joins — die interleaving and plane sharing.
     pub fn build_transaction(
         &mut self,
         way: usize,
@@ -190,6 +208,12 @@ impl FlashController {
 
     /// [`FlashController::build_transaction`] with caller-provided scratch, so
     /// a warmed-up scratch makes the build allocation-free.
+    ///
+    /// A way's pending set all targets one chip, and one request per
+    /// (die, plane) is the builder's only other coalescing rule, so folding
+    /// candidates greedily in service order accepts exactly the first valid
+    /// request of each (die, plane).  One pass over the pending set finds
+    /// those; only the accepted few are sorted.
     pub fn build_transaction_with(
         &mut self,
         way: usize,
@@ -197,46 +221,42 @@ impl FlashController {
         scratch: &mut TxnScratch,
     ) -> Option<BuiltTransaction> {
         let queue = &mut self.pending[way];
-        if queue.is_empty() {
-            return None;
+        // The seed request, first in service order, picks the operation.
+        let op = queue.iter().min_by_key(|r| service_key(r))?.op;
+
+        let planes = geometry.planes_per_die;
+        scratch.first.clear();
+        scratch
+            .first
+            .resize(geometry.dies_per_chip * planes, NO_REQUEST);
+        for (i, request) in queue.iter().enumerate() {
+            if request.op != op || geometry.check_addr(request.addr).is_err() {
+                continue;
+            }
+            let cell = &mut scratch.first
+                [request.addr.die as usize * planes + request.addr.plane as usize];
+            if *cell == NO_REQUEST || service_key(request) < service_key(&queue[*cell]) {
+                *cell = i;
+            }
         }
-        // Pick the seed request: GC first, then oldest delivery.
-        let seed_index = queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| (!r.gc, r.delivered_at, r.id))
-            .map(|(i, _)| i)?;
-        let op = queue[seed_index].op;
+        scratch.accepted.clear();
+        scratch
+            .accepted
+            .extend(scratch.first.iter().copied().filter(|&i| i != NO_REQUEST));
+        scratch
+            .accepted
+            .sort_unstable_by_key(|&i| service_key(&queue[i]));
+        debug_assert!(!scratch.accepted.is_empty());
 
         let mut builder = TransactionBuilder::new_with_buffer(
             op,
             geometry.clone(),
             scratch.request_pool.pop().unwrap_or_default(),
         );
-
-        // Candidates of the same op, ordered GC-first then oldest-first, seed
-        // guaranteed to be first.  The key is a total order (ids are unique),
-        // so the outcome is independent of the pending set's internal order.
-        scratch.order.clear();
-        scratch
-            .order
-            .extend((0..queue.len()).filter(|&i| queue[i].op == op));
-        scratch.order.sort_by_key(|&i| {
-            (
-                i != seed_index,
-                !queue[i].gc,
-                queue[i].delivered_at,
-                queue[i].id,
-            )
-        });
-
-        scratch.accepted.clear();
-        for &i in &scratch.order {
-            if builder.try_add(queue[i].addr).is_ok() {
-                scratch.accepted.push(i);
-            }
+        for &i in &scratch.accepted {
+            let added = builder.try_add(queue[i].addr);
+            debug_assert!(added.is_ok(), "distinct (die, plane) pairs always fold");
         }
-        debug_assert!(!scratch.accepted.is_empty());
         let txn = builder.build().ok()?;
         if scratch.accepted.len() > 1 {
             self.coalesced += scratch.accepted.len() as u64;
@@ -250,7 +270,7 @@ impl FlashController {
         let mut contains_gc = false;
         for &i in &scratch.accepted {
             let request = &queue[i];
-            members.push(request.id);
+            members.push(request.handle);
             extra_delay = extra_delay.max(request.extra_delay);
             contains_gc |= request.gc;
         }
@@ -268,11 +288,71 @@ impl FlashController {
             contains_gc,
         })
     }
+
+    /// Sort-then-greedy build: sort every request of the seed's operation
+    /// into service order, then fold them into the builder, which rejects
+    /// (die, plane) collisions.  The differential reference for
+    /// [`FlashController::build_transaction_with`].
+    #[cfg(test)]
+    fn build_transaction_sorted(
+        &mut self,
+        way: usize,
+        geometry: &FlashGeometry,
+    ) -> Option<BuiltTransaction> {
+        let queue = &mut self.pending[way];
+        if queue.is_empty() {
+            return None;
+        }
+        let seed_index = queue
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, r)| (!r.gc, r.delivered_at, r.id))
+            .map(|(i, _)| i)?;
+        let op = queue[seed_index].op;
+        let mut builder = TransactionBuilder::new(op, geometry.clone());
+        let mut order: Vec<usize> = (0..queue.len()).filter(|&i| queue[i].op == op).collect();
+        order.sort_by_key(|&i| {
+            (
+                i != seed_index,
+                !queue[i].gc,
+                queue[i].delivered_at,
+                queue[i].id,
+            )
+        });
+        let mut accepted = Vec::new();
+        for &i in &order {
+            if builder.try_add(queue[i].addr).is_ok() {
+                accepted.push(i);
+            }
+        }
+        let txn = builder.build().ok()?;
+        if accepted.len() > 1 {
+            self.coalesced += accepted.len() as u64;
+        }
+        let members = accepted.iter().map(|&i| queue[i].handle).collect();
+        let extra_delay = accepted
+            .iter()
+            .map(|&i| queue[i].extra_delay)
+            .max()
+            .unwrap_or(Duration::ZERO);
+        let contains_gc = accepted.iter().any(|&i| queue[i].gc);
+        accepted.sort_unstable_by(|a, b| b.cmp(a));
+        for &i in &accepted {
+            queue.swap_remove(i);
+        }
+        Some(BuiltTransaction {
+            txn,
+            members,
+            extra_delay,
+            contains_gc,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sprinkler_flash::ParallelismLevel;
 
     fn geometry() -> FlashGeometry {
@@ -290,6 +370,7 @@ mod tests {
     ) -> PendingRequest {
         PendingRequest {
             id: MemReqId(id),
+            handle: id as u32,
             addr: PhysicalPageAddr {
                 channel: 0,
                 way,
@@ -301,7 +382,6 @@ mod tests {
             op,
             delivered_at: SimTime::from_nanos(at),
             gc,
-            tag: Some(TagId(id)),
             extra_delay: Duration::ZERO,
         }
     }
@@ -322,7 +402,7 @@ mod tests {
         assert!(c.has_pending(2));
         let built = c.build_transaction(2, &geometry()).unwrap();
         assert_eq!(built.txn.parallelism(), ParallelismLevel::NonPal);
-        assert_eq!(built.members, vec![MemReqId(1)]);
+        assert_eq!(built.members, vec![1]);
         assert!(!built.contains_gc);
         assert_eq!(c.pending_count(2), 0);
         assert_eq!(c.delivered(), 1);
@@ -349,10 +429,10 @@ mod tests {
         c.deliver(pending(1, 0, 0, 0, FlashOp::Read, 10, false));
         c.deliver(pending(2, 0, 0, 0, FlashOp::Read, 11, false));
         let built = c.build_transaction(0, &geometry()).unwrap();
-        assert_eq!(built.members, vec![MemReqId(1)]);
+        assert_eq!(built.members, vec![1]);
         assert_eq!(c.pending_count(0), 1);
         let second = c.build_transaction(0, &geometry()).unwrap();
-        assert_eq!(second.members, vec![MemReqId(2)]);
+        assert_eq!(second.members, vec![2]);
     }
 
     #[test]
@@ -362,7 +442,7 @@ mod tests {
         c.deliver(pending(2, 0, 1, 0, FlashOp::Program, 11, false));
         let built = c.build_transaction(0, &geometry()).unwrap();
         assert_eq!(built.txn.op(), FlashOp::Read);
-        assert_eq!(built.members, vec![MemReqId(1)]);
+        assert_eq!(built.members, vec![1]);
         let next = c.build_transaction(0, &geometry()).unwrap();
         assert_eq!(next.txn.op(), FlashOp::Program);
     }
@@ -384,7 +464,7 @@ mod tests {
         let built = c.build_transaction(0, &geometry()).unwrap();
         assert!(built.contains_gc);
         assert_eq!(built.txn.op(), FlashOp::Program);
-        assert_eq!(built.members, vec![MemReqId(2)]);
+        assert_eq!(built.members, vec![2]);
     }
 
     #[test]
@@ -415,8 +495,51 @@ mod tests {
         let built = c.build_transaction(0, &geometry()).unwrap();
         assert_eq!(built.members.len(), built.txn.requests().len());
         // The seed (oldest) request is first in both.
-        assert_eq!(built.members[0], MemReqId(7));
+        assert_eq!(built.members[0], 7);
         assert_eq!(built.txn.requests()[0].die, 1);
         assert_eq!(built.txn.requests()[0].plane, 3);
+    }
+
+    /// A random pending request: (die, plane, op, delivery tick, gc when 0,
+    /// extra delay).  Two dies × four planes and six delivery ticks make
+    /// (die, plane) collisions and delivery-time ties common.
+    type PendingSpec = (u32, u32, u8, u64, u8, u64);
+
+    fn arb_pending_set() -> impl Strategy<Value = Vec<PendingSpec>> {
+        prop::collection::vec((0u32..2, 0u32..4, 0u8..3, 0u64..6, 0u8..4, 0u64..3), 1..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass build and the sort-then-greedy reference agree on
+        /// every build until the pending set drains: members and their
+        /// order, the transaction, `extra_delay`, `contains_gc`, and the
+        /// leftover pending set (order included).
+        #[test]
+        fn one_pass_build_matches_the_sorted_reference(specs in arb_pending_set()) {
+            let g = geometry();
+            let ops = [FlashOp::Read, FlashOp::Program, FlashOp::Erase];
+            let mut fast = FlashController::new(0, 1);
+            let mut reference = FlashController::new(0, 1);
+            for (i, &(die, plane, op, at, gc, delay)) in specs.iter().enumerate() {
+                let mut request = pending(i as u64, 0, die, plane, ops[op as usize], at, gc == 0);
+                // Slab handles are recycled, so they are unrelated to age.
+                request.handle = (i as u32 * 7 + 3) % 41;
+                request.extra_delay = Duration::from_micros(delay);
+                fast.deliver(request.clone());
+                reference.deliver(request);
+            }
+            let mut scratch = TxnScratch::new();
+            loop {
+                let built = fast.build_transaction_with(0, &g, &mut scratch);
+                prop_assert_eq!(&built, &reference.build_transaction_sorted(0, &g));
+                prop_assert_eq!(&fast.pending, &reference.pending);
+                let Some(built) = built else { break };
+                scratch.recycle_members(built.members);
+                scratch.recycle_requests(built.txn.into_requests());
+            }
+            prop_assert_eq!(fast.coalesced(), reference.coalesced());
+        }
     }
 }

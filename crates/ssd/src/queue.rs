@@ -756,23 +756,23 @@ impl DeviceQueue {
     /// Marks a page's memory request completed.  Returns `false` when the tag is
     /// not queued or the page was already completed.
     pub fn complete_page(&mut self, id: TagId, page: u32) -> bool {
-        match self.tag_map.get(id.0) {
-            Some(slot) => self.complete_page_at(slot, page),
-            None => false,
-        }
+        self.tag_map
+            .get(id.0)
+            .and_then(|slot| self.complete_page_at(slot, page))
+            .is_some()
     }
 
-    /// [`DeviceQueue::complete_page`] through a dense slot handle.
+    /// [`DeviceQueue::complete_page`] through a dense slot handle.  Returns
+    /// `None` where `complete_page` returns `false`; otherwise `Some(done)`,
+    /// where `done` says the tag has now committed and completed every page
+    /// and is ready to retire.
     // lint: hot-path
-    pub fn complete_page_at(&mut self, slot: u32, page: u32) -> bool {
-        match self
-            .slots
-            .get_mut(slot as usize)
-            .and_then(|s| s.state.as_mut())
-        {
-            Some(state) if (page as usize) < state.pages() => state.mark_completed(page),
-            _ => false,
+    pub fn complete_page_at(&mut self, slot: u32, page: u32) -> Option<bool> {
+        let state = self.slots.get_mut(slot as usize)?.state.as_mut()?;
+        if page as usize >= state.pages() || !state.mark_completed(page) {
+            return None;
         }
+        Some(state.fully_committed() && state.fully_completed())
     }
 
     /// Rewrites the placement preview of every queued, still-uncommitted page

@@ -8,8 +8,14 @@
 //! completion upcalls, bitmap clearing, and I/O retirement.  Garbage collection
 //! injects internal flash traffic and fires readdressing callbacks for schedulers
 //! that support them.
+//!
+//! Per-request state is slot-indexed, with no hashing on the replay path:
+//! in-flight memory requests live in a slab addressed by `u32` handles, the
+//! live transaction of a chip is stored at the chip's index, and GC jobs at
+//! their plane's index.  Events carry only those handles, so an event-heap
+//! entry stays small.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sprinkler_flash::{Chip, FlashOp, Lpn, ParallelismLevel, PhysicalPageAddr};
@@ -23,34 +29,36 @@ use crate::ftl::Ftl;
 use crate::ledger::CommitmentLedger;
 use crate::metrics::{MetricsCollector, RunMetrics};
 use crate::queue::DeviceQueue;
-use crate::request::{Direction, HostRequest, MemReqId, MemReqPhase, MemoryRequest, TagId};
+use crate::request::{
+    Direction, HostRequest, MemReqId, MemReqPhase, MemoryRequest, Placement, TagId,
+};
 use crate::scheduler::{Commitment, IoScheduler, SchedulerContext};
 
-/// Simulation events.
-#[derive(Debug)]
+/// Simulation events.  Every payload is a `u32` handle: a memory request's
+/// slab handle or a chip index.
+#[derive(Debug, Clone, Copy)]
 enum SsdEvent {
-    /// A host I/O request arrives at the SSD.
-    Arrival(HostRequest),
     /// Run the scheduler.
     Schedule,
     /// Host write data for a memory request finished crossing the DMA engine.
-    WriteDataReady(MemReqId),
+    WriteDataReady(u32),
     /// A chip's transaction decision window expired; try to build a transaction.
-    ChipKick(usize),
-    /// The cell phase of a transaction finished; arbitrate its completion phase.
-    CellDone(u64),
-    /// A transaction (including its completion bus phase) finished.
-    TxnComplete(u64),
+    ChipKick(u32),
+    /// The cell phase of a chip's live transaction finished; arbitrate its
+    /// completion phase.
+    CellDone(u32),
+    /// A chip's live transaction (including its completion bus phase) finished.
+    TxnComplete(u32),
     /// Read data for a memory request finished returning to the host.
-    ReadReturned(MemReqId),
+    ReadReturned(u32),
 }
 
-/// A transaction currently executing on a chip.
+/// A transaction currently executing on a chip (at most one per chip).
 #[derive(Debug)]
 struct LiveTransaction {
-    chip: usize,
     channel: usize,
-    members: Vec<MemReqId>,
+    /// Slab handles of the member memory requests.
+    members: Vec<u32>,
     level: ParallelismLevel,
     request_count: usize,
     bus_time: Duration,
@@ -59,31 +67,87 @@ struct LiveTransaction {
     completion_bus: Duration,
 }
 
-/// The role a memory request plays in a garbage-collection job.
+/// The role a memory request plays in its plane's garbage-collection job.
 #[derive(Debug, Clone, Copy)]
 enum GcRole {
+    /// Reads a valid page, which is then programmed at `to`.
     Read {
-        job: usize,
-        lpn: Lpn,
+        plane: usize,
         to: PhysicalPageAddr,
     },
     Program {
-        job: usize,
+        plane: usize,
     },
     Erase {
-        job: usize,
+        plane: usize,
     },
 }
 
-/// One in-flight garbage-collection invocation.
-#[derive(Debug)]
+/// The garbage-collection job running on one plane.
+#[derive(Debug, Clone)]
 struct GcJob {
-    plane: usize,
     outstanding_reads: usize,
     outstanding_programs: usize,
     erase_addr: PhysicalPageAddr,
     erase_issued: bool,
-    finished: bool,
+}
+
+/// An in-flight memory request.
+#[derive(Debug)]
+struct InFlight {
+    request: MemoryRequest,
+    /// `Some` for GC traffic.
+    gc: Option<GcRole>,
+}
+
+/// In-flight memory requests, addressed by dense `u32` handles.
+///
+/// A `Vec` of slots plus a free list: a finished request's slot goes to the
+/// next one, so the slab stays at the high-water mark of in-flight requests
+/// and a lookup is one index.  Handles are recycled and carry no age;
+/// ordering uses the monotone [`MemReqId`] stored in the request.
+#[derive(Debug, Default)]
+struct MemSlab {
+    slots: Vec<Option<InFlight>>,
+    free: Vec<u32>,
+}
+
+impl MemSlab {
+    fn with_capacity(capacity: usize) -> Self {
+        MemSlab {
+            slots: Vec::with_capacity(capacity),
+            free: Vec::with_capacity(capacity),
+        }
+    }
+
+    // lint: hot-path
+    fn insert(&mut self, entry: InFlight) -> u32 {
+        match self.free.pop() {
+            Some(handle) => {
+                self.slots[handle as usize] = Some(entry);
+                handle
+            }
+            None => {
+                self.slots.push(Some(entry));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get(&self, handle: u32) -> Option<&InFlight> {
+        self.slots.get(handle as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, handle: u32) -> Option<&mut InFlight> {
+        self.slots.get_mut(handle as usize)?.as_mut()
+    }
+
+    // lint: hot-path
+    fn remove(&mut self, handle: u32) -> Option<InFlight> {
+        let entry = self.slots.get_mut(handle as usize)?.take()?;
+        self.free.push(handle);
+        Some(entry)
+    }
 }
 
 /// The simulated many-chip SSD.
@@ -120,13 +184,14 @@ pub struct Ssd {
     events: EventQueue<SsdEvent>,
 
     waiting_host: VecDeque<HostRequest>,
-    mem_requests: HashMap<MemReqId, MemoryRequest>,
+    mem_requests: MemSlab,
     /// Commitment/occupancy accounting, maintained incrementally (commit,
     /// completion, transaction start/end) so scheduling rounds never rebuild an
     /// O(chip count) view.  All cap enforcement and per-round counting lives in
     /// the ledger; see [`CommitmentLedger`] for the invariants.
     ledger: CommitmentLedger,
-    live_txns: HashMap<u64, LiveTransaction>,
+    /// The live transaction of each chip.
+    live: Vec<Option<LiveTransaction>>,
     chip_kick_pending: Vec<bool>,
     schedule_pending: bool,
     /// Reusable commitment buffer for scheduling rounds (`schedule_into`).
@@ -137,14 +202,14 @@ pub struct Ssd {
     /// the run metrics at finalize.
     telemetry: Arc<TelemetryCounters>,
 
-    gc_jobs: Vec<GcJob>,
-    gc_roles: HashMap<MemReqId, GcRole>,
-    gc_active_planes: HashSet<usize>,
-    readdressed_lpns: HashSet<u64>,
+    /// The GC job of each plane; empty when GC is disabled.
+    gc_jobs: Vec<Option<GcJob>>,
+    /// Sorted LPNs moved across planes by GC whose next access pays the stale
+    /// readdressing penalty (schedulers without `on_readdress` only).
+    readdressed_lpns: Vec<u64>,
 
     next_tag: u64,
     next_mreq: u64,
-    next_txn: u64,
     failed_writes: u64,
 
     metrics: MetricsCollector,
@@ -198,30 +263,31 @@ impl Ssd {
             geometry.dies_per_chip * geometry.planes_per_die,
             total_chips,
         );
-        // In-flight memory requests are bounded by the commitment ledger
-        // (every committed page is at most one in-flight memory request), and
-        // at most one transaction per chip is live at a time.
+        // In-flight host memory requests are bounded by the commitment ledger
+        // (every committed page is at most one in-flight memory request).
         let in_flight_bound = total_chips.saturating_mul(config.max_committed_per_chip);
+        let gc_planes = if config.gc.enabled {
+            geometry.total_planes()
+        } else {
+            0
+        };
         Ok(Ssd {
             dma: DmaEngine::new(config.dma_bytes_per_sec),
             queue: DeviceQueue::new(config.queue_depth),
             events: EventQueue::new(),
             waiting_host: VecDeque::new(),
-            mem_requests: HashMap::with_capacity(in_flight_bound),
+            mem_requests: MemSlab::with_capacity(in_flight_bound),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
-            live_txns: HashMap::with_capacity(total_chips),
+            live: (0..total_chips).map(|_| None).collect(),
             chip_kick_pending: vec![false; total_chips],
             schedule_pending: false,
             commit_buf: Vec::new(),
             txn_scratch,
             telemetry,
-            gc_jobs: Vec::new(),
-            gc_roles: HashMap::new(),
-            gc_active_planes: HashSet::new(),
-            readdressed_lpns: HashSet::new(),
+            gc_jobs: vec![None; gc_planes],
+            readdressed_lpns: Vec::new(),
             next_tag: 0,
             next_mreq: 0,
-            next_txn: 0,
             failed_writes: 0,
             metrics,
             record_series,
@@ -289,20 +355,27 @@ impl Ssd {
     /// path every experiment replay runs through; multi-million-I/O traces
     /// stream straight from a generator or parser.
     ///
-    /// A request is *ingested* (its arrival event handled) when its arrival
-    /// time is due before the next simulation event and the backlog has room;
-    /// requests arriving faster than the device retires work wait inside the
-    /// source instead of piling up in memory.  Deferral never changes recorded
-    /// arrival times, admission order, or admission times, so the metrics are
-    /// identical to an eager replay.
+    /// A request is *ingested* when its arrival time is due before the next
+    /// simulation event and the backlog has room; requests arriving faster
+    /// than the device retires work wait inside the source instead of piling
+    /// up in memory.  Arrivals never enter the event queue.  Deferral never
+    /// changes recorded arrival times, admission order, or admission times, so
+    /// the metrics are identical to an eager replay.
     ///
     /// # Panics
     ///
     /// Panics if the stream yields a request whose arrival time precedes the
     /// previous request's (use [`Ssd::run`] for unsorted traces).
     pub fn run_stream(mut self, arrivals: impl IntoIterator<Item = HostRequest>) -> RunMetrics {
-        let mut source = arrivals.into_iter();
         let backlog_cap = self.config.queue_depth.max(1);
+        self.replay(arrivals, backlog_cap);
+        self.finalize()
+    }
+
+    /// The loop of [`Ssd::run_stream`], buffering at most `backlog_cap`
+    /// ingested-but-unadmitted host requests.
+    fn replay(&mut self, arrivals: impl IntoIterator<Item = HostRequest>, backlog_cap: usize) {
+        let mut source = arrivals.into_iter();
         let mut next = source.next();
         let mut last_arrival = SimTime::ZERO;
         loop {
@@ -316,9 +389,8 @@ impl Ssd {
             // practice a full backlog implies queued tags and therefore pending
             // events).
             let backlog_has_room = self.waiting_host.len() < backlog_cap || self.events.is_empty();
-            if due && backlog_has_room {
+            if let Some(request) = next.take_if(|_| due && backlog_has_room) {
                 TelemetryCounters::incr(&self.telemetry.stream_admissions);
-                let request = next.take().expect("due implies a pulled request");
                 assert!(
                     request.arrival >= last_arrival,
                     "run_stream requires nondecreasing arrival times (request {} at {} ns \
@@ -333,7 +405,7 @@ impl Ssd {
                 // is ingested at the current simulation time; `request.arrival`
                 // itself is what every metric records.
                 let at = request.arrival.max(self.events.now());
-                self.handle_event(at, SsdEvent::Arrival(request));
+                self.ingest(at, request);
             } else if let Some((now, event)) = self.events.pop() {
                 if due {
                     // A request was due but the bounded backlog had no room:
@@ -348,7 +420,6 @@ impl Ssd {
             self.metrics
                 .record_queue_pressure(self.waiting_host.len(), self.events.len());
         }
-        self.finalize()
     }
 
     fn finalize(self) -> RunMetrics {
@@ -366,35 +437,44 @@ impl Ssd {
         )
     }
 
+    /// Takes a host request in at `now`: it waits for a queue tag, and a
+    /// scheduling round is requested.
+    fn ingest(&mut self, now: SimTime, request: HostRequest) {
+        self.metrics.record_arrival(request.arrival);
+        self.waiting_host.push_back(request);
+        self.try_admit(now);
+        self.request_schedule(now);
+    }
+
     fn handle_event(&mut self, now: SimTime, event: SsdEvent) {
         match event {
-            SsdEvent::Arrival(request) => {
-                self.metrics.record_arrival(request.arrival);
-                self.waiting_host.push_back(request);
-                self.try_admit(now);
-                self.request_schedule(now);
-            }
             SsdEvent::Schedule => {
                 self.schedule_pending = false;
                 self.run_scheduler(now);
             }
-            SsdEvent::WriteDataReady(id) => {
-                self.deliver_to_controller(id, now);
+            SsdEvent::WriteDataReady(handle) => {
+                self.deliver_to_controller(handle, now);
             }
             SsdEvent::ChipKick(chip) => {
-                self.chip_kick_pending[chip] = false;
-                self.try_start_transaction(chip, now);
+                self.chip_kick_pending[chip as usize] = false;
+                self.try_start_transaction(chip as usize, now);
             }
-            SsdEvent::CellDone(txn_id) => {
-                self.handle_cell_done(txn_id, now);
+            SsdEvent::CellDone(chip) => {
+                self.handle_cell_done(chip as usize, now);
             }
-            SsdEvent::TxnComplete(txn_id) => {
-                self.handle_txn_complete(txn_id, now);
+            SsdEvent::TxnComplete(chip) => {
+                self.handle_txn_complete(chip as usize, now);
             }
-            SsdEvent::ReadReturned(id) => {
-                self.complete_mem_request(id, now);
+            SsdEvent::ReadReturned(handle) => {
+                self.complete_mem_request(handle, now);
             }
         }
+    }
+
+    fn next_mreq_id(&mut self) -> MemReqId {
+        let id = MemReqId(self.next_mreq);
+        self.next_mreq += 1;
+        id
     }
 
     // ------------------------------------------------------------------
@@ -480,8 +560,7 @@ impl Ssd {
             return;
         }
         self.ledger.commit(chip);
-        let id = MemReqId(self.next_mreq);
-        self.next_mreq += 1;
+        let id = self.next_mreq_id();
         let request = MemoryRequest::new_host(
             id,
             tag_id,
@@ -491,15 +570,15 @@ impl Ssd {
             placement,
             now,
         );
-        let is_write = host.direction.is_write();
-        self.mem_requests.insert(id, request);
-        if is_write {
+        let handle = self.mem_requests.insert(InFlight { request, gc: None });
+        if host.direction.is_write() {
             // Write payload must cross the host interface before the flash program
             // can be composed (memory request composition + data movement, Fig 3).
             let ready = self.dma.transfer(now, page_size);
-            self.events.schedule(ready, SsdEvent::WriteDataReady(id));
+            self.events
+                .schedule(ready, SsdEvent::WriteDataReady(handle));
         } else {
-            self.deliver_to_controller(id, now);
+            self.deliver_to_controller(handle, now);
         }
     }
 
@@ -507,14 +586,15 @@ impl Ssd {
     // Delivery to flash controllers and transaction execution
     // ------------------------------------------------------------------
 
-    fn deliver_to_controller(&mut self, id: MemReqId, now: SimTime) {
-        let Some(request) = self.mem_requests.get(&id) else {
+    fn deliver_to_controller(&mut self, handle: u32, now: SimTime) {
+        let Some(entry) = self.mem_requests.get(handle) else {
             return;
         };
-        let lpn = request.lpn;
-        let direction = request.direction;
-        if request.gc {
-            // GC traffic is delivered directly via `gc_delivery`, never here.
+        let MemoryRequest {
+            id, lpn, direction, ..
+        } = entry.request;
+        if entry.request.gc {
+            // GC traffic is delivered directly by the GC path, never here.
             debug_assert!(false, "GC requests must not reach deliver_to_controller");
             return;
         }
@@ -534,37 +614,42 @@ impl Ssd {
                     // The SSD is completely full; fail the write but keep the
                     // simulation making progress.
                     self.failed_writes += 1;
-                    self.complete_mem_request(id, now);
+                    self.complete_mem_request(handle, now);
                     return;
                 }
             }
         };
 
-        let extra_delay = if !self.scheduler.supports_readdressing()
-            && self.readdressed_lpns.remove(&lpn.value())
-        {
-            self.config.gc.stale_readdress_penalty
-        } else {
-            Duration::ZERO
-        };
+        let extra_delay =
+            if !self.scheduler.supports_readdressing() && self.take_readdressed(lpn.value()) {
+                self.config.gc.stale_readdress_penalty
+            } else {
+                Duration::ZERO
+            };
 
-        if let Some(request) = self.mem_requests.get_mut(&id) {
-            request.phase = MemReqPhase::Pending;
-            request.delivered_at = now;
+        if let Some(entry) = self.mem_requests.get_mut(handle) {
+            entry.request.phase = MemReqPhase::Pending;
+            entry.request.delivered_at = now;
         }
-        let tag = self.mem_requests.get(&id).and_then(|r| r.tag);
-        let pending = PendingRequest {
-            id,
-            addr,
-            op,
-            delivered_at: now,
-            gc: false,
-            tag,
-            extra_delay,
-        };
-        let channel = addr.channel as usize;
+        self.deliver_pending(
+            PendingRequest {
+                id,
+                handle,
+                addr,
+                op,
+                delivered_at: now,
+                gc: false,
+                extra_delay,
+            },
+            now,
+        );
+    }
+
+    /// Hands a request to its channel's controller and kicks the chip if idle.
+    fn deliver_pending(&mut self, pending: PendingRequest, now: SimTime) {
+        let addr = pending.addr;
         let chip = self.config.geometry.chip_index(addr.channel, addr.way);
-        self.controllers[channel].deliver(pending);
+        self.controllers[addr.channel as usize].deliver(pending);
         if !self.chips[chip].is_busy() {
             self.schedule_chip_kick(chip, now);
         }
@@ -575,8 +660,10 @@ impl Ssd {
             return;
         }
         self.chip_kick_pending[chip] = true;
-        self.events
-            .schedule(now + self.config.decision_window, SsdEvent::ChipKick(chip));
+        self.events.schedule(
+            now + self.config.decision_window,
+            SsdEvent::ChipKick(chip as u32),
+        );
     }
 
     fn try_start_transaction(&mut self, chip_index: usize, now: SimTime) {
@@ -601,55 +688,44 @@ impl Ssd {
             .expect("idle chip accepted the transaction");
         self.ledger.set_busy(chip_index, true);
 
-        for member in &built.members {
-            if let Some(request) = self.mem_requests.get_mut(member) {
-                request.phase = MemReqPhase::Executing;
+        for &member in &built.members {
+            if let Some(entry) = self.mem_requests.get_mut(member) {
+                entry.request.phase = MemReqPhase::Executing;
             }
         }
-        let txn_id = self.next_txn;
-        self.next_txn += 1;
-        self.live_txns.insert(
-            txn_id,
-            LiveTransaction {
-                chip: chip_index,
-                channel: channel_index,
-                members: built.members,
-                level: built.txn.parallelism(),
-                request_count: built.txn.requests().len(),
-                bus_time: phase.issue_bus() + phase.completion_bus,
-                cell_time: phase.cell(),
-                contention: grant.waited,
-                completion_bus: phase.completion_bus,
-            },
-        );
+        self.live[chip_index] = Some(LiveTransaction {
+            channel: channel_index,
+            members: built.members,
+            level: built.txn.parallelism(),
+            request_count: built.txn.requests().len(),
+            bus_time: phase.issue_bus() + phase.completion_bus,
+            cell_time: phase.cell(),
+            contention: grant.waited,
+            completion_bus: phase.completion_bus,
+        });
         // The transaction's request buffer goes back into the pool for the
         // next build on this SSD.
         self.txn_scratch.recycle_requests(built.txn.into_requests());
         self.events
-            .schedule(phase.cell_end, SsdEvent::CellDone(txn_id));
+            .schedule(phase.cell_end, SsdEvent::CellDone(chip_index as u32));
     }
 
-    fn handle_cell_done(&mut self, txn_id: u64, now: SimTime) {
-        let (channel, completion_bus) = {
-            let Some(live) = self.live_txns.get(&txn_id) else {
-                return;
-            };
-            (live.channel, live.completion_bus)
-        };
-        let grant = self.channels[channel].acquire(now, completion_bus);
-        if let Some(live) = self.live_txns.get_mut(&txn_id) {
-            live.contention += grant.waited;
-        }
-        self.events
-            .schedule(grant.end, SsdEvent::TxnComplete(txn_id));
-    }
-
-    fn handle_txn_complete(&mut self, txn_id: u64, now: SimTime) {
-        let Some(live) = self.live_txns.remove(&txn_id) else {
+    fn handle_cell_done(&mut self, chip: usize, now: SimTime) {
+        let Some(live) = self.live[chip].as_mut() else {
             return;
         };
-        self.chips[live.chip].complete_transaction(now);
-        self.ledger.set_busy(live.chip, false);
+        let grant = self.channels[live.channel].acquire(now, live.completion_bus);
+        live.contention += grant.waited;
+        self.events
+            .schedule(grant.end, SsdEvent::TxnComplete(chip as u32));
+    }
+
+    fn handle_txn_complete(&mut self, chip: usize, now: SimTime) {
+        let Some(live) = self.live[chip].take() else {
+            return;
+        };
+        self.chips[chip].complete_transaction(now);
+        self.ledger.set_busy(chip, false);
         self.metrics.record_transaction(
             live.level,
             live.request_count,
@@ -660,36 +736,32 @@ impl Ssd {
         let page_size = self.config.page_size() as u64;
         let members = live.members;
         for &member in &members {
-            let Some(request) = self.mem_requests.get(&member) else {
+            let Some(entry) = self.mem_requests.get_mut(member) else {
                 continue;
             };
-            if request.gc {
-                self.gc_request_done(member, now);
-            } else if request.direction.is_read() {
+            if let Some(role) = entry.gc {
+                self.gc_request_done(member, role, now);
+            } else if entry.request.direction.is_read() {
                 // Read payload returns to the host through the DMA engine.
+                entry.request.phase = MemReqPhase::Returning;
                 let done = self.dma.transfer(now, page_size);
-                if let Some(r) = self.mem_requests.get_mut(&member) {
-                    r.phase = MemReqPhase::Returning;
-                }
                 self.events.schedule(done, SsdEvent::ReadReturned(member));
             } else {
                 self.complete_mem_request(member, now);
             }
         }
         self.txn_scratch.recycle_members(members);
-        let location = self.config.geometry.chip_location(live.chip);
+        let location = self.config.geometry.chip_location(chip);
         if self.controllers[location.channel as usize].has_pending(location.way as usize) {
-            self.schedule_chip_kick(live.chip, now);
+            self.schedule_chip_kick(chip, now);
         }
         self.request_schedule(now);
     }
 
-    fn complete_mem_request(&mut self, id: MemReqId, now: SimTime) {
-        let Some(mut request) = self.mem_requests.remove(&id) else {
+    fn complete_mem_request(&mut self, handle: u32, now: SimTime) {
+        let Some(InFlight { request, .. }) = self.mem_requests.remove(handle) else {
             return;
         };
-        request.phase = MemReqPhase::Complete;
-        request.completed_at = now;
         if !request.gc {
             // Every host commitment was charged to the ledger at commit time;
             // the ledger audits that this retirement has a matching charge
@@ -697,41 +769,28 @@ impl Ssd {
             self.ledger.retire(request.placement.chip);
         }
         if let Some(tag_id) = request.tag {
-            let slot = self.queue.slot_of(tag_id);
-            let mut finished: Option<(HostRequest, SimTime)> = None;
-            if let Some(slot) = slot {
-                if self.queue.complete_page_at(slot, request.page_index) {
-                    let tag = self
-                        .queue
-                        .state_at(slot as usize)
-                        .expect("completed page belongs to a queued tag");
-                    if tag.fully_committed() && tag.fully_completed() {
-                        finished = Some((tag.host, now));
-                    }
-                }
-            }
-            self.scheduler.on_complete(tag_id, request.page_index);
-            if let Some((host, completed_at)) = finished {
-                self.metrics.record_io(
-                    host.id,
-                    host.direction.is_read(),
-                    host.bytes(self.config.page_size()),
-                    host.arrival,
-                    completed_at,
-                );
+            let page = request.page_index;
+            let finished = self
+                .queue
+                .slot_of(tag_id)
+                .filter(|&slot| self.queue.complete_page_at(slot, page) == Some(true));
+            self.scheduler.on_complete(tag_id, page);
+            if let Some(state) = finished.and_then(|slot| self.queue.retire_at(slot)) {
+                let host = state.host;
+                let bytes = host.bytes(self.config.page_size());
+                self.metrics
+                    .record_io(host.id, host.direction.is_read(), bytes, host.arrival, now);
                 // Tenant attribution measures from the pre-admission
                 // submission time; a no-op unless lanes were configured.
                 self.metrics.record_tenant_io(
                     host.tenant,
                     host.direction.is_read(),
-                    host.bytes(self.config.page_size()),
+                    bytes,
                     host.submitted,
-                    completed_at,
+                    now,
                 );
                 // Recycle the tag's buffers so later admissions reuse them.
-                if let Some(state) = slot.and_then(|slot| self.queue.retire_at(slot)) {
-                    self.queue.recycle(state);
-                }
+                self.queue.recycle(state);
                 self.try_admit(now);
             }
         }
@@ -743,22 +802,13 @@ impl Ssd {
     // ------------------------------------------------------------------
 
     fn start_gc(&mut self, plane: usize, now: SimTime) {
-        if self.gc_active_planes.contains(&plane) {
+        // A plane runs at most one job (and the table is empty with GC off).
+        let Some(None) = self.gc_jobs.get(plane) else {
             return;
-        }
+        };
         let Some(plan) = self.ftl.collect_plane(plane) else {
             return;
         };
-        self.gc_active_planes.insert(plane);
-        let job_index = self.gc_jobs.len();
-        self.gc_jobs.push(GcJob {
-            plane,
-            outstanding_reads: 0,
-            outstanding_programs: 0,
-            erase_addr: plan.erase_addr,
-            erase_issued: false,
-            finished: false,
-        });
         // Readdressing: tell Sprinkler-class schedulers, update stale previews, or
         // queue up penalties for schedulers without the callback.
         for migration in &plan.migrations {
@@ -766,35 +816,40 @@ impl Ssd {
                 if self.scheduler.supports_readdressing() {
                     self.scheduler.on_readdress(migration);
                     self.refresh_placements(migration.lpn);
-                } else {
-                    self.readdressed_lpns.insert(migration.lpn.value());
+                } else if let Err(at) = self.readdressed_lpns.binary_search(&migration.lpn.value())
+                {
+                    self.readdressed_lpns.insert(at, migration.lpn.value());
                 }
             }
         }
+        self.gc_jobs[plane] = Some(GcJob {
+            outstanding_reads: plan.migrations.len(),
+            outstanding_programs: 0,
+            erase_addr: plan.erase_addr,
+            erase_issued: false,
+        });
         // Valid pages are read first; their programs are issued as the reads finish.
         for migration in &plan.migrations {
-            let id = MemReqId(self.next_mreq);
-            self.next_mreq += 1;
-            let placement = crate::request::Placement::from_addr(
-                migration.from,
-                self.config.geometry.chips_per_channel,
-            );
-            let request = MemoryRequest::new_gc(id, migration.lpn, Direction::Read, placement, now);
-            self.mem_requests.insert(id, request);
-            self.gc_roles.insert(
-                id,
-                GcRole::Read {
-                    job: job_index,
-                    lpn: migration.lpn,
-                    to: migration.to,
-                },
-            );
-            self.gc_jobs[job_index].outstanding_reads += 1;
-            self.gc_delivery(id, migration.from, FlashOp::Read, now);
+            let role = GcRole::Read {
+                plane,
+                to: migration.to,
+            };
+            self.issue_gc(role, migration.lpn, migration.from, FlashOp::Read, now);
         }
-        if self.gc_jobs[job_index].outstanding_reads == 0 {
+        if plan.migrations.is_empty() {
             // Nothing valid to migrate: erase immediately.
-            self.issue_gc_erase(job_index, now);
+            self.issue_gc_erase(plane, now);
+        }
+    }
+
+    /// Removes `lpn` from the readdressed set, reporting whether it was there.
+    fn take_readdressed(&mut self, lpn: u64) -> bool {
+        match self.readdressed_lpns.binary_search(&lpn) {
+            Ok(at) => {
+                self.readdressed_lpns.remove(at);
+                true
+            }
+            Err(_) => false,
         }
     }
 
@@ -803,75 +858,88 @@ impl Ssd {
         self.queue.refresh_placements(lpn.value(), preview);
     }
 
-    fn gc_delivery(&mut self, id: MemReqId, addr: PhysicalPageAddr, op: FlashOp, now: SimTime) {
-        let channel = addr.channel as usize;
-        let chip = self.config.geometry.chip_index(addr.channel, addr.way);
-        self.controllers[channel].deliver(PendingRequest {
-            id,
-            addr,
-            op,
-            delivered_at: now,
-            gc: true,
-            tag: None,
-            extra_delay: Duration::ZERO,
+    /// Creates a GC memory request and delivers it straight to the controller.
+    fn issue_gc(
+        &mut self,
+        role: GcRole,
+        lpn: Lpn,
+        addr: PhysicalPageAddr,
+        op: FlashOp,
+        now: SimTime,
+    ) {
+        let id = self.next_mreq_id();
+        let direction = if op == FlashOp::Read {
+            Direction::Read
+        } else {
+            Direction::Write
+        };
+        let placement = Placement::from_addr(addr, self.config.geometry.chips_per_channel);
+        let request = MemoryRequest::new_gc(id, lpn, direction, placement, now);
+        let handle = self.mem_requests.insert(InFlight {
+            request,
+            gc: Some(role),
         });
-        if !self.chips[chip].is_busy() {
-            self.schedule_chip_kick(chip, now);
-        }
+        self.deliver_pending(
+            PendingRequest {
+                id,
+                handle,
+                addr,
+                op,
+                delivered_at: now,
+                gc: true,
+                extra_delay: Duration::ZERO,
+            },
+            now,
+        );
     }
 
-    fn gc_request_done(&mut self, id: MemReqId, now: SimTime) {
-        let Some(role) = self.gc_roles.remove(&id) else {
-            self.mem_requests.remove(&id);
+    fn gc_request_done(&mut self, handle: u32, role: GcRole, now: SimTime) {
+        let Some(InFlight { request, .. }) = self.mem_requests.remove(handle) else {
             return;
         };
-        self.mem_requests.remove(&id);
         match role {
-            GcRole::Read { job, lpn, to } => {
-                self.gc_jobs[job].outstanding_reads -= 1;
+            GcRole::Read { plane, to } => {
                 // The read content is now re-programmed at its new home.
-                let prog_id = MemReqId(self.next_mreq);
-                self.next_mreq += 1;
-                let placement = crate::request::Placement::from_addr(
+                if let Some(job) = self.gc_jobs[plane].as_mut() {
+                    job.outstanding_reads -= 1;
+                    job.outstanding_programs += 1;
+                }
+                self.issue_gc(
+                    GcRole::Program { plane },
+                    request.lpn,
                     to,
-                    self.config.geometry.chips_per_channel,
+                    FlashOp::Program,
+                    now,
                 );
-                let request = MemoryRequest::new_gc(prog_id, lpn, Direction::Write, placement, now);
-                self.mem_requests.insert(prog_id, request);
-                self.gc_roles.insert(prog_id, GcRole::Program { job });
-                self.gc_jobs[job].outstanding_programs += 1;
-                self.gc_delivery(prog_id, to, FlashOp::Program, now);
             }
-            GcRole::Program { job } => {
-                self.gc_jobs[job].outstanding_programs -= 1;
-                if self.gc_jobs[job].outstanding_reads == 0
-                    && self.gc_jobs[job].outstanding_programs == 0
-                    && !self.gc_jobs[job].erase_issued
-                {
-                    self.issue_gc_erase(job, now);
+            GcRole::Program { plane } => {
+                let erase_due = self.gc_jobs[plane].as_mut().is_some_and(|job| {
+                    job.outstanding_programs -= 1;
+                    job.outstanding_reads == 0 && job.outstanding_programs == 0 && !job.erase_issued
+                });
+                if erase_due {
+                    self.issue_gc_erase(plane, now);
                 }
             }
-            GcRole::Erase { job } => {
-                self.gc_jobs[job].finished = true;
-                let plane = self.gc_jobs[job].plane;
-                self.gc_active_planes.remove(&plane);
+            GcRole::Erase { plane } => {
+                self.gc_jobs[plane] = None;
             }
         }
     }
 
-    fn issue_gc_erase(&mut self, job_index: usize, now: SimTime) {
-        let erase_addr = self.gc_jobs[job_index].erase_addr;
-        self.gc_jobs[job_index].erase_issued = true;
-        let id = MemReqId(self.next_mreq);
-        self.next_mreq += 1;
-        let placement = crate::request::Placement::from_addr(
+    fn issue_gc_erase(&mut self, plane: usize, now: SimTime) {
+        let Some(job) = self.gc_jobs[plane].as_mut() else {
+            return;
+        };
+        job.erase_issued = true;
+        let erase_addr = job.erase_addr;
+        self.issue_gc(
+            GcRole::Erase { plane },
+            Lpn::new(0),
             erase_addr,
-            self.config.geometry.chips_per_channel,
+            FlashOp::Erase,
+            now,
         );
-        let request = MemoryRequest::new_gc(id, Lpn::new(0), Direction::Write, placement, now);
-        self.mem_requests.insert(id, request);
-        self.gc_roles.insert(id, GcRole::Erase { job: job_index });
-        self.gc_delivery(id, erase_addr, FlashOp::Erase, now);
     }
 
     /// Number of writes that failed because the SSD ran out of physical space.
@@ -1091,20 +1159,14 @@ mod tests {
         }
     }
 
-    /// The seed's replay loop, kept as a test-only reference: every arrival is
-    /// pre-scheduled as an event up front (memory O(trace length)) and the
-    /// event queue drained.  `run_stream`'s bounded-admission deferral must be
-    /// observationally identical to this.
+    /// The eager replay, kept as a test-only reference: the same loop with an
+    /// unbounded backlog, so every arrival is ingested at its nominal time,
+    /// ahead of any device event due at the same instant.  `run_stream`'s
+    /// bounded-admission deferral must be observationally identical to this.
     fn run_eager_reference(mut ssd: Ssd, trace: Vec<HostRequest>) -> RunMetrics {
         let mut arrivals = trace;
         arrivals.sort_by_key(|r| (r.arrival, r.id));
-        for request in arrivals {
-            ssd.events
-                .schedule(request.arrival, SsdEvent::Arrival(request));
-        }
-        while let Some((now, event)) = ssd.events.pop() {
-            ssd.handle_event(now, event);
-        }
+        ssd.replay(arrivals, usize::MAX);
         ssd.finalize()
     }
 
@@ -1210,5 +1272,45 @@ mod tests {
             vec![max; chips],
             "round 1 must have committed the full per-chip cap"
         );
+    }
+
+    #[test]
+    fn events_are_handle_sized() {
+        assert_eq!(std::mem::size_of::<SsdEvent>(), 8);
+    }
+
+    /// GC jobs are keyed by plane: a storm that invokes GC many more times
+    /// than there are planes leaves the job table at the plane count, and
+    /// every job and GC memory request is gone once the replay drains.
+    #[test]
+    fn gc_job_table_is_bounded_by_the_plane_count() {
+        let config = SsdConfig::small_test()
+            .with_blocks_per_plane(4)
+            .with_gc(GcConfig {
+                enabled: true,
+                free_block_watermark: 1,
+                blocks_per_invocation: 1,
+                stale_readdress_penalty: Duration::from_micros(40),
+            });
+        let planes = config.geometry.total_planes();
+        let mut ssd = Ssd::new(config, Box::new(CommitAllScheduler::new())).unwrap();
+        let storm: Vec<HostRequest> = (0..3000).map(|i| write_req(i, i * 20, i % 64, 1)).collect();
+        ssd.replay(storm, 8);
+        let invocations = ssd.ftl.gc_stats().invocations;
+        assert!(
+            invocations > 2 * planes as u64,
+            "the storm must outnumber the planes ({invocations} GC runs, {planes} planes)"
+        );
+        assert!(ssd.gc_jobs.len() <= planes);
+        assert!(ssd.gc_jobs.iter().all(Option::is_none));
+        assert!(ssd.mem_requests.slots.iter().all(Option::is_none));
+        assert_eq!(ssd.mem_requests.free.len(), ssd.mem_requests.slots.len());
+        assert!(ssd.live.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn gc_state_is_not_built_when_gc_is_off() {
+        let ssd = Ssd::new(SsdConfig::small_test(), Box::new(CommitAllScheduler::new())).unwrap();
+        assert!(ssd.gc_jobs.is_empty());
     }
 }

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use sprinkler::core::SchedulerKind;
 use sprinkler::flash::{FlashGeometry, Lpn};
-use sprinkler::sim::SimTime;
+use sprinkler::sim::{Duration, SimTime};
 use sprinkler::ssd::request::{Direction, HostRequest, TagId};
 use sprinkler::ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
 use sprinkler::ssd::{validate_context, GcConfig, Ssd, SsdConfig};
@@ -165,6 +165,82 @@ fn gc_pressure_does_not_desynchronize_the_ledger() {
         "overwrite churn on a small device must trigger GC (got {:?})",
         metrics.gc
     );
+}
+
+/// A GC storm that forces cross-plane migrations: a small device (4 blocks
+/// per plane, watermark 1) rewritten with one-page I/Os over a 460-LPN span
+/// in a scattered order, a quarter of them reads.  GC then moves valid pages
+/// to other planes, so `on_readdress` and placement refresh run for
+/// schedulers that support readdressing, and the stale-readdress penalty is
+/// charged for those that do not.
+fn crossing_config(penalty: Duration) -> SsdConfig {
+    SsdConfig::small_test()
+        .with_blocks_per_plane(4)
+        .with_gc(GcConfig {
+            enabled: true,
+            free_block_watermark: 1,
+            blocks_per_invocation: 1,
+            stale_readdress_penalty: penalty,
+        })
+}
+
+fn crossing_trace() -> Vec<HostRequest> {
+    (0..2000u64)
+        .map(|i| {
+            let direction = if i % 4 == 0 {
+                Direction::Read
+            } else {
+                Direction::Write
+            };
+            HostRequest::new(
+                i,
+                SimTime::from_micros(i * 30),
+                direction,
+                Lpn::new((i * 7919) % 460),
+                1,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn cross_plane_gc_migrations_penalize_only_schedulers_without_readdressing() {
+    let run = |kind: SchedulerKind, penalty_us: u64| {
+        let config = crossing_config(Duration::from_micros(penalty_us));
+        Ssd::new(config, kind.build())
+            .unwrap()
+            .run(crossing_trace())
+    };
+    let vas_free = run(SchedulerKind::Vas, 0);
+    let vas_penalized = run(SchedulerKind::Vas, 40);
+    assert!(
+        vas_penalized.gc.cross_plane_migrations > 0,
+        "the storm must move pages across planes (got {:?})",
+        vas_penalized.gc
+    );
+    assert!(
+        vas_penalized.avg_latency_ns > vas_free.avg_latency_ns,
+        "VAS pays the stale-readdress penalty: {} ns vs {} ns",
+        vas_penalized.avg_latency_ns,
+        vas_free.avg_latency_ns
+    );
+    // SPK3 is told about every move, so the penalty never applies.
+    let spk3_free = run(SchedulerKind::Spk3, 0);
+    let spk3_penalized = run(SchedulerKind::Spk3, 40);
+    assert!(spk3_penalized.gc.cross_plane_migrations > 0);
+    assert_eq!(spk3_free, spk3_penalized);
+}
+
+#[test]
+fn cross_plane_readdressing_passes_cross_structure_validation() {
+    let (metrics, rounds) = run_validated(
+        crossing_config(Duration::from_micros(40)),
+        SchedulerKind::Spk3,
+        crossing_trace(),
+    );
+    assert_eq!(metrics.io_count, 2000);
+    assert!(rounds > 0);
+    assert!(metrics.gc.cross_plane_migrations > 0);
 }
 
 /// The validator must actually fail on divergence: a queue with a committed
