@@ -252,7 +252,7 @@ impl ArrayMetrics {
     /// flow through harnesses built for single-device runs (e.g. the scenario
     /// registry).  Fields with no array-level meaning (FLP/execution
     /// breakdowns, GC, series) are averaged or left default; chip utilization
-    /// is the device mean.
+    /// is the device mean, and failed writes are summed.
     pub fn summary_run_metrics(&self) -> RunMetrics {
         let n = self.device_count.max(1) as f64;
         // Preserve the RunMetrics window invariant
@@ -314,6 +314,7 @@ impl ArrayMetrics {
             chip_utilization: self.devices.iter().map(|m| m.chip_utilization).sum::<f64>() / n,
             transactions: self.devices.iter().map(|m| m.transactions).sum(),
             memory_requests: self.devices.iter().map(|m| m.memory_requests).sum(),
+            failed_writes: self.devices.iter().map(|m| m.failed_writes).sum(),
             latency_buckets,
             telemetry: {
                 // Fold the device counters, then stamp in the array-level
@@ -419,11 +420,14 @@ mod tests {
 
     #[test]
     fn summary_preserves_the_aggregate_view() {
-        let a = device(10, 1 << 20, 1_000_000, 5_000.0);
-        let b = device(30, 3 << 20, 2_000_000, 15_000.0);
+        let mut a = device(10, 1 << 20, 1_000_000, 5_000.0);
+        a.failed_writes = 2;
+        let mut b = device(30, 3 << 20, 2_000_000, 15_000.0);
+        b.failed_writes = 3;
         let merged = ArrayMetrics::merge(1 << 20, vec![a, b], 0);
         let summary = merged.summary_run_metrics();
         assert_eq!(summary.io_count, merged.io_count);
+        assert_eq!(summary.failed_writes, 5);
         assert_eq!(summary.bandwidth_kb_per_sec, merged.bandwidth_kb_per_sec);
         assert_eq!(summary.avg_latency_ns, merged.avg_latency_ns);
         assert_eq!(summary.scheduler, "SPK3");

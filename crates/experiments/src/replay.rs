@@ -7,11 +7,10 @@
 //! O(outstanding I/Os) rather than O(trace length).
 //!
 //! The adapter is also the **capacity boundary**: each record's logical page
-//! range is validated against the device's logical capacity.  The seed
-//! silently admitted out-of-capacity pages (the FTL maps arbitrary LPNs, so a
-//! workload bigger than the device aliased into a sparse address space no real
-//! SSD could serve); now the replay either rejects the record with a
-//! [`ReplayError`] or deterministically wraps its page range into capacity,
+//! range is validated against the device's logical capacity, which is the
+//! FTL's logical space.  The FTL refuses writes past it (they count as
+//! `RunMetrics::failed_writes`), so the replay either rejects the record with
+//! a [`ReplayError`] or deterministically wraps its page range into capacity,
 //! per [`CapacityPolicy`].
 
 use std::cell::Cell;

@@ -3,6 +3,9 @@
 use sprinkler_flash::{FlashGeometry, FlashTiming};
 use sprinkler_sim::Duration;
 
+use crate::error::SsdError;
+use crate::ftl::{MAX_PAGES_PER_BLOCK, MAX_TOTAL_PAGES};
+
 /// How the FTL chooses the physical placement (channel, way, die, plane) of a
 /// logical page.
 ///
@@ -157,26 +160,55 @@ impl SsdConfig {
         self
     }
 
-    /// Validates the configuration.
+    /// Checks that the simulator can run this configuration.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        self.geometry
-            .validate()
-            .map_err(|e| format!("invalid geometry: {e}"))?;
+    /// [`SsdError::InvalidConfig`] for a zero or otherwise invalid field, and
+    /// [`SsdError::GeometryTooLarge`] for a geometry past the FTL's table
+    /// limits: more than `u32::MAX` pages in all, or more than 128 pages per
+    /// block.
+    pub fn validate(&self) -> Result<(), SsdError> {
+        let invalid = |reason: &str| Err(SsdError::InvalidConfig(reason.to_string()));
+        let g = &self.geometry;
+        g.validate()
+            .map_err(|e| SsdError::InvalidConfig(format!("invalid geometry: {e}")))?;
+        if g.pages_per_block > MAX_PAGES_PER_BLOCK {
+            return Err(SsdError::GeometryTooLarge {
+                field: "pages_per_block",
+                value: g.pages_per_block as u64,
+                max: MAX_PAGES_PER_BLOCK as u64,
+            });
+        }
+        let total_pages = [
+            g.channels,
+            g.chips_per_channel,
+            g.dies_per_chip,
+            g.planes_per_die,
+            g.blocks_per_plane,
+            g.pages_per_block,
+        ]
+        .into_iter()
+        .try_fold(1u64, |pages, n| pages.checked_mul(n as u64))
+        .unwrap_or(u64::MAX);
+        if total_pages > MAX_TOTAL_PAGES {
+            return Err(SsdError::GeometryTooLarge {
+                field: "total_pages",
+                value: total_pages,
+                max: MAX_TOTAL_PAGES,
+            });
+        }
         if self.queue_depth == 0 {
-            return Err("queue_depth must be non-zero".to_string());
+            return invalid("queue_depth must be non-zero");
         }
         if self.dma_bytes_per_sec == 0 {
-            return Err("dma_bytes_per_sec must be non-zero".to_string());
+            return invalid("dma_bytes_per_sec must be non-zero");
         }
         if self.max_committed_per_chip == 0 {
-            return Err("max_committed_per_chip must be non-zero".to_string());
+            return invalid("max_committed_per_chip must be non-zero");
         }
         if self.gc.enabled && self.gc.free_block_watermark == 0 {
-            return Err("gc.free_block_watermark must be non-zero when GC is enabled".to_string());
+            return invalid("gc.free_block_watermark must be non-zero when GC is enabled");
         }
         Ok(())
     }
@@ -242,6 +274,45 @@ mod tests {
         let mut cfg = SsdConfig::small_test();
         cfg.geometry.channels = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_geometries_past_the_ftl_limits() {
+        // 1024 chips of 2048 blocks: 2^31 pages, inside the u32 tables.
+        let mut cfg = SsdConfig::paper_default().with_chip_count(1024);
+        cfg.geometry.blocks_per_plane = 2048;
+        cfg.validate().unwrap();
+
+        cfg.geometry.blocks_per_plane = 4096;
+        assert_eq!(
+            cfg.validate(),
+            Err(SsdError::GeometryTooLarge {
+                field: "total_pages",
+                value: 1 << 32,
+                max: MAX_TOTAL_PAGES,
+            })
+        );
+
+        // A page count past u64 is refused, not overflowed.
+        let mut cfg = SsdConfig::small_test();
+        cfg.geometry.channels = usize::MAX;
+        assert!(matches!(
+            cfg.validate(),
+            Err(SsdError::GeometryTooLarge {
+                field: "total_pages",
+                ..
+            })
+        ));
+
+        let mut cfg = SsdConfig::small_test();
+        cfg.geometry.pages_per_block = MAX_PAGES_PER_BLOCK + 1;
+        assert!(matches!(
+            cfg.validate(),
+            Err(SsdError::GeometryTooLarge {
+                field: "pages_per_block",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -133,11 +133,14 @@ pub struct FlashController {
 }
 
 impl FlashController {
-    /// Creates the controller for `channel` with one pending set per chip (way).
-    pub fn new(channel: usize, ways: usize) -> Self {
+    /// Creates the controller for `channel` with one pending set per chip (way),
+    /// each pre-sized to hold `pending_capacity` requests.
+    pub fn new(channel: usize, ways: usize, pending_capacity: usize) -> Self {
         FlashController {
             channel,
-            pending: (0..ways).map(|_| Vec::new()).collect(),
+            pending: (0..ways)
+                .map(|_| Vec::with_capacity(pending_capacity))
+                .collect(),
             delivered: 0,
             coalesced: 0,
         }
@@ -388,7 +391,7 @@ mod tests {
 
     #[test]
     fn empty_controller_builds_nothing() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         assert!(c.build_transaction(0, &geometry()).is_none());
         assert_eq!(c.total_pending(), 0);
         assert_eq!(c.channel(), 0);
@@ -396,7 +399,7 @@ mod tests {
 
     #[test]
     fn single_request_builds_non_pal_transaction() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         c.deliver(pending(1, 2, 0, 0, FlashOp::Read, 10, false));
         assert_eq!(c.pending_count(2), 1);
         assert!(c.has_pending(2));
@@ -411,7 +414,7 @@ mod tests {
 
     #[test]
     fn coalesces_across_dies_and_planes() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         c.deliver(pending(1, 0, 0, 0, FlashOp::Read, 10, false));
         c.deliver(pending(2, 0, 0, 1, FlashOp::Read, 11, false));
         c.deliver(pending(3, 0, 1, 0, FlashOp::Read, 12, false));
@@ -425,7 +428,7 @@ mod tests {
 
     #[test]
     fn plane_conflicts_stay_pending() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         c.deliver(pending(1, 0, 0, 0, FlashOp::Read, 10, false));
         c.deliver(pending(2, 0, 0, 0, FlashOp::Read, 11, false));
         let built = c.build_transaction(0, &geometry()).unwrap();
@@ -437,7 +440,7 @@ mod tests {
 
     #[test]
     fn different_ops_are_not_mixed() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         c.deliver(pending(1, 0, 0, 0, FlashOp::Read, 10, false));
         c.deliver(pending(2, 0, 1, 0, FlashOp::Program, 11, false));
         let built = c.build_transaction(0, &geometry()).unwrap();
@@ -449,7 +452,7 @@ mod tests {
 
     #[test]
     fn oldest_request_decides_the_operation() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         c.deliver(pending(1, 0, 0, 0, FlashOp::Program, 20, false));
         c.deliver(pending(2, 0, 1, 0, FlashOp::Read, 10, false));
         let built = c.build_transaction(0, &geometry()).unwrap();
@@ -458,7 +461,7 @@ mod tests {
 
     #[test]
     fn gc_traffic_is_prioritized() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         c.deliver(pending(1, 0, 0, 0, FlashOp::Read, 10, false));
         c.deliver(pending(2, 0, 0, 1, FlashOp::Program, 50, true));
         let built = c.build_transaction(0, &geometry()).unwrap();
@@ -469,7 +472,7 @@ mod tests {
 
     #[test]
     fn extra_delay_propagates_as_maximum() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         let mut a = pending(1, 0, 0, 0, FlashOp::Read, 10, false);
         a.extra_delay = Duration::from_micros(5);
         let mut b = pending(2, 0, 1, 0, FlashOp::Read, 11, false);
@@ -483,13 +486,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong channel")]
     fn wrong_channel_delivery_panics() {
-        let mut c = FlashController::new(1, 8);
+        let mut c = FlashController::new(1, 8, 4);
         c.deliver(pending(1, 0, 0, 0, FlashOp::Read, 10, false));
     }
 
     #[test]
     fn members_match_transaction_request_order() {
-        let mut c = FlashController::new(0, 8);
+        let mut c = FlashController::new(0, 8, 4);
         c.deliver(pending(7, 0, 1, 3, FlashOp::Read, 10, false));
         c.deliver(pending(9, 0, 0, 2, FlashOp::Read, 12, false));
         let built = c.build_transaction(0, &geometry()).unwrap();
@@ -520,8 +523,8 @@ mod tests {
         fn one_pass_build_matches_the_sorted_reference(specs in arb_pending_set()) {
             let g = geometry();
             let ops = [FlashOp::Read, FlashOp::Program, FlashOp::Erase];
-            let mut fast = FlashController::new(0, 1);
-            let mut reference = FlashController::new(0, 1);
+            let mut fast = FlashController::new(0, 1, 4);
+            let mut reference = FlashController::new(0, 1, 4);
             for (i, &(die, plane, op, at, gc, delay)) in specs.iter().enumerate() {
                 let mut request = pending(i as u64, 0, die, plane, ops[op as usize], at, gc == 0);
                 // Slab handles are recycled, so they are unrelated to age.

@@ -15,6 +15,15 @@ pub enum SsdError {
     Flash(FlashError),
     /// The simulated SSD ran out of physical space and could not allocate a write.
     OutOfSpace,
+    /// A geometry field exceeds what the FTL's tables can address.
+    GeometryTooLarge {
+        /// The offending quantity (`total_pages`, `pages_per_block`).
+        field: &'static str,
+        /// Its value in the configuration.
+        value: u64,
+        /// The largest value the FTL supports.
+        max: u64,
+    },
 }
 
 impl fmt::Display for SsdError {
@@ -23,6 +32,12 @@ impl fmt::Display for SsdError {
             SsdError::InvalidConfig(reason) => write!(f, "invalid SSD configuration: {reason}"),
             SsdError::Flash(e) => write!(f, "flash error: {e}"),
             SsdError::OutOfSpace => write!(f, "SSD is out of physical space"),
+            SsdError::GeometryTooLarge { field, value, max } => {
+                write!(
+                    f,
+                    "geometry {field} = {value} exceeds the FTL's limit of {max}"
+                )
+            }
         }
     }
 }

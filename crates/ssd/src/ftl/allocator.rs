@@ -1,5 +1,5 @@
 //! Physical page allocation: striping policy, per-plane active blocks, free-block
-//! lists, and per-block valid-page accounting.
+//! order, and per-block valid-page accounting.
 //!
 //! The allocator implements a *static* plane-selection policy (the placement of a
 //! logical page's chip/die/plane is a pure function of its LPN and the configured
@@ -7,45 +7,47 @@
 //! plane (append to the plane's active block).  Static plane selection is what lets
 //! the FTL preprocessor expose a stable physical layout preview to the schedulers
 //! before the data is actually written — the capability PAS and Sprinkler rely on.
+//!
+//! State is flat and index-addressed.  Each plane has one [`Cursor`] (active
+//! block, next page, free-block order).  Per-block state — the valid-page bitmap
+//! and the in-use flag — is stored block-major (`block × planes + plane`), so a
+//! fresh device, whose planes all start on block 0, touches one contiguous row.
+//! The LPN each valid page holds sits beside the valid bits, like a NAND page's
+//! spare area: one table per block index, allocated when a page of that block
+//! index is first marked valid on any plane.
+
+use std::fmt;
 
 use sprinkler_flash::{FlashGeometry, Lpn, PhysicalPageAddr};
 
 use crate::config::AllocationPolicy;
 
-/// Per-plane allocation state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PlaneState {
-    /// Blocks with no valid data and fully erased, available for allocation.
-    free_blocks: Vec<u32>,
-    /// The block currently being appended to, if any.
-    active_block: Option<u32>,
+/// The most pages a block may hold: the width of its valid-page bitmap.
+pub(crate) const MAX_PAGES_PER_BLOCK: usize = u128::BITS as usize;
+
+/// [`Cursor::active`] of a plane with no active block.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// Where a plane appends, and which free block it opens next.
+///
+/// Free blocks go out never-used blocks lowest first, then erased blocks in
+/// the order they were erased.
+#[derive(Clone, Copy)]
+struct Cursor {
+    /// The block being appended to, or [`NO_BLOCK`].
+    active: u32,
     /// Next page offset to program in the active block.
     next_page: u32,
-    /// Valid page count per block in this plane.
-    valid_count: Vec<u16>,
-    /// Valid page bitmap per block (pages_per_block ≤ 128).
-    valid_bits: Vec<u128>,
-    /// Whether each block has been handed out (active or fully written) since its
-    /// last erase.
-    in_use: Vec<bool>,
-}
-
-impl PlaneState {
-    fn new(blocks_per_plane: usize) -> Self {
-        PlaneState {
-            // Keep block order so allocation is deterministic: lowest block first.
-            free_blocks: (0..blocks_per_plane as u32).rev().collect(),
-            active_block: None,
-            next_page: 0,
-            valid_count: vec![0; blocks_per_plane],
-            valid_bits: vec![0; blocks_per_plane],
-            in_use: vec![false; blocks_per_plane],
-        }
-    }
+    /// Lowest never-used block: it and every block above it are free.
+    fresh: u32,
+    /// Ring slot of the oldest erased block.
+    erased_head: u32,
+    /// Erased blocks in the ring.
+    erased_len: u32,
 }
 
 /// The physical location of one plane in the SSD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlaneLocation {
     /// Channel index.
     pub channel: u32,
@@ -72,24 +74,65 @@ pub struct PlaneLocation {
 /// let addr = alloc.allocate(alloc.plane_index_of(place)).unwrap();
 /// assert_eq!(addr.channel, place.channel);
 /// assert_eq!(addr.page, 0);
+/// alloc.mark_valid(addr, Lpn::new(0));
+/// assert_eq!(alloc.total_valid_pages(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocator {
     geometry: FlashGeometry,
     policy: AllocationPolicy,
-    planes: Vec<PlaneState>,
+    /// Planes in the SSD.
+    planes: usize,
+    /// One cursor per plane.
+    cursors: Vec<Cursor>,
+    /// Per plane, a ring of `blocks_per_plane` slots holding its erased
+    /// blocks in erase order (plane-major).
+    erased: Vec<u32>,
+    /// Valid-page bitmap per block, block-major.
+    valid: Vec<u128>,
+    /// Whether each block was handed out since its last erase, block-major.
+    in_use: Vec<bool>,
+    /// Per block index, the LPN held by each page (`page × planes + plane`);
+    /// meaningful only where the valid bit is set.  Empty until a page of the
+    /// block index is first marked valid.
+    owners: Vec<Box<[u32]>>,
+    /// Valid pages across the SSD.
+    live: u64,
+}
+
+impl fmt::Debug for Allocator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Allocator")
+            .field("geometry", &self.geometry)
+            .field("policy", &self.policy)
+            .field("live_pages", &self.live)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Allocator {
     /// Creates an allocator with every block free.
     pub fn new(geometry: FlashGeometry, policy: AllocationPolicy) -> Self {
-        let planes = (0..geometry.total_planes())
-            .map(|_| PlaneState::new(geometry.blocks_per_plane))
-            .collect();
+        let planes = geometry.total_planes();
+        let blocks = planes * geometry.blocks_per_plane;
+        let cursor = Cursor {
+            active: NO_BLOCK,
+            next_page: 0,
+            fresh: 0,
+            erased_head: 0,
+            erased_len: 0,
+        };
         Allocator {
+            planes,
+            cursors: vec![cursor; planes],
+            erased: vec![0; blocks],
+            valid: vec![0; blocks],
+            in_use: vec![false; blocks],
+            owners: (0..geometry.blocks_per_plane)
+                .map(|_| Box::default())
+                .collect(),
+            live: 0,
             geometry,
             policy,
-            planes,
         }
     }
 
@@ -100,7 +143,7 @@ impl Allocator {
 
     /// Total number of planes.
     pub fn plane_count(&self) -> usize {
-        self.planes.len()
+        self.planes
     }
 
     /// The static plane-selection function: which channel/way/die/plane a logical
@@ -201,107 +244,142 @@ impl Allocator {
 
     /// Number of free (erased, unallocated) blocks in a plane.
     pub fn free_blocks(&self, plane_index: usize) -> usize {
-        self.planes[plane_index].free_blocks.len()
+        let cursor = &self.cursors[plane_index];
+        (self.geometry.blocks_per_plane - cursor.fresh as usize) + cursor.erased_len as usize
     }
 
-    /// Allocates the next physical page in `plane_index`, opening a new active
-    /// block from the free list when necessary.  Returns `None` when the plane has
-    /// neither an active block with room nor a free block (GC must reclaim space
-    /// first).
+    /// Allocates the next physical page in `plane_index`, opening the next free
+    /// block when the plane has no active block with room.  Returns `None` when
+    /// the plane has neither (GC must reclaim space first).
     pub fn allocate(&mut self, plane_index: usize) -> Option<PhysicalPageAddr> {
-        let pages_per_block = self.geometry.pages_per_block as u32;
         let loc = self.plane_location(plane_index);
-        let state = &mut self.planes[plane_index];
-
-        if state.active_block.is_none() || state.next_page >= pages_per_block {
-            let block = state.free_blocks.pop()?;
-            state.in_use[block as usize] = true;
-            state.active_block = Some(block);
-            state.next_page = 0;
+        let blocks = self.geometry.blocks_per_plane as u32;
+        let cursor = &mut self.cursors[plane_index];
+        if cursor.active == NO_BLOCK || cursor.next_page >= self.geometry.pages_per_block as u32 {
+            let block = if cursor.fresh < blocks {
+                cursor.fresh += 1;
+                cursor.fresh - 1
+            } else if cursor.erased_len > 0 {
+                let slot = plane_index * blocks as usize + cursor.erased_head as usize;
+                cursor.erased_head = (cursor.erased_head + 1) % blocks;
+                cursor.erased_len -= 1;
+                self.erased[slot]
+            } else {
+                return None;
+            };
+            self.in_use[block as usize * self.planes + plane_index] = true;
+            cursor.active = block;
+            cursor.next_page = 0;
         }
-        let block = state.active_block.expect("active block was just ensured");
-        let page = state.next_page;
-        state.next_page += 1;
+        let page = cursor.next_page;
+        cursor.next_page += 1;
         Some(PhysicalPageAddr {
             channel: loc.channel,
             way: loc.way,
             die: loc.die,
             plane: loc.plane,
-            block,
+            block: cursor.active,
             page,
         })
     }
 
-    /// Marks the page at `addr` valid (it now holds live data).
-    pub fn mark_valid(&mut self, addr: PhysicalPageAddr) {
+    /// Index of a block in the block-major columns.
+    fn block_slot(&self, plane_index: usize, block: u32) -> usize {
+        block as usize * self.planes + plane_index
+    }
+
+    /// Marks the page at `addr` valid: it now holds the live data of `lpn`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` does not fit the `u32` spare-area entry.
+    pub fn mark_valid(&mut self, addr: PhysicalPageAddr, lpn: Lpn) {
+        assert!(
+            lpn.value() <= u64::from(u32::MAX),
+            "{lpn:?} does not fit a u32 spare-area entry"
+        );
         let plane = self.plane_index_of_addr(addr);
-        let state = &mut self.planes[plane];
+        let slot = self.block_slot(plane, addr.block);
         let bit = 1u128 << addr.page;
-        if state.valid_bits[addr.block as usize] & bit == 0 {
-            state.valid_bits[addr.block as usize] |= bit;
-            state.valid_count[addr.block as usize] += 1;
+        if self.valid[slot] & bit == 0 {
+            self.valid[slot] |= bit;
+            self.live += 1;
         }
+        let owners = &mut self.owners[addr.block as usize];
+        if owners.is_empty() {
+            *owners = vec![0; self.geometry.pages_per_block * self.planes].into_boxed_slice();
+        }
+        owners[addr.page as usize * self.planes + plane] = lpn.value() as u32;
     }
 
     /// Marks the page at `addr` invalid (its data was overwritten or migrated).
     pub fn mark_invalid(&mut self, addr: PhysicalPageAddr) {
-        let plane = self.plane_index_of_addr(addr);
-        let state = &mut self.planes[plane];
+        let slot = self.block_slot(self.plane_index_of_addr(addr), addr.block);
         let bit = 1u128 << addr.page;
-        if state.valid_bits[addr.block as usize] & bit != 0 {
-            state.valid_bits[addr.block as usize] &= !bit;
-            state.valid_count[addr.block as usize] -= 1;
+        if self.valid[slot] & bit != 0 {
+            self.valid[slot] &= !bit;
+            self.live -= 1;
         }
+    }
+
+    /// The valid-page bitmap of `block` in `plane_index` (bit `p` set when
+    /// page `p` holds live data).
+    pub(crate) fn valid_bits(&self, plane_index: usize, block: u32) -> u128 {
+        self.valid[self.block_slot(plane_index, block)]
     }
 
     /// Number of valid pages in `block` of `plane_index`.
     pub fn valid_pages_in_block(&self, plane_index: usize, block: u32) -> usize {
-        self.planes[plane_index].valid_count[block as usize] as usize
+        self.valid_bits(plane_index, block).count_ones() as usize
     }
 
-    /// The page offsets holding valid data in `block` of `plane_index`.
-    pub fn valid_page_offsets(&self, plane_index: usize, block: u32) -> Vec<u32> {
-        let bits = self.planes[plane_index].valid_bits[block as usize];
-        (0..self.geometry.pages_per_block as u32)
-            .filter(|&p| bits & (1u128 << p) != 0)
-            .collect()
+    /// The LPN whose data `page` of `block` in `plane_index` holds; meaningful
+    /// only while the page is valid.
+    pub(crate) fn owner(&self, plane_index: usize, block: u32, page: u32) -> Lpn {
+        let owners = &self.owners[block as usize];
+        Lpn::new(owners[page as usize * self.planes + plane_index].into())
     }
 
     /// Chooses a garbage-collection victim in `plane_index`: the in-use,
-    /// non-active block with the fewest valid pages (greedy policy).  Returns
-    /// `None` if no block is eligible.
+    /// non-active block with the fewest valid pages, lowest block first on a
+    /// tie (greedy policy).  Returns `None` if no block is eligible.
     pub fn victim_block(&self, plane_index: usize) -> Option<u32> {
-        let state = &self.planes[plane_index];
-        let mut best: Option<(u32, u16)> = None;
-        for block in 0..self.geometry.blocks_per_plane as u32 {
-            if !state.in_use[block as usize] {
+        let cursor = &self.cursors[plane_index];
+        let mut best: Option<(u32, u32)> = None;
+        // Blocks from `fresh` up have never been used.
+        for block in 0..cursor.fresh {
+            let slot = self.block_slot(plane_index, block);
+            if !self.in_use[slot] || block == cursor.active {
                 continue;
             }
-            if state.active_block == Some(block) {
-                continue;
-            }
-            let valid = state.valid_count[block as usize];
-            match best {
-                None => best = Some((block, valid)),
-                Some((_, best_valid)) if valid < best_valid => best = Some((block, valid)),
-                _ => {}
+            let valid = self.valid[slot].count_ones();
+            if best.is_none_or(|(_, fewest)| valid < fewest) {
+                best = Some((block, valid));
             }
         }
         best.map(|(block, _)| block)
     }
 
-    /// Erases `block` in `plane_index`: clears its valid directory and returns it
-    /// to the free list.
+    /// Erases `block` in `plane_index`: clears its valid directory and queues it
+    /// behind the plane's other free blocks.  A block that is already free is
+    /// left as it is.
     pub fn erase_block(&mut self, plane_index: usize, block: u32) {
-        let state = &mut self.planes[plane_index];
-        state.valid_bits[block as usize] = 0;
-        state.valid_count[block as usize] = 0;
-        state.in_use[block as usize] = false;
-        if state.active_block == Some(block) {
-            state.active_block = None;
-            state.next_page = 0;
+        let slot = self.block_slot(plane_index, block);
+        if !self.in_use[slot] {
+            return;
         }
-        state.free_blocks.insert(0, block);
+        self.live -= u64::from(self.valid[slot].count_ones());
+        self.valid[slot] = 0;
+        self.in_use[slot] = false;
+        let blocks = self.geometry.blocks_per_plane as u32;
+        let cursor = &mut self.cursors[plane_index];
+        if cursor.active == block {
+            cursor.active = NO_BLOCK;
+            cursor.next_page = 0;
+        }
+        let ring = (cursor.erased_head + cursor.erased_len) % blocks;
+        cursor.erased_len += 1;
+        self.erased[plane_index * blocks as usize + ring as usize] = block;
     }
 
     /// Global block index of an address (used by the wear tracker).
@@ -311,15 +389,12 @@ impl Allocator {
 
     /// Total number of blocks in the SSD.
     pub fn total_blocks(&self) -> usize {
-        self.geometry.total_planes() * self.geometry.blocks_per_plane
+        self.valid.len()
     }
 
     /// Total valid pages across the SSD (live data footprint, in pages).
     pub fn total_valid_pages(&self) -> u64 {
-        self.planes
-            .iter()
-            .map(|p| p.valid_count.iter().map(|&c| c as u64).sum::<u64>())
-            .sum()
+        self.live
     }
 }
 
@@ -414,9 +489,9 @@ mod tests {
         let mut a = alloc();
         // Fill block 0 and block 1 of plane 0 with valid pages.
         let mut addrs = Vec::new();
-        for _ in 0..2 * a.geometry().pages_per_block {
+        for lpn in 0..2 * a.geometry().pages_per_block as u64 {
             let addr = a.allocate(0).unwrap();
-            a.mark_valid(addr);
+            a.mark_valid(addr, Lpn::new(lpn));
             addrs.push(addr);
         }
         assert_eq!(a.valid_pages_in_block(0, 0), a.geometry().pages_per_block);
@@ -430,8 +505,14 @@ mod tests {
         assert_eq!(addr.block, 2);
         let victim = a.victim_block(0).unwrap();
         assert_eq!(victim, 0);
-        let survivors = a.valid_page_offsets(0, 0);
-        assert_eq!(survivors.len(), 2);
+        // Pages 6 and 7 survive, and the spare area names their LPNs.
+        assert_eq!(a.valid_bits(0, 0), 0b1100_0000);
+        assert_eq!(a.owner(0, 0, 6), Lpn::new(6));
+        assert_eq!(a.owner(0, 0, 7), Lpn::new(7));
+        assert_eq!(
+            a.total_valid_pages(),
+            2 + a.geometry().pages_per_block as u64
+        );
     }
 
     #[test]
@@ -439,11 +520,16 @@ mod tests {
         let mut a = alloc();
         let blocks = a.geometry().blocks_per_plane;
         let addr = a.allocate(0).unwrap();
-        a.mark_valid(addr);
+        a.mark_valid(addr, Lpn::new(0));
         assert_eq!(a.free_blocks(0), blocks - 1);
         a.erase_block(0, addr.block);
         assert_eq!(a.free_blocks(0), blocks);
         assert_eq!(a.valid_pages_in_block(0, addr.block), 0);
+        assert_eq!(a.total_valid_pages(), 0);
+        assert!(a.victim_block(0).is_none(), "a free block is no victim");
+        // Erasing a block that is already free changes nothing.
+        a.erase_block(0, addr.block);
+        assert_eq!(a.free_blocks(0), blocks);
         // After erase the block can be reused from the start.
         let fresh = a.allocate(0).unwrap();
         assert_eq!(fresh.page, 0);
@@ -453,9 +539,10 @@ mod tests {
     fn double_mark_valid_is_idempotent() {
         let mut a = alloc();
         let addr = a.allocate(0).unwrap();
-        a.mark_valid(addr);
-        a.mark_valid(addr);
+        a.mark_valid(addr, Lpn::new(4));
+        a.mark_valid(addr, Lpn::new(4));
         assert_eq!(a.valid_pages_in_block(0, addr.block), 1);
+        assert_eq!(a.total_valid_pages(), 1);
         a.mark_invalid(addr);
         a.mark_invalid(addr);
         assert_eq!(a.valid_pages_in_block(0, addr.block), 0);
@@ -505,9 +592,66 @@ mod tests {
         let mut a = alloc();
         assert_eq!(a.total_valid_pages(), 0);
         let addr = a.allocate(0).unwrap();
-        a.mark_valid(addr);
+        a.mark_valid(addr, Lpn::new(0));
         let addr2 = a.allocate(5).unwrap();
-        a.mark_valid(addr2);
+        a.mark_valid(addr2, Lpn::new(1));
         assert_eq!(a.total_valid_pages(), 2);
+    }
+
+    /// Allocates every page of plane 0, so the plane holds no free block.
+    fn fill_plane(a: &mut Allocator) {
+        let g = a.geometry().clone();
+        for _ in 0..g.blocks_per_plane * g.pages_per_block {
+            a.allocate(0).unwrap();
+        }
+        assert_eq!(a.free_blocks(0), 0);
+    }
+
+    /// Every byte-identical figure depends on this order: never-used blocks go
+    /// out lowest first, then erased blocks in the order they were erased.
+    #[test]
+    fn free_blocks_are_reused_fresh_ascending_then_in_erase_order() {
+        let mut a = alloc();
+        let g = a.geometry().clone();
+        let pages = g.pages_per_block;
+        // Open blocks 0..3 in ascending order.
+        for expected in 0..3u32 {
+            for page in 0..pages {
+                let addr = a.allocate(0).unwrap();
+                assert_eq!((addr.block, addr.page), (expected, page as u32));
+            }
+        }
+        // Erasing a used block queues it behind every never-used block.
+        a.erase_block(0, 1);
+        for expected in 3..g.blocks_per_plane as u32 {
+            assert_eq!(a.allocate(0).unwrap().block, expected);
+            for _ in 1..pages {
+                a.allocate(0).unwrap();
+            }
+        }
+        assert_eq!(a.allocate(0).unwrap().block, 1);
+        for _ in 1..pages {
+            a.allocate(0).unwrap();
+        }
+        assert!(a.allocate(0).is_none());
+
+        // On a full plane, erased blocks come back in erase order, not block
+        // order, and the ring wraps.
+        let mut a = alloc();
+        fill_plane(&mut a);
+        let order = [5u32, 2, 7, 0, 3];
+        for &block in &order {
+            a.erase_block(0, block);
+        }
+        for round in 0..3 {
+            for &block in &order {
+                let addr = a.allocate(0).unwrap();
+                assert_eq!((addr.block, addr.page), (block, 0), "round {round}");
+                for _ in 1..pages {
+                    a.allocate(0).unwrap();
+                }
+                a.erase_block(0, block);
+            }
+        }
     }
 }

@@ -1,12 +1,18 @@
 //! The Flash Translation Layer: page-level mapping, allocation, garbage collection
 //! planning, wear accounting, and the physical-layout preview (preprocessor) the
 //! schedulers rely on.
+//!
+//! The FTL's logical space is the device's physical page count: LPNs
+//! `0..geometry.total_pages()`.  Its tables are dense and index-addressed
+//! (see [`PageMap`] and [`Allocator`]), with `u32` entries, so a geometry may
+//! hold at most `u32::MAX` pages; `SsdConfig::validate` enforces it.
 
 mod allocator;
 mod gc;
 mod mapping;
 mod wear;
 
+pub(crate) use allocator::MAX_PAGES_PER_BLOCK;
 pub use allocator::{Allocator, PlaneLocation};
 pub use gc::{GcPlan, GcStats, PageMigration};
 pub use mapping::PageMap;
@@ -17,6 +23,10 @@ use sprinkler_sim::DeterministicRng;
 
 use crate::config::AllocationPolicy;
 use crate::request::{Direction, Placement};
+
+/// The most pages a device may hold: map entries are `u32`, and a forward
+/// entry stores a page number plus one.
+pub(crate) const MAX_TOTAL_PAGES: u64 = u32::MAX as u64;
 
 /// Counters describing FTL activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,7 +70,7 @@ pub struct WriteAllocation {
 /// assert_eq!(preview.channel, w.addr.channel);
 /// assert_eq!(preview.die, w.addr.die);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Ftl {
     geometry: FlashGeometry,
     map: PageMap,
@@ -79,8 +89,8 @@ impl Ftl {
         let alloc = Allocator::new(geometry.clone(), policy);
         let wear = WearTracker::new(alloc.total_blocks());
         Ftl {
+            map: PageMap::new(geometry.total_pages() as u64),
             geometry,
-            map: PageMap::new(),
             alloc,
             wear,
             gc_watermark,
@@ -151,20 +161,14 @@ impl Ftl {
     /// Allocates a physical page for a write of `lpn`, updating the mapping and
     /// valid-page directory.  Falls back to neighbouring planes when the preferred
     /// plane is out of free space ("spilling"), and returns `None` only when the
-    /// entire SSD is full.
+    /// entire SSD is full or `lpn` lies past the logical space.
     pub fn allocate_write(&mut self, lpn: Lpn) -> Option<WriteAllocation> {
         self.stats.host_writes += 1;
-        let preferred = self.alloc.plane_index_of(self.alloc.static_placement(lpn));
-        let plane_count = self.alloc.plane_count();
-        let mut chosen = None;
-        for offset in 0..plane_count {
-            let plane = (preferred + offset) % plane_count;
-            if let Some(addr) = self.alloc.allocate(plane) {
-                chosen = Some((addr, offset != 0));
-                break;
-            }
+        if !self.map.covers(lpn) {
+            return None;
         }
-        let (addr, spilled) = chosen?;
+        let preferred = self.alloc.plane_index_of(self.alloc.static_placement(lpn));
+        let (addr, spilled) = self.allocate_near(preferred)?;
         if spilled {
             self.stats.spilled_writes += 1;
         }
@@ -175,11 +179,23 @@ impl Ftl {
         if let Some(old) = invalidated {
             self.alloc.mark_invalid(old);
         }
-        self.alloc.mark_valid(addr);
+        self.alloc.mark_valid(addr, lpn);
         Some(WriteAllocation {
             addr,
             invalidated,
             spilled,
+        })
+    }
+
+    /// Allocates a page in `plane_index`, or else in the nearest following
+    /// plane with room; the flag is true when the page left `plane_index`.
+    fn allocate_near(&mut self, plane_index: usize) -> Option<(PhysicalPageAddr, bool)> {
+        let plane_count = self.alloc.plane_count();
+        let alloc = &mut self.alloc;
+        (0..plane_count).find_map(|offset| {
+            alloc
+                .allocate((plane_index + offset) % plane_count)
+                .map(|addr| (addr, offset != 0))
         })
     }
 
@@ -207,47 +223,6 @@ impl Ftl {
     pub fn collect_plane(&mut self, plane_index: usize) -> Option<GcPlan> {
         let victim = self.alloc.victim_block(plane_index)?;
         let loc = self.alloc.plane_location(plane_index);
-        let valid_offsets = self.alloc.valid_page_offsets(plane_index, victim);
-        let mut migrations = Vec::with_capacity(valid_offsets.len());
-        for page in valid_offsets {
-            let from = PhysicalPageAddr {
-                channel: loc.channel,
-                way: loc.way,
-                die: loc.die,
-                plane: loc.plane,
-                block: victim,
-                page,
-            };
-            let Some(lpn) = self.map.lpn_of(self.geometry.ppn_of(from)) else {
-                // Directory and map disagree; treat the page as stale.
-                self.alloc.mark_invalid(from);
-                continue;
-            };
-            // Prefer a destination in the same plane; spill outwards if needed.
-            let plane_count = self.alloc.plane_count();
-            let mut dest = None;
-            for offset in 0..plane_count {
-                let candidate = (plane_index + offset) % plane_count;
-                // Never migrate into the victim block itself.
-                if let Some(addr) = self.alloc.allocate(candidate) {
-                    if candidate == plane_index && addr.block == victim {
-                        continue;
-                    }
-                    dest = Some((addr, candidate != plane_index));
-                    break;
-                }
-            }
-            let (to, crossed_plane) = dest?;
-            self.map.map(lpn, self.geometry.ppn_of(to));
-            self.alloc.mark_invalid(from);
-            self.alloc.mark_valid(to);
-            migrations.push(PageMigration {
-                lpn,
-                from,
-                to,
-                crossed_plane,
-            });
-        }
         let erase_addr = PhysicalPageAddr {
             channel: loc.channel,
             way: loc.way,
@@ -256,6 +231,26 @@ impl Ftl {
             block: victim,
             page: 0,
         };
+        let mut valid = self.alloc.valid_bits(plane_index, victim);
+        let mut migrations = Vec::with_capacity(valid.count_ones() as usize);
+        while valid != 0 {
+            let page = valid.trailing_zeros();
+            valid &= valid - 1;
+            let from = PhysicalPageAddr { page, ..erase_addr };
+            let lpn = self.alloc.owner(plane_index, victim, page);
+            // Prefer a destination in the same plane; spill outwards if needed.
+            // The victim is in use and not active, so it is never the destination.
+            let (to, crossed_plane) = self.allocate_near(plane_index)?;
+            self.map.map(lpn, self.geometry.ppn_of(to));
+            self.alloc.mark_invalid(from);
+            self.alloc.mark_valid(to, lpn);
+            migrations.push(PageMigration {
+                lpn,
+                from,
+                to,
+                crossed_plane,
+            });
+        }
         self.alloc.erase_block(plane_index, victim);
         self.wear
             .record_erase(self.alloc.global_block_index(erase_addr));
@@ -378,16 +373,33 @@ mod tests {
         let g = f.geometry().clone();
         let plane_capacity = (g.blocks_per_plane * g.pages_per_block) as u64;
         let planes_total = g.total_planes() as u64;
-        // Hammer a single static plane with more distinct LPNs than it can hold.
-        // LPNs that are `planes_total` apart share the same static plane.
+        let total_pages = g.total_pages() as u64;
+        // Hammer a single static plane with more writes than it can hold.
+        // LPNs that are `planes_total` apart share the same static plane; past
+        // the logical space they wrap to overwrites, which still take pages.
         let mut spilled = false;
         for i in 0..plane_capacity + 4 {
-            let lpn = Lpn::new(i * planes_total);
+            let lpn = Lpn::new((i * planes_total) % total_pages);
             let alloc = f.allocate_write(lpn).unwrap();
             spilled |= alloc.spilled;
         }
         assert!(spilled, "overflowing a plane must spill to a neighbour");
         assert!(f.stats().spilled_writes > 0);
+    }
+
+    #[test]
+    fn writes_past_the_logical_space_are_refused() {
+        let mut f = ftl();
+        let total = f.geometry().total_pages() as u64;
+        f.allocate_write(Lpn::new(total - 1)).unwrap();
+        for lpn in [total, total + 1, u64::MAX] {
+            assert!(f.allocate_write(Lpn::new(lpn)).is_none(), "lpn {lpn}");
+        }
+        assert_eq!(f.mapped_pages(), 1);
+        assert_eq!(f.live_pages(), 1);
+        // Reads past the space take the unmapped path.
+        f.translate_read(Lpn::new(total));
+        assert_eq!(f.stats().unmapped_reads, 1);
     }
 
     #[test]

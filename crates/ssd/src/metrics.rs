@@ -180,6 +180,9 @@ pub struct RunMetrics {
     pub requests_per_transaction: f64,
     /// Garbage collection statistics (Fig 17).
     pub gc: GcStats,
+    /// Host write pages the FTL could not place: the device was full, or the
+    /// page lay past its logical space.  The I/O still completes.
+    pub failed_writes: u64,
     /// Per-bucket latency sample counts over the shared exponential bounds of
     /// [`latency_bucket_bounds`], with one trailing overflow bucket.  Because
     /// every run uses the same bounds, bucket counts from independent runs
@@ -588,6 +591,7 @@ impl MetricsCollector {
                 self.memory_requests as f64 / self.transactions as f64
             },
             gc,
+            failed_writes: 0,
             latency_buckets: self.latency_hist.bucket_counts().to_vec(),
             latency_series: self.latency_series,
             telemetry: self.telemetry.snapshot(),

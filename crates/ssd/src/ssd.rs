@@ -210,6 +210,7 @@ pub struct Ssd {
 
     next_tag: u64,
     next_mreq: u64,
+    /// Host write pages the FTL could not place.
     failed_writes: u64,
 
     metrics: MetricsCollector,
@@ -233,15 +234,19 @@ impl Ssd {
         mut scheduler: Box<dyn IoScheduler>,
         record_series: bool,
     ) -> Result<Self, String> {
-        config.validate()?;
+        config.validate().map_err(|e| e.to_string())?;
         let geometry = config.geometry.clone();
         scheduler.initialize(&geometry);
         let chips: Vec<Chip> = (0..geometry.total_chips())
             .map(|i| Chip::new(geometry.chip_location(i), &geometry))
             .collect();
         let channels = (0..geometry.channels).map(Channel::new).collect();
+        // A chip's host pending set is capped by the per-chip commitment
+        // budget; pre-size it so a chip's first writes never grow it.
         let controllers = (0..geometry.channels)
-            .map(|c| FlashController::new(c, geometry.chips_per_channel))
+            .map(|c| {
+                FlashController::new(c, geometry.chips_per_channel, config.max_committed_per_chip)
+            })
             .collect();
         let ftl = Ftl::new(
             geometry.clone(),
@@ -428,13 +433,16 @@ impl Ssd {
         let plane_busy: Vec<Duration> = self.chips.iter().map(|c| c.stats().plane_busy).collect();
         let planes_per_chip =
             self.config.geometry.dies_per_chip * self.config.geometry.planes_per_die;
-        self.metrics.finalize(
-            end,
-            &chip_busy,
-            &plane_busy,
-            planes_per_chip,
-            self.ftl.gc_stats(),
-        )
+        RunMetrics {
+            failed_writes: self.failed_writes,
+            ..self.metrics.finalize(
+                end,
+                &chip_busy,
+                &plane_busy,
+                planes_per_chip,
+                self.ftl.gc_stats(),
+            )
+        }
     }
 
     /// Takes a host request in at `now`: it waits for a queue tag, and a
@@ -611,8 +619,9 @@ impl Ssd {
                     (alloc.addr, FlashOp::Program)
                 }
                 None => {
-                    // The SSD is completely full; fail the write but keep the
-                    // simulation making progress.
+                    // The SSD is completely full, or the page lies past the
+                    // logical space; fail the write but keep the simulation
+                    // making progress.
                     self.failed_writes += 1;
                     self.complete_mem_request(handle, now);
                     return;
@@ -941,11 +950,6 @@ impl Ssd {
             now,
         );
     }
-
-    /// Number of writes that failed because the SSD ran out of physical space.
-    pub fn failed_writes(&self) -> u64 {
-        self.failed_writes
-    }
 }
 
 #[cfg(test)]
@@ -1112,6 +1116,32 @@ mod tests {
         let metrics = ssd.run(trace);
         assert_eq!(metrics.io_count, 60);
         assert!(metrics.gc.invocations > 0);
+    }
+
+    #[test]
+    fn overfilling_a_device_without_gc_reports_failed_writes() {
+        let config = SsdConfig::small_test();
+        let capacity = config.geometry.total_pages() as u64;
+        // 160 eight-page writes: 1280 page programs on a 1024-page device.
+        let trace: Vec<HostRequest> = (0..160)
+            .map(|i| write_req(i, i * 100, (i * 8) % capacity, 8))
+            .collect();
+        let metrics = run_small(trace);
+        assert_eq!(metrics.io_count, 160, "failed writes still complete");
+        assert_eq!(metrics.failed_writes, 1280 - capacity);
+    }
+
+    #[test]
+    fn writes_past_the_logical_space_fail_without_mapping() {
+        let capacity = SsdConfig::small_test().geometry.total_pages() as u64;
+        // Pages capacity-4 .. capacity+3: the last four lie past the space.
+        let metrics = run_small(vec![
+            write_req(0, 0, capacity - 4, 8),
+            read_req(1, 500, capacity, 4),
+        ]);
+        assert_eq!(metrics.io_count, 2);
+        assert_eq!(metrics.failed_writes, 4);
+        assert_eq!(metrics.bytes_written, 8 * 2048);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests over the public API: invariants that must hold for any
 //! workload the generators can produce.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -9,8 +10,10 @@ use sprinkler::array::{PlacementMap, StripeMap, StripedFanout};
 use sprinkler::core::reference::ReferenceScheduler;
 use sprinkler::core::SchedulerKind;
 use sprinkler::experiments::to_host_requests;
-use sprinkler::flash::{FlashGeometry, Lpn};
+use sprinkler::flash::{FlashGeometry, Lpn, PhysicalPageAddr};
 use sprinkler::sim::SimTime;
+use sprinkler::ssd::config::AllocationPolicy;
+use sprinkler::ssd::ftl::Ftl;
 use sprinkler::ssd::request::{Direction, HostRequest, TagId};
 use sprinkler::ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
 use sprinkler::ssd::{RunMetrics, Ssd, SsdConfig};
@@ -44,6 +47,81 @@ fn arb_requests(max: usize) -> impl Strategy<Value = Vec<HostRequest>> {
             })
             .collect()
     })
+}
+
+/// Runs `steps` — `(kind, raw LPN, plane)`: kinds 0–5 write, 6–8 read, 9
+/// collects the plane, or writes past the logical space when the raw LPN is
+/// odd — on a `small_test` FTL, checking it against a `HashMap` model after
+/// every step.  LPNs are `(raw × stride) % span`.  Fewer than 400 writes
+/// never fill the 1024-page device, since a collection frees at least as
+/// many pages as it programs.
+fn check_ftl_against_model(steps: &[(u8, u64, usize)], span: u64, stride: u64) {
+    let geometry = FlashGeometry::small_test();
+    let total = geometry.total_pages() as u64;
+    let mut ftl = Ftl::new(geometry.clone(), AllocationPolicy::ChannelWayDiePlane, 1);
+    let mut model: HashMap<Lpn, PhysicalPageAddr> = HashMap::new();
+    let mut unmapped_reads = 0;
+    for &(kind, raw, plane) in steps {
+        let lpn = Lpn::new((raw * stride) % span);
+        match kind {
+            0..=5 => {
+                let write = ftl.allocate_write(lpn).expect("the device never fills");
+                assert_eq!(write.invalidated, model.get(&lpn).copied(), "{lpn:?}");
+                assert!(
+                    model.values().all(|&addr| addr != write.addr),
+                    "{lpn:?} was written over live data at {}",
+                    write.addr
+                );
+                model.insert(lpn, write.addr);
+            }
+            6..=8 => {
+                let addr = ftl.translate_read(lpn);
+                match model.get(&lpn) {
+                    Some(&expected) => assert_eq!(addr, expected, "{lpn:?}"),
+                    None => unmapped_reads += 1,
+                }
+                assert_eq!(ftl.stats().unmapped_reads, unmapped_reads);
+            }
+            _ if raw % 2 == 1 => {
+                let past = Lpn::new(total + raw);
+                assert!(ftl.allocate_write(past).is_none(), "{past:?} was mapped");
+            }
+            _ => {
+                let Some(plan) = ftl.collect_plane(plane) else {
+                    continue;
+                };
+                assert_eq!(plan.plane_index, plane);
+                let in_victim = |addr: &PhysicalPageAddr| {
+                    ftl.plane_index_of_addr(*addr) == plane && addr.block == plan.victim_block
+                };
+                let mut expected: Vec<Lpn> = model
+                    .iter()
+                    .filter(|(_, addr)| in_victim(addr))
+                    .map(|(&lpn, _)| lpn)
+                    .collect();
+                expected.sort_unstable();
+                let mut migrated: Vec<Lpn> = plan.migrations.iter().map(|m| m.lpn).collect();
+                migrated.sort_unstable();
+                assert_eq!(
+                    migrated, expected,
+                    "plane {plane} block {}",
+                    plan.victim_block
+                );
+                for m in &plan.migrations {
+                    assert_eq!(model.insert(m.lpn, m.to), Some(m.from));
+                    assert!(!in_victim(&m.to), "{:?} migrated into its victim", m.lpn);
+                    assert_eq!(
+                        m.crossed_plane,
+                        ftl.plane_index_of_addr(m.to) != plane,
+                        "{:?}",
+                        m.lpn
+                    );
+                }
+            }
+        }
+        assert_eq!(ftl.mapped_pages(), model.len());
+        assert_eq!(ftl.live_pages(), model.len() as u64);
+    }
 }
 
 /// A shared log of (tag, page) commitments, filled as the simulation runs.
@@ -322,6 +400,22 @@ proptest! {
         let addr = geometry.addr_of(ppn);
         prop_assert!(geometry.check_addr(addr).is_ok());
         prop_assert_eq!(geometry.ppn_of(addr), ppn);
+    }
+
+    /// The dense FTL agrees with a `HashMap` model of the page map through
+    /// random writes, overwrites, reads, plane collections and writes past
+    /// the logical space: reads resolve where the model says, a write
+    /// invalidates exactly the LPN's previous location, a GC plan migrates
+    /// exactly the model's LPNs in its victim block, and the mapped and live
+    /// page counts equal the model's size.  A stride of 16 sends every LPN
+    /// to plane 0, so planes overflow and writes spill.
+    #[test]
+    fn ftl_matches_a_hash_map_model(
+        steps in prop::collection::vec((0u8..10, 0u64..4096, 0usize..16), 1..400),
+        span in prop_oneof![Just(48u64), Just(300), Just(1024)],
+        stride in prop_oneof![Just(1u64), Just(16)],
+    ) {
+        check_ftl_against_model(&steps, span, stride);
     }
 
     /// Differential test for the scheduler hot-path refactor: every optimized

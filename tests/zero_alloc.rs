@@ -14,11 +14,19 @@
 //! `cargo test --release --test zero_alloc -- --ignored` (see
 //! .github/workflows/ci.yml).
 //!
-//! Workload shape: all requests span 8 pages; writes cycle a fixed 512-LPN
-//! footprint that warm-up maps completely, so the steady-state FTL map never
-//! grows; reads roam a wider range (unmapped reads are served without
-//! mutating the map).  GC stays disabled (the default), so free blocks only
-//! deplete — the write volume is sized far below the device capacity.
+//! Workload shape: all requests span 8 pages; reads roam a 4096-LPN range
+//! (unmapped reads are served without mutating the map).  GC stays disabled
+//! (the default), so free blocks only deplete — the write volume is sized far
+//! below the device capacity.  Two write patterns:
+//!
+//! * writes cycle a fixed 512-LPN footprint that warm-up maps completely;
+//! * warm-up writes the even 8-page bases of the 4096-LPN span and the steady
+//!   state the odd ones, which land on chips (ways 1/3/5/7) that warm-up only
+//!   read, and on LPNs it never mapped.  This proves the pools are sized to
+//!   their structural bounds rather than warmed by luck: a chip's pending set
+//!   is pre-sized to the per-chip commitment cap, and the FTL's dense tables
+//!   allocate a chunk only for a new 64 Ki-LPN range or a new block index,
+//!   neither of which the steady state reaches.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -33,27 +41,44 @@ use sprinkler::ssd::{RunMetrics, Ssd, SsdConfig};
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Pages per request: fixed so warm-up establishes every per-tag capacity.
-const PAGES: u32 = 8;
+const PAGES: u64 = 8;
 /// Write-footprint LPN bases: 64 bases × 8 pages = 512 logical pages, all
 /// mapped during warm-up.
 const WRITE_BASES: u64 = 64;
+/// LPNs the reads roam, and the span the split writes cover.
+const SPAN: u64 = 4096;
 
-fn steady_requests(total: u64, spacing_ns: u64) -> Vec<HostRequest> {
+/// Where write `i` goes when `warm` is true during warm-up.
+type WritePattern = fn(i: u64, warm: bool) -> u64;
+
+/// Writes cycle 64 bases that warm-up maps completely.
+fn fixed_footprint(i: u64, _warm: bool) -> u64 {
+    (i % WRITE_BASES) * PAGES
+}
+
+/// Warm-up writes the even 8-page bases of the span, the steady state the
+/// odd ones.
+fn split_footprint(i: u64, warm: bool) -> u64 {
+    let bases = SPAN / PAGES;
+    ((i / 2 * 2) % bases + u64::from(!warm)) * PAGES
+}
+
+fn steady_requests(total: u64, warmup: u64, writes: WritePattern) -> Vec<HostRequest> {
     (0..total)
         .map(|i| {
             let (direction, lpn) = if i % 2 == 0 {
                 // Reads roam a wider range; unmapped reads are legal and
                 // alloc-free (served from the static placement).
-                (Direction::Read, Lpn::new((i * 13) % 4096))
+                (Direction::Read, Lpn::new((i * 13) % SPAN))
             } else {
-                (Direction::Write, Lpn::new((i % WRITE_BASES) * PAGES as u64))
+                (Direction::Write, Lpn::new(writes(i, i < warmup)))
             };
             HostRequest::new(
                 i,
-                SimTime::from_nanos(i * spacing_ns),
+                SimTime::from_nanos(i * 1_000),
                 direction,
                 lpn,
-                PAGES,
+                PAGES as u32,
             )
         })
         .collect()
@@ -114,8 +139,13 @@ impl<I: Iterator<Item = HostRequest>> Iterator for Metered<I> {
 /// Replays `total` requests through `run_stream`, measuring allocations after
 /// the first `warmup` pulls.  Returns the run metrics and the steady-state
 /// allocation delta.
-fn metered_replay(config: SsdConfig, total: u64, warmup: u64) -> (RunMetrics, u64, u64) {
-    let requests = steady_requests(total, 1_000);
+fn metered_replay(
+    config: SsdConfig,
+    total: u64,
+    warmup: u64,
+    writes: WritePattern,
+) -> (RunMetrics, u64, u64) {
+    let requests = steady_requests(total, warmup, writes);
     let meter = Rc::new(RefCell::new(Meter::default()));
     let source = Metered {
         inner: requests.into_iter(),
@@ -133,8 +163,13 @@ fn metered_replay(config: SsdConfig, total: u64, warmup: u64) -> (RunMetrics, u6
     )
 }
 
-fn assert_zero_alloc_steady_state(config: SsdConfig, total: u64, warmup: u64) {
-    let (metrics, steady_allocs, steady_bytes) = metered_replay(config, total, warmup);
+fn assert_zero_alloc_steady_state(
+    config: SsdConfig,
+    total: u64,
+    warmup: u64,
+    writes: WritePattern,
+) {
+    let (metrics, steady_allocs, steady_bytes) = metered_replay(config, total, warmup, writes);
     assert_eq!(metrics.io_count, total, "every request must complete");
     // The always-on telemetry substrate rode along for free.
     assert_eq!(metrics.telemetry.stream_admissions, total);
@@ -154,7 +189,16 @@ fn assert_zero_alloc_steady_state(config: SsdConfig, total: u64, warmup: u64) {
 #[ignore = "release-mode perf gate; run via cargo test --release --test zero_alloc -- --ignored"]
 fn steady_state_replay_is_allocation_free_small() {
     let config = SsdConfig::paper_default().with_blocks_per_plane(64);
-    assert_zero_alloc_steady_state(config, 6_000, 3_000);
+    assert_zero_alloc_steady_state(config, 6_000, 3_000, fixed_footprint);
+}
+
+/// The steady state writes chips and LPNs that warm-up never wrote: the
+/// pending sets and FTL tables must already hold them.
+#[test]
+#[ignore = "release-mode perf gate; run via cargo test --release --test zero_alloc -- --ignored"]
+fn steady_state_writes_to_unwritten_chips_are_allocation_free() {
+    let config = SsdConfig::paper_default().with_blocks_per_plane(64);
+    assert_zero_alloc_steady_state(config, 6_000, 3_000, split_footprint);
 }
 
 /// The same proof at 1024 chips: pool sizing, not luck, keeps the loop clean.
@@ -164,7 +208,7 @@ fn steady_state_replay_is_allocation_free_1024_chips() {
     let config = SsdConfig::paper_default()
         .with_chip_count(1024)
         .with_blocks_per_plane(64);
-    assert_zero_alloc_steady_state(config, 6_000, 3_000);
+    assert_zero_alloc_steady_state(config, 6_000, 3_000, fixed_footprint);
 }
 
 /// The counting allocator itself works in this binary: a deliberate heap
