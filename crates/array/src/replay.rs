@@ -150,7 +150,7 @@ pub fn run_array(
                 scope.spawn(move || {
                     let device_config = config.device(device).clone();
                     let page_size = device_config.page_size();
-                    let ssd = Ssd::new(device_config, kind.build())?;
+                    let ssd = Ssd::new(device_config, kind.build()).map_err(|e| e.to_string())?;
                     Ok(ssd.run_stream(DeviceRequestStream {
                         source: fanout.device_source(device),
                         page_size,

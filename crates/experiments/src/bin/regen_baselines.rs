@@ -27,12 +27,12 @@ use std::process::ExitCode;
 use std::rc::Rc;
 
 use sprinkler_core::SchedulerKind;
-use sprinkler_experiments::runner::ExperimentScale;
+use sprinkler_experiments::runner::{run_one_detailed, ExperimentScale};
 use sprinkler_experiments::{fig10, fig15_scaling, scenario};
 use sprinkler_flash::Lpn;
 use sprinkler_sim::{AllocScope, CountingAllocator, SimTime};
 use sprinkler_ssd::request::{Direction, HostRequest};
-use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig};
+use sprinkler_ssd::{GcConfig, RunMetrics, Ssd, SsdConfig};
 
 /// Every baseline figure is measured under the counting allocator, so the
 /// steady-state allocs-per-I/O figures below are real measurements, not
@@ -138,31 +138,88 @@ fn steady_replay(chips: usize) -> (RunMetrics, f64) {
     (metrics, allocs / (TOTAL - WARMUP) as f64)
 }
 
-/// `BENCH_seed.json`: the fig10 headline comparison at bench scale, plus the
-/// always-on telemetry counters and the steady-state allocation budget of the
-/// paper-geometry replay.
+/// The fragmented cell of `examples/gc_pressure.rs` under `kind`: 64 chips,
+/// 8 blocks per plane, GC on, pre-filled to 95%, a write-heavy 64 KB sweep.
+///
+/// # Panics
+///
+/// Panics if GC moved no page across planes: the cell exists to keep the
+/// readdressing paths (the stale-readdress penalty for schedulers without
+/// `on_readdress`, the callback for the rest) under the gate.
+fn gc_fragmented(kind: SchedulerKind) -> RunMetrics {
+    let scale = ExperimentScale {
+        ios_per_workload: 400,
+        blocks_per_plane: 8,
+    };
+    let config = SsdConfig::paper_default()
+        .with_chip_count(64)
+        .with_blocks_per_plane(scale.blocks_per_plane)
+        .with_gc(GcConfig::enabled());
+    let trace = scale.sweep_trace(64, 0.3, 0x6C);
+    let metrics = run_one_detailed(&config, kind, &trace, false, Some(0.95));
+    assert!(
+        metrics.gc.cross_plane_migrations > 0,
+        "the {} GC cell no longer migrates across planes",
+        kind.label()
+    );
+    metrics
+}
+
+/// `BENCH_seed.json`: the fig10 headline comparison at bench scale (with
+/// the chip utilization and intra-chip idleness behind Figs 11 and 15, each
+/// the mean over the fig10 workloads), the 95%-full GC cell, plus the
+/// always-on telemetry counters and the steady-state allocation budget of
+/// the paper-geometry replay.
 fn seed_metrics() -> Vec<(&'static str, f64)> {
-    let comparison = fig10::run(&ExperimentScale::bench(), None);
+    let comparison = &fig10::run(&ExperimentScale::bench(), None);
+    let runs = |kind| {
+        comparison
+            .workloads
+            .iter()
+            .filter_map(move |w| comparison.metrics(w, kind))
+    };
+    let mean = |kind, figure: fn(&RunMetrics) -> f64| {
+        let values: Vec<f64> = runs(kind).map(figure).collect();
+        values.iter().sum::<f64>() / values.len() as f64
+    };
     let bandwidth_x = comparison.bandwidth_speedup(SchedulerKind::Spk3, SchedulerKind::Vas);
     let latency_pct = 100.0 * comparison.latency_reduction(SchedulerKind::Spk3, SchedulerKind::Vas);
-    let spk3_rounds: u64 = comparison
-        .workloads
-        .iter()
-        .filter_map(|w| comparison.metrics(w, SchedulerKind::Spk3))
+    let spk3_rounds: u64 = runs(SchedulerKind::Spk3)
         .map(|m| m.telemetry.sched_rounds)
         .sum();
-    let spk3_faro: u64 = comparison
-        .workloads
-        .iter()
-        .filter_map(|w| comparison.metrics(w, SchedulerKind::Spk3))
+    let spk3_faro: u64 = runs(SchedulerKind::Spk3)
         .map(|m| m.telemetry.faro_fast_path_rounds)
         .sum();
+    let gc_vas = gc_fragmented(SchedulerKind::Vas);
+    let gc_spk3 = gc_fragmented(SchedulerKind::Spk3);
     let (steady, allocs_per_io) = steady_replay(64);
     vec![
         ("fig10_spk3_vas_bandwidth_x", bandwidth_x),
         ("fig10_spk3_vas_latency_reduction_pct", latency_pct),
         ("fig10_spk3_sched_rounds_total", spk3_rounds as f64),
         ("fig10_spk3_faro_fast_path_rounds_total", spk3_faro as f64),
+        (
+            "fig10_spk3_chip_utilization",
+            mean(SchedulerKind::Spk3, |m| m.chip_utilization),
+        ),
+        (
+            "fig10_vas_chip_utilization",
+            mean(SchedulerKind::Vas, |m| m.chip_utilization),
+        ),
+        (
+            "fig10_spk3_intra_chip_idleness",
+            mean(SchedulerKind::Spk3, |m| m.intra_chip_idleness),
+        ),
+        (
+            "fig10_vas_intra_chip_idleness",
+            mean(SchedulerKind::Vas, |m| m.intra_chip_idleness),
+        ),
+        ("gc_fragmented_vas_kbps", gc_vas.bandwidth_kb_per_sec),
+        ("gc_fragmented_spk3_kbps", gc_spk3.bandwidth_kb_per_sec),
+        (
+            "gc_fragmented_spk3_pages_migrated",
+            gc_spk3.gc.pages_migrated as f64,
+        ),
         (
             "steady_replay_stream_admissions",
             steady.telemetry.stream_admissions as f64,

@@ -1,274 +1,41 @@
-//! ONFI-style flash command sequences.
+//! ONFI-style flash command accounting.
 //!
 //! NAND flash chips are driven through a narrow multiplexed interface: every
 //! operation is a sequence of *command cycles*, *address cycles*, and *data cycles*
-//! on the shared bus.  This module enumerates the command set the simulated flash
-//! controller issues ([`FlashCommand`]) and computes, for a whole
-//! [`FlashTransaction`], the bus cycle sequence ([`CommandSequence`]) that the
-//! timing model converts into bus occupancy.
-
-use std::fmt;
+//! on the shared bus.  This module counts, for a whole [`FlashTransaction`], the
+//! latch cycles and payload bytes of the bus phases before and after its cell
+//! operation ([`BusPhaseCounts`]), which the timing model converts into bus
+//! occupancy.  Its tests pin those counts against the materialized ONFI command
+//! sequence.
 
 use crate::transaction::{FlashOp, FlashTransaction};
-
-/// The ONFI command opcodes the simulated controller issues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlashCommand {
-    /// `00h` — read setup (column/row address follows).
-    ReadSetup,
-    /// `30h` — read confirm (starts the cell array access).
-    ReadConfirm,
-    /// `32h` — multi-plane read confirm (queue another plane).
-    MultiPlaneReadConfirm,
-    /// `80h` — program setup (address and data follow).
-    ProgramSetup,
-    /// `10h` — program confirm.
-    ProgramConfirm,
-    /// `11h` — multi-plane / interleaved program queue ("dummy" confirm).
-    ProgramQueue,
-    /// `60h` — erase setup (row address follows).
-    EraseSetup,
-    /// `D0h` — erase confirm.
-    EraseConfirm,
-    /// `D1h` — multi-plane erase queue.
-    EraseQueue,
-    /// `70h` — read status.
-    ReadStatus,
-    /// `05h` — random data output setup (column change within the register).
-    RandomDataOut,
-    /// `E0h` — random data output confirm.
-    RandomDataOutConfirm,
-    /// `FFh` — reset.
-    Reset,
-}
-
-impl FlashCommand {
-    /// The opcode byte placed on the bus.
-    pub fn opcode(self) -> u8 {
-        match self {
-            FlashCommand::ReadSetup => 0x00,
-            FlashCommand::ReadConfirm => 0x30,
-            FlashCommand::MultiPlaneReadConfirm => 0x32,
-            FlashCommand::ProgramSetup => 0x80,
-            FlashCommand::ProgramConfirm => 0x10,
-            FlashCommand::ProgramQueue => 0x11,
-            FlashCommand::EraseSetup => 0x60,
-            FlashCommand::EraseConfirm => 0xD0,
-            FlashCommand::EraseQueue => 0xD1,
-            FlashCommand::ReadStatus => 0x70,
-            FlashCommand::RandomDataOut => 0x05,
-            FlashCommand::RandomDataOutConfirm => 0xE0,
-            FlashCommand::Reset => 0xFF,
-        }
-    }
-}
-
-impl fmt::Display for FlashCommand {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:02X}h", self.opcode())
-    }
-}
-
-/// One logical phase of bus activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BusCycleKind {
-    /// A command latch cycle.
-    Command(FlashCommand),
-    /// One or more address latch cycles.
-    Address {
-        /// Number of address bytes latched.
-        cycles: u32,
-    },
-    /// Payload transfer into the chip (program data-in).
-    DataIn {
-        /// Bytes transferred.
-        bytes: u32,
-    },
-    /// Payload transfer out of the chip (read data-out).
-    DataOut {
-        /// Bytes transferred.
-        bytes: u32,
-    },
-}
-
-/// The full bus cycle sequence for one transaction, split into the phase executed
-/// *before* the cell operation (`issue`) and the phase executed *after* it
-/// (`completion`, e.g. streaming read data out of the data registers).
-///
-/// # Example
-///
-/// ```
-/// use sprinkler_flash::{CommandSequence, FlashGeometry, FlashOp, TransactionBuilder};
-///
-/// let g = FlashGeometry::paper_default();
-/// let mut b = TransactionBuilder::new(FlashOp::Read, g.clone());
-/// b.try_add(g.page_addr(0, 0, 0, 0, 3, 1)).unwrap();
-/// let txn = b.build().unwrap();
-/// let seq = CommandSequence::for_transaction(&txn);
-/// assert!(seq.issue_command_cycles() >= 2);       // 00h .. 30h
-/// assert_eq!(seq.data_out_bytes(), 2048);
-/// assert_eq!(seq.data_in_bytes(), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommandSequence {
-    issue: Vec<BusCycleKind>,
-    completion: Vec<BusCycleKind>,
-}
 
 /// Number of address bytes latched per page-addressed command (2 column + 3 row).
 pub const ADDRESS_CYCLES_PAGE: u32 = 5;
 /// Number of address bytes latched per block-addressed command (3 row bytes).
 pub const ADDRESS_CYCLES_BLOCK: u32 = 3;
 
-impl CommandSequence {
-    /// Builds the command sequence a controller issues for `txn`.
-    ///
-    /// Multi-request transactions use the multi-plane / interleaved queueing
-    /// commands: every request but the last is queued with a `11h`/`32h`/`D1h`
-    /// style command, and the last request carries the final confirm.
-    pub fn for_transaction(txn: &FlashTransaction) -> Self {
-        let n = txn.requests().len() as u32;
-        let page_bytes = txn.page_size() as u32;
-        let mut issue = Vec::new();
-        let mut completion = Vec::new();
-        match txn.op() {
-            FlashOp::Read => {
-                for i in 0..n {
-                    issue.push(BusCycleKind::Command(FlashCommand::ReadSetup));
-                    issue.push(BusCycleKind::Address {
-                        cycles: ADDRESS_CYCLES_PAGE,
-                    });
-                    let confirm = if i + 1 == n {
-                        FlashCommand::ReadConfirm
-                    } else {
-                        FlashCommand::MultiPlaneReadConfirm
-                    };
-                    issue.push(BusCycleKind::Command(confirm));
-                }
-                for _ in 0..n {
-                    // After the cell access each plane's register is streamed out,
-                    // preceded by a random-data-out pointer change.
-                    completion.push(BusCycleKind::Command(FlashCommand::RandomDataOut));
-                    completion.push(BusCycleKind::Address {
-                        cycles: ADDRESS_CYCLES_PAGE,
-                    });
-                    completion.push(BusCycleKind::Command(FlashCommand::RandomDataOutConfirm));
-                    completion.push(BusCycleKind::DataOut { bytes: page_bytes });
-                }
-                completion.push(BusCycleKind::Command(FlashCommand::ReadStatus));
-            }
-            FlashOp::Program => {
-                for i in 0..n {
-                    issue.push(BusCycleKind::Command(FlashCommand::ProgramSetup));
-                    issue.push(BusCycleKind::Address {
-                        cycles: ADDRESS_CYCLES_PAGE,
-                    });
-                    issue.push(BusCycleKind::DataIn { bytes: page_bytes });
-                    let confirm = if i + 1 == n {
-                        FlashCommand::ProgramConfirm
-                    } else {
-                        FlashCommand::ProgramQueue
-                    };
-                    issue.push(BusCycleKind::Command(confirm));
-                }
-                completion.push(BusCycleKind::Command(FlashCommand::ReadStatus));
-            }
-            FlashOp::Erase => {
-                for i in 0..n {
-                    issue.push(BusCycleKind::Command(FlashCommand::EraseSetup));
-                    issue.push(BusCycleKind::Address {
-                        cycles: ADDRESS_CYCLES_BLOCK,
-                    });
-                    let confirm = if i + 1 == n {
-                        FlashCommand::EraseConfirm
-                    } else {
-                        FlashCommand::EraseQueue
-                    };
-                    issue.push(BusCycleKind::Command(confirm));
-                }
-                completion.push(BusCycleKind::Command(FlashCommand::ReadStatus));
-            }
-        }
-        CommandSequence { issue, completion }
-    }
-
-    /// Bus cycles executed before the cell operation starts.
-    pub fn issue_cycles(&self) -> &[BusCycleKind] {
-        &self.issue
-    }
-
-    /// Bus cycles executed after the cell operation finishes.
-    pub fn completion_cycles(&self) -> &[BusCycleKind] {
-        &self.completion
-    }
-
-    fn count_commands(cycles: &[BusCycleKind]) -> u32 {
-        cycles
-            .iter()
-            .filter(|c| matches!(c, BusCycleKind::Command(_)))
-            .count() as u32
-    }
-
-    fn count_addresses(cycles: &[BusCycleKind]) -> u32 {
-        cycles
-            .iter()
-            .map(|c| match c {
-                BusCycleKind::Address { cycles } => *cycles,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Number of command latch cycles in the issue phase.
-    pub fn issue_command_cycles(&self) -> u32 {
-        Self::count_commands(&self.issue)
-    }
-
-    /// Number of address latch cycles in the issue phase.
-    pub fn issue_address_cycles(&self) -> u32 {
-        Self::count_addresses(&self.issue)
-    }
-
-    /// Number of command latch cycles in the completion phase.
-    pub fn completion_command_cycles(&self) -> u32 {
-        Self::count_commands(&self.completion)
-    }
-
-    /// Number of address latch cycles in the completion phase.
-    pub fn completion_address_cycles(&self) -> u32 {
-        Self::count_addresses(&self.completion)
-    }
-
-    /// Total payload bytes transferred into the chip (program data).
-    pub fn data_in_bytes(&self) -> u64 {
-        self.issue
-            .iter()
-            .chain(self.completion.iter())
-            .map(|c| match c {
-                BusCycleKind::DataIn { bytes } => *bytes as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total payload bytes transferred out of the chip (read data).
-    pub fn data_out_bytes(&self) -> u64 {
-        self.issue
-            .iter()
-            .chain(self.completion.iter())
-            .map(|c| match c {
-                BusCycleKind::DataOut { bytes } => *bytes as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-}
-
 /// The latch-cycle and payload totals of one bus phase, computed in closed
 /// form.  The timing model runs on every transaction the simulator executes,
-/// so it must not materialize the [`CommandSequence`] vectors on the hot path;
-/// these counts are derived arithmetically from the op and request count and
-/// pinned against the materialized sequence by a unit test.
+/// so it must not materialize the command sequence on the hot path; these
+/// counts are derived arithmetically from the op and request count and pinned
+/// against the materialized sequence by a unit test.
+///
+/// # Example
+///
+/// ```
+/// use sprinkler_flash::{BusPhaseCounts, FlashGeometry, FlashOp, TransactionBuilder};
+///
+/// let g = FlashGeometry::paper_default();
+/// let mut b = TransactionBuilder::new(FlashOp::Read, g.clone());
+/// b.try_add(g.page_addr(0, 0, 0, 0, 3, 1)).unwrap();
+/// let txn = b.build().unwrap();
+/// // 00h, five address bytes, 30h; a read moves no payload in.
+/// let issue = BusPhaseCounts::issue_of(&txn);
+/// assert_eq!((issue.latch_cycles, issue.payload_bytes), (7, 0));
+/// // The page streams out after the cell phase.
+/// assert_eq!(BusPhaseCounts::completion_of(&txn).payload_bytes, 2048);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusPhaseCounts {
     /// Command plus address latch cycles in the phase.
@@ -327,9 +94,239 @@ impl BusPhaseCounts {
 
 #[cfg(test)]
 mod tests {
+    use std::fmt;
+
     use super::*;
     use crate::geometry::FlashGeometry;
     use crate::transaction::TransactionBuilder;
+
+    /// The ONFI command opcodes the simulated controller issues.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum FlashCommand {
+        /// `00h` — read setup (column/row address follows).
+        ReadSetup,
+        /// `30h` — read confirm (starts the cell array access).
+        ReadConfirm,
+        /// `32h` — multi-plane read confirm (queue another plane).
+        MultiPlaneReadConfirm,
+        /// `80h` — program setup (address and data follow).
+        ProgramSetup,
+        /// `10h` — program confirm.
+        ProgramConfirm,
+        /// `11h` — multi-plane / interleaved program queue ("dummy" confirm).
+        ProgramQueue,
+        /// `60h` — erase setup (row address follows).
+        EraseSetup,
+        /// `D0h` — erase confirm.
+        EraseConfirm,
+        /// `D1h` — multi-plane erase queue.
+        EraseQueue,
+        /// `70h` — read status.
+        ReadStatus,
+        /// `05h` — random data output setup (column change within the register).
+        RandomDataOut,
+        /// `E0h` — random data output confirm.
+        RandomDataOutConfirm,
+        /// `FFh` — reset.
+        Reset,
+    }
+
+    impl FlashCommand {
+        /// The opcode byte placed on the bus.
+        fn opcode(self) -> u8 {
+            match self {
+                FlashCommand::ReadSetup => 0x00,
+                FlashCommand::ReadConfirm => 0x30,
+                FlashCommand::MultiPlaneReadConfirm => 0x32,
+                FlashCommand::ProgramSetup => 0x80,
+                FlashCommand::ProgramConfirm => 0x10,
+                FlashCommand::ProgramQueue => 0x11,
+                FlashCommand::EraseSetup => 0x60,
+                FlashCommand::EraseConfirm => 0xD0,
+                FlashCommand::EraseQueue => 0xD1,
+                FlashCommand::ReadStatus => 0x70,
+                FlashCommand::RandomDataOut => 0x05,
+                FlashCommand::RandomDataOutConfirm => 0xE0,
+                FlashCommand::Reset => 0xFF,
+            }
+        }
+    }
+
+    impl fmt::Display for FlashCommand {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "{:02X}h", self.opcode())
+        }
+    }
+
+    /// One logical phase of bus activity.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum BusCycleKind {
+        /// A command latch cycle.
+        Command(FlashCommand),
+        /// One or more address latch cycles.
+        Address {
+            /// Number of address bytes latched.
+            cycles: u32,
+        },
+        /// Payload transfer into the chip (program data-in).
+        DataIn {
+            /// Bytes transferred.
+            bytes: u32,
+        },
+        /// Payload transfer out of the chip (read data-out).
+        DataOut {
+            /// Bytes transferred.
+            bytes: u32,
+        },
+    }
+
+    /// The full bus cycle sequence for one transaction, split into the phase executed
+    /// *before* the cell operation (`issue`) and the phase executed *after* it
+    /// (`completion`, e.g. streaming read data out of the data registers).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct CommandSequence {
+        issue: Vec<BusCycleKind>,
+        completion: Vec<BusCycleKind>,
+    }
+
+    impl CommandSequence {
+        /// Builds the command sequence a controller issues for `txn`.
+        ///
+        /// Multi-request transactions use the multi-plane / interleaved queueing
+        /// commands: every request but the last is queued with a `11h`/`32h`/`D1h`
+        /// style command, and the last request carries the final confirm.
+        fn for_transaction(txn: &FlashTransaction) -> Self {
+            let n = txn.requests().len() as u32;
+            let page_bytes = txn.page_size() as u32;
+            let mut issue = Vec::new();
+            let mut completion = Vec::new();
+            match txn.op() {
+                FlashOp::Read => {
+                    for i in 0..n {
+                        issue.push(BusCycleKind::Command(FlashCommand::ReadSetup));
+                        issue.push(BusCycleKind::Address {
+                            cycles: ADDRESS_CYCLES_PAGE,
+                        });
+                        let confirm = if i + 1 == n {
+                            FlashCommand::ReadConfirm
+                        } else {
+                            FlashCommand::MultiPlaneReadConfirm
+                        };
+                        issue.push(BusCycleKind::Command(confirm));
+                    }
+                    for _ in 0..n {
+                        // After the cell access each plane's register is streamed out,
+                        // preceded by a random-data-out pointer change.
+                        completion.push(BusCycleKind::Command(FlashCommand::RandomDataOut));
+                        completion.push(BusCycleKind::Address {
+                            cycles: ADDRESS_CYCLES_PAGE,
+                        });
+                        completion.push(BusCycleKind::Command(FlashCommand::RandomDataOutConfirm));
+                        completion.push(BusCycleKind::DataOut { bytes: page_bytes });
+                    }
+                    completion.push(BusCycleKind::Command(FlashCommand::ReadStatus));
+                }
+                FlashOp::Program => {
+                    for i in 0..n {
+                        issue.push(BusCycleKind::Command(FlashCommand::ProgramSetup));
+                        issue.push(BusCycleKind::Address {
+                            cycles: ADDRESS_CYCLES_PAGE,
+                        });
+                        issue.push(BusCycleKind::DataIn { bytes: page_bytes });
+                        let confirm = if i + 1 == n {
+                            FlashCommand::ProgramConfirm
+                        } else {
+                            FlashCommand::ProgramQueue
+                        };
+                        issue.push(BusCycleKind::Command(confirm));
+                    }
+                    completion.push(BusCycleKind::Command(FlashCommand::ReadStatus));
+                }
+                FlashOp::Erase => {
+                    for i in 0..n {
+                        issue.push(BusCycleKind::Command(FlashCommand::EraseSetup));
+                        issue.push(BusCycleKind::Address {
+                            cycles: ADDRESS_CYCLES_BLOCK,
+                        });
+                        let confirm = if i + 1 == n {
+                            FlashCommand::EraseConfirm
+                        } else {
+                            FlashCommand::EraseQueue
+                        };
+                        issue.push(BusCycleKind::Command(confirm));
+                    }
+                    completion.push(BusCycleKind::Command(FlashCommand::ReadStatus));
+                }
+            }
+            CommandSequence { issue, completion }
+        }
+
+        /// Bus cycles executed before the cell operation starts.
+        fn issue_cycles(&self) -> &[BusCycleKind] {
+            &self.issue
+        }
+
+        fn count_commands(cycles: &[BusCycleKind]) -> u32 {
+            cycles
+                .iter()
+                .filter(|c| matches!(c, BusCycleKind::Command(_)))
+                .count() as u32
+        }
+
+        fn count_addresses(cycles: &[BusCycleKind]) -> u32 {
+            cycles
+                .iter()
+                .map(|c| match c {
+                    BusCycleKind::Address { cycles } => *cycles,
+                    _ => 0,
+                })
+                .sum()
+        }
+
+        /// Number of command latch cycles in the issue phase.
+        fn issue_command_cycles(&self) -> u32 {
+            Self::count_commands(&self.issue)
+        }
+
+        /// Number of address latch cycles in the issue phase.
+        fn issue_address_cycles(&self) -> u32 {
+            Self::count_addresses(&self.issue)
+        }
+
+        /// Number of command latch cycles in the completion phase.
+        fn completion_command_cycles(&self) -> u32 {
+            Self::count_commands(&self.completion)
+        }
+
+        /// Number of address latch cycles in the completion phase.
+        fn completion_address_cycles(&self) -> u32 {
+            Self::count_addresses(&self.completion)
+        }
+
+        /// Total payload bytes transferred into the chip (program data).
+        fn data_in_bytes(&self) -> u64 {
+            self.issue
+                .iter()
+                .chain(self.completion.iter())
+                .map(|c| match c {
+                    BusCycleKind::DataIn { bytes } => *bytes as u64,
+                    _ => 0,
+                })
+                .sum()
+        }
+
+        /// Total payload bytes transferred out of the chip (read data).
+        fn data_out_bytes(&self) -> u64 {
+            self.issue
+                .iter()
+                .chain(self.completion.iter())
+                .map(|c| match c {
+                    BusCycleKind::DataOut { bytes } => *bytes as u64,
+                    _ => 0,
+                })
+                .sum()
+        }
+    }
 
     fn txn(op: FlashOp, planes: &[(u32, u32)]) -> FlashTransaction {
         let g = FlashGeometry::paper_default();

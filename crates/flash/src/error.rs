@@ -24,13 +24,6 @@ pub enum FlashError {
     },
     /// Attempted to build an empty transaction.
     EmptyTransaction,
-    /// A transaction was admitted to a chip that is still busy.
-    ChipBusy {
-        /// Channel index of the busy chip.
-        channel: u32,
-        /// Way (position within the channel) of the busy chip.
-        way: u32,
-    },
     /// A geometry parameter was zero or otherwise invalid.
     InvalidGeometry {
         /// Which parameter is invalid.
@@ -48,9 +41,6 @@ impl fmt::Display for FlashError {
                 write!(f, "cannot coalesce request into transaction: {reason}")
             }
             FlashError::EmptyTransaction => write!(f, "transaction contains no requests"),
-            FlashError::ChipBusy { channel, way } => {
-                write!(f, "chip (channel {channel}, way {way}) is busy")
-            }
             FlashError::InvalidGeometry { field } => {
                 write!(f, "invalid flash geometry: {field} must be non-zero")
             }
@@ -78,7 +68,6 @@ mod tests {
                 reason: "different chip",
             },
             FlashError::EmptyTransaction,
-            FlashError::ChipBusy { channel: 1, way: 2 },
             FlashError::InvalidGeometry { field: "channels" },
         ];
         for err in cases {

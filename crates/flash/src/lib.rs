@@ -9,13 +9,14 @@
 //! * [`PhysicalPageAddr`] / [`Ppn`] / [`Lpn`] — physical and logical addressing.
 //! * [`FlashTiming`] — ONFI bus modes, command/address cycle accounting, the 20 µs
 //!   read latency and the 200–2200 µs MLC program-latency variation, and erase time.
-//! * [`FlashCommand`] / [`CommandSequence`] — the command/address/data bus cycles a
-//!   flash controller must issue for every operation.
+//! * [`BusPhaseCounts`] — the command, address, and data bus cycles a flash
+//!   controller issues before and after each transaction's cell operation.
 //! * [`FlashTransaction`] / [`ParallelismLevel`] — a coalesced group of page-level
 //!   requests executed as a single chip operation, classified into NON-PAL, PAL1
 //!   (plane sharing), PAL2 (die interleaving), or PAL3 (both).
-//! * [`Chip`] / [`Die`] / [`Plane`] — the chip state machine (R/B signalling, busy
-//!   windows, per-resource busy accounting used for intra-chip idleness metrics).
+//!
+//! A chip runs one transaction at a time; the SSD layer (`sprinkler_ssd`)
+//! tracks which chips are busy and sums their busy time from these timings.
 //!
 //! # Example
 //!
@@ -40,21 +41,15 @@
 #![warn(missing_debug_implementations)]
 
 pub mod address;
-pub mod chip;
 pub mod command;
-pub mod die;
 pub mod error;
 pub mod geometry;
-pub mod plane;
 pub mod timing;
 pub mod transaction;
 
 pub use address::{ChipLocation, Lpn, PhysicalPageAddr, Ppn};
-pub use chip::{Chip, ChipPhase};
-pub use command::{BusCycleKind, BusPhaseCounts, CommandSequence, FlashCommand};
-pub use die::Die;
+pub use command::BusPhaseCounts;
 pub use error::FlashError;
 pub use geometry::FlashGeometry;
-pub use plane::Plane;
 pub use timing::{FlashTiming, OnfiMode, ProgramLatencyModel};
 pub use transaction::{FlashOp, FlashTransaction, ParallelismLevel, TransactionBuilder};

@@ -1,9 +1,7 @@
 //! Statistics accumulators used by the SSD metrics layer and the experiment harness.
 //!
 //! These are intentionally simple, allocation-light accumulators:
-//! mean/variance trackers, busy-time trackers, and fixed-bucket histograms.
-
-use crate::time::{Duration, SimTime};
+//! mean/variance trackers and fixed-bucket histograms.
 
 /// Online mean / min / max / variance tracker (Welford's algorithm).
 ///
@@ -123,73 +121,6 @@ impl MeanStat {
         self.count = combined;
         self.mean = new_mean;
         self.m2 = new_m2;
-    }
-}
-
-/// Accumulates busy time for a binary busy/idle resource.
-///
-/// # Example
-///
-/// ```
-/// use sprinkler_sim::{SimTime, Duration};
-/// use sprinkler_sim::stats::BusyTracker;
-///
-/// let mut b = BusyTracker::new();
-/// b.mark_busy(SimTime::from_nanos(10));
-/// b.mark_idle(SimTime::from_nanos(30));
-/// assert_eq!(b.busy_time(), Duration::from_nanos(20));
-/// assert!(!b.is_busy());
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusyTracker {
-    busy_since: Option<SimTime>,
-    busy_total: Duration,
-    transitions: u64,
-}
-
-impl BusyTracker {
-    /// Creates an idle tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the resource busy at `now`; a no-op if already busy.
-    pub fn mark_busy(&mut self, now: SimTime) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-            self.transitions += 1;
-        }
-    }
-
-    /// Marks the resource idle at `now`, accumulating the elapsed busy period; a
-    /// no-op if already idle.
-    pub fn mark_idle(&mut self, now: SimTime) {
-        if let Some(since) = self.busy_since.take() {
-            self.busy_total += now.saturating_since(since);
-        }
-    }
-
-    /// Returns `true` while the resource is marked busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
-    /// Total accumulated busy time (not counting an open busy period).
-    pub fn busy_time(&self) -> Duration {
-        self.busy_total
-    }
-
-    /// Total busy time including any open busy period, evaluated at `now`.
-    pub fn busy_time_at(&self, now: SimTime) -> Duration {
-        match self.busy_since {
-            Some(since) => self.busy_total + now.saturating_since(since),
-            None => self.busy_total,
-        }
-    }
-
-    /// Number of idle→busy transitions observed.
-    pub fn busy_periods(&self) -> u64 {
-        self.transitions
     }
 }
 
@@ -409,24 +340,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 1);
         assert_eq!(a.mean(), 5.0);
-    }
-
-    #[test]
-    fn busy_tracker_accumulates_periods() {
-        let mut b = BusyTracker::new();
-        assert!(!b.is_busy());
-        b.mark_busy(SimTime::from_nanos(10));
-        assert!(b.is_busy());
-        b.mark_busy(SimTime::from_nanos(15)); // no-op
-        b.mark_idle(SimTime::from_nanos(20));
-        b.mark_idle(SimTime::from_nanos(25)); // no-op
-        b.mark_busy(SimTime::from_nanos(30));
-        assert_eq!(b.busy_time(), Duration::from_nanos(10));
-        assert_eq!(
-            b.busy_time_at(SimTime::from_nanos(40)),
-            Duration::from_nanos(20)
-        );
-        assert_eq!(b.busy_periods(), 2);
     }
 
     #[test]

@@ -164,15 +164,17 @@ impl SsdConfig {
     ///
     /// # Errors
     ///
-    /// [`SsdError::InvalidConfig`] for a zero or otherwise invalid field, and
-    /// [`SsdError::GeometryTooLarge`] for a geometry past the FTL's table
-    /// limits: more than `u32::MAX` pages in all, or more than 128 pages per
-    /// block.
+    /// [`SsdError::Flash`] wrapping [`FlashError::InvalidGeometry`] for a zero
+    /// geometry field, [`SsdError::InvalidConfig`] for any other zero or
+    /// invalid field, and [`SsdError::GeometryTooLarge`] for a geometry past
+    /// the FTL's table limits: more than `u32::MAX` pages in all, or more than
+    /// 128 pages per block.
+    ///
+    /// [`FlashError::InvalidGeometry`]: sprinkler_flash::FlashError::InvalidGeometry
     pub fn validate(&self) -> Result<(), SsdError> {
         let invalid = |reason: &str| Err(SsdError::InvalidConfig(reason.to_string()));
         let g = &self.geometry;
-        g.validate()
-            .map_err(|e| SsdError::InvalidConfig(format!("invalid geometry: {e}")))?;
+        g.validate()?;
         if g.pages_per_block > MAX_PAGES_PER_BLOCK {
             return Err(SsdError::GeometryTooLarge {
                 field: "pages_per_block",

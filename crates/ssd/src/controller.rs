@@ -128,8 +128,6 @@ impl TxnScratch {
 pub struct FlashController {
     channel: usize,
     pending: Vec<Vec<PendingRequest>>,
-    delivered: u64,
-    coalesced: u64,
 }
 
 impl FlashController {
@@ -141,14 +139,7 @@ impl FlashController {
             pending: (0..ways)
                 .map(|_| Vec::with_capacity(pending_capacity))
                 .collect(),
-            delivered: 0,
-            coalesced: 0,
         }
-    }
-
-    /// The channel this controller drives.
-    pub fn channel(&self) -> usize {
-        self.channel
     }
 
     /// Delivers a memory request into the pending set of its chip.
@@ -161,7 +152,6 @@ impl FlashController {
             request.addr.channel as usize, self.channel,
             "request delivered to the wrong channel controller"
         );
-        self.delivered += 1;
         self.pending[request.addr.way as usize].push(request);
     }
 
@@ -173,21 +163,6 @@ impl FlashController {
     /// True when a chip has at least one pending request.
     pub fn has_pending(&self, way: usize) -> bool {
         !self.pending[way].is_empty()
-    }
-
-    /// Total pending requests across the channel.
-    pub fn total_pending(&self) -> usize {
-        self.pending.iter().map(Vec::len).sum()
-    }
-
-    /// Number of requests delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Number of requests that were coalesced into multi-request transactions.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
     }
 
     /// Builds the best transaction currently possible for `way`, removing the
@@ -261,9 +236,6 @@ impl FlashController {
             debug_assert!(added.is_ok(), "distinct (die, plane) pairs always fold");
         }
         let txn = builder.build().ok()?;
-        if scratch.accepted.len() > 1 {
-            self.coalesced += scratch.accepted.len() as u64;
-        }
 
         // Collect member data in builder-insertion order (txn.requests() order)
         // before any removal disturbs the indices.
@@ -329,9 +301,6 @@ impl FlashController {
             }
         }
         let txn = builder.build().ok()?;
-        if accepted.len() > 1 {
-            self.coalesced += accepted.len() as u64;
-        }
         let members = accepted.iter().map(|&i| queue[i].handle).collect();
         let extra_delay = accepted
             .iter()
@@ -393,8 +362,7 @@ mod tests {
     fn empty_controller_builds_nothing() {
         let mut c = FlashController::new(0, 8, 4);
         assert!(c.build_transaction(0, &geometry()).is_none());
-        assert_eq!(c.total_pending(), 0);
-        assert_eq!(c.channel(), 0);
+        assert!(!c.has_pending(0));
     }
 
     #[test]
@@ -408,8 +376,6 @@ mod tests {
         assert_eq!(built.members, vec![1]);
         assert!(!built.contains_gc);
         assert_eq!(c.pending_count(2), 0);
-        assert_eq!(c.delivered(), 1);
-        assert_eq!(c.coalesced(), 0);
     }
 
     #[test]
@@ -423,7 +389,6 @@ mod tests {
         assert_eq!(built.txn.requests().len(), 4);
         assert_eq!(built.txn.parallelism(), ParallelismLevel::Pal3);
         assert_eq!(c.pending_count(0), 0);
-        assert_eq!(c.coalesced(), 4);
     }
 
     #[test]
@@ -542,7 +507,6 @@ mod tests {
                 scratch.recycle_members(built.members);
                 scratch.recycle_requests(built.txn.into_requests());
             }
-            prop_assert_eq!(fast.coalesced(), reference.coalesced());
         }
     }
 }

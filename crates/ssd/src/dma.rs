@@ -25,9 +25,6 @@ use sprinkler_sim::{Duration, SimTime};
 pub struct DmaEngine {
     bytes_per_sec: u64,
     free_at: SimTime,
-    total_bytes: u64,
-    total_transfers: u64,
-    busy: Duration,
 }
 
 impl DmaEngine {
@@ -41,9 +38,6 @@ impl DmaEngine {
         DmaEngine {
             bytes_per_sec,
             free_at: SimTime::ZERO,
-            total_bytes: 0,
-            total_transfers: 0,
-            busy: Duration::ZERO,
         }
     }
 
@@ -59,34 +53,14 @@ impl DmaEngine {
     /// Enqueues a transfer of `bytes` requested at `now` and returns its completion
     /// time.  Transfers are serviced in request order.
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let start = now.max(self.free_at);
-        let duration = self.transfer_time(bytes);
-        let done = start + duration;
+        let done = now.max(self.free_at) + self.transfer_time(bytes);
         self.free_at = done;
-        self.total_bytes += bytes;
-        self.total_transfers += 1;
-        self.busy += duration;
         done
     }
 
     /// When the engine next becomes idle.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Total number of transfers served.
-    pub fn total_transfers(&self) -> u64 {
-        self.total_transfers
-    }
-
-    /// Accumulated transfer (busy) time.
-    pub fn busy_time(&self) -> Duration {
-        self.busy
     }
 }
 
@@ -110,9 +84,6 @@ mod tests {
         assert_eq!(a, SimTime::from_micros(1));
         assert_eq!(b, SimTime::from_micros(2));
         assert_eq!(dma.free_at(), b);
-        assert_eq!(dma.total_bytes(), 2_000);
-        assert_eq!(dma.total_transfers(), 2);
-        assert_eq!(dma.busy_time(), Duration::from_micros(2));
     }
 
     #[test]
@@ -121,7 +92,6 @@ mod tests {
         dma.transfer(SimTime::ZERO, 1_000);
         let later = dma.transfer(SimTime::from_micros(10), 1_000);
         assert_eq!(later, SimTime::from_micros(11));
-        assert_eq!(dma.busy_time(), Duration::from_micros(2));
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub enum SsdError {
     InvalidConfig(String),
     /// An error bubbled up from the flash model.
     Flash(FlashError),
-    /// The simulated SSD ran out of physical space and could not allocate a write.
-    OutOfSpace,
     /// A geometry field exceeds what the FTL's tables can address.
     GeometryTooLarge {
         /// The offending quantity (`total_pages`, `pages_per_block`).
@@ -31,7 +29,6 @@ impl fmt::Display for SsdError {
         match self {
             SsdError::InvalidConfig(reason) => write!(f, "invalid SSD configuration: {reason}"),
             SsdError::Flash(e) => write!(f, "flash error: {e}"),
-            SsdError::OutOfSpace => write!(f, "SSD is out of physical space"),
             SsdError::GeometryTooLarge { field, value, max } => {
                 write!(
                     f,
@@ -65,7 +62,6 @@ mod tests {
     fn displays_are_meaningful() {
         let e = SsdError::InvalidConfig("queue_depth must be non-zero".into());
         assert!(e.to_string().contains("queue_depth"));
-        assert!(SsdError::OutOfSpace.to_string().contains("space"));
         let f = SsdError::from(FlashError::EmptyTransaction);
         assert!(f.to_string().contains("flash"));
     }
@@ -75,6 +71,6 @@ mod tests {
         use std::error::Error as _;
         let e = SsdError::Flash(FlashError::EmptyTransaction);
         assert!(e.source().is_some());
-        assert!(SsdError::OutOfSpace.source().is_none());
+        assert!(SsdError::InvalidConfig(String::new()).source().is_none());
     }
 }

@@ -6,7 +6,8 @@
 //! * the NVMHC device-level queue and memory-request composition pipeline
 //!   ([`queue`], [`request`], [`dma`]),
 //! * the per-chip commitment/occupancy ledger that enforces the over-commitment
-//!   cap with full per-round headroom ([`ledger`]),
+//!   cap with full per-round headroom and records which chips are running a
+//!   transaction ([`ledger`]),
 //! * per-channel flash controllers that coalesce committed memory requests into
 //!   flash transactions with die interleaving and plane sharing ([`controller`],
 //!   [`channel`]),
@@ -63,6 +64,6 @@ pub use metrics::{
     latency_bucket_bounds, merged_latency_quantile, weighted_mean_latency_ns, ExecutionBreakdown,
     FlpBreakdown, MetricsCollector, RunMetrics, TenantLaneSpec, TenantMetrics,
 };
-pub use request::{Direction, HostRequest, MemReqId, MemoryRequest, Placement, TagId};
+pub use request::{Direction, HostRequest, MemReqId, Placement, TagId};
 pub use scheduler::{Commitment, IoScheduler, SchedulerContext};
 pub use ssd::Ssd;

@@ -1,9 +1,10 @@
-//! Host I/O requests, device-queue tags, and page-level memory requests.
+//! Host I/O requests, device-queue tags, and memory-request identifiers.
 //!
 //! Following Fig 3 of the paper, a host I/O request is admitted into the
 //! device-level queue as a *tag*; the NVMHC later composes it into page-sized
 //! *memory requests* (the atomic flash I/O unit) which are committed to the flash
-//! controllers and eventually coalesced into flash transactions.
+//! controllers and eventually coalesced into flash transactions.  An in-flight
+//! memory request is one record in the SSD's slab, named by its [`MemReqId`].
 
 use std::fmt;
 
@@ -164,109 +165,6 @@ impl Placement {
     }
 }
 
-/// The lifecycle of a page-level memory request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemReqPhase {
-    /// Committed by the scheduler; waiting for host data movement (writes only).
-    AwaitingData,
-    /// Delivered to the flash controller; waiting to join a transaction.
-    Pending,
-    /// Part of an executing flash transaction.
-    Executing,
-    /// Flash work done; waiting for the read data to be returned to the host.
-    Returning,
-    /// Fully complete.
-    Complete,
-}
-
-/// A page-level memory request: the unit the scheduler commits and the flash
-/// controller coalesces into transactions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoryRequest {
-    /// Identifier.
-    pub id: MemReqId,
-    /// The tag (host I/O) this request belongs to, `None` for internal GC traffic.
-    pub tag: Option<TagId>,
-    /// Page offset within the host I/O request (0 for GC traffic).
-    pub page_index: u32,
-    /// Logical page addressed.
-    pub lpn: Lpn,
-    /// Direction of the flash operation (GC reads/writes use the same enum).
-    pub direction: Direction,
-    /// Physical placement preview.
-    pub placement: Placement,
-    /// Current lifecycle phase.
-    pub phase: MemReqPhase,
-    /// When the scheduler committed the request.
-    pub committed_at: SimTime,
-    /// When the request reached the flash controller.
-    pub delivered_at: SimTime,
-    /// When the request fully completed.
-    pub completed_at: SimTime,
-    /// True for internal garbage-collection traffic.
-    pub gc: bool,
-}
-
-impl MemoryRequest {
-    /// Creates a freshly committed host memory request.
-    pub fn new_host(
-        id: MemReqId,
-        tag: TagId,
-        page_index: u32,
-        lpn: Lpn,
-        direction: Direction,
-        placement: Placement,
-        committed_at: SimTime,
-    ) -> Self {
-        MemoryRequest {
-            id,
-            tag: Some(tag),
-            page_index,
-            lpn,
-            direction,
-            placement,
-            phase: if direction.is_write() {
-                MemReqPhase::AwaitingData
-            } else {
-                MemReqPhase::Pending
-            },
-            committed_at,
-            delivered_at: committed_at,
-            completed_at: SimTime::MAX,
-            gc: false,
-        }
-    }
-
-    /// Creates an internal GC memory request (never belongs to a tag and is
-    /// delivered to the controller immediately).
-    pub fn new_gc(
-        id: MemReqId,
-        lpn: Lpn,
-        direction: Direction,
-        placement: Placement,
-        at: SimTime,
-    ) -> Self {
-        MemoryRequest {
-            id,
-            tag: None,
-            page_index: 0,
-            lpn,
-            direction,
-            placement,
-            phase: MemReqPhase::Pending,
-            committed_at: at,
-            delivered_at: at,
-            completed_at: SimTime::MAX,
-            gc: true,
-        }
-    }
-
-    /// True once the request has reached its terminal phase.
-    pub fn is_complete(&self) -> bool {
-        self.phase == MemReqPhase::Complete
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,60 +217,5 @@ mod tests {
         assert_eq!(p.way, 3);
         assert_eq!(p.die, 1);
         assert_eq!(p.plane, 0);
-    }
-
-    #[test]
-    fn write_requests_start_awaiting_data() {
-        let placement = Placement {
-            chip: 0,
-            channel: 0,
-            way: 0,
-            die: 0,
-            plane: 0,
-        };
-        let w = MemoryRequest::new_host(
-            MemReqId(1),
-            TagId(1),
-            0,
-            Lpn::new(5),
-            Direction::Write,
-            placement,
-            SimTime::ZERO,
-        );
-        assert_eq!(w.phase, MemReqPhase::AwaitingData);
-        let r = MemoryRequest::new_host(
-            MemReqId(2),
-            TagId(1),
-            1,
-            Lpn::new(6),
-            Direction::Read,
-            placement,
-            SimTime::ZERO,
-        );
-        assert_eq!(r.phase, MemReqPhase::Pending);
-        assert!(!r.is_complete());
-        assert!(!r.gc);
-    }
-
-    #[test]
-    fn gc_requests_have_no_tag() {
-        let placement = Placement {
-            chip: 1,
-            channel: 0,
-            way: 1,
-            die: 0,
-            plane: 0,
-        };
-        let g = MemoryRequest::new_gc(
-            MemReqId(7),
-            Lpn::new(0),
-            Direction::Read,
-            placement,
-            SimTime::from_micros(3),
-        );
-        assert!(g.gc);
-        assert_eq!(g.tag, None);
-        assert_eq!(g.phase, MemReqPhase::Pending);
-        assert_eq!(g.committed_at, SimTime::from_micros(3));
     }
 }

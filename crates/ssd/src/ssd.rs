@@ -14,24 +14,29 @@
 //! live transaction of a chip is stored at the chip's index, and GC jobs at
 //! their plane's index.  Events carry only those handles, so an event-heap
 //! entry stays small.
+//!
+//! A chip runs one transaction at a time (§2.2).  Whether it is busy lives in
+//! the [`CommitmentLedger`], which the schedulers read; a transaction's phase
+//! times come from [`FlashTiming`](sprinkler_flash::FlashTiming), and its
+//! chip and plane busy time are summed when it completes, for the chip
+//! utilization and intra-chip idleness metrics.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use sprinkler_flash::{Chip, FlashOp, Lpn, ParallelismLevel, PhysicalPageAddr};
+use sprinkler_flash::{FlashOp, Lpn, ParallelismLevel, PhysicalPageAddr};
 use sprinkler_sim::{Duration, EventQueue, SimTime, TelemetryCounters};
 
 use crate::channel::Channel;
 use crate::config::SsdConfig;
 use crate::controller::{FlashController, PendingRequest, TxnScratch};
 use crate::dma::DmaEngine;
+use crate::error::SsdError;
 use crate::ftl::Ftl;
 use crate::ledger::CommitmentLedger;
 use crate::metrics::{MetricsCollector, RunMetrics};
 use crate::queue::DeviceQueue;
-use crate::request::{
-    Direction, HostRequest, MemReqId, MemReqPhase, MemoryRequest, Placement, TagId,
-};
+use crate::request::{Direction, HostRequest, MemReqId, TagId};
 use crate::scheduler::{Commitment, IoScheduler, SchedulerContext};
 
 /// Simulation events.  Every payload is a `u32` handle: a memory request's
@@ -57,10 +62,12 @@ enum SsdEvent {
 #[derive(Debug)]
 struct LiveTransaction {
     channel: usize,
-    /// Slab handles of the member memory requests.
+    /// Slab handles of the member memory requests, one per (die, plane).
     members: Vec<u32>,
     level: ParallelismLevel,
-    request_count: usize,
+    /// When the issue bus phase started: the chip is busy from here until
+    /// the transaction completes.
+    start: SimTime,
     bus_time: Duration,
     cell_time: Duration,
     contention: Duration,
@@ -92,10 +99,18 @@ struct GcJob {
     erase_issued: bool,
 }
 
-/// An in-flight memory request.
+/// An in-flight page-level memory request: the unit the scheduler commits
+/// and the flash controller coalesces into transactions.
 #[derive(Debug)]
 struct InFlight {
-    request: MemoryRequest,
+    /// Monotone identifier (the controller's service-order tie-break).
+    id: MemReqId,
+    /// The tag and page offset of a host request; `None` for GC traffic.
+    host: Option<(TagId, u32)>,
+    lpn: Lpn,
+    direction: Direction,
+    /// The chip the request runs on, whose ledger a host commitment charges.
+    chip: usize,
     /// `Some` for GC traffic.
     gc: Option<GcRole>,
 }
@@ -105,7 +120,7 @@ struct InFlight {
 /// A `Vec` of slots plus a free list: a finished request's slot goes to the
 /// next one, so the slab stays at the high-water mark of in-flight requests
 /// and a lookup is one index.  Handles are recycled and carry no age;
-/// ordering uses the monotone [`MemReqId`] stored in the request.
+/// ordering uses the monotone [`MemReqId`] stored in the entry.
 #[derive(Debug, Default)]
 struct MemSlab {
     slots: Vec<Option<InFlight>>,
@@ -136,10 +151,6 @@ impl MemSlab {
 
     fn get(&self, handle: u32) -> Option<&InFlight> {
         self.slots.get(handle as usize)?.as_ref()
-    }
-
-    fn get_mut(&mut self, handle: u32) -> Option<&mut InFlight> {
-        self.slots.get_mut(handle as usize)?.as_mut()
     }
 
     // lint: hot-path
@@ -176,7 +187,6 @@ pub struct Ssd {
     config: SsdConfig,
     scheduler: Box<dyn IoScheduler>,
     ftl: Ftl,
-    chips: Vec<Chip>,
     channels: Vec<Channel>,
     controllers: Vec<FlashController>,
     dma: DmaEngine,
@@ -192,6 +202,10 @@ pub struct Ssd {
     ledger: CommitmentLedger,
     /// The live transaction of each chip.
     live: Vec<Option<LiveTransaction>>,
+    /// Per chip: total time the chip was busy with transactions.
+    chip_busy: Vec<Duration>,
+    /// Per chip: total cell time summed over its planes.
+    plane_busy: Vec<Duration>,
     chip_kick_pending: Vec<bool>,
     schedule_pending: bool,
     /// Reusable commitment buffer for scheduling rounds (`schedule_into`).
@@ -222,25 +236,26 @@ impl Ssd {
     ///
     /// # Errors
     ///
-    /// Returns the configuration validation error message if `config` is invalid.
-    pub fn new(config: SsdConfig, scheduler: Box<dyn IoScheduler>) -> Result<Self, String> {
+    /// Returns the [`SsdConfig::validate`] error if `config` is invalid.
+    pub fn new(config: SsdConfig, scheduler: Box<dyn IoScheduler>) -> Result<Self, SsdError> {
         Self::with_series(config, scheduler, false)
     }
 
     /// Like [`Ssd::new`] but also records the per-I/O latency time series needed by
     /// Fig 12.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SsdConfig::validate`] error if `config` is invalid.
     pub fn with_series(
         config: SsdConfig,
         mut scheduler: Box<dyn IoScheduler>,
         record_series: bool,
-    ) -> Result<Self, String> {
-        config.validate().map_err(|e| e.to_string())?;
+    ) -> Result<Self, SsdError> {
+        config.validate()?;
         let geometry = config.geometry.clone();
         scheduler.initialize(&geometry);
-        let chips: Vec<Chip> = (0..geometry.total_chips())
-            .map(|i| Chip::new(geometry.chip_location(i), &geometry))
-            .collect();
-        let channels = (0..geometry.channels).map(Channel::new).collect();
+        let channels = vec![Channel::default(); geometry.channels];
         // A chip's host pending set is capped by the per-chip commitment
         // budget; pre-size it so a chip's first writes never grow it.
         let controllers = (0..geometry.channels)
@@ -284,6 +299,8 @@ impl Ssd {
             mem_requests: MemSlab::with_capacity(in_flight_bound),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
             live: (0..total_chips).map(|_| None).collect(),
+            chip_busy: vec![Duration::ZERO; total_chips],
+            plane_busy: vec![Duration::ZERO; total_chips],
             chip_kick_pending: vec![false; total_chips],
             schedule_pending: false,
             commit_buf: Vec::new(),
@@ -299,7 +316,6 @@ impl Ssd {
             config,
             scheduler,
             ftl,
-            chips,
             channels,
             controllers,
         })
@@ -429,19 +445,35 @@ impl Ssd {
 
     fn finalize(self) -> RunMetrics {
         let end = self.events.now();
-        let chip_busy: Vec<Duration> = self.chips.iter().map(|c| c.stats().busy).collect();
-        let plane_busy: Vec<Duration> = self.chips.iter().map(|c| c.stats().plane_busy).collect();
         let planes_per_chip =
             self.config.geometry.dies_per_chip * self.config.geometry.planes_per_die;
+        let metrics = self.metrics.finalize(
+            end,
+            &self.chip_busy,
+            &self.plane_busy,
+            planes_per_chip,
+            self.ftl.gc_stats(),
+        );
+        // A chip runs one transaction at a time, and each of its planes
+        // serves at most one member per transaction, so neither sum can
+        // exceed its bound (`finalize` clamps the ratios, which would hide
+        // a violation).
+        debug_assert!(
+            self.chip_busy
+                .iter()
+                .all(|busy| busy.as_nanos() <= metrics.elapsed_ns),
+            "a chip was busy longer than the run"
+        );
+        debug_assert!(
+            self.chip_busy
+                .iter()
+                .zip(&self.plane_busy)
+                .all(|(&chip, &planes)| planes <= chip * planes_per_chip as u64),
+            "a chip's planes were busy longer than the chip"
+        );
         RunMetrics {
             failed_writes: self.failed_writes,
-            ..self.metrics.finalize(
-                end,
-                &chip_busy,
-                &plane_busy,
-                planes_per_chip,
-                self.ftl.gc_stats(),
-            )
+            ..metrics
         }
     }
 
@@ -563,22 +595,19 @@ impl Ssd {
             return;
         }
         let host = tag.host;
-        let placement = tag.placements[page as usize];
         if !self.queue.commit_page_at(slot, page, now) {
             return;
         }
         self.ledger.commit(chip);
         let id = self.next_mreq_id();
-        let request = MemoryRequest::new_host(
+        let handle = self.mem_requests.insert(InFlight {
             id,
-            tag_id,
-            page,
-            host.lpn_at(page),
-            host.direction,
-            placement,
-            now,
-        );
-        let handle = self.mem_requests.insert(InFlight { request, gc: None });
+            host: Some((tag_id, page)),
+            lpn: host.lpn_at(page),
+            direction: host.direction,
+            chip,
+            gc: None,
+        });
         if host.direction.is_write() {
             // Write payload must cross the host interface before the flash program
             // can be composed (memory request composition + data movement, Fig 3).
@@ -598,10 +627,8 @@ impl Ssd {
         let Some(entry) = self.mem_requests.get(handle) else {
             return;
         };
-        let MemoryRequest {
-            id, lpn, direction, ..
-        } = entry.request;
-        if entry.request.gc {
+        let (id, lpn, direction) = (entry.id, entry.lpn, entry.direction);
+        if entry.gc.is_some() {
             // GC traffic is delivered directly by the GC path, never here.
             debug_assert!(false, "GC requests must not reach deliver_to_controller");
             return;
@@ -636,10 +663,6 @@ impl Ssd {
                 Duration::ZERO
             };
 
-        if let Some(entry) = self.mem_requests.get_mut(handle) {
-            entry.request.phase = MemReqPhase::Pending;
-            entry.request.delivered_at = now;
-        }
         self.deliver_pending(
             PendingRequest {
                 id,
@@ -659,7 +682,7 @@ impl Ssd {
         let addr = pending.addr;
         let chip = self.config.geometry.chip_index(addr.channel, addr.way);
         self.controllers[addr.channel as usize].deliver(pending);
-        if !self.chips[chip].is_busy() {
+        if !self.ledger.is_busy(chip) {
             self.schedule_chip_kick(chip, now);
         }
     }
@@ -676,7 +699,7 @@ impl Ssd {
     }
 
     fn try_start_transaction(&mut self, chip_index: usize, now: SimTime) {
-        if self.chips[chip_index].is_busy() {
+        if self.ledger.is_busy(chip_index) {
             return;
         }
         let location = self.config.geometry.chip_location(chip_index);
@@ -689,34 +712,35 @@ impl Ssd {
         ) else {
             return;
         };
-        let issue_time = self.config.timing.issue_bus_time(&built.txn);
-        let ready = self.chips[chip_index].ready_at().max(now) + built.extra_delay;
-        let grant = self.channels[channel_index].acquire(ready, issue_time);
-        let phase = self.chips[chip_index]
-            .begin_transaction(&built.txn, grant.start, &self.config.timing)
-            .expect("idle chip accepted the transaction");
+        // The issue bus phase (commands, addresses, program data in) holds
+        // the channel; the cell phase that follows leaves it free.  An idle
+        // chip has finished its last transaction by `now`, so the issue phase
+        // waits only for the stale-readdress penalty and the channel.
+        let timing = &self.config.timing;
+        let issue_bus = timing.issue_bus_time(&built.txn);
+        let cell_time = timing.cell_time(&built.txn);
+        let completion_bus = timing.completion_bus_time(&built.txn);
+        let grant = self.channels[channel_index].acquire(now + built.extra_delay, issue_bus);
         self.ledger.set_busy(chip_index, true);
-
-        for &member in &built.members {
-            if let Some(entry) = self.mem_requests.get_mut(member) {
-                entry.request.phase = MemReqPhase::Executing;
-            }
-        }
+        debug_assert!(
+            self.live[chip_index].is_none(),
+            "chip {chip_index} started a transaction while one was live"
+        );
         self.live[chip_index] = Some(LiveTransaction {
             channel: channel_index,
             members: built.members,
             level: built.txn.parallelism(),
-            request_count: built.txn.requests().len(),
-            bus_time: phase.issue_bus() + phase.completion_bus,
-            cell_time: phase.cell(),
+            start: grant.start,
+            bus_time: issue_bus + completion_bus,
+            cell_time,
             contention: grant.waited,
-            completion_bus: phase.completion_bus,
+            completion_bus,
         });
         // The transaction's request buffer goes back into the pool for the
         // next build on this SSD.
         self.txn_scratch.recycle_requests(built.txn.into_requests());
         self.events
-            .schedule(phase.cell_end, SsdEvent::CellDone(chip_index as u32));
+            .schedule(grant.end + cell_time, SsdEvent::CellDone(chip_index as u32));
     }
 
     fn handle_cell_done(&mut self, chip: usize, now: SimTime) {
@@ -733,11 +757,15 @@ impl Ssd {
         let Some(live) = self.live[chip].take() else {
             return;
         };
-        self.chips[chip].complete_transaction(now);
         self.ledger.set_busy(chip, false);
+        // Every member sits on its own (die, plane), each busy for the
+        // whole cell phase.
+        let requests = live.members.len();
+        self.chip_busy[chip] += now.saturating_since(live.start);
+        self.plane_busy[chip] += live.cell_time * requests as u64;
         self.metrics.record_transaction(
             live.level,
-            live.request_count,
+            requests,
             live.bus_time,
             live.contention,
             live.cell_time,
@@ -745,14 +773,13 @@ impl Ssd {
         let page_size = self.config.page_size() as u64;
         let members = live.members;
         for &member in &members {
-            let Some(entry) = self.mem_requests.get_mut(member) else {
+            let Some(entry) = self.mem_requests.get(member) else {
                 continue;
             };
             if let Some(role) = entry.gc {
                 self.gc_request_done(member, role, now);
-            } else if entry.request.direction.is_read() {
+            } else if entry.direction.is_read() {
                 // Read payload returns to the host through the DMA engine.
-                entry.request.phase = MemReqPhase::Returning;
                 let done = self.dma.transfer(now, page_size);
                 self.events.schedule(done, SsdEvent::ReadReturned(member));
             } else {
@@ -768,17 +795,14 @@ impl Ssd {
     }
 
     fn complete_mem_request(&mut self, handle: u32, now: SimTime) {
-        let Some(InFlight { request, .. }) = self.mem_requests.remove(handle) else {
+        let Some(InFlight { host, chip, .. }) = self.mem_requests.remove(handle) else {
             return;
         };
-        if !request.gc {
+        if let Some((tag_id, page)) = host {
             // Every host commitment was charged to the ledger at commit time;
             // the ledger audits that this retirement has a matching charge
             // instead of silently saturating.
-            self.ledger.retire(request.placement.chip);
-        }
-        if let Some(tag_id) = request.tag {
-            let page = request.page_index;
+            self.ledger.retire(chip);
             let finished = self
                 .queue
                 .slot_of(tag_id)
@@ -882,10 +906,12 @@ impl Ssd {
         } else {
             Direction::Write
         };
-        let placement = Placement::from_addr(addr, self.config.geometry.chips_per_channel);
-        let request = MemoryRequest::new_gc(id, lpn, direction, placement, now);
         let handle = self.mem_requests.insert(InFlight {
-            request,
+            id,
+            host: None,
+            lpn,
+            direction,
+            chip: self.config.geometry.chip_index(addr.channel, addr.way),
             gc: Some(role),
         });
         self.deliver_pending(
@@ -903,7 +929,7 @@ impl Ssd {
     }
 
     fn gc_request_done(&mut self, handle: u32, role: GcRole, now: SimTime) {
-        let Some(InFlight { request, .. }) = self.mem_requests.remove(handle) else {
+        let Some(InFlight { lpn, .. }) = self.mem_requests.remove(handle) else {
             return;
         };
         match role {
@@ -913,13 +939,7 @@ impl Ssd {
                     job.outstanding_reads -= 1;
                     job.outstanding_programs += 1;
                 }
-                self.issue_gc(
-                    GcRole::Program { plane },
-                    request.lpn,
-                    to,
-                    FlashOp::Program,
-                    now,
-                );
+                self.issue_gc(GcRole::Program { plane }, lpn, to, FlashOp::Program, now);
             }
             GcRole::Program { plane } => {
                 let erase_due = self.gc_jobs[plane].as_mut().is_some_and(|job| {
@@ -957,6 +977,7 @@ mod tests {
     use super::*;
     use crate::config::GcConfig;
     use crate::scheduler::CommitAllScheduler;
+    use sprinkler_flash::{FlashError, TransactionBuilder};
 
     fn write_req(id: u64, at_us: u64, lpn: u64, pages: u32) -> HostRequest {
         HostRequest::new(
@@ -990,31 +1011,61 @@ mod tests {
         assert_eq!(metrics.transactions, 0);
     }
 
+    /// Checks a lone one-page I/O on the idle `small_test` device against
+    /// the closed forms of its one-request transaction: latency is the
+    /// decision window, the three phases, and one page of host DMA; the chip
+    /// is busy for the three phases and one plane for the cell phase.
+    /// Returns the latency in nanoseconds.
+    fn assert_lone_page_figures(metrics: &RunMetrics, op: FlashOp) -> u64 {
+        let config = SsdConfig::small_test();
+        let g = &config.geometry;
+        // The first page a fresh device reads or programs: page 0 of a block.
+        let mut builder = TransactionBuilder::new(op, g.clone());
+        builder.try_add(g.page_addr(0, 0, 0, 0, 0, 0)).unwrap();
+        let txn = builder.build().unwrap();
+        let timing = &config.timing;
+        let cell = timing.cell_time(&txn);
+        let busy = timing.issue_bus_time(&txn) + cell + timing.completion_bus_time(&txn);
+        let dma = DmaEngine::new(config.dma_bytes_per_sec).transfer_time(g.page_size as u64);
+        let latency = (config.decision_window + busy + dma).as_nanos();
+        let chips = g.total_chips() as f64;
+        let planes = (g.dies_per_chip * g.planes_per_die) as f64;
+        assert_eq!(metrics.io_count, 1);
+        assert_eq!(metrics.transactions, 1);
+        assert_eq!(metrics.memory_requests, 1);
+        assert_eq!(metrics.elapsed_ns, latency);
+        assert_eq!(metrics.avg_latency_ns, latency as f64);
+        assert_eq!(
+            metrics.chip_utilization,
+            busy.as_nanos() as f64 / latency as f64 / chips
+        );
+        assert_eq!(
+            metrics.intra_chip_idleness,
+            1.0 - cell.as_nanos() as f64 / (busy.as_nanos() as f64 * planes)
+        );
+        latency
+    }
+
     #[test]
     fn single_read_completes_with_plausible_latency() {
         let metrics = run_small(vec![read_req(0, 0, 0, 1)]);
-        assert_eq!(metrics.io_count, 1);
         assert_eq!(metrics.read_ios, 1);
         assert_eq!(metrics.bytes_read, 2048);
-        // Latency must cover at least the read cell time (20us) plus transfers.
-        assert!(
-            metrics.avg_latency_ns > 20_000.0,
-            "{}",
-            metrics.avg_latency_ns
-        );
-        assert!(metrics.avg_latency_ns < 1_000_000.0);
-        assert_eq!(metrics.transactions, 1);
-        assert_eq!(metrics.memory_requests, 1);
+        // 1 us window + 20 us cell + 12.912 us of bus phases + 1.28 us DMA.
+        assert_eq!(assert_lone_page_figures(&metrics, FlashOp::Read), 35_192);
     }
 
     #[test]
     fn single_write_completes() {
         let metrics = run_small(vec![write_req(0, 0, 0, 1)]);
-        assert_eq!(metrics.io_count, 1);
         assert_eq!(metrics.write_ios, 1);
         assert_eq!(metrics.bytes_written, 2048);
-        // Fast-page program is 200us.
-        assert!(metrics.avg_latency_ns > 200_000.0);
+        // 1.28 us DMA + 1 us window + 200 us fast-page program + 12.737 us
+        // of bus phases.
+        assert_eq!(
+            assert_lone_page_figures(&metrics, FlashOp::Program),
+            215_017
+        );
     }
 
     #[test]
@@ -1158,7 +1209,18 @@ mod tests {
     fn invalid_config_is_rejected() {
         let mut config = SsdConfig::small_test();
         config.queue_depth = 0;
-        assert!(Ssd::new(config, Box::new(CommitAllScheduler::new())).is_err());
+        assert!(matches!(
+            Ssd::new(config, Box::new(CommitAllScheduler::new())),
+            Err(SsdError::InvalidConfig(_))
+        ));
+        let mut config = SsdConfig::small_test();
+        config.geometry.channels = 0;
+        assert!(matches!(
+            Ssd::new(config, Box::new(CommitAllScheduler::new())),
+            Err(SsdError::Flash(FlashError::InvalidGeometry {
+                field: "channels"
+            }))
+        ));
     }
 
     /// A probe that proposes every uncommitted page each round and records the

@@ -65,7 +65,7 @@ pub fn run_tenants(
             capacity_bytes
         ));
     }
-    let mut ssd = Ssd::new(config.clone(), kind.build())?;
+    let mut ssd = Ssd::new(config.clone(), kind.build()).map_err(|e| e.to_string())?;
     let lane_specs: Vec<_> = mux.specs().iter().map(|spec| spec.lane_spec()).collect();
     ssd.configure_tenants(&lane_specs);
     mux.attach_telemetry(ssd.telemetry());

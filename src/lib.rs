@@ -6,7 +6,7 @@
 //!
 //! * [`sim`] — discrete-event simulation primitives (time, event queue, RNG, stats).
 //! * [`flash`] — the NAND flash microarchitecture model (geometry, ONFI timing,
-//!   commands, transactions, chip state machines).
+//!   bus-phase cycle counts, transactions and their coalescing rules).
 //! * [`ssd`] — the many-chip SSD substrate (NVMHC queue, DMA, flash controllers,
 //!   channels, page-level FTL with GC, metrics, and the `IoScheduler` trait).
 //! * [`core`] — the paper's contribution: VAS, PAS, and the Sprinkler schedulers
