@@ -16,11 +16,12 @@
 //! `--label` stamps the rewritten files with the change they baseline (an
 //! unlabeled run says so in the output).  Every figure in a baseline file is
 //! simulated — bandwidth ratios, aggregate KB/s, exact telemetry counts — and
-//! so identical on every machine; host time is measured by the criterion bench
-//! targets and by `perfbench/`, and recorded in neither.  `--check` recomputes
-//! the `metrics_check` figures and compares them within [`CHECK_TOLERANCE`],
-//! so a scheduler or replay change that silently shifts any headline result
-//! fails CI until the baselines are regenerated deliberately.
+//! so identical on every machine; host time is measured by `perfbench/` and
+//! recorded in neither.  `--check` recomputes the `metrics_check` figures and
+//! compares them within [`CHECK_TOLERANCE`], so a scheduler or replay change
+//! that silently shifts any headline result fails CI until the baselines are
+//! regenerated deliberately.  Any other argument prints the usage and exits 2
+//! before anything runs or is written.
 
 use std::cell::Cell;
 use std::process::ExitCode;
@@ -574,10 +575,41 @@ fn check_file(root: &std::path::Path, file: &str, expected: &[(&str, f64)]) -> u
     drifted
 }
 
+// ---------------------------------------------------------------------------
+// The command line
+// ---------------------------------------------------------------------------
+
+const USAGE: &str = "usage: regen_baselines [--check | --label <text>]";
+
+/// Parses the arguments after the program name into `--check` or the
+/// `--label` text.  Anything else is an error, so a typo such as `--chek`
+/// cannot turn the gate into a re-baseline.
+fn parse_args<'a>(
+    args: impl IntoIterator<Item = &'a str>,
+) -> Result<(bool, Option<&'a str>), String> {
+    let (mut check, mut label) = (false, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg {
+            "--check" if label.is_none() => check = true,
+            "--label" if !check => label = Some(args.next().ok_or("--label needs a value")?),
+            other => return Err(format!("unexpected argument {other:?}")),
+        }
+    }
+    Ok((check, label))
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (check, label) = match parse_args(args.iter().map(String::as_str)) {
+        Ok(parsed) => parsed,
+        Err(error) => {
+            eprintln!("regen_baselines: {error}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let root = workspace_root();
-    if args.iter().any(|arg| arg == "--check") {
+    if check {
         // The CI perf-regression gate: a change that shifts a headline
         // simulated result cannot land without a deliberate re-baseline.
         let drifted: usize = BASELINES
@@ -598,18 +630,10 @@ fn main() -> ExitCode {
     let date = today();
     // Every committed re-baseline should say which change it belongs to; an
     // unlabeled run is still usable but self-identifies as such.
-    let label = json_escape(
-        &args
-            .iter()
-            .position(|arg| arg == "--label")
-            .and_then(|at| args.get(at + 1))
-            .cloned()
-            .unwrap_or_else(|| {
-                format!(
-                    "unlabeled regen_baselines run ({date}); pass --label '<change description>'"
-                )
-            }),
-    );
+    let label = json_escape(&label.map_or_else(
+        || format!("unlabeled regen_baselines run ({date}); pass --label '<change description>'"),
+        str::to_string,
+    ));
     for baseline in &BASELINES {
         let metrics = (baseline.metrics)();
         let path = root.join(baseline.file);
@@ -620,4 +644,27 @@ fn main() -> ExitCode {
         println!("rewrote {} ({} figures)", baseline.file, metrics.len());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    /// Regression: unknown arguments were ignored, so `--chek` (a typo for
+    /// `--check`) rewrote every baseline file instead of checking them.
+    #[test]
+    fn parse_args_accepts_check_or_a_label_and_nothing_else() {
+        assert_eq!(parse_args([]), Ok((false, None)));
+        assert_eq!(parse_args(["--check"]), Ok((true, None)));
+        assert_eq!(parse_args(["--label", "a b"]), Ok((false, Some("a b"))));
+        let rejected: [&[&str]; 4] = [
+            &["--chek"],
+            &["check"],
+            &["--label"],
+            &["--check", "--label", "x"],
+        ];
+        for args in rejected {
+            assert!(parse_args(args.iter().copied()).is_err(), "{args:?}");
+        }
+    }
 }

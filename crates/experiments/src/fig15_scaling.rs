@@ -58,29 +58,6 @@ pub struct ScalingResult {
     pub transfer_sizes_kb: Vec<u64>,
 }
 
-/// Measures one point of the sweep.
-pub fn run_point(
-    scale: &ExperimentScale,
-    chips: usize,
-    transfer_kb: u64,
-    scheduler: SchedulerKind,
-) -> ScalingPoint {
-    let config = SsdConfig::paper_default()
-        .with_chip_count(chips)
-        .with_blocks_per_plane(scale.blocks_per_plane);
-    let trace = scale.sweep_trace(transfer_kb, 1.0, 0x5CA1E);
-    let metrics = run_one(&config, scheduler, &trace);
-    ScalingPoint {
-        chips,
-        transfer_kb,
-        scheduler,
-        bandwidth_kb_per_sec: metrics.bandwidth_kb_per_sec,
-        utilization: metrics.chip_utilization,
-        iops: metrics.iops,
-        sched_rounds: metrics.telemetry.sched_rounds,
-    }
-}
-
 /// Runs the sweep.  `chip_counts` and `transfer_sizes_kb` default to the full
 /// 16→1024 panels when `None`; pass subsets for quicker runs.  Every
 /// (transfer × chip-count × scheduler) cell is an independent simulation, so
@@ -103,7 +80,20 @@ pub fn run(
         })
         .collect();
     let points = run_cells(&cells, |&(transfer_kb, chips, scheduler)| {
-        run_point(scale, chips, transfer_kb, scheduler)
+        let config = SsdConfig::paper_default()
+            .with_chip_count(chips)
+            .with_blocks_per_plane(scale.blocks_per_plane);
+        let trace = scale.sweep_trace(transfer_kb, 1.0, 0x5CA1E);
+        let metrics = run_one(&config, scheduler, &trace);
+        ScalingPoint {
+            chips,
+            transfer_kb,
+            scheduler,
+            bandwidth_kb_per_sec: metrics.bandwidth_kb_per_sec,
+            utilization: metrics.chip_utilization,
+            iops: metrics.iops,
+            sched_rounds: metrics.telemetry.sched_rounds,
+        }
     });
     ScalingResult {
         points,

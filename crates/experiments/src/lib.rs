@@ -29,8 +29,8 @@
 //! Absolute numbers differ from the paper (our substrate is a from-scratch
 //! simulator, not the authors' testbed); the comparisons the paper draws — who
 //! wins, by roughly what factor, and where the crossovers fall — are what these
-//! experiments reproduce.  `EXPERIMENTS.md` at the repository root records the
-//! paper-vs-measured comparison for every experiment.
+//! experiments reproduce.  The paper-vs-measured comparison table is open item
+//! 1 of `ROADMAP.md`.
 //!
 //! # Example
 //!
@@ -63,7 +63,6 @@ pub mod fig15;
 pub mod fig15_scaling;
 pub mod fig16;
 pub mod fig17;
-pub mod micro;
 pub mod replay;
 pub mod report;
 pub mod runner;
@@ -72,7 +71,5 @@ pub mod table1;
 
 pub use replay::{run_source, run_source_detailed, CapacityPolicy, ReplayError};
 pub use report::Table;
-pub use runner::{
-    run_cells, run_matrix, run_one, to_host_requests, ExperimentScale, MatrixCell, ScaleMode,
-};
+pub use runner::{run_cells, run_matrix, run_one, to_host_requests, ExperimentScale, MatrixCell};
 pub use scenario::{ScenarioCell, ScenarioOutcome, SCENARIO_NAMES};

@@ -8,8 +8,9 @@ use sprinkler_workloads::Trace;
 use crate::replay::{self, CapacityPolicy};
 
 /// How large each experiment should be.  The full scale approximates the paper's
-/// runs; the quick scale keeps `cargo bench`/CI runs in the seconds range while
-/// preserving every qualitative trend.
+/// runs; the quick scale keeps CI runs in the seconds range while preserving
+/// every qualitative trend.  Every binary maps its scale flags through
+/// [`ExperimentScale::from_args`], so `--quick` means the same everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Host I/O requests per workload run.
@@ -17,21 +18,6 @@ pub struct ExperimentScale {
     /// Blocks per plane used in experiment geometries (keeps GC working sets and
     /// mapping tables tractable).
     pub blocks_per_plane: usize,
-}
-
-/// The named scales experiments run at.  Every scenario, binary, and bench
-/// resolves its knobs through [`ExperimentScale::resolve`] (or
-/// [`ExperimentScale::from_args`] for CLI flags), so `--quick` semantics are
-/// defined in exactly one place and cannot diverge per consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleMode {
-    /// CI/smoke scale: seconds-range runs preserving every qualitative trend.
-    Quick,
-    /// Benchmark scale: milliseconds-range timed bodies (`cargo bench` and the
-    /// committed baselines).
-    Bench,
-    /// The scale used when regenerating the figures for the record.
-    Full,
 }
 
 impl ExperimentScale {
@@ -51,9 +37,9 @@ impl ExperimentScale {
         }
     }
 
-    /// The scale used by bench targets and the baseline regenerator: small
-    /// enough that a timed run finishes in milliseconds, large enough that
-    /// every qualitative trend of the paper still shows.
+    /// The scale of `BENCH_seed.json`'s fig10 cells (`--bench`): 200 I/Os
+    /// per workload, small enough for a gate that runs on every change, large
+    /// enough that every qualitative trend of the paper still shows.
     pub fn bench() -> Self {
         ExperimentScale {
             ios_per_workload: 200,
@@ -61,28 +47,22 @@ impl ExperimentScale {
         }
     }
 
-    /// Resolves a named mode to its scale — the single source of truth.
-    pub fn resolve(mode: ScaleMode) -> Self {
-        match mode {
-            ScaleMode::Quick => Self::quick(),
-            ScaleMode::Bench => Self::bench(),
-            ScaleMode::Full => Self::full(),
-        }
-    }
-
-    /// Resolves CLI arguments (`--quick`, `--bench`, `--full`; last one wins,
-    /// default full) to a scale.  Shared by every experiment binary.
-    pub fn from_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut mode = ScaleMode::Full;
+    /// Maps CLI arguments to a scale: `--quick`, `--bench` and `--full` (last
+    /// one wins, default full).  Arguments without a leading `--` are left to
+    /// the caller.  Any other `--` flag is returned as the error, so a typo
+    /// such as `--quik` cannot silently fall back to the full scale.
+    pub fn from_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Self, &'a str> {
+        let mut scale = Self::full();
         for arg in args {
-            match arg {
-                "--quick" => mode = ScaleMode::Quick,
-                "--bench" => mode = ScaleMode::Bench,
-                "--full" => mode = ScaleMode::Full,
-                _ => {}
-            }
+            scale = match arg {
+                "--quick" => Self::quick(),
+                "--bench" => Self::bench(),
+                "--full" => Self::full(),
+                flag if flag.starts_with("--") => return Err(flag),
+                _ => scale,
+            };
         }
-        Self::resolve(mode)
+        Ok(scale)
     }
 }
 
@@ -337,32 +317,23 @@ mod tests {
 
     #[test]
     fn scale_resolution_is_shared_and_cli_flags_resolve() {
-        assert_eq!(
-            ExperimentScale::resolve(ScaleMode::Quick),
-            ExperimentScale::quick()
-        );
-        assert_eq!(
-            ExperimentScale::resolve(ScaleMode::Bench),
-            ExperimentScale::bench()
-        );
-        assert_eq!(
-            ExperimentScale::resolve(ScaleMode::Full),
-            ExperimentScale::full()
-        );
-        assert_eq!(ExperimentScale::from_args([]), ExperimentScale::full());
+        assert_eq!(ExperimentScale::from_args([]), Ok(ExperimentScale::full()));
         assert_eq!(
             ExperimentScale::from_args(["--quick"]),
-            ExperimentScale::quick()
+            Ok(ExperimentScale::quick())
         );
         assert_eq!(
             ExperimentScale::from_args(["ignored", "--bench"]),
-            ExperimentScale::bench()
+            Ok(ExperimentScale::bench())
         );
         // Last flag wins.
         assert_eq!(
             ExperimentScale::from_args(["--quick", "--full"]),
-            ExperimentScale::full()
+            Ok(ExperimentScale::full())
         );
+        // Regression: an unknown flag was dropped, so `--quik` ran at full
+        // scale.
+        assert_eq!(ExperimentScale::from_args(["--quik"]), Err("--quik"));
     }
 
     /// Regression: `sweep_trace` panicked ("assertion failed: min <= max") for

@@ -313,8 +313,8 @@ fn array_scaleout_config(scale: &ExperimentScale, devices: usize) -> ArrayConfig
 /// The fixed-footprint workload every scale-out cell stripes: 256 KB
 /// transfers (8 stripes each, so every request fans out across devices) in
 /// read-heavy bursts, saturating enough that the single-device point is
-/// completion-bound.  Public so the bench target and the baseline gate time
-/// and check exactly the cells the scenario runs.
+/// completion-bound.  Public so the baseline gate checks exactly the cells
+/// the scenario runs.
 pub fn array_scaleout_metrics(
     scale: &ExperimentScale,
     devices: usize,
@@ -544,8 +544,7 @@ fn array_rebalance_tuning() -> RebalanceConfig {
 
 /// One array-rebalance cell: the modular hot set (every hot stripe on device
 /// 0 under round-robin) replayed `"static"` or `"adaptive"`.  Public so the
-/// bench target and the baseline gate time and check exactly the cells the
-/// scenario runs.
+/// baseline gate checks exactly the cells the scenario runs.
 pub fn array_rebalance_metrics(
     scale: &ExperimentScale,
     label: &str,
@@ -749,8 +748,8 @@ fn batch_tenant(
 }
 
 /// One tenant-mix cell: interactive + streaming + batch sharing one device
-/// through the fair-share front.  Public so the bench target, the baseline
-/// gate, and tests measure exactly the cell the scenario runs.
+/// through the fair-share front.  Public so the baseline gate and tests
+/// measure exactly the cell the scenario runs.
 pub fn tenant_mix_outcome(scale: &ExperimentScale, kind: SchedulerKind) -> TenantOutcome {
     let config = scenario_config(scale);
     let slices = tenant_slices(&config, 3);
@@ -767,8 +766,7 @@ pub fn tenant_mix_outcome(scale: &ExperimentScale, kind: SchedulerKind) -> Tenan
 /// `"storm"` multiplies the batch tenant's submission volume by
 /// [`TENANT_STORM_FACTOR`] and front-loads its arrivals, leaving the isolated
 /// tenants' streams byte-identical — any change in their latency is
-/// attributable to the storm alone.  Public for the bench target, the
-/// baseline gate, and tests.
+/// attributable to the storm alone.  Public for the baseline gate and tests.
 pub fn tenant_storm_outcome(
     scale: &ExperimentScale,
     label: &str,

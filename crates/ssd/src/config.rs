@@ -6,6 +6,10 @@ use sprinkler_sim::Duration;
 use crate::error::SsdError;
 use crate::ftl::{MAX_PAGES_PER_BLOCK, MAX_TOTAL_PAGES};
 
+/// The largest `queue_depth` and `max_committed_per_chip`: NVMe's per-queue
+/// entry limit.  `Ssd::new` pre-sizes tables by both.
+const MAX_QUEUE_ENTRIES: u64 = 1 << 16;
+
 /// How the FTL chooses the physical placement (channel, way, die, plane) of a
 /// logical page.
 ///
@@ -166,22 +170,17 @@ impl SsdConfig {
     ///
     /// [`SsdError::Flash`] wrapping [`FlashError::InvalidGeometry`] for a zero
     /// geometry field, [`SsdError::InvalidConfig`] for any other zero or
-    /// invalid field, and [`SsdError::GeometryTooLarge`] for a geometry past
-    /// the FTL's table limits: more than `u32::MAX` pages in all, or more than
-    /// 128 pages per block.
+    /// invalid field, and [`SsdError::TooLarge`] for a quantity past the
+    /// simulator's table limits: more than `u32::MAX` pages in all, more than
+    /// 128 pages per block, a `queue_depth` or `max_committed_per_chip` above
+    /// 65,536, or more than `u32::MAX` in-flight memory requests
+    /// (`total_chips * max_committed_per_chip`, the width of their handles).
     ///
     /// [`FlashError::InvalidGeometry`]: sprinkler_flash::FlashError::InvalidGeometry
     pub fn validate(&self) -> Result<(), SsdError> {
         let invalid = |reason: &str| Err(SsdError::InvalidConfig(reason.to_string()));
         let g = &self.geometry;
         g.validate()?;
-        if g.pages_per_block > MAX_PAGES_PER_BLOCK {
-            return Err(SsdError::GeometryTooLarge {
-                field: "pages_per_block",
-                value: g.pages_per_block as u64,
-                max: MAX_PAGES_PER_BLOCK as u64,
-            });
-        }
         let total_pages = [
             g.channels,
             g.chips_per_channel,
@@ -193,12 +192,33 @@ impl SsdConfig {
         .into_iter()
         .try_fold(1u64, |pages, n| pages.checked_mul(n as u64))
         .unwrap_or(u64::MAX);
-        if total_pages > MAX_TOTAL_PAGES {
-            return Err(SsdError::GeometryTooLarge {
-                field: "total_pages",
-                value: total_pages,
-                max: MAX_TOTAL_PAGES,
-            });
+        // Each chip's in-flight memory requests are capped by its commitment
+        // budget, and `Ssd` addresses them all by `u32` handles.
+        let in_flight = (g.channels as u64)
+            .saturating_mul(g.chips_per_channel as u64)
+            .saturating_mul(self.max_committed_per_chip as u64);
+        for (field, value, max) in [
+            (
+                "pages_per_block",
+                g.pages_per_block as u64,
+                MAX_PAGES_PER_BLOCK as u64,
+            ),
+            ("total_pages", total_pages, MAX_TOTAL_PAGES),
+            ("queue_depth", self.queue_depth as u64, MAX_QUEUE_ENTRIES),
+            (
+                "max_committed_per_chip",
+                self.max_committed_per_chip as u64,
+                MAX_QUEUE_ENTRIES,
+            ),
+            (
+                "total_chips * max_committed_per_chip",
+                in_flight,
+                u64::from(u32::MAX),
+            ),
+        ] {
+            if value > max {
+                return Err(SsdError::TooLarge { field, value, max });
+            }
         }
         if self.queue_depth == 0 {
             return invalid("queue_depth must be non-zero");
@@ -288,7 +308,7 @@ mod tests {
         cfg.geometry.blocks_per_plane = 4096;
         assert_eq!(
             cfg.validate(),
-            Err(SsdError::GeometryTooLarge {
+            Err(SsdError::TooLarge {
                 field: "total_pages",
                 value: 1 << 32,
                 max: MAX_TOTAL_PAGES,
@@ -300,7 +320,7 @@ mod tests {
         cfg.geometry.channels = usize::MAX;
         assert!(matches!(
             cfg.validate(),
-            Err(SsdError::GeometryTooLarge {
+            Err(SsdError::TooLarge {
                 field: "total_pages",
                 ..
             })
@@ -310,11 +330,39 @@ mod tests {
         cfg.geometry.pages_per_block = MAX_PAGES_PER_BLOCK + 1;
         assert!(matches!(
             cfg.validate(),
-            Err(SsdError::GeometryTooLarge {
+            Err(SsdError::TooLarge {
                 field: "pages_per_block",
                 ..
             })
         ));
+    }
+
+    /// Regression: both values passed `validate()`, then `Ssd::new` panicked
+    /// on "capacity overflow" (`usize::MAX`) or aborted on a 228 TB
+    /// allocation (`1 << 40`) while pre-sizing its tables.
+    #[test]
+    fn validation_rejects_queues_past_the_preallocation_limits() {
+        let too_large = |field, value, max| Err(SsdError::TooLarge { field, value, max });
+        let mut cfg = SsdConfig::small_test();
+        cfg.max_committed_per_chip = usize::MAX;
+        let field = "max_committed_per_chip";
+        assert_eq!(cfg.validate(), too_large(field, u64::MAX, 1 << 16));
+        cfg.max_committed_per_chip = 1 << 16;
+        cfg.queue_depth = 1 << 40;
+        assert_eq!(cfg.validate(), too_large("queue_depth", 1 << 40, 1 << 16));
+        cfg.queue_depth = 1 << 16;
+        cfg.validate().unwrap();
+
+        // 2^16 chips at the largest budget: 2^32 in-flight requests, one past
+        // the width of their handles.
+        let mut cfg = cfg.with_chip_count(1 << 16);
+        let field = "total_chips * max_committed_per_chip";
+        assert_eq!(
+            cfg.validate(),
+            too_large(field, 1 << 32, u64::from(u32::MAX))
+        );
+        cfg.max_committed_per_chip -= 1;
+        cfg.validate().unwrap();
     }
 
     #[test]

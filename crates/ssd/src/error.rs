@@ -13,13 +13,14 @@ pub enum SsdError {
     InvalidConfig(String),
     /// An error bubbled up from the flash model.
     Flash(FlashError),
-    /// A geometry field exceeds what the FTL's tables can address.
-    GeometryTooLarge {
-        /// The offending quantity (`total_pages`, `pages_per_block`).
+    /// A configuration quantity exceeds what the simulator's tables can
+    /// address or pre-size.
+    TooLarge {
+        /// The offending quantity (e.g. `total_pages`, `queue_depth`).
         field: &'static str,
         /// Its value in the configuration.
         value: u64,
-        /// The largest value the FTL supports.
+        /// The largest value the simulator supports.
         max: u64,
     },
 }
@@ -29,10 +30,10 @@ impl fmt::Display for SsdError {
         match self {
             SsdError::InvalidConfig(reason) => write!(f, "invalid SSD configuration: {reason}"),
             SsdError::Flash(e) => write!(f, "flash error: {e}"),
-            SsdError::GeometryTooLarge { field, value, max } => {
+            SsdError::TooLarge { field, value, max } => {
                 write!(
                     f,
-                    "geometry {field} = {value} exceeds the FTL's limit of {max}"
+                    "{field} = {value} exceeds the simulator's limit of {max}"
                 )
             }
         }

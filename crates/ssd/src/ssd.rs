@@ -353,7 +353,8 @@ impl Ssd {
 
     /// Pre-conditions the SSD into a fragmented state (live data occupying
     /// `utilization` of the physical capacity) so garbage collection triggers
-    /// quickly, as in the Fig 17 experiments.  Must be called before [`Ssd::run`].
+    /// quickly, as in the Fig 17 experiments.  Must be called before
+    /// [`Ssd::run`] or [`Ssd::run_stream`], since both consume the device.
     pub fn precondition(&mut self, utilization: f64, seed: u64) {
         self.ftl.precondition(utilization, seed);
     }

@@ -42,21 +42,22 @@
 //!
 //! # Building and testing
 //!
-//! The workspace is self-contained (external deps are offline shims under
-//! `vendor/`); from a clean checkout:
+//! The workspace is self-contained (its one external dependency, `proptest`,
+//! is an offline shim under `vendor/`); from a clean checkout:
 //!
 //! ```text
 //! cargo build --release   # every crate
 //! cargo test -q           # unit + integration + property + doc tests
-//! cargo bench --no-run    # compiles the 6 bench targets in crates/bench
 //! ```
+//!
+//! Host time is measured by `perfbench/`, a package of its own (see its
+//! README).
 //!
 //! Crate dependency order (each depends on the ones before it):
 //! `sprinkler_sim` → `sprinkler_flash` → `sprinkler_ssd` → `sprinkler_core`,
 //! with `sprinkler_workloads` (only needing `sim`), `sprinkler_array` (the
 //! striped multi-device frontend), and `sprinkler_tenants` (the fair-share
-//! admission front) feeding `sprinkler_experiments` and `sprinkler_bench` on
-//! top.  `ARCHITECTURE.md` at the repo root walks the whole graph.
+//! admission front) feeding `sprinkler_experiments` on top.  `ARCHITECTURE.md` at the repo root walks the whole graph.
 
 #![warn(missing_docs)]
 

@@ -107,11 +107,11 @@ fn backlog_stays_bounded_by_queue_depth_across_20k_ios() {
     );
 }
 
-/// The ≥1M-I/O streaming demonstration (acceptance criterion of the streaming
-/// subsystem): a million-request enterprise replay completes with queue-side
-/// memory bounded by the queue depth.  Ignored in everyday `cargo test` for
-/// time; CI runs it in release mode (`--ignored`), and the
-/// `streaming_replay` bench target exercises the same shape under Criterion.
+/// The ≥1M-I/O streaming demonstration, the streaming subsystem's acceptance
+/// test: a million-request enterprise replay completes with queue-side memory
+/// bounded by the queue depth.  Ignored in everyday `cargo test` for time; CI
+/// runs it in release mode (`--ignored`), and perfbench times the same
+/// `run_stream` path end to end.
 #[test]
 #[ignore = "multi-minute in debug builds; CI runs it in release via --ignored"]
 fn million_io_streaming_replay_is_bounded() {
