@@ -139,10 +139,13 @@ impl FaroSelector {
 
         while out.len() - start < capacity && !remaining.is_empty() {
             // Rank tags by the overlap depth their candidates would add on top of
-            // what has already been selected.
+            // what has already been selected.  Candidates arrive grouped by tag
+            // (a chip's index rows are in arrival order, and `retain` keeps
+            // it), so `dedup` alone lists each tag once.  The visiting order
+            // cannot change the pick: arrival ranks are unique per tag, so no
+            // two tags tie, and a tag listed twice scores the same both times.
             tags.clear();
             tags.extend(remaining.iter().map(|c| c.tag));
-            tags.sort_unstable();
             tags.dedup();
             let mut best: Option<(usize, usize, usize, TagId)> = None;
             for &tag in tags.iter() {
@@ -348,6 +351,28 @@ mod tests {
 
         // Empty input never reports the fast path.
         assert!(!selector.select_into(&[], 8, &mut out, &mut scratch));
+    }
+
+    /// Candidates need not arrive grouped by tag: a tag listed twice in the
+    /// ranking scores the same both times, so interleaving changes no pick.
+    #[test]
+    fn interleaved_candidates_select_like_grouped_ones() {
+        let grouped = [
+            cand(1, 0, 0, 0, 0),
+            cand(1, 1, 0, 1, 0),
+            cand(2, 0, 1, 0, 1),
+            cand(2, 1, 1, 1, 1),
+            cand(3, 0, 0, 0, 2),
+        ];
+        let interleaved = [0, 2, 4, 1, 3].map(|i| grouped[i]);
+        let selector = FaroSelector::new(FaroConfig::default());
+        for capacity in 1..=5 {
+            assert_eq!(
+                selector.select(&interleaved, capacity),
+                selector.select(&grouped, capacity),
+                "capacity {capacity}"
+            );
+        }
     }
 
     #[test]

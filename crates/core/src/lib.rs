@@ -40,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod faro;
-pub mod hazard;
 pub mod pas;
 pub mod reference;
 pub mod rios;

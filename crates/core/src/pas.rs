@@ -15,12 +15,9 @@ use std::sync::Arc;
 use sprinkler_sim::TelemetryCounters;
 use sprinkler_ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
 
-use crate::hazard::HazardFilter;
-
 /// The physical-address-aware, coarse-grain out-of-order scheduler.
 #[derive(Debug, Default, Clone)]
 pub struct PhysicalAddressScheduler {
-    hazards: HazardFilter,
     /// Scratch: per-chip commits made this round; only the chips listed in
     /// `newly_dirty` are non-zero between rounds.
     newly: Vec<usize>,
@@ -55,7 +52,7 @@ impl IoScheduler for PhysicalAddressScheduler {
         self.newly_dirty.clear();
         // A FUA request is a reordering barrier: the horizon bound stops the walk
         // right after the first not-fully-committed FUA request.
-        let bound = self.hazards.horizon_seq(ctx);
+        let bound = ctx.queue.horizon_seq();
         for tag in ctx.tags() {
             if tag.seq > bound {
                 if let Some(telemetry) = &self.telemetry {
@@ -71,11 +68,9 @@ impl IoScheduler for PhysicalAddressScheduler {
                     continue;
                 }
                 if is_write
-                    && self.hazards.write_after_read_blocked_seq(
-                        ctx,
-                        tag.seq,
-                        tag.host.lpn_at(page).value(),
-                    )
+                    && ctx
+                        .queue
+                        .has_blocking_read(tag.host.lpn_at(page).value(), tag.seq)
                 {
                     if let Some(telemetry) = &self.telemetry {
                         TelemetryCounters::incr(&telemetry.hazard_war_deferrals);
@@ -101,6 +96,22 @@ mod tests {
     use sprinkler_ssd::request::{Direction, HostRequest, Placement, TagId};
     use sprinkler_ssd::CommitmentLedger;
 
+    /// Admits `host` with page `i` on `chips[i]` and returns its tag.
+    fn admit_on_chips(queue: &mut DeviceQueue, host: HostRequest, chips: &[usize]) -> TagId {
+        let placement = |page: u32| Placement {
+            chip: chips[page as usize],
+            channel: 0,
+            way: chips[page as usize] as u32,
+            die: 0,
+            plane: 0,
+        };
+        queue
+            .admit(host, SimTime::ZERO, placement)
+            .expect("the queue has room")
+    }
+
+    /// Admits request `id` with page `i` on `chips[i]`; ids count from 0 on
+    /// a fresh queue, so each is also its tag.
     fn admit_with_chips(queue: &mut DeviceQueue, id: u64, dir: Direction, chips: &[usize]) {
         let host = HostRequest::new(
             id,
@@ -109,17 +120,7 @@ mod tests {
             Lpn::new(id * 100),
             chips.len() as u32,
         );
-        let placements = chips
-            .iter()
-            .map(|&chip| Placement {
-                chip,
-                channel: 0,
-                way: chip as u32,
-                die: 0,
-                plane: 0,
-            })
-            .collect();
-        assert!(queue.admit(TagId(id), host, SimTime::ZERO, placements));
+        assert_eq!(admit_on_chips(queue, host, chips), TagId(id));
     }
 
     fn schedule(queue: &DeviceQueue, outstanding: &[usize]) -> Vec<Commitment> {
@@ -173,43 +174,12 @@ mod tests {
         let mut queue = DeviceQueue::new(8);
         // Tag 0 reads LPN 0..2 (uncommitted), tag 1 writes LPN 1.
         let read = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 2);
-        assert!(queue.admit(
-            TagId(0),
-            read,
-            SimTime::ZERO,
-            vec![
-                Placement {
-                    chip: 0,
-                    channel: 0,
-                    way: 0,
-                    die: 0,
-                    plane: 0,
-                },
-                Placement {
-                    chip: 1,
-                    channel: 0,
-                    way: 1,
-                    die: 0,
-                    plane: 0,
-                },
-            ],
-        ));
+        admit_on_chips(&mut queue, read, &[0, 1]);
         let write = HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(1), 1);
-        assert!(queue.admit(
-            TagId(1),
-            write,
-            SimTime::ZERO,
-            vec![Placement {
-                chip: 2,
-                channel: 1,
-                way: 0,
-                die: 0,
-                plane: 0,
-            }],
-        ));
+        let writer = admit_on_chips(&mut queue, write, &[2]);
         let out = schedule(&queue, &[0, 0, 0, 0]);
         // The write to LPN 1 must wait for the read of LPN 1 to commit first.
-        assert!(out.iter().all(|c| c.tag != TagId(1)));
+        assert!(out.iter().all(|c| c.tag != writer));
     }
 
     #[test]
@@ -218,18 +188,7 @@ mod tests {
         admit_with_chips(&mut queue, 0, Direction::Read, &[0]);
         let fua =
             HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(50), 1).with_fua(true);
-        assert!(queue.admit(
-            TagId(1),
-            fua,
-            SimTime::ZERO,
-            vec![Placement {
-                chip: 0,
-                channel: 0,
-                way: 0,
-                die: 0,
-                plane: 0,
-            }],
-        ));
+        admit_on_chips(&mut queue, fua, &[0]);
         admit_with_chips(&mut queue, 2, Direction::Read, &[3]);
         let out = schedule(&queue, &[0, 0, 0, 0]);
         // The FUA write targets chip 0 which tag 0 just took, so it cannot commit;

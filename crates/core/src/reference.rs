@@ -243,19 +243,21 @@ mod tests {
     use sprinkler_ssd::request::{Direction, HostRequest, Placement};
     use sprinkler_ssd::CommitmentLedger;
 
+    /// Admits request `id` with page `i` on `chips[i]`; ids count from 0 on
+    /// a fresh queue, so each is also its tag.
     fn admit(queue: &mut DeviceQueue, id: u64, dir: Direction, lpn: u64, chips: &[usize]) {
         let host = HostRequest::new(id, SimTime::ZERO, dir, Lpn::new(lpn), chips.len() as u32);
-        let placements = chips
-            .iter()
-            .map(|&chip| Placement {
+        let placement = |page: u32| {
+            let chip = chips[page as usize];
+            Placement {
                 chip,
                 channel: 0,
                 way: chip as u32,
                 die: 0,
                 plane: (chip % 4) as u32,
-            })
-            .collect();
-        assert!(queue.admit(TagId(id), host, SimTime::ZERO, placements));
+            }
+        };
+        assert_eq!(queue.admit(host, SimTime::ZERO, placement), Some(TagId(id)));
     }
 
     fn schedule(kind: SchedulerKind, queue: &DeviceQueue) -> Vec<Commitment> {

@@ -21,23 +21,28 @@ use std::sync::Arc;
 use sprinkler_flash::FlashGeometry;
 use sprinkler_sim::TelemetryCounters;
 use sprinkler_ssd::ftl::PageMigration;
-use sprinkler_ssd::queue::{read_filter_bucket, SLOT_WRITE};
+use sprinkler_ssd::queue::SLOT_WRITE;
 use sprinkler_ssd::request::TagId;
 use sprinkler_ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
 use sprinkler_ssd::{pri_die, pri_page, pri_plane, CandidateView};
 
 use crate::faro::{FaroCandidate, FaroConfig, FaroScratch, FaroSelector};
-use crate::hazard::HazardFilter;
 use crate::rios::RiosTraversal;
 
-/// Builds one FARO candidate from a candidate-index row: tag id from the slot
+/// The tag of a candidate-index row: the queue slot its request occupies.
+#[inline]
+fn tag_at(cands: &CandidateView<'_>, row: usize) -> TagId {
+    TagId(u64::from(cands.slot[row]))
+}
+
+/// Builds one FARO candidate from a candidate-index row: tag from the slot
 /// column, page/die/plane unpacked from the priority key, arrival rank from
 /// the admission sequence.
 #[inline]
-fn candidate_at(cands: &CandidateView<'_>, slot_tags: &[u64], row: usize) -> FaroCandidate {
+fn candidate_at(cands: &CandidateView<'_>, row: usize) -> FaroCandidate {
     let pri = cands.pri[row];
     FaroCandidate {
-        tag: TagId(slot_tags[cands.slot[row] as usize]),
+        tag: tag_at(cands, row),
         page: pri_page(pri),
         die: pri_die(pri),
         plane: pri_plane(pri),
@@ -58,7 +63,6 @@ pub struct SprinklerScheduler {
     use_rios: bool,
     use_faro: bool,
     faro: FaroSelector,
-    hazards: HazardFilter,
     traversal: Option<RiosTraversal>,
     readdress_events: u64,
     /// Scratch: rank-indexed occupancy bitmap — bit `r` is set when the chip
@@ -110,7 +114,6 @@ impl SprinklerScheduler {
             use_rios,
             use_faro,
             faro: FaroSelector::new(faro),
-            hazards: HazardFilter::new(),
             traversal: None,
             readdress_events: 0,
             round_bits: Vec::new(),
@@ -165,7 +168,7 @@ impl SprinklerScheduler {
             self.newly[chip] = 0;
         }
         self.newly_dirty.clear();
-        let bound = self.hazards.horizon_seq(ctx);
+        let bound = ctx.queue.horizon_seq();
         for tag in ctx.tags() {
             if tag.seq > bound {
                 self.count(|t| &t.hazard_horizon_clips);
@@ -180,11 +183,9 @@ impl SprinklerScheduler {
                     return;
                 }
                 if is_write
-                    && self.hazards.write_after_read_blocked_seq(
-                        ctx,
-                        tag.seq,
-                        tag.host.lpn_at(page).value(),
-                    )
+                    && ctx
+                        .queue
+                        .has_blocking_read(tag.host.lpn_at(page).value(), tag.seq)
                 {
                     // §4.4 hazard policy: a write-after-read conflict is a data
                     // dependency on one logical page, not a resource collision —
@@ -209,23 +210,20 @@ impl SprinklerScheduler {
     /// The round is data-oriented end to end: both passes stream the queue's
     /// seq/pri/lpn/slot columns and the ledger's outstanding column as plain
     /// slices (no per-candidate `TagState` chase — page, die and plane are
-    /// unpacked from the priority key, direction and tag id come from two
-    /// byte/word slot columns).  Pass 1 marks each chip with headroom in a
-    /// rank-indexed bitmap; pass 2 scans the bitmap words with
-    /// `trailing_zeros` — visiting chips in traversal order without a sort —
-    /// and filters each chip's rows (FUA horizon, §4.4 write-after-read) on
-    /// the spot.  The dominant many-chip shape, one surviving candidate per
+    /// unpacked from the priority key, the slot column is the tag, and the
+    /// direction comes from the queue's byte-per-slot flag column).  Pass 1
+    /// marks each chip with headroom in a rank-indexed bitmap; pass 2 scans
+    /// the bitmap words with `trailing_zeros` — visiting chips in traversal
+    /// order without a sort — and filters each chip's rows (FUA horizon,
+    /// §4.4 write-after-read) on the spot.  The dominant many-chip shape, one surviving candidate per
     /// chip, commits straight from the columns without building a
     /// [`FaroCandidate`] at all.
     fn schedule_resource_driven(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
         let capacity = self.per_chip_capacity().min(ctx.max_committed_per_chip());
-        let bound = self.hazards.horizon_seq(ctx);
+        let bound = ctx.queue.horizon_seq();
         let chip_count = ctx.chip_count();
         let cands = ctx.queue.candidate_view();
-        let reads = ctx.queue.read_hazards();
-        let read_filter = ctx.queue.read_hazard_filter();
         let slot_flags = ctx.queue.slot_flag_bits();
-        let slot_tags = ctx.queue.slot_tags();
         let outstanding = ctx.ledger.outstanding_slice();
 
         // Pass 1 — one walk of the active-chip list: mark every chip that has
@@ -279,21 +277,17 @@ impl SprinklerScheduler {
                         self.count(|t| &t.hazard_horizon_clips);
                         continue;
                     }
-                    let slot = cands.slot[row] as usize;
-                    if slot_flags[slot] & SLOT_WRITE != 0 {
-                        let lpn = cands.lpn[row];
-                        if read_filter[read_filter_bucket(lpn)] != 0
-                            && HazardFilter::blocked_by_read(reads, lpn, seq)
-                        {
-                            self.count(|t| &t.hazard_war_deferrals);
-                            continue;
-                        }
+                    if slot_flags[cands.slot[row] as usize] & SLOT_WRITE != 0
+                        && ctx.queue.has_blocking_read(cands.lpn[row], seq)
+                    {
+                        self.count(|t| &t.hazard_war_deferrals);
+                        continue;
                     }
                     if self.use_faro {
                         self.count(|t| &t.faro_fast_path_rounds);
                     }
                     out.push(Commitment {
-                        tag: TagId(slot_tags[slot]),
+                        tag: tag_at(&cands, row),
                         page: pri_page(cands.pri[row]),
                     });
                     continue;
@@ -312,18 +306,12 @@ impl SprinklerScheduler {
                         self.count(|t| &t.hazard_horizon_clips);
                         break;
                     }
-                    let slot = cands.slot[row] as usize;
-                    if slot_flags[slot] & SLOT_WRITE != 0 {
-                        let lpn = cands.lpn[row];
-                        // The counting filter rules out the (dominant)
-                        // unblocked writes without a binary search.
-                        if read_filter[read_filter_bucket(lpn)] != 0
-                            && HazardFilter::blocked_by_read(reads, lpn, seq)
-                        {
-                            // §4.4: defer only the hazard-blocked page.
-                            self.count(|t| &t.hazard_war_deferrals);
-                            continue;
-                        }
+                    if slot_flags[cands.slot[row] as usize] & SLOT_WRITE != 0
+                        && ctx.queue.has_blocking_read(cands.lpn[row], seq)
+                    {
+                        // §4.4: defer only the hazard-blocked page.
+                        self.count(|t| &t.hazard_war_deferrals);
+                        continue;
                     }
                     survivors += 1;
                     if survivors == 1 {
@@ -338,10 +326,9 @@ impl SprinklerScheduler {
                         continue;
                     }
                     if survivors == 2 {
-                        self.cand_scratch
-                            .push(candidate_at(&cands, slot_tags, first_row));
+                        self.cand_scratch.push(candidate_at(&cands, first_row));
                     }
-                    self.cand_scratch.push(candidate_at(&cands, slot_tags, row));
+                    self.cand_scratch.push(candidate_at(&cands, row));
                 }
 
                 match survivors {
@@ -353,9 +340,8 @@ impl SprinklerScheduler {
                         if self.use_faro {
                             self.count(|t| &t.faro_fast_path_rounds);
                         }
-                        let slot = cands.slot[first_row] as usize;
                         out.push(Commitment {
-                            tag: TagId(slot_tags[slot]),
+                            tag: tag_at(&cands, first_row),
                             page: pri_page(cands.pri[first_row]),
                         });
                     }
@@ -430,25 +416,35 @@ mod tests {
     use sprinkler_ssd::request::{Direction, HostRequest, Placement, TagId};
     use sprinkler_ssd::CommitmentLedger;
 
-    fn admit(queue: &mut DeviceQueue, id: u64, dir: Direction, placements: Vec<(usize, u32, u32)>) {
-        let host = HostRequest::new(
-            id,
-            SimTime::ZERO,
-            dir,
-            Lpn::new(id * 1000),
-            placements.len() as u32,
-        );
-        let placements = placements
-            .into_iter()
-            .map(|(chip, die, plane)| Placement {
+    /// Admits `host` with page `i` at `(chip, die, plane) = pages[i]` and
+    /// returns its tag.
+    fn admit_at(queue: &mut DeviceQueue, host: HostRequest, pages: &[(usize, u32, u32)]) -> TagId {
+        let placement = |page: u32| {
+            let (chip, die, plane) = pages[page as usize];
+            Placement {
                 chip,
                 channel: 0,
                 way: chip as u32,
                 die,
                 plane,
-            })
-            .collect();
-        assert!(queue.admit(TagId(id), host, SimTime::ZERO, placements));
+            }
+        };
+        queue
+            .admit(host, SimTime::ZERO, placement)
+            .expect("the queue has room")
+    }
+
+    /// Admits request `id` at `pages`; ids count from 0 on a fresh queue, so
+    /// each is also its tag.
+    fn admit(queue: &mut DeviceQueue, id: u64, dir: Direction, pages: Vec<(usize, u32, u32)>) {
+        let host = HostRequest::new(
+            id,
+            SimTime::ZERO,
+            dir,
+            Lpn::new(id * 1000),
+            pages.len() as u32,
+        );
+        assert_eq!(admit_at(queue, host, &pages), TagId(id));
     }
 
     fn run_scheduler(
@@ -596,43 +592,12 @@ mod tests {
         let mut queue = DeviceQueue::new(8);
         // Tag 0 reads LPN 0..2, tag 1 writes LPN 1: the write must wait.
         let read = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 2);
-        assert!(queue.admit(
-            TagId(0),
-            read,
-            SimTime::ZERO,
-            vec![
-                Placement {
-                    chip: 0,
-                    channel: 0,
-                    way: 0,
-                    die: 0,
-                    plane: 0,
-                },
-                Placement {
-                    chip: 1,
-                    channel: 0,
-                    way: 1,
-                    die: 0,
-                    plane: 0,
-                },
-            ],
-        ));
+        admit_at(&mut queue, read, &[(0, 0, 0), (1, 0, 0)]);
         let write = HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(1), 1);
-        assert!(queue.admit(
-            TagId(1),
-            write,
-            SimTime::ZERO,
-            vec![Placement {
-                chip: 2,
-                channel: 1,
-                way: 0,
-                die: 0,
-                plane: 0,
-            }],
-        ));
+        let writer = admit_at(&mut queue, write, &[(2, 0, 0)]);
         let mut spk3 = SprinklerScheduler::spk3();
         let out = run_scheduler(&mut spk3, &queue, &[0, 0, 0, 0]);
-        assert!(out.iter().all(|c| c.tag != TagId(1)));
+        assert!(out.iter().all(|c| c.tag != writer));
         assert_eq!(out.len(), 2);
     }
 
@@ -646,41 +611,13 @@ mod tests {
             let mut queue = DeviceQueue::new(8);
             // Tag 0 reads LPN 0 (uncommitted) on chip 3.
             let read = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 1);
-            assert!(queue.admit(
-                TagId(0),
-                read,
-                SimTime::ZERO,
-                vec![Placement {
-                    chip: 3,
-                    channel: 1,
-                    way: 1,
-                    die: 0,
-                    plane: 0,
-                }],
-            ));
+            assert_eq!(admit_at(&mut queue, read, &[(3, 0, 0)]), TagId(0));
             // Tag 1 writes LPN 0..2: page 0 is WAR-blocked, page 1 is free.
             let write = HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(0), 2);
-            assert!(queue.admit(
-                TagId(1),
-                write,
-                SimTime::ZERO,
-                vec![
-                    Placement {
-                        chip: 0,
-                        channel: 0,
-                        way: 0,
-                        die: 0,
-                        plane: 0,
-                    },
-                    Placement {
-                        chip: 1,
-                        channel: 0,
-                        way: 1,
-                        die: 0,
-                        plane: 0,
-                    },
-                ],
-            ));
+            assert_eq!(
+                admit_at(&mut queue, write, &[(0, 0, 0), (1, 0, 0)]),
+                TagId(1)
+            );
             queue
         };
         for mut scheduler in [SprinklerScheduler::spk1(), SprinklerScheduler::spk3()] {

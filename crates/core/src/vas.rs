@@ -16,12 +16,9 @@ use std::sync::Arc;
 use sprinkler_sim::TelemetryCounters;
 use sprinkler_ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
 
-use crate::hazard::HazardFilter;
-
 /// The conventional FIFO (virtual address) scheduler.
 #[derive(Debug, Default, Clone)]
 pub struct VirtualAddressScheduler {
-    hazards: HazardFilter,
     /// Scratch: per-chip commits made this round; only the chips listed in
     /// `newly_dirty` are non-zero between rounds.
     newly: Vec<usize>,
@@ -54,7 +51,7 @@ impl IoScheduler for VirtualAddressScheduler {
             self.newly[chip] = 0;
         }
         self.newly_dirty.clear();
-        let bound = self.hazards.horizon_seq(ctx);
+        let bound = ctx.queue.horizon_seq();
         for tag in ctx.tags() {
             if tag.seq > bound {
                 if let Some(telemetry) = &self.telemetry {
@@ -87,6 +84,8 @@ mod tests {
     use sprinkler_ssd::request::{Direction, HostRequest, Placement, TagId};
     use sprinkler_ssd::CommitmentLedger;
 
+    /// Admits request `id` with page `i` on `chips[i]`; ids count from 0 on
+    /// a fresh queue, so each is also its tag.
     fn admit_with_chips(queue: &mut DeviceQueue, id: u64, chips: &[usize]) {
         let host = HostRequest::new(
             id,
@@ -95,17 +94,14 @@ mod tests {
             Lpn::new(id * 100),
             chips.len() as u32,
         );
-        let placements = chips
-            .iter()
-            .map(|&chip| Placement {
-                chip,
-                channel: 0,
-                way: chip as u32,
-                die: 0,
-                plane: 0,
-            })
-            .collect();
-        assert!(queue.admit(TagId(id), host, SimTime::ZERO, placements));
+        let placement = |page: u32| Placement {
+            chip: chips[page as usize],
+            channel: 0,
+            way: chips[page as usize] as u32,
+            die: 0,
+            plane: 0,
+        };
+        assert_eq!(queue.admit(host, SimTime::ZERO, placement), Some(TagId(id)));
     }
 
     fn schedule(queue: &DeviceQueue, outstanding: &[usize]) -> Vec<Commitment> {

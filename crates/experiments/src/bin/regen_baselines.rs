@@ -166,11 +166,54 @@ fn gc_fragmented(kind: SchedulerKind) -> RunMetrics {
     metrics
 }
 
+/// A burst trace that keeps the §4.4 hazard paths busy, under `kind`: 2000
+/// requests in bursts of 16 every 50 µs on the 64-chip default with 32
+/// blocks per plane.  Request 2k reads 32 pages at LPN 24k mod 4096 and
+/// request 2k + 1 writes the same range, so writes wait behind reads of
+/// their own and the neighbouring pairs' pages; the sixth request of every
+/// burst is FUA.
+fn hazard_cell(kind: SchedulerKind) -> RunMetrics {
+    let config = SsdConfig::paper_default().with_blocks_per_plane(32);
+    let trace = (0..2_000u64).map(|i| {
+        let direction = if i.is_multiple_of(2) {
+            Direction::Read
+        } else {
+            Direction::Write
+        };
+        HostRequest::new(
+            i,
+            SimTime::from_micros(i / 16 * 50),
+            direction,
+            Lpn::new(24 * (i / 2) % 4096),
+            32,
+        )
+        .with_fua(i % 16 == 5)
+    });
+    Ssd::new(config, kind.build())
+        .expect("hazard-cell config is valid")
+        .run(trace)
+}
+
+/// A hazard-cell counter pinned by `seed_metrics`.
+///
+/// # Panics
+///
+/// Panics if the counter is zero: the cell exists to keep that hazard path
+/// under the gate.
+fn pinned_hazard_count(kind: SchedulerKind, what: &str, count: u64) -> f64 {
+    assert!(
+        count > 0,
+        "the {} hazard cell no longer records any {what}",
+        kind.label()
+    );
+    count as f64
+}
+
 /// `BENCH_seed.json`: the fig10 headline comparison at bench scale (with
 /// the chip utilization and intra-chip idleness behind Figs 11 and 15, each
-/// the mean over the fig10 workloads), the 95%-full GC cell, plus the
-/// always-on telemetry counters and the steady-state allocation budget of
-/// the paper-geometry replay.
+/// the mean over the fig10 workloads), the 95%-full GC cell, the hazard
+/// cell, plus the always-on telemetry counters and the steady-state
+/// allocation budget of the paper-geometry replay.
 fn seed_metrics() -> Vec<(&'static str, f64)> {
     let comparison = &fig10::run(&ExperimentScale::bench(), None);
     let runs = |kind| {
@@ -193,6 +236,18 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
         .sum();
     let gc_vas = gc_fragmented(SchedulerKind::Vas);
     let gc_spk3 = gc_fragmented(SchedulerKind::Spk3);
+    let [hazard_pas, hazard_spk1, hazard_spk3] =
+        [SchedulerKind::Pas, SchedulerKind::Spk1, SchedulerKind::Spk3].map(hazard_cell);
+    let clips = |kind, m: &RunMetrics| {
+        pinned_hazard_count(kind, "FUA horizon clips", m.telemetry.hazard_horizon_clips)
+    };
+    let deferrals = |kind, m: &RunMetrics| {
+        pinned_hazard_count(
+            kind,
+            "write-after-read deferrals",
+            m.telemetry.hazard_war_deferrals,
+        )
+    };
     let (steady, allocs_per_io) = steady_replay(64);
     vec![
         ("fig10_spk3_vas_bandwidth_x", bandwidth_x),
@@ -220,6 +275,29 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
         (
             "gc_fragmented_spk3_pages_migrated",
             gc_spk3.gc.pages_migrated as f64,
+        ),
+        ("hazard_pas_kbps", hazard_pas.bandwidth_kb_per_sec),
+        (
+            "hazard_pas_horizon_clips",
+            clips(SchedulerKind::Pas, &hazard_pas),
+        ),
+        ("hazard_spk1_kbps", hazard_spk1.bandwidth_kb_per_sec),
+        (
+            "hazard_spk1_war_deferrals",
+            deferrals(SchedulerKind::Spk1, &hazard_spk1),
+        ),
+        (
+            "hazard_spk1_horizon_clips",
+            clips(SchedulerKind::Spk1, &hazard_spk1),
+        ),
+        ("hazard_spk3_kbps", hazard_spk3.bandwidth_kb_per_sec),
+        (
+            "hazard_spk3_war_deferrals",
+            deferrals(SchedulerKind::Spk3, &hazard_spk3),
+        ),
+        (
+            "hazard_spk3_horizon_clips",
+            clips(SchedulerKind::Spk3, &hazard_spk3),
         ),
         (
             "steady_replay_stream_admissions",
@@ -460,7 +538,7 @@ const BASELINES: [Baseline; 4] = [
         context: &[
             (
                 "scale",
-                r#"{ "ios_per_workload": 200, "blocks_per_plane": 32, "note": "fig10 at bench scale; the steady_* keys are the zero-allocation steady-state replay at 64 chips" }"#,
+                r#"{ "ios_per_workload": 200, "blocks_per_plane": 32, "note": "fig10 at bench scale; the gc_* keys are the 95%-full GC cell, the hazard_* keys the read/write-pair FUA burst trace of hazard_cell, and the steady_* keys the zero-allocation steady-state replay at 64 chips" }"#,
             ),
             (
                 "paper",

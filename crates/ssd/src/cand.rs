@@ -2,10 +2,10 @@
 //!
 //! [`CandidateIndex`] stores every uncommitted page of every queued tag as one
 //! row in four parallel column arrays — admission sequence, packed priority
-//! key, logical page number, and slot handle — grouped per flash chip into
-//! contiguous CSR-style extents of a shared arena.  A scheduling round walks
-//! plain `&[u64]`/`&[u32]` slices: no per-chip heap vectors, no `Option`
-//! unwrapping, no pointer chase per candidate.
+//! key, logical page number, and queue slot (which is the tag) — grouped per
+//! flash chip into contiguous CSR-style extents of a shared arena.  A
+//! scheduling round walks plain `&[u64]`/`&[u32]` slices: no per-chip heap
+//! vectors, no `Option` unwrapping, no pointer chase per candidate.
 //!
 //! # Layout
 //!
@@ -36,14 +36,28 @@ use std::ops::Range;
 /// Smallest extent capacity handed to a chip on its first insert.
 const MIN_EXTENT_CAP: u32 = 4;
 
+/// The most dies per chip a priority key can tell apart (its 6-bit die
+/// field); `SsdConfig::validate` refuses larger geometries.
+pub(crate) const MAX_DIES_PER_CHIP: usize = 1 << 6;
+
+/// The most planes per die a priority key can tell apart (its 6-bit plane
+/// field); `SsdConfig::validate` refuses larger geometries.
+pub(crate) const MAX_PLANES_PER_DIE: usize = 1 << 6;
+
 /// Packs a candidate's page offset and die/plane coordinates into one sortable
 /// priority key: `page << 12 | die << 6 | plane`.  Within a tag every page is
 /// unique, so ordering rows by `(seq, pri)` equals ordering by `(seq, page)`.
 #[inline]
 pub fn pack_pri(page: u32, die: u32, plane: u32) -> u32 {
     debug_assert!(page < 1 << 20, "page offset {page} overflows the key");
-    debug_assert!(die < 64, "die {die} overflows the key");
-    debug_assert!(plane < 64, "plane {plane} overflows the key");
+    debug_assert!(
+        (die as usize) < MAX_DIES_PER_CHIP,
+        "die {die} overflows the key"
+    );
+    debug_assert!(
+        (plane as usize) < MAX_PLANES_PER_DIE,
+        "plane {plane} overflows the key"
+    );
     page << 12 | die << 6 | plane
 }
 
@@ -88,7 +102,8 @@ pub struct CandidateView<'a> {
     pub pri: &'a [u32],
     /// Logical page number column (for the write-after-read hazard check).
     pub lpn: &'a [u64],
-    /// Queue slot handle column (dense `u32` handles into the slot columns).
+    /// Queue slot column: the slot the row's request occupies, which is its
+    /// tag (`TagId(slot)`).
     pub slot: &'a [u32],
     extents: &'a [Extent],
 }

@@ -3,6 +3,7 @@
 use sprinkler_flash::{FlashGeometry, FlashTiming};
 use sprinkler_sim::Duration;
 
+use crate::cand::{MAX_DIES_PER_CHIP, MAX_PLANES_PER_DIE};
 use crate::error::SsdError;
 use crate::ftl::{MAX_PAGES_PER_BLOCK, MAX_TOTAL_PAGES};
 
@@ -171,10 +172,12 @@ impl SsdConfig {
     /// [`SsdError::Flash`] wrapping [`FlashError::InvalidGeometry`] for a zero
     /// geometry field, [`SsdError::InvalidConfig`] for any other zero or
     /// invalid field, and [`SsdError::TooLarge`] for a quantity past the
-    /// simulator's table limits: more than `u32::MAX` pages in all, more than
-    /// 128 pages per block, a `queue_depth` or `max_committed_per_chip` above
-    /// 65,536, or more than `u32::MAX` in-flight memory requests
-    /// (`total_chips * max_committed_per_chip`, the width of their handles).
+    /// simulator's table limits: more than 64 dies per chip or 64 planes per
+    /// die (the width of the scheduler's candidate key), more than
+    /// `u32::MAX` pages in all, more than 128 pages per block, a
+    /// `queue_depth` or `max_committed_per_chip` above 65,536, or more than
+    /// `u32::MAX` in-flight memory requests (`total_chips *
+    /// max_committed_per_chip`, the width of their handles).
     ///
     /// [`FlashError::InvalidGeometry`]: sprinkler_flash::FlashError::InvalidGeometry
     pub fn validate(&self) -> Result<(), SsdError> {
@@ -198,6 +201,16 @@ impl SsdConfig {
             .saturating_mul(g.chips_per_channel as u64)
             .saturating_mul(self.max_committed_per_chip as u64);
         for (field, value, max) in [
+            (
+                "dies_per_chip",
+                g.dies_per_chip as u64,
+                MAX_DIES_PER_CHIP as u64,
+            ),
+            (
+                "planes_per_die",
+                g.planes_per_die as u64,
+                MAX_PLANES_PER_DIE as u64,
+            ),
             (
                 "pages_per_block",
                 g.pages_per_block as u64,
@@ -335,6 +348,31 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// Regression: 65 dies per chip (or planes per die) passed `validate()`,
+    /// but the scheduler's candidate key holds 6 bits of each.  A 66-page
+    /// write and read on a one-chip device under SPK3 then panicked in
+    /// `pack_pri` in debug builds; with 65 dies, two pages collided on one
+    /// key and release builds completed neither I/O.
+    #[test]
+    fn validation_rejects_dies_and_planes_past_the_candidate_key() {
+        let too_large = |field, value| {
+            Err(SsdError::TooLarge {
+                field,
+                value,
+                max: 64,
+            })
+        };
+        let mut cfg = SsdConfig::small_test();
+        cfg.geometry.dies_per_chip = 64;
+        cfg.geometry.planes_per_die = 64;
+        cfg.validate().unwrap();
+        cfg.geometry.dies_per_chip = 65;
+        assert_eq!(cfg.validate(), too_large("dies_per_chip", 65));
+        cfg.geometry.dies_per_chip = 64;
+        cfg.geometry.planes_per_die = 65;
+        assert_eq!(cfg.validate(), too_large("planes_per_die", 65));
     }
 
     /// Regression: both values passed `validate()`, then `Ssd::new` panicked

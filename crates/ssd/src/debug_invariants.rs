@@ -1,7 +1,7 @@
 //! Deep debug-mode invariant validation across the scheduler's shared state.
 //!
 //! [`DeviceQueue::validate_candidate_index`] checks the queue's *internal*
-//! consistency (slot columns, the direct-mapped tag ring, the columnar
+//! consistency (each tag's id is its slot, the slot flag column, the columnar
 //! candidate index, the read-hazard counting filter).  This module goes one
 //! layer up and cross-checks the structures that must agree *with each
 //! other* for Sprinkler's chip-level accounting to mean anything:

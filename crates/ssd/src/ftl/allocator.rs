@@ -382,7 +382,8 @@ impl Allocator {
         self.erased[plane_index * blocks as usize + ring as usize] = block;
     }
 
-    /// Global block index of an address (used by the wear tracker).
+    /// Global block index of an address: its plane's index times the blocks
+    /// per plane, plus its block.
     pub fn global_block_index(&self, addr: PhysicalPageAddr) -> usize {
         self.plane_index_of_addr(addr) * self.geometry.blocks_per_plane + addr.block as usize
     }

@@ -1,6 +1,6 @@
 //! The Flash Translation Layer: page-level mapping, allocation, garbage collection
-//! planning, wear accounting, and the physical-layout preview (preprocessor) the
-//! schedulers rely on.
+//! planning, and the physical-layout preview (preprocessor) the schedulers rely
+//! on.
 //!
 //! The FTL's logical space is the device's physical page count: LPNs
 //! `0..geometry.total_pages()`.  Its tables are dense and index-addressed
@@ -10,13 +10,11 @@
 mod allocator;
 mod gc;
 mod mapping;
-mod wear;
 
 pub(crate) use allocator::MAX_PAGES_PER_BLOCK;
 pub use allocator::{Allocator, PlaneLocation};
 pub use gc::{GcPlan, GcStats, PageMigration};
 pub use mapping::PageMap;
-pub use wear::WearTracker;
 
 use sprinkler_flash::{FlashGeometry, Lpn, PhysicalPageAddr};
 use sprinkler_sim::DeterministicRng;
@@ -75,7 +73,6 @@ pub struct Ftl {
     geometry: FlashGeometry,
     map: PageMap,
     alloc: Allocator,
-    wear: WearTracker,
     gc_watermark: usize,
     stats: FtlStats,
     gc_stats: GcStats,
@@ -87,12 +84,10 @@ impl Ftl {
     /// watermark or below).
     pub fn new(geometry: FlashGeometry, policy: AllocationPolicy, gc_watermark: usize) -> Self {
         let alloc = Allocator::new(geometry.clone(), policy);
-        let wear = WearTracker::new(alloc.total_blocks());
         Ftl {
             map: PageMap::new(geometry.total_pages() as u64),
             geometry,
             alloc,
-            wear,
             gc_watermark,
             stats: FtlStats::default(),
             gc_stats: GcStats::default(),
@@ -112,11 +107,6 @@ impl Ftl {
     /// Garbage-collection counters.
     pub fn gc_stats(&self) -> GcStats {
         self.gc_stats
-    }
-
-    /// Wear (erase-count) tracker.
-    pub fn wear(&self) -> &WearTracker {
-        &self.wear
     }
 
     /// Number of mapped logical pages (live data footprint).
@@ -252,8 +242,6 @@ impl Ftl {
             });
         }
         self.alloc.erase_block(plane_index, victim);
-        self.wear
-            .record_erase(self.alloc.global_block_index(erase_addr));
         let plan = GcPlan {
             plane_index,
             victim_block: victim,
@@ -425,7 +413,7 @@ mod tests {
         assert!(plan.migration_count() <= 4);
         assert!(f.free_blocks_in_plane(plane) >= before_free);
         assert_eq!(f.gc_stats().invocations, 1);
-        assert_eq!(f.wear().total(), 1);
+        assert_eq!(f.gc_stats().blocks_erased, 1);
         // Migrated LPNs still resolve somewhere valid.
         for m in &plan.migrations {
             assert_eq!(f.translate_read(m.lpn), m.to);

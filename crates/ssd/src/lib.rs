@@ -11,8 +11,8 @@
 //! * per-channel flash controllers that coalesce committed memory requests into
 //!   flash transactions with die interleaving and plane sharing ([`controller`],
 //!   [`channel`]),
-//! * a page-level FTL with static plane striping, greedy garbage collection, and
-//!   wear accounting ([`ftl`]),
+//! * a page-level FTL with static plane striping and greedy garbage collection
+//!   ([`ftl`]),
 //! * the [`scheduler::IoScheduler`] trait the paper's controllers (VAS, PAS,
 //!   SPK1–3 in the `sprinkler-core` crate) implement,
 //! * the event-driven simulator itself ([`ssd::Ssd`]) and the run metrics every

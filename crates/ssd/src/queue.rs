@@ -13,18 +13,20 @@
 //! [`DeviceQueue::retire`] is O(1).  Total storage is O(queue depth), independent of
 //! how many I/Os have ever been served.
 //!
-//! The slot index is the queue's *dense handle*: tag-id lookups resolve to a
-//! `u32` slot through a direct-mapped ring (`TagMap`, no hashing — tags are
-//! issued densely), and per-slot hot fields (admission seq, raw tag id,
-//! direction flag) are mirrored into parallel *slot columns* so the scheduler
-//! hot path reads small contiguous arrays instead of chasing `Option<TagState>`.
+//! A tag *is* its slot: [`DeviceQueue::admit`] hands out the index of the slot
+//! the request occupies as its [`TagId`], the way an NCQ tag names its queue
+//! entry, so every operation on a queued tag is one index with no lookup.  The
+//! number is reused once the tag retires; ordering is always by admission
+//! sequence number, never by tag value.  Each slot's direction is mirrored into
+//! a byte *slot column* so the scheduler hot path reads one small contiguous
+//! array instead of chasing `Option<TagState>`.
 //!
 //! On top of the slots the queue maintains three incremental indices that turn the
 //! scheduler hot path from full-queue scans into point lookups:
 //!
 //! * a **columnar per-chip candidate index** ([`crate::cand::CandidateIndex`]) —
 //!   for every flash chip, the uncommitted pages targeting it as rows of four
-//!   parallel columns (seq/priority/lpn/slot) in a contiguous CSR-style extent,
+//!   parallel columns (seq/priority/lpn/tag) in a contiguous CSR-style extent,
 //!   ordered by arrival, so resource-driven schedulers iterate plain slices and
 //!   visit only chips that actually have work;
 //! * a **read-LPN hazard index** — for every logical page with an uncommitted read,
@@ -53,22 +55,19 @@ use crate::request::{HostRequest, Placement, TagId};
 /// Sentinel for "no slot" in the intrusive arrival-order list.
 const NIL: usize = usize::MAX;
 
-/// Sentinel slot value marking an empty [`TagMap`] ring cell.
-const NO_SLOT: u32 = u32::MAX;
-
 /// Bit set in the slot flag column for write tags.
 pub const SLOT_WRITE: u8 = 1;
 
-/// Buckets in the read-LPN counting filter (see
-/// [`DeviceQueue::read_hazard_filter`]).  Must stay a power of two: the
-/// bucket hash takes the top `log2(READ_FILTER_BUCKETS)` bits.
-pub const READ_FILTER_BUCKETS: usize = 512;
+/// Buckets in the read-LPN counting filter over the write-after-read hazard
+/// index.  Must stay a power of two: the bucket hash takes the top
+/// `log2(READ_FILTER_BUCKETS)` bits.
+const READ_FILTER_BUCKETS: usize = 512;
 
 /// The counting-filter bucket of a logical page number.  Fibonacci hashing
 /// spreads the sequential LPN ranges real workloads produce across the whole
 /// bucket space before the top bits are taken.
 #[inline]
-pub fn read_filter_bucket(lpn: u64) -> usize {
+fn read_filter_bucket(lpn: u64) -> usize {
     const _: () = assert!(READ_FILTER_BUCKETS == 1 << 9);
     (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - 9)) as usize
 }
@@ -207,7 +206,7 @@ impl Iterator for ZeroBits<'_> {
 /// Per-tag state while the I/O request sits in the device queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagState {
-    /// The tag identifier.
+    /// The tag identifier: the index of the queue slot the tag occupies.
     pub id: TagId,
     /// Admission sequence number: strictly increasing with arrival order, so
     /// `a.seq < b.seq` iff tag `a` was admitted before tag `b`.  Hazard and
@@ -234,8 +233,8 @@ pub struct TagState {
 }
 
 impl TagState {
-    /// Creates the state for a newly admitted tag.  The admission sequence number
-    /// starts at 0; [`DeviceQueue::admit`] assigns the real one.
+    /// Creates the state for a tag.  The admission sequence number starts at
+    /// 0; [`DeviceQueue::admit`] assigns the real id and seq.
     pub fn new(
         id: TagId,
         host: HostRequest,
@@ -314,95 +313,24 @@ struct Slot {
     next: usize,
 }
 
-/// Direct-mapped tag-id → slot lookup.
-///
-/// The SSD issues tag ids densely (a monotonically increasing counter), so a
-/// power-of-two ring indexed by `tag & mask` resolves nearly every lookup with
-/// one load and one compare — no hashing on admit, commit, or retire.  Two
-/// live tags can still collide modulo the ring size (one tag outliving many
-/// churn cycles, or tests using arbitrary ids); colliders spill into a small
-/// linear-scanned overflow list bounded by the queue depth.
-#[derive(Debug, Clone)]
-struct TagMap {
-    mask: u64,
-    /// `(raw tag id, slot)` cells; `slot == NO_SLOT` marks an empty cell.
-    ring: Vec<(u64, u32)>,
-    /// Colliding entries, linearly scanned (rare: requires two live tags with
-    /// equal residues).
-    overflow: Vec<(u64, u32)>,
-}
-
-impl TagMap {
-    fn new(capacity: usize) -> Self {
-        let size = capacity.max(1).next_power_of_two();
-        TagMap {
-            mask: size as u64 - 1,
-            ring: vec![(0, NO_SLOT); size],
-            overflow: Vec::with_capacity(capacity.min(size)),
-        }
-    }
-
-    #[inline]
-    fn get(&self, tag: u64) -> Option<u32> {
-        let cell = self.ring[(tag & self.mask) as usize];
-        if cell.1 != NO_SLOT && cell.0 == tag {
-            return Some(cell.1);
-        }
-        self.overflow
-            .iter()
-            .find(|entry| entry.0 == tag)
-            .map(|entry| entry.1)
-    }
-
-    fn insert(&mut self, tag: u64, slot: u32) {
-        debug_assert!(slot != NO_SLOT);
-        debug_assert!(self.get(tag).is_none(), "tag {tag} is already mapped");
-        let cell = &mut self.ring[(tag & self.mask) as usize];
-        if cell.1 == NO_SLOT {
-            *cell = (tag, slot);
-        } else {
-            self.overflow.push((tag, slot));
-        }
-    }
-
-    fn remove(&mut self, tag: u64) -> Option<u32> {
-        let index = (tag & self.mask) as usize;
-        let cell = self.ring[index];
-        if cell.1 != NO_SLOT && cell.0 == tag {
-            // Promote a colliding overflow entry into the freed cell so dense
-            // workloads keep their one-load fast path.
-            let promoted = self
-                .overflow
-                .iter()
-                .position(|entry| entry.0 & self.mask == tag & self.mask);
-            self.ring[index] = match promoted {
-                Some(pos) => self.overflow.swap_remove(pos),
-                None => (0, NO_SLOT),
-            };
-            return Some(cell.1);
-        }
-        if let Some(pos) = self.overflow.iter().position(|entry| entry.0 == tag) {
-            return Some(self.overflow.swap_remove(pos).1);
-        }
-        None
-    }
-}
-
 /// The bounded device-level queue.
 ///
 /// # Example
 ///
 /// ```
 /// use sprinkler_ssd::queue::DeviceQueue;
-/// use sprinkler_ssd::request::{Direction, HostRequest, TagId};
+/// use sprinkler_ssd::request::{Direction, HostRequest, Placement, TagId};
 /// use sprinkler_flash::Lpn;
 /// use sprinkler_sim::SimTime;
 ///
 /// let mut q = DeviceQueue::new(2);
 /// assert!(!q.is_full());
 /// let host = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 1);
-/// assert!(q.admit(TagId(0), host, SimTime::ZERO, vec![]));
+/// let placement = Placement { chip: 0, channel: 0, way: 0, die: 0, plane: 0 };
+/// let tag = q.admit(host, SimTime::ZERO, |_| placement).unwrap();
+/// assert_eq!(tag, TagId(0), "the first tag is slot 0");
 /// assert_eq!(q.len(), 1);
+/// assert_eq!(q.retire(tag).unwrap().host, host);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeviceQueue {
@@ -411,13 +339,6 @@ pub struct DeviceQueue {
     slots: Vec<Slot>,
     /// Recycled slot indices.
     free: Vec<usize>,
-    /// Tag id → slot handle (direct-mapped ring, no hashing).
-    tag_map: TagMap,
-    /// Slot column: admission seq per occupied slot (generation guard for
-    /// handle-based access).
-    slot_seq: Vec<u64>,
-    /// Slot column: raw tag id per occupied slot.
-    slot_tag: Vec<u64>,
     /// Slot column: per-slot flags ([`SLOT_WRITE`]).
     slot_flags: Vec<u8>,
     /// First slot in arrival order (`NIL` when empty).
@@ -435,7 +356,7 @@ pub struct DeviceQueue {
     /// uncommitted.
     read_lpn_index: Vec<(u64, u64)>,
     /// Counting filter over `read_lpn_index`: per-bucket entry counts keyed by
-    /// [`read_filter_bucket`].  A zero bucket proves no uncommitted read of
+    /// `read_filter_bucket`.  A zero bucket proves no uncommitted read of
     /// any LPN hashing there exists, so the §4.4 write-after-read check skips
     /// its binary search for the (dominant) unblocked case.
     read_lpn_filter: Vec<u32>,
@@ -453,9 +374,6 @@ impl DeviceQueue {
             capacity,
             slots: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
-            tag_map: TagMap::new(capacity),
-            slot_seq: Vec::with_capacity(capacity),
-            slot_tag: Vec::with_capacity(capacity),
             slot_flags: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
@@ -508,54 +426,38 @@ impl DeviceQueue {
         self.len >= self.capacity
     }
 
-    /// Admits a host request as a tag.  Returns `false` — without admitting —
-    /// when the queue is already at capacity.
+    /// Admits a host request and returns its tag, the index of the slot it
+    /// now occupies; `None` — without admitting — when the queue is already
+    /// at capacity.
     ///
-    /// Placement previews may be empty if the scheduler never consults them
-    /// (virtual address scheduling); in that case page accounting still works but
-    /// placement lookups must not be used.
+    /// `placement_of` produces each page's placement preview in place (called
+    /// once per page, in page order), filling buffers recycled from retired
+    /// tags, so steady-state admission performs no allocations.
     #[must_use = "admission fails when the queue is full; the request would be lost"]
     pub fn admit(
         &mut self,
-        id: TagId,
-        host: HostRequest,
-        now: SimTime,
-        placements: Vec<Placement>,
-    ) -> bool {
-        if placements.is_empty() {
-            self.admit_with(id, host, now, |_| Placement {
-                chip: 0,
-                channel: 0,
-                way: 0,
-                die: 0,
-                plane: 0,
-            })
-        } else {
-            debug_assert_eq!(placements.len(), host.pages as usize);
-            self.admit_with(id, host, now, |page| placements[page as usize])
-        }
-    }
-
-    /// [`DeviceQueue::admit`] with the placement previews produced in place by
-    /// `placement_of` (called once per page, in page order), filling buffers
-    /// recycled from retired tags instead of taking a freshly allocated
-    /// `Vec<Placement>`.  The replay hot path admits through this entry point
-    /// so steady-state admission performs no allocations.
-    #[must_use = "admission fails when the queue is full; the request would be lost"]
-    pub fn admit_with(
-        &mut self,
-        id: TagId,
         host: HostRequest,
         now: SimTime,
         mut placement_of: impl FnMut(u32) -> Placement,
-    ) -> bool {
+    ) -> Option<TagId> {
         if self.is_full() {
-            return false;
+            return None;
         }
-        debug_assert!(
-            self.tag_map.get(id.0).is_none(),
-            "tag {id} is already queued"
-        );
+        // Reserve the storage slot first: its index is the tag, and the index
+        // entries carry it so hot-path consumers reach the state directly.
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                self.slots.push(Slot {
+                    state: None,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.slot_flags.push(0);
+                self.slots.len() - 1
+            }
+        };
+        let id = TagId(slot as u64);
         let pages = host.pages as usize;
         let mut state = match self.spare_states.pop() {
             Some(mut spare) => {
@@ -589,25 +491,6 @@ impl DeviceQueue {
         state.seq = self.next_seq;
         self.next_seq += 1;
         let seq = state.seq;
-
-        // Reserve the storage slot first: the index entries carry it as a
-        // dense handle so hot-path consumers skip the tag-id lookup entirely.
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                self.slots.push(Slot {
-                    state: None,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slot_seq.push(0);
-                self.slot_tag.push(0);
-                self.slot_flags.push(0);
-                self.slots.len() - 1
-            }
-        };
-        self.slot_seq[slot] = seq;
-        self.slot_tag[slot] = id.0;
         self.slot_flags[slot] = if state.host.direction.is_write() {
             SLOT_WRITE
         } else {
@@ -645,29 +528,17 @@ impl DeviceQueue {
             self.slots[self.tail].next = slot;
         }
         self.tail = slot;
-        self.tag_map.insert(id.0, slot as u32);
         self.len += 1;
-        true
+        Some(id)
     }
 
-    /// Removes a completed tag, freeing its queue slot.  Returns its final state.
-    /// O(1) in the queue length (plus index removal for any still-uncommitted
-    /// pages).
+    /// Removes a tag, freeing its queue slot (and so its number) for a later
+    /// admission.  Returns its final state, or `None` when the tag is not
+    /// queued.  O(1) in the queue length (plus index removal for any
+    /// still-uncommitted pages).
     pub fn retire(&mut self, id: TagId) -> Option<TagState> {
-        let slot = self.tag_map.remove(id.0)?;
-        self.retire_slot(slot as usize)
-    }
-
-    /// [`DeviceQueue::retire`] through a dense slot handle, skipping the tag-id
-    /// lookup.
-    pub fn retire_at(&mut self, slot: u32) -> Option<TagState> {
-        let id = self.slots.get(slot as usize)?.state.as_ref()?.id;
-        self.tag_map.remove(id.0)?;
-        self.retire_slot(slot as usize)
-    }
-
-    fn retire_slot(&mut self, slot: usize) -> Option<TagState> {
-        let state = self.slots[slot].state.take()?;
+        let slot = id.0 as usize;
+        let state = self.slots.get_mut(slot)?.state.take()?;
         // Unlink from the arrival-order list.
         let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
         if prev == NIL {
@@ -699,7 +570,7 @@ impl DeviceQueue {
     }
 
     /// Returns a retired [`TagState`]'s heap buffers to the queue's internal
-    /// pool so a later [`DeviceQueue::admit_with`] reuses them instead of
+    /// pool so a later [`DeviceQueue::admit`] reuses them instead of
     /// allocating.  The pool is bounded by the queue capacity; surplus states
     /// are simply dropped.
     pub fn recycle(&mut self, state: TagState) {
@@ -711,21 +582,13 @@ impl DeviceQueue {
     /// Marks a page of a queued tag committed, keeping the hazard and chip indices
     /// coherent.  Returns `false` when the tag is not queued, the page offset is
     /// out of range, or the page was already committed.
-    pub fn commit_page(&mut self, id: TagId, page: u32, now: SimTime) -> bool {
-        match self.tag_map.get(id.0) {
-            Some(slot) => self.commit_page_at(slot, page, now),
-            None => false,
-        }
-    }
-
-    /// [`DeviceQueue::commit_page`] through a dense slot handle, skipping the
-    /// tag-id lookup.
     // lint: hot-path
-    pub fn commit_page_at(&mut self, slot: u32, page: u32, now: SimTime) -> bool {
-        let Some(entry) = self.slots.get_mut(slot as usize) else {
-            return false;
-        };
-        let Some(state) = entry.state.as_mut() else {
+    pub fn commit_page(&mut self, id: TagId, page: u32, now: SimTime) -> bool {
+        let Some(state) = self
+            .slots
+            .get_mut(id.0 as usize)
+            .and_then(|slot| slot.state.as_mut())
+        else {
             return false;
         };
         if page as usize >= state.pages() || !state.mark_committed(page, now) {
@@ -753,22 +616,13 @@ impl DeviceQueue {
         true
     }
 
-    /// Marks a page's memory request completed.  Returns `false` when the tag is
-    /// not queued or the page was already completed.
-    pub fn complete_page(&mut self, id: TagId, page: u32) -> bool {
-        self.tag_map
-            .get(id.0)
-            .and_then(|slot| self.complete_page_at(slot, page))
-            .is_some()
-    }
-
-    /// [`DeviceQueue::complete_page`] through a dense slot handle.  Returns
-    /// `None` where `complete_page` returns `false`; otherwise `Some(done)`,
-    /// where `done` says the tag has now committed and completed every page
-    /// and is ready to retire.
+    /// Marks a page's memory request completed.  Returns `None` when the tag
+    /// is not queued, the page offset is out of range, or the page was already
+    /// completed; otherwise `Some(done)`, where `done` says the tag has now
+    /// committed and completed every page and is ready to retire.
     // lint: hot-path
-    pub fn complete_page_at(&mut self, slot: u32, page: u32) -> Option<bool> {
-        let state = self.slots.get_mut(slot as usize)?.state.as_mut()?;
+    pub fn complete_page(&mut self, id: TagId, page: u32) -> Option<bool> {
+        let state = self.slots.get_mut(id.0 as usize)?.state.as_mut()?;
         if page as usize >= state.pages() || !state.mark_completed(page) {
             return None;
         }
@@ -819,11 +673,6 @@ impl DeviceQueue {
         }
     }
 
-    /// Resolves a tag id to its dense slot handle.
-    pub fn slot_of(&self, id: TagId) -> Option<u32> {
-        self.tag_map.get(id.0)
-    }
-
     /// Queued tag identifiers in arrival order.
     pub fn tags_in_order(&self) -> impl Iterator<Item = TagId> + '_ {
         self.iter_states().map(|state| state.id)
@@ -844,10 +693,9 @@ impl DeviceQueue {
         })
     }
 
-    /// Looks up a tag's state.
+    /// A queued tag's state; `None` when the tag is not queued.
     pub fn tag(&self, id: TagId) -> Option<&TagState> {
-        let slot = self.tag_map.get(id.0)?;
-        self.slots[slot as usize].state.as_ref()
+        self.slots.get(id.0 as usize)?.state.as_ref()
     }
 
     /// A queued tag's admission sequence number.
@@ -872,8 +720,10 @@ impl DeviceQueue {
     }
 
     /// Whether a read tag admitted strictly before `seq` still has an uncommitted
-    /// read of logical page `lpn` (the §4.4 write-after-read hazard).  O(log n).
+    /// read of logical page `lpn` (the §4.4 write-after-read hazard).  O(log n),
+    /// and O(1) for the dominant unblocked case via a counting filter.
     // lint: hot-path
+    #[inline]
     pub fn has_blocking_read(&self, lpn: u64, seq: u64) -> bool {
         if self.read_lpn_filter[read_filter_bucket(lpn)] == 0 {
             // No uncommitted read hashes to this bucket: provably unblocked.
@@ -894,38 +744,20 @@ impl DeviceQueue {
         &self.fua_pending
     }
 
-    /// The raw read-LPN hazard entries, sorted by `(lpn, seq)` — the dense
-    /// slice behind [`DeviceQueue::has_blocking_read`], exposed so hot loops
-    /// can hoist the queue dereference out of their per-candidate checks.
+    /// The raw read-LPN hazard entries, sorted by `(lpn, seq)` — the slice
+    /// behind [`DeviceQueue::has_blocking_read`].  Exposed for the debug
+    /// invariant validator.
     pub fn read_hazards(&self) -> &[(u64, u64)] {
         &self.read_lpn_index
     }
 
-    /// The counting filter over [`DeviceQueue::read_hazards`]: per-bucket
-    /// entry counts keyed by [`read_filter_bucket`].  A zero bucket proves no
-    /// uncommitted read of any LPN hashing there exists, so hot loops skip
-    /// the hazard binary search entirely for such writes.
-    pub fn read_hazard_filter(&self) -> &[u32] {
-        &self.read_lpn_filter
-    }
-
     /// The columnar candidate view for one scheduling round: active chips,
-    /// CSR-style per-chip row ranges, and the seq/pri/lpn/slot columns.
+    /// CSR-style per-chip row ranges, and the seq/pri/lpn/tag columns.
     pub fn candidate_view(&self) -> CandidateView<'_> {
         self.cand.view()
     }
 
-    /// Slot column: admission sequence per slot handle.
-    pub fn slot_seqs(&self) -> &[u64] {
-        &self.slot_seq
-    }
-
-    /// Slot column: raw tag id per slot handle.
-    pub fn slot_tags(&self) -> &[u64] {
-        &self.slot_tag
-    }
-
-    /// Slot column: flag bits ([`SLOT_WRITE`]) per slot handle.
+    /// Slot column: flag bits ([`SLOT_WRITE`]) per slot, indexed by tag.
     pub fn slot_flag_bits(&self) -> &[u8] {
         &self.slot_flags
     }
@@ -938,28 +770,16 @@ impl DeviceQueue {
     }
 
     /// The uncommitted candidate pages targeting one chip, in arrival order
-    /// (admission seq, then page offset).  The final element is the tag's slot
-    /// handle for [`DeviceQueue::state_at`].
-    pub fn chip_candidates(
-        &self,
-        chip: usize,
-    ) -> impl Iterator<Item = (u64, u32, TagId, usize)> + '_ {
+    /// (admission seq, then page offset), as `(seq, page, tag)`.
+    pub fn chip_candidates(&self, chip: usize) -> impl Iterator<Item = (u64, u32, TagId)> + '_ {
         let view = self.cand.view();
         self.cand.chip_range(chip).map(move |row| {
-            let slot = view.slot[row] as usize;
             (
                 view.seq[row],
                 pri_page(view.pri[row]),
-                TagId(self.slot_tag[slot]),
-                slot,
+                TagId(u64::from(view.slot[row])),
             )
         })
-    }
-
-    /// Resolves a slot handle from the candidate index to the tag state it
-    /// indexes, without a tag-id lookup.
-    pub fn state_at(&self, slot: usize) -> Option<&TagState> {
-        self.slots.get(slot)?.state.as_ref()
     }
 
     // ------------------------------------------------------------------
@@ -978,9 +798,10 @@ impl DeviceQueue {
         self.cand.len() + self.read_lpn_index.len() + self.fua_pending.len()
     }
 
-    /// Debug-build invariant checker: cross-validates the incremental columnar
-    /// candidate index (and the slot columns) against a from-scratch rebuild
-    /// from the queued tag states.  Compiled to a no-op in release builds; the
+    /// Debug-build invariant checker: checks that each queued tag's id is its
+    /// slot and cross-validates the incremental columnar candidate index (and
+    /// the slot column) against a from-scratch rebuild from the queued tag
+    /// states.  Compiled to a no-op in release builds; the
     /// differential property tests call it after every scheduling round.
     pub fn validate_candidate_index(&self) {
         #[cfg(debug_assertions)]
@@ -991,14 +812,12 @@ impl DeviceQueue {
                 let Some(state) = entry.state.as_ref() else {
                     continue;
                 };
-                debug_assert_eq!(self.slot_seq[slot], state.seq, "stale slot seq column");
-                debug_assert_eq!(self.slot_tag[slot], state.id.0, "stale slot tag column");
+                debug_assert_eq!(state.id, TagId(slot as u64), "a tag's id is its slot");
                 debug_assert_eq!(
                     self.slot_flags[slot] & SLOT_WRITE != 0,
                     state.host.direction.is_write(),
                     "stale slot flag column"
                 );
-                debug_assert_eq!(self.tag_map.get(state.id.0), Some(slot as u32));
                 for page in state.uncommitted_pages() {
                     let p = state.placements[page as usize];
                     expected.push((
@@ -1077,90 +896,101 @@ mod tests {
         HostRequest::new(id, SimTime::ZERO, Direction::Read, Lpn::new(lpn), pages)
     }
 
-    fn placements(n: usize) -> Vec<Placement> {
-        (0..n)
-            .map(|i| Placement {
-                chip: i,
-                channel: 0,
-                way: i as u32,
-                die: 0,
-                plane: 0,
-            })
-            .collect()
+    /// Page `page` of a request lands on chip `page`.
+    fn placement(page: u32) -> Placement {
+        Placement {
+            chip: page as usize,
+            channel: 0,
+            way: page,
+            die: 0,
+            plane: 0,
+        }
+    }
+
+    fn admit(q: &mut DeviceQueue, host: HostRequest) -> TagId {
+        q.admit(host, SimTime::ZERO, placement)
+            .expect("the queue has room")
     }
 
     #[test]
     fn admit_and_retire_roundtrip() {
         let mut q = DeviceQueue::new(4);
-        assert!(q.admit(TagId(0), host(0, 2), SimTime::ZERO, placements(2)));
-        assert!(q.admit(TagId(1), host(1, 3), SimTime::from_nanos(5), placements(3)));
+        let first = admit(&mut q, host(0, 2));
+        let second = q
+            .admit(host(1, 3), SimTime::from_nanos(5), placement)
+            .unwrap();
+        assert_eq!((first, second), (TagId(0), TagId(1)), "tags are slots");
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         assert!(!q.is_full());
-        assert_eq!(
-            q.tags_in_order().collect::<Vec<_>>(),
-            vec![TagId(0), TagId(1)]
-        );
+        assert_eq!(q.tags_in_order().collect::<Vec<_>>(), vec![first, second]);
         q.validate_candidate_index();
-        let retired = q.retire(TagId(0)).unwrap();
+        let retired = q.retire(first).unwrap();
         assert_eq!(retired.host.id, 0);
         assert_eq!(q.len(), 1);
-        assert!(q.tag(TagId(0)).is_none());
-        assert!(q.retire(TagId(0)).is_none());
+        assert!(q.tag(first).is_none());
+        assert!(q.retire(first).is_none());
+        assert!(q.tag(TagId(u64::MAX)).is_none());
         q.validate_candidate_index();
     }
 
     #[test]
     fn capacity_is_reported_and_enforced() {
         let mut q = DeviceQueue::new(2);
-        assert!(q.admit(TagId(0), host(0, 1), SimTime::ZERO, placements(1)));
+        let first = admit(&mut q, host(0, 1));
         assert!(!q.is_full());
-        assert!(q.admit(TagId(1), host(1, 1), SimTime::ZERO, placements(1)));
+        let second = admit(&mut q, host(1, 1));
         assert!(q.is_full());
         assert_eq!(q.capacity(), 2);
         // Over-capacity admission is rejected, not silently allowed.
-        assert!(!q.admit(TagId(2), host(2, 1), SimTime::ZERO, placements(1)));
+        assert_eq!(q.admit(host(2, 1), SimTime::ZERO, placement), None);
         assert_eq!(q.len(), 2);
         assert!(q.tag(TagId(2)).is_none());
-        // Retiring frees the slot for a new admission.
-        q.retire(TagId(0)).unwrap();
-        assert!(q.admit(TagId(2), host(2, 1), SimTime::ZERO, placements(1)));
-        assert_eq!(
-            q.tags_in_order().collect::<Vec<_>>(),
-            vec![TagId(1), TagId(2)]
-        );
+        // Retiring frees the slot, and so its number, for a new admission.
+        q.retire(first).unwrap();
+        let third = admit(&mut q, host(2, 1));
+        assert_eq!(third, first);
+        assert_eq!(q.tag(third).unwrap().host.id, 2);
+        assert_eq!(q.tags_in_order().collect::<Vec<_>>(), vec![second, third]);
     }
 
     #[test]
     fn tag_commit_and_complete_bitmaps() {
         let mut q = DeviceQueue::new(4);
-        assert!(q.admit(TagId(7), host(7, 3), SimTime::from_nanos(10), placements(3)));
-        assert_eq!(q.tag(TagId(7)).unwrap().uncommitted_count(), 3);
+        let tag = q
+            .admit(host(7, 3), SimTime::from_nanos(10), placement)
+            .unwrap();
+        assert_eq!(q.tag(tag).unwrap().uncommitted_count(), 3);
         assert_eq!(
-            q.tag(TagId(7))
-                .unwrap()
-                .uncommitted_pages()
-                .collect::<Vec<_>>(),
+            q.tag(tag).unwrap().uncommitted_pages().collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        assert!(q.commit_page(TagId(7), 1, SimTime::from_nanos(20)));
-        assert!(!q.commit_page(TagId(7), 1, SimTime::from_nanos(30)));
-        let tag = q.tag(TagId(7)).unwrap();
-        assert_eq!(tag.first_commit_at, Some(SimTime::from_nanos(20)));
-        assert_eq!(tag.uncommitted_pages().collect::<Vec<_>>(), vec![0, 2]);
-        assert!(!tag.fully_committed());
-        assert!(q.commit_page(TagId(7), 0, SimTime::from_nanos(40)));
-        assert!(q.commit_page(TagId(7), 2, SimTime::from_nanos(40)));
-        assert!(q.tag(TagId(7)).unwrap().fully_committed());
-        assert!(!q.tag(TagId(7)).unwrap().fully_completed());
-        assert!(q.complete_page(TagId(7), 0));
-        assert!(q.complete_page(TagId(7), 1));
+        assert!(q.commit_page(tag, 1, SimTime::from_nanos(20)));
+        assert!(!q.commit_page(tag, 1, SimTime::from_nanos(30)));
         assert!(
-            !q.complete_page(TagId(7), 1),
+            !q.commit_page(tag, 3, SimTime::from_nanos(30)),
+            "past the end"
+        );
+        let state = q.tag(tag).unwrap();
+        assert_eq!(state.first_commit_at, Some(SimTime::from_nanos(20)));
+        assert_eq!(state.uncommitted_pages().collect::<Vec<_>>(), vec![0, 2]);
+        assert!(!state.fully_committed());
+        assert!(q.commit_page(tag, 0, SimTime::from_nanos(40)));
+        assert!(q.commit_page(tag, 2, SimTime::from_nanos(40)));
+        assert!(q.tag(tag).unwrap().fully_committed());
+        assert!(!q.tag(tag).unwrap().fully_completed());
+        assert_eq!(q.complete_page(tag, 0), Some(false));
+        assert_eq!(q.complete_page(tag, 1), Some(false));
+        assert_eq!(
+            q.complete_page(tag, 1),
+            None,
             "double completion is rejected"
         );
-        assert!(q.complete_page(TagId(7), 2));
-        assert!(q.tag(TagId(7)).unwrap().fully_completed());
+        assert_eq!(q.complete_page(tag, 2), Some(true), "the tag is done");
+        assert!(q.tag(tag).unwrap().fully_completed());
+        q.retire(tag).unwrap();
+        assert!(!q.commit_page(tag, 0, SimTime::ZERO), "retired tags reject");
+        assert_eq!(q.complete_page(tag, 0), None);
     }
 
     #[test]
@@ -1190,25 +1020,19 @@ mod tests {
     #[test]
     fn total_uncommitted_pages_sums_tags() {
         let mut q = DeviceQueue::new(4);
-        assert!(q.admit(TagId(0), host(0, 2), SimTime::ZERO, placements(2)));
-        assert!(q.admit(TagId(1), host(1, 5), SimTime::ZERO, placements(5)));
+        let first = admit(&mut q, host(0, 2));
+        let second = admit(&mut q, host(1, 5));
         assert_eq!(q.total_uncommitted_pages(), 7);
-        assert!(q.commit_page(TagId(1), 0, SimTime::ZERO));
+        assert!(q.commit_page(second, 0, SimTime::ZERO));
         assert_eq!(q.total_uncommitted_pages(), 6);
-        q.retire(TagId(0)).unwrap();
+        q.retire(first).unwrap();
         assert_eq!(q.total_uncommitted_pages(), 4);
     }
 
     #[test]
-    fn empty_placements_are_padded() {
-        let mut q = DeviceQueue::new(2);
-        assert!(q.admit(TagId(0), host(0, 3), SimTime::ZERO, Vec::new()));
-        assert_eq!(q.tag(TagId(0)).unwrap().placements.len(), 3);
-    }
-
-    #[test]
     fn tag_state_page_count() {
-        let state = TagState::new(TagId(1), host(1, 4), SimTime::ZERO, placements(4));
+        let placements = (0..4).map(placement).collect();
+        let state = TagState::new(TagId(1), host(1, 4), SimTime::ZERO, placements);
         assert_eq!(state.pages(), 4);
         assert_eq!(state.seq, 0);
     }
@@ -1216,59 +1040,39 @@ mod tests {
     #[test]
     fn admission_seqs_increase_with_arrival_order() {
         let mut q = DeviceQueue::new(4);
-        assert!(q.admit(TagId(9), host(9, 1), SimTime::ZERO, placements(1)));
-        assert!(q.admit(TagId(3), host(3, 1), SimTime::ZERO, placements(1)));
-        let (a, b) = (q.seq_of(TagId(9)).unwrap(), q.seq_of(TagId(3)).unwrap());
+        let first = admit(&mut q, host(9, 1));
+        let second = admit(&mut q, host(3, 1));
+        let (a, b) = (q.seq_of(first).unwrap(), q.seq_of(second).unwrap());
         assert!(a < b, "arrival order must be reflected in seqs");
-        q.retire(TagId(9)).unwrap();
-        assert!(q.admit(TagId(9), host(9, 1), SimTime::ZERO, placements(1)));
-        assert!(q.seq_of(TagId(9)).unwrap() > b, "seqs never repeat");
-    }
-
-    #[test]
-    fn tag_map_ring_handles_colliding_ids() {
-        let mut q = DeviceQueue::new(4);
-        // Ids 1 and 5 collide modulo the ring size (4): both must stay live.
-        assert!(q.admit(TagId(1), host(1, 1), SimTime::ZERO, placements(1)));
-        assert!(q.admit(TagId(5), host(5, 1), SimTime::ZERO, placements(1)));
-        assert!(q.admit(TagId(9), host(9, 1), SimTime::ZERO, placements(1)));
-        assert_eq!(q.tag(TagId(1)).unwrap().host.id, 1);
-        assert_eq!(q.tag(TagId(5)).unwrap().host.id, 5);
-        assert_eq!(q.tag(TagId(9)).unwrap().host.id, 9);
-        // Removing the ring occupant promotes a collider; both survive lookup.
-        q.retire(TagId(1)).unwrap();
-        assert!(q.tag(TagId(1)).is_none());
-        assert_eq!(q.tag(TagId(5)).unwrap().host.id, 5);
-        assert_eq!(q.tag(TagId(9)).unwrap().host.id, 9);
-        q.retire(TagId(9)).unwrap();
-        assert_eq!(q.tag(TagId(5)).unwrap().host.id, 5);
-        assert_eq!(q.slot_of(TagId(5)), q.slot_of(TagId(5)));
-        q.validate_candidate_index();
+        q.retire(first).unwrap();
+        let third = admit(&mut q, host(9, 1));
+        assert!(third < second, "the reused slot has the smaller number");
+        assert!(q.seq_of(third).unwrap() > b, "seqs never repeat");
     }
 
     #[test]
     fn chip_index_tracks_uncommitted_pages() {
         let mut q = DeviceQueue::new(4);
-        assert!(q.admit(TagId(0), host(0, 2), SimTime::ZERO, placements(2)));
-        assert!(q.admit(TagId(1), host(1, 2), SimTime::ZERO, placements(2)));
+        let first = admit(&mut q, host(0, 2));
+        let second = admit(&mut q, host(1, 2));
         assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![0, 1]);
         // Chip 0 holds page 0 of both tags, in arrival order.
         let chip0: Vec<(u32, TagId)> = q
             .chip_candidates(0)
-            .map(|(_, page, tag, _)| (page, tag))
+            .map(|(_, page, tag)| (page, tag))
             .collect();
-        assert_eq!(chip0, vec![(0, TagId(0)), (0, TagId(1))]);
-        assert!(q.commit_page(TagId(0), 0, SimTime::ZERO));
-        let chip0: Vec<TagId> = q.chip_candidates(0).map(|(_, _, tag, _)| tag).collect();
-        assert_eq!(chip0, vec![TagId(1)]);
-        q.retire(TagId(1)).unwrap();
+        assert_eq!(chip0, vec![(0, first), (0, second)]);
+        assert!(q.commit_page(first, 0, SimTime::ZERO));
+        let chip0: Vec<TagId> = q.chip_candidates(0).map(|(_, _, tag)| tag).collect();
+        assert_eq!(chip0, vec![second]);
+        q.retire(second).unwrap();
         assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
     fn chip_index_follows_placement_refreshes() {
         let mut q = DeviceQueue::new(4);
-        assert!(q.admit(TagId(0), read_host(0, 500, 1), SimTime::ZERO, placements(1)));
+        let tag = admit(&mut q, read_host(0, 500, 1));
         let moved = Placement {
             chip: 3,
             channel: 1,
@@ -1278,7 +1082,7 @@ mod tests {
         };
         q.refresh_placements(500, moved);
         assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![3]);
-        assert_eq!(q.tag(TagId(0)).unwrap().placements[0], moved);
+        assert_eq!(q.tag(tag).unwrap().placements[0], moved);
         q.validate_candidate_index();
         // A same-chip die/plane move rewrites the row's priority key too.
         let rotated = Placement {
@@ -1289,34 +1093,27 @@ mod tests {
             plane: 0,
         };
         q.refresh_placements(500, rotated);
-        assert_eq!(q.tag(TagId(0)).unwrap().placements[0], rotated);
+        assert_eq!(q.tag(tag).unwrap().placements[0], rotated);
         q.validate_candidate_index();
         // Committed pages are not rewritten.
-        assert!(q.commit_page(TagId(0), 0, SimTime::ZERO));
-        let back = Placement {
-            chip: 0,
-            channel: 0,
-            way: 0,
-            die: 0,
-            plane: 0,
-        };
-        q.refresh_placements(500, back);
-        assert_eq!(q.tag(TagId(0)).unwrap().placements[0], rotated);
+        assert!(q.commit_page(tag, 0, SimTime::ZERO));
+        q.refresh_placements(500, placement(0));
+        assert_eq!(q.tag(tag).unwrap().placements[0], rotated);
     }
 
     #[test]
     fn read_lpn_index_answers_hazard_queries() {
         let mut q = DeviceQueue::new(4);
-        assert!(q.admit(TagId(0), read_host(0, 100, 4), SimTime::ZERO, placements(4)));
-        let writer_seq = q.seq_of(TagId(0)).unwrap() + 1;
+        let reader = admit(&mut q, read_host(0, 100, 4));
+        let writer_seq = q.seq_of(reader).unwrap() + 1;
         assert!(q.has_blocking_read(102, writer_seq));
         assert!(!q.has_blocking_read(104, writer_seq));
         // Reads at or after the writer's seq do not block it.
-        assert!(!q.has_blocking_read(102, q.seq_of(TagId(0)).unwrap()));
-        assert!(q.commit_page(TagId(0), 2, SimTime::ZERO));
+        assert!(!q.has_blocking_read(102, q.seq_of(reader).unwrap()));
+        assert!(q.commit_page(reader, 2, SimTime::ZERO));
         assert!(!q.has_blocking_read(102, writer_seq));
         assert!(q.has_blocking_read(101, writer_seq));
-        q.retire(TagId(0)).unwrap();
+        q.retire(reader).unwrap();
         assert!(!q.has_blocking_read(101, writer_seq));
     }
 
@@ -1324,14 +1121,13 @@ mod tests {
     fn fua_horizon_is_constant_time_and_tracks_commitment() {
         let mut q = DeviceQueue::new(4);
         assert_eq!(q.horizon_seq(), u64::MAX);
-        assert!(q.admit(TagId(0), read_host(0, 0, 1), SimTime::ZERO, placements(1)));
-        let fua = host(1, 2).with_fua(true);
-        assert!(q.admit(TagId(1), fua, SimTime::ZERO, placements(2)));
-        assert!(q.admit(TagId(2), read_host(2, 50, 1), SimTime::ZERO, placements(1)));
-        assert_eq!(q.horizon_seq(), q.seq_of(TagId(1)).unwrap());
-        assert!(q.commit_page(TagId(1), 0, SimTime::ZERO));
-        assert_eq!(q.horizon_seq(), q.seq_of(TagId(1)).unwrap());
-        assert!(q.commit_page(TagId(1), 1, SimTime::ZERO));
+        admit(&mut q, read_host(0, 0, 1));
+        let fua = admit(&mut q, host(1, 2).with_fua(true));
+        admit(&mut q, read_host(2, 50, 1));
+        assert_eq!(q.horizon_seq(), q.seq_of(fua).unwrap());
+        assert!(q.commit_page(fua, 0, SimTime::ZERO));
+        assert_eq!(q.horizon_seq(), q.seq_of(fua).unwrap());
+        assert!(q.commit_page(fua, 1, SimTime::ZERO));
         assert_eq!(q.horizon_seq(), u64::MAX);
     }
 
@@ -1345,8 +1141,8 @@ mod tests {
         const IOS: u64 = 10_000;
         let mut q = DeviceQueue::new(DEPTH);
         let mut next_admit = 0u64;
-        let mut next_retire = 0u64;
-        while next_retire < IOS {
+        let mut retired = 0u64;
+        while retired < IOS {
             while next_admit < IOS && !q.is_full() {
                 let dir_read = next_admit.is_multiple_of(3);
                 let fua = next_admit.is_multiple_of(97);
@@ -1362,17 +1158,19 @@ mod tests {
                     3,
                 )
                 .with_fua(fua);
-                assert!(q.admit(TagId(next_admit), h, SimTime::ZERO, placements(3)));
+                let tag = admit(&mut q, h);
+                assert!(tag.0 < DEPTH as u64, "tag {tag} is not a slot");
                 next_admit += 1;
             }
             // Retire the oldest tag after committing and completing its pages.
-            let oldest = TagId(next_retire);
+            let oldest = q.tags_in_order().next().unwrap();
+            assert_eq!(q.tag(oldest).unwrap().host.id, retired);
             for page in 0..3 {
                 assert!(q.commit_page(oldest, page, SimTime::ZERO));
-                assert!(q.complete_page(oldest, page));
+                assert_eq!(q.complete_page(oldest, page), Some(page == 2));
             }
             assert!(q.retire(oldest).is_some());
-            next_retire += 1;
+            retired += 1;
 
             assert!(
                 q.allocated_slots() <= DEPTH,
@@ -1395,35 +1193,19 @@ mod tests {
     #[test]
     fn admit_with_fills_placements_and_recycles_storage() {
         let mut q = DeviceQueue::new(2);
-        assert!(q.admit_with(TagId(0), host(0, 3), SimTime::ZERO, |page| {
-            Placement {
-                chip: page as usize,
-                channel: 0,
-                way: page,
-                die: 0,
-                plane: 0,
-            }
-        }));
-        assert_eq!(q.tag(TagId(0)).unwrap().placements.len(), 3);
-        assert_eq!(q.tag(TagId(0)).unwrap().placements[2].chip, 2);
+        let first = admit(&mut q, host(0, 3));
+        assert_eq!(q.tag(first).unwrap().placements.len(), 3);
+        assert_eq!(q.tag(first).unwrap().placements[2].chip, 2);
         assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![0, 1, 2]);
 
-        let retired = q.retire(TagId(0)).unwrap();
+        let retired = q.retire(first).unwrap();
         q.recycle(retired);
         // A recycled state's buffers are reused and fully reset.
-        assert!(
-            q.admit_with(TagId(1), read_host(1, 10, 2), SimTime::ZERO, |_| {
-                Placement {
-                    chip: 5,
-                    channel: 0,
-                    way: 0,
-                    die: 0,
-                    plane: 0,
-                }
-            })
-        );
-        let tag = q.tag(TagId(1)).unwrap();
-        assert_eq!(tag.id, TagId(1));
+        let second = q
+            .admit(read_host(1, 10, 2), SimTime::ZERO, |_| placement(5))
+            .unwrap();
+        let tag = q.tag(second).unwrap();
+        assert_eq!(tag.id, second);
         assert_eq!(tag.pages(), 2);
         assert_eq!(tag.placements.len(), 2);
         assert_eq!(tag.uncommitted_count(), 2);
@@ -1432,11 +1214,12 @@ mod tests {
 
         // The pool is bounded by the queue capacity.
         for i in 0..10u64 {
+            let placements = vec![placement(0)];
             q.recycle(TagState::new(
                 TagId(100 + i),
                 host(100 + i, 1),
                 SimTime::ZERO,
-                placements(1),
+                placements,
             ));
         }
         assert!(q.spare_states.len() <= q.capacity());
@@ -1445,17 +1228,20 @@ mod tests {
     #[test]
     fn iter_states_matches_arrival_order_after_interior_retire() {
         let mut q = DeviceQueue::new(4);
-        for id in 0..4u64 {
-            assert!(q.admit(TagId(id), host(id, 1), SimTime::ZERO, placements(1)));
-        }
-        q.retire(TagId(1)).unwrap();
-        q.retire(TagId(2)).unwrap();
-        assert!(q.admit(TagId(4), host(4, 1), SimTime::ZERO, placements(1)));
+        let tags: Vec<TagId> = (0..4u64).map(|id| admit(&mut q, host(id, 1))).collect();
+        q.retire(tags[1]).unwrap();
+        q.retire(tags[2]).unwrap();
+        let late = admit(&mut q, host(4, 1));
+        // The late tag reuses a freed slot number yet still queues last.
+        assert!(late < tags[3]);
         assert_eq!(
             q.tags_in_order().collect::<Vec<_>>(),
-            vec![TagId(0), TagId(3), TagId(4)]
+            vec![tags[0], tags[3], late]
         );
+        let hosts: Vec<u64> = q.iter_states().map(|s| s.host.id).collect();
+        assert_eq!(hosts, vec![0, 3, 4]);
         let seqs: Vec<u64> = q.iter_states().map(|s| s.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+        q.validate_candidate_index();
     }
 }

@@ -41,7 +41,19 @@ impl fmt::Display for Direction {
     }
 }
 
-/// Identifier of a device-queue tag (one admitted host I/O request).
+/// Identifier of a device-queue tag (one admitted host I/O request): the
+/// index of the queue slot the request occupies, as an NCQ tag names its
+/// queue entry.
+///
+/// A tag is valid from [`DeviceQueue::admit`] until [`DeviceQueue::retire`];
+/// after that its number names the next request admitted into the same slot.
+/// `Ssd` holds no tag past retirement, since a tag retires only after its
+/// last memory request has left the slab.  Arrival order is the admission
+/// sequence ([`TagState::seq`]), never the tag value.
+///
+/// [`DeviceQueue::admit`]: crate::queue::DeviceQueue::admit
+/// [`DeviceQueue::retire`]: crate::queue::DeviceQueue::retire
+/// [`TagState::seq`]: crate::queue::TagState::seq
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TagId(pub u64);
 

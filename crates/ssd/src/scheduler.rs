@@ -22,6 +22,10 @@ pub use crate::ledger::ChipOccupancy;
 
 /// One scheduling decision: compose and commit the memory request for page
 /// `page` of tag `tag`.
+///
+/// The tag is valid for the round that produced it: no tag retires, and so
+/// no tag number is reused, while the substrate applies a round's
+/// commitments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Commitment {
     /// The tag whose page is being committed.
@@ -187,16 +191,14 @@ mod tests {
         let mut q = DeviceQueue::new(8);
         for t in 0..2u64 {
             let host = HostRequest::new(t, SimTime::ZERO, Direction::Read, Lpn::new(t * 10), 3);
-            let placements = (0..3)
-                .map(|i| Placement {
-                    chip: (t as usize + i) % geometry.total_chips(),
-                    channel: 0,
-                    way: 0,
-                    die: 0,
-                    plane: i as u32 % geometry.planes_per_die as u32,
-                })
-                .collect();
-            assert!(q.admit(TagId(t), host, SimTime::ZERO, placements));
+            let placement = |i: u32| Placement {
+                chip: (t as usize + i as usize) % geometry.total_chips(),
+                channel: 0,
+                way: 0,
+                die: 0,
+                plane: i % geometry.planes_per_die as u32,
+            };
+            assert_eq!(q.admit(host, SimTime::ZERO, placement), Some(TagId(t)));
         }
         q
     }

@@ -222,7 +222,6 @@ pub struct Ssd {
     /// readdressing penalty (schedulers without `on_readdress` only).
     readdressed_lpns: Vec<u64>,
 
-    next_tag: u64,
     next_mreq: u64,
     /// Host write pages the FTL could not place.
     failed_writes: u64,
@@ -308,7 +307,6 @@ impl Ssd {
             telemetry,
             gc_jobs: vec![None; gc_planes],
             readdressed_lpns: Vec::new(),
-            next_tag: 0,
             next_mreq: 0,
             failed_writes: 0,
             metrics,
@@ -527,17 +525,18 @@ impl Ssd {
             let Some(request) = self.waiting_host.pop_front() else {
                 break;
             };
-            let tag = TagId(self.next_tag);
-            self.next_tag += 1;
             self.metrics.record_admission(request.arrival, now);
-            // `admit_with` fills placements straight from the FTL preview into
-            // the tag's (possibly recycled) placement buffer — no intermediate
-            // Vec per admission.
+            // Placements go straight from the FTL preview into the tag's
+            // (possibly recycled) placement buffer — no intermediate Vec per
+            // admission.
             let ftl = &self.ftl;
-            let admitted = self.queue.admit_with(tag, request, now, |page| {
+            let admitted = self.queue.admit(request, now, |page| {
                 ftl.preview(request.lpn_at(page), request.direction)
             });
-            debug_assert!(admitted, "admission into a non-full queue must succeed");
+            debug_assert!(
+                admitted.is_some(),
+                "admission into a non-full queue must succeed"
+            );
         }
     }
 
@@ -575,12 +574,7 @@ impl Ssd {
 
     fn commit_memory_request(&mut self, tag_id: TagId, page: u32, now: SimTime) {
         let page_size = self.config.page_size() as u64;
-        // One tag-id lookup resolves the dense slot handle; everything below
-        // (state access, commitment, retirement) goes through the handle.
-        let Some(slot) = self.queue.slot_of(tag_id) else {
-            return;
-        };
-        let Some(tag) = self.queue.state_at(slot as usize) else {
+        let Some(tag) = self.queue.tag(tag_id) else {
             return;
         };
         if page as usize >= tag.pages() {
@@ -596,7 +590,7 @@ impl Ssd {
             return;
         }
         let host = tag.host;
-        if !self.queue.commit_page_at(slot, page, now) {
+        if !self.queue.commit_page(tag_id, page, now) {
             return;
         }
         self.ledger.commit(chip);
@@ -804,12 +798,16 @@ impl Ssd {
             // the ledger audits that this retirement has a matching charge
             // instead of silently saturating.
             self.ledger.retire(chip);
-            let finished = self
-                .queue
-                .slot_of(tag_id)
-                .filter(|&slot| self.queue.complete_page_at(slot, page) == Some(true));
+            let finished = self.queue.complete_page(tag_id, page) == Some(true);
             self.scheduler.on_complete(tag_id, page);
-            if let Some(state) = finished.and_then(|slot| self.queue.retire_at(slot)) {
+            // A tag retires only after its last memory request has left the
+            // slab, so nothing holds its number once an admission reuses it.
+            let retired = if finished {
+                self.queue.retire(tag_id)
+            } else {
+                None
+            };
+            if let Some(state) = retired {
                 let host = state.host;
                 let bytes = host.bytes(self.config.page_size());
                 self.metrics

@@ -257,19 +257,15 @@ fn desynchronized_ledger_is_caught() {
 
     let mut queue = DeviceQueue::new(4);
     let host = HostRequest::new(0, SimTime::ZERO, Direction::Write, Lpn::new(0), 2);
-    let placements = vec![
-        Placement {
-            chip: 0,
-            channel: 0,
-            way: 0,
-            die: 0,
-            plane: 0,
-        };
-        2
-    ];
-    assert!(queue.admit(TagId(7), host, SimTime::ZERO, placements));
-    let slot = queue.slot_of(TagId(7)).unwrap();
-    assert!(queue.commit_page_at(slot, 0, SimTime::ZERO));
+    let placement = Placement {
+        chip: 0,
+        channel: 0,
+        way: 0,
+        die: 0,
+        plane: 0,
+    };
+    let tag = queue.admit(host, SimTime::ZERO, |_| placement).unwrap();
+    assert!(queue.commit_page(tag, 0, SimTime::ZERO));
 
     // One page is committed on chip 0, but this ledger was never charged.
     let ledger = CommitmentLedger::new(4, 8);

@@ -49,6 +49,40 @@ fn arb_requests(max: usize) -> impl Strategy<Value = Vec<HostRequest>> {
     })
 }
 
+/// A small random device for the configuration fuzz: 1–3 channels of 1–3
+/// chips, 1–3 blocks of 1–8 pages, a queue depth and commit cap of 1–16, any
+/// allocation policy, and die and plane counts that are half the time at
+/// most 8 and otherwise up to 128 — twice what the scheduler's candidate key
+/// can tell apart.
+fn arb_small_config() -> impl Strategy<Value = SsdConfig> {
+    let fan_out = || prop_oneof![1usize..9, 1usize..129];
+    (
+        (1usize..4, 1usize..4, fan_out(), fan_out()),
+        (1usize..4, 1usize..9),
+        (1usize..17, 1usize..17, 0usize..3),
+    )
+        .prop_map(
+            |((channels, chips, dies, planes), (blocks, pages), (depth, cap, policy))| {
+                let mut config = SsdConfig::small_test();
+                let g = &mut config.geometry;
+                g.channels = channels;
+                g.chips_per_channel = chips;
+                g.dies_per_chip = dies;
+                g.planes_per_die = planes;
+                g.blocks_per_plane = blocks;
+                g.pages_per_block = pages;
+                config.queue_depth = depth;
+                config.max_committed_per_chip = cap;
+                config.allocation = [
+                    AllocationPolicy::ChannelWayDiePlane,
+                    AllocationPolicy::WayChannelDiePlane,
+                    AllocationPolicy::DiePlaneChannelWay,
+                ][policy];
+                config
+            },
+        )
+}
+
 /// Runs `steps` — `(kind, raw LPN, plane)`: kinds 0–5 write, 6–8 read, 9
 /// collects the plane, or writes past the logical space when the raw LPN is
 /// odd — on a `small_test` FTL, checking it against a `HashMap` model after
@@ -279,6 +313,41 @@ proptest! {
         let metrics = ssd.run(requests);
         prop_assert_eq!(metrics.io_count, expected);
         prop_assert!(metrics.avg_latency_ns > 0.0);
+    }
+
+    /// `SsdConfig::validate` is the only check a config passes before a
+    /// device is built: for any small device it either refuses the config
+    /// with a typed error, which `Ssd::new` returns too, or the device it
+    /// accepts completes a short multi-page mixed replay, FUA included,
+    /// under VAS and SPK3.
+    #[test]
+    fn validated_configs_complete_every_io(
+        config in arb_small_config(),
+        specs in prop::collection::vec(
+            (0u64..100, arb_direction(), 0u64..1 << 32, 1u32..40, 0u8..6),
+            1..8,
+        ),
+    ) {
+        if let Err(error) = config.validate() {
+            let built = Ssd::new(config, SchedulerKind::Vas.build());
+            prop_assert_eq!(built.err(), Some(error));
+            return;
+        }
+        let space = config.geometry.total_pages() as u64;
+        let requests: Vec<HostRequest> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, dir, lpn, pages, fua))| {
+                let start = lpn % space;
+                let pages = pages.min((space - start) as u32);
+                HostRequest::new(i as u64, SimTime::from_micros(at), dir, Lpn::new(start), pages)
+                    .with_fua(fua == 0)
+            })
+            .collect();
+        for kind in [SchedulerKind::Vas, SchedulerKind::Spk3] {
+            let metrics = Ssd::new(config.clone(), kind.build()).unwrap().run(requests.clone());
+            prop_assert_eq!(metrics.io_count, requests.len() as u64, "{} lost I/Os", kind);
+        }
     }
 
     /// Byte accounting matches the requested transfer sizes exactly.
