@@ -117,38 +117,6 @@ impl PhysicalPageAddr {
             way: self.way,
         }
     }
-
-    /// True if `other` lives on the same chip.
-    pub fn same_chip(&self, other: &PhysicalPageAddr) -> bool {
-        self.channel == other.channel && self.way == other.way
-    }
-
-    /// True if `other` lives on the same die of the same chip.
-    pub fn same_die(&self, other: &PhysicalPageAddr) -> bool {
-        self.same_chip(other) && self.die == other.die
-    }
-
-    /// True if `other` lives on the same plane of the same die.
-    pub fn same_plane(&self, other: &PhysicalPageAddr) -> bool {
-        self.same_die(other) && self.plane == other.plane
-    }
-
-    /// True if `other` addresses the same block.
-    pub fn same_block(&self, other: &PhysicalPageAddr) -> bool {
-        self.same_plane(other) && self.block == other.block
-    }
-
-    /// Returns a copy addressing a different page of the same block.
-    pub fn with_page(mut self, page: u32) -> Self {
-        self.page = page;
-        self
-    }
-
-    /// Returns a copy addressing a different block of the same plane.
-    pub fn with_block(mut self, block: u32) -> Self {
-        self.block = block;
-        self
-    }
 }
 
 impl fmt::Display for PhysicalPageAddr {
@@ -186,36 +154,6 @@ mod tests {
     fn chip_location_display() {
         let loc = ChipLocation { channel: 3, way: 1 };
         assert_eq!(loc.to_string(), "ch3w1");
-    }
-
-    #[test]
-    fn addr_relations() {
-        let g = FlashGeometry::small_test();
-        let a = g.page_addr(0, 1, 1, 0, 2, 3);
-        let same_plane = g.page_addr(0, 1, 1, 0, 4, 7);
-        let same_die = g.page_addr(0, 1, 1, 1, 2, 3);
-        let same_chip = g.page_addr(0, 1, 0, 0, 2, 3);
-        let other_chip = g.page_addr(1, 1, 1, 0, 2, 3);
-
-        assert!(a.same_plane(&same_plane));
-        assert!(!a.same_block(&same_plane));
-        assert!(a.same_die(&same_plane));
-        assert!(a.same_chip(&same_die));
-        assert!(a.same_die(&same_die));
-        assert!(!a.same_plane(&same_die));
-        assert!(a.same_chip(&same_chip));
-        assert!(!a.same_die(&same_chip));
-        assert!(!a.same_chip(&other_chip));
-        assert!(a.same_block(&a));
-    }
-
-    #[test]
-    fn addr_with_modifiers() {
-        let g = FlashGeometry::small_test();
-        let a = g.page_addr(0, 0, 0, 0, 1, 1);
-        assert_eq!(a.with_page(5).page, 5);
-        assert_eq!(a.with_block(3).block, 3);
-        assert_eq!(a.with_page(5).block, 1);
     }
 
     #[test]

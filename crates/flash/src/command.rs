@@ -2,13 +2,13 @@
 //!
 //! NAND flash chips are driven through a narrow multiplexed interface: every
 //! operation is a sequence of *command cycles*, *address cycles*, and *data cycles*
-//! on the shared bus.  This module counts, for a whole [`FlashTransaction`], the
+//! on the shared bus.  This module counts, for a whole flash transaction, the
 //! latch cycles and payload bytes of the bus phases before and after its cell
 //! operation ([`BusPhaseCounts`]), which the timing model converts into bus
 //! occupancy.  Its tests pin those counts against the materialized ONFI command
 //! sequence.
 
-use crate::transaction::{FlashOp, FlashTransaction};
+use crate::transaction::FlashOp;
 
 /// Number of address bytes latched per page-addressed command (2 column + 3 row).
 pub const ADDRESS_CYCLES_PAGE: u32 = 5;
@@ -24,17 +24,14 @@ pub const ADDRESS_CYCLES_BLOCK: u32 = 3;
 /// # Example
 ///
 /// ```
-/// use sprinkler_flash::{BusPhaseCounts, FlashGeometry, FlashOp, TransactionBuilder};
+/// use sprinkler_flash::{BusPhaseCounts, FlashOp};
 ///
-/// let g = FlashGeometry::paper_default();
-/// let mut b = TransactionBuilder::new(FlashOp::Read, g.clone());
-/// b.try_add(g.page_addr(0, 0, 0, 0, 3, 1)).unwrap();
-/// let txn = b.build().unwrap();
-/// // 00h, five address bytes, 30h; a read moves no payload in.
-/// let issue = BusPhaseCounts::issue_of(&txn);
+/// // A one-page read of a 2 KB page: 00h, five address bytes, 30h; a read
+/// // moves no payload in.
+/// let issue = BusPhaseCounts::issue_of(FlashOp::Read, 1, 2048);
 /// assert_eq!((issue.latch_cycles, issue.payload_bytes), (7, 0));
 /// // The page streams out after the cell phase.
-/// assert_eq!(BusPhaseCounts::completion_of(&txn).payload_bytes, 2048);
+/// assert_eq!(BusPhaseCounts::completion_of(FlashOp::Read, 1, 2048).payload_bytes, 2048);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusPhaseCounts {
@@ -45,12 +42,13 @@ pub struct BusPhaseCounts {
 }
 
 impl BusPhaseCounts {
-    /// Closed-form issue-phase counts for `txn` (commands, addresses, and
-    /// program data-in), equal to the materialized sequence's totals.
-    pub fn issue_of(txn: &FlashTransaction) -> Self {
-        let n = txn.requests().len() as u32;
-        let page_bytes = txn.page_size() as u64;
-        match txn.op() {
+    /// Closed-form issue-phase counts for an `op` transaction of `requests`
+    /// pages of `page_size` bytes (commands, addresses, and program data-in),
+    /// equal to the materialized sequence's totals.
+    pub fn issue_of(op: FlashOp, requests: usize, page_size: usize) -> Self {
+        let n = requests as u32;
+        let page_bytes = page_size as u64;
+        match op {
             // Per request: setup + confirm commands and a page address.
             FlashOp::Read => BusPhaseCounts {
                 latch_cycles: n * (2 + ADDRESS_CYCLES_PAGE),
@@ -70,13 +68,14 @@ impl BusPhaseCounts {
         }
     }
 
-    /// Closed-form completion-phase counts for `txn` (random-data-out
-    /// streaming for reads, status polling for all ops), equal to the
-    /// materialized sequence's totals.
-    pub fn completion_of(txn: &FlashTransaction) -> Self {
-        let n = txn.requests().len() as u32;
-        let page_bytes = txn.page_size() as u64;
-        match txn.op() {
+    /// Closed-form completion-phase counts for an `op` transaction of
+    /// `requests` pages of `page_size` bytes (random-data-out streaming for
+    /// reads, status polling for all ops), equal to the materialized
+    /// sequence's totals.
+    pub fn completion_of(op: FlashOp, requests: usize, page_size: usize) -> Self {
+        let n = requests as u32;
+        let page_bytes = page_size as u64;
+        match op {
             // Per request: random-data-out setup + confirm commands and a page
             // address, then the page streamed out; one final status read.
             FlashOp::Read => BusPhaseCounts {
@@ -97,8 +96,9 @@ mod tests {
     use std::fmt;
 
     use super::*;
-    use crate::geometry::FlashGeometry;
-    use crate::transaction::TransactionBuilder;
+
+    /// The paper geometry's page size.
+    const PAGE_BYTES: usize = 2048;
 
     /// The ONFI command opcodes the simulated controller issues.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -190,17 +190,17 @@ mod tests {
     }
 
     impl CommandSequence {
-        /// Builds the command sequence a controller issues for `txn`.
+        /// Builds the command sequence a controller issues for an `op`
+        /// transaction of `n` pages of [`PAGE_BYTES`] each.
         ///
         /// Multi-request transactions use the multi-plane / interleaved queueing
         /// commands: every request but the last is queued with a `11h`/`32h`/`D1h`
         /// style command, and the last request carries the final confirm.
-        fn for_transaction(txn: &FlashTransaction) -> Self {
-            let n = txn.requests().len() as u32;
-            let page_bytes = txn.page_size() as u32;
+        fn for_transaction(op: FlashOp, n: u32) -> Self {
+            let page_bytes = PAGE_BYTES as u32;
             let mut issue = Vec::new();
             let mut completion = Vec::new();
-            match txn.op() {
+            match op {
                 FlashOp::Read => {
                     for i in 0..n {
                         issue.push(BusCycleKind::Command(FlashCommand::ReadSetup));
@@ -328,15 +328,6 @@ mod tests {
         }
     }
 
-    fn txn(op: FlashOp, planes: &[(u32, u32)]) -> FlashTransaction {
-        let g = FlashGeometry::paper_default();
-        let mut b = TransactionBuilder::new(op, g.clone());
-        for &(die, plane) in planes {
-            b.try_add(g.page_addr(0, 0, die, plane, 1, 0)).unwrap();
-        }
-        b.build().unwrap()
-    }
-
     #[test]
     fn opcodes_match_onfi_values() {
         assert_eq!(FlashCommand::ReadSetup.opcode(), 0x00);
@@ -351,7 +342,7 @@ mod tests {
 
     #[test]
     fn single_read_sequence() {
-        let seq = CommandSequence::for_transaction(&txn(FlashOp::Read, &[(0, 0)]));
+        let seq = CommandSequence::for_transaction(FlashOp::Read, 1);
         assert_eq!(seq.issue_command_cycles(), 2); // 00h + 30h
         assert_eq!(seq.issue_address_cycles(), ADDRESS_CYCLES_PAGE);
         assert_eq!(seq.data_in_bytes(), 0);
@@ -361,7 +352,7 @@ mod tests {
 
     #[test]
     fn multiplane_read_uses_queue_confirms() {
-        let seq = CommandSequence::for_transaction(&txn(FlashOp::Read, &[(0, 0), (0, 1), (1, 0)]));
+        let seq = CommandSequence::for_transaction(FlashOp::Read, 3);
         // 3 setups + 2 queue confirms + 1 final confirm
         assert_eq!(seq.issue_command_cycles(), 6);
         assert_eq!(seq.issue_address_cycles(), 3 * ADDRESS_CYCLES_PAGE);
@@ -377,7 +368,7 @@ mod tests {
 
     #[test]
     fn program_sequence_moves_data_in() {
-        let seq = CommandSequence::for_transaction(&txn(FlashOp::Program, &[(0, 0), (1, 1)]));
+        let seq = CommandSequence::for_transaction(FlashOp::Program, 2);
         assert_eq!(seq.data_in_bytes(), 2 * 2048);
         assert_eq!(seq.data_out_bytes(), 0);
         // 2 setups + 1 queue + 1 confirm
@@ -391,7 +382,7 @@ mod tests {
 
     #[test]
     fn erase_sequence_has_no_payload() {
-        let seq = CommandSequence::for_transaction(&txn(FlashOp::Erase, &[(0, 0), (1, 0)]));
+        let seq = CommandSequence::for_transaction(FlashOp::Erase, 2);
         assert_eq!(seq.data_in_bytes(), 0);
         assert_eq!(seq.data_out_bytes(), 0);
         assert_eq!(seq.issue_address_cycles(), 2 * ADDRESS_CYCLES_BLOCK);
@@ -400,39 +391,31 @@ mod tests {
 
     #[test]
     fn completion_phase_of_program_is_status_only() {
-        let seq = CommandSequence::for_transaction(&txn(FlashOp::Program, &[(0, 0)]));
+        let seq = CommandSequence::for_transaction(FlashOp::Program, 1);
         assert_eq!(seq.completion_command_cycles(), 1);
         assert_eq!(seq.completion_address_cycles(), 0);
     }
 
     /// The closed-form counts the timing hot path uses must equal the
-    /// materialized command sequence, for every op and folding degree.
+    /// materialized command sequence, for every op and folding degree.  An
+    /// erase is given the page size too: it still moves no payload.
     #[test]
     fn closed_form_counts_match_the_materialized_sequence() {
-        let shapes: &[&[(u32, u32)]] = &[
-            &[(0, 0)],
-            &[(0, 0), (0, 1)],
-            &[(0, 0), (0, 1), (1, 0)],
-            &[(0, 0), (0, 1), (1, 0), (1, 1)],
-        ];
         for op in [FlashOp::Read, FlashOp::Program, FlashOp::Erase] {
-            for planes in shapes {
-                let txn = txn(op, planes);
-                let seq = CommandSequence::for_transaction(&txn);
-                let issue = BusPhaseCounts::issue_of(&txn);
+            for n in 1..=8 {
+                let seq = CommandSequence::for_transaction(op, n);
+                let issue = BusPhaseCounts::issue_of(op, n as usize, PAGE_BYTES);
                 assert_eq!(
                     issue.latch_cycles,
                     seq.issue_command_cycles() + seq.issue_address_cycles(),
-                    "{op:?} x{}: issue latch cycles",
-                    planes.len(),
+                    "{op:?} x{n}: issue latch cycles",
                 );
                 assert_eq!(issue.payload_bytes, seq.data_in_bytes());
-                let completion = BusPhaseCounts::completion_of(&txn);
+                let completion = BusPhaseCounts::completion_of(op, n as usize, PAGE_BYTES);
                 assert_eq!(
                     completion.latch_cycles,
                     seq.completion_command_cycles() + seq.completion_address_cycles(),
-                    "{op:?} x{}: completion latch cycles",
-                    planes.len(),
+                    "{op:?} x{n}: completion latch cycles",
                 );
                 assert_eq!(completion.payload_bytes, seq.data_out_bytes());
             }

@@ -16,14 +16,6 @@ pub enum FlashError {
         /// Which coordinate was out of range.
         field: &'static str,
     },
-    /// A request could not be coalesced into a transaction (wrong chip, wrong
-    /// operation, or a plane/die conflict).
-    CoalesceConflict {
-        /// Human readable reason for the rejection.
-        reason: &'static str,
-    },
-    /// Attempted to build an empty transaction.
-    EmptyTransaction,
     /// A geometry parameter was zero or otherwise invalid.
     InvalidGeometry {
         /// Which parameter is invalid.
@@ -37,10 +29,6 @@ impl fmt::Display for FlashError {
             FlashError::AddressOutOfRange { addr, field } => {
                 write!(f, "address {addr} out of range in field {field}")
             }
-            FlashError::CoalesceConflict { reason } => {
-                write!(f, "cannot coalesce request into transaction: {reason}")
-            }
-            FlashError::EmptyTransaction => write!(f, "transaction contains no requests"),
             FlashError::InvalidGeometry { field } => {
                 write!(f, "invalid flash geometry: {field} must be non-zero")
             }
@@ -64,10 +52,6 @@ mod tests {
                 addr,
                 field: "plane",
             },
-            FlashError::CoalesceConflict {
-                reason: "different chip",
-            },
-            FlashError::EmptyTransaction,
             FlashError::InvalidGeometry { field: "channels" },
         ];
         for err in cases {

@@ -11,30 +11,29 @@
 //!   read latency and the 200–2200 µs MLC program-latency variation, and erase time.
 //! * [`BusPhaseCounts`] — the command, address, and data bus cycles a flash
 //!   controller issues before and after each transaction's cell operation.
-//! * [`FlashTransaction`] / [`ParallelismLevel`] — a coalesced group of page-level
-//!   requests executed as a single chip operation, classified into NON-PAL, PAL1
-//!   (plane sharing), PAL2 (die interleaving), or PAL3 (both).
+//! * [`FlashOp`] / [`ParallelismLevel`] — a transaction's operation, and its
+//!   classification into NON-PAL, PAL1 (plane sharing), PAL2 (die
+//!   interleaving), or PAL3 (both).
 //!
-//! A chip runs one transaction at a time; the SSD layer (`sprinkler_ssd`)
-//! tracks which chips are busy and sums their busy time from these timings.
+//! A chip runs one transaction at a time.  The SSD layer (`sprinkler_ssd`)
+//! folds each chip's pending page requests into transactions, at most one per
+//! (die, plane), tracks which chips are busy, and sums their busy time from
+//! these timings.
 //!
 //! # Example
 //!
 //! ```
-//! use sprinkler_flash::{FlashGeometry, FlashTiming, FlashOp, TransactionBuilder};
+//! use sprinkler_flash::{FlashGeometry, FlashOp, FlashTiming, ParallelismLevel};
 //!
 //! let geometry = FlashGeometry::paper_default();
 //! let timing = FlashTiming::paper_default();
 //!
-//! // Coalesce two requests on different dies of chip (0, 0) into one transaction.
-//! let mut builder = TransactionBuilder::new(FlashOp::Read, geometry.clone());
-//! builder.try_add(geometry.page_addr(0, 0, 0, 0, 10, 0)).unwrap();
-//! builder.try_add(geometry.page_addr(0, 0, 1, 0, 10, 0)).unwrap();
-//! let txn = builder.build().unwrap();
-//!
-//! assert_eq!(txn.requests().len(), 2);
-//! let cell = timing.cell_time(&txn);
-//! assert_eq!(cell, timing.read_latency());          // dies overlap
+//! // Two reads on different dies of one chip fold into one die-interleaved
+//! // transaction whose cell phases overlap.
+//! assert_eq!(ParallelismLevel::of(2, 2), ParallelismLevel::Pal2);
+//! assert_eq!(timing.cell_latency(FlashOp::Read, 0), timing.read_latency());
+//! let issue = timing.issue_bus_time(FlashOp::Read, 2, geometry.page_size);
+//! assert!(issue > timing.issue_bus_time(FlashOp::Read, 1, geometry.page_size));
 //! ```
 
 #![warn(missing_docs)]
@@ -52,4 +51,4 @@ pub use command::BusPhaseCounts;
 pub use error::FlashError;
 pub use geometry::FlashGeometry;
 pub use timing::{FlashTiming, OnfiMode, ProgramLatencyModel};
-pub use transaction::{FlashOp, FlashTransaction, ParallelismLevel, TransactionBuilder};
+pub use transaction::{FlashOp, ParallelismLevel};

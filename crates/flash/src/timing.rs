@@ -9,7 +9,7 @@
 use sprinkler_sim::Duration;
 
 use crate::command::BusPhaseCounts;
-use crate::transaction::{FlashOp, FlashTransaction};
+use crate::transaction::FlashOp;
 
 /// ONFI interface speed grades.  The paper notes vendors ship ONFI 2.x rather than
 /// the 400 MHz interface even for PCIe SSDs.
@@ -186,55 +186,34 @@ impl FlashTiming {
         }
     }
 
-    /// Time for the bus (issue) phase of a transaction: command and address latch
-    /// cycles plus program payload transfer into the chip.  Uses the
-    /// closed-form [`BusPhaseCounts`] — this runs once per transaction on the
+    /// Cell-array time of one page request of `op` at `page_offset` within
+    /// its block.  A transaction's members on different dies/planes overlap,
+    /// so its cell time is the *maximum* over its members (this is exactly
+    /// why die interleaving and plane sharing pay off).
+    pub fn cell_latency(&self, op: FlashOp, page_offset: u32) -> Duration {
+        match op {
+            FlashOp::Read => self.read_latency,
+            FlashOp::Program => self.program_latency(page_offset),
+            FlashOp::Erase => self.erase_latency,
+        }
+    }
+
+    /// Time for the bus (issue) phase of an `op` transaction of `requests`
+    /// pages of `page_size` bytes: command and address latch cycles plus
+    /// program payload transfer into the chip.  Uses the closed-form
+    /// [`BusPhaseCounts`] — this runs once per transaction on the
     /// simulator's hot path and must not allocate.
-    pub fn issue_bus_time(&self, txn: &FlashTransaction) -> Duration {
-        let counts = BusPhaseCounts::issue_of(txn);
+    pub fn issue_bus_time(&self, op: FlashOp, requests: usize, page_size: usize) -> Duration {
+        let counts = BusPhaseCounts::issue_of(op, requests, page_size);
         self.cycles_time(counts.latch_cycles, counts.payload_bytes) + self.decision_overhead
     }
 
     /// Time for the completion phase on the bus: read payload transfer out of the
     /// chip plus status polling.  Closed-form, alloc-free (see
     /// [`Self::issue_bus_time`]).
-    pub fn completion_bus_time(&self, txn: &FlashTransaction) -> Duration {
-        let counts = BusPhaseCounts::completion_of(txn);
+    pub fn completion_bus_time(&self, op: FlashOp, requests: usize, page_size: usize) -> Duration {
+        let counts = BusPhaseCounts::completion_of(op, requests, page_size);
         self.cycles_time(counts.latch_cycles, counts.payload_bytes)
-    }
-
-    /// Cell-array time of the transaction.  Requests on different dies/planes
-    /// overlap, so the transaction's array time is the *maximum* of its members'
-    /// latencies (this is exactly why die interleaving and plane sharing pay off).
-    pub fn cell_time(&self, txn: &FlashTransaction) -> Duration {
-        txn.requests()
-            .iter()
-            .map(|r| match txn.op() {
-                FlashOp::Read => self.read_latency,
-                FlashOp::Program => self.program_latency(r.page),
-                FlashOp::Erase => self.erase_latency,
-            })
-            .max()
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// The cell time the same requests would need if executed as individual,
-    /// serialized transactions (used to quantify FLP savings).
-    pub fn serialized_cell_time(&self, txn: &FlashTransaction) -> Duration {
-        txn.requests()
-            .iter()
-            .map(|r| match txn.op() {
-                FlashOp::Read => self.read_latency,
-                FlashOp::Program => self.program_latency(r.page),
-                FlashOp::Erase => self.erase_latency,
-            })
-            .sum()
-    }
-
-    /// End-to-end service time of a transaction when the chip and channel are both
-    /// idle: issue bus phase + cell phase + completion bus phase.
-    pub fn unloaded_service_time(&self, txn: &FlashTransaction) -> Duration {
-        self.issue_bus_time(txn) + self.cell_time(txn) + self.completion_bus_time(txn)
     }
 
     /// Raw payload transfer time for `bytes` on this bus.
@@ -251,26 +230,9 @@ impl FlashTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::FlashGeometry;
-    use crate::transaction::TransactionBuilder;
 
-    fn read_txn(planes: &[(u32, u32)]) -> FlashTransaction {
-        let g = FlashGeometry::paper_default();
-        let mut b = TransactionBuilder::new(FlashOp::Read, g.clone());
-        for &(die, plane) in planes {
-            b.try_add(g.page_addr(0, 0, die, plane, 1, 0)).unwrap();
-        }
-        b.build().unwrap()
-    }
-
-    fn program_txn(pages: &[(u32, u32, u32)]) -> FlashTransaction {
-        let g = FlashGeometry::paper_default();
-        let mut b = TransactionBuilder::new(FlashOp::Program, g.clone());
-        for &(die, plane, page) in pages {
-            b.try_add(g.page_addr(0, 0, die, plane, 1, page)).unwrap();
-        }
-        b.build().unwrap()
-    }
+    /// The paper geometry's page size.
+    const PAGE: usize = 2048;
 
     #[test]
     fn onfi_modes_have_sane_rates() {
@@ -294,6 +256,9 @@ mod tests {
         assert_eq!(t.program_latency(3), Duration::from_micros(2200));
         assert_eq!(t.erase_latency(), Duration::from_micros(1500));
         assert_eq!(t.bus_mode(), OnfiMode::Ddr166);
+        assert_eq!(t.cell_latency(FlashOp::Read, 1), t.read_latency());
+        assert_eq!(t.cell_latency(FlashOp::Program, 3), t.program_latency(3));
+        assert_eq!(t.cell_latency(FlashOp::Erase, 0), t.erase_latency());
     }
 
     #[test]
@@ -317,59 +282,24 @@ mod tests {
     }
 
     #[test]
-    fn cell_time_overlaps_across_planes_and_dies() {
-        let t = FlashTiming::paper_default();
-        let single = read_txn(&[(0, 0)]);
-        let quad = read_txn(&[(0, 0), (0, 1), (1, 0), (1, 1)]);
-        assert_eq!(t.cell_time(&single), Duration::from_micros(20));
-        assert_eq!(t.cell_time(&quad), Duration::from_micros(20));
-        assert_eq!(t.serialized_cell_time(&quad), Duration::from_micros(80));
-    }
-
-    #[test]
-    fn program_cell_time_takes_slowest_page() {
-        let t = FlashTiming::paper_default();
-        let fast_only = program_txn(&[(0, 0, 0), (0, 1, 2)]);
-        let mixed = program_txn(&[(0, 0, 0), (1, 0, 3)]);
-        assert_eq!(t.cell_time(&fast_only), Duration::from_micros(200));
-        assert_eq!(t.cell_time(&mixed), Duration::from_micros(2200));
-    }
-
-    #[test]
     fn issue_bus_time_scales_with_requests_and_payload() {
         let t = FlashTiming::paper_default();
-        let one = read_txn(&[(0, 0)]);
-        let two = read_txn(&[(0, 0), (1, 0)]);
-        assert!(t.issue_bus_time(&two) > t.issue_bus_time(&one));
+        let read = |n| t.issue_bus_time(FlashOp::Read, n, PAGE);
+        assert!(read(2) > read(1));
 
-        let p_one = program_txn(&[(0, 0, 0)]);
-        let p_two = program_txn(&[(0, 0, 0), (1, 0, 0)]);
         // Program issue phase carries page payload: roughly doubles.
-        let t1 = t.issue_bus_time(&p_one);
-        let t2 = t.issue_bus_time(&p_two);
+        let t1 = t.issue_bus_time(FlashOp::Program, 1, PAGE);
+        let t2 = t.issue_bus_time(FlashOp::Program, 2, PAGE);
         assert!(t2 > t1 + t.transfer_time(2048) - Duration::from_micros(1));
     }
 
     #[test]
     fn read_completion_carries_data_out() {
         let t = FlashTiming::paper_default();
-        let one = read_txn(&[(0, 0)]);
-        let completion = t.completion_bus_time(&one);
+        let completion = t.completion_bus_time(FlashOp::Read, 1, PAGE);
         assert!(completion >= t.transfer_time(2048));
         // Programs only poll status on completion.
-        let p = program_txn(&[(0, 0, 0)]);
-        assert!(t.completion_bus_time(&p) < Duration::from_micros(1));
-    }
-
-    #[test]
-    fn unloaded_service_time_sums_phases() {
-        let t = FlashTiming::paper_default();
-        let txn = read_txn(&[(0, 0), (0, 1)]);
-        let total = t.unloaded_service_time(&txn);
-        assert_eq!(
-            total,
-            t.issue_bus_time(&txn) + t.cell_time(&txn) + t.completion_bus_time(&txn)
-        );
+        assert!(t.completion_bus_time(FlashOp::Program, 1, PAGE) < Duration::from_micros(1));
     }
 
     #[test]

@@ -91,21 +91,6 @@ impl DeterministicRng {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform `usize` in `[0, bound)`.  Returns 0 when `bound == 0`.
-    pub fn uniform_usize(&mut self, bound: usize) -> usize {
-        self.uniform_u64(bound as u64) as usize
-    }
-
-    /// Uniform integer in `[lo, hi]` (inclusive).  `lo` must be `<= hi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn uniform_range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "uniform_range_u64 requires lo <= hi");
-        lo + self.uniform_u64(hi - lo + 1)
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn uniform_f64(&mut self) -> f64 {
         // 53 random mantissa bits.
@@ -133,37 +118,6 @@ impl DeterministicRng {
         let la = lo.powf(shape);
         let x = -(u * ha - u * la - ha) / (ha * la);
         x.powf(-1.0 / shape).clamp(lo, hi)
-    }
-
-    /// Chooses an index according to the given non-negative weights.  Returns 0 if
-    /// all weights are zero or the slice is empty.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
-        if total <= 0.0 || weights.is_empty() {
-            return 0;
-        }
-        let mut target = self.uniform_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -202,13 +156,10 @@ mod tests {
         let mut rng = DeterministicRng::seeded(5);
         for _ in 0..10_000 {
             assert!(rng.uniform_u64(17) < 17);
-            let v = rng.uniform_range_u64(5, 9);
-            assert!((5..=9).contains(&v));
             let f = rng.uniform_f64();
             assert!((0.0..1.0).contains(&f));
         }
         assert_eq!(rng.uniform_u64(0), 0);
-        assert_eq!(rng.uniform_usize(0), 0);
     }
 
     #[test]
@@ -216,7 +167,7 @@ mod tests {
         let mut rng = DeterministicRng::seeded(11);
         let mut seen = [false; 8];
         for _ in 0..10_000 {
-            seen[rng.uniform_usize(8)] = true;
+            seen[rng.uniform_u64(8) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
     }
@@ -252,35 +203,5 @@ mod tests {
             let v = rng.bounded_pareto(4.0, 1024.0, 1.2);
             assert!((4.0..=1024.0).contains(&v), "v={v}");
         }
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut rng = DeterministicRng::seeded(41);
-        let weights = [0.0, 10.0, 0.0, 1.0];
-        let mut counts = [0usize; 4];
-        for _ in 0..10_000 {
-            counts[rng.weighted_index(&weights)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        assert_eq!(counts[2], 0);
-        assert!(counts[1] > counts[3] * 5);
-        assert_eq!(rng.weighted_index(&[]), 0);
-        assert_eq!(rng.weighted_index(&[0.0, 0.0]), 0);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = DeterministicRng::seeded(53);
-        let mut v: Vec<u32> = (0..64).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..64).collect::<Vec<_>>(),
-            "shuffle should usually move things"
-        );
     }
 }

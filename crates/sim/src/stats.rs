@@ -1,9 +1,9 @@
 //! Statistics accumulators used by the SSD metrics layer and the experiment harness.
 //!
-//! These are intentionally simple, allocation-light accumulators:
-//! mean/variance trackers and fixed-bucket histograms.
+//! These are intentionally simple, allocation-light accumulators: a running
+//! mean and fixed-bucket histograms.
 
-/// Online mean / min / max / variance tracker (Welford's algorithm).
+/// Online mean tracker (Welford's update).
 ///
 /// # Example
 ///
@@ -11,20 +11,16 @@
 /// use sprinkler_sim::MeanStat;
 ///
 /// let mut m = MeanStat::new();
+/// assert_eq!(m.mean(), 0.0);
 /// for x in [2.0, 4.0, 6.0] {
 ///     m.record(x);
 /// }
 /// assert_eq!(m.mean(), 4.0);
-/// assert_eq!(m.max(), 6.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MeanStat {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
 }
 
 impl MeanStat {
@@ -35,92 +31,14 @@ impl MeanStat {
 
     /// Records one observation.
     pub fn record(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
         self.count += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Mean of observations, or 0 when empty.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 when fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another tracker into this one.
-    pub fn merge(&mut self, other: &MeanStat) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let combined = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / combined as f64;
-        let new_m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / combined as f64;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.count = combined;
-        self.mean = new_mean;
-        self.m2 = new_m2;
+        self.mean
     }
 }
 
@@ -294,52 +212,10 @@ mod tests {
     fn mean_stat_basic() {
         let mut m = MeanStat::new();
         assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.min(), 0.0);
         for x in [1.0, 2.0, 3.0, 4.0] {
             m.record(x);
         }
-        assert_eq!(m.count(), 4);
         assert!((m.mean() - 2.5).abs() < 1e-12);
-        assert!((m.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(m.min(), 1.0);
-        assert_eq!(m.max(), 4.0);
-        assert_eq!(m.sum(), 10.0);
-    }
-
-    #[test]
-    fn mean_stat_merge_matches_single_pass() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = MeanStat::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut a = MeanStat::new();
-        let mut b = MeanStat::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn mean_stat_merge_empty_cases() {
-        let mut a = MeanStat::new();
-        let empty = MeanStat::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 0);
-        let mut b = MeanStat::new();
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        assert_eq!(a.mean(), 5.0);
     }
 
     #[test]

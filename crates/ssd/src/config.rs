@@ -11,6 +11,13 @@ use crate::ftl::{MAX_PAGES_PER_BLOCK, MAX_TOTAL_PAGES};
 /// entry limit.  `Ssd::new` pre-sizes tables by both.
 const MAX_QUEUE_ENTRIES: u64 = 1 << 16;
 
+/// The most in-flight memory-request slots (`total_chips *
+/// max_committed_per_chip`) `Ssd::new` pre-sizes: 32 times the largest
+/// device built anywhere (1024 chips at the default cap of 32), about a
+/// quarter of a gigabyte of tables.  The commit cap is at least 1, so this
+/// also bounds the total chip count.
+const MAX_IN_FLIGHT: u64 = 1 << 20;
+
 /// How the FTL chooses the physical placement (channel, way, die, plane) of a
 /// logical page.
 ///
@@ -176,8 +183,8 @@ impl SsdConfig {
     /// die (the width of the scheduler's candidate key), more than
     /// `u32::MAX` pages in all, more than 128 pages per block, a
     /// `queue_depth` or `max_committed_per_chip` above 65,536, or more than
-    /// `u32::MAX` in-flight memory requests (`total_chips *
-    /// max_committed_per_chip`, the width of their handles).
+    /// 2^20 in-flight memory requests (`total_chips *
+    /// max_committed_per_chip`, the slots its tables are pre-sized for).
     ///
     /// [`FlashError::InvalidGeometry`]: sprinkler_flash::FlashError::InvalidGeometry
     pub fn validate(&self) -> Result<(), SsdError> {
@@ -196,7 +203,7 @@ impl SsdConfig {
         .try_fold(1u64, |pages, n| pages.checked_mul(n as u64))
         .unwrap_or(u64::MAX);
         // Each chip's in-flight memory requests are capped by its commitment
-        // budget, and `Ssd` addresses them all by `u32` handles.
+        // budget, and `Ssd::new` pre-sizes a slot for each of them.
         let in_flight = (g.channels as u64)
             .saturating_mul(g.chips_per_channel as u64)
             .saturating_mul(self.max_committed_per_chip as u64);
@@ -226,7 +233,7 @@ impl SsdConfig {
             (
                 "total_chips * max_committed_per_chip",
                 in_flight,
-                u64::from(u32::MAX),
+                MAX_IN_FLIGHT,
             ),
         ] {
             if value > max {
@@ -391,16 +398,36 @@ mod tests {
         cfg.queue_depth = 1 << 16;
         cfg.validate().unwrap();
 
-        // 2^16 chips at the largest budget: 2^32 in-flight requests, one past
-        // the width of their handles.
+        // 2^16 chips: 2^20 in-flight slots at a budget of 16, one chip's
+        // worth past them at 17.
         let mut cfg = cfg.with_chip_count(1 << 16);
+        cfg.max_committed_per_chip = 17;
         let field = "total_chips * max_committed_per_chip";
-        assert_eq!(
-            cfg.validate(),
-            too_large(field, 1 << 32, u64::from(u32::MAX))
-        );
-        cfg.max_committed_per_chip -= 1;
+        assert_eq!(cfg.validate(), too_large(field, 17 << 16, MAX_IN_FLIGHT));
+        cfg.max_committed_per_chip = 16;
         cfg.validate().unwrap();
+    }
+
+    /// Regression: both configs passed `validate()` (their in-flight slot
+    /// counts are just under `u32::MAX`), then `Ssd::new` aborted the
+    /// process on a 412 GB allocation while pre-sizing its tables.
+    #[test]
+    fn validation_rejects_in_flight_tables_that_cannot_be_allocated() {
+        let field = "total_chips * max_committed_per_chip";
+        for (channels, chips_per_channel) in [(2048, 32), (1024, 64)] {
+            let mut cfg = SsdConfig::small_test();
+            cfg.geometry.channels = channels;
+            cfg.geometry.chips_per_channel = chips_per_channel;
+            cfg.max_committed_per_chip = (1 << 16) - 1;
+            assert_eq!(
+                cfg.validate(),
+                Err(SsdError::TooLarge {
+                    field,
+                    value: ((1 << 16) - 1) << 16,
+                    max: MAX_IN_FLIGHT,
+                })
+            );
+        }
     }
 
     #[test]

@@ -63,14 +63,14 @@ mod tests {
     fn displays_are_meaningful() {
         let e = SsdError::InvalidConfig("queue_depth must be non-zero".into());
         assert!(e.to_string().contains("queue_depth"));
-        let f = SsdError::from(FlashError::EmptyTransaction);
+        let f = SsdError::from(FlashError::InvalidGeometry { field: "channels" });
         assert!(f.to_string().contains("flash"));
     }
 
     #[test]
     fn source_chains_flash_errors() {
         use std::error::Error as _;
-        let e = SsdError::Flash(FlashError::EmptyTransaction);
+        let e = SsdError::Flash(FlashError::InvalidGeometry { field: "channels" });
         assert!(e.source().is_some());
         assert!(SsdError::InvalidConfig(String::new()).source().is_none());
     }

@@ -8,9 +8,10 @@
 //! * the per-chip commitment/occupancy ledger that enforces the over-commitment
 //!   cap with full per-round headroom and records which chips are running a
 //!   transaction ([`ledger`]),
-//! * per-channel flash controllers that coalesce committed memory requests into
-//!   flash transactions with die interleaving and plane sharing ([`controller`],
-//!   [`channel`]),
+//! * the transaction fold, which coalesces each chip's committed memory
+//!   requests into flash transactions with die interleaving and plane sharing
+//!   and times them ([`controller`]), and the channels whose buses those
+//!   transactions share ([`channel`]),
 //! * a page-level FTL with static plane striping and greedy garbage collection
 //!   ([`ftl`]),
 //! * the [`scheduler::IoScheduler`] trait the paper's controllers (VAS, PAS,

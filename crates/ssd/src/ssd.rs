@@ -3,23 +3,23 @@
 //! [`Ssd`] binds every substrate component together and simulates the full I/O
 //! service routine of Fig 3: host arrivals → device-queue admission (tags) →
 //! scheduler-driven memory-request composition and commitment → host DMA → FTL
-//! translation/allocation → per-chip transaction coalescing at the flash
-//! controllers → channel-arbitrated bus phases and overlapped cell phases →
+//! translation/allocation → per-chip transaction folding (one request per
+//! (die, plane)) → channel-arbitrated bus phases and overlapped cell phases →
 //! completion upcalls, bitmap clearing, and I/O retirement.  Garbage collection
 //! injects internal flash traffic and fires readdressing callbacks for schedulers
 //! that support them.
 //!
 //! Per-request state is slot-indexed, with no hashing on the replay path:
 //! in-flight memory requests live in a slab addressed by `u32` handles, the
-//! live transaction of a chip is stored at the chip's index, and GC jobs at
-//! their plane's index.  Events carry only those handles, so an event-heap
-//! entry stays small.
+//! pending set and live transaction of a chip are stored at the chip's index,
+//! and GC jobs at their plane's index.  Events carry only those handles, so
+//! an event-heap entry stays small.
 //!
 //! A chip runs one transaction at a time (§2.2).  Whether it is busy lives in
-//! the [`CommitmentLedger`], which the schedulers read; a transaction's phase
-//! times come from [`FlashTiming`](sprinkler_flash::FlashTiming), and its
-//! chip and plane busy time are summed when it completes, for the chip
-//! utilization and intra-chip idleness metrics.
+//! the [`CommitmentLedger`], which the schedulers read; the
+//! [`controller`](crate::controller) fold gives a transaction's members and
+//! phase times, and its chip and plane busy time are summed when it
+//! completes, for the chip utilization and intra-chip idleness metrics.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,7 +29,7 @@ use sprinkler_sim::{Duration, EventQueue, SimTime, TelemetryCounters};
 
 use crate::channel::Channel;
 use crate::config::SsdConfig;
-use crate::controller::{FlashController, PendingRequest, TxnScratch};
+use crate::controller::{build_transaction, PendingRequest, TxnScratch};
 use crate::dma::DmaEngine;
 use crate::error::SsdError;
 use crate::ftl::Ftl;
@@ -100,10 +100,10 @@ struct GcJob {
 }
 
 /// An in-flight page-level memory request: the unit the scheduler commits
-/// and the flash controller coalesces into transactions.
+/// and the transaction fold coalesces into flash transactions.
 #[derive(Debug)]
 struct InFlight {
-    /// Monotone identifier (the controller's service-order tie-break).
+    /// Monotone identifier (the fold's service-order tie-break).
     id: MemReqId,
     /// The tag and page offset of a host request; `None` for GC traffic.
     host: Option<(TagId, u32)>,
@@ -188,7 +188,6 @@ pub struct Ssd {
     scheduler: Box<dyn IoScheduler>,
     ftl: Ftl,
     channels: Vec<Channel>,
-    controllers: Vec<FlashController>,
     dma: DmaEngine,
     queue: DeviceQueue,
     events: EventQueue<SsdEvent>,
@@ -200,6 +199,8 @@ pub struct Ssd {
     /// O(chip count) view.  All cap enforcement and per-round counting lives in
     /// the ledger; see [`CommitmentLedger`] for the invariants.
     ledger: CommitmentLedger,
+    /// Per chip: the delivered memory requests waiting to join a transaction.
+    pending: Vec<Vec<PendingRequest>>,
     /// The live transaction of each chip.
     live: Vec<Option<LiveTransaction>>,
     /// Per chip: total time the chip was busy with transactions.
@@ -210,7 +211,7 @@ pub struct Ssd {
     schedule_pending: bool,
     /// Reusable commitment buffer for scheduling rounds (`schedule_into`).
     commit_buf: Vec<Commitment>,
-    /// Reusable scratch + buffer pools for transaction building.
+    /// Reusable scratch and member pool for transaction building.
     txn_scratch: TxnScratch,
     /// Always-on hot-path counters, shared with the scheduler and frozen into
     /// the run metrics at finalize.
@@ -255,13 +256,6 @@ impl Ssd {
         let geometry = config.geometry.clone();
         scheduler.initialize(&geometry);
         let channels = vec![Channel::default(); geometry.channels];
-        // A chip's host pending set is capped by the per-chip commitment
-        // budget; pre-size it so a chip's first writes never grow it.
-        let controllers = (0..geometry.channels)
-            .map(|c| {
-                FlashController::new(c, geometry.chips_per_channel, config.max_committed_per_chip)
-            })
-            .collect();
         let ftl = Ftl::new(
             geometry.clone(),
             config.allocation,
@@ -297,6 +291,11 @@ impl Ssd {
             waiting_host: VecDeque::new(),
             mem_requests: MemSlab::with_capacity(in_flight_bound),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
+            // A chip's host pending set is capped by the per-chip commitment
+            // budget; pre-size it so a chip's first writes never grow it.
+            pending: (0..total_chips)
+                .map(|_| Vec::with_capacity(config.max_committed_per_chip))
+                .collect(),
             live: (0..total_chips).map(|_| None).collect(),
             chip_busy: vec![Duration::ZERO; total_chips],
             plane_busy: vec![Duration::ZERO; total_chips],
@@ -315,7 +314,6 @@ impl Ssd {
             scheduler,
             ftl,
             channels,
-            controllers,
         })
     }
 
@@ -615,7 +613,7 @@ impl Ssd {
     }
 
     // ------------------------------------------------------------------
-    // Delivery to flash controllers and transaction execution
+    // Delivery to chips and transaction execution
     // ------------------------------------------------------------------
 
     fn deliver_to_controller(&mut self, handle: u32, now: SimTime) {
@@ -672,11 +670,16 @@ impl Ssd {
         );
     }
 
-    /// Hands a request to its channel's controller and kicks the chip if idle.
+    /// Adds a request to its chip's pending set and kicks the chip if idle.
     fn deliver_pending(&mut self, pending: PendingRequest, now: SimTime) {
         let addr = pending.addr;
-        let chip = self.config.geometry.chip_index(addr.channel, addr.way);
-        self.controllers[addr.channel as usize].deliver(pending);
+        let geometry = &self.config.geometry;
+        debug_assert!(
+            geometry.check_addr(addr).is_ok(),
+            "{addr} lies outside the device geometry"
+        );
+        let chip = geometry.chip_index(addr.channel, addr.way);
+        self.pending[chip].push(pending);
         if !self.ledger.is_busy(chip) {
             self.schedule_chip_kick(chip, now);
         }
@@ -697,12 +700,10 @@ impl Ssd {
         if self.ledger.is_busy(chip_index) {
             return;
         }
-        let location = self.config.geometry.chip_location(chip_index);
-        let channel_index = location.channel as usize;
-        let way = location.way as usize;
-        let Some(built) = self.controllers[channel_index].build_transaction_with(
-            way,
+        let Some(built) = build_transaction(
+            &mut self.pending[chip_index],
             &self.config.geometry,
+            &self.config.timing,
             &mut self.txn_scratch,
         ) else {
             return;
@@ -711,31 +712,27 @@ impl Ssd {
         // the channel; the cell phase that follows leaves it free.  An idle
         // chip has finished its last transaction by `now`, so the issue phase
         // waits only for the stale-readdress penalty and the channel.
-        let timing = &self.config.timing;
-        let issue_bus = timing.issue_bus_time(&built.txn);
-        let cell_time = timing.cell_time(&built.txn);
-        let completion_bus = timing.completion_bus_time(&built.txn);
-        let grant = self.channels[channel_index].acquire(now + built.extra_delay, issue_bus);
+        let channel = self.config.geometry.chip_location(chip_index).channel as usize;
+        let grant = self.channels[channel].acquire(now + built.extra_delay, built.issue_bus);
         self.ledger.set_busy(chip_index, true);
         debug_assert!(
             self.live[chip_index].is_none(),
             "chip {chip_index} started a transaction while one was live"
         );
         self.live[chip_index] = Some(LiveTransaction {
-            channel: channel_index,
+            channel,
             members: built.members,
-            level: built.txn.parallelism(),
+            level: built.level,
             start: grant.start,
-            bus_time: issue_bus + completion_bus,
-            cell_time,
+            bus_time: built.issue_bus + built.completion_bus,
+            cell_time: built.cell_time,
             contention: grant.waited,
-            completion_bus,
+            completion_bus: built.completion_bus,
         });
-        // The transaction's request buffer goes back into the pool for the
-        // next build on this SSD.
-        self.txn_scratch.recycle_requests(built.txn.into_requests());
-        self.events
-            .schedule(grant.end + cell_time, SsdEvent::CellDone(chip_index as u32));
+        self.events.schedule(
+            grant.end + built.cell_time,
+            SsdEvent::CellDone(chip_index as u32),
+        );
     }
 
     fn handle_cell_done(&mut self, chip: usize, now: SimTime) {
@@ -782,8 +779,7 @@ impl Ssd {
             }
         }
         self.txn_scratch.recycle_members(members);
-        let location = self.config.geometry.chip_location(chip);
-        if self.controllers[location.channel as usize].has_pending(location.way as usize) {
+        if !self.pending[chip].is_empty() {
             self.schedule_chip_kick(chip, now);
         }
         self.request_schedule(now);
@@ -976,7 +972,7 @@ mod tests {
     use super::*;
     use crate::config::GcConfig;
     use crate::scheduler::CommitAllScheduler;
-    use sprinkler_flash::{FlashError, TransactionBuilder};
+    use sprinkler_flash::FlashError;
 
     fn write_req(id: u64, at_us: u64, lpn: u64, pages: u32) -> HostRequest {
         HostRequest::new(
@@ -1018,13 +1014,12 @@ mod tests {
     fn assert_lone_page_figures(metrics: &RunMetrics, op: FlashOp) -> u64 {
         let config = SsdConfig::small_test();
         let g = &config.geometry;
-        // The first page a fresh device reads or programs: page 0 of a block.
-        let mut builder = TransactionBuilder::new(op, g.clone());
-        builder.try_add(g.page_addr(0, 0, 0, 0, 0, 0)).unwrap();
-        let txn = builder.build().unwrap();
         let timing = &config.timing;
-        let cell = timing.cell_time(&txn);
-        let busy = timing.issue_bus_time(&txn) + cell + timing.completion_bus_time(&txn);
+        // The first page a fresh device reads or programs: page 0 of a block.
+        let cell = timing.cell_latency(op, 0);
+        let busy = timing.issue_bus_time(op, 1, g.page_size)
+            + cell
+            + timing.completion_bus_time(op, 1, g.page_size);
         let dma = DmaEngine::new(config.dma_bytes_per_sec).transfer_time(g.page_size as u64);
         let latency = (config.decision_window + busy + dma).as_nanos();
         let chips = g.total_chips() as f64;

@@ -6,9 +6,10 @@
 //!
 //! * [`sim`] — discrete-event simulation primitives (time, event queue, RNG, stats).
 //! * [`flash`] — the NAND flash microarchitecture model (geometry, ONFI timing,
-//!   bus-phase cycle counts, transactions and their coalescing rules).
-//! * [`ssd`] — the many-chip SSD substrate (NVMHC queue, DMA, flash controllers,
-//!   channels, page-level FTL with GC, metrics, and the `IoScheduler` trait).
+//!   bus-phase cycle counts, flash operations and parallelism levels).
+//! * [`ssd`] — the many-chip SSD substrate (NVMHC queue, DMA, the per-chip
+//!   transaction fold, channels, page-level FTL with GC, metrics, and the
+//!   `IoScheduler` trait).
 //! * [`core`] — the paper's contribution: VAS, PAS, and the Sprinkler schedulers
 //!   (RIOS, FARO, SPK1/2/3).
 //! * [`workloads`] — synthetic Table 1 enterprise traces, microbenchmark sweeps,
