@@ -1,7 +1,7 @@
 //! Merged array metrics: the host's view of a striped replay.
 
 use sprinkler_sim::TelemetrySnapshot;
-use sprinkler_ssd::{merged_latency_quantile, weighted_mean_latency_ns, RunMetrics};
+use sprinkler_ssd::{merged_latency_quantile, weighted_mean_latency_ns, RunMetrics, WorkCounts};
 
 use crate::placement::PlacementStats;
 
@@ -315,6 +315,11 @@ impl ArrayMetrics {
             transactions: self.devices.iter().map(|m| m.transactions).sum(),
             memory_requests: self.devices.iter().map(|m| m.memory_requests).sum(),
             failed_writes: self.devices.iter().map(|m| m.failed_writes).sum(),
+            refused_ios: self.devices.iter().map(|m| m.refused_ios).sum(),
+            work: self
+                .devices
+                .iter()
+                .fold(WorkCounts::default(), |acc, m| acc.merged(&m.work)),
             latency_buckets,
             telemetry: {
                 // Fold the device counters, then stamp in the array-level

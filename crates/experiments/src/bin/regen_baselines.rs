@@ -33,7 +33,7 @@ use sprinkler_experiments::{fig10, fig15_scaling, scenario};
 use sprinkler_flash::Lpn;
 use sprinkler_sim::{AllocScope, CountingAllocator, SimTime};
 use sprinkler_ssd::request::{Direction, HostRequest};
-use sprinkler_ssd::{GcConfig, RunMetrics, Ssd, SsdConfig};
+use sprinkler_ssd::{GcConfig, RunMetrics, Ssd, SsdConfig, WorkCounts};
 
 /// Every baseline figure is measured under the counting allocator, so the
 /// steady-state allocs-per-I/O figures below are real measurements, not
@@ -209,6 +209,28 @@ fn pinned_hazard_count(kind: SchedulerKind, what: &str, count: u64) -> f64 {
     count as f64
 }
 
+/// Pairs a cell's seven work-count keys with its [`WorkCounts`]: events
+/// handled per kind, in `SsdEvent` order, then rounds that committed
+/// nothing.  Exact counts, like the round totals: a change to the event
+/// stream, not just its speed, moves them.
+fn work_figures(
+    keys: [&'static str; 7],
+    work: &WorkCounts,
+) -> impl Iterator<Item = (&'static str, f64)> {
+    let counts = [
+        work.schedule_events,
+        work.write_data_ready_events,
+        work.chip_kick_events,
+        work.cell_done_events,
+        work.txn_complete_events,
+        work.read_returned_events,
+        work.empty_rounds,
+    ];
+    keys.into_iter()
+        .zip(counts)
+        .map(|(key, count)| (key, count as f64))
+}
+
 /// `BENCH_seed.json`: the fig10 headline comparison at bench scale (with
 /// the chip utilization and intra-chip idleness behind Figs 11 and 15, each
 /// the mean over the fig10 workloads), the 95%-full GC cell, the hazard
@@ -234,6 +256,8 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
     let spk3_faro: u64 = runs(SchedulerKind::Spk3)
         .map(|m| m.telemetry.faro_fast_path_rounds)
         .sum();
+    let spk3_work =
+        runs(SchedulerKind::Spk3).fold(WorkCounts::default(), |acc, m| acc.merged(&m.work));
     let gc_vas = gc_fragmented(SchedulerKind::Vas);
     let gc_spk3 = gc_fragmented(SchedulerKind::Spk3);
     let [hazard_pas, hazard_spk1, hazard_spk3] =
@@ -249,11 +273,25 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
         )
     };
     let (steady, allocs_per_io) = steady_replay(64);
-    vec![
+    let mut figures = vec![
         ("fig10_spk3_vas_bandwidth_x", bandwidth_x),
         ("fig10_spk3_vas_latency_reduction_pct", latency_pct),
         ("fig10_spk3_sched_rounds_total", spk3_rounds as f64),
         ("fig10_spk3_faro_fast_path_rounds_total", spk3_faro as f64),
+    ];
+    figures.extend(work_figures(
+        [
+            "fig10_spk3_schedule_events_total",
+            "fig10_spk3_write_data_ready_events_total",
+            "fig10_spk3_chip_kick_events_total",
+            "fig10_spk3_cell_done_events_total",
+            "fig10_spk3_txn_complete_events_total",
+            "fig10_spk3_read_returned_events_total",
+            "fig10_spk3_empty_rounds_total",
+        ],
+        &spk3_work,
+    ));
+    figures.extend([
         (
             "fig10_spk3_chip_utilization",
             mean(SchedulerKind::Spk3, |m| m.chip_utilization),
@@ -304,7 +342,8 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
             steady.telemetry.stream_admissions as f64,
         ),
         ("steady_state_allocs_per_io", allocs_per_io),
-    ]
+    ]);
+    figures
 }
 
 /// `BENCH_scaling.json`: the quick-scale scaling panel at 16 and 64 chips.
@@ -323,7 +362,7 @@ fn scaling_metrics() -> Vec<(&'static str, f64)> {
             .sched_rounds as f64
     };
     let (steady_1024, allocs_per_io_1024) = steady_replay(1024);
-    vec![
+    let mut figures = vec![
         ("scaling_vas_16chips_kbps", point(16, SchedulerKind::Vas)),
         ("scaling_vas_64chips_kbps", point(64, SchedulerKind::Vas)),
         ("scaling_spk3_16chips_kbps", point(16, SchedulerKind::Spk3)),
@@ -347,8 +386,21 @@ fn scaling_metrics() -> Vec<(&'static str, f64)> {
             "steady_replay_1024chips_sched_rounds",
             steady_1024.telemetry.sched_rounds as f64,
         ),
-        ("steady_state_allocs_per_io_1024chips", allocs_per_io_1024),
-    ]
+    ];
+    figures.extend(work_figures(
+        [
+            "steady_replay_1024chips_schedule_events",
+            "steady_replay_1024chips_write_data_ready_events",
+            "steady_replay_1024chips_chip_kick_events",
+            "steady_replay_1024chips_cell_done_events",
+            "steady_replay_1024chips_txn_complete_events",
+            "steady_replay_1024chips_read_returned_events",
+            "steady_replay_1024chips_empty_rounds",
+        ],
+        &steady_1024.work,
+    ));
+    figures.push(("steady_state_allocs_per_io_1024chips", allocs_per_io_1024));
+    figures
 }
 
 /// `BENCH_array.json`: the array scale-out sweep at quick scale, plus the

@@ -8,7 +8,10 @@
 //! The simulation is event driven with nanosecond resolution.  All components share
 //! a single monotonic [`SimTime`]; the [`EventQueue`] orders arbitrary event payloads
 //! by their firing time and guarantees FIFO ordering among events scheduled for the
-//! same instant, which keeps simulations fully deterministic.
+//! same instant, which keeps simulations fully deterministic.  A source that
+//! schedules in nondecreasing time can have a FIFO lane of the queue to
+//! itself, which costs O(1) per event instead of a heap operation; the pop
+//! order is the same either way.
 //!
 //! # Example
 //!

@@ -44,12 +44,20 @@ pub(crate) const MAX_DIES_PER_CHIP: usize = 1 << 6;
 /// field); `SsdConfig::validate` refuses larger geometries.
 pub(crate) const MAX_PLANES_PER_DIE: usize = 1 << 6;
 
+/// The most pages one host request may span: a priority key numbers a
+/// request's pages in its 20-bit page field.  `Ssd` refuses longer requests
+/// at ingestion.
+pub(crate) const MAX_REQUEST_PAGES: u32 = 1 << 20;
+
 /// Packs a candidate's page offset and die/plane coordinates into one sortable
 /// priority key: `page << 12 | die << 6 | plane`.  Within a tag every page is
 /// unique, so ordering rows by `(seq, pri)` equals ordering by `(seq, page)`.
 #[inline]
 pub fn pack_pri(page: u32, die: u32, plane: u32) -> u32 {
-    debug_assert!(page < 1 << 20, "page offset {page} overflows the key");
+    debug_assert!(
+        page < MAX_REQUEST_PAGES,
+        "page offset {page} overflows the key"
+    );
     debug_assert!(
         (die as usize) < MAX_DIES_PER_CHIP,
         "die {die} overflows the key"

@@ -165,6 +165,12 @@ impl CommitmentLedger {
         self.round_dirty.clear();
     }
 
+    /// Whether any commitment was charged since the last
+    /// [`CommitmentLedger::begin_round`].
+    pub(crate) fn committed_any_in_round(&self) -> bool {
+        !self.round_dirty.is_empty()
+    }
+
     /// Commitments charged to a chip since the last
     /// [`CommitmentLedger::begin_round`].
     pub fn committed_in_round(&self, chip: usize) -> usize {

@@ -63,7 +63,7 @@ pub use error::SsdError;
 pub use ledger::{ChipOccupancy, CommitmentLedger};
 pub use metrics::{
     latency_bucket_bounds, merged_latency_quantile, weighted_mean_latency_ns, ExecutionBreakdown,
-    FlpBreakdown, MetricsCollector, RunMetrics, TenantLaneSpec, TenantMetrics,
+    FlpBreakdown, MetricsCollector, RunMetrics, TenantLaneSpec, TenantMetrics, WorkCounts,
 };
 pub use request::{Direction, HostRequest, MemReqId, Placement, TagId};
 pub use scheduler::{Commitment, IoScheduler, SchedulerContext};

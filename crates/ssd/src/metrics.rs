@@ -114,6 +114,45 @@ pub struct ExecutionBreakdown {
     pub idle: f64,
 }
 
+/// Machine-independent work counts of one run: the simulation events
+/// handled, by kind, and the scheduling rounds that committed nothing.
+/// Plain counts kept by the replay loop and frozen into
+/// [`RunMetrics::work`]; summed when device runs are aggregated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Scheduling-round events handled.
+    pub schedule_events: u64,
+    /// Host write payloads that finished crossing the DMA engine.
+    pub write_data_ready_events: u64,
+    /// Chip decision windows that expired.
+    pub chip_kick_events: u64,
+    /// Cell phases that finished.
+    pub cell_done_events: u64,
+    /// Flash transactions that finished.
+    pub txn_complete_events: u64,
+    /// Read payloads that finished returning to the host.
+    pub read_returned_events: u64,
+    /// Scheduling rounds (see [`TelemetrySnapshot::sched_rounds`]) that
+    /// committed no memory request.
+    pub empty_rounds: u64,
+}
+
+impl WorkCounts {
+    /// Fieldwise sum, for aggregating per-device counts into an array
+    /// summary.
+    pub fn merged(&self, other: &WorkCounts) -> WorkCounts {
+        WorkCounts {
+            schedule_events: self.schedule_events + other.schedule_events,
+            write_data_ready_events: self.write_data_ready_events + other.write_data_ready_events,
+            chip_kick_events: self.chip_kick_events + other.chip_kick_events,
+            cell_done_events: self.cell_done_events + other.cell_done_events,
+            txn_complete_events: self.txn_complete_events + other.txn_complete_events,
+            read_returned_events: self.read_returned_events + other.read_returned_events,
+            empty_rounds: self.empty_rounds + other.empty_rounds,
+        }
+    }
+}
+
 /// All measurements from one simulation run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
@@ -183,6 +222,13 @@ pub struct RunMetrics {
     /// Host write pages the FTL could not place: the device was full, or the
     /// page lay past its logical space.  The I/O still completes.
     pub failed_writes: u64,
+    /// Host requests the replay took in but refused because they span more
+    /// than 2^20 pages, the most a scheduling candidate's key can number.
+    /// They never reach the device queue, and no I/O, byte or latency figure
+    /// counts them.
+    pub refused_ios: u64,
+    /// Events handled by kind, and scheduling rounds that committed nothing.
+    pub work: WorkCounts,
     /// Per-bucket latency sample counts over the shared exponential bounds of
     /// [`latency_bucket_bounds`], with one trailing overflow bucket.  Because
     /// every run uses the same bounds, bucket counts from independent runs
@@ -337,7 +383,6 @@ pub struct MetricsCollector {
     cell_operation: Duration,
     latency_series: Vec<(u64, u64)>,
     peak_host_backlog: u64,
-    peak_pending_events: u64,
     telemetry: Arc<TelemetryCounters>,
     tenant_lanes: Vec<TenantLane>,
 }
@@ -367,7 +412,6 @@ impl MetricsCollector {
             cell_operation: Duration::ZERO,
             latency_series: Vec::new(),
             peak_host_backlog: 0,
-            peak_pending_events: 0,
             telemetry: Arc::new(TelemetryCounters::new()),
             tenant_lanes: Vec::new(),
         }
@@ -387,11 +431,11 @@ impl MetricsCollector {
         &self.telemetry
     }
 
-    /// Records the replay loop's memory pressure: how many host requests sit
-    /// outside the device queue and how many simulation events are pending.
-    pub fn record_queue_pressure(&mut self, host_backlog: usize, pending_events: usize) {
+    /// Records how many host requests wait outside the device queue.  The
+    /// backlog grows only when a request is ingested, so the replay loop
+    /// calls this once per ingestion.
+    pub fn record_host_backlog(&mut self, host_backlog: usize) {
         self.peak_host_backlog = self.peak_host_backlog.max(host_backlog as u64);
-        self.peak_pending_events = self.peak_pending_events.max(pending_events as u64);
     }
 
     /// Records a host arrival.
@@ -494,7 +538,9 @@ impl MetricsCollector {
     }
 
     /// Freezes the collector into a [`RunMetrics`], given the final simulation
-    /// time, per-chip busy/plane-busy totals, and GC statistics.
+    /// time, per-chip busy/plane-busy totals, and GC statistics.  The counts
+    /// the replay loop keeps itself (`peak_pending_events`, `failed_writes`,
+    /// `refused_ios` and `work`) are left at zero for it to fill in.
     pub fn finalize(
         self,
         end: SimTime,
@@ -577,7 +623,7 @@ impl MetricsCollector {
             max_latency_ns: self.latency_hist.max(),
             queue_stall_ns: self.queue_stall.as_nanos(),
             peak_host_backlog: self.peak_host_backlog,
-            peak_pending_events: self.peak_pending_events,
+            peak_pending_events: 0,
             chip_utilization: utilization,
             inter_chip_idleness: (1.0 - utilization).clamp(0.0, 1.0),
             intra_chip_idleness: intra_idle,
@@ -592,6 +638,8 @@ impl MetricsCollector {
             },
             gc,
             failed_writes: 0,
+            refused_ios: 0,
+            work: WorkCounts::default(),
             latency_buckets: self.latency_hist.bucket_counts().to_vec(),
             latency_series: self.latency_series,
             telemetry: self.telemetry.snapshot(),

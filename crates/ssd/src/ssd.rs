@@ -13,7 +13,16 @@
 //! in-flight memory requests live in a slab addressed by `u32` handles, the
 //! pending set and live transaction of a chip are stored at the chip's index,
 //! and GC jobs at their plane's index.  Events carry only those handles, so
-//! an event-heap entry stays small.
+//! an event entry stays small.
+//!
+//! Four of the six event kinds come from sources that schedule in
+//! nondecreasing time, so each source gets a FIFO lane of the
+//! [`EventQueue`]: scheduling rounds (at "now", at most one pending), chip
+//! kicks (at "now" plus the constant decision window, at most one per chip),
+//! and the DMA engine's completions (write data ready and read data
+//! returned, in the engine's strictly increasing FIFO order).  Only the two
+//! transaction phases, at most one per chip since a chip runs one
+//! transaction, go to the queue's heap.
 //!
 //! A chip runs one transaction at a time (§2.2).  Whether it is busy lives in
 //! the [`CommitmentLedger`], which the schedulers read; the
@@ -27,6 +36,7 @@ use std::sync::Arc;
 use sprinkler_flash::{FlashOp, Lpn, ParallelismLevel, PhysicalPageAddr};
 use sprinkler_sim::{Duration, EventQueue, SimTime, TelemetryCounters};
 
+use crate::cand::MAX_REQUEST_PAGES;
 use crate::channel::Channel;
 use crate::config::SsdConfig;
 use crate::controller::{build_transaction, PendingRequest, TxnScratch};
@@ -34,10 +44,18 @@ use crate::dma::DmaEngine;
 use crate::error::SsdError;
 use crate::ftl::Ftl;
 use crate::ledger::CommitmentLedger;
-use crate::metrics::{MetricsCollector, RunMetrics};
+use crate::metrics::{MetricsCollector, RunMetrics, WorkCounts};
 use crate::queue::DeviceQueue;
 use crate::request::{Direction, HostRequest, MemReqId, TagId};
 use crate::scheduler::{Commitment, IoScheduler, SchedulerContext};
+
+/// The event queue's lane for [`SsdEvent::Schedule`].
+const SCHEDULE_LANE: usize = 0;
+/// The event queue's lane for [`SsdEvent::ChipKick`].
+const CHIP_KICK_LANE: usize = 1;
+/// The event queue's lane for the DMA engine's completions,
+/// [`SsdEvent::WriteDataReady`] and [`SsdEvent::ReadReturned`].
+const DMA_LANE: usize = 2;
 
 /// Simulation events.  Every payload is a `u32` handle: a memory request's
 /// slab handle or a chip index.
@@ -226,6 +244,10 @@ pub struct Ssd {
     next_mreq: u64,
     /// Host write pages the FTL could not place.
     failed_writes: u64,
+    /// Host requests refused at ingestion (longer than `MAX_REQUEST_PAGES`).
+    refused_ios: u64,
+    /// Events handled by kind, and rounds that committed nothing.
+    work: WorkCounts,
 
     metrics: MetricsCollector,
     record_series: bool,
@@ -287,7 +309,11 @@ impl Ssd {
         Ok(Ssd {
             dma: DmaEngine::new(config.dma_bytes_per_sec),
             queue: DeviceQueue::new(config.queue_depth),
-            events: EventQueue::new(),
+            // A lane per monotone source: one pending round, a kick per
+            // chip, and the DMA completions, bounded only by the in-flight
+            // requests, so that lane grows to its high-water mark instead.
+            // The heap holds at most one transaction phase per chip.
+            events: EventQueue::with_lanes(&[1, total_chips, 0], total_chips),
             waiting_host: VecDeque::new(),
             mem_requests: MemSlab::with_capacity(in_flight_bound),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
@@ -308,6 +334,8 @@ impl Ssd {
             readdressed_lpns: Vec::new(),
             next_mreq: 0,
             failed_writes: 0,
+            refused_ios: 0,
+            work: WorkCounts::default(),
             metrics,
             record_series,
             config,
@@ -397,7 +425,8 @@ impl Ssd {
         let mut next = source.next();
         let mut last_arrival = SimTime::ZERO;
         loop {
-            let due = match (&next, self.events.peek_time()) {
+            let next_event = self.events.peek_time();
+            let due = match (&next, next_event) {
                 (Some(request), Some(next_event)) => request.arrival <= next_event,
                 (Some(_), None) => true,
                 (None, _) => false,
@@ -406,7 +435,7 @@ impl Ssd {
             // of the backlog bound, or the replay could not make progress (in
             // practice a full backlog implies queued tags and therefore pending
             // events).
-            let backlog_has_room = self.waiting_host.len() < backlog_cap || self.events.is_empty();
+            let backlog_has_room = self.waiting_host.len() < backlog_cap || next_event.is_none();
             if let Some(request) = next.take_if(|_| due && backlog_has_room) {
                 TelemetryCounters::incr(&self.telemetry.stream_admissions);
                 assert!(
@@ -435,8 +464,6 @@ impl Ssd {
                 debug_assert!(next.is_none(), "replay stalled with requests left");
                 break;
             }
-            self.metrics
-                .record_queue_pressure(self.waiting_host.len(), self.events.len());
         }
     }
 
@@ -469,40 +496,56 @@ impl Ssd {
             "a chip's planes were busy longer than the chip"
         );
         RunMetrics {
+            peak_pending_events: self.events.peak_len() as u64,
             failed_writes: self.failed_writes,
+            refused_ios: self.refused_ios,
+            work: self.work,
             ..metrics
         }
     }
 
     /// Takes a host request in at `now`: it waits for a queue tag, and a
-    /// scheduling round is requested.
+    /// scheduling round is requested.  A request longer than
+    /// `MAX_REQUEST_PAGES` is refused instead: its page offsets would collide
+    /// in the candidate keys.
     fn ingest(&mut self, now: SimTime, request: HostRequest) {
+        if request.pages > MAX_REQUEST_PAGES {
+            self.refused_ios += 1;
+            return;
+        }
         self.metrics.record_arrival(request.arrival);
         self.waiting_host.push_back(request);
         self.try_admit(now);
+        self.metrics.record_host_backlog(self.waiting_host.len());
         self.request_schedule(now);
     }
 
     fn handle_event(&mut self, now: SimTime, event: SsdEvent) {
         match event {
             SsdEvent::Schedule => {
+                self.work.schedule_events += 1;
                 self.schedule_pending = false;
                 self.run_scheduler(now);
             }
             SsdEvent::WriteDataReady(handle) => {
+                self.work.write_data_ready_events += 1;
                 self.deliver_to_controller(handle, now);
             }
             SsdEvent::ChipKick(chip) => {
+                self.work.chip_kick_events += 1;
                 self.chip_kick_pending[chip as usize] = false;
                 self.try_start_transaction(chip as usize, now);
             }
             SsdEvent::CellDone(chip) => {
+                self.work.cell_done_events += 1;
                 self.handle_cell_done(chip as usize, now);
             }
             SsdEvent::TxnComplete(chip) => {
+                self.work.txn_complete_events += 1;
                 self.handle_txn_complete(chip as usize, now);
             }
             SsdEvent::ReadReturned(handle) => {
+                self.work.read_returned_events += 1;
                 self.complete_mem_request(handle, now);
             }
         }
@@ -541,7 +584,8 @@ impl Ssd {
     fn request_schedule(&mut self, now: SimTime) {
         if !self.schedule_pending {
             self.schedule_pending = true;
-            self.events.schedule(now, SsdEvent::Schedule);
+            self.events
+                .schedule_in(SCHEDULE_LANE, now, SsdEvent::Schedule);
         }
     }
 
@@ -566,6 +610,9 @@ impl Ssd {
         }
         for &Commitment { tag, page } in &commitments {
             self.commit_memory_request(tag, page, now);
+        }
+        if !self.ledger.committed_any_in_round() {
+            self.work.empty_rounds += 1;
         }
         self.commit_buf = commitments;
     }
@@ -606,7 +653,7 @@ impl Ssd {
             // can be composed (memory request composition + data movement, Fig 3).
             let ready = self.dma.transfer(now, page_size);
             self.events
-                .schedule(ready, SsdEvent::WriteDataReady(handle));
+                .schedule_in(DMA_LANE, ready, SsdEvent::WriteDataReady(handle));
         } else {
             self.deliver_to_controller(handle, now);
         }
@@ -690,7 +737,8 @@ impl Ssd {
             return;
         }
         self.chip_kick_pending[chip] = true;
-        self.events.schedule(
+        self.events.schedule_in(
+            CHIP_KICK_LANE,
             now + self.config.decision_window,
             SsdEvent::ChipKick(chip as u32),
         );
@@ -773,7 +821,8 @@ impl Ssd {
             } else if entry.direction.is_read() {
                 // Read payload returns to the host through the DMA engine.
                 let done = self.dma.transfer(now, page_size);
-                self.events.schedule(done, SsdEvent::ReadReturned(member));
+                self.events
+                    .schedule_in(DMA_LANE, done, SsdEvent::ReadReturned(member));
             } else {
                 self.complete_mem_request(member, now);
             }
@@ -1357,6 +1406,57 @@ mod tests {
             rounds[1],
             vec![max; chips],
             "round 1 must have committed the full per-chip cap"
+        );
+    }
+
+    /// Regression: a request longer than a candidate key's 20-bit page
+    /// field collided in the keys; it panicked in `pack_pri` in debug builds
+    /// and never completed in release.  It is now refused at ingestion, and
+    /// the replay serves the requests after it.
+    #[test]
+    fn requests_past_the_key_page_field_are_refused() {
+        let config = SsdConfig::paper_default().with_blocks_per_plane(64);
+        let ssd = Ssd::new(config, Box::new(CommitAllScheduler::new())).unwrap();
+        let metrics = ssd.run(vec![
+            read_req(0, 0, 0, MAX_REQUEST_PAGES + 8),
+            read_req(1, 10, 0, 1),
+        ]);
+        assert_eq!(metrics.io_count, 1);
+        assert_eq!(metrics.refused_ios, 1);
+        assert_eq!(metrics.run_start_ns, 10_000);
+    }
+
+    /// Every event handled is counted once under its kind.  A lone write
+    /// crosses the DMA engine, waits out one decision window and runs one
+    /// transaction, which completes the I/O; the round its completion asks
+    /// for finds the queue empty and is no round at all.  A lone read is
+    /// still in the queue when its transaction ends, so that round runs and
+    /// commits nothing; its data then returns through the DMA engine.
+    #[test]
+    fn work_counts_follow_the_event_kinds() {
+        let lone = |request| run_small(vec![request]).work;
+        let transaction = WorkCounts {
+            chip_kick_events: 1,
+            cell_done_events: 1,
+            txn_complete_events: 1,
+            ..WorkCounts::default()
+        };
+        assert_eq!(
+            lone(write_req(0, 0, 0, 1)),
+            WorkCounts {
+                schedule_events: 2,
+                write_data_ready_events: 1,
+                ..transaction
+            }
+        );
+        assert_eq!(
+            lone(read_req(0, 0, 0, 1)),
+            WorkCounts {
+                schedule_events: 3,
+                read_returned_events: 1,
+                empty_rounds: 1,
+                ..transaction
+            }
         );
     }
 

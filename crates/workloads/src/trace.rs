@@ -34,12 +34,14 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// The record expressed in flash pages: `(first logical page, page count)`.
+    /// The record expressed in flash pages: `(first logical page, page
+    /// count)`.  A count past `u32::MAX` saturates there rather than wrapping
+    /// to a short request.
     pub fn pages(&self, page_size: usize) -> (u64, u32) {
         let page_size = page_size as u64;
         let first = self.offset / page_size;
-        let last = (self.offset + self.bytes.max(1) - 1) / page_size;
-        (first, (last - first + 1) as u32)
+        let last = self.offset.saturating_add(self.bytes.max(1) - 1) / page_size;
+        (first, u32::try_from(last - first + 1).unwrap_or(u32::MAX))
     }
 }
 
@@ -165,6 +167,21 @@ mod tests {
         assert_eq!(r.pages(2048), (0, 1));
         let r = rec(0, 0, TraceOp::Read, 0, 4096 * 4);
         assert_eq!(r.pages(2048), (0, 8));
+    }
+
+    /// Regression: the page count was cast with `as u32`, so a record of
+    /// exactly 2^32 pages came out as a 0-page request, and 2^32 + 8 pages
+    /// as an 8-page one.
+    #[test]
+    fn page_counts_past_u32_saturate() {
+        let pages = |count: u64| rec(0, 0, TraceOp::Read, 2048, count * 2048).pages(2048);
+        assert_eq!(pages(1 << 32), (1, u32::MAX));
+        assert_eq!(pages((1 << 32) + 8), (1, u32::MAX));
+        assert_eq!(pages(u32::MAX as u64), (1, u32::MAX));
+        assert_eq!(
+            rec(0, 0, TraceOp::Write, u64::MAX - 1, 16).pages(2048),
+            (u64::MAX / 2048, 1)
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! This binary installs [`CountingAllocator`] as its global allocator and
 //! replays a steady-state workload through `Ssd::run_stream`: a warm-up
 //! prefix sizes every pool (device-queue tag states, transaction scratch,
-//! commitment buffers, FARO scratch, the event heap, the FTL map), then an
-//! [`AllocScope`] opens at the warm-up boundary and must observe **zero
-//! allocation events** until the trace is exhausted.  Any per-I/O allocation
+//! commitment buffers, FARO scratch, the event queue's DMA lane, the FTL
+//! map; the queue's other lanes and its heap are pre-sized to their bounds),
+//! then an [`AllocScope`] opens at the warm-up boundary and must observe
+//! **zero allocation events** until the trace is exhausted.  Any per-I/O allocation
 //! that sneaks back into the queue/scheduler/controller/chip path turns this
 //! from 0 into thousands, so the gate is unambiguous.
 //!
