@@ -321,20 +321,12 @@ impl ArrayMetrics {
                 .iter()
                 .fold(WorkCounts::default(), |acc, m| acc.merged(&m.work)),
             latency_buckets,
-            telemetry: {
-                // Fold the device counters, then stamp in the array-level
-                // placement counters (devices never touch those fields).
-                let mut folded = self
-                    .devices
-                    .iter()
-                    .fold(TelemetrySnapshot::default(), |acc, m| {
-                        acc.merged(&m.telemetry)
-                    });
-                folded.stripes_migrated += self.stripes_migrated;
-                folded.migration_bytes += self.migration_bytes;
-                folded.heat_decays += self.heat_decays;
-                folded
-            },
+            telemetry: self
+                .devices
+                .iter()
+                .fold(TelemetrySnapshot::default(), |acc, m| {
+                    acc.merged(&m.telemetry)
+                }),
             ..RunMetrics::default()
         }
     }

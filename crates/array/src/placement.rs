@@ -340,8 +340,8 @@ impl PlacementMap {
     }
 }
 
-/// Counters the placement layer accumulates while rebalancing; merged into
-/// the array telemetry (`TelemetrySnapshot`) when a replay finishes.
+/// Counters the placement layer accumulates while rebalancing; copied into
+/// the replay's `ArrayMetrics` when it finishes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacementStats {
     /// Stripes relocated between devices.
@@ -428,7 +428,7 @@ pub struct Rebalancer {
     /// Per-device sum of the heat of its resident stripes.
     load: Vec<f64>,
     records_in_window: u64,
-    /// Counters surfaced into the array telemetry.
+    /// Counters surfaced in the replay's `ArrayMetrics`.
     pub stats: PlacementStats,
 }
 

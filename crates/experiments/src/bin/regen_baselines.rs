@@ -28,8 +28,10 @@ use std::process::ExitCode;
 use std::rc::Rc;
 
 use sprinkler_core::SchedulerKind;
-use sprinkler_experiments::runner::{run_one_detailed, ExperimentScale};
-use sprinkler_experiments::{fig10, fig15_scaling, scenario};
+use sprinkler_experiments::runner::{find, mean, run_one_detailed, ExperimentScale};
+use sprinkler_experiments::{
+    fig01, fig06, fig10, fig12, fig15, fig15_scaling, fig16, fig17, scenario,
+};
 use sprinkler_flash::Lpn;
 use sprinkler_sim::{AllocScope, CountingAllocator, SimTime};
 use sprinkler_ssd::request::{Direction, HostRequest};
@@ -237,19 +239,27 @@ fn work_figures(
 /// cell, plus the always-on telemetry counters and the steady-state
 /// allocation budget of the paper-geometry replay.
 fn seed_metrics() -> Vec<(&'static str, f64)> {
-    let comparison = &fig10::run(&ExperimentScale::bench(), None);
+    let scale = ExperimentScale::bench();
+    let fig10 = fig10::run(&scale, None);
+    let fig06 = fig06::run(&scale, None);
+    let fig12 = fig12::run(&scale, 3_000);
     let runs = |kind| {
-        comparison
-            .workloads
+        fig10
             .iter()
-            .filter_map(move |w| comparison.metrics(w, kind))
+            .filter(move |c| c.scheduler == kind)
+            .map(|c| &c.metrics)
     };
-    let mean = |kind, figure: fn(&RunMetrics) -> f64| {
-        let values: Vec<f64> = runs(kind).map(figure).collect();
-        values.iter().sum::<f64>() / values.len() as f64
+    let fig10_mean =
+        |kind, figure: fn(&RunMetrics) -> f64| mean(&fig10, |c| c.scheduler == kind, figure);
+    let fig06_mean = |kind| mean(&fig06, |c| c.scheduler == kind, |m| m.chip_utilization);
+    let fig12_latency = |kind| {
+        find(&fig12, "msnfs1", kind)
+            .expect("every Fig 12 scheduler ran")
+            .avg_latency_ns
     };
-    let bandwidth_x = comparison.bandwidth_speedup(SchedulerKind::Spk3, SchedulerKind::Vas);
-    let latency_pct = 100.0 * comparison.latency_reduction(SchedulerKind::Spk3, SchedulerKind::Vas);
+    let bandwidth_x = fig10::bandwidth_speedup(&fig10, SchedulerKind::Spk3, SchedulerKind::Vas);
+    let latency_pct =
+        100.0 * fig10::latency_reduction(&fig10, SchedulerKind::Spk3, SchedulerKind::Vas);
     let spk3_rounds: u64 = runs(SchedulerKind::Spk3)
         .map(|m| m.telemetry.sched_rounds)
         .sum();
@@ -294,19 +304,19 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
     figures.extend([
         (
             "fig10_spk3_chip_utilization",
-            mean(SchedulerKind::Spk3, |m| m.chip_utilization),
+            fig10_mean(SchedulerKind::Spk3, |m| m.chip_utilization),
         ),
         (
             "fig10_vas_chip_utilization",
-            mean(SchedulerKind::Vas, |m| m.chip_utilization),
+            fig10_mean(SchedulerKind::Vas, |m| m.chip_utilization),
         ),
         (
             "fig10_spk3_intra_chip_idleness",
-            mean(SchedulerKind::Spk3, |m| m.intra_chip_idleness),
+            fig10_mean(SchedulerKind::Spk3, |m| m.intra_chip_idleness),
         ),
         (
             "fig10_vas_intra_chip_idleness",
-            mean(SchedulerKind::Vas, |m| m.intra_chip_idleness),
+            fig10_mean(SchedulerKind::Vas, |m| m.intra_chip_idleness),
         ),
         ("gc_fragmented_vas_kbps", gc_vas.bandwidth_kb_per_sec),
         ("gc_fragmented_spk3_kbps", gc_spk3.bandwidth_kb_per_sec),
@@ -342,34 +352,62 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
             steady.telemetry.stream_admissions as f64,
         ),
         ("steady_state_allocs_per_io", allocs_per_io),
+        ("fig06_vas_chip_utilization", fig06_mean(SchedulerKind::Vas)),
+        ("fig06_pas_chip_utilization", fig06_mean(SchedulerKind::Pas)),
+        (
+            "fig06_spk3_chip_utilization",
+            fig06_mean(SchedulerKind::Spk3),
+        ),
+        (
+            "fig12_vas_mean_latency_ns",
+            fig12_latency(SchedulerKind::Vas),
+        ),
+        (
+            "fig12_pas_mean_latency_ns",
+            fig12_latency(SchedulerKind::Pas),
+        ),
+        (
+            "fig12_spk3_mean_latency_ns",
+            fig12_latency(SchedulerKind::Spk3),
+        ),
+        (
+            "fig13_spk3_execution_idle",
+            fig10_mean(SchedulerKind::Spk3, |m| m.execution.idle),
+        ),
+        (
+            "fig14_spk3_flp_pal3",
+            fig10_mean(SchedulerKind::Spk3, |m| m.flp.pal3),
+        ),
     ]);
     figures
 }
 
 /// `BENCH_scaling.json`: the quick-scale scaling panel at 16 and 64 chips.
 fn scaling_metrics() -> Vec<(&'static str, f64)> {
-    let result = fig15_scaling::run(&ExperimentScale::quick(), Some(&[16, 64]), Some(&[32]));
-    let point = |chips, kind| {
-        result
-            .point(chips, 32, kind)
-            .expect("swept point exists")
-            .bandwidth_kb_per_sec
-    };
-    let rounds = |chips, kind| {
-        result
-            .point(chips, 32, kind)
-            .expect("swept point exists")
-            .sched_rounds as f64
-    };
+    let cells = fig15_scaling::run(&ExperimentScale::quick(), Some(&[16, 64]), Some(&[32]));
+    let point = |chips, kind| find(&cells, &(chips, 32), kind).expect("swept point exists");
+    let rounds = |chips, kind| point(chips, kind).telemetry.sched_rounds as f64;
     let (steady_1024, allocs_per_io_1024) = steady_replay(1024);
     let mut figures = vec![
-        ("scaling_vas_16chips_kbps", point(16, SchedulerKind::Vas)),
-        ("scaling_vas_64chips_kbps", point(64, SchedulerKind::Vas)),
-        ("scaling_spk3_16chips_kbps", point(16, SchedulerKind::Spk3)),
-        ("scaling_spk3_64chips_kbps", point(64, SchedulerKind::Spk3)),
+        (
+            "scaling_vas_16chips_kbps",
+            point(16, SchedulerKind::Vas).bandwidth_kb_per_sec,
+        ),
+        (
+            "scaling_vas_64chips_kbps",
+            point(64, SchedulerKind::Vas).bandwidth_kb_per_sec,
+        ),
+        (
+            "scaling_spk3_16chips_kbps",
+            point(16, SchedulerKind::Spk3).bandwidth_kb_per_sec,
+        ),
+        (
+            "scaling_spk3_64chips_kbps",
+            point(64, SchedulerKind::Spk3).bandwidth_kb_per_sec,
+        ),
         (
             "scaling_spk3_vas_speedup_64chips",
-            result.speedup(64, 32).expect("both schedulers ran"),
+            fig15_scaling::speedup(&cells, 64, 32).expect("both schedulers ran"),
         ),
         // Round totals are exact telemetry counts: any change to the round
         // loop's decision stream (not just its speed) moves these and trips
@@ -400,15 +438,80 @@ fn scaling_metrics() -> Vec<(&'static str, f64)> {
         &steady_1024.work,
     ));
     figures.push(("steady_state_allocs_per_io_1024chips", allocs_per_io_1024));
+    figures.extend(sweep_figure_metrics());
     figures
+}
+
+/// The sweep figures of `BENCH_scaling.json` at quick scale: Fig 1's VAS
+/// 4 KB bandwidth at 16 and 1024 chips, and the 64-chip panels of Figs 15
+/// (mean utilization), 16 (exact transaction totals) and 17 (exact GC
+/// invocations and mean fragmented bandwidth).
+fn sweep_figure_metrics() -> Vec<(&'static str, f64)> {
+    let scale = ExperimentScale::quick();
+    let fig01 = fig01::run(&scale);
+    let fig01_4kb = |chips| {
+        find(&fig01, &(chips, 4), SchedulerKind::Vas)
+            .expect("swept point exists")
+            .bandwidth_kb_per_sec
+    };
+    let fig15 = fig15::run(&scale, Some(&[64]));
+    let fig15_mean = |kind| mean(&fig15, |c| c.scheduler == kind, |m| m.chip_utilization);
+    let fig16 = fig16::run(&scale, Some(&[64]));
+    let fig16_total = |kind| {
+        fig16
+            .iter()
+            .filter(|c| c.scheduler == kind)
+            .map(|c| c.metrics.transactions)
+            .sum::<u64>() as f64
+    };
+    let fig17 = fig17::run(&scale, Some(&[64]));
+    let fig17_fragmented = |kind| {
+        mean(
+            &fig17,
+            |c| c.scheduler == kind && c.key.2,
+            |m| m.bandwidth_kb_per_sec,
+        )
+    };
+    vec![
+        ("fig01_vas_4kb_16chips_kbps", fig01_4kb(16)),
+        ("fig01_vas_4kb_1024chips_kbps", fig01_4kb(1024)),
+        (
+            "fig15_64chips_vas_utilization",
+            fig15_mean(SchedulerKind::Vas),
+        ),
+        (
+            "fig15_64chips_spk3_utilization",
+            fig15_mean(SchedulerKind::Spk3),
+        ),
+        (
+            "fig16_64chips_vas_transactions",
+            fig16_total(SchedulerKind::Vas),
+        ),
+        (
+            "fig16_64chips_spk3_transactions",
+            fig16_total(SchedulerKind::Spk3),
+        ),
+        (
+            "fig17_64chips_gc_invocations",
+            fig17::gc_invocations(&fig17, 64) as f64,
+        ),
+        (
+            "fig17_64chips_vas_fragmented_kbps",
+            fig17_fragmented(SchedulerKind::Vas),
+        ),
+        (
+            "fig17_64chips_spk3_fragmented_kbps",
+            fig17_fragmented(SchedulerKind::Spk3),
+        ),
+    ]
 }
 
 /// `BENCH_array.json`: the array scale-out sweep at quick scale, plus the
 /// adaptive-placement figures — the skew acceptance triple (uniform /
 /// hot-shard / hot-shard-rebalance at the skew figure horizon) and the
 /// modular-hot-set and heterogeneous headline cells, with the rebalancer's
-/// telemetry counters baselined from the merged summary so the whole
-/// heat-track → migrate → merge path sits under the perf gate.
+/// counters, so the whole heat-track → migrate path sits under the perf
+/// gate.
 fn array_metrics() -> Vec<(&'static str, f64)> {
     let scale = ExperimentScale::quick();
     let spk3 = |devices| scenario::array_scaleout_metrics(&scale, devices, SchedulerKind::Spk3);
@@ -431,7 +534,6 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
         / (uniform.bandwidth_kb_per_sec - hot.bandwidth_kb_per_sec);
     let reb_adaptive = scenario::array_rebalance_metrics(&scale, "adaptive", SchedulerKind::Spk3);
     let reb_static = scenario::array_rebalance_metrics(&scale, "static", SchedulerKind::Spk3);
-    let reb_telemetry = reb_adaptive.summary_run_metrics().telemetry;
     let het_adaptive = scenario::array_hetero_metrics(&scale, "adaptive", SchedulerKind::Spk3);
     let het_static = scenario::array_hetero_metrics(&scale, "static", SchedulerKind::Spk3);
     vec![
@@ -479,15 +581,15 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
         ),
         (
             "array_rebalance_stripes_migrated",
-            reb_telemetry.stripes_migrated as f64,
+            reb_adaptive.stripes_migrated as f64,
         ),
         (
             "array_rebalance_migration_bytes",
-            reb_telemetry.migration_bytes as f64,
+            reb_adaptive.migration_bytes as f64,
         ),
         (
             "array_rebalance_heat_decays",
-            reb_telemetry.heat_decays as f64,
+            reb_adaptive.heat_decays as f64,
         ),
         ("array_hetero_static_kbps", het_static.bandwidth_kb_per_sec),
         (
@@ -590,7 +692,7 @@ const BASELINES: [Baseline; 4] = [
         context: &[
             (
                 "scale",
-                r#"{ "ios_per_workload": 200, "blocks_per_plane": 32, "note": "fig10 at bench scale; the gc_* keys are the 95%-full GC cell, the hazard_* keys the read/write-pair FUA burst trace of hazard_cell, and the steady_* keys the zero-allocation steady-state replay at 64 chips" }"#,
+                r#"{ "ios_per_workload": 200, "blocks_per_plane": 32, "note": "fig10 at bench scale; the gc_* keys are the 95%-full GC cell, the hazard_* keys the read/write-pair FUA burst trace of hazard_cell, the steady_* keys the zero-allocation steady-state replay at 64 chips, the fig06_* keys Fig 6's mean chip utilization over the 16 workloads, the fig12_* keys Fig 12's mean latency over 3000 msnfs1 I/Os, and the fig13/fig14 keys SPK3's mean execution idle and PAL3 share over the fig10 matrix" }"#,
             ),
             (
                 "paper",
@@ -603,7 +705,7 @@ const BASELINES: [Baseline; 4] = [
         file: "BENCH_scaling.json",
         context: &[(
             "scale",
-            r#"{ "ios_per_workload": 300, "blocks_per_plane": 32, "transfer_kb": 32, "note": "fig15_scaling at quick scale, 16 and 64 chips; the steady_* keys are the zero-allocation steady-state replay at 1024 chips" }"#,
+            r#"{ "ios_per_workload": 300, "blocks_per_plane": 32, "transfer_kb": 32, "note": "fig15_scaling at quick scale, 16 and 64 chips; the steady_* keys are the zero-allocation steady-state replay at 1024 chips; the fig01/fig15/fig16/fig17 keys are those sweep figures at quick scale: Fig 1's VAS 4KB bandwidth at 16 and 1024 chips, and the 64-chip panels of Figs 15 (mean utilization), 16 (transaction totals) and 17 (GC invocations, mean fragmented bandwidth)" }"#,
         )],
         metrics: scaling_metrics,
     },

@@ -48,16 +48,16 @@ fn main() {
 
     for name in names {
         let start = Instant::now();
-        let outcome = scenario::run(name, &scale).expect("checked against SCENARIO_NAMES");
-        println!("{}", outcome.table().render());
+        let cells = scenario::run(name, &scale).expect("checked against SCENARIO_NAMES");
+        println!("{}", scenario::table(name, &cells).render());
         println!(
             "{} cells in {:.2} s\n",
-            outcome.cells.len(),
+            cells.len(),
             start.elapsed().as_secs_f64()
         );
         // Every scenario must complete all of its work; a silent empty cell
         // set would let CI pass while covering nothing.
-        assert!(!outcome.cells.is_empty());
-        assert!(outcome.cells.iter().all(|c| c.metrics.io_count > 0));
+        assert!(!cells.is_empty());
+        assert!(cells.iter().all(|c| c.metrics.io_count > 0));
     }
 }

@@ -2,65 +2,36 @@
 
 use sprinkler_core::SchedulerKind;
 
-use crate::fig10::MainComparison;
+use crate::fig10::{pairs, workload_table};
 use crate::report::{fmt_pct, Table};
+use crate::runner::Cell;
 
 /// Fig 11a: inter-chip idleness (%) per workload and scheduler.
-pub fn inter_chip_table(comparison: &MainComparison) -> Table {
-    idleness_table(comparison, "Fig 11a: inter-chip idleness", |m| {
-        m.inter_chip_idleness
+pub fn inter_chip_table(cells: &[Cell<String>]) -> Table {
+    workload_table(cells, "Fig 11a: inter-chip idleness", |_, m| {
+        fmt_pct(m.inter_chip_idleness)
     })
 }
 
 /// Fig 11b: intra-chip idleness (%) per workload and scheduler.
-pub fn intra_chip_table(comparison: &MainComparison) -> Table {
-    idleness_table(comparison, "Fig 11b: intra-chip idleness", |m| {
-        m.intra_chip_idleness
+pub fn intra_chip_table(cells: &[Cell<String>]) -> Table {
+    workload_table(cells, "Fig 11b: intra-chip idleness", |_, m| {
+        fmt_pct(m.intra_chip_idleness)
     })
-}
-
-fn idleness_table(
-    comparison: &MainComparison,
-    title: &str,
-    value: impl Fn(&sprinkler_ssd::RunMetrics) -> f64,
-) -> Table {
-    let mut table = Table::new(
-        title,
-        std::iter::once("workload".to_string())
-            .chain(SchedulerKind::ALL.iter().map(|k| k.label().to_string()))
-            .collect(),
-    );
-    for workload in &comparison.workloads {
-        let mut row = vec![workload.clone()];
-        for kind in SchedulerKind::ALL {
-            row.push(
-                comparison
-                    .metrics(workload, kind)
-                    .map_or_else(String::new, |m| fmt_pct(value(m))),
-            );
-        }
-        table.add_row(row);
-    }
-    table
 }
 
 /// Average idleness reduction (in percentage points) of `kind` relative to
 /// `baseline` for inter-chip idleness.
 pub fn inter_chip_improvement(
-    comparison: &MainComparison,
+    cells: &[Cell<String>],
     kind: SchedulerKind,
     baseline: SchedulerKind,
 ) -> f64 {
     let mut sum = 0.0;
     let mut count = 0usize;
-    for workload in &comparison.workloads {
-        if let (Some(a), Some(b)) = (
-            comparison.metrics(workload, kind),
-            comparison.metrics(workload, baseline),
-        ) {
-            sum += b.inter_chip_idleness - a.inter_chip_idleness;
-            count += 1;
-        }
+    for (a, b) in pairs(cells, kind, baseline) {
+        sum += b.inter_chip_idleness - a.inter_chip_idleness;
+        count += 1;
     }
     if count == 0 {
         0.0
@@ -81,14 +52,13 @@ mod tests {
             ios_per_workload: 150,
             blocks_per_plane: 16,
         };
-        let comparison = fig10::run(&scale, Some(3));
-        let improvement =
-            inter_chip_improvement(&comparison, SchedulerKind::Spk3, SchedulerKind::Vas);
+        let cells = fig10::run(&scale, Some(3));
+        let improvement = inter_chip_improvement(&cells, SchedulerKind::Spk3, SchedulerKind::Vas);
         assert!(
             improvement > 0.0,
             "SPK3 must reduce inter-chip idleness vs VAS (improvement={improvement})"
         );
-        assert_eq!(inter_chip_table(&comparison).row_count(), 3);
-        assert_eq!(intra_chip_table(&comparison).row_count(), 3);
+        assert_eq!(inter_chip_table(&cells).row_count(), 3);
+        assert_eq!(intra_chip_table(&cells).row_count(), 3);
     }
 }

@@ -3,11 +3,11 @@
 
 use sprinkler_core::SchedulerKind;
 
-use crate::fig10::MainComparison;
 use crate::report::{fmt_pct, Table};
+use crate::runner::Cell;
 
 /// Renders the execution breakdown of one scheduler across all workloads.
-pub fn breakdown_table(comparison: &MainComparison, kind: SchedulerKind) -> Table {
+pub fn breakdown_table(cells: &[Cell<String>], kind: SchedulerKind) -> Table {
     let mut table = Table::new(
         format!("Fig 13: execution time breakdown ({})", kind.label()),
         vec![
@@ -18,40 +18,24 @@ pub fn breakdown_table(comparison: &MainComparison, kind: SchedulerKind) -> Tabl
             "idle".into(),
         ],
     );
-    for workload in &comparison.workloads {
-        if let Some(m) = comparison.metrics(workload, kind) {
-            table.add_row(vec![
-                workload.clone(),
-                fmt_pct(m.execution.bus_operation),
-                fmt_pct(m.execution.bus_contention),
-                fmt_pct(m.execution.memory_operation),
-                fmt_pct(m.execution.idle),
-            ]);
-        }
+    for cell in cells.iter().filter(|c| c.scheduler == kind) {
+        let e = &cell.metrics.execution;
+        table.add_row(vec![
+            cell.key.clone(),
+            fmt_pct(e.bus_operation),
+            fmt_pct(e.bus_contention),
+            fmt_pct(e.memory_operation),
+            fmt_pct(e.idle),
+        ]);
     }
     table
-}
-
-/// Average system-idle fraction of a scheduler over all workloads.
-pub fn mean_idle(comparison: &MainComparison, kind: SchedulerKind) -> f64 {
-    let values: Vec<f64> = comparison
-        .workloads
-        .iter()
-        .filter_map(|w| comparison.metrics(w, kind))
-        .map(|m| m.execution.idle)
-        .collect();
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fig10;
-    use crate::runner::ExperimentScale;
+    use crate::runner::{mean, ExperimentScale};
 
     #[test]
     fn spk3_spends_less_time_idle_than_pas() {
@@ -61,14 +45,15 @@ mod tests {
             ios_per_workload: 200,
             blocks_per_plane: 16,
         };
-        let comparison = fig10::run(&scale, Some(5));
-        let pas_idle = mean_idle(&comparison, SchedulerKind::Pas);
-        let spk3_idle = mean_idle(&comparison, SchedulerKind::Spk3);
+        let cells = fig10::run(&scale, Some(5));
+        let mean_idle = |kind| mean(&cells, |c| c.scheduler == kind, |m| m.execution.idle);
+        let pas_idle = mean_idle(SchedulerKind::Pas);
+        let spk3_idle = mean_idle(SchedulerKind::Spk3);
         assert!(
             spk3_idle < pas_idle,
             "SPK3 idle {spk3_idle:.3} must be below PAS idle {pas_idle:.3}"
         );
-        let table = breakdown_table(&comparison, SchedulerKind::Spk3);
+        let table = breakdown_table(&cells, SchedulerKind::Spk3);
         assert_eq!(table.row_count(), 5);
         assert!(table.render().contains("memory op"));
     }

@@ -3,8 +3,8 @@
 
 use sprinkler_core::SchedulerKind;
 
-use crate::fig10::MainComparison;
 use crate::report::{fmt_pct, Table};
+use crate::runner::Cell;
 
 /// The schedulers Fig 14 plots.
 pub const FIG14_SCHEDULERS: [SchedulerKind; 4] = [
@@ -15,7 +15,7 @@ pub const FIG14_SCHEDULERS: [SchedulerKind; 4] = [
 ];
 
 /// Renders the FLP breakdown of one scheduler across all workloads.
-pub fn flp_table(comparison: &MainComparison, kind: SchedulerKind) -> Table {
+pub fn flp_table(cells: &[Cell<String>], kind: SchedulerKind) -> Table {
     let mut table = Table::new(
         format!("Fig 14: FLP breakdown ({})", kind.label()),
         vec![
@@ -26,56 +26,18 @@ pub fn flp_table(comparison: &MainComparison, kind: SchedulerKind) -> Table {
             "PAL3".into(),
         ],
     );
-    for workload in &comparison.workloads {
-        if let Some(m) = comparison.metrics(workload, kind) {
-            let flp = m.flp.as_array();
-            table.add_row(vec![
-                workload.clone(),
-                fmt_pct(flp[0]),
-                fmt_pct(flp[1]),
-                fmt_pct(flp[2]),
-                fmt_pct(flp[3]),
-            ]);
-        }
+    for cell in cells.iter().filter(|c| c.scheduler == kind) {
+        let flp = cell.metrics.flp.as_array().map(fmt_pct);
+        table.add_row(std::iter::once(cell.key.clone()).chain(flp).collect());
     }
     table
-}
-
-/// Mean FLP level (0 = NON-PAL … 3 = PAL3) of a scheduler over all workloads.
-pub fn mean_flp_level(comparison: &MainComparison, kind: SchedulerKind) -> f64 {
-    let values: Vec<f64> = comparison
-        .workloads
-        .iter()
-        .filter_map(|w| comparison.metrics(w, kind))
-        .map(|m| m.flp.mean_level())
-        .collect();
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Mean fraction of requests served with *some* flash-level parallelism.
-pub fn mean_parallel_fraction(comparison: &MainComparison, kind: SchedulerKind) -> f64 {
-    let values: Vec<f64> = comparison
-        .workloads
-        .iter()
-        .filter_map(|w| comparison.metrics(w, kind))
-        .map(|m| 1.0 - m.flp.non_pal)
-        .collect();
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fig10;
-    use crate::runner::ExperimentScale;
+    use crate::runner::{mean, ExperimentScale};
 
     #[test]
     fn faro_variants_achieve_more_flp_than_pas() {
@@ -83,18 +45,24 @@ mod tests {
             ios_per_workload: 150,
             blocks_per_plane: 16,
         };
-        let comparison = fig10::run(&scale, Some(3));
-        let pas = mean_flp_level(&comparison, SchedulerKind::Pas);
-        let spk1 = mean_flp_level(&comparison, SchedulerKind::Spk1);
-        let spk3 = mean_flp_level(&comparison, SchedulerKind::Spk3);
+        let cells = fig10::run(&scale, Some(3));
+        let mean_flp_level = |kind| mean(&cells, |c| c.scheduler == kind, |m| m.flp.mean_level());
+        let pas = mean_flp_level(SchedulerKind::Pas);
+        let spk1 = mean_flp_level(SchedulerKind::Spk1);
+        let spk3 = mean_flp_level(SchedulerKind::Spk3);
         assert!(
             spk1 >= pas,
             "SPK1 FLP {spk1:.3} must be at least PAS {pas:.3}"
         );
         assert!(spk3 > pas, "SPK3 FLP {spk3:.3} must exceed PAS {pas:.3}");
         for kind in FIG14_SCHEDULERS {
-            assert_eq!(flp_table(&comparison, kind).row_count(), 3);
+            assert_eq!(flp_table(&cells, kind).row_count(), 3);
         }
-        assert!(mean_parallel_fraction(&comparison, SchedulerKind::Spk3) > 0.0);
+        let spk3_parallel = mean(
+            &cells,
+            |c| c.scheduler == SchedulerKind::Spk3,
+            |m| 1.0 - m.flp.non_pal,
+        );
+        assert!(spk3_parallel > 0.0);
     }
 }

@@ -18,7 +18,12 @@
 //! | [`fig17`]   | Fig 17 — garbage collection / readdressing impact |
 //!
 //! The [`runner`] module holds the shared machinery (trace → host-request
-//! conversion, scheduler × workload matrices, parallel execution), [`replay`]
+//! conversion, parallel execution) and owns the one result type: every
+//! figure and scenario is a list of [`runner::Cell`]s — a key (workload name,
+//! sweep point or scenario variant), a scheduler and the run's whole
+//! `RunMetrics` — fanned out by [`run_cells`] and read with [`runner::find`]
+//! and [`runner::mean`]; Figs 1 and 15–17 share one chips × transfer size
+//! grid.  [`replay`]
 //! is the streaming [`sprinkler_workloads::TraceSource`] → SSD boundary every
 //! experiment feeds through (bounded admission + logical-capacity validation),
 //! [`scenario`] is the named-scenario registry (enterprise replay, GC
@@ -71,5 +76,5 @@ pub mod table1;
 
 pub use replay::{run_source, run_source_detailed, CapacityPolicy, ReplayError};
 pub use report::Table;
-pub use runner::{run_cells, run_matrix, run_one, to_host_requests, ExperimentScale, MatrixCell};
-pub use scenario::{ScenarioCell, ScenarioOutcome, SCENARIO_NAMES};
+pub use runner::{run_cells, run_matrix, run_one, to_host_requests, Cell, ExperimentScale};
+pub use scenario::SCENARIO_NAMES;

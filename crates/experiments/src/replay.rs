@@ -11,7 +11,8 @@
 //! FTL's logical space.  The FTL refuses writes past it (they count as
 //! `RunMetrics::failed_writes`), so the replay either rejects the record with
 //! a [`ReplayError`] or deterministically wraps its page range into capacity,
-//! per [`CapacityPolicy`].
+//! per [`CapacityPolicy`].  A configuration that fails
+//! [`SsdConfig::validate`] is a [`ReplayError`] too.
 
 use std::cell::Cell;
 use std::fmt;
@@ -19,7 +20,7 @@ use std::fmt;
 use sprinkler_core::SchedulerKind;
 use sprinkler_flash::Lpn;
 use sprinkler_ssd::request::{Direction, HostRequest};
-use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig};
+use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig, SsdError};
 use sprinkler_workloads::{TraceRecord, TraceSource};
 
 /// How the replay boundary treats a record whose logical page range exceeds
@@ -35,31 +36,41 @@ pub enum CapacityPolicy {
     Wrap,
 }
 
-/// A record that addressed pages past the device's logical capacity, under
-/// [`CapacityPolicy::Reject`].
+/// Why a replay stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplayError {
-    /// The offending record's id.
-    pub record_id: u64,
-    /// First logical page the record addressed.
-    pub first_lpn: u64,
-    /// Number of pages the record spanned.
-    pub pages: u32,
-    /// The device's logical capacity in pages.
-    pub capacity_pages: u64,
+pub enum ReplayError {
+    /// The SSD configuration failed validation, so no device was built.
+    InvalidConfig(SsdError),
+    /// A record addressed pages past the device's logical capacity, under
+    /// [`CapacityPolicy::Reject`].
+    OutOfCapacity {
+        /// The offending record's id.
+        record_id: u64,
+        /// First logical page the record addressed.
+        first_lpn: u64,
+        /// Number of pages the record spanned.
+        pages: u32,
+        /// The device's logical capacity in pages.
+        capacity_pages: u64,
+    },
 }
 
 impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace record {} addresses logical pages [{}, {}) past the device's logical \
-             capacity of {} pages",
-            self.record_id,
-            self.first_lpn,
-            self.first_lpn + self.pages as u64,
-            self.capacity_pages
-        )
+        match self {
+            ReplayError::InvalidConfig(error) => write!(f, "cannot build the device: {error}"),
+            ReplayError::OutOfCapacity {
+                record_id,
+                first_lpn,
+                pages,
+                capacity_pages,
+            } => write!(
+                f,
+                "trace record {record_id} addresses logical pages [{first_lpn}, {}) past the \
+                 device's logical capacity of {capacity_pages} pages",
+                first_lpn + *pages as u64,
+            ),
+        }
     }
 }
 
@@ -95,7 +106,7 @@ fn bound_request(
         return Ok(request);
     }
     match policy {
-        CapacityPolicy::Reject => Err(ReplayError {
+        CapacityPolicy::Reject => Err(ReplayError::OutOfCapacity {
             record_id: request.id,
             first_lpn: first,
             pages: request.pages,
@@ -150,9 +161,10 @@ impl Iterator for RequestStream<'_> {
 ///
 /// # Errors
 ///
-/// Under [`CapacityPolicy::Reject`], returns the first out-of-capacity record
-/// (the partial run's metrics are discarded).  [`CapacityPolicy::Wrap`] never
-/// fails.
+/// [`ReplayError::InvalidConfig`] if `config` fails [`SsdConfig::validate`].
+/// Under [`CapacityPolicy::Reject`], [`ReplayError::OutOfCapacity`] names the
+/// first out-of-capacity record (the partial run's metrics are discarded);
+/// [`CapacityPolicy::Wrap`] rejects no record.
 pub fn run_source(
     config: &SsdConfig,
     kind: SchedulerKind,
@@ -165,6 +177,10 @@ pub fn run_source(
 /// Like [`run_source`] but optionally records the per-I/O latency series
 /// (Fig 12) and pre-conditions the SSD into a fragmented state (Fig 17 / the
 /// GC steady-state scenario).
+///
+/// # Errors
+///
+/// As [`run_source`].
 pub fn run_source_detailed(
     config: &SsdConfig,
     kind: SchedulerKind,
@@ -174,7 +190,7 @@ pub fn run_source_detailed(
     precondition: Option<f64>,
 ) -> Result<RunMetrics, ReplayError> {
     let mut ssd = Ssd::with_series(config.clone(), kind.build(), record_series)
-        .expect("experiment config must be valid");
+        .map_err(ReplayError::InvalidConfig)?;
     if let Some(utilization) = precondition {
         ssd.precondition(utilization, 0xF17);
     }
@@ -252,9 +268,41 @@ mod tests {
             CapacityPolicy::Reject,
         )
         .expect_err("the spilling record must be rejected");
-        assert_eq!(error.record_id, 1);
-        assert_eq!(error.capacity_pages, config.geometry.total_pages() as u64);
+        let ReplayError::OutOfCapacity {
+            record_id,
+            capacity_pages,
+            ..
+        } = error
+        else {
+            panic!("expected a capacity rejection, got {error:?}");
+        };
+        assert_eq!(record_id, 1);
+        assert_eq!(capacity_pages, config.geometry.total_pages() as u64);
         assert!(error.to_string().contains("logical capacity"));
+    }
+
+    /// Regression: an invalid configuration panicked inside the replay
+    /// ("experiment config must be valid") although the replay returns a
+    /// `Result`.
+    #[test]
+    fn invalid_configs_are_an_error_not_a_panic() {
+        let config = SsdConfig {
+            queue_depth: 0,
+            ..SsdConfig::small_test()
+        };
+        let trace = SyntheticSpec::new("any").generate(4, 1);
+        let error = run_source(
+            &config,
+            SchedulerKind::Spk3,
+            &mut trace.source(),
+            CapacityPolicy::Wrap,
+        )
+        .expect_err("a zero queue depth must be refused");
+        assert_eq!(
+            error,
+            ReplayError::InvalidConfig(config.validate().unwrap_err())
+        );
+        assert!(error.to_string().contains("queue_depth"));
     }
 
     /// Locks the former spill behaviour as wrapped: under the wrap policy no

@@ -90,6 +90,28 @@ impl fmt::Display for Table {
     }
 }
 
+/// Lays a grid out as a table: one row per `(label, row)` and one column per
+/// `(header, column)`, each entry `entry(row, column)`.  `corner` heads the
+/// label column.
+pub(crate) fn grid_table<R, C>(
+    title: impl Into<String>,
+    corner: &str,
+    rows: impl IntoIterator<Item = (String, R)>,
+    columns: impl IntoIterator<Item = (String, C)>,
+    entry: impl Fn(&R, &C) -> String,
+) -> Table {
+    let (headers, columns): (Vec<String>, Vec<C>) = columns.into_iter().unzip();
+    let mut table = Table::new(
+        title,
+        std::iter::once(corner.to_string()).chain(headers).collect(),
+    );
+    for (label, row) in rows {
+        let entries = columns.iter().map(|column| entry(&row, column));
+        table.add_row(std::iter::once(label).chain(entries).collect());
+    }
+    table
+}
+
 /// Formats a float with a sensible number of digits for table cells.
 pub fn fmt_f64(value: f64) -> String {
     if value.abs() >= 1000.0 {
@@ -125,6 +147,20 @@ mod tests {
         assert!(lines[1].starts_with("a"));
         assert!(lines[3].starts_with("xxxxx"));
         assert_eq!(format!("{t}"), s);
+    }
+
+    #[test]
+    fn grid_table_fills_one_entry_per_row_and_column() {
+        let t = grid_table(
+            "G",
+            "row",
+            [("a".to_string(), 1), ("b".to_string(), 2)],
+            [("x10".to_string(), 10), ("x100".to_string(), 100)],
+            |r, c| (r * c).to_string(),
+        );
+        assert_eq!(t.header(), ["row", "x10", "x100"]);
+        assert_eq!(t.row_count(), 2);
+        assert!(t.render().contains("b    20   200"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Shared experiment machinery.
 
+use std::borrow::Borrow;
+
 use sprinkler_core::SchedulerKind;
 use sprinkler_ssd::request::HostRequest;
 use sprinkler_ssd::{RunMetrics, SsdConfig};
@@ -123,13 +125,21 @@ pub fn to_host_requests(trace: &Trace, page_size: usize) -> Vec<HostRequest> {
 /// the streaming replay boundary: records are pulled from the trace lazily,
 /// validated against the device's logical capacity (out-of-capacity ranges
 /// wrap deterministically), and admitted under bounded backpressure.
+///
+/// # Panics
+///
+/// Panics if `config` fails [`SsdConfig::validate`]; the wrap policy rejects
+/// no record.
 pub fn run_one(config: &SsdConfig, kind: SchedulerKind, trace: &Trace) -> RunMetrics {
-    replay::run_source(config, kind, &mut trace.source(), CapacityPolicy::Wrap)
-        .expect("the wrap policy never rejects a record")
+    run_one_detailed(config, kind, trace, false, None)
 }
 
 /// Like [`run_one`] but records the per-I/O latency series (Fig 12) and optionally
 /// pre-conditions the SSD into a fragmented state (Fig 17).
+///
+/// # Panics
+///
+/// Panics if `config` fails [`SsdConfig::validate`].
 pub fn run_one_detailed(
     config: &SsdConfig,
     kind: SchedulerKind,
@@ -145,7 +155,7 @@ pub fn run_one_detailed(
         record_series,
         precondition,
     )
-    .expect("the wrap policy never rejects a record")
+    .expect("experiment configs are valid, and the wrap policy rejects no record")
 }
 
 /// Runs one closure per cell on a bounded pool of scoped worker threads and
@@ -197,45 +207,152 @@ where
     indexed.into_iter().map(|(_, result)| result).collect()
 }
 
-/// One cell of a scheduler × workload matrix.
+/// One experiment result: the run of `scheduler` on the cell `key` names.
+///
+/// Every figure and scenario of this crate is a list of these.  The key is a
+/// workload name (Figs 6 and 10–14), a sweep point `(chips, transfer_kb)`
+/// (Figs 1, 15 and 16 and the scaling study; Fig 17 adds `fragmented`) or a
+/// scenario variant, and the cell keeps the run's whole [`RunMetrics`], so
+/// any table or summary reads any figure of any cell.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MatrixCell {
-    /// Workload name.
-    pub workload: String,
+pub struct Cell<K> {
+    /// What was run: a workload, a sweep point or a scenario variant.
+    pub key: K,
     /// Scheduler evaluated.
     pub scheduler: SchedulerKind,
     /// The collected metrics.
     pub metrics: RunMetrics,
 }
 
-/// Runs every scheduler over every trace, in parallel across the independent
-/// cells via [`run_cells`].  Cells come back in deterministic order: by
-/// workload, then by scheduler order in the request.
+/// Runs `run` for every item × scheduler pair through [`run_cells`], naming
+/// each cell `key(item)`.  Cells come back item by item, in scheduler order
+/// within an item.
+pub(crate) fn run_grid<T, K>(
+    items: &[T],
+    schedulers: &[SchedulerKind],
+    key: impl Fn(&T) -> K + Sync,
+    run: impl Fn(&T, SchedulerKind) -> RunMetrics + Sync,
+) -> Vec<Cell<K>>
+where
+    T: Sync,
+    K: Send,
+{
+    let pairs: Vec<(&T, SchedulerKind)> = items
+        .iter()
+        .flat_map(|item| schedulers.iter().map(move |&kind| (item, kind)))
+        .collect();
+    run_cells(&pairs, |&(item, scheduler)| Cell {
+        key: key(item),
+        scheduler,
+        metrics: run(item, scheduler),
+    })
+}
+
+/// Runs every scheduler over every trace; cells are keyed by workload name.
 pub fn run_matrix(
     config: &SsdConfig,
     schedulers: &[SchedulerKind],
     traces: &[Trace],
-) -> Vec<MatrixCell> {
-    let cells: Vec<(&Trace, SchedulerKind)> = traces
-        .iter()
-        .flat_map(|trace| schedulers.iter().map(move |&kind| (trace, kind)))
-        .collect();
-    run_cells(&cells, |&(trace, kind)| MatrixCell {
-        workload: trace.name().to_string(),
-        scheduler: kind,
-        metrics: run_one(config, kind, trace),
-    })
+) -> Vec<Cell<String>> {
+    run_grid(
+        traces,
+        schedulers,
+        |trace| trace.name().to_string(),
+        |trace, kind| run_one(config, kind, trace),
+    )
 }
 
-/// Finds the cell for a workload/scheduler pair.
-pub fn find_cell<'a>(
-    cells: &'a [MatrixCell],
-    workload: &str,
+/// A sweep figure's grid (Figs 1, 15, 16, 17 and the scaling study): every
+/// chip count × transfer size × scheduler.  Each cell replays the scale's
+/// [`ExperimentScale::sweep_trace`] for its transfer size on `device` with
+/// the cell's chip count; the figures differ only in these fields.
+#[derive(Debug, Clone)]
+pub(crate) struct Sweep<'a> {
+    /// The device of every cell, before its chip count is set.
+    pub(crate) device: SsdConfig,
+    /// The chip counts swept.
+    pub(crate) chip_counts: &'a [usize],
+    /// The transfer sizes swept, in KB.
+    pub(crate) transfer_sizes_kb: &'a [u64],
+    /// The schedulers compared.
+    pub(crate) schedulers: &'a [SchedulerKind],
+    /// Read share of the sweep trace.
+    pub(crate) read_fraction: f64,
+    /// Seed of the sweep trace.
+    pub(crate) seed: u64,
+}
+
+impl Sweep<'_> {
+    /// Runs the grid, each device pre-conditioned to `fill` of its physical
+    /// capacity when given.  Cells are keyed `(chips, transfer_kb)` and come
+    /// back by chip count, then transfer size, then scheduler.
+    pub(crate) fn run(
+        &self,
+        scale: &ExperimentScale,
+        fill: Option<f64>,
+    ) -> Vec<Cell<(usize, u64)>> {
+        let points: Vec<(usize, u64)> = self
+            .chip_counts
+            .iter()
+            .flat_map(|&chips| self.transfer_sizes_kb.iter().map(move |&kb| (chips, kb)))
+            .collect();
+        run_grid(
+            &points,
+            self.schedulers,
+            |&point| point,
+            |&(chips, transfer_kb), kind| {
+                let config = self.device.clone().with_chip_count(chips);
+                let trace = scale.sweep_trace(transfer_kb, self.read_fraction, self.seed);
+                run_one_detailed(&config, kind, &trace, false, fill)
+            },
+        )
+    }
+}
+
+/// The metrics of the cell with this key and scheduler, if the grid ran it.
+pub fn find<'a, K, Q>(
+    cells: &'a [Cell<K>],
+    key: &Q,
     scheduler: SchedulerKind,
-) -> Option<&'a MatrixCell> {
+) -> Option<&'a RunMetrics>
+where
+    K: Borrow<Q>,
+    Q: PartialEq + ?Sized,
+{
     cells
         .iter()
-        .find(|c| c.workload == workload && c.scheduler == scheduler)
+        .find(|c| c.key.borrow() == key && c.scheduler == scheduler)
+        .map(|c| &c.metrics)
+}
+
+/// The distinct keys of `cells`, in the order they were run.
+pub(crate) fn keys<K: PartialEq>(cells: &[Cell<K>]) -> Vec<&K> {
+    let mut keys: Vec<&K> = Vec::new();
+    for cell in cells {
+        if !keys.contains(&&cell.key) {
+            keys.push(&cell.key);
+        }
+    }
+    keys
+}
+
+/// The mean of `figure` over the cells `keep` selects, in cell order; 0 when
+/// it selects none.
+pub fn mean<K>(
+    cells: &[Cell<K>],
+    keep: impl Fn(&Cell<K>) -> bool,
+    figure: impl Fn(&RunMetrics) -> f64,
+) -> f64 {
+    let values: Vec<f64> = cells
+        .iter()
+        .filter(|c| keep(c))
+        .map(|c| figure(&c.metrics))
+        .collect();
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
 }
 
 #[cfg(test)]
@@ -283,12 +400,16 @@ mod tests {
         let schedulers = [SchedulerKind::Vas, SchedulerKind::Spk3];
         let cells = run_matrix(&config, &schedulers, &traces);
         assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].workload, "w0");
+        assert_eq!(cells[0].key, "w0");
         assert_eq!(cells[0].scheduler, SchedulerKind::Vas);
-        assert_eq!(cells[3].workload, "w1");
+        assert_eq!(cells[3].key, "w1");
         assert_eq!(cells[3].scheduler, SchedulerKind::Spk3);
-        assert!(find_cell(&cells, "w1", SchedulerKind::Vas).is_some());
-        assert!(find_cell(&cells, "w2", SchedulerKind::Vas).is_none());
+        assert!(find(&cells, "w1", SchedulerKind::Vas).is_some());
+        assert!(find(&cells, "w2", SchedulerKind::Vas).is_none());
+        assert_eq!(keys(&cells), ["w0", "w1"]);
+        let w1 = |cell: &Cell<String>| cell.key == "w1";
+        assert_eq!(mean(&cells, w1, |m| m.io_count as f64), 40.0);
+        assert_eq!(mean(&cells, |_| false, |m| m.io_count as f64), 0.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The figure modules reproduce the paper's published panels; the registry
 //! covers the *operational* situations a production many-chip SSD must handle,
-//! each as a named, deterministic, scale-aware experiment that fans out over
-//! [`run_cells`]:
+//! each as a named, deterministic, scale-aware experiment whose cells fan out
+//! over [`run_cells`](crate::runner::run_cells):
 //!
 //! | scenario            | what it exercises |
 //! |---------------------|-------------------|
@@ -19,15 +19,16 @@
 //! | `tenant-storm`      | the batch tenant storms (8× its baseline submission volume, arriving all at once); the token bucket plus deficit round-robin must hold the isolated tenants' p99 while the storming tenant eats its own queueing |
 //!
 //! Every scenario compares the conventional controller (VAS) against full
-//! Sprinkler (SPK3) and returns per-cell [`RunMetrics`], so regressions in any
-//! operating regime — not just the paper's figures — are visible from one
-//! `run_all` call.  The `scenarios` binary runs the registry from the command
-//! line (CI runs it at quick scale).
+//! Sprinkler (SPK3) and returns one [`Cell`] per variant and scheduler, keyed
+//! by the variant's label, so regressions in any operating regime — not just
+//! the paper's figures — are visible from one `run_all` call.  The
+//! `scenarios` binary runs the registry from the command line (CI runs it at
+//! quick scale).
 
 use sprinkler_array::{run_array, ArrayConfig, ArrayMetrics, RebalanceConfig};
 use sprinkler_core::SchedulerKind;
 use sprinkler_sim::{SimTime, SplitMix64};
-use sprinkler_ssd::{GcConfig, RunMetrics, SsdConfig};
+use sprinkler_ssd::{GcConfig, SsdConfig};
 use sprinkler_workloads::{parse, workload, SweepSpec, SyntheticSpec, Trace, TraceOp, TraceRecord};
 
 use sprinkler_tenants::{
@@ -36,8 +37,8 @@ use sprinkler_tenants::{
 use sprinkler_workloads::{FootprintSlice, SlicedSource, TraceSource};
 
 use crate::replay::{run_source, run_source_detailed, CapacityPolicy};
-use crate::report::{fmt_f64, Table};
-use crate::runner::{run_cells, ExperimentScale};
+use crate::report::{fmt_f64, grid_table, Table};
+use crate::runner::{find, keys, run_grid, Cell, ExperimentScale};
 
 /// The registered scenario names, in run order.
 pub const SCENARIO_NAMES: [&str; 10] = [
@@ -64,73 +65,37 @@ pub const ARRAY_CHIP_BUDGET: usize = 64;
 /// The schedulers every scenario compares.
 const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Vas, SchedulerKind::Spk3];
 
-/// One measured cell of a scenario: a workload variant under one scheduler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioCell {
-    /// The workload variant (e.g. `"sample_msr"`, `"qd16"`).
-    pub label: String,
-    /// Scheduler evaluated.
-    pub scheduler: SchedulerKind,
-    /// Collected metrics.
-    pub metrics: RunMetrics,
+/// A scenario's bandwidth/latency summary table, one row per variant.
+pub fn table(scenario: &str, cells: &[Cell<String>]) -> Table {
+    let (vas, spk3) = (SchedulerKind::Vas, SchedulerKind::Spk3);
+    let columns = [
+        ("VAS KB/s", vas, false),
+        ("SPK3 KB/s", spk3, false),
+        ("VAS lat us", vas, true),
+        ("SPK3 lat us", spk3, true),
+    ];
+    grid_table(
+        format!("Scenario: {scenario}"),
+        "variant",
+        keys(cells).into_iter().map(|v| (v.clone(), v)),
+        columns.map(|(header, kind, latency)| (header.to_string(), (kind, latency))),
+        |variant, &(kind, latency)| {
+            find(cells, *variant, kind).map_or_else(String::new, |m| {
+                fmt_f64(if latency {
+                    m.avg_latency_ns / 1000.0
+                } else {
+                    m.bandwidth_kb_per_sec
+                })
+            })
+        },
+    )
 }
 
-/// The result of one scenario run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
-    /// The scenario's registry name.
-    pub scenario: String,
-    /// Every (variant × scheduler) cell, in deterministic order.
-    pub cells: Vec<ScenarioCell>,
-}
-
-impl ScenarioOutcome {
-    /// The cell for one variant/scheduler pair.
-    pub fn cell(&self, label: &str, scheduler: SchedulerKind) -> Option<&ScenarioCell> {
-        self.cells
-            .iter()
-            .find(|c| c.label == label && c.scheduler == scheduler)
-    }
-
-    /// Bandwidth/latency summary table, one row per variant.
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(
-            format!("Scenario: {}", self.scenario),
-            vec![
-                "variant".into(),
-                "VAS KB/s".into(),
-                "SPK3 KB/s".into(),
-                "VAS lat us".into(),
-                "SPK3 lat us".into(),
-            ],
-        );
-        let mut variants: Vec<&str> = Vec::new();
-        for cell in &self.cells {
-            if !variants.contains(&cell.label.as_str()) {
-                variants.push(&cell.label);
-            }
-        }
-        for variant in variants {
-            let metric = |kind, f: fn(&RunMetrics) -> f64| {
-                self.cell(variant, kind)
-                    .map_or_else(String::new, |c| fmt_f64(f(&c.metrics)))
-            };
-            table.add_row(vec![
-                variant.to_string(),
-                metric(SchedulerKind::Vas, |m| m.bandwidth_kb_per_sec),
-                metric(SchedulerKind::Spk3, |m| m.bandwidth_kb_per_sec),
-                metric(SchedulerKind::Vas, |m| m.avg_latency_ns / 1000.0),
-                metric(SchedulerKind::Spk3, |m| m.avg_latency_ns / 1000.0),
-            ]);
-        }
-        table
-    }
-}
-
-/// Runs one named scenario at the given scale.  Returns `None` for an unknown
-/// name (see [`SCENARIO_NAMES`]).
-pub fn run(name: &str, scale: &ExperimentScale) -> Option<ScenarioOutcome> {
-    let cells = match name {
+/// Runs one named scenario at the given scale: one cell per variant and
+/// scheduler, in deterministic order.  Returns `None` for an unknown name
+/// (see [`SCENARIO_NAMES`]).
+pub fn run(name: &str, scale: &ExperimentScale) -> Option<Vec<Cell<String>>> {
+    Some(match name {
         "enterprise-replay" => enterprise_replay(scale),
         "gc-steady-state" => gc_steady_state(scale),
         "queue-depth-sweep" => queue_depth_sweep(scale),
@@ -142,19 +107,20 @@ pub fn run(name: &str, scale: &ExperimentScale) -> Option<ScenarioOutcome> {
         "tenant-mix" => tenant_mix(scale),
         "tenant-storm" => tenant_storm(scale),
         _ => return None,
-    };
-    Some(ScenarioOutcome {
-        scenario: name.to_string(),
-        cells,
     })
 }
 
 /// Runs every registered scenario, in [`SCENARIO_NAMES`] order.
-pub fn run_all(scale: &ExperimentScale) -> Vec<ScenarioOutcome> {
+pub fn run_all(scale: &ExperimentScale) -> Vec<Vec<Cell<String>>> {
     SCENARIO_NAMES
         .iter()
         .map(|name| run(name, scale).expect("registry names are valid"))
         .collect()
+}
+
+/// Names a cell by its variant label.
+fn label(variant: &&str) -> String {
+    variant.to_string()
 }
 
 /// The baseline configuration scenarios run on.
@@ -165,14 +131,11 @@ fn scenario_config(scale: &ExperimentScale) -> SsdConfig {
 /// enterprise-replay: the embedded text corpora stream through the parser and
 /// the capacity-rejecting replay boundary (proving validation is active on
 /// real trace text), plus one Table 1 workload streamed lazily at scale.
-fn enterprise_replay(scale: &ExperimentScale) -> Vec<ScenarioCell> {
+fn enterprise_replay(scale: &ExperimentScale) -> Vec<Cell<String>> {
     let config = scenario_config(scale);
-    let cells: Vec<(&str, SchedulerKind)> = ["sample_msr", "sample_blkparse", "msnfs1"]
-        .into_iter()
-        .flat_map(|label| SCHEDULERS.iter().map(move |&kind| (label, kind)))
-        .collect();
-    run_cells(&cells, |&(label, kind)| {
-        let metrics = match label {
+    let variants = ["sample_msr", "sample_blkparse", "msnfs1"];
+    run_grid(&variants, &SCHEDULERS, label, |&variant, kind| {
+        match variant {
             "sample_msr" => run_source(
                 &config,
                 kind,
@@ -186,7 +149,7 @@ fn enterprise_replay(scale: &ExperimentScale) -> Vec<ScenarioCell> {
                 CapacityPolicy::Reject,
             ),
             _ => {
-                let spec = workload(label).expect("msnfs1 is a Table 1 workload");
+                let spec = workload(variant).expect("msnfs1 is a Table 1 workload");
                 run_source(
                     &config,
                     kind,
@@ -195,33 +158,27 @@ fn enterprise_replay(scale: &ExperimentScale) -> Vec<ScenarioCell> {
                 )
             }
         }
-        .expect("enterprise traces fit the device's logical capacity");
-        ScenarioCell {
-            label: label.to_string(),
-            scheduler: kind,
-            metrics,
-        }
+        .expect("enterprise traces fit the device's logical capacity")
     })
 }
 
 /// gc-steady-state: a small, fragmented SSD (pre-conditioned to 90% physical
 /// utilization) under sustained overwrites, garbage collection enabled — the
 /// regime of Fig 17, held as a standing scenario.
-fn gc_steady_state(scale: &ExperimentScale) -> Vec<ScenarioCell> {
+fn gc_steady_state(scale: &ExperimentScale) -> Vec<Cell<String>> {
     let config = SsdConfig::paper_default()
         .with_chip_count(16)
         .with_blocks_per_plane(8)
         .with_gc(GcConfig::enabled());
     // A footprint of half the logical capacity keeps overwrites hot.
     let footprint_mb = (config.geometry.capacity_bytes() / (2 * 1024 * 1024)).max(1);
-    let cells: Vec<SchedulerKind> = SCHEDULERS.to_vec();
-    run_cells(&cells, |&kind| {
+    run_grid(&["fragmented-90pct"], &SCHEDULERS, label, |_, kind| {
         let spec = SyntheticSpec::new("gc-steady")
             .with_read_fraction(0.3)
             .with_mean_sizes_kb(16.0, 16.0)
             .with_footprint_mb(footprint_mb)
             .with_randomness(0.95, 0.95);
-        let metrics = run_source_detailed(
+        run_source_detailed(
             &config,
             kind,
             &mut spec.stream(scale.ios_per_workload, 0x6C),
@@ -229,77 +186,64 @@ fn gc_steady_state(scale: &ExperimentScale) -> Vec<ScenarioCell> {
             false,
             Some(0.90),
         )
-        .expect("the GC workload fits the device");
-        ScenarioCell {
-            label: "fragmented-90pct".to_string(),
-            scheduler: kind,
-            metrics,
-        }
+        .expect("the GC workload fits the device")
     })
 }
 
 /// queue-depth-sweep: one bursty, read-heavy workload replayed at device
 /// queue depths 8 → 64.
-fn queue_depth_sweep(scale: &ExperimentScale) -> Vec<ScenarioCell> {
+fn queue_depth_sweep(scale: &ExperimentScale) -> Vec<Cell<String>> {
     let depths: [usize; 4] = [8, 16, 32, 64];
-    let cells: Vec<(usize, SchedulerKind)> = depths
-        .into_iter()
-        .flat_map(|depth| SCHEDULERS.iter().map(move |&kind| (depth, kind)))
-        .collect();
-    run_cells(&cells, |&(depth, kind)| {
-        let config = scenario_config(scale).with_queue_depth(depth);
-        let spec = SyntheticSpec::new("qd-sweep")
-            .with_read_fraction(0.8)
-            .with_bursts(16, 80.0)
-            .with_footprint_mb(1024);
-        let metrics = run_source(
-            &config,
-            kind,
-            &mut spec.stream(scale.ios_per_workload, 0x9D),
-            CapacityPolicy::Reject,
-        )
-        .expect("the sweep workload fits the device");
-        ScenarioCell {
-            label: format!("qd{depth}"),
-            scheduler: kind,
-            metrics,
-        }
-    })
+    run_grid(
+        &depths,
+        &SCHEDULERS,
+        |depth| format!("qd{depth}"),
+        |&depth, kind| {
+            let config = scenario_config(scale).with_queue_depth(depth);
+            let spec = SyntheticSpec::new("qd-sweep")
+                .with_read_fraction(0.8)
+                .with_bursts(16, 80.0)
+                .with_footprint_mb(1024);
+            run_source(
+                &config,
+                kind,
+                &mut spec.stream(scale.ios_per_workload, 0x9D),
+                CapacityPolicy::Reject,
+            )
+            .expect("the sweep workload fits the device")
+        },
+    )
 }
 
 /// mixed-burst: half-read/half-write bursts, at high and low transactional
 /// locality.
-fn mixed_burst(scale: &ExperimentScale) -> Vec<ScenarioCell> {
+fn mixed_burst(scale: &ExperimentScale) -> Vec<Cell<String>> {
     use sprinkler_workloads::Locality;
     let variants: [(&str, Locality); 2] = [
         ("burst-high-locality", Locality::High),
         ("burst-low-locality", Locality::Low),
     ];
-    let cells: Vec<((&str, Locality), SchedulerKind)> = variants
-        .into_iter()
-        .flat_map(|variant| SCHEDULERS.iter().map(move |&kind| (variant, kind)))
-        .collect();
-    run_cells(&cells, |&((label, locality), kind)| {
-        let config = scenario_config(scale);
-        let spec = SyntheticSpec::new(label)
-            .with_read_fraction(0.5)
-            .with_mean_sizes_kb(32.0, 32.0)
-            .with_bursts(32, 60.0)
-            .with_locality(locality)
-            .with_footprint_mb(1024);
-        let metrics = run_source(
-            &config,
-            kind,
-            &mut spec.stream(scale.ios_per_workload, 0xB5),
-            CapacityPolicy::Reject,
-        )
-        .expect("the burst workload fits the device");
-        ScenarioCell {
-            label: label.to_string(),
-            scheduler: kind,
-            metrics,
-        }
-    })
+    run_grid(
+        &variants,
+        &SCHEDULERS,
+        |(variant, _)| variant.to_string(),
+        |&(variant, locality), kind| {
+            let config = scenario_config(scale);
+            let spec = SyntheticSpec::new(variant)
+                .with_read_fraction(0.5)
+                .with_mean_sizes_kb(32.0, 32.0)
+                .with_bursts(32, 60.0)
+                .with_locality(locality)
+                .with_footprint_mb(1024);
+            run_source(
+                &config,
+                kind,
+                &mut spec.stream(scale.ios_per_workload, 0xB5),
+                CapacityPolicy::Reject,
+            )
+            .expect("the burst workload fits the device")
+        },
+    )
 }
 
 /// The device configuration of one scale-out array cell: the fixed chip
@@ -336,16 +280,13 @@ pub fn array_scaleout_metrics(
 /// chip budget and fixed footprint — does the host-level frontend convert
 /// added devices into aggregate bandwidth, and how does scheduler choice
 /// compose with striping?
-fn array_scaleout(scale: &ExperimentScale) -> Vec<ScenarioCell> {
-    let cells: Vec<(usize, SchedulerKind)> = ARRAY_SCALEOUT_DEVICES
-        .into_iter()
-        .flat_map(|devices| SCHEDULERS.iter().map(move |&kind| (devices, kind)))
-        .collect();
-    run_cells(&cells, |&(devices, kind)| ScenarioCell {
-        label: format!("n{devices}"),
-        scheduler: kind,
-        metrics: array_scaleout_metrics(scale, devices, kind).summary_run_metrics(),
-    })
+fn array_scaleout(scale: &ExperimentScale) -> Vec<Cell<String>> {
+    run_grid(
+        &ARRAY_SCALEOUT_DEVICES,
+        &SCHEDULERS,
+        |devices| format!("n{devices}"),
+        |&devices, kind| array_scaleout_metrics(scale, devices, kind).summary_run_metrics(),
+    )
 }
 
 /// Logical stripes the skew workload spans (64 MB at 4 MB stripes).
@@ -399,7 +340,7 @@ fn array_skew_rebalance() -> RebalanceConfig {
 }
 
 /// One array-skew cell, exposed for tests that assert on the imbalance
-/// statistics the [`ScenarioCell`] summary flattens away.  The
+/// statistics the cell's summary metrics flatten away.  The
 /// `"hot-shard-rebalance"` variant replays the *byte-identical* hot-shard
 /// stream with the adaptive placement layer on, so any difference in the
 /// metrics is attributable to migration alone.
@@ -448,16 +389,10 @@ pub fn array_skew_figure_metrics(
 /// against coarse 4 MB stripes concentrate bursts on one shard at a time,
 /// vs. the same burst shape spread uniformly, vs. the same hot shard with
 /// the adaptive rebalancer migrating stripes off the hot device.
-fn array_skew(scale: &ExperimentScale) -> Vec<ScenarioCell> {
+fn array_skew(scale: &ExperimentScale) -> Vec<Cell<String>> {
     let variants = ["uniform", "hot-shard", "hot-shard-rebalance"];
-    let cells: Vec<(&str, SchedulerKind)> = variants
-        .into_iter()
-        .flat_map(|label| SCHEDULERS.iter().map(move |&kind| (label, kind)))
-        .collect();
-    run_cells(&cells, |&(label, kind)| ScenarioCell {
-        label: label.to_string(),
-        scheduler: kind,
-        metrics: array_skew_metrics(scale, label, kind).summary_run_metrics(),
+    run_grid(&variants, &SCHEDULERS, label, |variant, kind| {
+        array_skew_metrics(scale, variant, kind).summary_run_metrics()
     })
 }
 
@@ -579,17 +514,13 @@ pub fn array_rebalance_metrics(
 /// array-rebalance: the adaptive placement layer against its adversarial
 /// best case — a hot set round-robin provably cannot spread (every hot
 /// stripe ≡ 0 mod width lands on device 0), static vs adaptive.
-fn array_rebalance(scale: &ExperimentScale) -> Vec<ScenarioCell> {
-    let variants = ["static", "adaptive"];
-    let cells: Vec<(&str, SchedulerKind)> = variants
-        .into_iter()
-        .flat_map(|label| SCHEDULERS.iter().map(move |&kind| (label, kind)))
-        .collect();
-    run_cells(&cells, |&(label, kind)| ScenarioCell {
-        label: label.to_string(),
-        scheduler: kind,
-        metrics: array_rebalance_metrics(scale, label, kind).summary_run_metrics(),
-    })
+fn array_rebalance(scale: &ExperimentScale) -> Vec<Cell<String>> {
+    run_grid(
+        &["static", "adaptive"],
+        &SCHEDULERS,
+        label,
+        |variant, kind| array_rebalance_metrics(scale, variant, kind).summary_run_metrics(),
+    )
 }
 
 /// Chip counts of the heterogeneous array's devices (the fixed
@@ -636,17 +567,13 @@ pub fn array_hetero_metrics(
 /// array-hetero: heterogeneous devices under a hot set that round-robin
 /// deals to a small device — does weight-aware migration convert spare
 /// big-device capability into aggregate bandwidth?
-fn array_hetero(scale: &ExperimentScale) -> Vec<ScenarioCell> {
-    let variants = ["static", "adaptive"];
-    let cells: Vec<(&str, SchedulerKind)> = variants
-        .into_iter()
-        .flat_map(|label| SCHEDULERS.iter().map(move |&kind| (label, kind)))
-        .collect();
-    run_cells(&cells, |&(label, kind)| ScenarioCell {
-        label: label.to_string(),
-        scheduler: kind,
-        metrics: array_hetero_metrics(scale, label, kind).summary_run_metrics(),
-    })
+fn array_hetero(scale: &ExperimentScale) -> Vec<Cell<String>> {
+    run_grid(
+        &["static", "adaptive"],
+        &SCHEDULERS,
+        label,
+        |variant, kind| array_hetero_metrics(scale, variant, kind).summary_run_metrics(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -791,30 +718,23 @@ pub fn tenant_storm_outcome(
 
 /// tenant-mix: the three tenant classes share one device through the
 /// deficit-round-robin admission front; per-tenant figures ride
-/// [`RunMetrics::tenants`].
-fn tenant_mix(scale: &ExperimentScale) -> Vec<ScenarioCell> {
-    let cells: Vec<SchedulerKind> = SCHEDULERS.to_vec();
-    run_cells(&cells, |&kind| ScenarioCell {
-        label: "mix".to_string(),
-        scheduler: kind,
-        metrics: tenant_mix_outcome(scale, kind).metrics,
+/// [`sprinkler_ssd::RunMetrics::tenants`].
+fn tenant_mix(scale: &ExperimentScale) -> Vec<Cell<String>> {
+    run_grid(&["mix"], &SCHEDULERS, label, |_, kind| {
+        tenant_mix_outcome(scale, kind).metrics
     })
 }
 
 /// tenant-storm: burst isolation under a storming batch tenant, baseline vs
 /// storm — the isolated tenants' p99 must hold within
 /// [`TENANT_ISOLATION_P99_BOUND`] of baseline.
-fn tenant_storm(scale: &ExperimentScale) -> Vec<ScenarioCell> {
-    let variants = ["baseline", "storm"];
-    let cells: Vec<(&str, SchedulerKind)> = variants
-        .into_iter()
-        .flat_map(|label| SCHEDULERS.iter().map(move |&kind| (label, kind)))
-        .collect();
-    run_cells(&cells, |&(label, kind)| ScenarioCell {
-        label: label.to_string(),
-        scheduler: kind,
-        metrics: tenant_storm_outcome(scale, label, kind).metrics,
-    })
+fn tenant_storm(scale: &ExperimentScale) -> Vec<Cell<String>> {
+    run_grid(
+        &["baseline", "storm"],
+        &SCHEDULERS,
+        label,
+        |variant, kind| tenant_storm_outcome(scale, variant, kind).metrics,
+    )
 }
 
 #[cfg(test)]
@@ -838,39 +758,35 @@ mod tests {
     fn every_registered_scenario_runs_and_reports() {
         let outcomes = run_all(&tiny());
         assert_eq!(outcomes.len(), SCENARIO_NAMES.len());
-        for (outcome, name) in outcomes.iter().zip(SCENARIO_NAMES) {
-            assert_eq!(outcome.scenario, name);
-            assert!(!outcome.cells.is_empty(), "{name} produced no cells");
-            for cell in &outcome.cells {
+        for (cells, name) in outcomes.iter().zip(SCENARIO_NAMES) {
+            assert!(!cells.is_empty(), "{name} produced no cells");
+            for cell in cells {
                 assert!(
                     cell.metrics.io_count > 0,
                     "{name}/{} completed no I/Os",
-                    cell.label
+                    cell.key
                 );
                 assert!(cell.metrics.bandwidth_kb_per_sec > 0.0);
             }
-            let rendered = outcome.table().render();
+            let rendered = table(name, cells).render();
             assert!(rendered.contains(name));
         }
     }
 
     #[test]
     fn enterprise_replay_covers_both_text_formats() {
-        let outcome = run("enterprise-replay", &tiny()).unwrap();
+        let cells = run("enterprise-replay", &tiny()).unwrap();
         for label in ["sample_msr", "sample_blkparse", "msnfs1"] {
-            let cell = outcome
-                .cell(label, SchedulerKind::Spk3)
+            let metrics = find(&cells, label, SchedulerKind::Spk3)
                 .unwrap_or_else(|| panic!("missing cell {label}"));
-            assert!(cell.metrics.io_count > 0);
+            assert!(metrics.io_count > 0);
         }
         // The parsed corpora replay every record they contain.
         let mut msr = parse::sample_msr();
         let msr_records = std::iter::from_fn(|| msr.next_record()).count() as u64;
         assert_eq!(
-            outcome
-                .cell("sample_msr", SchedulerKind::Vas)
+            find(&cells, "sample_msr", SchedulerKind::Vas)
                 .unwrap()
-                .metrics
                 .io_count,
             msr_records
         );
@@ -878,8 +794,8 @@ mod tests {
 
     #[test]
     fn gc_steady_state_actually_garbage_collects() {
-        let outcome = run("gc-steady-state", &tiny()).unwrap();
-        for cell in &outcome.cells {
+        let cells = run("gc-steady-state", &tiny()).unwrap();
+        for cell in &cells {
             assert!(
                 cell.metrics.gc.invocations > 0,
                 "{} never triggered GC",
@@ -891,16 +807,11 @@ mod tests {
     #[test]
     fn array_scaleout_converts_devices_into_aggregate_bandwidth() {
         let scale = ExperimentScale::quick();
-        let outcome = run("array-scaleout", &scale).unwrap();
-        assert_eq!(
-            outcome.cells.len(),
-            ARRAY_SCALEOUT_DEVICES.len() * SCHEDULERS.len()
-        );
+        let cells = run("array-scaleout", &scale).unwrap();
+        assert_eq!(cells.len(), ARRAY_SCALEOUT_DEVICES.len() * SCHEDULERS.len());
         let bw = |label: &str| {
-            outcome
-                .cell(label, SchedulerKind::Spk3)
+            find(&cells, label, SchedulerKind::Spk3)
                 .unwrap()
-                .metrics
                 .bandwidth_kb_per_sec
         };
         // The frontend must convert added devices into aggregate bandwidth.
@@ -941,12 +852,10 @@ mod tests {
             );
         }
         // The registry serves all three variants as cells.
-        let outcome = run("array-skew", &scale).unwrap();
-        assert_eq!(outcome.cells.len(), 3 * SCHEDULERS.len());
-        assert!(outcome.cell("hot-shard", SchedulerKind::Spk3).is_some());
-        assert!(outcome
-            .cell("hot-shard-rebalance", SchedulerKind::Spk3)
-            .is_some());
+        let cells = run("array-skew", &scale).unwrap();
+        assert_eq!(cells.len(), 3 * SCHEDULERS.len());
+        assert!(find(&cells, "hot-shard", SchedulerKind::Spk3).is_some());
+        assert!(find(&cells, "hot-shard-rebalance", SchedulerKind::Spk3).is_some());
     }
 
     /// The acceptance bar from the roadmap, pinned for every scheduler at the
@@ -1051,8 +960,7 @@ mod tests {
             );
         }
         // The registry serves the scenario as scheduler cells.
-        let outcome = run("tenant-mix", &scale).unwrap();
-        assert_eq!(outcome.cells.len(), SCHEDULERS.len());
+        assert_eq!(run("tenant-mix", &scale).unwrap().len(), SCHEDULERS.len());
     }
 
     /// The acceptance bar for the multi-tenant front, pinned for every
@@ -1099,20 +1007,20 @@ mod tests {
                 "{kind}: fairness did not register the storm"
             );
         }
-        let outcome = run("tenant-storm", &scale).unwrap();
-        assert_eq!(outcome.cells.len(), 2 * SCHEDULERS.len());
+        assert_eq!(
+            run("tenant-storm", &scale).unwrap().len(),
+            2 * SCHEDULERS.len()
+        );
     }
 
     #[test]
     fn queue_depth_sweep_covers_all_depths() {
-        let outcome = run("queue-depth-sweep", &tiny()).unwrap();
-        assert_eq!(outcome.cells.len(), 8);
+        let cells = run("queue-depth-sweep", &tiny()).unwrap();
+        assert_eq!(cells.len(), 8);
         // Deeper queues cannot hurt SPK3's bandwidth at this workload.
         let bw = |label: &str| {
-            outcome
-                .cell(label, SchedulerKind::Spk3)
+            find(&cells, label, SchedulerKind::Spk3)
                 .unwrap()
-                .metrics
                 .bandwidth_kb_per_sec
         };
         assert!(bw("qd64") >= bw("qd8") * 0.8);

@@ -41,15 +41,6 @@ pub struct TelemetryCounters {
     /// Streaming-ingestion stalls: a request was due but the bounded backlog
     /// was full, so the replay loop drained events instead.
     pub stream_stalls: AtomicU64,
-    /// Stripes migrated between devices by the array placement rebalancer.
-    pub stripes_migrated: AtomicU64,
-    /// Bytes of stripe payload relocated by migrations (one stripe's worth
-    /// per migration; the injected device traffic is twice this — a read on
-    /// the source plus a write on the target).
-    pub migration_bytes: AtomicU64,
-    /// EWMA decay passes applied to the per-stripe heat table (one per
-    /// rebalance window).
-    pub heat_decays: AtomicU64,
     /// Host requests admitted through the multi-tenant fair-share front.
     pub tenant_admissions: AtomicU64,
     /// Tenant head-of-line records deferred past their arrival time by the
@@ -82,9 +73,6 @@ impl TelemetryCounters {
             ledger_headroom_exhausted: self.ledger_headroom_exhausted.load(Ordering::Relaxed),
             stream_admissions: self.stream_admissions.load(Ordering::Relaxed),
             stream_stalls: self.stream_stalls.load(Ordering::Relaxed),
-            stripes_migrated: self.stripes_migrated.load(Ordering::Relaxed),
-            migration_bytes: self.migration_bytes.load(Ordering::Relaxed),
-            heat_decays: self.heat_decays.load(Ordering::Relaxed),
             tenant_admissions: self.tenant_admissions.load(Ordering::Relaxed),
             tenant_deferrals: self.tenant_deferrals.load(Ordering::Relaxed),
             tenant_throttles: self.tenant_throttles.load(Ordering::Relaxed),
@@ -110,13 +98,6 @@ pub struct TelemetrySnapshot {
     pub stream_admissions: u64,
     /// Streaming-ingestion stalls against the bounded backlog.
     pub stream_stalls: u64,
-    /// Stripes migrated between devices by the array placement rebalancer.
-    pub stripes_migrated: u64,
-    /// Bytes of stripe payload relocated by migrations (half the injected
-    /// device traffic: each migration is a stripe read plus a stripe write).
-    pub migration_bytes: u64,
-    /// EWMA decay passes applied to the per-stripe heat table.
-    pub heat_decays: u64,
     /// Host requests admitted through the multi-tenant fair-share front.
     pub tenant_admissions: u64,
     /// Tenant head-of-line records deferred past arrival by the fair scheduler.
@@ -138,9 +119,6 @@ impl TelemetrySnapshot {
                 + other.ledger_headroom_exhausted,
             stream_admissions: self.stream_admissions + other.stream_admissions,
             stream_stalls: self.stream_stalls + other.stream_stalls,
-            stripes_migrated: self.stripes_migrated + other.stripes_migrated,
-            migration_bytes: self.migration_bytes + other.migration_bytes,
-            heat_decays: self.heat_decays + other.heat_decays,
             tenant_admissions: self.tenant_admissions + other.tenant_admissions,
             tenant_deferrals: self.tenant_deferrals + other.tenant_deferrals,
             tenant_throttles: self.tenant_throttles + other.tenant_throttles,

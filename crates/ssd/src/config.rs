@@ -46,8 +46,6 @@ pub struct GcConfig {
     pub enabled: bool,
     /// GC triggers when a plane's free-block count drops to this watermark.
     pub free_block_watermark: usize,
-    /// How many blocks a single GC invocation reclaims at most.
-    pub blocks_per_invocation: usize,
     /// Penalty applied to pending memory requests whose target pages were migrated
     /// while they waited, for schedulers *without* a readdressing callback
     /// (VAS/PAS).  Sprinkler avoids this via its readdressing callback (§4.3).
@@ -59,7 +57,6 @@ impl Default for GcConfig {
         GcConfig {
             enabled: false,
             free_block_watermark: 2,
-            blocks_per_invocation: 1,
             stale_readdress_penalty: Duration::from_micros(40),
         }
     }

@@ -1184,7 +1184,6 @@ mod tests {
             .with_gc(GcConfig {
                 enabled: true,
                 free_block_watermark: 1,
-                blocks_per_invocation: 1,
                 stale_readdress_penalty: Duration::from_micros(40),
             });
         let ssd = Ssd::new(config, Box::new(CommitAllScheduler::new())).unwrap();
@@ -1475,7 +1474,6 @@ mod tests {
             .with_gc(GcConfig {
                 enabled: true,
                 free_block_watermark: 1,
-                blocks_per_invocation: 1,
                 stale_readdress_penalty: Duration::from_micros(40),
             });
         let planes = config.geometry.total_planes();

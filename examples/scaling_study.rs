@@ -14,9 +14,9 @@ use sprinkler::experiments::runner::ExperimentScale;
 
 fn main() {
     let scale = ExperimentScale::quick();
-    let result = fig15_scaling::run(&scale, None, None);
-    for &transfer_kb in &result.transfer_sizes_kb.clone() {
-        println!("{}", result.panel(transfer_kb).render());
+    let cells = fig15_scaling::run(&scale, None, None);
+    for transfer_kb in fig15_scaling::TRANSFER_SIZES_KB {
+        println!("{}", fig15_scaling::panel(&cells, transfer_kb).render());
         println!();
     }
     println!("The conventional controller stagnates (Fig 1); Sprinkler keeps scaling (Fig 15).");

@@ -161,22 +161,18 @@ fn rebalancer_off_replay_is_identical_to_static_striping_for_all_schedulers() {
         assert_eq!(stat.skew, inert.skew, "{kind}");
         assert_eq!(stat.stripes_migrated, 0, "{kind}");
         assert_eq!(inert.stripes_migrated, 0, "{kind}");
-        // The summaries agree too.  The inert rebalancer honestly reports its
-        // (side-effect-free) heat decay passes, so that one counter is
-        // normalized before comparing the rest of the telemetry.
-        let stat_summary = stat.summary_run_metrics();
-        let mut inert_summary = inert.summary_run_metrics();
-        assert_eq!(inert_summary.telemetry.stripes_migrated, 0, "{kind}");
-        assert_eq!(inert_summary.telemetry.migration_bytes, 0, "{kind}");
-        assert!(inert_summary.telemetry.heat_decays > 0, "{kind}");
-        inert_summary.telemetry.heat_decays = 0;
-        assert_eq!(stat_summary, inert_summary, "{kind}");
+        // The summaries agree too.
+        assert_eq!(
+            stat.summary_run_metrics(),
+            inert.summary_run_metrics(),
+            "{kind}"
+        );
     }
 }
 
 /// With migrations allowed, the rebalancer's activity is visible end to end:
-/// counters surface in the `ArrayMetrics` and the flattened telemetry, and
-/// the placement genuinely moved stripes off the hot device.
+/// its counters surface in the `ArrayMetrics`, and the placement genuinely
+/// moved stripes off the hot device.
 #[test]
 fn rebalancer_on_migrates_and_surfaces_telemetry() {
     let config = ArrayConfig::new(device_config())
@@ -222,10 +218,6 @@ fn rebalancer_on_migrates_and_surfaces_telemetry() {
         metrics.stripes_migrated * config.stripe_bytes
     );
     assert!(metrics.heat_decays > 0);
-    let summary = metrics.summary_run_metrics();
-    assert_eq!(summary.telemetry.stripes_migrated, metrics.stripes_migrated);
-    assert_eq!(summary.telemetry.migration_bytes, metrics.migration_bytes);
-    assert_eq!(summary.telemetry.heat_decays, metrics.heat_decays);
 }
 
 /// Widening the array changes the partitioning, not the work: page-rounded

@@ -54,19 +54,19 @@ fn every_example_runs_to_completion() {
 #[test]
 fn scaling_1024_chip_point_runs_at_quick_scale() {
     let scale = ExperimentScale::quick();
-    let result = fig15_scaling::run(&scale, Some(&[1024]), Some(&[64]));
-    assert_eq!(result.points.len(), 2, "one point per scheduler");
-    for point in &result.points {
-        assert_eq!(point.chips, 1024);
+    let cells = fig15_scaling::run(&scale, Some(&[1024]), Some(&[64]));
+    assert_eq!(cells.len(), 2, "one cell per scheduler");
+    for cell in &cells {
+        assert_eq!(cell.key, (1024, 64));
         assert!(
-            point.bandwidth_kb_per_sec > 0.0,
+            cell.metrics.bandwidth_kb_per_sec > 0.0,
             "{} produced no bandwidth",
-            point.scheduler
+            cell.scheduler
         );
-        assert!((0.0..=1.0).contains(&point.utilization));
-        assert!(point.iops > 0.0);
+        assert!((0.0..=1.0).contains(&cell.metrics.chip_utilization));
+        assert!(cell.metrics.iops > 0.0);
     }
-    assert!(result.panel(64).render().contains("1024"));
+    assert!(fig15_scaling::panel(&cells, 64).render().contains("1024"));
 }
 
 /// The EXAMPLES list above must name exactly the files in `examples/`.

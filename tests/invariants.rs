@@ -179,7 +179,6 @@ fn crossing_config(penalty: Duration) -> SsdConfig {
         .with_gc(GcConfig {
             enabled: true,
             free_block_watermark: 1,
-            blocks_per_invocation: 1,
             stale_readdress_penalty: penalty,
         })
 }

@@ -319,13 +319,19 @@ proptest! {
     /// device is built: for any small device it either refuses the config
     /// with a typed error, which `Ssd::new` returns too, or the device it
     /// accepts completes a short multi-page mixed replay, FUA included,
-    /// under VAS and SPK3.
+    /// under VAS and SPK3.  Sometimes the replay also carries requests longer
+    /// than a candidate key's 20-bit page field: the device refuses exactly
+    /// those and completes every other I/O.
     #[test]
     fn validated_configs_complete_every_io(
         config in arb_small_config(),
         specs in prop::collection::vec(
             (0u64..100, arb_direction(), 0u64..1 << 32, 1u32..40, 0u8..6),
             1..8,
+        ),
+        oversized in prop::collection::vec(
+            (0u64..100, arb_direction(), 1u32..1 << 12),
+            0..3,
         ),
     ) {
         if let Err(error) = config.validate() {
@@ -344,9 +350,15 @@ proptest! {
                     .with_fua(fua == 0)
             })
             .collect();
+        let too_long = oversized.iter().enumerate().map(|(i, &(at, dir, extra))| {
+            let id = (specs.len() + i) as u64;
+            HostRequest::new(id, SimTime::from_micros(at), dir, Lpn::new(0), (1 << 20) + extra)
+        });
+        let replay: Vec<HostRequest> = requests.iter().cloned().chain(too_long).collect();
         for kind in [SchedulerKind::Vas, SchedulerKind::Spk3] {
-            let metrics = Ssd::new(config.clone(), kind.build()).unwrap().run(requests.clone());
+            let metrics = Ssd::new(config.clone(), kind.build()).unwrap().run(replay.clone());
             prop_assert_eq!(metrics.io_count, requests.len() as u64, "{} lost I/Os", kind);
+            prop_assert_eq!(metrics.refused_ios, oversized.len() as u64, "{}", kind);
         }
     }
 

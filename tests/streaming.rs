@@ -4,7 +4,7 @@
 
 use sprinkler::core::SchedulerKind;
 use sprinkler::experiments::runner::ExperimentScale;
-use sprinkler::experiments::{run_source, to_host_requests, CapacityPolicy};
+use sprinkler::experiments::{run_source, to_host_requests, CapacityPolicy, ReplayError};
 use sprinkler::ssd::{GcConfig, Ssd, SsdConfig};
 use sprinkler::workloads::{workload, SyntheticSpec};
 
@@ -165,8 +165,17 @@ fn oversized_workloads_are_rejected_or_wrapped_at_the_boundary() {
         CapacityPolicy::Reject,
     )
     .expect_err("a trace bigger than the device must be rejected");
-    assert_eq!(error.capacity_pages, capacity_pages);
-    assert!(error.first_lpn + error.pages as u64 > capacity_pages);
+    let ReplayError::OutOfCapacity {
+        first_lpn,
+        pages,
+        capacity_pages: reported,
+        ..
+    } = error
+    else {
+        panic!("expected a capacity rejection, got {error:?}");
+    };
+    assert_eq!(reported, capacity_pages);
+    assert!(first_lpn + pages as u64 > capacity_pages);
 
     let metrics = run_source(
         &config,
