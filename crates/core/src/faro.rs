@@ -13,6 +13,18 @@
 //!
 //! The I/O request with the highest overlap depth is over-committed first; ties
 //! break on connectivity, then on arrival order.
+//!
+//! # Cost
+//!
+//! [`FaroSelector::select_into`], the scheduler's path, splits a chip's
+//! candidates into per-tag runs once, then makes one pass over the runs
+//! still waiting per ranking step: a run's connectivity and arrival rank
+//! never change while it waits, and its overlap depth is counted from its
+//! own rows against a stamp per `(die, plane)` pair.  One step is
+//! O(remaining candidates) and a selection is at most `capacity` steps.
+//! [`FaroSelector::select`] keeps Algorithm 1 as written — each step
+//! rescans every remaining candidate once per tag — as the oracle the
+//! one-pass ranking and the reference scheduler are checked against.
 
 use sprinkler_ssd::request::TagId;
 
@@ -39,12 +51,40 @@ pub struct FaroCandidate {
     pub tag: TagId,
     /// Page offset within the I/O request.
     pub page: u32,
-    /// Die the candidate targets.
+    /// Die the candidate targets; below 64, like the candidate index's die
+    /// field.
     pub die: u32,
-    /// Plane the candidate targets.
+    /// Plane the candidate targets; below 64, like the candidate index's
+    /// plane field.
     pub plane: u32,
     /// Arrival rank of the tag (0 = oldest); used as the final tie break.
     pub arrival_rank: usize,
+}
+
+/// Distinct `(die, plane)` pair keys: a die and a plane below 64 each.
+const PAIR_KEYS: usize = 64 * 64;
+
+/// The stamp-array index of a candidate's `(die, plane)` pair.
+#[inline]
+fn pair_key(candidate: &FaroCandidate) -> usize {
+    debug_assert!(
+        candidate.die < 64 && candidate.plane < 64,
+        "die {} / plane {} past the 6-bit candidate fields",
+        candidate.die,
+        candidate.plane
+    );
+    (candidate.die as usize) << 6 | candidate.plane as usize
+}
+
+/// One tag's run of rows in a selection's candidate slice, with the ranking
+/// inputs that do not change while the tag waits.
+#[derive(Debug, Clone, Copy)]
+struct TagRun {
+    tag: TagId,
+    start: usize,
+    end: usize,
+    /// The least arrival rank among the run's rows.
+    rank: usize,
 }
 
 /// Reusable working buffers for [`FaroSelector::select_into`].
@@ -54,9 +94,16 @@ pub struct FaroCandidate {
 /// selection; after warm-up no selection allocates.
 #[derive(Debug, Clone, Default)]
 pub struct FaroScratch {
-    remaining: Vec<FaroCandidate>,
-    occupied: Vec<(u32, u32)>,
-    tags: Vec<TagId>,
+    /// The tag runs not chosen yet, in candidate order.
+    runs: Vec<TagRun>,
+    /// Per `(die, plane)` key, the last stamp written there: the
+    /// selection's occupied stamp once a pick activates the pair, otherwise
+    /// the stamp of the last run that counted it.
+    stamps: Vec<u64>,
+    /// The last stamp handed out.  Stamps only grow, so the array is never
+    /// cleared: a stale stamp matches neither test.
+    stamp: u64,
+    /// The chosen run's rows, ordered for commitment.
     members: Vec<FaroCandidate>,
 }
 
@@ -92,66 +139,33 @@ impl FaroSelector {
         candidates.iter().filter(|c| c.tag == tag).count()
     }
 
-    /// Selects up to `capacity` candidates for one chip, following Algorithm 1:
-    /// repeatedly pick the tag whose candidates contribute the highest overlap
-    /// depth (ties broken by connectivity, then arrival order) and over-commit its
-    /// requests for this chip.
+    /// Selects up to `capacity` candidates for one chip by Algorithm 1 as
+    /// written: repeatedly pick the tag whose candidates contribute the
+    /// highest overlap depth (ties broken by connectivity, then arrival
+    /// order) and over-commit its requests for this chip.
+    ///
+    /// Each ranking step rescans every remaining candidate once per tag, and
+    /// every call allocates its working set.  This is the oracle: the
+    /// reference scheduler calls it, and [`FaroSelector::select_into`] must
+    /// pick exactly what it picks, in the same order.  Candidates need not
+    /// be grouped by tag.
     pub fn select(&self, candidates: &[FaroCandidate], capacity: usize) -> Vec<(TagId, u32)> {
-        let mut selected = Vec::new();
-        let mut scratch = FaroScratch::default();
-        self.select_into(candidates, capacity, &mut selected, &mut scratch);
-        selected
-    }
-
-    /// [`FaroSelector::select`] with caller-provided output and working buffers
-    /// (allocation-free once warmed up).  Selections are *appended* to `out`.
-    /// Returns `true` when the single-tag fast path resolved the selection.
-    pub fn select_into(
-        &self,
-        candidates: &[FaroCandidate],
-        capacity: usize,
-        out: &mut Vec<(TagId, u32)>,
-        scratch: &mut FaroScratch,
-    ) -> bool {
         let capacity = capacity.min(self.config.overcommit_depth);
-        if capacity == 0 || candidates.is_empty() {
-            return false;
-        }
-        let start = out.len();
-        // Fast path for the dominant many-chip shape: every candidate belongs to
-        // one tag, so Algorithm 1 degenerates to "over-commit that tag's pages
-        // in page order" — no ranking rounds, no working buffers.
-        if candidates.windows(2).all(|pair| pair[0].tag == pair[1].tag) {
-            out.extend(candidates.iter().map(|c| (c.tag, c.page)));
-            out[start..].sort_unstable_by_key(|&(_, page)| page);
-            out.truncate(start + capacity);
-            return true;
-        }
-        let FaroScratch {
-            remaining,
-            occupied,
-            tags,
-            members,
-        } = scratch;
-        remaining.clear();
-        remaining.extend_from_slice(candidates);
-        occupied.clear();
-
-        while out.len() - start < capacity && !remaining.is_empty() {
-            // Rank tags by the overlap depth their candidates would add on top of
-            // what has already been selected.  Candidates arrive grouped by tag
-            // (a chip's index rows are in arrival order, and `retain` keeps
-            // it), so `dedup` alone lists each tag once.  The visiting order
-            // cannot change the pick: arrival ranks are unique per tag, so no
-            // two tags tie, and a tag listed twice scores the same both times.
-            tags.clear();
-            tags.extend(remaining.iter().map(|c| c.tag));
+        let mut selected = Vec::new();
+        let mut remaining = candidates.to_vec();
+        let mut occupied: Vec<(u32, u32)> = Vec::new();
+        while selected.len() < capacity && !remaining.is_empty() {
+            // Rank tags by the overlap depth their candidates would add on
+            // top of what has already been selected.  `dedup` lists a tag
+            // once per run of its candidates; a tag listed twice scores the
+            // same both times, and arrival ranks are unique per tag, so the
+            // visiting order cannot change the pick.
+            let mut tags: Vec<TagId> = remaining.iter().map(|c| c.tag).collect();
             tags.dedup();
             let mut best: Option<(usize, usize, usize, TagId)> = None;
-            for &tag in tags.iter() {
+            for &tag in &tags {
                 // Overlap: distinct not-yet-occupied (die, plane) pairs among
-                // the tag's members, counted at each pair's first occurrence —
-                // no scratch pair list needed.
+                // the tag's members, counted at each pair's first occurrence.
                 let mut overlap = 0;
                 let mut connectivity = 0;
                 let mut rank = usize::MAX;
@@ -185,19 +199,136 @@ impl FaroSelector {
             };
             // Over-commit the chosen tag's candidates, preferring ones that open
             // new (die, plane) pairs, oldest pages first.
-            members.clear();
-            members.extend(remaining.iter().copied().filter(|c| c.tag == chosen_tag));
+            let mut members: Vec<FaroCandidate> = remaining
+                .iter()
+                .copied()
+                .filter(|c| c.tag == chosen_tag)
+                .collect();
             members.sort_by_key(|c| (occupied.contains(&(c.die, c.plane)), c.page));
-            for member in members.iter() {
-                if out.len() - start >= capacity {
+            for member in &members {
+                if selected.len() >= capacity {
                     break;
                 }
-                out.push((member.tag, member.page));
+                selected.push((member.tag, member.page));
                 if !occupied.contains(&(member.die, member.plane)) {
                     occupied.push((member.die, member.plane));
                 }
             }
             remaining.retain(|c| c.tag != chosen_tag);
+        }
+        selected
+    }
+
+    /// [`FaroSelector::select`] in one pass per ranking step, with
+    /// caller-provided output and working buffers (allocation-free once
+    /// warmed up).  Selections are *appended* to `out`.  Returns `true` when
+    /// the single-tag fast path resolved the selection.
+    ///
+    /// Each tag's candidates must be contiguous in `candidates`, as a
+    /// chip's candidate-index rows are: they sort by admission seq, one per
+    /// tag.  A run's connectivity (its length) and arrival rank (its least)
+    /// are fixed while the tag waits; its overlap depth is recounted each
+    /// step from its own rows, a `(die, plane)` pair counting when neither
+    /// an earlier pick nor an earlier row of the run has stamped it.  The
+    /// runs are visited in candidate order and a later run must score
+    /// strictly higher to win, as in [`FaroSelector::select`], so the picks
+    /// and their order are Algorithm 1's.
+    // lint: hot-path
+    pub fn select_into(
+        &self,
+        candidates: &[FaroCandidate],
+        capacity: usize,
+        out: &mut Vec<(TagId, u32)>,
+        scratch: &mut FaroScratch,
+    ) -> bool {
+        let capacity = capacity.min(self.config.overcommit_depth);
+        if capacity == 0 || candidates.is_empty() {
+            return false;
+        }
+        let FaroScratch {
+            runs,
+            stamps,
+            stamp,
+            members,
+        } = scratch;
+        runs.clear();
+        for (i, c) in candidates.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if run.tag == c.tag => {
+                    run.end = i + 1;
+                    run.rank = run.rank.min(c.arrival_rank);
+                }
+                _ => runs.push(TagRun {
+                    tag: c.tag,
+                    start: i,
+                    end: i + 1,
+                    rank: c.arrival_rank,
+                }),
+            }
+        }
+        debug_assert!(
+            runs.iter()
+                .enumerate()
+                .all(|(i, run)| runs[i + 1..].iter().all(|later| later.tag != run.tag)),
+            "FARO candidates are not grouped by tag"
+        );
+        let start = out.len();
+        // Fast path for the dominant many-chip shape: every candidate belongs to
+        // one tag, so Algorithm 1 degenerates to "over-commit that tag's pages
+        // in page order" — no ranking steps.
+        if runs.len() == 1 {
+            out.extend(candidates.iter().map(|c| (c.tag, c.page)));
+            out[start..].sort_unstable_by_key(|&(_, page)| page);
+            out.truncate(start + capacity);
+            return true;
+        }
+        if stamps.len() < PAIR_KEYS {
+            stamps.resize(PAIR_KEYS, 0);
+        }
+        *stamp += 1;
+        let occupied = *stamp;
+        while out.len() - start < capacity && !runs.is_empty() {
+            let mut best: Option<(usize, usize, usize, usize)> = None;
+            for (index, run) in runs.iter().enumerate() {
+                *stamp += 1;
+                let seen = *stamp;
+                let mut overlap = 0;
+                for c in &candidates[run.start..run.end] {
+                    let mark = &mut stamps[pair_key(c)];
+                    if *mark != occupied && *mark != seen {
+                        *mark = seen;
+                        overlap += 1;
+                    }
+                }
+                let connectivity = run.end - run.start;
+                let better = match best {
+                    None => true,
+                    Some((o, c, r, _)) => {
+                        (overlap, connectivity, usize::MAX - run.rank) > (o, c, usize::MAX - r)
+                    }
+                };
+                if better {
+                    best = Some((overlap, connectivity, run.rank, index));
+                }
+            }
+            let Some((_, _, _, index)) = best else {
+                break;
+            };
+            // Over-commit the chosen tag's candidates, preferring ones that
+            // open new (die, plane) pairs, oldest pages first.  Pages are
+            // unique within a tag, so the unstable sort orders as a stable
+            // one would.
+            let run = runs.remove(index);
+            members.clear();
+            members.extend_from_slice(&candidates[run.start..run.end]);
+            members.sort_unstable_by_key(|c| (stamps[pair_key(c)] == occupied, c.page));
+            for member in members.iter() {
+                if out.len() - start >= capacity {
+                    break;
+                }
+                out.push((member.tag, member.page));
+                stamps[pair_key(member)] = occupied;
+            }
         }
         false
     }
@@ -309,22 +440,32 @@ mod tests {
         let selector = FaroSelector::new(FaroConfig {
             overcommit_depth: 16,
         });
+        let mut scratch = FaroScratch::default();
         for capacity in 0..=6 {
-            let fast = selector.select(&cs, capacity);
+            let mut fast = Vec::new();
+            let took_fast_path = selector.select_into(&cs, capacity, &mut fast, &mut scratch);
+            assert_eq!(took_fast_path, capacity > 0, "capacity {capacity}");
             // The ranking loop with a single tag: members sorted by page
             // (occupied set is empty at sort time), truncated to capacity.
             let mut expected: Vec<(TagId, u32)> = cs.iter().map(|c| (c.tag, c.page)).collect();
             expected.sort_unstable_by_key(|&(_, page)| page);
             expected.truncate(capacity.min(selector.overcommit_depth()));
             assert_eq!(fast, expected, "capacity {capacity}");
+            assert_eq!(
+                selector.select(&cs, capacity),
+                expected,
+                "capacity {capacity}"
+            );
         }
         // A second tag must disable the fast path and exercise the ranking
         // loop: the two-plane tag wins over the single-plane one.
         let mut with_rival = cs.clone();
         with_rival.push(cand(6, 0, 0, 1, 1));
-        let picked = selector.select(&with_rival, 6);
+        let mut picked = Vec::new();
+        assert!(!selector.select_into(&with_rival, 6, &mut picked, &mut scratch));
         assert_eq!(picked.len(), 6);
         assert!(picked.contains(&(TagId(6), 0)));
+        assert_eq!(picked, selector.select(&with_rival, 6));
     }
 
     #[test]
@@ -372,6 +513,26 @@ mod tests {
                 selector.select(&grouped, capacity),
                 "capacity {capacity}"
             );
+        }
+    }
+
+    /// Tags that tie on overlap, connectivity and arrival rank go in
+    /// candidate order: a later tag must score strictly higher to win.
+    #[test]
+    fn full_ties_go_to_the_earlier_tag() {
+        let cs = [
+            cand(4, 0, 0, 0, 2),
+            cand(3, 0, 0, 1, 2),
+            cand(5, 0, 1, 0, 2),
+        ];
+        let selector = FaroSelector::new(FaroConfig::default());
+        let mut scratch = FaroScratch::default();
+        for capacity in 1..=3 {
+            let mut picked = Vec::new();
+            selector.select_into(&cs, capacity, &mut picked, &mut scratch);
+            let expected = [(TagId(4), 0), (TagId(3), 0), (TagId(5), 0)];
+            assert_eq!(picked, expected[..capacity], "capacity {capacity}");
+            assert_eq!(selector.select(&cs, capacity), picked);
         }
     }
 

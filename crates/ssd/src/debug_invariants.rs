@@ -1,8 +1,9 @@
 //! Deep debug-mode invariant validation across the scheduler's shared state.
 //!
 //! [`DeviceQueue::validate_candidate_index`] checks the queue's *internal*
-//! consistency (each tag's id is its slot, the slot flag column, the columnar
-//! candidate index, the read-hazard counting filter).  This module goes one
+//! consistency (each tag's id is its slot, the slot flag column, and the
+//! columnar candidate index and read-hazard chains against a rebuild from
+//! the queued tag states).  This module goes one
 //! layer up and cross-checks the structures that must agree *with each
 //! other* for Sprinkler's chip-level accounting to mean anything:
 //!
@@ -11,8 +12,6 @@
 //!   credited exactly once per completed one, atomically with the bit flips
 //!   in `Ssd::commit_memory_request` / `Ssd::complete_mem_request`; GC
 //!   requests never touch the ledger);
-//! - the read-LPN hazard entries vs a from-scratch rebuild from the queued
-//!   tag states;
 //! - the FUA reordering-horizon entries vs the queued FUA tags;
 //! - per-tag mask sanity (`completed ⊆ committed`, masks bounded by the
 //!   request's page count) and per-page placements within geometry bounds;
@@ -48,7 +47,6 @@ pub fn validate_round(queue: &DeviceQueue, ledger: &CommitmentLedger) {
 
         let chips = ledger.chip_count();
         let mut expected_outstanding = vec![0u32; chips];
-        let mut expected_hazards: Vec<(u64, u64)> = Vec::new();
         let mut expected_fua: Vec<u64> = Vec::new();
 
         for state in queue.iter_states() {
@@ -79,9 +77,6 @@ pub fn validate_round(queue: &DeviceQueue, ledger: &CommitmentLedger) {
                 if committed && !completed {
                     expected_outstanding[placement.chip] += 1;
                 }
-                if state.host.direction.is_read() && !committed {
-                    expected_hazards.push((state.host.lpn_at(page).value(), state.seq));
-                }
             }
             if state.host.fua && !fully_committed {
                 expected_fua.push(state.seq);
@@ -109,15 +104,6 @@ pub fn validate_round(queue: &DeviceQueue, ledger: &CommitmentLedger) {
                 ledger.outstanding(chip)
             );
         }
-
-        // Hazard entries vs a rebuild: every uncommitted page of a read tag,
-        // keyed (lpn, seq), sorted — the slice behind has_blocking_read.
-        expected_hazards.sort_unstable();
-        debug_assert_eq!(
-            expected_hazards,
-            queue.read_hazards(),
-            "read-LPN hazard entries diverged from the queued tag states"
-        );
 
         // FUA horizon vs a rebuild: admission seqs of not-fully-committed FUA
         // tags, ascending; horizon_seq() is its head (or MAX when clear).

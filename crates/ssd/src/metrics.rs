@@ -222,10 +222,10 @@ pub struct RunMetrics {
     /// Host write pages the FTL could not place: the device was full, or the
     /// page lay past its logical space.  The I/O still completes.
     pub failed_writes: u64,
-    /// Host requests the replay took in but refused because they span more
-    /// than 2^20 pages, the most a scheduling candidate's key can number.
-    /// They never reach the device queue, and no I/O, byte or latency figure
-    /// counts them.
+    /// Host requests the replay took in but refused because they span no
+    /// page, or more than 2^20 pages, the most a scheduling candidate's key
+    /// can number.  They never reach the device queue, and no I/O, byte or
+    /// latency figure counts them.
     pub refused_ios: u64,
     /// Events handled by kind, and scheduling rounds that committed nothing.
     pub work: WorkCounts,

@@ -29,19 +29,22 @@
 //!   parallel columns (seq/priority/lpn/tag) in a contiguous CSR-style extent,
 //!   ordered by arrival, so resource-driven schedulers iterate plain slices and
 //!   visit only chips that actually have work;
-//! * a **read-LPN hazard index** — for every logical page with an uncommitted read,
-//!   the admission sequence numbers of the reading tags, so the §4.4
-//!   write-after-read check is an O(log n) lookup instead of a full-queue scan;
+//! * a **read-LPN hazard index** — one `(lpn, seq)` entry per uncommitted page
+//!   of a queued read, chained from the LPN's hash bucket, so the §4.4
+//!   write-after-read check walks one short chain instead of scanning the queue;
 //! * a **pending-FUA index** — the admission sequence numbers of queued
 //!   force-unit-access tags that are not yet fully committed, so the reordering
 //!   horizon is an O(1) lookup.
 //!
-//! The hazard and FUA indices are sorted vectors, not B-trees: at steady state
-//! their capacity is retained across churn, so index maintenance performs no
-//! allocations once the high-water mark is reached (a B-tree frees and
-//! re-allocates nodes as sets empty and refill, which defeats the
-//! zero-allocation replay gate).  Entry counts are bounded by the queued work,
-//! so the O(n) memmove per insert/remove is a handful of cache lines.
+//! The hazard index keeps its entries in one slab with a free list: a read
+//! page's admission links an entry at the head of its bucket's chain and its
+//! commit unlinks it, O(1) for the short chains a 512-bucket Fibonacci hash
+//! gives, with no element shifting however many pages are queued.  The FUA
+//! index is a sorted vector, bounded by the queue depth.  Neither is a
+//! B-tree or hash map: their storage is retained across churn and grows only
+//! at its high-water mark, so index maintenance performs no allocations at
+//! steady state (a B-tree frees and re-allocates nodes as sets empty and
+//! refill, which defeats the zero-allocation replay gate).
 //!
 //! To keep the indices coherent, all mutation of queued tag state goes through the
 //! queue ([`DeviceQueue::commit_page`], [`DeviceQueue::complete_page`],
@@ -58,18 +61,119 @@ const NIL: usize = usize::MAX;
 /// Bit set in the slot flag column for write tags.
 pub const SLOT_WRITE: u8 = 1;
 
-/// Buckets in the read-LPN counting filter over the write-after-read hazard
-/// index.  Must stay a power of two: the bucket hash takes the top
-/// `log2(READ_FILTER_BUCKETS)` bits.
-const READ_FILTER_BUCKETS: usize = 512;
+/// Buckets of the read-LPN hazard index.  Must stay a power of two: the
+/// bucket hash takes the top `log2(HAZARD_BUCKETS)` bits.
+const HAZARD_BUCKETS: usize = 512;
 
-/// The counting-filter bucket of a logical page number.  Fibonacci hashing
+/// The hazard-index bucket of a logical page number.  Fibonacci hashing
 /// spreads the sequential LPN ranges real workloads produce across the whole
 /// bucket space before the top bits are taken.
 #[inline]
-fn read_filter_bucket(lpn: u64) -> usize {
-    const _: () = assert!(READ_FILTER_BUCKETS == 1 << 9);
+fn hazard_bucket(lpn: u64) -> usize {
+    const _: () = assert!(HAZARD_BUCKETS == 1 << 9);
     (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - 9)) as usize
+}
+
+/// End of a hazard chain or of the hazard slab's free list.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// One uncommitted page of a queued read.
+#[derive(Debug, Clone, Copy)]
+struct HazardEntry {
+    lpn: u64,
+    seq: u64,
+    /// The next entry of the bucket chain, or of the free list once freed.
+    next: u32,
+}
+
+/// The §4.4 read-LPN hazard index: every uncommitted page of a queued read
+/// as one `(lpn, seq)` entry, chained from the LPN's [`hazard_bucket`].
+///
+/// Entries live in one slab; a removed entry joins an intrusive free list
+/// and the next insert reuses it, so the slab grows only at its high-water
+/// mark.  Chains are unordered: a query walks its bucket's whole chain.
+#[derive(Debug, Clone)]
+struct ReadHazards {
+    /// First entry of each bucket's chain (`NO_ENTRY` when empty).
+    heads: Vec<u32>,
+    entries: Vec<HazardEntry>,
+    /// First free slab entry (`NO_ENTRY` when none).
+    free: u32,
+    /// Live entries.
+    len: usize,
+}
+
+impl ReadHazards {
+    fn new() -> Self {
+        ReadHazards {
+            heads: vec![NO_ENTRY; HAZARD_BUCKETS],
+            entries: Vec::new(),
+            free: NO_ENTRY,
+            len: 0,
+        }
+    }
+
+    /// Links `(lpn, seq)` at the head of its bucket's chain.
+    // lint: hot-path
+    fn insert(&mut self, lpn: u64, seq: u64) {
+        let bucket = hazard_bucket(lpn);
+        let entry = HazardEntry {
+            lpn,
+            seq,
+            next: self.heads[bucket],
+        };
+        let index = if self.free == NO_ENTRY {
+            self.entries.push(entry);
+            (self.entries.len() - 1) as u32
+        } else {
+            let index = self.free;
+            self.free = self.entries[index as usize].next;
+            self.entries[index as usize] = entry;
+            index
+        };
+        self.heads[bucket] = index;
+        self.len += 1;
+    }
+
+    /// Unlinks `(lpn, seq)` from its bucket's chain and frees its entry.
+    // lint: hot-path
+    fn remove(&mut self, lpn: u64, seq: u64) {
+        let bucket = hazard_bucket(lpn);
+        let mut prev = NO_ENTRY;
+        let mut cursor = self.heads[bucket];
+        while cursor != NO_ENTRY {
+            let entry = self.entries[cursor as usize];
+            if entry.lpn == lpn && entry.seq == seq {
+                if prev == NO_ENTRY {
+                    self.heads[bucket] = entry.next;
+                } else {
+                    self.entries[prev as usize].next = entry.next;
+                }
+                self.entries[cursor as usize].next = self.free;
+                self.free = cursor;
+                self.len -= 1;
+                return;
+            }
+            prev = cursor;
+            cursor = entry.next;
+        }
+        debug_assert!(false, "no hazard entry for lpn {lpn}, seq {seq}");
+    }
+
+    /// Whether an entry of `lpn` has a seq below `seq`.
+    // lint: hot-path
+    #[inline]
+    fn blocks(&self, lpn: u64, seq: u64) -> bool {
+        let mut cursor = self.heads[hazard_bucket(lpn)];
+        while cursor != NO_ENTRY {
+            let entry = &self.entries[cursor as usize];
+            if entry.lpn == lpn && entry.seq < seq {
+                return true;
+            }
+            cursor = entry.next;
+        }
+        false
+    }
 }
 
 /// A fixed-size page bitmap packed into `u64` words.
@@ -352,14 +456,8 @@ pub struct DeviceQueue {
     uncommitted_total: usize,
     /// Columnar per-chip candidate index of every uncommitted page.
     cand: CandidateIndex,
-    /// Sorted `(lpn, seq)` pairs: read tags whose page at that LPN is
-    /// uncommitted.
-    read_lpn_index: Vec<(u64, u64)>,
-    /// Counting filter over `read_lpn_index`: per-bucket entry counts keyed by
-    /// `read_filter_bucket`.  A zero bucket proves no uncommitted read of
-    /// any LPN hashing there exists, so the §4.4 write-after-read check skips
-    /// its binary search for the (dominant) unblocked case.
-    read_lpn_filter: Vec<u32>,
+    /// Read-LPN hazard index: one entry per uncommitted page of a queued read.
+    read_hazards: ReadHazards,
     /// Sorted admission seqs of queued FUA tags not yet fully committed.
     fua_pending: Vec<u64>,
     /// Recycled [`TagState`] storage: retired tags returned via
@@ -381,28 +479,9 @@ impl DeviceQueue {
             next_seq: 0,
             uncommitted_total: 0,
             cand: CandidateIndex::new(),
-            read_lpn_index: Vec::new(),
-            read_lpn_filter: vec![0; READ_FILTER_BUCKETS],
+            read_hazards: ReadHazards::new(),
             fua_pending: Vec::with_capacity(capacity),
             spare_states: Vec::with_capacity(capacity),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Sorted-vector index maintenance (allocation-free at steady state)
-    // ------------------------------------------------------------------
-
-    fn read_lpn_insert(&mut self, lpn: u64, seq: u64) {
-        if let Err(pos) = self.read_lpn_index.binary_search(&(lpn, seq)) {
-            self.read_lpn_index.insert(pos, (lpn, seq));
-            self.read_lpn_filter[read_filter_bucket(lpn)] += 1;
-        }
-    }
-
-    fn read_lpn_remove(&mut self, lpn: u64, seq: u64) {
-        if let Ok(pos) = self.read_lpn_index.binary_search(&(lpn, seq)) {
-            self.read_lpn_index.remove(pos);
-            self.read_lpn_filter[read_filter_bucket(lpn)] -= 1;
         }
     }
 
@@ -509,7 +588,7 @@ impl DeviceQueue {
                 slot as u32,
             );
             if is_read {
-                self.read_lpn_insert(lpn, seq);
+                self.read_hazards.insert(lpn, seq);
             }
         }
         if state.host.fua {
@@ -559,7 +638,8 @@ impl DeviceQueue {
             self.cand
                 .remove(p.chip, state.seq, pack_pri(page, p.die, p.plane));
             if state.host.direction.is_read() {
-                self.read_lpn_remove(state.host.lpn_at(page).value(), state.seq);
+                self.read_hazards
+                    .remove(state.host.lpn_at(page).value(), state.seq);
             }
             self.uncommitted_total -= 1;
         }
@@ -606,7 +686,7 @@ impl DeviceQueue {
         self.cand
             .remove(p.chip, seq, pack_pri(page, p.die, p.plane));
         if let Some(lpn) = read_lpn {
-            self.read_lpn_remove(lpn, seq);
+            self.read_hazards.remove(lpn, seq);
         }
         if fua_done {
             if let Ok(pos) = self.fua_pending.binary_search(&seq) {
@@ -720,21 +800,13 @@ impl DeviceQueue {
     }
 
     /// Whether a read tag admitted strictly before `seq` still has an uncommitted
-    /// read of logical page `lpn` (the §4.4 write-after-read hazard).  O(log n),
-    /// and O(1) for the dominant unblocked case via a counting filter.
+    /// read of logical page `lpn` (the §4.4 write-after-read hazard).  Walks
+    /// the one hazard chain `lpn` hashes to, whose length is the queued read
+    /// pages over 512 buckets; an empty bucket answers at once.
     // lint: hot-path
     #[inline]
     pub fn has_blocking_read(&self, lpn: u64, seq: u64) -> bool {
-        if self.read_lpn_filter[read_filter_bucket(lpn)] == 0 {
-            // No uncommitted read hashes to this bucket: provably unblocked.
-            return false;
-        }
-        // Entries are sorted by (lpn, seq); the first entry for `lpn` holds
-        // the earliest reading seq.
-        let pos = self.read_lpn_index.partition_point(|&(l, _)| l < lpn);
-        self.read_lpn_index
-            .get(pos)
-            .is_some_and(|&(l, earliest)| l == lpn && earliest < seq)
+        self.read_hazards.blocks(lpn, seq)
     }
 
     /// The pending-FUA horizon entries: admission seqs of queued FUA tags not
@@ -742,13 +814,6 @@ impl DeviceQueue {
     /// validator; hot paths use [`DeviceQueue::horizon_seq`].
     pub fn fua_pending(&self) -> &[u64] {
         &self.fua_pending
-    }
-
-    /// The raw read-LPN hazard entries, sorted by `(lpn, seq)` — the slice
-    /// behind [`DeviceQueue::has_blocking_read`].  Exposed for the debug
-    /// invariant validator.
-    pub fn read_hazards(&self) -> &[(u64, u64)] {
-        &self.read_lpn_index
     }
 
     /// The columnar candidate view for one scheduling round: active chips,
@@ -795,13 +860,13 @@ impl DeviceQueue {
     /// Total live entries across the chip, read-LPN, and FUA indices.  Bounded
     /// by the number of queued uncommitted pages.
     pub fn index_entries(&self) -> usize {
-        self.cand.len() + self.read_lpn_index.len() + self.fua_pending.len()
+        self.cand.len() + self.read_hazards.len + self.fua_pending.len()
     }
 
     /// Debug-build invariant checker: checks that each queued tag's id is its
-    /// slot and cross-validates the incremental columnar candidate index (and
-    /// the slot column) against a from-scratch rebuild from the queued tag
-    /// states.  Compiled to a no-op in release builds; the
+    /// slot and cross-validates the incremental columnar candidate index, the
+    /// slot column and the hazard chains against a from-scratch rebuild from
+    /// the queued tag states.  Compiled to a no-op in release builds; the
     /// differential property tests call it after every scheduling round.
     pub fn validate_candidate_index(&self) {
         #[cfg(debug_assertions)]
@@ -862,15 +927,55 @@ impl DeviceQueue {
                 "columnar candidate index diverged from a from-scratch rebuild"
             );
 
-            // The read-LPN counting filter must agree with the hazard index it
-            // summarizes, bucket for bucket.
-            let mut expected_filter = vec![0u32; READ_FILTER_BUCKETS];
-            for &(lpn, _) in &self.read_lpn_index {
-                expected_filter[read_filter_bucket(lpn)] += 1;
+            // The hazard chains hold exactly the uncommitted read pages, each
+            // in its LPN's bucket, and every slab entry is either chained or
+            // free: a lost link or a cycle shows up as a count mismatch.
+            let hazards = &self.read_hazards;
+            let slab = hazards.entries.len();
+            let mut chained: Vec<(u64, u64)> = Vec::new();
+            for (bucket, &head) in hazards.heads.iter().enumerate() {
+                let mut cursor = head;
+                while cursor != NO_ENTRY && chained.len() <= slab {
+                    let entry = hazards.entries[cursor as usize];
+                    debug_assert_eq!(
+                        hazard_bucket(entry.lpn),
+                        bucket,
+                        "hazard entry chained in the wrong bucket"
+                    );
+                    chained.push((entry.lpn, entry.seq));
+                    cursor = entry.next;
+                }
+            }
+            let mut free = 0usize;
+            let mut cursor = hazards.free;
+            while cursor != NO_ENTRY && free <= slab {
+                free += 1;
+                cursor = hazards.entries[cursor as usize].next;
             }
             debug_assert_eq!(
-                expected_filter, self.read_lpn_filter,
-                "read-LPN counting filter diverged from the hazard index"
+                chained.len(),
+                hazards.len,
+                "hazard chains lost or repeated an entry"
+            );
+            debug_assert_eq!(
+                chained.len() + free,
+                slab,
+                "hazard slab entries neither chained nor free"
+            );
+            chained.sort_unstable();
+            let mut expected_hazards: Vec<(u64, u64)> = self
+                .iter_states()
+                .filter(|state| state.host.direction.is_read())
+                .flat_map(|state| {
+                    state
+                        .uncommitted_pages()
+                        .map(move |page| (state.host.lpn_at(page).value(), state.seq))
+                })
+                .collect();
+            expected_hazards.sort_unstable();
+            debug_assert_eq!(
+                expected_hazards, chained,
+                "read-LPN hazard index diverged from the queued tag states"
             );
         }
     }
@@ -880,6 +985,7 @@ impl DeviceQueue {
 mod tests {
     use super::*;
     use crate::request::Direction;
+    use proptest::prelude::*;
     use sprinkler_flash::Lpn;
 
     fn host(id: u64, pages: u32) -> HostRequest {
@@ -1243,5 +1349,101 @@ mod tests {
         let seqs: Vec<u64> = q.iter_states().map(|s| s.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
         q.validate_candidate_index();
+    }
+
+    /// The definition the hazard index answers for: whether a queued read
+    /// admitted before `seq` has an uncommitted page at `lpn` — the scan
+    /// `reference::write_after_read_blocked` makes.
+    fn scan_for_blocking_read(q: &DeviceQueue, lpn: u64, seq: u64) -> bool {
+        q.iter_states()
+            .take_while(|state| state.seq < seq)
+            .any(|state| {
+                let start = state.host.start_lpn.value();
+                state.host.direction.is_read()
+                    && (start..start + u64::from(state.host.pages)).contains(&lpn)
+                    && !state.committed[(lpn - start) as usize]
+            })
+    }
+
+    /// LPNs that hash to LPN 0's bucket, so one chain holds several LPNs.
+    fn bucket_sharing_lpns() -> Vec<u64> {
+        let bucket = hazard_bucket(0);
+        (1..)
+            .filter(|&lpn| hazard_bucket(lpn) == bucket)
+            .take(4)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random admits (reads and writes over overlapping LPN ranges, some
+        /// starting at LPNs that share one bucket), page commits, and
+        /// retires with and without recycling: after every step the hazard
+        /// index answers each probe LPN at each queued tag's seq, the seq
+        /// after it and the end of time as a scan of the queue does, and
+        /// the debug validator rebuilds the chains from the tag states.
+        #[test]
+        fn hazard_index_answers_like_a_scan_of_the_queue(
+            steps in prop::collection::vec((0u8..8, 0usize..60, 1u32..5), 1..60),
+        ) {
+            let shared = bucket_sharing_lpns();
+            let probes: Vec<u64> = (0..24)
+                .chain(shared.iter().flat_map(|&lpn| lpn..lpn + 4))
+                .collect();
+            let mut q = DeviceQueue::new(6);
+            for (id, &(kind, pick, pages)) in steps.iter().enumerate() {
+                let queued: Vec<TagId> = q.tags_in_order().collect();
+                let target = queued.get(pick % queued.len().max(1)).copied();
+                match (kind, target) {
+                    (0..=3, _) => {
+                        let lpn = if pick % 3 == 0 {
+                            shared[pick % shared.len()]
+                        } else {
+                            (pick % 20) as u64
+                        };
+                        let direction = if kind < 2 { Direction::Read } else { Direction::Write };
+                        let host = HostRequest::new(
+                            id as u64,
+                            SimTime::ZERO,
+                            direction,
+                            Lpn::new(lpn),
+                            pages,
+                        );
+                        let full = q.is_full();
+                        prop_assert_eq!(q.admit(host, SimTime::ZERO, placement).is_none(), full);
+                    }
+                    (4 | 5, Some(tag)) => {
+                        let page = pick as u32 % q.tag(tag).unwrap().pages() as u32;
+                        q.commit_page(tag, page, SimTime::ZERO);
+                    }
+                    (6, Some(tag)) => {
+                        let state = q.retire(tag).unwrap();
+                        q.recycle(state);
+                    }
+                    (_, Some(tag)) => {
+                        q.retire(tag).unwrap();
+                    }
+                    (_, None) => {}
+                }
+                q.validate_candidate_index();
+                let seqs = q
+                    .iter_states()
+                    .flat_map(|state| [state.seq, state.seq + 1])
+                    .chain([u64::MAX]);
+                for seq in seqs {
+                    for &lpn in &probes {
+                        prop_assert_eq!(
+                            q.has_blocking_read(lpn, seq),
+                            scan_for_blocking_read(&q, lpn, seq),
+                            "lpn {}, seq {}, after step {}",
+                            lpn,
+                            seq,
+                            id
+                        );
+                    }
+                }
+            }
+        }
     }
 }

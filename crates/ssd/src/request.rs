@@ -87,7 +87,8 @@ pub struct HostRequest {
     pub direction: Direction,
     /// First logical page addressed.
     pub start_lpn: Lpn,
-    /// Number of pages touched (always ≥ 1).
+    /// Number of pages touched: at least 1.  [`HostRequest::new`] clamps
+    /// to 1, and `Ssd` refuses a request built with 0 at ingestion.
     pub pages: u32,
     /// Force-unit-access: when set, the request must not be reordered (hazard
     /// control, §4.4).

@@ -244,7 +244,8 @@ pub struct Ssd {
     next_mreq: u64,
     /// Host write pages the FTL could not place.
     failed_writes: u64,
-    /// Host requests refused at ingestion (longer than `MAX_REQUEST_PAGES`).
+    /// Host requests refused at ingestion (zero pages, or longer than
+    /// `MAX_REQUEST_PAGES`).
     refused_ios: u64,
     /// Events handled by kind, and rounds that committed nothing.
     work: WorkCounts,
@@ -505,11 +506,12 @@ impl Ssd {
     }
 
     /// Takes a host request in at `now`: it waits for a queue tag, and a
-    /// scheduling round is requested.  A request longer than
-    /// `MAX_REQUEST_PAGES` is refused instead: its page offsets would collide
-    /// in the candidate keys.
+    /// scheduling round is requested.  A request of zero pages, or longer
+    /// than `MAX_REQUEST_PAGES`, is refused instead: the first has no page
+    /// whose completion could retire its tag, and the second's page offsets
+    /// would collide in the candidate keys.
     fn ingest(&mut self, now: SimTime, request: HostRequest) {
-        if request.pages > MAX_REQUEST_PAGES {
+        if request.pages == 0 || request.pages > MAX_REQUEST_PAGES {
             self.refused_ios += 1;
             return;
         }
@@ -1422,6 +1424,28 @@ mod tests {
         ]);
         assert_eq!(metrics.io_count, 1);
         assert_eq!(metrics.refused_ios, 1);
+        assert_eq!(metrics.run_start_ns, 10_000);
+    }
+
+    /// Regression: a zero-page request (its fields are public, so
+    /// `HostRequest::new`'s clamp can be bypassed) was admitted as a tag
+    /// with no page to commit or complete, so it never retired.  It lost
+    /// its I/O without a count, and eight of them filled `small_test`'s
+    /// 8-deep queue for good, so a later read never got a tag.  It is now
+    /// refused at ingestion, and the replay serves the requests after it.
+    #[test]
+    fn zero_page_requests_are_refused() {
+        let empty = |request: HostRequest| HostRequest {
+            pages: 0,
+            ..request
+        };
+        let metrics = run_small(vec![empty(read_req(0, 0, 0, 1)), read_req(1, 10, 8, 1)]);
+        assert_eq!((metrics.io_count, metrics.refused_ios), (1, 1));
+
+        let mut trace: Vec<HostRequest> = (0..8).map(|i| empty(write_req(i, 0, i, 1))).collect();
+        trace.push(read_req(8, 10, 64, 1));
+        let metrics = run_small(trace);
+        assert_eq!((metrics.io_count, metrics.refused_ios), (1, 8));
         assert_eq!(metrics.run_start_ns, 10_000);
     }
 

@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use sprinkler::array::{PlacementMap, StripeMap, StripedFanout};
+use sprinkler::core::faro::{FaroCandidate, FaroConfig, FaroScratch, FaroSelector};
 use sprinkler::core::reference::ReferenceScheduler;
 use sprinkler::core::SchedulerKind;
 use sprinkler::experiments::to_host_requests;
@@ -81,6 +82,45 @@ fn arb_small_config() -> impl Strategy<Value = SsdConfig> {
                 config
             },
         )
+}
+
+/// A chip's FARO candidates grouped by tag, as a scheduling round hands
+/// them over: 1–40 tags of 1–40 rows, often of 1–4 so that tags cover
+/// different (die, plane) pairs.  Dies and planes span up to 64 each
+/// (4,096 pairs), up to 8, or only 1–3 so that a tag repeats its pairs;
+/// pages are distinct within a tag but not in page order; and arrival ranks
+/// are distinct or, half the time, drawn from 0–3 so that tags tie on them.
+fn arb_faro_candidates() -> impl Strategy<Value = Vec<FaroCandidate>> {
+    let span = || prop_oneof![1u32..4, 1u32..9, 1u32..65];
+    let rows = (
+        prop_oneof![1usize..5, 1usize..41],
+        prop::collection::vec((0u32..64, 0u32..64), 40..41),
+    );
+    (
+        (span(), span(), 0u8..2),
+        prop::collection::vec((rows, 0usize..1000, 1u32..41), 1..41),
+    )
+        .prop_map(|((dies, planes, tied), tags)| {
+            let mut candidates = Vec::new();
+            for (index, ((len, rows), rank, stride)) in tags.into_iter().enumerate() {
+                let arrival_rank = if tied == 0 {
+                    rank % 4
+                } else {
+                    index * 1000 + rank
+                };
+                for (row, (die, plane)) in rows.into_iter().take(len).enumerate() {
+                    candidates.push(FaroCandidate {
+                        tag: TagId(index as u64),
+                        // `stride` is a unit mod 41 and `row` is below 41.
+                        page: (row as u32 * stride) % 41,
+                        die: die % dies,
+                        plane: plane % planes,
+                        arrival_rank,
+                    });
+                }
+            }
+            candidates
+        })
 }
 
 /// Runs `steps` — `(kind, raw LPN, plane)`: kinds 0–5 write, 6–8 read, 9
@@ -320,8 +360,8 @@ proptest! {
     /// with a typed error, which `Ssd::new` returns too, or the device it
     /// accepts completes a short multi-page mixed replay, FUA included,
     /// under VAS and SPK3.  Sometimes the replay also carries requests longer
-    /// than a candidate key's 20-bit page field: the device refuses exactly
-    /// those and completes every other I/O.
+    /// than a candidate key's 20-bit page field, or of zero pages: the device
+    /// refuses exactly those and completes every other I/O.
     #[test]
     fn validated_configs_complete_every_io(
         config in arb_small_config(),
@@ -333,6 +373,7 @@ proptest! {
             (0u64..100, arb_direction(), 1u32..1 << 12),
             0..3,
         ),
+        empty in prop::collection::vec((0u64..100, arb_direction(), 0u64..1 << 32), 0..3),
     ) {
         if let Err(error) = config.validate() {
             let built = Ssd::new(config, SchedulerKind::Vas.build());
@@ -354,11 +395,19 @@ proptest! {
             let id = (specs.len() + i) as u64;
             HostRequest::new(id, SimTime::from_micros(at), dir, Lpn::new(0), (1 << 20) + extra)
         });
-        let replay: Vec<HostRequest> = requests.iter().cloned().chain(too_long).collect();
+        // `HostRequest::new` clamps to one page; the public field does not.
+        let zero_pages = empty.iter().enumerate().map(|(i, &(at, dir, lpn))| {
+            let id = (specs.len() + oversized.len() + i) as u64;
+            let start = Lpn::new(lpn % space);
+            HostRequest { pages: 0, ..HostRequest::new(id, SimTime::from_micros(at), dir, start, 1) }
+        });
+        let replay: Vec<HostRequest> =
+            requests.iter().cloned().chain(too_long).chain(zero_pages).collect();
+        let refused = (oversized.len() + empty.len()) as u64;
         for kind in [SchedulerKind::Vas, SchedulerKind::Spk3] {
             let metrics = Ssd::new(config.clone(), kind.build()).unwrap().run(replay.clone());
             prop_assert_eq!(metrics.io_count, requests.len() as u64, "{} lost I/Os", kind);
-            prop_assert_eq!(metrics.refused_ios, oversized.len() as u64, "{}", kind);
+            prop_assert_eq!(metrics.refused_ios, refused, "{}", kind);
         }
     }
 
@@ -543,6 +592,33 @@ proptest! {
         prop_assert_eq!(fast_metrics.avg_latency_ns, ref_metrics.avg_latency_ns);
         prop_assert_eq!(fast_metrics.p99_latency_ns, ref_metrics.p99_latency_ns);
         prop_assert_eq!(fast_metrics.elapsed_ns, ref_metrics.elapsed_ns);
+    }
+
+    /// FARO's one-pass ranking picks what Algorithm 1 as written picks
+    /// (`FaroSelector::select`, the oracle the reference scheduler calls),
+    /// in the same order, and takes the fast path exactly when one tag holds
+    /// every candidate.  Each case selects from the whole set and then from
+    /// the set without its first tag, on one scratch, so stamps left by one
+    /// selection must not leak into the next.
+    #[test]
+    fn one_pass_faro_matches_algorithm_one(
+        candidates in arb_faro_candidates(),
+        capacity in 0usize..21,
+        depth in 1usize..25,
+    ) {
+        let selector = FaroSelector::new(FaroConfig { overcommit_depth: depth });
+        let mut scratch = FaroScratch::default();
+        let first_tag = candidates[0].tag;
+        let later = candidates.iter().position(|c| c.tag != first_tag);
+        let sets = [&candidates[..], later.map_or(&[][..], |at| &candidates[at..])];
+        for set in sets {
+            let mut out = vec![(TagId(u64::MAX), 0)];
+            let fast = selector.select_into(set, capacity, &mut out, &mut scratch);
+            prop_assert_eq!(out[0], (TagId(u64::MAX), 0), "earlier output was overwritten");
+            prop_assert_eq!(&out[1..], &selector.select(set, capacity)[..]);
+            let one_tag = !set.is_empty() && set.iter().all(|c| c.tag == set[0].tag);
+            prop_assert_eq!(fast, one_tag && capacity.min(depth) > 0);
+        }
     }
 
     /// The ledger's hard cap holds under every scheduler and any workload the

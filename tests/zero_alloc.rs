@@ -15,7 +15,7 @@
 //! `cargo test --release --test zero_alloc -- --ignored` (see
 //! .github/workflows/ci.yml).
 //!
-//! Workload shape: all requests span 8 pages; reads roam a 4096-LPN range
+//! Workload shape: requests span 8 pages; reads roam a 4096-LPN range
 //! (unmapped reads are served without mutating the map).  GC stays disabled
 //! (the default), so free blocks only deplete — the write volume is sized far
 //! below the device capacity.  Two write patterns:
@@ -28,6 +28,12 @@
 //!   is pre-sized to the per-chip commitment cap, and the FTL's dense tables
 //!   allocate a chunk only for a new 64 Ki-LPN range or a new block index,
 //!   neither of which the steady state reaches.
+//!
+//! A third cell takes `seqread256k-64`'s shape: 128-page (256 KB) reads
+//! with an 8-page write of the fixed footprint between each two.  Each read
+//! puts two pages on every chip of the 64, so FARO's ranking runs its
+//! general path over several tags per chip, and the writes' write-after-read
+//! queries walk a hazard index holding hundreds of uncommitted read pages.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,6 +55,9 @@ const WRITE_BASES: u64 = 64;
 /// LPNs the reads roam, and the span the split writes cover.
 const SPAN: u64 = 4096;
 
+/// Pages per read in the long-read cell: one 256 KB transfer.
+const LONG_READ_PAGES: u64 = 128;
+
 /// Where write `i` goes when `warm` is true during warm-up.
 type WritePattern = fn(i: u64, warm: bool) -> u64;
 
@@ -64,22 +73,29 @@ fn split_footprint(i: u64, warm: bool) -> u64 {
     ((i / 2 * 2) % bases + u64::from(!warm)) * PAGES
 }
 
-fn steady_requests(total: u64, warmup: u64, writes: WritePattern) -> Vec<HostRequest> {
+/// Even requests read `read_pages` pages roaming the span; odd ones write
+/// 8 pages where `writes` puts them.
+fn steady_requests(
+    total: u64,
+    warmup: u64,
+    read_pages: u64,
+    writes: WritePattern,
+) -> Vec<HostRequest> {
     (0..total)
         .map(|i| {
-            let (direction, lpn) = if i % 2 == 0 {
+            let (direction, lpn, pages) = if i % 2 == 0 {
                 // Reads roam a wider range; unmapped reads are legal and
                 // alloc-free (served from the static placement).
-                (Direction::Read, Lpn::new((i * 13) % SPAN))
+                (Direction::Read, Lpn::new((i * 13) % SPAN), read_pages)
             } else {
-                (Direction::Write, Lpn::new(writes(i, i < warmup)))
+                (Direction::Write, Lpn::new(writes(i, i < warmup)), PAGES)
             };
             HostRequest::new(
                 i,
                 SimTime::from_nanos(i * 1_000),
                 direction,
                 lpn,
-                PAGES as u32,
+                pages as u32,
             )
         })
         .collect()
@@ -137,16 +153,14 @@ impl<I: Iterator<Item = HostRequest>> Iterator for Metered<I> {
     }
 }
 
-/// Replays `total` requests through `run_stream`, measuring allocations after
+/// Replays `requests` through `run_stream`, measuring allocations after
 /// the first `warmup` pulls.  Returns the run metrics and the steady-state
 /// allocation delta.
 fn metered_replay(
     config: SsdConfig,
-    total: u64,
+    requests: Vec<HostRequest>,
     warmup: u64,
-    writes: WritePattern,
 ) -> (RunMetrics, u64, u64) {
-    let requests = steady_requests(total, warmup, writes);
     let meter = Rc::new(RefCell::new(Meter::default()));
     let source = Metered {
         inner: requests.into_iter(),
@@ -166,11 +180,11 @@ fn metered_replay(
 
 fn assert_zero_alloc_steady_state(
     config: SsdConfig,
-    total: u64,
+    requests: Vec<HostRequest>,
     warmup: u64,
-    writes: WritePattern,
-) {
-    let (metrics, steady_allocs, steady_bytes) = metered_replay(config, total, warmup, writes);
+) -> RunMetrics {
+    let total = requests.len() as u64;
+    let (metrics, steady_allocs, steady_bytes) = metered_replay(config, requests, warmup);
     assert_eq!(metrics.io_count, total, "every request must complete");
     // The always-on telemetry substrate rode along for free.
     assert_eq!(metrics.telemetry.stream_admissions, total);
@@ -183,6 +197,7 @@ fn assert_zero_alloc_steady_state(
          regressed from zero allocations per I/O",
         total - warmup,
     );
+    metrics
 }
 
 /// Steady-state replay on the 64-chip paper geometry allocates nothing.
@@ -190,7 +205,8 @@ fn assert_zero_alloc_steady_state(
 #[ignore = "release-mode perf gate; run via cargo test --release --test zero_alloc -- --ignored"]
 fn steady_state_replay_is_allocation_free_small() {
     let config = SsdConfig::paper_default().with_blocks_per_plane(64);
-    assert_zero_alloc_steady_state(config, 6_000, 3_000, fixed_footprint);
+    let requests = steady_requests(6_000, 3_000, PAGES, fixed_footprint);
+    assert_zero_alloc_steady_state(config, requests, 3_000);
 }
 
 /// The steady state writes chips and LPNs that warm-up never wrote: the
@@ -199,7 +215,8 @@ fn steady_state_replay_is_allocation_free_small() {
 #[ignore = "release-mode perf gate; run via cargo test --release --test zero_alloc -- --ignored"]
 fn steady_state_writes_to_unwritten_chips_are_allocation_free() {
     let config = SsdConfig::paper_default().with_blocks_per_plane(64);
-    assert_zero_alloc_steady_state(config, 6_000, 3_000, split_footprint);
+    let requests = steady_requests(6_000, 3_000, PAGES, split_footprint);
+    assert_zero_alloc_steady_state(config, requests, 3_000);
 }
 
 /// The same proof at 1024 chips: pool sizing, not luck, keeps the loop clean.
@@ -209,7 +226,23 @@ fn steady_state_replay_is_allocation_free_1024_chips() {
     let config = SsdConfig::paper_default()
         .with_chip_count(1024)
         .with_blocks_per_plane(64);
-    assert_zero_alloc_steady_state(config, 6_000, 3_000, fixed_footprint);
+    let requests = steady_requests(6_000, 3_000, PAGES, fixed_footprint);
+    assert_zero_alloc_steady_state(config, requests, 3_000);
+}
+
+/// `seqread256k-64`'s shape at 64 chips: 128-page reads, 8-page writes
+/// between them.  The measured window runs FARO's general ranking and
+/// write-after-read queries against hundreds of hazard entries.
+#[test]
+#[ignore = "release-mode perf gate; run via cargo test --release --test zero_alloc -- --ignored"]
+fn long_read_replay_is_allocation_free() {
+    let config = SsdConfig::paper_default().with_blocks_per_plane(64);
+    let requests = steady_requests(3_000, 1_500, LONG_READ_PAGES, fixed_footprint);
+    let metrics = assert_zero_alloc_steady_state(config, requests, 1_500);
+    assert!(
+        metrics.telemetry.hazard_war_deferrals > 0,
+        "no write waited on a queued read: the hazard index answered nothing"
+    );
 }
 
 /// The counting allocator itself works in this binary: a deliberate heap
