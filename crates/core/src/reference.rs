@@ -251,8 +251,6 @@ mod tests {
             let chip = chips[page as usize];
             Placement {
                 chip,
-                channel: 0,
-                way: chip as u32,
                 die: 0,
                 plane: (chip % 4) as u32,
             }

@@ -12,15 +12,15 @@
 //! * with both disabled pieces it degrades to the corresponding SPK1/SPK2 variants
 //!   the paper evaluates.
 //!
-//! Sprinkler also implements the readdressing callback (§4.3): when garbage
-//! collection migrates live data across planes the substrate notifies the
-//! scheduler, which keeps its resource-driven decisions accurate.
+//! Sprinkler also supports readdressing (§4.3): when garbage collection
+//! migrates live data across planes, the substrate refreshes the placement
+//! previews of queued tags, which keeps its resource-driven decisions
+//! accurate.
 
 use std::sync::Arc;
 
 use sprinkler_flash::FlashGeometry;
 use sprinkler_sim::TelemetryCounters;
-use sprinkler_ssd::ftl::PageMigration;
 use sprinkler_ssd::queue::SLOT_WRITE;
 use sprinkler_ssd::request::TagId;
 use sprinkler_ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
@@ -64,7 +64,6 @@ pub struct SprinklerScheduler {
     use_faro: bool,
     faro: FaroSelector,
     traversal: Option<RiosTraversal>,
-    readdress_events: u64,
     /// Scratch: rank-indexed occupancy bitmap — bit `r` is set when the chip
     /// with traversal rank `r` has schedulable work this round.  Scanning the
     /// words with `trailing_zeros` visits the round's chips in traversal order
@@ -115,7 +114,6 @@ impl SprinklerScheduler {
             use_faro,
             faro: FaroSelector::new(faro),
             traversal: None,
-            readdress_events: 0,
             round_bits: Vec::new(),
             round_chip: Vec::new(),
             cand_scratch: Vec::new(),
@@ -132,21 +130,6 @@ impl SprinklerScheduler {
         if let Some(telemetry) = &self.telemetry {
             TelemetryCounters::incr(pick(telemetry));
         }
-    }
-
-    /// Whether RIOS (resource-driven composition) is enabled.
-    pub fn uses_rios(&self) -> bool {
-        self.use_rios
-    }
-
-    /// Whether FARO (over-commitment) is enabled.
-    pub fn uses_faro(&self) -> bool {
-        self.use_faro
-    }
-
-    /// Number of readdressing callbacks received so far.
-    pub fn readdress_events(&self) -> u64 {
-        self.readdress_events
     }
 
     fn per_chip_capacity(&self) -> usize {
@@ -395,15 +378,11 @@ impl IoScheduler for SprinklerScheduler {
         }
     }
 
+    /// The substrate refreshes the stale placement previews of queued tags
+    /// when GC migrates a page; Sprinkler needs nothing more, because its
+    /// per-round, per-chip grouping is rebuilt from those previews anyway.
     fn supports_readdressing(&self) -> bool {
         true
-    }
-
-    fn on_readdress(&mut self, _migration: &PageMigration) {
-        // The substrate refreshes the stale placement previews of queued tags when
-        // the callback fires; Sprinkler only counts the events because its
-        // per-round, per-chip grouping is rebuilt from those previews anyway.
-        self.readdress_events += 1;
     }
 }
 
@@ -421,13 +400,7 @@ mod tests {
     fn admit_at(queue: &mut DeviceQueue, host: HostRequest, pages: &[(usize, u32, u32)]) -> TagId {
         let placement = |page: u32| {
             let (chip, die, plane) = pages[page as usize];
-            Placement {
-                chip,
-                channel: 0,
-                way: chip as u32,
-                die,
-                plane,
-            }
+            Placement { chip, die, plane }
         };
         queue
             .admit(host, SimTime::ZERO, placement)
@@ -454,10 +427,7 @@ mod tests {
     ) -> Vec<Commitment> {
         let geometry = FlashGeometry::small_test();
         scheduler.initialize(&geometry);
-        let mut ledger = CommitmentLedger::from_outstanding(32, outstanding);
-        for (chip, &n) in outstanding.iter().enumerate() {
-            ledger.set_busy(chip, n > 0);
-        }
+        let ledger = CommitmentLedger::from_outstanding(32, outstanding);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
             geometry: &geometry,
@@ -472,11 +442,6 @@ mod tests {
         assert_eq!(SprinklerScheduler::spk1().name(), "SPK1");
         assert_eq!(SprinklerScheduler::spk2().name(), "SPK2");
         assert_eq!(SprinklerScheduler::spk3().name(), "SPK3");
-        assert!(SprinklerScheduler::spk1().uses_faro());
-        assert!(!SprinklerScheduler::spk1().uses_rios());
-        assert!(SprinklerScheduler::spk2().uses_rios());
-        assert!(!SprinklerScheduler::spk2().uses_faro());
-        assert!(SprinklerScheduler::spk3().uses_rios() && SprinklerScheduler::spk3().uses_faro());
         assert_eq!(
             SprinklerScheduler::with_components(false, false, FaroConfig::default()).name(),
             "SPK0"
@@ -570,21 +535,6 @@ mod tests {
         let out = run_scheduler(&mut spk3, &queue, &[0, 0, 0, 0]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|c| c.tag == TagId(1)));
-    }
-
-    #[test]
-    fn readdress_callback_is_counted() {
-        let mut spk3 = SprinklerScheduler::spk3();
-        assert!(spk3.supports_readdressing());
-        let migration = PageMigration {
-            lpn: Lpn::new(1),
-            from: sprinkler_flash::PhysicalPageAddr::default(),
-            to: sprinkler_flash::PhysicalPageAddr::default(),
-            crossed_plane: true,
-        };
-        spk3.on_readdress(&migration);
-        spk3.on_readdress(&migration);
-        assert_eq!(spk3.readdress_events(), 2);
     }
 
     #[test]

@@ -96,8 +96,6 @@ mod tests {
         );
         let placement = |page: u32| Placement {
             chip: chips[page as usize],
-            channel: 0,
-            way: chips[page as usize] as u32,
             die: 0,
             plane: 0,
         };
@@ -106,10 +104,7 @@ mod tests {
 
     fn schedule(queue: &DeviceQueue, outstanding: &[usize]) -> Vec<Commitment> {
         let geometry = FlashGeometry::small_test();
-        let mut ledger = CommitmentLedger::from_outstanding(8, outstanding);
-        for (chip, &n) in outstanding.iter().enumerate() {
-            ledger.set_busy(chip, n > 0);
-        }
+        let ledger = CommitmentLedger::from_outstanding(8, outstanding);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
             geometry: &geometry,

@@ -611,7 +611,8 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
 /// tenant-mix fairness and per-class p99 figures, and the tenant-storm
 /// isolation contract (victim p99 ratios pinned at 1.0-ish, storm-tenant p99
 /// ratio showing the blast landed on the storming tenant), plus the mux's
-/// admission telemetry so the DRR/bucket decision stream itself is gated.
+/// admission counts (summed over the storm's lanes) so the DRR/bucket
+/// decision stream itself is gated.
 fn tenant_metrics() -> Vec<(&'static str, f64)> {
     let scale = ExperimentScale::quick();
     let mix = scenario::tenant_mix_outcome(&scale, SchedulerKind::Spk3);
@@ -626,7 +627,9 @@ fn tenant_metrics() -> Vec<(&'static str, f64)> {
     };
     let baseline = scenario::tenant_storm_outcome(&scale, "baseline", SchedulerKind::Spk3);
     let storm = scenario::tenant_storm_outcome(&scale, "storm", SchedulerKind::Spk3);
-    let telemetry = &storm.metrics.telemetry;
+    let admission = |count: fn(&sprinkler_tenants::TenantAdmissionStats) -> u64| {
+        storm.admission.iter().map(count).sum::<u64>() as f64
+    };
     vec![
         ("tenant_mix_spk3_fairness_index", mix.fairness_index()),
         (
@@ -659,15 +662,15 @@ fn tenant_metrics() -> Vec<(&'static str, f64)> {
         ("tenant_storm_spk3_fairness_index", storm.fairness_index()),
         (
             "tenant_storm_spk3_admissions",
-            telemetry.tenant_admissions as f64,
+            admission(|lane| lane.admitted),
         ),
         (
             "tenant_storm_spk3_deferrals",
-            telemetry.tenant_deferrals as f64,
+            admission(|lane| lane.deferrals),
         ),
         (
             "tenant_storm_spk3_throttles",
-            telemetry.tenant_throttles as f64,
+            admission(|lane| lane.throttles),
         ),
     ]
 }

@@ -41,14 +41,6 @@ pub struct TelemetryCounters {
     /// Streaming-ingestion stalls: a request was due but the bounded backlog
     /// was full, so the replay loop drained events instead.
     pub stream_stalls: AtomicU64,
-    /// Host requests admitted through the multi-tenant fair-share front.
-    pub tenant_admissions: AtomicU64,
-    /// Tenant head-of-line records deferred past their arrival time by the
-    /// deficit-round-robin fair scheduler (another tenant held the turn).
-    pub tenant_deferrals: AtomicU64,
-    /// Tenant head-of-line records held back by the burst-isolation token
-    /// bucket (arrival was due but the bucket was empty).
-    pub tenant_throttles: AtomicU64,
 }
 
 impl TelemetryCounters {
@@ -73,9 +65,6 @@ impl TelemetryCounters {
             ledger_headroom_exhausted: self.ledger_headroom_exhausted.load(Ordering::Relaxed),
             stream_admissions: self.stream_admissions.load(Ordering::Relaxed),
             stream_stalls: self.stream_stalls.load(Ordering::Relaxed),
-            tenant_admissions: self.tenant_admissions.load(Ordering::Relaxed),
-            tenant_deferrals: self.tenant_deferrals.load(Ordering::Relaxed),
-            tenant_throttles: self.tenant_throttles.load(Ordering::Relaxed),
         }
     }
 }
@@ -98,12 +87,6 @@ pub struct TelemetrySnapshot {
     pub stream_admissions: u64,
     /// Streaming-ingestion stalls against the bounded backlog.
     pub stream_stalls: u64,
-    /// Host requests admitted through the multi-tenant fair-share front.
-    pub tenant_admissions: u64,
-    /// Tenant head-of-line records deferred past arrival by the fair scheduler.
-    pub tenant_deferrals: u64,
-    /// Tenant head-of-line records held back by the burst-isolation bucket.
-    pub tenant_throttles: u64,
 }
 
 impl TelemetrySnapshot {
@@ -119,9 +102,6 @@ impl TelemetrySnapshot {
                 + other.ledger_headroom_exhausted,
             stream_admissions: self.stream_admissions + other.stream_admissions,
             stream_stalls: self.stream_stalls + other.stream_stalls,
-            tenant_admissions: self.tenant_admissions + other.tenant_admissions,
-            tenant_deferrals: self.tenant_deferrals + other.tenant_deferrals,
-            tenant_throttles: self.tenant_throttles + other.tenant_throttles,
         }
     }
 }

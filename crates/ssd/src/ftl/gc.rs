@@ -47,12 +47,6 @@ impl GcPlan {
     pub fn crossed_plane_count(&self) -> usize {
         self.migrations.iter().filter(|m| m.crossed_plane).count()
     }
-
-    /// The total flash operations this plan will generate: one read and one program
-    /// per migration plus one erase.
-    pub fn flash_ops(&self) -> usize {
-        self.migrations.len() * 2 + 1
-    }
 }
 
 /// Counters describing garbage-collection activity over a run.
@@ -75,16 +69,6 @@ impl GcStats {
         self.pages_migrated += plan.migration_count() as u64;
         self.cross_plane_migrations += plan.crossed_plane_count() as u64;
         self.blocks_erased += 1;
-    }
-
-    /// Write amplification contributed by GC: extra programs per GC-erased block's
-    /// worth of pages (0 when GC never ran).
-    pub fn migrations_per_invocation(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.pages_migrated as f64 / self.invocations as f64
-        }
     }
 }
 
@@ -133,19 +117,16 @@ mod tests {
         let plan = sample_plan();
         assert_eq!(plan.migration_count(), 2);
         assert_eq!(plan.crossed_plane_count(), 1);
-        assert_eq!(plan.flash_ops(), 5);
     }
 
     #[test]
     fn stats_accumulate_plans() {
         let mut stats = GcStats::default();
-        assert_eq!(stats.migrations_per_invocation(), 0.0);
         stats.record_plan(&sample_plan());
         stats.record_plan(&sample_plan());
         assert_eq!(stats.invocations, 2);
         assert_eq!(stats.pages_migrated, 4);
         assert_eq!(stats.cross_plane_migrations, 2);
         assert_eq!(stats.blocks_erased, 2);
-        assert_eq!(stats.migrations_per_invocation(), 2.0);
     }
 }

@@ -26,19 +26,6 @@ use crate::request::{Direction, Placement};
 /// entry stores a page number plus one.
 pub(crate) const MAX_TOTAL_PAGES: u64 = u32::MAX as u64;
 
-/// Counters describing FTL activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FtlStats {
-    /// Host page reads translated.
-    pub host_reads: u64,
-    /// Host page writes allocated.
-    pub host_writes: u64,
-    /// Reads of never-written logical pages (served from a deterministic location).
-    pub unmapped_reads: u64,
-    /// Writes whose target plane was full and had to spill to another plane.
-    pub spilled_writes: u64,
-}
-
 /// The result of allocating a physical page for a host (or GC) write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteAllocation {
@@ -65,7 +52,7 @@ pub struct WriteAllocation {
 /// assert!(w.invalidated.is_none());
 /// // The preview agrees with where the data actually went.
 /// let preview = ftl.preview(Lpn::new(3), Direction::Read);
-/// assert_eq!(preview.channel, w.addr.channel);
+/// assert_eq!(preview.chip, ftl.geometry().chip_index(w.addr.channel, w.addr.way));
 /// assert_eq!(preview.die, w.addr.die);
 /// ```
 #[derive(Debug)]
@@ -74,7 +61,6 @@ pub struct Ftl {
     map: PageMap,
     alloc: Allocator,
     gc_watermark: usize,
-    stats: FtlStats,
     gc_stats: GcStats,
 }
 
@@ -89,7 +75,6 @@ impl Ftl {
             geometry,
             alloc,
             gc_watermark,
-            stats: FtlStats::default(),
             gc_stats: GcStats::default(),
         }
     }
@@ -97,11 +82,6 @@ impl Ftl {
     /// The geometry this FTL manages.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geometry
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> FtlStats {
-        self.stats
     }
 
     /// Garbage-collection counters.
@@ -122,14 +102,16 @@ impl Ftl {
         if direction.is_read() {
             if let Some(ppn) = self.map.lookup(lpn) {
                 let addr = self.geometry.addr_of(ppn);
-                return Placement::from_addr(addr, self.geometry.chips_per_channel);
+                return Placement {
+                    chip: self.geometry.chip_index(addr.channel, addr.way),
+                    die: addr.die,
+                    plane: addr.plane,
+                };
             }
         }
         let loc = self.alloc.static_placement(lpn);
         Placement {
             chip: self.geometry.chip_index(loc.channel, loc.way),
-            channel: loc.channel,
-            way: loc.way,
             die: loc.die,
             plane: loc.plane,
         }
@@ -137,14 +119,10 @@ impl Ftl {
 
     /// Resolves a read to a physical page.  Unmapped reads are served from a
     /// deterministic location so they still exercise the flash array.
-    pub fn translate_read(&mut self, lpn: Lpn) -> PhysicalPageAddr {
-        self.stats.host_reads += 1;
+    pub fn translate_read(&self, lpn: Lpn) -> PhysicalPageAddr {
         match self.map.lookup(lpn) {
             Some(ppn) => self.geometry.addr_of(ppn),
-            None => {
-                self.stats.unmapped_reads += 1;
-                self.alloc.deterministic_addr(lpn)
-            }
+            None => self.alloc.deterministic_addr(lpn),
         }
     }
 
@@ -153,15 +131,11 @@ impl Ftl {
     /// plane is out of free space ("spilling"), and returns `None` only when the
     /// entire SSD is full or `lpn` lies past the logical space.
     pub fn allocate_write(&mut self, lpn: Lpn) -> Option<WriteAllocation> {
-        self.stats.host_writes += 1;
         if !self.map.covers(lpn) {
             return None;
         }
         let preferred = self.alloc.plane_index_of(self.alloc.static_placement(lpn));
         let (addr, spilled) = self.allocate_near(preferred)?;
-        if spilled {
-            self.stats.spilled_writes += 1;
-        }
         let invalidated = self
             .map
             .map(lpn, self.geometry.ppn_of(addr))
@@ -187,12 +161,6 @@ impl Ftl {
                 .allocate((plane_index + offset) % plane_count)
                 .map(|addr| (addr, offset != 0))
         })
-    }
-
-    /// Free blocks remaining in the plane that `lpn` statically maps to.
-    pub fn free_blocks_for(&self, lpn: Lpn) -> usize {
-        let plane = self.alloc.plane_index_of(self.alloc.static_placement(lpn));
-        self.alloc.free_blocks(plane)
     }
 
     /// The flat plane index an address belongs to.
@@ -268,8 +236,6 @@ impl Ftl {
                 break;
             }
         }
-        // Pre-conditioning is not host traffic; keep the host counters clean.
-        self.stats.host_writes = 0;
     }
 
     /// Total valid (live) pages across the SSD.
@@ -306,13 +272,12 @@ mod tests {
         for lpn in 0..32u64 {
             let preview = f.preview(Lpn::new(lpn), Direction::Write);
             let alloc = f.allocate_write(Lpn::new(lpn)).unwrap();
-            assert_eq!(preview.channel, alloc.addr.channel, "lpn {lpn}");
-            assert_eq!(preview.way, alloc.addr.way);
+            let chip = f.geometry().chip_index(alloc.addr.channel, alloc.addr.way);
+            assert_eq!(preview.chip, chip, "lpn {lpn}");
             assert_eq!(preview.die, alloc.addr.die);
             assert_eq!(preview.plane, alloc.addr.plane);
             assert!(!alloc.spilled);
         }
-        assert_eq!(f.stats().host_writes, 32);
     }
 
     #[test]
@@ -321,18 +286,21 @@ mod tests {
         let lpn = Lpn::new(5);
         let w = f.allocate_write(lpn).unwrap();
         let preview = f.preview(lpn, Direction::Read);
-        assert_eq!(preview.channel, w.addr.channel);
+        assert_eq!(
+            preview.chip,
+            f.geometry().chip_index(w.addr.channel, w.addr.way)
+        );
         assert_eq!(preview.plane, w.addr.plane);
     }
 
     #[test]
     fn translate_read_unmapped_is_deterministic() {
-        let mut f = ftl();
+        let f = ftl();
         let a = f.translate_read(Lpn::new(99));
         let b = f.translate_read(Lpn::new(99));
         assert_eq!(a, b);
-        assert_eq!(f.stats().unmapped_reads, 2);
-        assert_eq!(f.stats().host_reads, 2);
+        assert_eq!(a, f.alloc.deterministic_addr(Lpn::new(99)));
+        assert_eq!(f.mapped_pages(), 0, "a read maps nothing");
     }
 
     #[test]
@@ -341,7 +309,6 @@ mod tests {
         let lpn = Lpn::new(7);
         let w = f.allocate_write(lpn).unwrap();
         assert_eq!(f.translate_read(lpn), w.addr);
-        assert_eq!(f.stats().unmapped_reads, 0);
     }
 
     #[test]
@@ -372,7 +339,6 @@ mod tests {
             spilled |= alloc.spilled;
         }
         assert!(spilled, "overflowing a plane must spill to a neighbour");
-        assert!(f.stats().spilled_writes > 0);
     }
 
     #[test]
@@ -386,8 +352,10 @@ mod tests {
         assert_eq!(f.mapped_pages(), 1);
         assert_eq!(f.live_pages(), 1);
         // Reads past the space take the unmapped path.
-        f.translate_read(Lpn::new(total));
-        assert_eq!(f.stats().unmapped_reads, 1);
+        assert_eq!(
+            f.translate_read(Lpn::new(total)),
+            f.alloc.deterministic_addr(Lpn::new(total))
+        );
     }
 
     #[test]
@@ -435,11 +403,6 @@ mod tests {
         // what was written.
         assert!(f.live_pages() > 0);
         assert!(f.live_pages() <= total / 2 + 1);
-        assert_eq!(
-            f.stats().host_writes,
-            0,
-            "preconditioning is not host traffic"
-        );
         assert!(f.mapped_pages() > 0);
     }
 

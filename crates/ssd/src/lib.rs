@@ -5,9 +5,8 @@
 //!
 //! * the NVMHC device-level queue and memory-request composition pipeline
 //!   ([`queue`], [`request`], [`dma`]),
-//! * the per-chip commitment/occupancy ledger that enforces the over-commitment
-//!   cap with full per-round headroom and records which chips are running a
-//!   transaction ([`ledger`]),
+//! * the per-chip commitment ledger that enforces the over-commitment cap with
+//!   full per-round headroom ([`ledger`]),
 //! * the transaction fold, which coalesces each chip's committed memory
 //!   requests into flash transactions with die interleaving and plane sharing
 //!   and times them ([`controller`]), and the channels whose buses those
@@ -60,7 +59,7 @@ pub use cand::{pack_pri, pri_die, pri_page, pri_plane, CandidateView};
 pub use config::{AllocationPolicy, GcConfig, SsdConfig};
 pub use debug_invariants::{validate_context, validate_round};
 pub use error::SsdError;
-pub use ledger::{ChipOccupancy, CommitmentLedger};
+pub use ledger::CommitmentLedger;
 pub use metrics::{
     latency_bucket_bounds, merged_latency_quantile, weighted_mean_latency_ns, ExecutionBreakdown,
     FlpBreakdown, MetricsCollector, RunMetrics, TenantLaneSpec, TenantMetrics, WorkCounts,

@@ -8,10 +8,13 @@
 //! # Storage and indices
 //!
 //! Internally the queue is a free-list slot map bounded by its capacity: a tag
-//! occupies one slot from admission to retirement, retired slots are recycled, and
+//! occupies one slot from admission to retirement, retired slots are reused, and
 //! arrival order is threaded through the slots as an intrusive doubly-linked list so
-//! [`DeviceQueue::retire`] is O(1).  Total storage is O(queue depth), independent of
-//! how many I/Os have ever been served.
+//! [`DeviceQueue::retire`] is O(1).  A retired tag's [`TagState`] stays in its
+//! slot, marked not live, and the next admission into the slot refills its
+//! buffers in place, so steady-state admission allocates nothing.  Total
+//! storage is O(queue depth), independent of how many I/Os have ever been
+//! served.
 //!
 //! A tag *is* its slot: [`DeviceQueue::admit`] hands out the index of the slot
 //! the request occupies as its [`TagId`], the way an NCQ tag names its queue
@@ -407,14 +410,25 @@ impl TagState {
     }
 }
 
-/// One recycled storage slot of the queue's slot map.
+/// One storage slot of the queue's slot map.
 #[derive(Debug, Clone)]
 struct Slot {
-    state: Option<TagState>,
+    /// The queued tag when `live`; otherwise the slot's last tag, whose
+    /// buffers the next admission into the slot refills.
+    state: TagState,
+    /// Whether `state` is a queued tag.
+    live: bool,
     /// Previous slot in arrival order (`NIL` at the head).
     prev: usize,
     /// Next slot in arrival order (`NIL` at the tail).
     next: usize,
+}
+
+impl Slot {
+    /// The queued tag, if the slot holds one.
+    fn queued(&self) -> Option<&TagState> {
+        self.live.then_some(&self.state)
+    }
 }
 
 /// The bounded device-level queue.
@@ -430,11 +444,11 @@ struct Slot {
 /// let mut q = DeviceQueue::new(2);
 /// assert!(!q.is_full());
 /// let host = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 1);
-/// let placement = Placement { chip: 0, channel: 0, way: 0, die: 0, plane: 0 };
+/// let placement = Placement { chip: 0, die: 0, plane: 0 };
 /// let tag = q.admit(host, SimTime::ZERO, |_| placement).unwrap();
 /// assert_eq!(tag, TagId(0), "the first tag is slot 0");
 /// assert_eq!(q.len(), 1);
-/// assert_eq!(q.retire(tag).unwrap().host, host);
+/// assert_eq!(q.retire(tag), Some(host));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeviceQueue {
@@ -452,17 +466,12 @@ pub struct DeviceQueue {
     len: usize,
     /// Next admission sequence number.
     next_seq: u64,
-    /// Total uncommitted pages across all queued tags.
-    uncommitted_total: usize,
     /// Columnar per-chip candidate index of every uncommitted page.
     cand: CandidateIndex,
     /// Read-LPN hazard index: one entry per uncommitted page of a queued read.
     read_hazards: ReadHazards,
     /// Sorted admission seqs of queued FUA tags not yet fully committed.
     fua_pending: Vec<u64>,
-    /// Recycled [`TagState`] storage: retired tags returned via
-    /// [`DeviceQueue::recycle`] donate their heap buffers to later admissions.
-    spare_states: Vec<TagState>,
 }
 
 impl DeviceQueue {
@@ -477,11 +486,9 @@ impl DeviceQueue {
             tail: NIL,
             len: 0,
             next_seq: 0,
-            uncommitted_total: 0,
             cand: CandidateIndex::new(),
             read_hazards: ReadHazards::new(),
             fua_pending: Vec::with_capacity(capacity),
-            spare_states: Vec::with_capacity(capacity),
         }
     }
 
@@ -510,8 +517,8 @@ impl DeviceQueue {
     /// at capacity.
     ///
     /// `placement_of` produces each page's placement preview in place (called
-    /// once per page, in page order), filling buffers recycled from retired
-    /// tags, so steady-state admission performs no allocations.
+    /// once per page, in page order), filling the buffers the slot kept from
+    /// its last tag, so steady-state admission performs no allocations.
     #[must_use = "admission fails when the queue is full; the request would be lost"]
     pub fn admit(
         &mut self,
@@ -528,7 +535,19 @@ impl DeviceQueue {
             Some(slot) => slot,
             None => {
                 self.slots.push(Slot {
-                    state: None,
+                    state: TagState {
+                        id: TagId(0),
+                        seq: 0,
+                        host,
+                        admitted_at: now,
+                        placements: Vec::new(),
+                        committed: PageBits::default(),
+                        completed: PageBits::default(),
+                        committed_count: 0,
+                        completed_count: 0,
+                        first_commit_at: None,
+                    },
+                    live: false,
                     prev: NIL,
                     next: NIL,
                 });
@@ -538,48 +557,30 @@ impl DeviceQueue {
         };
         let id = TagId(slot as u64);
         let pages = host.pages as usize;
-        let mut state = match self.spare_states.pop() {
-            Some(mut spare) => {
-                spare.placements.clear();
-                spare.id = id;
-                spare.host = host;
-                spare.admitted_at = now;
-                spare
-            }
-            None => TagState {
-                id,
-                seq: 0,
-                host,
-                admitted_at: now,
-                placements: Vec::new(),
-                committed: PageBits::default(),
-                completed: PageBits::default(),
-                committed_count: 0,
-                completed_count: 0,
-                first_commit_at: None,
-            },
-        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let state = &mut self.slots[slot].state;
+        state.id = id;
+        state.seq = seq;
+        state.host = host;
+        state.admitted_at = now;
+        state.placements.clear();
         state
             .placements
-            .extend((0..state.host.pages).map(&mut placement_of));
+            .extend((0..host.pages).map(&mut placement_of));
         state.committed.reset(pages);
         state.completed.reset(pages);
         state.committed_count = 0;
         state.completed_count = 0;
         state.first_commit_at = None;
-        state.seq = self.next_seq;
-        self.next_seq += 1;
-        let seq = state.seq;
-        self.slot_flags[slot] = if state.host.direction.is_write() {
+        self.slot_flags[slot] = if host.direction.is_write() {
             SLOT_WRITE
         } else {
             0
         };
 
-        let is_read = state.host.direction.is_read();
-        for page in 0..pages {
-            let p = state.placements[page];
-            let lpn = state.host.lpn_at(page as u32).value();
+        for (page, p) in state.placements.iter().enumerate() {
+            let lpn = host.lpn_at(page as u32).value();
             self.cand.insert(
                 p.chip,
                 seq,
@@ -587,24 +588,25 @@ impl DeviceQueue {
                 lpn,
                 slot as u32,
             );
-            if is_read {
+            if host.direction.is_read() {
                 self.read_hazards.insert(lpn, seq);
             }
         }
-        if state.host.fua {
+        if host.fua {
             // Admission seqs are monotonic, so this is a push in practice.
             let pos = self.fua_pending.partition_point(|&s| s < seq);
             self.fua_pending.insert(pos, seq);
         }
-        self.uncommitted_total += pages;
-        self.slots[slot].state = Some(state);
         // Link at the tail of the arrival-order list.
-        self.slots[slot].prev = self.tail;
-        self.slots[slot].next = NIL;
-        if self.tail == NIL {
+        let tail = self.tail;
+        let entry = &mut self.slots[slot];
+        entry.live = true;
+        entry.prev = tail;
+        entry.next = NIL;
+        if tail == NIL {
             self.head = slot;
         } else {
-            self.slots[self.tail].next = slot;
+            self.slots[tail].next = slot;
         }
         self.tail = slot;
         self.len += 1;
@@ -612,14 +614,15 @@ impl DeviceQueue {
     }
 
     /// Removes a tag, freeing its queue slot (and so its number) for a later
-    /// admission.  Returns its final state, or `None` when the tag is not
+    /// admission.  Returns its host request, or `None` when the tag is not
     /// queued.  O(1) in the queue length (plus index removal for any
     /// still-uncommitted pages).
-    pub fn retire(&mut self, id: TagId) -> Option<TagState> {
+    pub fn retire(&mut self, id: TagId) -> Option<HostRequest> {
         let slot = id.0 as usize;
-        let state = self.slots.get_mut(slot)?.state.take()?;
+        let entry = self.slots.get_mut(slot).filter(|entry| entry.live)?;
+        entry.live = false;
         // Unlink from the arrival-order list.
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
+        let (prev, next) = (entry.prev, entry.next);
         if prev == NIL {
             self.head = next;
         } else {
@@ -633,6 +636,7 @@ impl DeviceQueue {
         self.free.push(slot);
         self.len -= 1;
         // Drop any remaining index entries for uncommitted pages.
+        let state = &self.slots[slot].state;
         for page in state.uncommitted_pages() {
             let p = state.placements[page as usize];
             self.cand
@@ -641,22 +645,11 @@ impl DeviceQueue {
                 self.read_hazards
                     .remove(state.host.lpn_at(page).value(), state.seq);
             }
-            self.uncommitted_total -= 1;
         }
         if let Ok(pos) = self.fua_pending.binary_search(&state.seq) {
             self.fua_pending.remove(pos);
         }
-        Some(state)
-    }
-
-    /// Returns a retired [`TagState`]'s heap buffers to the queue's internal
-    /// pool so a later [`DeviceQueue::admit`] reuses them instead of
-    /// allocating.  The pool is bounded by the queue capacity; surplus states
-    /// are simply dropped.
-    pub fn recycle(&mut self, state: TagState) {
-        if self.spare_states.len() < self.capacity {
-            self.spare_states.push(state);
-        }
+        Some(state.host)
     }
 
     /// Marks a page of a queued tag committed, keeping the hazard and chip indices
@@ -667,7 +660,8 @@ impl DeviceQueue {
         let Some(state) = self
             .slots
             .get_mut(id.0 as usize)
-            .and_then(|slot| slot.state.as_mut())
+            .filter(|slot| slot.live)
+            .map(|slot| &mut slot.state)
         else {
             return false;
         };
@@ -682,7 +676,6 @@ impl DeviceQueue {
             .is_read()
             .then(|| state.host.lpn_at(page).value());
         let fua_done = state.host.fua && state.fully_committed();
-        self.uncommitted_total -= 1;
         self.cand
             .remove(p.chip, seq, pack_pri(page, p.die, p.plane));
         if let Some(lpn) = read_lpn {
@@ -702,7 +695,11 @@ impl DeviceQueue {
     /// committed and completed every page and is ready to retire.
     // lint: hot-path
     pub fn complete_page(&mut self, id: TagId, page: u32) -> Option<bool> {
-        let state = self.slots.get_mut(id.0 as usize)?.state.as_mut()?;
+        let state = &mut self
+            .slots
+            .get_mut(id.0 as usize)
+            .filter(|slot| slot.live)?
+            .state;
         if page as usize >= state.pages() || !state.mark_completed(page) {
             return None;
         }
@@ -712,42 +709,28 @@ impl DeviceQueue {
     /// Rewrites the placement preview of every queued, still-uncommitted page
     /// addressing `lpn` (GC readdressing, §4.3), keeping the chip index coherent.
     pub fn refresh_placements(&mut self, lpn: u64, preview: Placement) {
+        // The arrival-order list links only live slots.
         let mut cursor = self.head;
         while cursor != NIL {
-            let next;
-            // (seq, old placement, page) of a rewritten page whose index row
-            // must move to a new (chip, die, plane) key.
-            let mut moved: Option<(u64, Placement, u32)> = None;
-            {
-                let slot = &mut self.slots[cursor];
-                next = slot.next;
-                if let Some(state) = slot.state.as_mut() {
-                    let start = state.host.start_lpn.value();
-                    let end = start + state.host.pages as u64;
-                    if (start..end).contains(&lpn) {
-                        let page = (lpn - start) as usize;
-                        if !state.committed.get(page) {
-                            let old = state.placements[page];
-                            state.placements[page] = preview;
-                            if (old.chip, old.die, old.plane)
-                                != (preview.chip, preview.die, preview.plane)
-                            {
-                                moved = Some((state.seq, old, page as u32));
-                            }
-                        }
-                    }
+            let slot = &mut self.slots[cursor];
+            let next = slot.next;
+            let state = &mut slot.state;
+            let start = state.host.start_lpn.value();
+            let page = lpn.wrapping_sub(start);
+            if page < u64::from(state.host.pages) && !state.committed.get(page as usize) {
+                let old = std::mem::replace(&mut state.placements[page as usize], preview);
+                if old != preview {
+                    let (seq, page) = (state.seq, page as u32);
+                    self.cand
+                        .remove(old.chip, seq, pack_pri(page, old.die, old.plane));
+                    self.cand.insert(
+                        preview.chip,
+                        seq,
+                        pack_pri(page, preview.die, preview.plane),
+                        lpn,
+                        cursor as u32,
+                    );
                 }
-            }
-            if let Some((seq, old, page)) = moved {
-                self.cand
-                    .remove(old.chip, seq, pack_pri(page, old.die, old.plane));
-                self.cand.insert(
-                    preview.chip,
-                    seq,
-                    pack_pri(page, preview.die, preview.plane),
-                    lpn,
-                    cursor as u32,
-                );
             }
             cursor = next;
         }
@@ -760,22 +743,19 @@ impl DeviceQueue {
 
     /// Queued tag states in arrival order.
     pub fn iter_states(&self) -> impl Iterator<Item = &TagState> + '_ {
+        // The arrival-order list links only live slots, and `NIL` indexes
+        // past every slot.
         let mut cursor = self.head;
         std::iter::from_fn(move || {
-            while cursor != NIL {
-                let slot = &self.slots[cursor];
-                cursor = slot.next;
-                if let Some(state) = slot.state.as_ref() {
-                    return Some(state);
-                }
-            }
-            None
+            let slot = self.slots.get(cursor)?;
+            cursor = slot.next;
+            Some(&slot.state)
         })
     }
 
     /// A queued tag's state; `None` when the tag is not queued.
     pub fn tag(&self, id: TagId) -> Option<&TagState> {
-        self.slots.get(id.0 as usize)?.state.as_ref()
+        self.slots.get(id.0 as usize)?.queued()
     }
 
     /// A queued tag's admission sequence number.
@@ -783,9 +763,10 @@ impl DeviceQueue {
         self.tag(id).map(|state| state.seq)
     }
 
-    /// Total uncommitted pages across all queued tags (O(1)).
+    /// Total uncommitted pages across all queued tags (O(1)): the candidate
+    /// index holds one row per uncommitted page.
     pub fn total_uncommitted_pages(&self) -> usize {
-        self.uncommitted_total
+        self.cand.len()
     }
 
     // ------------------------------------------------------------------
@@ -872,9 +853,8 @@ impl DeviceQueue {
         #[cfg(debug_assertions)]
         {
             let mut expected: Vec<(usize, u64, u32, u64, u32)> = Vec::new();
-            let mut expected_uncommitted = 0usize;
             for (slot, entry) in self.slots.iter().enumerate() {
-                let Some(state) = entry.state.as_ref() else {
+                let Some(state) = entry.queued() else {
                     continue;
                 };
                 debug_assert_eq!(state.id, TagId(slot as u64), "a tag's id is its slot");
@@ -892,11 +872,9 @@ impl DeviceQueue {
                         state.host.lpn_at(page).value(),
                         slot as u32,
                     ));
-                    expected_uncommitted += 1;
                 }
             }
             expected.sort_unstable();
-            debug_assert_eq!(expected_uncommitted, self.uncommitted_total);
             debug_assert_eq!(expected.len(), self.cand.len());
 
             let view = self.cand.view();
@@ -1006,8 +984,6 @@ mod tests {
     fn placement(page: u32) -> Placement {
         Placement {
             chip: page as usize,
-            channel: 0,
-            way: page,
             die: 0,
             plane: 0,
         }
@@ -1032,7 +1008,7 @@ mod tests {
         assert_eq!(q.tags_in_order().collect::<Vec<_>>(), vec![first, second]);
         q.validate_candidate_index();
         let retired = q.retire(first).unwrap();
-        assert_eq!(retired.host.id, 0);
+        assert_eq!(retired.id, 0);
         assert_eq!(q.len(), 1);
         assert!(q.tag(first).is_none());
         assert!(q.retire(first).is_none());
@@ -1181,8 +1157,6 @@ mod tests {
         let tag = admit(&mut q, read_host(0, 500, 1));
         let moved = Placement {
             chip: 3,
-            channel: 1,
-            way: 1,
             die: 0,
             plane: 1,
         };
@@ -1193,8 +1167,6 @@ mod tests {
         // A same-chip die/plane move rewrites the row's priority key too.
         let rotated = Placement {
             chip: 3,
-            channel: 1,
-            way: 1,
             die: 1,
             plane: 0,
         };
@@ -1300,35 +1272,33 @@ mod tests {
     fn admit_with_fills_placements_and_recycles_storage() {
         let mut q = DeviceQueue::new(2);
         let first = admit(&mut q, host(0, 3));
+        assert!(q.commit_page(first, 1, SimTime::from_nanos(5)));
         assert_eq!(q.tag(first).unwrap().placements.len(), 3);
         assert_eq!(q.tag(first).unwrap().placements[2].chip, 2);
-        assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![0, 2]);
 
-        let retired = q.retire(first).unwrap();
-        q.recycle(retired);
-        // A recycled state's buffers are reused and fully reset.
+        q.retire(first).unwrap();
+        // The next admission takes the retired slot and refills the buffers
+        // it kept, fully reset.
         let second = q
             .admit(read_host(1, 10, 2), SimTime::ZERO, |_| placement(5))
             .unwrap();
+        assert_eq!(second, first, "the retired slot is reused");
+        assert_eq!(q.allocated_slots(), 1);
         let tag = q.tag(second).unwrap();
         assert_eq!(tag.id, second);
+        assert_eq!(tag.host.id, 1);
         assert_eq!(tag.pages(), 2);
-        assert_eq!(tag.placements.len(), 2);
+        assert_eq!(tag.placements, vec![placement(5); 2]);
+        assert!(
+            tag.placements.capacity() >= 3,
+            "the placement buffer is reused"
+        );
         assert_eq!(tag.uncommitted_count(), 2);
+        assert!(tag.completed.zeros().eq([0, 1]));
         assert_eq!(tag.first_commit_at, None);
         assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![5]);
-
-        // The pool is bounded by the queue capacity.
-        for i in 0..10u64 {
-            let placements = vec![placement(0)];
-            q.recycle(TagState::new(
-                TagId(100 + i),
-                host(100 + i, 1),
-                SimTime::ZERO,
-                placements,
-            ));
-        }
-        assert!(q.spare_states.len() <= q.capacity());
+        q.validate_candidate_index();
     }
 
     #[test]
@@ -1379,7 +1349,7 @@ mod tests {
 
         /// Random admits (reads and writes over overlapping LPN ranges, some
         /// starting at LPNs that share one bucket), page commits, and
-        /// retires with and without recycling: after every step the hazard
+        /// retires: after every step the hazard
         /// index answers each probe LPN at each queued tag's seq, the seq
         /// after it and the end of time as a scan of the queue does, and
         /// the debug validator rebuilds the chains from the tag states.
@@ -1416,10 +1386,6 @@ mod tests {
                     (4 | 5, Some(tag)) => {
                         let page = pick as u32 % q.tag(tag).unwrap().pages() as u32;
                         q.commit_page(tag, page, SimTime::ZERO);
-                    }
-                    (6, Some(tag)) => {
-                        let state = q.retire(tag).unwrap();
-                        q.recycle(state);
                     }
                     (_, Some(tag)) => {
                         q.retire(tag).unwrap();

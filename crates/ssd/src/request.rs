@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use sprinkler_flash::{Lpn, PhysicalPageAddr};
+use sprinkler_flash::Lpn;
 use sprinkler_sim::SimTime;
 
 /// Direction of a host request.
@@ -151,31 +151,17 @@ impl HostRequest {
 
 /// The physical placement (preview) of one page of an I/O request, computed by the
 /// FTL preprocessor at admission time (Algorithm 1's `core.preprocess(tag)`).
+///
+/// The flat chip index encodes the chip's channel and way
+/// ([`FlashGeometry::chip_location`](sprinkler_flash::FlashGeometry::chip_location)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Placement {
     /// Flat chip index.
     pub chip: usize,
-    /// Channel of the chip.
-    pub channel: u32,
-    /// Way (position within the channel).
-    pub way: u32,
     /// Die within the chip.
     pub die: u32,
     /// Plane within the die.
     pub plane: u32,
-}
-
-impl Placement {
-    /// Builds a placement from a fully resolved physical page address.
-    pub fn from_addr(addr: PhysicalPageAddr, chips_per_channel: usize) -> Self {
-        Placement {
-            chip: addr.channel as usize * chips_per_channel + addr.way as usize,
-            channel: addr.channel,
-            way: addr.way,
-            die: addr.die,
-            plane: addr.plane,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -212,23 +198,5 @@ mod tests {
     fn host_request_clamps_zero_pages() {
         let r = HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(0), 0);
         assert_eq!(r.pages, 1);
-    }
-
-    #[test]
-    fn placement_from_addr() {
-        let addr = PhysicalPageAddr {
-            channel: 2,
-            way: 3,
-            die: 1,
-            plane: 0,
-            block: 9,
-            page: 4,
-        };
-        let p = Placement::from_addr(addr, 8);
-        assert_eq!(p.chip, 19);
-        assert_eq!(p.channel, 2);
-        assert_eq!(p.way, 3);
-        assert_eq!(p.die, 1);
-        assert_eq!(p.plane, 0);
     }
 }

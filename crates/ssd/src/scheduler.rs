@@ -18,8 +18,6 @@ use crate::ledger::CommitmentLedger;
 use crate::queue::{DeviceQueue, TagState};
 use crate::request::TagId;
 
-pub use crate::ledger::ChipOccupancy;
-
 /// One scheduling decision: compose and commit the memory request for page
 /// `page` of tag `tag`.
 ///
@@ -64,11 +62,6 @@ impl<'a> SchedulerContext<'a> {
     /// Outstanding committed requests for a chip.
     pub fn outstanding(&self, chip: usize) -> usize {
         self.ledger.outstanding(chip)
-    }
-
-    /// Whether a chip is currently executing a transaction.
-    pub fn chip_busy(&self, chip: usize) -> bool {
-        self.ledger.is_busy(chip)
     }
 
     /// Remaining commit capacity for a chip under the hard cap.  The ledger
@@ -193,8 +186,6 @@ mod tests {
             let host = HostRequest::new(t, SimTime::ZERO, Direction::Read, Lpn::new(t * 10), 3);
             let placement = |i: u32| Placement {
                 chip: (t as usize + i as usize) % geometry.total_chips(),
-                channel: 0,
-                way: 0,
                 die: 0,
                 plane: i % geometry.planes_per_die as u32,
             };
@@ -210,19 +201,15 @@ mod tests {
         let outstanding: Vec<usize> = (0..geometry.total_chips())
             .map(|chip| chip.min(2))
             .collect();
-        let mut ledger = CommitmentLedger::from_outstanding(2, &outstanding);
-        ledger.set_busy(1, true);
+        let ledger = CommitmentLedger::from_outstanding(2, &outstanding);
         let ctx = ctx_fixture(&queue, &ledger, &geometry);
         assert_eq!(ctx.tags().count(), 2);
-        assert!(ctx.chip_busy(1));
-        assert!(!ctx.chip_busy(0));
         assert_eq!(ctx.outstanding(2), 2);
         assert_eq!(ctx.capacity_left(0), 2);
         assert_eq!(ctx.capacity_left(2), 0);
         assert_eq!(ctx.chip_count(), geometry.total_chips());
         assert_eq!(ctx.max_committed_per_chip(), 2);
         assert_eq!(ctx.outstanding(999), 0);
-        assert!(!ctx.chip_busy(999));
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! transaction phases, at most one per chip since a chip runs one
 //! transaction, go to the queue's heap.
 //!
-//! A chip runs one transaction at a time (§2.2).  Whether it is busy lives in
-//! the [`CommitmentLedger`], which the schedulers read; the
+//! A chip runs one transaction at a time (§2.2): it is busy while its slot in
+//! `live` holds one.  The [`CommitmentLedger`], which the schedulers read,
+//! counts a chip's committed-but-incomplete memory requests; the
 //! [`controller`](crate::controller) fold gives a transaction's members and
 //! phase times, and its chip and plane busy time are summed when it
 //! completes, for the chip utilization and intra-chip idleness metrics.
@@ -212,14 +213,14 @@ pub struct Ssd {
 
     waiting_host: VecDeque<HostRequest>,
     mem_requests: MemSlab,
-    /// Commitment/occupancy accounting, maintained incrementally (commit,
-    /// completion, transaction start/end) so scheduling rounds never rebuild an
-    /// O(chip count) view.  All cap enforcement and per-round counting lives in
-    /// the ledger; see [`CommitmentLedger`] for the invariants.
+    /// Commitment accounting, maintained incrementally (commit, completion)
+    /// so scheduling rounds never rebuild an O(chip count) view.  All cap
+    /// enforcement lives in the ledger; see [`CommitmentLedger`] for the
+    /// invariant.
     ledger: CommitmentLedger,
     /// Per chip: the delivered memory requests waiting to join a transaction.
     pending: Vec<Vec<PendingRequest>>,
-    /// The live transaction of each chip.
+    /// The live transaction of each chip; a chip is busy while it has one.
     live: Vec<Option<LiveTransaction>>,
     /// Per chip: total time the chip was busy with transactions.
     chip_busy: Vec<Duration>,
@@ -251,7 +252,6 @@ pub struct Ssd {
     work: WorkCounts,
 
     metrics: MetricsCollector,
-    record_series: bool,
 }
 
 impl Ssd {
@@ -338,7 +338,6 @@ impl Ssd {
             refused_ios: 0,
             work: WorkCounts::default(),
             metrics,
-            record_series,
             config,
             scheduler,
             ftl,
@@ -356,24 +355,12 @@ impl Ssd {
         self.scheduler.name()
     }
 
-    /// Whether the latency series is being recorded.
-    pub fn records_series(&self) -> bool {
-        self.record_series
-    }
-
     /// Registers per-tenant metric lanes for this run.  Completed I/Os whose
     /// [`HostRequest::tenant`] indexes a registered lane are attributed to it
     /// (latency measured from [`HostRequest::submitted`]); the lanes surface
     /// as [`RunMetrics::tenants`].  Call before replay starts.
     pub fn configure_tenants(&mut self, specs: &[crate::metrics::TenantLaneSpec]) {
         self.metrics.configure_tenants(specs);
-    }
-
-    /// The run's shared telemetry counter bundle (also incremented by the
-    /// multi-tenant admission front, so tenant admission/deferral/throttle
-    /// counts land in the same per-run snapshot).
-    pub fn telemetry(&self) -> &Arc<TelemetryCounters> {
-        self.metrics.telemetry()
     }
 
     /// Pre-conditions the SSD into a fragmented state (live data occupying
@@ -569,9 +556,9 @@ impl Ssd {
                 break;
             };
             self.metrics.record_admission(request.arrival, now);
-            // Placements go straight from the FTL preview into the tag's
-            // (possibly recycled) placement buffer — no intermediate Vec per
-            // admission.
+            // Placements go straight from the FTL preview into the placement
+            // buffer the slot kept from its last tag — no intermediate Vec
+            // per admission.
             let ftl = &self.ftl;
             let admitted = self.queue.admit(request, now, |page| {
                 ftl.preview(request.lpn_at(page), request.direction)
@@ -596,7 +583,6 @@ impl Ssd {
             return;
         }
         TelemetryCounters::incr(&self.telemetry.sched_rounds);
-        self.ledger.begin_round();
         // The commitment buffer is taken out of `self` for the borrow, reused
         // every round (capacity sticks at the high-water mark).
         let mut commitments = std::mem::take(&mut self.commit_buf);
@@ -610,22 +596,26 @@ impl Ssd {
             };
             self.scheduler.schedule_into(&ctx, &mut commitments);
         }
+        let mut committed_any = false;
         for &Commitment { tag, page } in &commitments {
-            self.commit_memory_request(tag, page, now);
+            committed_any |= self.commit_memory_request(tag, page, now);
         }
-        if !self.ledger.committed_any_in_round() {
+        if !committed_any {
             self.work.empty_rounds += 1;
         }
         self.commit_buf = commitments;
     }
 
-    fn commit_memory_request(&mut self, tag_id: TagId, page: u32, now: SimTime) {
+    /// Applies one commitment; returns whether it charged the ledger (an
+    /// unknown tag, a page out of range or already committed, or a chip
+    /// without headroom charges nothing).
+    fn commit_memory_request(&mut self, tag_id: TagId, page: u32, now: SimTime) -> bool {
         let page_size = self.config.page_size() as u64;
         let Some(tag) = self.queue.tag(tag_id) else {
-            return;
+            return false;
         };
         if page as usize >= tag.pages() {
-            return;
+            return false;
         }
         let chip = tag.placements[page as usize].chip;
         // Commitments beyond the chip's headroom are deferred to a later round.
@@ -634,11 +624,11 @@ impl Ssd {
         // `max_committed_per_chip`.
         if self.ledger.headroom(chip) == 0 {
             TelemetryCounters::incr(&self.telemetry.ledger_headroom_exhausted);
-            return;
+            return false;
         }
         let host = tag.host;
         if !self.queue.commit_page(tag_id, page, now) {
-            return;
+            return false;
         }
         self.ledger.commit(chip);
         let id = self.next_mreq_id();
@@ -659,6 +649,7 @@ impl Ssd {
         } else {
             self.deliver_to_controller(handle, now);
         }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -729,7 +720,7 @@ impl Ssd {
         );
         let chip = geometry.chip_index(addr.channel, addr.way);
         self.pending[chip].push(pending);
-        if !self.ledger.is_busy(chip) {
+        if self.live[chip].is_none() {
             self.schedule_chip_kick(chip, now);
         }
     }
@@ -747,7 +738,7 @@ impl Ssd {
     }
 
     fn try_start_transaction(&mut self, chip_index: usize, now: SimTime) {
-        if self.ledger.is_busy(chip_index) {
+        if self.live[chip_index].is_some() {
             return;
         }
         let Some(built) = build_transaction(
@@ -764,11 +755,6 @@ impl Ssd {
         // waits only for the stale-readdress penalty and the channel.
         let channel = self.config.geometry.chip_location(chip_index).channel as usize;
         let grant = self.channels[channel].acquire(now + built.extra_delay, built.issue_bus);
-        self.ledger.set_busy(chip_index, true);
-        debug_assert!(
-            self.live[chip_index].is_none(),
-            "chip {chip_index} started a transaction while one was live"
-        );
         self.live[chip_index] = Some(LiveTransaction {
             channel,
             members: built.members,
@@ -799,7 +785,6 @@ impl Ssd {
         let Some(live) = self.live[chip].take() else {
             return;
         };
-        self.ledger.set_busy(chip, false);
         // Every member sits on its own (die, plane), each busy for the
         // whole cell phase.
         let requests = live.members.len();
@@ -854,8 +839,7 @@ impl Ssd {
             } else {
                 None
             };
-            if let Some(state) = retired {
-                let host = state.host;
+            if let Some(host) = retired {
                 let bytes = host.bytes(self.config.page_size());
                 self.metrics
                     .record_io(host.id, host.direction.is_read(), bytes, host.arrival, now);
@@ -868,8 +852,6 @@ impl Ssd {
                     host.submitted,
                     now,
                 );
-                // Recycle the tag's buffers so later admissions reuse them.
-                self.queue.recycle(state);
                 self.try_admit(now);
             }
         }
@@ -1243,7 +1225,6 @@ mod tests {
     fn scheduler_name_is_propagated() {
         let ssd = Ssd::new(SsdConfig::small_test(), Box::new(CommitAllScheduler::new())).unwrap();
         assert_eq!(ssd.scheduler_name(), "commit-all");
-        assert!(!ssd.records_series());
         assert_eq!(ssd.config().queue_depth, 8);
         let metrics = ssd.run(vec![read_req(0, 0, 0, 1)]);
         assert_eq!(metrics.scheduler, "commit-all");

@@ -12,6 +12,13 @@ use crate::spec::TokenBucketConfig;
 
 const NS_PER_SEC: u128 = 1_000_000_000;
 
+/// The credit a full bucket holds, scaled.  A zero capacity holds one byte:
+/// the initial fill, the refill cap and the cost clamp all use this one
+/// figure, so a zero-capacity bucket still admits a record per refilled byte.
+fn capacity_scaled(config: TokenBucketConfig) -> u128 {
+    config.capacity_bytes.max(1) as u128 * NS_PER_SEC
+}
+
 /// Deterministic token bucket: starts full, refills linearly with simulated
 /// time, and answers "when could a transfer of `n` bytes proceed?" exactly.
 #[derive(Debug, Clone)]
@@ -29,7 +36,7 @@ impl TokenBucket {
     pub fn new(config: TokenBucketConfig) -> Self {
         TokenBucket {
             config,
-            tokens_scaled: config.capacity_bytes as u128 * NS_PER_SEC,
+            tokens_scaled: capacity_scaled(config),
             refilled_at: SimTime::ZERO,
         }
     }
@@ -47,8 +54,7 @@ impl TokenBucket {
         }
         let elapsed_ns = now.saturating_since(self.refilled_at).as_nanos() as u128;
         let gained = self.config.rate_bytes_per_sec as u128 * elapsed_ns;
-        let cap = self.config.capacity_bytes as u128 * NS_PER_SEC;
-        self.tokens_scaled = (self.tokens_scaled + gained).min(cap);
+        self.tokens_scaled = (self.tokens_scaled + gained).min(capacity_scaled(self.config));
         self.refilled_at = now;
     }
 
@@ -56,7 +62,7 @@ impl TokenBucket {
     /// record larger than the whole burst allowance drains a full bucket
     /// instead of waiting forever.
     fn cost_scaled(&self, bytes: u64) -> u128 {
-        (bytes.min(self.config.capacity_bytes.max(1)) as u128) * NS_PER_SEC
+        (bytes as u128 * NS_PER_SEC).min(capacity_scaled(self.config))
     }
 
     /// The earliest instant ≥ `now` at which `bytes` could be charged.
@@ -145,6 +151,27 @@ mod tests {
         bucket.charge(SimTime::ZERO, 1 << 20);
         let next = bucket.ready_at(SimTime::ZERO, 4096);
         assert_eq!(next.as_nanos(), 4_096_000);
+    }
+
+    /// Regression: a bucket with a rate but zero capacity filled and
+    /// refilled to 0 bytes yet clamped a record's cost to 1 byte, so
+    /// `ready_at` promised a time at which the bucket was still short, and
+    /// the tenant front, which waits for that time, never admitted a record.
+    /// A drained bucket must be ready at the time `ready_at` promises, for
+    /// every capacity.
+    #[test]
+    fn a_drained_bucket_is_ready_when_promised() {
+        for capacity in [0, 1, 4096, 65_536] {
+            let mut bucket = TokenBucket::new(TokenBucketConfig::new(1 << 20, capacity));
+            bucket.charge(SimTime::ZERO, u64::MAX);
+            let ready = bucket.ready_at(SimTime::ZERO, 4096);
+            assert!(ready > SimTime::ZERO, "capacity {capacity}: drained");
+            assert_eq!(
+                bucket.ready_at(ready, 4096),
+                ready,
+                "capacity {capacity}: short at the promised time"
+            );
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   `TraceSource`, so it can feed a single device, or the striped array
 //!   frontend, anywhere a single trace could.
 //! * [`run_tenants`] — one-call replay through an SSD with per-tenant metric
-//!   lanes ([`sprinkler_ssd::TenantMetrics`]) and shared telemetry, returning
-//!   a [`TenantOutcome`].
+//!   lanes ([`sprinkler_ssd::TenantMetrics`]), returning a [`TenantOutcome`]
+//!   that pairs them with the mux's [`TenantAdmissionStats`].
 //!
 //! Determinism is load-bearing: admission decisions use only integer byte and
 //! nanosecond arithmetic over the tenant specs and their traces, so the same

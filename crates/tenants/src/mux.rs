@@ -22,9 +22,7 @@
 //! [`TenantMux::next_tagged`] also reports the original submission time, so
 //! per-tenant latency can be measured from submission through completion.
 
-use std::sync::Arc;
-
-use sprinkler_sim::{SimTime, TelemetryCounters};
+use sprinkler_sim::SimTime;
 use sprinkler_workloads::{TraceRecord, TraceSource};
 
 use crate::bucket::TokenBucket;
@@ -133,7 +131,6 @@ pub struct TenantMux<'a> {
     granted: bool,
     next_id: u64,
     footprint: u64,
-    telemetry: Option<Arc<TelemetryCounters>>,
 }
 
 impl std::fmt::Debug for TenantMux<'_> {
@@ -201,7 +198,6 @@ impl<'a> TenantMux<'a> {
             granted: false,
             next_id: 0,
             footprint,
-            telemetry: None,
         }
     }
 
@@ -213,12 +209,6 @@ impl<'a> TenantMux<'a> {
     /// The tenant specs, in lane order.
     pub fn specs(&self) -> Vec<TenantSpec> {
         self.lanes.iter().map(|lane| lane.spec.clone()).collect()
-    }
-
-    /// Shares a run's telemetry bundle so admissions/deferrals/throttles land
-    /// in the same per-run snapshot as the device counters.
-    pub fn attach_telemetry(&mut self, telemetry: &Arc<TelemetryCounters>) {
-        self.telemetry = Some(Arc::clone(telemetry));
     }
 
     /// Per-tenant admission statistics accumulated so far, in lane order.
@@ -288,17 +278,7 @@ impl<'a> TenantMux<'a> {
                     if lane.head_throttled {
                         lane.stats.throttles += 1;
                     }
-                    let throttled = lane.head_throttled;
                     lane.head_throttled = false;
-                    if let Some(telemetry) = &self.telemetry {
-                        TelemetryCounters::incr(&telemetry.tenant_admissions);
-                        if queued > 0 {
-                            TelemetryCounters::incr(&telemetry.tenant_deferrals);
-                        }
-                        if throttled {
-                            TelemetryCounters::incr(&telemetry.tenant_throttles);
-                        }
-                    }
                     let mut record = head;
                     record.id = self.next_id;
                     record.arrival = clock;
@@ -440,6 +420,23 @@ mod tests {
             last > SimTime::from_millis(1),
             "admissions were not spread out: last at {last:?}"
         );
+    }
+
+    /// Regression: a bucket with a rate but zero capacity never admitted a
+    /// record, so `next_tagged` never returned.
+    #[test]
+    fn a_zero_capacity_bucket_admits_every_record() {
+        let spec =
+            tenant("tight", PriorityClass::Batch).with_bucket(TokenBucketConfig::new(1 << 20, 0));
+        let mut mux = TenantMux::new(vec![(spec, stream(9, 20))]);
+        let mut last = SimTime::ZERO;
+        while let Some(tagged) = mux.next_tagged() {
+            assert!(tagged.record.arrival >= last);
+            last = tagged.record.arrival;
+        }
+        let stats = mux.admission_stats().remove(0);
+        assert_eq!(stats.admitted, 20);
+        assert!(stats.throttles > 0, "a one-byte bucket throttles");
     }
 
     #[test]

@@ -75,6 +75,6 @@ fn tenant_storm_replays_identically() {
         "tenant-storm admission stats diverged between two identical runs"
     );
     // The gate must exercise the contended paths, not an idle front.
-    assert!(first.metrics.telemetry.tenant_throttles > 0);
-    assert!(first.metrics.telemetry.tenant_deferrals > 0);
+    assert!(first.admission.iter().any(|lane| lane.throttles > 0));
+    assert!(first.admission.iter().any(|lane| lane.deferrals > 0));
 }

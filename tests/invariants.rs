@@ -258,8 +258,6 @@ fn desynchronized_ledger_is_caught() {
     let host = HostRequest::new(0, SimTime::ZERO, Direction::Write, Lpn::new(0), 2);
     let placement = Placement {
         chip: 0,
-        channel: 0,
-        way: 0,
         die: 0,
         plane: 0,
     };
