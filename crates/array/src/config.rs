@@ -2,7 +2,8 @@
 
 use sprinkler_ssd::SsdConfig;
 
-use crate::placement::{PlacementMap, RebalanceConfig};
+use crate::placement::{PlacementMap, RebalanceConfig, Rebalancer};
+use crate::splitter::StripeRouter;
 use crate::stripe::StripeMap;
 
 /// Upper bound on array width: each device replays on its own scoped thread,
@@ -215,6 +216,22 @@ impl ArrayConfig {
             total_stripes,
             self.slot_caps(),
         )
+    }
+
+    /// The router that splits a source whose footprint bound is
+    /// `footprint_bytes` across this array: static striping, or, with a
+    /// rebalance tuning set, the adaptive placement layer starting from
+    /// [`ArrayConfig::placement_map`].
+    pub fn router(&self, footprint_bytes: u64) -> StripeRouter {
+        match &self.rebalance {
+            None => StripeRouter::new(self.stripe_map()),
+            Some(rebalance) => {
+                let placement = self.placement_map(footprint_bytes);
+                let total_stripes = placement.total_stripes();
+                let rebalancer = Rebalancer::new(*rebalance, self.device_weights(), total_stripes);
+                StripeRouter::adaptive(placement, rebalancer)
+            }
+        }
     }
 }
 

@@ -13,15 +13,18 @@
 //!   per-stripe heat tracking, and hot-stripe migration between replay
 //!   windows with the copy cost charged as injected device traffic
 //!   (enabled per-array via [`RebalanceConfig`]);
-//! * [`StripedFanout`] / [`DeviceSource`](splitter::DeviceSource) — splits one
-//!   streaming [`TraceSource`](sprinkler_workloads::TraceSource) into
-//!   per-device sub-sources that each preserve nondecreasing arrival order;
-//! * [`run_array`] — parallel per-device replay: every device runs
+//! * [`StripeRouter`] — routes the records of one trace, in trace order,
+//!   into per-device fragments with dense per-device ids and nondecreasing
+//!   arrivals, applying the rebalancer's migrations as it goes;
+//! * [`run_array`] — routes a streaming
+//!   [`TraceSource`](sprinkler_workloads::TraceSource) on the calling thread
+//!   into one bounded channel per device, while every device runs
 //!   `Ssd::run_stream` under its own bounded admission on its own scoped
 //!   thread;
-//! * [`ArrayMetrics`] — the merged host-level view (summed totals, slowest
-//!   device elapsed, weighted mean + exactly merged p99 latency) plus
-//!   per-device breakdown and [`DeviceSkew`] imbalance statistics.
+//! * [`ArrayMetrics`] — the merged host-level view as one `RunMetrics`
+//!   (summed totals, the union of the device windows, weighted mean and
+//!   exactly merged p99 latency) plus the per-device breakdown, the
+//!   placement counters and [`DeviceSkew`] imbalance statistics.
 //!
 //! # Example
 //!
@@ -36,8 +39,8 @@
 //!     .with_stripe_kb(256);
 //! let spec = SyntheticSpec::new("demo").with_footprint_mb(64);
 //! let metrics = run_array(&config, SchedulerKind::Spk3, &mut spec.stream(100, 7)).unwrap();
-//! assert_eq!(metrics.device_count, 4);
-//! assert!(metrics.bandwidth_kb_per_sec > 0.0);
+//! assert_eq!(metrics.devices.len(), 4);
+//! assert!(metrics.summary.bandwidth_kb_per_sec > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -54,5 +57,5 @@ pub use config::{ArrayConfig, MAX_DEVICES};
 pub use metrics::{ArrayMetrics, DeviceSkew};
 pub use placement::{Migration, PlacementMap, PlacementStats, RebalanceConfig, Rebalancer};
 pub use replay::{run_array, ArrayError};
-pub use splitter::StripedFanout;
+pub use splitter::StripeRouter;
 pub use stripe::{Fragment, StripeMap};

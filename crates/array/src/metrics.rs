@@ -87,87 +87,42 @@ impl DeviceSkew {
     }
 }
 
-/// Everything a striped array replay measures: host-level aggregates merged
-/// from the per-device [`RunMetrics`], imbalance statistics, and the full
+/// Everything a striped array replay measures: the merged host-level view,
+/// imbalance statistics, the placement layer's counters, and the full
 /// per-device breakdown for drill-down.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrayMetrics {
-    /// Scheduler every device ran.
-    pub scheduler: String,
-    /// Array width.
-    pub device_count: usize,
+    /// The host's view of the whole array as one [`RunMetrics`] (see
+    /// [`ArrayMetrics::merge`] for how each field combines the devices), so
+    /// array outcomes flow through harnesses built for single-device runs.
+    pub summary: RunMetrics,
     /// Stripe size in bytes.
     pub stripe_bytes: u64,
-    /// Device-level I/Os completed, summed (a host record straddling a stripe
-    /// boundary counts once per fragment).
-    pub io_count: u64,
-    /// Completed reads, summed.
-    pub read_ios: u64,
-    /// Completed writes, summed.
-    pub write_ios: u64,
-    /// Bytes returned to the host by reads, summed.
-    pub bytes_read: u64,
-    /// Bytes accepted from the host by writes, summed.
-    pub bytes_written: u64,
-    /// Wall-clock of the array replay: the slowest device's elapsed ns.
-    pub elapsed_ns: u64,
-    /// Aggregate bandwidth in KB/s: total bytes over the slowest device's
-    /// elapsed time — what the host actually observes end to end.
-    pub bandwidth_kb_per_sec: f64,
-    /// Aggregate I/Os per second over the slowest device's elapsed time.
-    pub iops: f64,
-    /// I/O-count-weighted mean device-level latency in ns.
-    pub avg_latency_ns: f64,
-    /// 99th-percentile latency over the union of every device's samples
-    /// (exact merge of the shared-bound latency histograms).
-    pub p99_latency_ns: u64,
-    /// Maximum latency over all devices, ns.
-    pub max_latency_ns: u64,
-    /// Total queue-stall time, summed over devices, ns.
-    pub queue_stall_ns: u64,
     /// Per-device imbalance statistics.
     pub skew: DeviceSkew,
-    /// High-water mark of fragments buffered in the fanout while devices
-    /// replayed at different positions.
-    ///
-    /// This is a *host-side* measurement: it depends on how the OS
-    /// interleaves the pump and device threads, so it varies between
-    /// otherwise identical runs.  Every other field in this struct is
-    /// deterministic simulated output (`tests/determinism.rs` enforces
-    /// this by full-struct equality with only this field normalized).
-    pub peak_fanout_buffered: u64,
-    /// Stripes the adaptive placement layer migrated between devices (0 with
-    /// the rebalancer off).
-    pub stripes_migrated: u64,
-    /// Bytes of stripe payload migrated; the devices served twice this much
-    /// injected copy traffic (a read on the source, a write on the target),
-    /// which the goodput figures below exclude.
-    pub migration_bytes: u64,
-    /// Heat-EWMA decay passes the rebalancer applied (one per window).
-    pub heat_decays: u64,
+    /// The adaptive placement layer's counters; all zero with the rebalancer
+    /// off.
+    pub placement: PlacementStats,
     /// The per-device metrics, in device order.
     pub devices: Vec<RunMetrics>,
 }
 
 impl ArrayMetrics {
-    /// Merges per-device run metrics into the host-level array view, with no
-    /// adaptive-placement activity (static striping).
-    ///
-    /// A single-device merge is the identity on every shared field, so a
-    /// 1-device array reports exactly what the bare device run reported.
-    pub fn merge(stripe_bytes: u64, devices: Vec<RunMetrics>, peak_fanout_buffered: u64) -> Self {
-        Self::merge_with(
-            stripe_bytes,
-            devices,
-            peak_fanout_buffered,
-            PlacementStats::default(),
-            &[],
-        )
-    }
-
     /// Merges per-device run metrics into the host-level array view,
     /// accounting for the placement layer's activity and the devices' service
-    /// weights.
+    /// weights (one per device, or empty for uniform; they feed the weighted
+    /// skew figures).
+    ///
+    /// The summary sums the counts, bytes, queue-stall time, transactions,
+    /// memory requests, failed and refused I/Os, work counters, telemetry and
+    /// latency-histogram buckets (a host record straddling a stripe boundary
+    /// counts once per fragment), takes the maximum latency and queue peaks,
+    /// and averages chip utilization over the devices.  Its window is the
+    /// *union* of the devices' activity windows on the shared simulation
+    /// clock.  The mean latency is I/O-weighted and the p99 an exact merge of
+    /// the shared-bound histograms, so the summary round-trips through
+    /// `merged_latency_quantile`.  Fields with no array-level meaning (FLP
+    /// and execution breakdowns, idleness, GC, series, tenants) stay default.
     ///
     /// `placement`'s migration traffic is *excluded* from the goodput figures
     /// (`bandwidth_kb_per_sec`, `iops`): each migration injected one
@@ -175,33 +130,32 @@ impl ArrayMetrics {
     /// payload, while its service time still stretches the elapsed window —
     /// so a rebalancer only wins on these figures when the improved balance
     /// outweighs what the copies cost.  Raw totals (`io_count`, byte
-    /// counters) keep counting everything the devices served.  `weights`
-    /// (one per device, or empty for uniform) feed the weighted skew figures.
-    pub fn merge_with(
+    /// counters) keep counting everything the devices served.
+    ///
+    /// A single device's derived figures (bandwidth, IOPS, mean and p99
+    /// latency) are copied, not recomputed, so a 1-device array reports
+    /// exactly what the bare device run reported.
+    pub fn merge(
         stripe_bytes: u64,
         devices: Vec<RunMetrics>,
-        peak_fanout_buffered: u64,
         placement: PlacementStats,
         weights: &[f64],
     ) -> Self {
         assert!(!devices.is_empty(), "an array has at least one device");
-        let scheduler = devices[0].scheduler.clone();
-        // The array's wall-clock is the *union* of the devices' activity
-        // windows on the shared simulation clock — not the longest per-device
-        // span, which would overstate aggregate bandwidth whenever shards are
-        // active at different times (e.g. a hot shard touched only late).
-        // Devices that served nothing carry no window and are skipped.
+        // The union window, not the longest per-device span, which would
+        // overstate aggregate bandwidth whenever shards are active at
+        // different times (e.g. a hot shard touched only late).  Devices that
+        // served nothing carry no window and are skipped.
         let active = || devices.iter().filter(|m| m.io_count > 0);
-        let union_start = active().map(|m| m.run_start_ns).min().unwrap_or(0);
+        let run_start_ns = active().map(|m| m.run_start_ns).min().unwrap_or(0);
         let union_end = active().map(|m| m.run_end_ns).max().unwrap_or(0);
-        let elapsed_ns = union_end.saturating_sub(union_start);
-        let io_count: u64 = devices.iter().map(|m| m.io_count).sum();
-        let bytes_read: u64 = devices.iter().map(|m| m.bytes_read).sum();
-        let bytes_written: u64 = devices.iter().map(|m| m.bytes_written).sum();
+        let elapsed_ns = union_end.saturating_sub(run_start_ns);
+        let sum = |field: fn(&RunMetrics) -> u64| devices.iter().map(field).sum::<u64>();
+        let max = |field: fn(&RunMetrics) -> u64| devices.iter().map(field).max().unwrap_or(0);
+        let io_count = sum(|m| m.io_count);
+        let bytes_read = sum(|m| m.bytes_read);
+        let bytes_written = sum(|m| m.bytes_written);
         let (bandwidth_kb_per_sec, iops, avg_latency_ns, p99_latency_ns) = if devices.len() == 1 {
-            // Identity merge: copy the derived floats verbatim rather than
-            // recomputing them, so a 1-device array is bit-identical to the
-            // bare device run.
             let only = &devices[0];
             (
                 only.bandwidth_kb_per_sec,
@@ -223,111 +177,56 @@ impl ArrayMetrics {
                 merged_latency_quantile(devices.iter(), 0.99),
             )
         };
-        ArrayMetrics {
-            scheduler,
-            device_count: devices.len(),
-            stripe_bytes,
-            io_count,
-            read_ios: devices.iter().map(|m| m.read_ios).sum(),
-            write_ios: devices.iter().map(|m| m.write_ios).sum(),
-            bytes_read,
-            bytes_written,
-            elapsed_ns,
-            bandwidth_kb_per_sec,
-            iops,
-            avg_latency_ns,
-            p99_latency_ns,
-            max_latency_ns: devices.iter().map(|m| m.max_latency_ns).max().unwrap_or(0),
-            queue_stall_ns: devices.iter().map(|m| m.queue_stall_ns).sum(),
-            skew: DeviceSkew::from_devices(&devices, weights),
-            peak_fanout_buffered,
-            stripes_migrated: placement.stripes_migrated,
-            migration_bytes: placement.migration_bytes,
-            heat_decays: placement.heat_decays,
-            devices,
-        }
-    }
-
-    /// The merged view flattened into a [`RunMetrics`] so array outcomes can
-    /// flow through harnesses built for single-device runs (e.g. the scenario
-    /// registry).  Fields with no array-level meaning (FLP/execution
-    /// breakdowns, GC, series) are averaged or left default; chip utilization
-    /// is the device mean, and failed writes are summed.
-    pub fn summary_run_metrics(&self) -> RunMetrics {
-        let n = self.device_count.max(1) as f64;
-        // Preserve the RunMetrics window invariant
-        // (`run_end_ns - run_start_ns == elapsed_ns`): the summary's window is
-        // the union window the merge measured.
-        let run_start_ns = self
-            .devices
-            .iter()
-            .filter(|m| m.io_count > 0)
-            .map(|m| m.run_start_ns)
-            .min()
-            .unwrap_or(0);
-        // Elementwise sum of the shared-bound per-device histograms: the exact
-        // bucket counts a single collector observing every device's I/Os would
-        // have recorded, so the summary round-trips through
-        // `merged_latency_quantile` to the same p99 the array reported.
-        // (Dropping these silently — the old `..default()` behaviour — made
-        // every downstream latency merge treat the array as sample-free.)
-        let bucket_len = self
-            .devices
+        let bucket_len = devices
             .iter()
             .map(|m| m.latency_buckets.len())
             .max()
             .unwrap_or(0);
         let mut latency_buckets = vec![0u64; bucket_len];
-        for device in &self.devices {
+        for device in &devices {
             for (slot, &count) in latency_buckets.iter_mut().zip(&device.latency_buckets) {
                 *slot += count;
             }
         }
-        RunMetrics {
-            scheduler: self.scheduler.clone(),
-            io_count: self.io_count,
-            read_ios: self.read_ios,
-            write_ios: self.write_ios,
-            bytes_read: self.bytes_read,
-            bytes_written: self.bytes_written,
-            elapsed_ns: self.elapsed_ns,
+        let summary = RunMetrics {
+            scheduler: devices[0].scheduler.clone(),
+            io_count,
+            read_ios: sum(|m| m.read_ios),
+            write_ios: sum(|m| m.write_ios),
+            bytes_read,
+            bytes_written,
+            elapsed_ns,
             run_start_ns,
-            run_end_ns: run_start_ns + self.elapsed_ns,
-            bandwidth_kb_per_sec: self.bandwidth_kb_per_sec,
-            iops: self.iops,
-            avg_latency_ns: self.avg_latency_ns,
-            p99_latency_ns: self.p99_latency_ns,
-            max_latency_ns: self.max_latency_ns,
-            queue_stall_ns: self.queue_stall_ns,
-            peak_host_backlog: self
-                .devices
-                .iter()
-                .map(|m| m.peak_host_backlog)
-                .max()
-                .unwrap_or(0),
-            peak_pending_events: self
-                .devices
-                .iter()
-                .map(|m| m.peak_pending_events)
-                .max()
-                .unwrap_or(0),
-            chip_utilization: self.devices.iter().map(|m| m.chip_utilization).sum::<f64>() / n,
-            transactions: self.devices.iter().map(|m| m.transactions).sum(),
-            memory_requests: self.devices.iter().map(|m| m.memory_requests).sum(),
-            failed_writes: self.devices.iter().map(|m| m.failed_writes).sum(),
-            refused_ios: self.devices.iter().map(|m| m.refused_ios).sum(),
-            work: self
-                .devices
+            run_end_ns: run_start_ns + elapsed_ns,
+            bandwidth_kb_per_sec,
+            iops,
+            avg_latency_ns,
+            p99_latency_ns,
+            max_latency_ns: max(|m| m.max_latency_ns),
+            queue_stall_ns: sum(|m| m.queue_stall_ns),
+            peak_host_backlog: max(|m| m.peak_host_backlog),
+            peak_pending_events: max(|m| m.peak_pending_events),
+            chip_utilization: devices.iter().map(|m| m.chip_utilization).sum::<f64>()
+                / devices.len() as f64,
+            transactions: sum(|m| m.transactions),
+            memory_requests: sum(|m| m.memory_requests),
+            failed_writes: sum(|m| m.failed_writes),
+            refused_ios: sum(|m| m.refused_ios),
+            work: devices
                 .iter()
                 .fold(WorkCounts::default(), |acc, m| acc.merged(&m.work)),
             latency_buckets,
-            telemetry: self
-                .devices
-                .iter()
-                .fold(TelemetrySnapshot::default(), |acc, m| {
-                    acc.merged(&m.telemetry)
-                }),
+            telemetry: devices.iter().fold(TelemetrySnapshot::default(), |acc, m| {
+                acc.merged(&m.telemetry)
+            }),
             ..RunMetrics::default()
+        };
+        ArrayMetrics {
+            summary,
+            stripe_bytes,
+            skew: DeviceSkew::from_devices(&devices, weights),
+            placement,
+            devices,
         }
     }
 }
@@ -351,25 +250,31 @@ mod tests {
         }
     }
 
+    /// Merges with no placement activity and uniform weights.
+    fn merge(devices: Vec<RunMetrics>) -> RunMetrics {
+        ArrayMetrics::merge(1 << 20, devices, PlacementStats::default(), &[]).summary
+    }
+
     #[test]
     fn single_device_merge_is_the_identity() {
         let only = device(100, 1 << 20, 5_000_000, 42_000.0);
-        let merged = ArrayMetrics::merge(1 << 20, vec![only.clone()], 3);
-        assert_eq!(merged.device_count, 1);
+        let array =
+            ArrayMetrics::merge(1 << 20, vec![only.clone()], PlacementStats::default(), &[]);
+        let merged = &array.summary;
+        assert_eq!(array.devices.len(), 1);
         assert_eq!(merged.io_count, only.io_count);
         assert_eq!(merged.elapsed_ns, only.elapsed_ns);
         assert_eq!(merged.bandwidth_kb_per_sec, only.bandwidth_kb_per_sec);
         assert_eq!(merged.avg_latency_ns, only.avg_latency_ns);
         assert_eq!(merged.p99_latency_ns, only.p99_latency_ns);
-        assert_eq!(merged.skew.byte_imbalance, 1.0);
-        assert_eq!(merged.peak_fanout_buffered, 3);
+        assert_eq!(array.skew.byte_imbalance, 1.0);
     }
 
     #[test]
     fn merge_sums_totals_and_takes_the_slowest_elapsed() {
         let a = device(100, 10 << 20, 4_000_000, 10_000.0);
         let b = device(300, 30 << 20, 8_000_000, 30_000.0);
-        let merged = ArrayMetrics::merge(1 << 20, vec![a, b], 0);
+        let merged = merge(vec![a, b]);
         assert_eq!(merged.io_count, 400);
         assert_eq!(merged.bytes_read, 40 << 20);
         assert_eq!(merged.elapsed_ns, 8_000_000);
@@ -390,7 +295,7 @@ mod tests {
         let mut late = device(100, 10 << 20, 1_000_000, 10_000.0);
         late.run_start_ns = 9_000_000; // [9ms, 10ms)
         late.run_end_ns = 10_000_000;
-        let merged = ArrayMetrics::merge(1 << 20, vec![early, late], 0);
+        let merged = merge(vec![early, late]);
         assert_eq!(merged.elapsed_ns, 10_000_000);
         let expect_bw = (20u64 << 20) as f64 / 1024.0 / 10e-3;
         assert!((merged.bandwidth_kb_per_sec - expect_bw).abs() < 1e-6);
@@ -399,7 +304,7 @@ mod tests {
         let mut idle = device(0, 0, 0, 0.0);
         idle.run_start_ns = 0;
         idle.run_end_ns = 0;
-        let merged = ArrayMetrics::merge(1 << 20, vec![early, idle], 0);
+        let merged = merge(vec![early, idle]);
         assert_eq!(merged.elapsed_ns, 1_000_000);
     }
 
@@ -407,7 +312,7 @@ mod tests {
     fn skew_reports_the_hot_device() {
         let cold = device(100, 10 << 20, 4_000_000, 10_000.0);
         let hot = device(300, 30 << 20, 8_000_000, 30_000.0);
-        let merged = ArrayMetrics::merge(1 << 20, vec![cold, hot], 0);
+        let merged = ArrayMetrics::merge(1 << 20, vec![cold, hot], PlacementStats::default(), &[]);
         assert_eq!(merged.skew.min_device_ios, 100);
         assert_eq!(merged.skew.max_device_ios, 300);
         assert!((merged.skew.io_imbalance - 1.5).abs() < 1e-9);
@@ -421,12 +326,18 @@ mod tests {
         a.failed_writes = 2;
         let mut b = device(30, 3 << 20, 2_000_000, 15_000.0);
         b.failed_writes = 3;
-        let merged = ArrayMetrics::merge(1 << 20, vec![a, b], 0);
-        let summary = merged.summary_run_metrics();
-        assert_eq!(summary.io_count, merged.io_count);
+        let summary = merge(vec![a, b]);
+        assert_eq!(summary.io_count, 40);
         assert_eq!(summary.failed_writes, 5);
-        assert_eq!(summary.bandwidth_kb_per_sec, merged.bandwidth_kb_per_sec);
-        assert_eq!(summary.avg_latency_ns, merged.avg_latency_ns);
+        assert_eq!(
+            summary.run_end_ns - summary.run_start_ns,
+            summary.elapsed_ns
+        );
+        // 4 MiB over the 2 ms union window.
+        let expect = (4u64 << 20) as f64 / 1024.0 / 2e-3;
+        assert!((summary.bandwidth_kb_per_sec - expect).abs() < 1e-6);
+        // Weighted mean: (10*5k + 30*15k) / 40 = 12.5k.
+        assert!((summary.avg_latency_ns - 12_500.0).abs() < 1e-9);
         assert_eq!(summary.scheduler, "SPK3");
     }
 
@@ -460,20 +371,20 @@ mod tests {
     fn summary_round_trips_the_merged_latency_histogram() {
         let a = device_with_latencies(40, &[(5_000, 30), (40_000, 10)]);
         let b = device_with_latencies(60, &[(40_000, 50), (900_000, 10)]);
-        let merged = ArrayMetrics::merge(1 << 20, vec![a, b], 0);
-        assert!(merged.p99_latency_ns > 0);
-        let summary = merged.summary_run_metrics();
+        let array = ArrayMetrics::merge(1 << 20, vec![a, b], PlacementStats::default(), &[]);
+        let summary = &array.summary;
+        assert!(summary.p99_latency_ns > 0);
         assert_eq!(summary.latency_buckets.iter().sum::<u64>(), 100);
         for q in [0.5, 0.9, 0.99, 1.0] {
             assert_eq!(
-                merged_latency_quantile([&summary], q),
-                merged_latency_quantile(merged.devices.iter(), q),
+                merged_latency_quantile([summary], q),
+                merged_latency_quantile(array.devices.iter(), q),
                 "quantile {q} diverged after the summary round-trip",
             );
         }
         assert_eq!(
-            merged_latency_quantile([&summary], 0.99),
-            merged.p99_latency_ns
+            merged_latency_quantile([summary], 0.99),
+            summary.p99_latency_ns
         );
     }
 
@@ -491,8 +402,7 @@ mod tests {
             hazard_war_deferrals: 2,
             ..TelemetrySnapshot::default()
         };
-        let merged = ArrayMetrics::merge(1 << 20, vec![a, b], 0);
-        let summary = merged.summary_run_metrics();
+        let summary = merge(vec![a, b]);
         assert_eq!(summary.telemetry.sched_rounds, 12);
         assert_eq!(summary.telemetry.stream_admissions, 10);
         assert_eq!(summary.telemetry.hazard_war_deferrals, 2);

@@ -24,7 +24,7 @@
 //!   hottest stripes off overloaded devices onto the coolest devices that can
 //!   take them;
 //! * **migration cost** — each migration is surfaced as a [`Migration`] the
-//!   fanout turns into injected traffic: a stripe-sized read on the source
+//!   router turns into injected traffic: a stripe-sized read on the source
 //!   device and a stripe-sized write on the target, so rebalancing pays for
 //!   itself in simulated time like it would in a real JBOF.
 //!
@@ -227,17 +227,6 @@ impl PlacementMap {
     /// addressed at: one past its highest ever-occupied slot.
     pub fn local_slot_bound(&self, device: usize) -> u64 {
         self.frontier[device] * self.stripe_bytes
-    }
-
-    /// First never-occupied slot on `device` (grows by at most one per
-    /// migration landing there).
-    pub fn frontier_slots(&self, device: usize) -> u64 {
-        self.frontier[device]
-    }
-
-    /// Whole-stripe slot capacity of `device`.
-    pub fn slot_cap(&self, device: usize) -> u64 {
-        self.slot_caps[device]
     }
 
     /// Moves global stripe `stripe` onto `to_device`, into its lowest free

@@ -1,6 +1,8 @@
-//! Parallel striped replay: one trace, N devices, N scoped threads.
+//! Striped replay: one trace routed on the calling thread, N devices
+//! replaying their shares on N scoped threads.
 
 use std::fmt;
+use std::sync::mpsc;
 
 use sprinkler_core::SchedulerKind;
 use sprinkler_flash::Lpn;
@@ -10,8 +12,11 @@ use sprinkler_workloads::{TraceRecord, TraceSource};
 
 use crate::config::ArrayConfig;
 use crate::metrics::ArrayMetrics;
-use crate::placement::Rebalancer;
-use crate::splitter::{DeviceSource, StripedFanout};
+
+/// Fragments each device's channel holds before routing waits for that device
+/// to take one.  A small constant, not scaled by queue depth: a bounded
+/// channel reserves every slot when it is created.
+const CHANNEL_FRAGMENTS: usize = 256;
 
 /// Why an array replay could not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,29 +69,16 @@ fn record_to_request(record: &TraceRecord, page_size: usize) -> HostRequest {
     )
 }
 
-/// Adapts a device sub-source into the request stream `Ssd::run_stream`
-/// consumes, pulling lazily so each device replays under its own bounded
-/// admission.
-struct DeviceRequestStream<'f, 'a> {
-    source: DeviceSource<'f, 'a>,
-    page_size: usize,
-}
-
-impl Iterator for DeviceRequestStream<'_, '_> {
-    type Item = HostRequest;
-
-    fn next(&mut self) -> Option<HostRequest> {
-        self.source
-            .next_record()
-            .map(|record| record_to_request(&record, self.page_size))
-    }
-}
-
-/// Replays one trace source across a striped array: the source is split into
-/// per-device sub-sources by the array's [`StripeMap`](crate::StripeMap), each
-/// device replays its share through [`Ssd::run_stream`]'s bounded-admission
-/// loop on its own scoped thread, and the per-device [`RunMetrics`] are merged
-/// into an [`ArrayMetrics`].
+/// Replays one trace source across a striped array: the calling thread
+/// routes the source's records, in trace order, through the array's
+/// [`StripeRouter`](crate::StripeRouter) into one bounded channel per device;
+/// each device replays its share through [`Ssd::run_stream`]'s
+/// bounded-admission loop on its own scoped thread, and the per-device
+/// [`RunMetrics`] are merged into an [`ArrayMetrics`].
+///
+/// Replay memory stays bounded by the channels: routing waits while the
+/// device it routes to has a full channel, so a device whose share ends early
+/// never makes the others buffer the rest of the trace.
 ///
 /// The replay is the array's capacity boundary: the source's declared
 /// footprint must fit the array's usable logical capacity
@@ -100,7 +92,7 @@ impl Iterator for DeviceRequestStream<'_, '_> {
 pub fn run_array(
     config: &ArrayConfig,
     kind: SchedulerKind,
-    source: &mut (dyn TraceSource + Send),
+    source: &mut dyn TraceSource,
 ) -> Result<ArrayMetrics, ArrayError> {
     config.validate().map_err(ArrayError::InvalidConfig)?;
     let footprint = source.footprint_bytes();
@@ -111,76 +103,58 @@ pub fn run_array(
             capacity_bytes: capacity,
         });
     }
-
-    // Bound the fanout buffers: a few device-queue-depths of slack per device
-    // absorbs replay-position skew, while a device whose striped share ends
-    // early (it still consumes the rest of the trace) waits for its siblings
-    // instead of buffering the remainder — replay memory stays O(cap), not
-    // O(trace length).
-    let max_queue_depth = config
-        .devices
-        .iter()
-        .map(|d| d.queue_depth)
-        .max()
-        .unwrap_or(0);
-    let buffer_cap = (config.width() * max_queue_depth * 4).max(256);
-    // Static striping unless a rebalance tuning is set; with it, the fanout
-    // routes through the remappable placement table, tracks heat, and applies
-    // (and charges) hot-stripe migrations at window boundaries — all inside
-    // the fanout lock, in trace order, so metrics stay deterministic.
-    let fanout = match &config.rebalance {
-        None => StripedFanout::new(source, config.stripe_map()),
-        Some(rebalance) => {
-            let placement = config.placement_map(footprint);
-            let total_stripes = placement.total_stripes();
-            let rebalancer = Rebalancer::new(*rebalance, config.device_weights(), total_stripes);
-            StripedFanout::adaptive(source, placement, rebalancer)
-        }
-    }
-    .with_buffer_cap(buffer_cap);
-    let devices = config.width();
-    // One scoped worker per device (the validated width is small): every
-    // sub-source must drain concurrently, otherwise a parked device's
-    // fragments would accumulate in the fanout for the whole replay.
-    let mut results: Vec<Result<RunMetrics, String>> = Vec::with_capacity(devices);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..devices)
+    let mut router = config.router(footprint);
+    let results: Vec<Result<RunMetrics, String>> = std::thread::scope(|scope| {
+        let (senders, handles): (Vec<_>, Vec<_>) = (0..config.width())
             .map(|device| {
-                let fanout = &fanout;
-                scope.spawn(move || {
+                let (sender, fragments) = mpsc::sync_channel::<TraceRecord>(CHANNEL_FRAGMENTS);
+                let handle = scope.spawn(move || {
                     let device_config = config.device(device).clone();
                     let page_size = device_config.page_size();
                     let ssd = Ssd::new(device_config, kind.build()).map_err(|e| e.to_string())?;
-                    Ok(ssd.run_stream(DeviceRequestStream {
-                        source: fanout.device_source(device),
-                        page_size,
-                    }))
-                })
+                    Ok(ssd.run_stream(
+                        fragments
+                            .into_iter()
+                            .map(|record| record_to_request(&record, page_size)),
+                    ))
+                });
+                (sender, handle)
             })
             .collect();
-        for handle in handles {
-            // A panicked device thread re-raises its original panic here; a
-            // config that fails to build (should be impossible after
-            // `config.validate()` above) surfaces as an ArrayError instead of
-            // a panic.
-            results.push(
+        let mut routed = Vec::new();
+        'trace: while let Some(record) = source.next_record() {
+            router.route(&record, &mut routed);
+            for (device, fragment) in routed.drain(..) {
+                // A failed send means that device's thread has ended: stop
+                // routing, and let the join below say why.
+                if senders[device].send(fragment).is_err() {
+                    break 'trace;
+                }
+            }
+        }
+        // Hanging up ends every device's stream.
+        drop(senders);
+        handles
+            .into_iter()
+            .map(|handle| {
+                // A panicked device thread re-raises its original panic here;
+                // a config that fails to build (should be impossible after
+                // `config.validate()` above) surfaces as an ArrayError instead
+                // of a panic.
                 handle
                     .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
     });
-    let metrics = results
+    let devices = results
         .into_iter()
         .collect::<Result<Vec<RunMetrics>, String>>()
         .map_err(ArrayError::InvalidConfig)?;
-    let peak = fanout.peak_buffered() as u64;
-    let placement_stats = fanout.placement_stats();
-    Ok(ArrayMetrics::merge_with(
+    Ok(ArrayMetrics::merge(
         config.stripe_bytes,
-        metrics,
-        peak,
-        placement_stats,
+        devices,
+        router.placement_stats(),
         &config.device_weights(),
     ))
 }
@@ -211,27 +185,26 @@ mod tests {
                 &mut trace.source(),
             )
             .unwrap();
-            assert_eq!(metrics.device_count, devices);
             assert_eq!(metrics.devices.len(), devices);
-            let bytes = metrics.bytes_read + metrics.bytes_written;
+            let summary = &metrics.summary;
+            let bytes = summary.bytes_read + summary.bytes_written;
             assert_eq!(
                 bytes,
                 *width1_bytes.get_or_insert(bytes),
                 "striping must preserve page-rounded byte totals at width {devices}"
             );
-            assert!(metrics.io_count >= 200, "fragments can only add requests");
-            assert!(metrics.bandwidth_kb_per_sec > 0.0);
-            assert!(metrics.elapsed_ns > 0);
+            assert!(summary.io_count >= 200, "fragments can only add requests");
+            assert!(summary.bandwidth_kb_per_sec > 0.0);
+            assert!(summary.elapsed_ns > 0);
         }
     }
 
-    /// Regression: a device whose striped share ends early must not balloon
-    /// the fanout buffers with the rest of the trace.  Device 0 owns only the
-    /// first record; everything else lands on device 1.  Without the buffer
-    /// cap, device 0's replay thread would pump all remaining records into
-    /// device 1's queue at once (peak ≈ trace length); with it, the pumping
-    /// device waits for device 1 to drain, so the high-water mark stays at
-    /// the cap plus at most one record's fragments.
+    /// Liveness under skew: a device whose striped share ends early must not
+    /// stall the replay.  Device 0 owns only the first record; everything
+    /// else lands on device 1, so routing spends the whole trace waiting on
+    /// device 1's full channel while device 0 waits for a fragment that
+    /// never comes.  Every I/O must still complete — and replay memory stays
+    /// bounded by the channel capacity, not the trace length.
     #[test]
     fn early_exhausted_shares_stay_memory_bounded() {
         use sprinkler_sim::SimTime;
@@ -255,14 +228,8 @@ mod tests {
             .collect();
         let trace = Trace::new("skewed", records);
         let metrics = run_array(&config, SchedulerKind::Vas, &mut trace.source()).unwrap();
-        assert_eq!(metrics.io_count, total);
-        let cap = (2 * config.device(0).queue_depth * 4).max(256) as u64;
-        assert!(
-            metrics.peak_fanout_buffered <= cap + 4,
-            "fanout buffered {} fragments; cap is {cap} — early-exhausted \
-             shares must back-pressure, not buffer the trace",
-            metrics.peak_fanout_buffered
-        );
+        assert_eq!(metrics.summary.io_count, total);
+        assert_eq!(metrics.devices[0].io_count, 1);
     }
 
     #[test]

@@ -1,380 +1,165 @@
-//! Splitting one [`TraceSource`] into per-device sub-sources.
+//! Routing one trace into per-device shares.
 //!
-//! [`StripedFanout`] wraps a single time-ordered trace source and exposes one
-//! [`DeviceSource`] per device.  Each pull on a device source first drains that
-//! device's buffered fragments; when empty, it pulls the shared underlying
-//! source, splits the record at stripe boundaries via the [`StripeMap`] (or,
-//! for an [adaptive](StripedFanout::adaptive) fanout, the current
-//! [`PlacementMap`]), and routes the fragments to their devices' buffers.
-//! Because every fragment of a record carries the record's arrival time and
-//! the underlying source yields nondecreasing arrivals, every per-device
-//! sub-stream is itself a valid [`TraceSource`]: nondecreasing arrivals,
-//! fragments within the device's local footprint bound.
+//! [`StripeRouter`] takes the records of one time-ordered trace, in trace
+//! order, and splits each at stripe boundaries via the [`StripeMap`] (or, for
+//! an [adaptive](StripeRouter::adaptive) router, the current
+//! [`PlacementMap`]) into per-device fragments.  Each device's fragments are
+//! renumbered 0, 1, 2, … and carry their record's arrival time, so when the
+//! trace's arrivals are nondecreasing every device's share is itself a valid
+//! request stream: nondecreasing arrivals, dense ids, fragments within the
+//! device's local address space.
 //!
-//! The **adaptive** fanout additionally feeds every routed stripe's bytes into
+//! The **adaptive** router additionally feeds every routed stripe's bytes into
 //! a [`Rebalancer`]'s heat EWMA and, at window boundaries, applies the
 //! migrations it selects: the placement table is remapped and the copy cost is
 //! charged as injected traffic — a stripe-sized read on the source device and
-//! a stripe-sized write on the target, stamped with the latest routed arrival
-//! so sub-stream arrivals stay nondecreasing.  All of it happens inside
-//! `pump`, under the fanout mutex, in trace order — so routing and migration
-//! decisions are deterministic regardless of which device thread happens to
-//! pump, and replay metrics stay exactly reproducible.
-//!
-//! The buffers hold only the skew between device replay positions: a fragment
-//! routed to device B while device A is pulling stays buffered until B's
-//! bounded-admission loop gets to it.  With a buffer cap
-//! ([`StripedFanout::with_buffer_cap`], which the array replay always sets), a
-//! device that would pump past the cap *waits* for the other devices to drain
-//! instead — so even a device whose striped share ends early (it must consume
-//! the rest of the trace to learn that) cannot balloon the buffers beyond the
-//! cap, preserving the workspace's O(outstanding work) streaming-memory
-//! guarantee.  The cap requires every sub-source to drain concurrently (as
-//! `run_array` does); an uncapped fanout — the default — also supports
-//! sequential draining, buffering whatever skew that creates.
-//! [`StripedFanout::peak_buffered`] reports the high-water mark so
-//! imbalance-driven buffering is observable either way.
+//! a stripe-sized write on the target, stamped with the routed record's
+//! arrival so per-device arrivals stay nondecreasing.  Routing is a plain
+//! function of the trace, so routing and migration decisions — and with them
+//! the replay metrics — are exactly reproducible.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-
-use sprinkler_sim::SimTime;
-use sprinkler_workloads::{TraceOp, TraceRecord, TraceSource};
+use sprinkler_workloads::{TraceOp, TraceRecord};
 
 use crate::placement::{Migration, PlacementMap, PlacementStats, Rebalancer};
 use crate::stripe::{Fragment, StripeMap};
 
-/// The adaptive-placement state, owned by the fanout's mutex so heat
-/// accounting, migration selection, and traffic injection all happen in trace
-/// order.
-struct AdaptiveState {
+/// The adaptive-placement state: the remappable placement table plus the
+/// heat tracker that drives it.
+#[derive(Debug)]
+struct Adaptive {
     placement: PlacementMap,
     rebalancer: Rebalancer,
     /// Reusable scratch for each window's selected migrations.
     migrations: Vec<Migration>,
-    /// Arrival stamp for injected migration traffic: the latest routed
-    /// record's arrival, preserving per-device arrival monotonicity.
-    last_arrival: SimTime,
 }
 
-struct FanoutInner<'a> {
-    source: &'a mut (dyn TraceSource + Send),
-    queues: Vec<VecDeque<TraceRecord>>,
-    /// Next per-device fragment id; each sub-stream renumbers its fragments
-    /// 0, 1, 2, … so device replays see dense, monotonic request ids.
-    next_ids: Vec<u64>,
-    buffered: usize,
-    peak_buffered: usize,
-    exhausted: bool,
-    /// Reusable fragment scratch for record splitting (one split per record
-    /// on the streaming hot path — no per-record allocation).
-    scratch: Vec<Fragment>,
-    /// `Some` on adaptive fanouts; `None` keeps routing byte-identical to the
+/// Splits a trace's records, in trace order, into per-device fragments (see
+/// the module docs).
+#[derive(Debug)]
+pub struct StripeRouter {
+    /// The closed-form striping; it routes unless `adaptive` is set.
+    map: StripeMap,
+    /// `Some` on adaptive routers; `None` keeps routing byte-identical to the
     /// closed-form striping.
-    adaptive: Option<AdaptiveState>,
+    adaptive: Option<Adaptive>,
+    /// Next per-device fragment id; each device's share is numbered 0, 1, 2,
+    /// … so device replays see dense, monotonic request ids.
+    next_ids: Vec<u64>,
+    /// Reusable fragment scratch: one split per record, no per-record
+    /// allocation.
+    scratch: Vec<Fragment>,
 }
 
-impl FanoutInner<'_> {
-    /// Pulls one record from the underlying source and routes its fragments;
-    /// on adaptive fanouts also feeds the heat tracker and, at window
-    /// boundaries, applies migrations and injects their copy traffic.
-    /// Returns `false` when the source is exhausted.
-    fn pump(&mut self, map: &StripeMap) -> bool {
-        let Some(record) = self.source.next_record() else {
-            return false;
-        };
-        let FanoutInner {
-            queues,
-            next_ids,
-            buffered,
-            peak_buffered,
-            scratch,
+impl StripeRouter {
+    /// Routes over `map.devices()` devices with static round-robin placement.
+    pub fn new(map: StripeMap) -> Self {
+        StripeRouter {
+            map,
+            adaptive: None,
+            next_ids: vec![0; map.devices()],
+            scratch: Vec::with_capacity(4),
+        }
+    }
+
+    /// Routes with **adaptive** placement: records route through `placement`
+    /// (which must start covering the trace's footprint), heat feeds
+    /// `rebalancer`, and selected migrations remap the table and inject their
+    /// copy traffic.
+    pub fn adaptive(placement: PlacementMap, rebalancer: Rebalancer) -> Self {
+        let map = StripeMap::new(placement.devices(), placement.stripe_bytes());
+        StripeRouter {
+            adaptive: Some(Adaptive {
+                placement,
+                rebalancer,
+                migrations: Vec::new(),
+            }),
+            ..Self::new(map)
+        }
+    }
+
+    /// Routes one record: clears `out` and fills it with `(device, fragment)`
+    /// pairs, the record's fragments in global address order followed, on
+    /// adaptive routers at a window boundary, by the copy traffic of the
+    /// migrations applied there.
+    pub fn route(&mut self, record: &TraceRecord, out: &mut Vec<(usize, TraceRecord)>) {
+        out.clear();
+        let StripeRouter {
+            map,
             adaptive,
-            ..
+            next_ids,
+            scratch,
         } = self;
+        let mut emit = |device: usize, op, offset, bytes| {
+            let id = next_ids[device];
+            next_ids[device] += 1;
+            out.push((
+                device,
+                TraceRecord {
+                    id,
+                    arrival: record.arrival,
+                    op,
+                    offset,
+                    bytes,
+                },
+            ));
+        };
         match adaptive {
-            None => map.split_into(&record, scratch),
-            Some(state) => {
+            None => map.split_into(record, scratch),
+            Some(Adaptive {
+                placement,
+                rebalancer,
+                ..
+            }) => {
                 // Heat first: walk the record's stripes and charge each with
                 // its share of the bytes, against the *current* placement.
-                let stripe_bytes = state.placement.stripe_bytes();
+                let stripe_bytes = placement.stripe_bytes();
                 let mut offset = record.offset;
                 let mut remaining = record.bytes.max(1);
                 while remaining > 0 {
                     let take = (stripe_bytes - offset % stripe_bytes).min(remaining);
-                    state
-                        .rebalancer
-                        .note(offset / stripe_bytes, take, &state.placement);
+                    rebalancer.note(offset / stripe_bytes, take, placement);
                     offset += take;
                     remaining -= take;
                 }
-                state.placement.split_into(&record, scratch);
-                state.last_arrival = record.arrival;
+                placement.split_into(record, scratch);
             }
         }
         for fragment in scratch.iter() {
-            let id = next_ids[fragment.device];
-            next_ids[fragment.device] += 1;
-            queues[fragment.device].push_back(TraceRecord {
-                id,
-                arrival: record.arrival,
-                op: record.op,
-                offset: fragment.offset,
-                bytes: fragment.bytes,
-            });
-            *buffered += 1;
+            emit(fragment.device, record.op, fragment.offset, fragment.bytes);
         }
-        if let Some(state) = adaptive {
-            let AdaptiveState {
-                placement,
-                rebalancer,
-                migrations,
-                last_arrival,
-            } = state;
+        if let Some(Adaptive {
+            placement,
+            rebalancer,
+            migrations,
+        }) = adaptive
+        {
             rebalancer.record_routed(placement, migrations);
             let stripe_bytes = placement.stripe_bytes();
             for migration in migrations.iter() {
                 // Charge the copy: a stripe-sized read where the stripe was,
                 // a stripe-sized write where it now lives.
-                for (device, slot, op) in [
-                    (migration.from_device, migration.from_slot, TraceOp::Read),
-                    (migration.to_device, migration.to_slot, TraceOp::Write),
-                ] {
-                    let id = next_ids[device];
-                    next_ids[device] += 1;
-                    queues[device].push_back(TraceRecord {
-                        id,
-                        arrival: *last_arrival,
-                        op,
-                        offset: slot * stripe_bytes,
-                        bytes: stripe_bytes,
-                    });
-                    *buffered += 1;
-                }
+                emit(
+                    migration.from_device,
+                    TraceOp::Read,
+                    migration.from_slot * stripe_bytes,
+                    stripe_bytes,
+                );
+                emit(
+                    migration.to_device,
+                    TraceOp::Write,
+                    migration.to_slot * stripe_bytes,
+                    stripe_bytes,
+                );
             }
         }
-        *peak_buffered = (*peak_buffered).max(*buffered);
-        true
-    }
-}
-
-/// Splits one trace source into `devices` striped sub-sources (see the module
-/// docs).  Shareable across the device replay threads by reference.
-pub struct StripedFanout<'a> {
-    map: StripeMap,
-    names: Vec<String>,
-    footprints: Vec<u64>,
-    /// Fragments buffered across all queues before a pumping device must wait
-    /// for consumers instead; `usize::MAX` (the default) disables waiting.
-    buffer_cap: usize,
-    inner: Mutex<FanoutInner<'a>>,
-    /// Signalled whenever a fragment is consumed, the source is exhausted, or
-    /// a pump delivers fragments — wakes devices parked on the cap.
-    drained: Condvar,
-}
-
-impl std::fmt::Debug for StripedFanout<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StripedFanout")
-            .field("map", &self.map)
-            .field("names", &self.names)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> StripedFanout<'a> {
-    /// Wraps `source`, dealing its records across `map.devices()` sub-sources
-    /// with static round-robin placement.
-    pub fn new(source: &'a mut (dyn TraceSource + Send), map: StripeMap) -> Self {
-        let devices = map.devices();
-        let name = source.name().to_string();
-        let footprint = source.footprint_bytes();
-        let footprints = (0..devices)
-            .map(|d| map.local_footprint(footprint, d))
-            .collect();
-        Self::build(source, map, footprints, name, None)
     }
 
-    /// Wraps `source` with **adaptive** placement: records route through
-    /// `placement` (which must start covering the source's footprint), heat
-    /// feeds `rebalancer`, and selected migrations remap the table and inject
-    /// their copy traffic.
-    ///
-    /// Each device's declared footprint covers every slot a migration could
-    /// ever land in: the initial frontier plus the rebalancer's total
-    /// migration budget, clamped to the device's slot capacity — migrations
-    /// allocate lowest-free-slot, so the frontier grows by at most one slot
-    /// per migration.
-    pub fn adaptive(
-        source: &'a mut (dyn TraceSource + Send),
-        placement: PlacementMap,
-        rebalancer: Rebalancer,
-    ) -> Self {
-        let devices = placement.devices();
-        let map = StripeMap::new(devices, placement.stripe_bytes());
-        let name = source.name().to_string();
-        let budget = rebalancer.config().max_total_migrations;
-        let footprints = (0..devices)
-            .map(|d| {
-                placement
-                    .frontier_slots(d)
-                    .saturating_add(budget)
-                    .min(placement.slot_cap(d))
-                    * placement.stripe_bytes()
-            })
-            .collect();
-        let adaptive = AdaptiveState {
-            placement,
-            rebalancer,
-            migrations: Vec::new(),
-            last_arrival: SimTime::ZERO,
-        };
-        Self::build(source, map, footprints, name, Some(adaptive))
-    }
-
-    fn build(
-        source: &'a mut (dyn TraceSource + Send),
-        map: StripeMap,
-        footprints: Vec<u64>,
-        name: String,
-        adaptive: Option<AdaptiveState>,
-    ) -> Self {
-        let devices = map.devices();
-        StripedFanout {
-            names: (0..devices)
-                .map(|d| format!("{name}[{d}/{devices}]"))
-                .collect(),
-            footprints,
-            buffer_cap: usize::MAX,
-            inner: Mutex::new(FanoutInner {
-                source,
-                queues: vec![VecDeque::new(); devices],
-                next_ids: vec![0; devices],
-                buffered: 0,
-                peak_buffered: 0,
-                exhausted: false,
-                scratch: Vec::with_capacity(4),
-                adaptive,
-            }),
-            drained: Condvar::new(),
-            map,
-        }
-    }
-
-    /// Bounds the total fragments buffered across all device queues: a device
-    /// pulling past the cap waits for the others to drain instead of pumping
-    /// further, keeping replay memory O(cap) even when one device's striped
-    /// share ends long before the trace does.  **Requires concurrent
-    /// draining** — with a cap set, a sub-source pulled while no other thread
-    /// drains the siblings stalls once the cap is hit (the array replay always
-    /// drains all devices concurrently).
-    pub fn with_buffer_cap(mut self, cap: usize) -> Self {
-        self.buffer_cap = cap.max(1);
-        self
-    }
-
-    /// Locks the shared fanout state, recovering from poison: the queue
-    /// bookkeeping stays structurally valid if a device thread panicked
-    /// mid-replay, and the panic itself is re-raised when the replay joins
-    /// that thread — propagating it here would only mask the original.
-    fn state(&self) -> std::sync::MutexGuard<'_, FanoutInner<'a>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The static striping geometry (devices and stripe size).  On adaptive
-    /// fanouts this is the *initial* layout only; see
-    /// [`StripedFanout::placement`] for the live table.
-    pub fn map(&self) -> &StripeMap {
-        &self.map
-    }
-
-    /// A snapshot of the current placement table on adaptive fanouts, `None`
-    /// on static ones.
-    pub fn placement(&self) -> Option<PlacementMap> {
-        self.state()
-            .adaptive
-            .as_ref()
-            .map(|state| state.placement.clone())
-    }
-
-    /// The placement layer's counters so far: zero on static fanouts.
+    /// The placement layer's counters so far: zero on static routers.
     pub fn placement_stats(&self) -> PlacementStats {
-        self.state()
-            .adaptive
+        self.adaptive
             .as_ref()
             .map(|state| state.rebalancer.stats)
             .unwrap_or_default()
-    }
-
-    /// The sub-source for one device.  Multiple device sources may pull
-    /// concurrently from different threads.
-    pub fn device_source(&self, device: usize) -> DeviceSource<'_, 'a> {
-        assert!(device < self.map.devices(), "device index out of range");
-        DeviceSource {
-            fanout: self,
-            device,
-        }
-    }
-
-    /// High-water mark of fragments buffered across all devices — the memory
-    /// cost of replay-position skew between devices.
-    pub fn peak_buffered(&self) -> usize {
-        self.state().peak_buffered
-    }
-}
-
-/// The [`TraceSource`] view of one device's share of a striped trace.
-#[derive(Debug)]
-pub struct DeviceSource<'f, 'a> {
-    fanout: &'f StripedFanout<'a>,
-    device: usize,
-}
-
-impl TraceSource for DeviceSource<'_, '_> {
-    fn name(&self) -> &str {
-        &self.fanout.names[self.device]
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.fanout.footprints[self.device]
-    }
-
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let mut inner = self.fanout.state();
-        loop {
-            if let Some(record) = inner.queues[self.device].pop_front() {
-                inner.buffered -= 1;
-                // A device parked on the cap can pump again.
-                self.fanout.drained.notify_all();
-                return Some(record);
-            }
-            if inner.exhausted {
-                return None;
-            }
-            if inner.buffered >= self.fanout.buffer_cap {
-                // Back-pressure: wait (releasing the lock) for consumers to
-                // drain before pumping more of the trace into their queues.
-                // The timeout is liveness insurance against a missed wakeup;
-                // the loop re-checks every condition on wake.
-                let (guard, _) = self
-                    .fanout
-                    .drained
-                    .wait_timeout(inner, std::time::Duration::from_millis(50))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                inner = guard;
-                continue;
-            }
-            if !inner.pump(&self.fanout.map) {
-                inner.exhausted = true;
-                // Wake parked devices so they observe exhaustion and finish.
-                self.fanout.drained.notify_all();
-                return None;
-            }
-            // The pump may have delivered fragments to a parked device.
-            self.fanout.drained.notify_all();
-        }
     }
 }
 
@@ -383,7 +168,7 @@ mod tests {
     use super::*;
     use crate::placement::RebalanceConfig;
     use sprinkler_sim::SimTime;
-    use sprinkler_workloads::{SyntheticSpec, Trace, TraceOp};
+    use sprinkler_workloads::{SyntheticSpec, Trace, TraceOp, TraceSource};
 
     fn rec(id: u64, at_us: u64, offset: u64, bytes: u64) -> TraceRecord {
         TraceRecord {
@@ -393,6 +178,19 @@ mod tests {
             offset,
             bytes,
         }
+    }
+
+    /// Routes the whole of `source` and returns each device's share in order.
+    fn shares(router: &mut StripeRouter, source: &mut dyn TraceSource) -> Vec<Vec<TraceRecord>> {
+        let mut shares = vec![Vec::new(); router.next_ids.len()];
+        let mut routed = Vec::new();
+        while let Some(record) = source.next_record() {
+            router.route(&record, &mut routed);
+            for (device, fragment) in routed.drain(..) {
+                shares[device].push(fragment);
+            }
+        }
+        shares
     }
 
     #[test]
@@ -407,45 +205,36 @@ mod tests {
                 rec(2, 9, 2500, 1000), // straddle: dev 0 [500) + dev 1 [500)
             ],
         );
-        let mut source = trace.source();
-        let fanout = StripedFanout::new(&mut source, StripeMap::new(2, 1000));
-        let mut dev0 = fanout.device_source(0);
-        let mut dev1 = fanout.device_source(1);
-
-        let a = dev0.next_record().unwrap();
-        assert_eq!((a.id, a.offset, a.bytes), (0, 0, 500));
+        let mut router = StripeRouter::new(StripeMap::new(2, 1000));
+        let shares = shares(&mut router, &mut trace.source());
+        let pieces = |device: usize| -> Vec<(u64, u64, u64)> {
+            shares[device]
+                .iter()
+                .map(|r| (r.id, r.offset, r.bytes))
+                .collect()
+        };
         // dev0's second fragment comes from record 2's head.
-        let b = dev0.next_record().unwrap();
-        assert_eq!((b.id, b.offset, b.bytes), (1, 1500, 500));
-        assert!(dev0.next_record().is_none());
-
+        assert_eq!(pieces(0), [(0, 0, 500), (1, 1500, 500)]);
         // dev1 sees record 1 (global 1500 → local stripe 0, offset 500) and
         // record 2's tail (global 3000 → local stripe 1), renumbered 0 and 1.
-        let c = dev1.next_record().unwrap();
-        assert_eq!((c.id, c.offset, c.bytes), (0, 500, 400));
-        let d = dev1.next_record().unwrap();
-        assert_eq!((d.id, d.offset, d.bytes), (1, 1000, 500));
-        assert!(dev1.next_record().is_none());
-        assert!(fanout.peak_buffered() >= 1);
+        assert_eq!(pieces(1), [(0, 500, 400), (1, 1000, 500)]);
     }
 
     #[test]
     fn sub_streams_keep_nondecreasing_arrivals_and_footprints() {
         let spec = SyntheticSpec::new("fan").with_footprint_mb(8);
         let mut source = spec.stream(400, 0xFA);
+        let footprint = source.footprint_bytes();
         let map = StripeMap::new(3, 64 * 1024);
-        let fanout = StripedFanout::new(&mut source, map);
-        for device in 0..3 {
-            let mut sub = fanout.device_source(device);
-            let bound = sub.footprint_bytes();
+        let shares = shares(&mut StripeRouter::new(map), &mut source);
+        for (device, share) in shares.iter().enumerate() {
+            let bound = map.local_footprint(footprint, device);
             let mut last = SimTime::ZERO;
-            let mut next_id = 0;
-            while let Some(record) = sub.next_record() {
+            for (next_id, record) in (0..).zip(share) {
                 assert!(record.arrival >= last, "arrivals must be nondecreasing");
                 assert!(record.offset + record.bytes <= bound, "fragment spills");
                 assert_eq!(record.id, next_id, "ids must be dense");
                 last = record.arrival;
-                next_id += 1;
             }
         }
     }
@@ -455,15 +244,12 @@ mod tests {
         let spec = SyntheticSpec::new("sum").with_footprint_mb(16);
         let trace = spec.generate(300, 7);
         let total: u64 = trace.iter().map(|r| r.bytes).sum();
-        let mut source = trace.source();
-        let fanout = StripedFanout::new(&mut source, StripeMap::new(4, 128 * 1024));
-        let mut split_total = 0;
-        for device in 0..4 {
-            let mut sub = fanout.device_source(device);
-            while let Some(record) = sub.next_record() {
-                split_total += record.bytes;
-            }
-        }
+        let mut router = StripeRouter::new(StripeMap::new(4, 128 * 1024));
+        let split_total: u64 = shares(&mut router, &mut trace.source())
+            .iter()
+            .flatten()
+            .map(|r| r.bytes)
+            .sum();
         assert_eq!(split_total, total);
     }
 
@@ -473,31 +259,20 @@ mod tests {
         let stripe = 64 * 1024u64;
         let total_stripes = (8u64 << 20).div_ceil(stripe);
         let collect = |adaptive: bool| {
-            let mut source = spec.stream(300, 0x11);
-            let fanout = if adaptive {
+            let mut router = if adaptive {
                 // A trigger the workload never reaches: placement stays put.
                 let config = RebalanceConfig {
                     trigger_ratio: 1e18,
                     ..RebalanceConfig::default()
                 };
-                StripedFanout::adaptive(
-                    &mut source,
+                StripeRouter::adaptive(
                     PlacementMap::round_robin(3, stripe, total_stripes, vec![u64::MAX; 3]),
                     Rebalancer::new(config, vec![1.0; 3], total_stripes),
                 )
             } else {
-                StripedFanout::new(&mut source, StripeMap::new(3, stripe))
+                StripeRouter::new(StripeMap::new(3, stripe))
             };
-            let mut all = Vec::new();
-            for device in 0..3 {
-                let mut sub = fanout.device_source(device);
-                let mut records = Vec::new();
-                while let Some(record) = sub.next_record() {
-                    records.push(record);
-                }
-                all.push(records);
-            }
-            all
+            shares(&mut router, &mut spec.stream(300, 0x11))
         };
         assert_eq!(collect(false), collect(true));
     }
@@ -511,35 +286,34 @@ mod tests {
             .map(|i| rec(i, i, if i % 2 == 0 { 0 } else { 2000 }, 1000))
             .collect();
         let trace = Trace::new("hot", records);
-        let mut source = trace.source();
         let config = RebalanceConfig {
             window_records: 8,
             trigger_ratio: 1.1,
             ..RebalanceConfig::default()
         };
-        let fanout = StripedFanout::adaptive(
-            &mut source,
+        let mut router = StripeRouter::adaptive(
             PlacementMap::round_robin(2, stripe, 4, vec![u64::MAX; 2]),
             Rebalancer::new(config, vec![1.0; 2], 4),
         );
+        let shares = shares(&mut router, &mut trace.source());
+        let placement = &router.adaptive.as_ref().unwrap().placement;
         let mut totals = [0u64; 2];
         let mut reads = 0u64;
-        for (device, total) in totals.iter_mut().enumerate() {
-            let mut sub = fanout.device_source(device);
-            let bound = sub.footprint_bytes();
+        for (device, share) in shares.iter().enumerate() {
+            // Slots are only ever taken below the frontier, which never
+            // shrinks: every fragment lies below the final one.
+            let bound = placement.local_slot_bound(device);
             let mut last = SimTime::ZERO;
-            let mut next_id = 0;
-            while let Some(record) = sub.next_record() {
+            for (next_id, record) in (0..).zip(share) {
                 assert!(record.arrival >= last, "arrivals must stay nondecreasing");
                 assert!(record.offset + record.bytes <= bound, "fragment spills");
                 assert_eq!(record.id, next_id, "ids must stay dense");
-                *total += record.bytes;
+                totals[device] += record.bytes;
                 reads += u64::from(record.op == TraceOp::Read);
                 last = record.arrival;
-                next_id += 1;
             }
         }
-        let stats = fanout.placement_stats();
+        let stats = router.placement_stats();
         assert!(stats.stripes_migrated >= 1, "the hot stripe must move");
         assert_eq!(stats.migration_bytes, stats.stripes_migrated * stripe);
         assert!(stats.heat_decays >= 1);
@@ -554,7 +328,6 @@ mod tests {
             "copy traffic must be charged on both ends"
         );
         // And the placement genuinely changed: stripes 0 and 2 now differ.
-        let placement = fanout.placement().unwrap();
         assert_ne!(placement.stripe_device(0), placement.stripe_device(2));
     }
 }

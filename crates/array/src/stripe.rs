@@ -137,7 +137,7 @@ impl StripeMap {
     /// fragment byte lengths always sum to the record's length.
     ///
     /// Thin allocating wrapper over [`StripeMap::split_into`]; the streaming
-    /// fanout reuses a scratch vector instead.
+    /// router reuses a scratch vector instead.
     pub fn split(&self, record: &TraceRecord) -> Vec<Fragment> {
         let mut fragments: Vec<Fragment> = Vec::with_capacity(2);
         self.split_into(record, &mut fragments);

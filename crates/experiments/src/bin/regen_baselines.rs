@@ -519,10 +519,6 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
     let n4 = spk3(4);
     let n16 = spk3(16);
     let vas16 = scenario::array_scaleout_metrics(&scale, 16, SchedulerKind::Vas);
-    // The summary carries the merged per-device telemetry and latency
-    // histogram; baselining counters from it keeps the array merge path
-    // itself under the perf gate.
-    let n16_summary = n16.summary_run_metrics();
     let skew = |label| scenario::array_skew_figure_metrics(&scale, label, SchedulerKind::Spk3);
     let uniform = skew("uniform");
     let hot = skew("hot-shard");
@@ -530,33 +526,42 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
     // The headline acceptance figure: what fraction of the hot shard's
     // bandwidth cost the rebalancer claws back (0 = no better than static,
     // 1 = fully recovered to the uniform workload's bandwidth).
-    let recovered = (rebalanced.bandwidth_kb_per_sec - hot.bandwidth_kb_per_sec)
-        / (uniform.bandwidth_kb_per_sec - hot.bandwidth_kb_per_sec);
+    let recovered = (rebalanced.summary.bandwidth_kb_per_sec - hot.summary.bandwidth_kb_per_sec)
+        / (uniform.summary.bandwidth_kb_per_sec - hot.summary.bandwidth_kb_per_sec);
     let reb_adaptive = scenario::array_rebalance_metrics(&scale, "adaptive", SchedulerKind::Spk3);
     let reb_static = scenario::array_rebalance_metrics(&scale, "static", SchedulerKind::Spk3);
     let het_adaptive = scenario::array_hetero_metrics(&scale, "adaptive", SchedulerKind::Spk3);
     let het_static = scenario::array_hetero_metrics(&scale, "static", SchedulerKind::Spk3);
     vec![
-        ("array_spk3_n1_kbps", n1.bandwidth_kb_per_sec),
-        ("array_spk3_n4_kbps", n4.bandwidth_kb_per_sec),
-        ("array_spk3_n16_kbps", n16.bandwidth_kb_per_sec),
-        ("array_vas_n16_kbps", vas16.bandwidth_kb_per_sec),
+        ("array_spk3_n1_kbps", n1.summary.bandwidth_kb_per_sec),
+        ("array_spk3_n4_kbps", n4.summary.bandwidth_kb_per_sec),
+        ("array_spk3_n16_kbps", n16.summary.bandwidth_kb_per_sec),
+        ("array_vas_n16_kbps", vas16.summary.bandwidth_kb_per_sec),
         (
             "array_spk3_scaleout_x_n16_over_n1",
-            n16.bandwidth_kb_per_sec / n1.bandwidth_kb_per_sec,
+            n16.summary.bandwidth_kb_per_sec / n1.summary.bandwidth_kb_per_sec,
         ),
         ("array_spk3_n16_io_imbalance", n16.skew.io_imbalance),
         (
             "array_spk3_n16_sched_rounds",
-            n16_summary.telemetry.sched_rounds as f64,
+            n16.summary.telemetry.sched_rounds as f64,
         ),
         (
             "array_spk3_n16_p99_latency_ns",
-            n16_summary.p99_latency_ns as f64,
+            n16.summary.p99_latency_ns as f64,
         ),
-        ("array_skew_uniform_kbps", uniform.bandwidth_kb_per_sec),
-        ("array_skew_hot_shard_kbps", hot.bandwidth_kb_per_sec),
-        ("array_skew_rebalance_kbps", rebalanced.bandwidth_kb_per_sec),
+        (
+            "array_skew_uniform_kbps",
+            uniform.summary.bandwidth_kb_per_sec,
+        ),
+        (
+            "array_skew_hot_shard_kbps",
+            hot.summary.bandwidth_kb_per_sec,
+        ),
+        (
+            "array_skew_rebalance_kbps",
+            rebalanced.summary.bandwidth_kb_per_sec,
+        ),
         ("array_skew_hot_shard_io_imbalance", hot.skew.io_imbalance),
         (
             "array_skew_rebalance_io_imbalance",
@@ -565,15 +570,15 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
         ("array_skew_gap_recovered_frac", recovered),
         (
             "array_skew_rebalance_stripes_migrated",
-            rebalanced.stripes_migrated as f64,
+            rebalanced.placement.stripes_migrated as f64,
         ),
         (
             "array_rebalance_static_kbps",
-            reb_static.bandwidth_kb_per_sec,
+            reb_static.summary.bandwidth_kb_per_sec,
         ),
         (
             "array_rebalance_adaptive_kbps",
-            reb_adaptive.bandwidth_kb_per_sec,
+            reb_adaptive.summary.bandwidth_kb_per_sec,
         ),
         (
             "array_rebalance_adaptive_io_imbalance",
@@ -581,20 +586,23 @@ fn array_metrics() -> Vec<(&'static str, f64)> {
         ),
         (
             "array_rebalance_stripes_migrated",
-            reb_adaptive.stripes_migrated as f64,
+            reb_adaptive.placement.stripes_migrated as f64,
         ),
         (
             "array_rebalance_migration_bytes",
-            reb_adaptive.migration_bytes as f64,
+            reb_adaptive.placement.migration_bytes as f64,
         ),
         (
             "array_rebalance_heat_decays",
-            reb_adaptive.heat_decays as f64,
+            reb_adaptive.placement.heat_decays as f64,
         ),
-        ("array_hetero_static_kbps", het_static.bandwidth_kb_per_sec),
+        (
+            "array_hetero_static_kbps",
+            het_static.summary.bandwidth_kb_per_sec,
+        ),
         (
             "array_hetero_adaptive_kbps",
-            het_adaptive.bandwidth_kb_per_sec,
+            het_adaptive.summary.bandwidth_kb_per_sec,
         ),
         (
             "array_hetero_static_weighted_io_imbalance",

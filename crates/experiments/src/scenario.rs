@@ -285,7 +285,7 @@ fn array_scaleout(scale: &ExperimentScale) -> Vec<Cell<String>> {
         &ARRAY_SCALEOUT_DEVICES,
         &SCHEDULERS,
         |devices| format!("n{devices}"),
-        |&devices, kind| array_scaleout_metrics(scale, devices, kind).summary_run_metrics(),
+        |&devices, kind| array_scaleout_metrics(scale, devices, kind).summary,
     )
 }
 
@@ -392,7 +392,7 @@ pub fn array_skew_figure_metrics(
 fn array_skew(scale: &ExperimentScale) -> Vec<Cell<String>> {
     let variants = ["uniform", "hot-shard", "hot-shard-rebalance"];
     run_grid(&variants, &SCHEDULERS, label, |variant, kind| {
-        array_skew_metrics(scale, variant, kind).summary_run_metrics()
+        array_skew_metrics(scale, variant, kind).summary
     })
 }
 
@@ -519,7 +519,7 @@ fn array_rebalance(scale: &ExperimentScale) -> Vec<Cell<String>> {
         &["static", "adaptive"],
         &SCHEDULERS,
         label,
-        |variant, kind| array_rebalance_metrics(scale, variant, kind).summary_run_metrics(),
+        |variant, kind| array_rebalance_metrics(scale, variant, kind).summary,
     )
 }
 
@@ -572,7 +572,7 @@ fn array_hetero(scale: &ExperimentScale) -> Vec<Cell<String>> {
         &["static", "adaptive"],
         &SCHEDULERS,
         label,
-        |variant, kind| array_hetero_metrics(scale, variant, kind).summary_run_metrics(),
+        |variant, kind| array_hetero_metrics(scale, variant, kind).summary,
     )
 }
 
@@ -606,7 +606,7 @@ fn tenant_source(
     slice: FootprintSlice,
     count: u64,
     seed: u64,
-) -> Box<dyn TraceSource + Send + 'static> {
+) -> Box<dyn TraceSource + 'static> {
     let footprint_mb = (slice.len / (1024 * 1024)).clamp(1, 64);
     Box::new(SlicedSource::new(
         spec.with_footprint_mb(footprint_mb).stream(count, seed),
@@ -616,10 +616,7 @@ fn tenant_source(
 
 /// The interactive tenant every tenant scenario runs: small, latency-critical
 /// random reads with a 5 ms SLO.
-fn interactive_tenant(
-    slice: FootprintSlice,
-    count: u64,
-) -> (TenantSpec, Box<dyn TraceSource + Send>) {
+fn interactive_tenant(slice: FootprintSlice, count: u64) -> (TenantSpec, Box<dyn TraceSource>) {
     let spec = SyntheticSpec::new("interactive")
         .with_read_fraction(0.95)
         .with_mean_sizes_kb(4.0, 4.0)
@@ -633,10 +630,7 @@ fn interactive_tenant(
 
 /// The streaming tenant: deadline-driven sequential 256 KB reads (the
 /// video-allocation class from PAPERS.md) with a 50 ms SLO.
-fn streaming_tenant(
-    slice: FootprintSlice,
-    count: u64,
-) -> (TenantSpec, Box<dyn TraceSource + Send>) {
+fn streaming_tenant(slice: FootprintSlice, count: u64) -> (TenantSpec, Box<dyn TraceSource>) {
     let spec = SyntheticSpec::new("streaming")
         .with_read_fraction(1.0)
         .with_mean_sizes_kb(256.0, 256.0)
@@ -654,7 +648,7 @@ fn batch_tenant(
     slice: FootprintSlice,
     count: u64,
     storming: bool,
-) -> (TenantSpec, Box<dyn TraceSource + Send>) {
+) -> (TenantSpec, Box<dyn TraceSource>) {
     let spec = if storming {
         // The storm: everything submitted in one dense front-loaded burst.
         SyntheticSpec::new("batch")
@@ -847,7 +841,7 @@ mod tests {
                 uniform.skew.io_imbalance
             );
             assert!(
-                skewed.bandwidth_kb_per_sec < uniform.bandwidth_kb_per_sec,
+                skewed.summary.bandwidth_kb_per_sec < uniform.summary.bandwidth_kb_per_sec,
                 "{kind}: the hot shard must cost aggregate bandwidth"
             );
         }
@@ -870,15 +864,19 @@ mod tests {
             let uniform = array_skew_figure_metrics(&scale, "uniform", kind);
             let hot = array_skew_figure_metrics(&scale, "hot-shard", kind);
             let rebalanced = array_skew_figure_metrics(&scale, "hot-shard-rebalance", kind);
-            assert!(rebalanced.stripes_migrated > 0, "{kind}: no migrations");
-            let midpoint = (uniform.bandwidth_kb_per_sec + hot.bandwidth_kb_per_sec) / 2.0;
             assert!(
-                rebalanced.bandwidth_kb_per_sec >= midpoint,
+                rebalanced.placement.stripes_migrated > 0,
+                "{kind}: no migrations"
+            );
+            let midpoint =
+                (uniform.summary.bandwidth_kb_per_sec + hot.summary.bandwidth_kb_per_sec) / 2.0;
+            assert!(
+                rebalanced.summary.bandwidth_kb_per_sec >= midpoint,
                 "{kind}: recovered less than half the bandwidth gap \
                  (uniform {:.0}, hot {:.0}, rebalanced {:.0})",
-                uniform.bandwidth_kb_per_sec,
-                hot.bandwidth_kb_per_sec,
-                rebalanced.bandwidth_kb_per_sec
+                uniform.summary.bandwidth_kb_per_sec,
+                hot.summary.bandwidth_kb_per_sec,
+                rebalanced.summary.bandwidth_kb_per_sec
             );
             assert!(
                 rebalanced.skew.io_imbalance <= 1.2,
@@ -899,13 +897,16 @@ mod tests {
         for kind in SCHEDULERS {
             let stat = array_rebalance_metrics(&scale, "static", kind);
             let adaptive = array_rebalance_metrics(&scale, "adaptive", kind);
-            assert_eq!(stat.stripes_migrated, 0, "{kind}");
-            assert!(adaptive.stripes_migrated > 0, "{kind}: no migrations");
+            assert_eq!(stat.placement.stripes_migrated, 0, "{kind}");
             assert!(
-                adaptive.bandwidth_kb_per_sec > stat.bandwidth_kb_per_sec,
+                adaptive.placement.stripes_migrated > 0,
+                "{kind}: no migrations"
+            );
+            assert!(
+                adaptive.summary.bandwidth_kb_per_sec > stat.summary.bandwidth_kb_per_sec,
                 "{kind}: adaptive {:.0} did not beat static {:.0}",
-                adaptive.bandwidth_kb_per_sec,
-                stat.bandwidth_kb_per_sec
+                adaptive.summary.bandwidth_kb_per_sec,
+                stat.summary.bandwidth_kb_per_sec
             );
             assert!(
                 adaptive.skew.io_imbalance < stat.skew.io_imbalance,
@@ -925,7 +926,10 @@ mod tests {
         for kind in SCHEDULERS {
             let stat = array_hetero_metrics(&scale, "static", kind);
             let adaptive = array_hetero_metrics(&scale, "adaptive", kind);
-            assert!(adaptive.stripes_migrated > 0, "{kind}: no migrations");
+            assert!(
+                adaptive.placement.stripes_migrated > 0,
+                "{kind}: no migrations"
+            );
             assert!(
                 adaptive.skew.weighted_io_imbalance < stat.skew.weighted_io_imbalance,
                 "{kind}: weighted imbalance {:.3} did not improve on {:.3}",
@@ -933,10 +937,10 @@ mod tests {
                 stat.skew.weighted_io_imbalance
             );
             assert!(
-                adaptive.bandwidth_kb_per_sec > stat.bandwidth_kb_per_sec,
+                adaptive.summary.bandwidth_kb_per_sec > stat.summary.bandwidth_kb_per_sec,
                 "{kind}: adaptive {:.0} did not beat static {:.0}",
-                adaptive.bandwidth_kb_per_sec,
-                stat.bandwidth_kb_per_sec
+                adaptive.summary.bandwidth_kb_per_sec,
+                stat.summary.bandwidth_kb_per_sec
             );
         }
     }

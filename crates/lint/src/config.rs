@@ -72,26 +72,6 @@ impl Manifest {
             .unwrap_or_default()
     }
 
-    /// Parses every `budget = <path> = <count>` entry of a section — the
-    /// burn-down allowlist format of the `no-unwrap` rule.
-    pub fn budgets(&self, section: &str) -> Result<Vec<(String, usize)>, String> {
-        self.values(section, "budget")
-            .into_iter()
-            .map(|entry| {
-                let (path, count) = entry.rsplit_once('=').ok_or_else(|| {
-                    format!("[{section}] budget `{entry}`: expected `<path> = <count>`")
-                })?;
-                let count = count.trim().parse::<usize>().map_err(|_| {
-                    format!(
-                        "[{section}] budget `{entry}`: `{}` is not a count",
-                        count.trim()
-                    )
-                })?;
-                Ok((path.trim().to_string(), count))
-            })
-            .collect()
-    }
-
     /// Whether the manifest has a section for `name`.
     pub fn has_section(&self, name: &str) -> bool {
         self.sections.contains_key(name)
@@ -121,24 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn budgets_parse_path_and_count() {
-        let m = Manifest::parse("[no-unwrap]\nbudget = crates/x/src/a.rs = 3\n").unwrap();
-        assert_eq!(
-            m.budgets("no-unwrap").unwrap(),
-            vec![("crates/x/src/a.rs".to_string(), 3)]
-        );
-    }
-
-    #[test]
     fn malformed_lines_are_rejected_with_line_numbers() {
         let err = Manifest::parse("[a]\nnot a pair\n").unwrap_err();
         assert!(err.contains("lint.toml:2"), "{err}");
         let err = Manifest::parse("stray = value\n").unwrap_err();
         assert!(err.contains("before any [section]"), "{err}");
-        let err = Manifest::parse("[no-unwrap]\nbudget = a.rs = lots\n")
-            .unwrap()
-            .budgets("no-unwrap")
-            .unwrap_err();
-        assert!(err.contains("not a count"), "{err}");
     }
 }

@@ -85,13 +85,12 @@ pub const RULES: &[RuleInfo] = &[
         id: "no-unwrap",
         summary: "no .unwrap()/.expect() in library code outside tests",
         explain: "Library crates must not panic on recoverable states: propagate Result, \
-                  use unwrap_or_else/total_cmp/poison-recovery, or restructure so the state \
-                  is unrepresentable.  #[cfg(test)] regions and doc-tests are exempt.  The \
-                  remaining genuinely-unreachable internal invariants are tracked in the \
-                  [no-unwrap] burn-down budget (`budget = <file> = <count>`), which may only \
-                  shrink: the linter fails when a file exceeds its budget AND when a budget \
-                  is stale (fewer calls than budgeted), so every fix must tighten the count \
-                  in the same change.",
+                  use unwrap_or_else/total_cmp, or restructure so the state is \
+                  unrepresentable.  #[cfg(test)] regions and doc-tests are exempt.  There is \
+                  no allowlist: every .unwrap()/.expect( in library code outside tests is a \
+                  violation.  An internal invariant that cannot fail is a debug_assert!, \
+                  checked by every debug-build replay in the test suite.  Scope is the \
+                  [library] `dir =` list in lint.toml.",
     },
     RuleInfo {
         id: "relaxed-telemetry",
@@ -159,8 +158,6 @@ pub struct RuleSet {
     pub map_allow: Vec<String>,
     /// Files allowed to contain `unsafe`.
     pub unsafe_allow: Vec<String>,
-    /// Burn-down budgets for `no-unwrap`: exact expected count per file.
-    pub unwrap_budgets: Vec<(String, usize)>,
     /// Telemetry files: rule `relaxed-telemetry`.
     pub telemetry_files: Vec<String>,
     /// Whole files checked by `no-hot-alloc` (tagged functions always are).
@@ -190,7 +187,6 @@ impl RuleSet {
             hot_path_files: manifest.values("no-map-in-hot-path", "file"),
             map_allow: manifest.values("no-map-in-hot-path", "allow"),
             unsafe_allow: manifest.values("unsafe-allowlist", "allow"),
-            unwrap_budgets: manifest.budgets("no-unwrap")?,
             telemetry_files: manifest.values("relaxed-telemetry", "file"),
             hot_alloc_files: manifest.values("no-hot-alloc", "file"),
         })
@@ -200,13 +196,6 @@ impl RuleSet {
     /// the scan.
     pub fn is_excluded(&self, path: &str) -> bool {
         in_dirs(path, &self.exclude)
-    }
-
-    fn unwrap_budget(&self, path: &str) -> Option<usize> {
-        self.unwrap_budgets
-            .iter()
-            .find(|(file, _)| file == path)
-            .map(|&(_, count)| count)
     }
 }
 
@@ -235,7 +224,7 @@ pub fn lint_source(path: &str, src: &str, cfg: &RuleSet) -> Vec<Violation> {
         unsafe_allowlist(path, &toks, &mut out);
     }
     if in_dirs(path, &cfg.library_dirs) {
-        no_unwrap(path, &toks, cfg, &mut out);
+        no_unwrap(path, &toks, &mut out);
         no_float_eq(path, &toks, &mut out);
         no_print(path, &toks, &mut out);
     }
@@ -329,8 +318,7 @@ fn unsafe_allowlist(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
     }
 }
 
-fn no_unwrap(path: &str, toks: &[Tok], cfg: &RuleSet, out: &mut Vec<Violation>) {
-    let mut raw = Vec::new();
+fn no_unwrap(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
     for (i, t) in toks.iter().enumerate() {
         if t.kind == TokKind::Ident
             && !t.in_test
@@ -338,50 +326,16 @@ fn no_unwrap(path: &str, toks: &[Tok], cfg: &RuleSet, out: &mut Vec<Violation>) 
             && punct_at(toks, i.wrapping_sub(1), ".")
             && punct_at(toks, i + 1, "(")
         {
-            raw.push((t.line, t.text.clone()));
-        }
-    }
-    match cfg.unwrap_budget(path) {
-        None => {
-            for (line, name) in raw {
-                out.push(violation(
-                    path,
-                    line,
-                    "no-unwrap",
-                    format!(
-                        "`.{name}()` in library code: propagate Result or restructure \
-                         (or add a justified burn-down budget in lint.toml)"
-                    ),
-                ));
-            }
-        }
-        Some(budget) if raw.len() > budget => {
-            for (line, name) in raw {
-                out.push(violation(
-                    path,
-                    line,
-                    "no-unwrap",
-                    format!(
-                        "`.{name}()` exceeds this file's burn-down budget of {budget} \
-                         (found {} total; budgets may only shrink)",
-                        budget.max(1)
-                    ),
-                ));
-            }
-        }
-        Some(budget) if raw.len() < budget => {
             out.push(violation(
                 path,
-                1,
+                t.line,
                 "no-unwrap",
                 format!(
-                    "stale burn-down budget: {budget} allowed but only {} found — \
-                     shrink the [no-unwrap] budget for this file in lint.toml",
-                    raw.len()
+                    "`.{}()` in library code: propagate Result or restructure",
+                    t.text
                 ),
             ));
         }
-        Some(_) => {}
     }
 }
 

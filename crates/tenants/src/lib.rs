@@ -37,7 +37,7 @@
 //! let slices = FootprintSlice::split_even(config.geometry.capacity_bytes(), 2, 4096);
 //! let source = |i: usize, seed| {
 //!     let spec = SyntheticSpec::new("t").with_footprint_mb(1);
-//!     Box::new(SlicedSource::new(spec.stream(60, seed), slices[i])) as Box<dyn TraceSource + Send>
+//!     Box::new(SlicedSource::new(spec.stream(60, seed), slices[i])) as Box<dyn TraceSource>
 //! };
 //! let mux = TenantMux::new(vec![
 //!     (TenantSpec::new("web", PriorityClass::Interactive), source(0, 1)),

@@ -67,7 +67,7 @@ pub struct TaggedRecord {
 struct Lane<'a> {
     spec: TenantSpec,
     weight: u64,
-    source: Box<dyn TraceSource + Send + 'a>,
+    source: Box<dyn TraceSource + 'a>,
     head: Option<TraceRecord>,
     exhausted: bool,
     bucket: TokenBucket,
@@ -150,7 +150,7 @@ impl<'a> TenantMux<'a> {
     /// Sources must honour the [`TraceSource`] contract individually; their
     /// footprints should already be disjoint slices (see
     /// `sprinkler_workloads::SlicedSource`) when tenants share one device.
-    pub fn new(tenants: Vec<(TenantSpec, Box<dyn TraceSource + Send + 'a>)>) -> Self {
+    pub fn new(tenants: Vec<(TenantSpec, Box<dyn TraceSource + 'a>)>) -> Self {
         Self::with_quantum(tenants, DEFAULT_QUANTUM_BYTES)
     }
 
@@ -158,7 +158,7 @@ impl<'a> TenantMux<'a> {
     /// (clamped to ≥ 1; smaller quanta interleave more finely at the cost of
     /// more turns).
     pub fn with_quantum(
-        tenants: Vec<(TenantSpec, Box<dyn TraceSource + Send + 'a>)>,
+        tenants: Vec<(TenantSpec, Box<dyn TraceSource + 'a>)>,
         quantum_bytes: u64,
     ) -> Self {
         let footprint = tenants
@@ -348,7 +348,7 @@ mod tests {
         TenantSpec::new(name, class)
     }
 
-    fn stream(seed: u64, count: u64) -> Box<dyn TraceSource + Send + 'static> {
+    fn stream(seed: u64, count: u64) -> Box<dyn TraceSource + 'static> {
         Box::new(
             SyntheticSpec::new("s")
                 .with_footprint_mb(8)
@@ -408,7 +408,7 @@ mod tests {
             .with_mean_sizes_kb(64.0, 64.0)
             .with_bursts(1000, 1.0)
             .stream(300, 5);
-        let mut mux = TenantMux::new(vec![(spec, Box::new(storm) as Box<dyn TraceSource + Send>)]);
+        let mut mux = TenantMux::new(vec![(spec, Box::new(storm) as Box<dyn TraceSource>)]);
         let mut last = SimTime::ZERO;
         while let Some(tagged) = mux.next_tagged() {
             last = tagged.record.arrival;

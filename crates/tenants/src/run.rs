@@ -108,8 +108,7 @@ mod tests {
             let spec = SyntheticSpec::new("t")
                 .with_footprint_mb((slices[i].len / (1024 * 1024)).max(1))
                 .with_mean_sizes_kb(8.0, 8.0);
-            Box::new(SlicedSource::new(spec.stream(count, seed), slices[i]))
-                as Box<dyn TraceSource + Send>
+            Box::new(SlicedSource::new(spec.stream(count, seed), slices[i])) as Box<dyn TraceSource>
         };
         TenantMux::new(vec![
             (
@@ -175,7 +174,7 @@ mod tests {
             .stream(1, 0);
         let mux = TenantMux::new(vec![(
             TenantSpec::new("big", PriorityClass::Batch),
-            Box::new(big) as Box<dyn TraceSource + Send>,
+            Box::new(big) as Box<dyn TraceSource>,
         )]);
         let err = run_tenants(&config, SchedulerKind::Vas, mux).unwrap_err();
         assert!(err.contains("capacity"));

@@ -48,9 +48,9 @@ fn main() {
             "n={:<4} {:>6} {:>14.0} {:>14.0} {:>11.2}x {:>10.2}",
             devices,
             64 / devices,
-            vas.bandwidth_kb_per_sec,
-            spk3.bandwidth_kb_per_sec,
-            spk3.bandwidth_kb_per_sec / vas.bandwidth_kb_per_sec,
+            vas.summary.bandwidth_kb_per_sec,
+            spk3.summary.bandwidth_kb_per_sec,
+            spk3.summary.bandwidth_kb_per_sec / vas.summary.bandwidth_kb_per_sec,
             spk3.skew.io_imbalance,
         );
     }
@@ -79,7 +79,7 @@ fn main() {
         let ios: Vec<u64> = metrics.devices.iter().map(|d| d.io_count).collect();
         println!(
             "{label:<10} bw {:>10.0} KB/s  io imbalance {:.2}  per-device I/Os {ios:?}",
-            metrics.bandwidth_kb_per_sec, metrics.skew.io_imbalance,
+            metrics.summary.bandwidth_kb_per_sec, metrics.skew.io_imbalance,
         );
     }
     println!("\nStriping spreads uniform load evenly; clustered offsets leave shards cold.");
@@ -90,7 +90,9 @@ fn main() {
         let metrics = scenario::array_skew_figure_metrics(&scale, label, SchedulerKind::Spk3);
         println!(
             "{label:<20} bw {:>10.0} KB/s  io imbalance {:.2}  stripes migrated {}",
-            metrics.bandwidth_kb_per_sec, metrics.skew.io_imbalance, metrics.stripes_migrated,
+            metrics.summary.bandwidth_kb_per_sec,
+            metrics.skew.io_imbalance,
+            metrics.placement.stripes_migrated,
         );
     }
     println!("\nThe rebalancer moves hot stripes off the overloaded device between replay");

@@ -57,21 +57,22 @@ fn one_device_array_is_metric_for_metric_identical_for_all_schedulers() {
 
         // And the merged aggregates are bit-identical copies, not recomputed
         // approximations.
-        assert_eq!(array.io_count, bare.io_count, "{kind}");
-        assert_eq!(array.read_ios, bare.read_ios, "{kind}");
-        assert_eq!(array.write_ios, bare.write_ios, "{kind}");
-        assert_eq!(array.bytes_read, bare.bytes_read, "{kind}");
-        assert_eq!(array.bytes_written, bare.bytes_written, "{kind}");
-        assert_eq!(array.elapsed_ns, bare.elapsed_ns, "{kind}");
+        let summary = &array.summary;
+        assert_eq!(summary.io_count, bare.io_count, "{kind}");
+        assert_eq!(summary.read_ios, bare.read_ios, "{kind}");
+        assert_eq!(summary.write_ios, bare.write_ios, "{kind}");
+        assert_eq!(summary.bytes_read, bare.bytes_read, "{kind}");
+        assert_eq!(summary.bytes_written, bare.bytes_written, "{kind}");
+        assert_eq!(summary.elapsed_ns, bare.elapsed_ns, "{kind}");
         assert_eq!(
-            array.bandwidth_kb_per_sec, bare.bandwidth_kb_per_sec,
+            summary.bandwidth_kb_per_sec, bare.bandwidth_kb_per_sec,
             "{kind}"
         );
-        assert_eq!(array.iops, bare.iops, "{kind}");
-        assert_eq!(array.avg_latency_ns, bare.avg_latency_ns, "{kind}");
-        assert_eq!(array.p99_latency_ns, bare.p99_latency_ns, "{kind}");
-        assert_eq!(array.max_latency_ns, bare.max_latency_ns, "{kind}");
-        assert_eq!(array.queue_stall_ns, bare.queue_stall_ns, "{kind}");
+        assert_eq!(summary.iops, bare.iops, "{kind}");
+        assert_eq!(summary.avg_latency_ns, bare.avg_latency_ns, "{kind}");
+        assert_eq!(summary.p99_latency_ns, bare.p99_latency_ns, "{kind}");
+        assert_eq!(summary.max_latency_ns, bare.max_latency_ns, "{kind}");
+        assert_eq!(summary.queue_stall_ns, bare.queue_stall_ns, "{kind}");
     }
 }
 
@@ -90,17 +91,22 @@ fn array_summary_round_trips_its_latency_histogram_for_all_schedulers() {
     for kind in SchedulerKind::ALL {
         let array = run_array(&config, kind, &mut trace.source())
             .expect("the workload fits the 4-device array");
-        assert!(array.p99_latency_ns > 0, "{kind}: no latency samples");
-        let summary = array.summary_run_metrics();
+        let summary = &array.summary;
+        assert!(summary.p99_latency_ns > 0, "{kind}: no latency samples");
         assert_eq!(
             summary.latency_buckets.iter().sum::<u64>(),
-            array.io_count,
+            summary.io_count,
             "{kind}: the summary histogram must hold every device sample"
         );
         assert_eq!(
-            merged_latency_quantile([&summary], 0.99),
-            array.p99_latency_ns,
+            merged_latency_quantile([summary], 0.99),
+            summary.p99_latency_ns,
             "{kind}: summary did not round-trip to the array's p99"
+        );
+        assert_eq!(
+            summary.p99_latency_ns,
+            merged_latency_quantile(array.devices.iter(), 0.99),
+            "{kind}: the array's p99 is the exact merge of its devices'"
         );
         // The always-on telemetry rides along: the summed device counters
         // appear in the summary, and a real replay schedules at least once.
@@ -151,22 +157,11 @@ fn rebalancer_off_replay_is_identical_to_static_striping_for_all_schedulers() {
             stat.devices, inert.devices,
             "{kind}: an inert rebalancer diverged from static striping"
         );
-        assert_eq!(stat.io_count, inert.io_count, "{kind}");
-        assert_eq!(stat.elapsed_ns, inert.elapsed_ns, "{kind}");
-        assert_eq!(
-            stat.bandwidth_kb_per_sec, inert.bandwidth_kb_per_sec,
-            "{kind}"
-        );
-        assert_eq!(stat.p99_latency_ns, inert.p99_latency_ns, "{kind}");
         assert_eq!(stat.skew, inert.skew, "{kind}");
-        assert_eq!(stat.stripes_migrated, 0, "{kind}");
-        assert_eq!(inert.stripes_migrated, 0, "{kind}");
+        assert_eq!(stat.placement.stripes_migrated, 0, "{kind}");
+        assert_eq!(inert.placement.stripes_migrated, 0, "{kind}");
         // The summaries agree too.
-        assert_eq!(
-            stat.summary_run_metrics(),
-            inert.summary_run_metrics(),
-            "{kind}"
-        );
+        assert_eq!(stat.summary, inert.summary, "{kind}");
     }
 }
 
@@ -209,15 +204,16 @@ fn rebalancer_on_migrates_and_surfaces_telemetry() {
         .collect();
     let trace = Trace::new("hot", records);
     let metrics = run_array(&config, SchedulerKind::Spk3, &mut trace.source()).unwrap();
+    let placement = metrics.placement;
     assert!(
-        metrics.stripes_migrated > 0,
+        placement.stripes_migrated > 0,
         "a clustered workload must trigger migration"
     );
     assert_eq!(
-        metrics.migration_bytes,
-        metrics.stripes_migrated * config.stripe_bytes
+        placement.migration_bytes,
+        placement.stripes_migrated * config.stripe_bytes
     );
-    assert!(metrics.heat_decays > 0);
+    assert!(placement.heat_decays > 0);
 }
 
 /// Widening the array changes the partitioning, not the work: page-rounded
@@ -229,8 +225,8 @@ fn striped_replay_preserves_work_for_all_schedulers() {
     let one = ArrayConfig::new(device_config()).with_stripe_kb(64);
     let four = one.clone().with_devices(4);
     for kind in SchedulerKind::ALL {
-        let narrow = run_array(&one, kind, &mut trace.source()).unwrap();
-        let wide = run_array(&four, kind, &mut trace.source()).unwrap();
+        let narrow = run_array(&one, kind, &mut trace.source()).unwrap().summary;
+        let wide = run_array(&four, kind, &mut trace.source()).unwrap().summary;
         assert_eq!(
             narrow.bytes_read + narrow.bytes_written,
             wide.bytes_read + wide.bytes_written,
@@ -265,7 +261,7 @@ fn tenant_mux_composes_with_striping() {
                 .with_mean_sizes_kb(32.0, 32.0)
                 .with_footprint_mb((slice.len / (1024 * 1024)).clamp(1, 32))
                 .stream(60, 0xA11 + i as u64);
-            let source: Box<dyn TraceSource + Send> = Box::new(SlicedSource::new(workload, slice));
+            let source: Box<dyn TraceSource> = Box::new(SlicedSource::new(workload, slice));
             (
                 TenantSpec::new(format!("t{i}"), PriorityClass::Interactive),
                 source,
@@ -277,11 +273,11 @@ fn tenant_mux_composes_with_striping() {
     // Transfers that cross a stripe boundary split into per-device fragments,
     // so the merged count is at least the 120 admitted records.
     assert!(
-        metrics.io_count >= 120,
+        metrics.summary.io_count >= 120,
         "records went missing: {}",
-        metrics.io_count
+        metrics.summary.io_count
     );
-    assert!(metrics.bandwidth_kb_per_sec > 0.0);
+    assert!(metrics.summary.bandwidth_kb_per_sec > 0.0);
     // Both devices saw work: the two tenant slices land on different halves
     // of the striped address space.
     assert!(metrics.devices.iter().all(|d| d.io_count > 0));

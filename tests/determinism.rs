@@ -6,7 +6,7 @@
 //! every per-device breakdown — not merely matching headline figures.  The
 //! array-skew cell runs with the rebalancer on (heat tracking, migrations,
 //! and concurrent device threads all engaged), which is exactly where a
-//! stray wall-clock read, ambient RNG call, or lock-order-dependent
+//! stray wall-clock read, ambient RNG call, or thread-interleaving-dependent
 //! accounting would first leak into the numbers.
 
 use sprinkler::core::SchedulerKind;
@@ -18,23 +18,18 @@ use sprinkler::workloads::SweepSpec;
 #[test]
 fn array_skew_with_rebalancer_replays_identically() {
     let scale = ExperimentScale::quick();
-    let mut first = array_skew_metrics(&scale, "hot-shard-rebalance", SchedulerKind::Spk3);
-    let mut second = array_skew_metrics(&scale, "hot-shard-rebalance", SchedulerKind::Spk3);
-    // `peak_fanout_buffered` is a host-side high-water mark of fragments
-    // concurrently buffered across device threads — it measures OS thread
-    // interleaving under back-pressure, not simulated state, so it is the
-    // one field the determinism guarantee does not cover.
-    first.peak_fanout_buffered = 0;
-    second.peak_fanout_buffered = 0;
-    // Full struct equality: histograms, imbalance stats, placement/migration
-    // counters, per-device RunMetrics (each with its own telemetry snapshot).
+    let first = array_skew_metrics(&scale, "hot-shard-rebalance", SchedulerKind::Spk3);
+    let second = array_skew_metrics(&scale, "hot-shard-rebalance", SchedulerKind::Spk3);
+    // Full struct equality, no field excepted: the merged summary with its
+    // histogram, imbalance stats, placement/migration counters, per-device
+    // RunMetrics (each with its own telemetry snapshot).
     assert_eq!(
         first, second,
         "adaptive array replay diverged between two identical runs"
     );
     // The gate must exercise the rebalancer, not an idle configuration.
     assert!(
-        first.stripes_migrated > 0,
+        first.placement.stripes_migrated > 0,
         "the rebalance cell is expected to migrate at least one stripe"
     );
 }

@@ -6,10 +6,14 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use sprinkler::array::{PlacementMap, StripeMap, StripedFanout};
+use sprinkler::array::{
+    run_array, ArrayConfig, ArrayError, PlacementMap, RebalanceConfig, StripeMap, StripeRouter,
+    MAX_DEVICES,
+};
 use sprinkler::core::faro::{FaroCandidate, FaroConfig, FaroScratch, FaroSelector};
 use sprinkler::core::reference::ReferenceScheduler;
 use sprinkler::core::SchedulerKind;
+use sprinkler::experiments::replay::record_to_request;
 use sprinkler::experiments::to_host_requests;
 use sprinkler::flash::{FlashGeometry, Lpn, PhysicalPageAddr};
 use sprinkler::sim::SimTime;
@@ -469,20 +473,20 @@ proptest! {
             })
             .collect();
         let trace = Trace::new("prop-array", records);
-        let config = sprinkler::array::ArrayConfig::new(device)
+        let config = ArrayConfig::new(device)
             .with_devices(width)
             .with_stripe_kb(64);
         // Workloads past the striped footprint are rejected, not summarized.
-        if let Ok(array) = sprinkler::array::run_array(&config, kind, &mut trace.source()) {
-            let summary = array.summary_run_metrics();
+        if let Ok(array) = run_array(&config, kind, &mut trace.source()) {
+            let summary = &array.summary;
             prop_assert_eq!(summary.run_end_ns - summary.run_start_ns, summary.elapsed_ns);
             prop_assert_eq!(
                 summary.latency_buckets.iter().sum::<u64>(),
-                array.io_count
+                summary.io_count
             );
             prop_assert_eq!(
-                sprinkler::ssd::merged_latency_quantile([&summary], 0.99),
-                array.p99_latency_ns
+                sprinkler::ssd::merged_latency_quantile([summary], 0.99),
+                summary.p99_latency_ns
             );
         }
     }
@@ -797,9 +801,9 @@ proptest! {
         }
     }
 
-    /// Every per-device sub-stream of a striped fanout is a valid trace
-    /// source: arrivals nondecreasing, ids dense, fragments within the
-    /// declared local footprint — and the union of the sub-streams preserves
+    /// Every device's share of a routed trace is a valid request stream:
+    /// arrivals nondecreasing, ids dense, fragments within the device's
+    /// image of the source's footprint — and the shares together preserve
     /// the source's byte totals.
     #[test]
     fn striped_substreams_are_valid_trace_sources(
@@ -810,26 +814,188 @@ proptest! {
         let spec = SyntheticSpec::new("fanout").with_footprint_mb(16);
         let expected: u64 = spec.generate(120, seed).iter().map(|r| r.bytes).sum();
         let mut source = spec.stream(120, seed);
-        let fanout = StripedFanout::new(&mut source, StripeMap::new(devices, stripe_kb * 1024));
+        let footprint = source.footprint_bytes();
+        let map = StripeMap::new(devices, stripe_kb * 1024);
+        let mut router = StripeRouter::new(map);
+        let mut routed = Vec::new();
+        let mut last_arrival = vec![SimTime::ZERO; devices];
+        let mut next_id = vec![0u64; devices];
         let mut total = 0u64;
-        for device in 0..devices {
-            let mut sub = fanout.device_source(device);
-            let bound = sub.footprint_bytes();
-            let mut last_arrival = SimTime::ZERO;
-            let mut next_id = 0u64;
-            while let Some(record) = sub.next_record() {
-                prop_assert!(record.arrival >= last_arrival, "arrivals must be nondecreasing");
-                prop_assert_eq!(record.id, next_id, "fragment ids must be dense");
+        while let Some(record) = source.next_record() {
+            router.route(&record, &mut routed);
+            for (device, fragment) in routed.drain(..) {
                 prop_assert!(
-                    record.offset + record.bytes <= bound,
+                    fragment.arrival >= last_arrival[device],
+                    "arrivals must be nondecreasing"
+                );
+                prop_assert_eq!(fragment.id, next_id[device], "fragment ids must be dense");
+                prop_assert!(
+                    fragment.offset + fragment.bytes <= map.local_footprint(footprint, device),
                     "fragments must respect the local footprint bound"
                 );
-                last_arrival = record.arrival;
-                next_id += 1;
-                total += record.bytes;
+                last_arrival[device] = fragment.arrival;
+                next_id[device] += 1;
+                total += fragment.bytes;
             }
         }
-        prop_assert_eq!(total, expected, "fanout must preserve byte totals");
+        prop_assert_eq!(total, expected, "routing must preserve byte totals");
+    }
+
+    /// The array replay's channels neither drop, repeat nor reorder a
+    /// fragment: for any width 1–4, stripe of 1–16 pages, rebalancing off or
+    /// on (a window of 1–8 records) and up to 24 records within capacity,
+    /// each device's metrics from `run_array` equal a bare
+    /// `Ssd::run_stream` over that device's share as a serial
+    /// `StripeRouter` routes it, and the placement counters match the
+    /// serial router's.
+    #[test]
+    fn array_replay_matches_serial_routing(
+        width in 1usize..5,
+        stripe_pages in 1u64..17,
+        window in prop_oneof![Just(None), (1u64..9).prop_map(Some)],
+        specs in prop::collection::vec(
+            (0u64..2000, arb_direction(), 0u64..1 << 32, 1u64..40),
+            1..25,
+        ),
+        scheduler_index in 0usize..5,
+    ) {
+        let kind = SchedulerKind::ALL[scheduler_index];
+        let device = SsdConfig::small_test();
+        let page = device.page_size() as u64;
+        let mut config = ArrayConfig::new(device).with_devices(width);
+        config.stripe_bytes = stripe_pages * page;
+        if let Some(window_records) = window {
+            // The lowest trigger the validator accepts: any imbalance moves
+            // a stripe, so short traces migrate too.
+            config = config.with_rebalance(RebalanceConfig {
+                window_records,
+                trigger_ratio: 1.0,
+                ..RebalanceConfig::default()
+            });
+        }
+        let capacity_pages = config.logical_capacity_bytes() / page;
+        let records = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, dir, lpn, pages))| {
+                let start = lpn % capacity_pages;
+                TraceRecord {
+                    id: i as u64,
+                    arrival: SimTime::from_micros(at),
+                    op: if dir.is_read() { TraceOp::Read } else { TraceOp::Write },
+                    offset: start * page,
+                    bytes: pages.min(capacity_pages - start) * page,
+                }
+            })
+            .collect();
+        let trace = Trace::new("serial", records);
+        let array = run_array(&config, kind, &mut trace.source()).unwrap();
+
+        let mut router = config.router(trace.source().footprint_bytes());
+        let mut shares = vec![Vec::new(); width];
+        let mut routed = Vec::new();
+        for record in trace.iter() {
+            router.route(record, &mut routed);
+            for (device, fragment) in routed.drain(..) {
+                shares[device].push(record_to_request(&fragment, page as usize));
+            }
+        }
+        prop_assert_eq!(array.devices.len(), width);
+        for (device, share) in shares.into_iter().enumerate() {
+            let ssd = Ssd::new(config.device(device).clone(), kind.build()).unwrap();
+            prop_assert_eq!(&array.devices[device], &ssd.run_stream(share), "device {}", device);
+        }
+        prop_assert_eq!(array.placement, router.placement_stats());
+    }
+
+    /// `ArrayConfig::validate`, fuzzed: widths 0, 1–4 or one past
+    /// `MAX_DEVICES` of `small_test` devices with pages of 512, 2048 or
+    /// 4096 bytes and 1–8 blocks per plane each; stripes from 0 bytes to
+    /// `u64::MAX`; and an optional rebalance tuning whose floats include 0,
+    /// −1, NaN, ±∞ and 1e-300 and whose counts include 0 and their maximum.
+    /// `validate` never panics; `run_array` refuses a rejected config with
+    /// the same message; and every accepted array of width ≤ 4 replays up to
+    /// 16 in-capacity records to `Ok`.
+    #[test]
+    fn validated_array_configs_replay(
+        width_pick in prop_oneof![0usize..6, 1usize..5],
+        devices in prop::collection::vec((0usize..3, 1usize..9), 4..5),
+        stripe_pick in prop_oneof![0usize..8, 3usize..6],
+        tuning in prop_oneof![
+            Just(None),
+            (
+                prop_oneof![0usize..3, 1usize..3],
+                prop_oneof![0usize..9, 4usize..7],
+                prop_oneof![0usize..9, 6usize..9],
+                (0usize..3, 0usize..3),
+            )
+                .prop_map(Some),
+        ],
+        specs in prop::collection::vec(
+            (0u64..2000, arb_direction(), 0u64..1 << 48, 1u64..1 << 17),
+            0..17,
+        ),
+        scheduler_index in 0usize..5,
+    ) {
+        let kind = SchedulerKind::ALL[scheduler_index];
+        let width = [0, 1, 2, 3, 4, MAX_DEVICES + 1][width_pick];
+        let configs = (0..width)
+            .map(|i| {
+                let (page_pick, blocks) = devices[i % devices.len()];
+                let mut device = SsdConfig::small_test();
+                device.geometry.page_size = [512, 2048, 4096][page_pick];
+                device.geometry.blocks_per_plane = blocks;
+                device
+            })
+            .collect();
+        let mut config = ArrayConfig::heterogeneous(configs);
+        // The largest page: every other page size divides it.
+        let page = config.devices.iter().map(|d| d.page_size() as u64).max().unwrap_or(2048);
+        config.stripe_bytes =
+            [0, 1, page - 1, page, 3 * page, 1 << 20, 1 << 40, u64::MAX][stripe_pick];
+        // Ordered so that the values `validate` accepts for the decay
+        // (indices 4–6) and the trigger ratio (6–8) are contiguous: the
+        // second arm of each draw above picks among those alone, so that
+        // about a third of all draws replay.
+        let floats = [0.0, -1.0, f64::NAN, f64::NEG_INFINITY, 1e-300, 0.5, 1.0, 2.0, f64::INFINITY];
+        if let Some((window, decay, trigger, (per_window, total))) = tuning {
+            config.rebalance = Some(RebalanceConfig {
+                window_records: [0, 1, u64::MAX][window],
+                decay: floats[decay],
+                trigger_ratio: floats[trigger],
+                max_migrations_per_window: [0, 1, usize::MAX][per_window],
+                max_total_migrations: [0, 1, u64::MAX][total],
+            });
+        }
+        let capacity = match config.validate() {
+            Err(error) => {
+                let empty = Trace::new("refused", Vec::new());
+                prop_assert_eq!(
+                    run_array(&config, kind, &mut empty.source()).err(),
+                    Some(ArrayError::InvalidConfig(error))
+                );
+                return;
+            }
+            Ok(()) if width > 4 => return,
+            Ok(()) => config.logical_capacity_bytes(),
+        };
+        let records = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, dir, offset, bytes))| {
+                let offset = offset % capacity;
+                TraceRecord {
+                    id: i as u64,
+                    arrival: SimTime::from_micros(at),
+                    op: if dir.is_read() { TraceOp::Read } else { TraceOp::Write },
+                    offset,
+                    bytes: bytes.min(capacity - offset),
+                }
+            })
+            .collect();
+        let trace = Trace::new("fuzz", records);
+        let array = run_array(&config, kind, &mut trace.source());
+        prop_assert!(array.is_ok(), "accepted config failed to replay: {:?}", array.err());
     }
 
     /// Arbitrary migration sequences preserve the placement layer's
@@ -884,7 +1050,7 @@ proptest! {
                 "distinct LPNs must never collide after migrations"
             );
             // Containment: the local page stays below the device's
-            // ever-occupied frontier (the adaptive fanout's footprint bound).
+            // ever-occupied frontier.
             prop_assert!((local + 1) * page <= placement.local_slot_bound(device));
         }
         // And splits stay loss-free under the migrated placement.
@@ -962,7 +1128,7 @@ proptest! {
                 let spec = TenantSpec::new(format!("t{i}"), PriorityClass::Batch)
                     .with_weight(w);
                 // Enough backlog to stay busy through the measured prefix.
-                let source: Box<dyn TraceSource + Send> = Box::new(BackloggedSource {
+                let source: Box<dyn TraceSource> = Box::new(BackloggedSource {
                     remaining: cycles * w as u64 + w as u64,
                     bytes: DEFAULT_QUANTUM_BYTES,
                 });
@@ -1045,7 +1211,7 @@ proptest! {
                 // Set directly, so an override of 0 reaches the mux unclamped.
                 spec.weight = *weight;
                 spec.bucket = bucket.map(|(rate, capacity)| TokenBucketConfig::new(rate, capacity));
-                let source: Box<dyn TraceSource + Send> = Box::new(workload(stream));
+                let source: Box<dyn TraceSource> = Box::new(workload(stream));
                 (spec, source)
             })
             .collect();

@@ -20,7 +20,7 @@ fn tenants(
     config: &SsdConfig,
     specs: Vec<TenantSpec>,
     count: u64,
-) -> Vec<(TenantSpec, Box<dyn TraceSource + Send>)> {
+) -> Vec<(TenantSpec, Box<dyn TraceSource>)> {
     let slices = FootprintSlice::split_even(
         config.geometry.capacity_bytes(),
         specs.len(),
@@ -36,7 +36,7 @@ fn tenants(
                 .with_mean_sizes_kb(16.0, 16.0)
                 .with_footprint_mb((slice.len / (1024 * 1024)).clamp(1, 32))
                 .stream(count, 0xBEEF + i as u64);
-            let boxed: Box<dyn TraceSource + Send> = Box::new(SlicedSource::new(workload, slice));
+            let boxed: Box<dyn TraceSource> = Box::new(SlicedSource::new(workload, slice));
             (spec, boxed)
         })
         .collect()
