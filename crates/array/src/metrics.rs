@@ -1,88 +1,55 @@
 //! Merged array metrics: the host's view of a striped replay.
 
 use sprinkler_sim::TelemetrySnapshot;
-use sprinkler_ssd::{merged_latency_quantile, weighted_mean_latency_ns, RunMetrics, WorkCounts};
+use sprinkler_ssd::ftl::GcStats;
+use sprinkler_ssd::{
+    merged_latency_quantile, weighted_mean_latency_ns, FlpBreakdown, RunMetrics, WorkCounts,
+};
 
 use crate::placement::PlacementStats;
 
 /// Per-device imbalance statistics: how evenly the striping map spread the
-/// workload, and how much the slowest device dragged the array.
+/// workload's I/Os.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceSkew {
-    /// Fewest bytes any device moved.
-    pub min_device_bytes: u64,
-    /// Most bytes any device moved.
-    pub max_device_bytes: u64,
-    /// Mean bytes per device.
-    pub mean_device_bytes: f64,
-    /// `max_device_bytes / mean_device_bytes`; 1.0 is perfectly balanced, the
-    /// array width is the worst case (everything on one device).
-    pub byte_imbalance: f64,
-    /// Fewest I/Os any device served.
-    pub min_device_ios: u64,
-    /// Most I/Os any device served.
-    pub max_device_ios: u64,
-    /// `max_device_ios / mean ios per device`.
+    /// Most I/Os any device served over the mean per device; 1.0 is perfectly
+    /// balanced, the array width is the worst case (everything on one device).
     pub io_imbalance: f64,
-    /// Slowest device elapsed over mean device elapsed — how long the array
-    /// waits on its hottest shard.
-    pub elapsed_imbalance: f64,
     /// `io_imbalance` normalized by per-device service weights (chip counts):
     /// `max(ios[d] / w[d]) / (Σ ios / Σ w)`.  Equals `io_imbalance` on
     /// homogeneous arrays; on heterogeneous ones it reports overload relative
     /// to each device's capability — a 32-chip device serving twice a 16-chip
     /// device's I/Os is *balanced* here.
     pub weighted_io_imbalance: f64,
-    /// `byte_imbalance` under the same per-device weight normalization.
-    pub weighted_byte_imbalance: f64,
 }
 
 impl DeviceSkew {
     fn from_devices(devices: &[RunMetrics], weights: &[f64]) -> Self {
-        let n = devices.len().max(1) as f64;
-        let bytes: Vec<u64> = devices
-            .iter()
-            .map(|m| m.bytes_read + m.bytes_written)
-            .collect();
-        let ios: Vec<u64> = devices.iter().map(|m| m.io_count).collect();
-        let mean_bytes = bytes.iter().sum::<u64>() as f64 / n;
-        let mean_ios = ios.iter().sum::<u64>() as f64 / n;
-        let mean_elapsed = devices.iter().map(|m| m.elapsed_ns).sum::<u64>() as f64 / n;
-        let max_elapsed = devices.iter().map(|m| m.elapsed_ns).max().unwrap_or(0);
-        let ratio = |max: u64, mean: f64| if mean > 0.0 { max as f64 / mean } else { 1.0 };
+        let ios: Vec<f64> = devices.iter().map(|m| m.io_count as f64).collect();
+        let total: f64 = ios.iter().sum();
+        let max = ios.iter().copied().fold(0.0, f64::max);
+        let mean = total / devices.len().max(1) as f64;
         let uniform = vec![1.0; devices.len()];
         let weights = if weights.len() == devices.len() {
             weights
         } else {
             &uniform
         };
-        // Weighted imbalance: each device's share over the share its weight
-        // entitles it to; 1.0 means every device is loaded exactly to its
-        // capability.
-        let weighted = |values: &[u64]| {
-            let total: f64 = values.iter().map(|&v| v as f64).sum();
-            let weight_total: f64 = weights.iter().sum();
-            if total <= 0.0 || weight_total <= 0.0 {
-                return 1.0;
-            }
+        // Each device's share over the share its weight entitles it to; 1.0
+        // means every device is loaded exactly to its capability.
+        let weight_total: f64 = weights.iter().sum();
+        let weighted_io_imbalance = if total <= 0.0 || weight_total <= 0.0 {
+            1.0
+        } else {
             let fair = total / weight_total;
-            values
-                .iter()
+            ios.iter()
                 .zip(weights)
-                .map(|(&v, &w)| v as f64 / w / fair)
+                .map(|(&v, &w)| v / w / fair)
                 .fold(1.0f64, f64::max)
         };
         DeviceSkew {
-            min_device_bytes: bytes.iter().copied().min().unwrap_or(0),
-            max_device_bytes: bytes.iter().copied().max().unwrap_or(0),
-            mean_device_bytes: mean_bytes,
-            byte_imbalance: ratio(bytes.iter().copied().max().unwrap_or(0), mean_bytes),
-            min_device_ios: ios.iter().copied().min().unwrap_or(0),
-            max_device_ios: ios.iter().copied().max().unwrap_or(0),
-            io_imbalance: ratio(ios.iter().copied().max().unwrap_or(0), mean_ios),
-            elapsed_imbalance: ratio(max_elapsed, mean_elapsed),
-            weighted_io_imbalance: weighted(&ios),
-            weighted_byte_imbalance: weighted(&bytes),
+            io_imbalance: if mean > 0.0 { max / mean } else { 1.0 },
+            weighted_io_imbalance,
         }
     }
 }
@@ -114,15 +81,20 @@ impl ArrayMetrics {
     /// skew figures).
     ///
     /// The summary sums the counts, bytes, queue-stall time, transactions,
-    /// memory requests, failed and refused I/Os, work counters, telemetry and
-    /// latency-histogram buckets (a host record straddling a stripe boundary
-    /// counts once per fragment), takes the maximum latency and queue peaks,
-    /// and averages chip utilization over the devices.  Its window is the
-    /// *union* of the devices' activity windows on the shared simulation
-    /// clock.  The mean latency is I/O-weighted and the p99 an exact merge of
-    /// the shared-bound histograms, so the summary round-trips through
-    /// `merged_latency_quantile`.  Fields with no array-level meaning (FLP
-    /// and execution breakdowns, idleness, GC, series, tenants) stay default.
+    /// memory requests, failed and refused I/Os, GC counts, work counters,
+    /// telemetry and latency-histogram buckets (a host record straddling a
+    /// stripe boundary counts once per fragment), takes the maximum latency
+    /// and queue peaks, and averages chip utilization over the devices;
+    /// inter-chip idleness is its complement, as for one device.  Requests
+    /// per transaction is the ratio of the summed counts, and each FLP
+    /// fraction the devices' mean weighted by their memory requests.  Its
+    /// window is the *union* of the devices' activity windows on the shared
+    /// simulation clock.  The mean latency is I/O-weighted and the p99 an
+    /// exact merge of the shared-bound histograms, so the summary round-trips
+    /// through `merged_latency_quantile`.  Intra-chip idleness and the
+    /// execution breakdown stay default: they need per-chip busy sums, which
+    /// `RunMetrics` does not carry.  The latency series and tenant lanes stay
+    /// empty.
     ///
     /// `placement`'s migration traffic is *excluded* from the goodput figures
     /// (`bandwidth_kb_per_sec`, `iops`): each migration injected one
@@ -188,6 +160,17 @@ impl ArrayMetrics {
                 *slot += count;
             }
         }
+        let transactions = sum(|m| m.transactions);
+        let memory_requests = sum(|m| m.memory_requests);
+        let chip_utilization =
+            devices.iter().map(|m| m.chip_utilization).sum::<f64>() / devices.len() as f64;
+        let flp_mean = |class: fn(&FlpBreakdown) -> f64| {
+            devices
+                .iter()
+                .filter(|m| m.memory_requests > 0)
+                .map(|m| class(&m.flp) * (m.memory_requests as f64 / memory_requests as f64))
+                .sum::<f64>()
+        };
         let summary = RunMetrics {
             scheduler: devices[0].scheduler.clone(),
             io_count,
@@ -206,10 +189,27 @@ impl ArrayMetrics {
             queue_stall_ns: sum(|m| m.queue_stall_ns),
             peak_host_backlog: max(|m| m.peak_host_backlog),
             peak_pending_events: max(|m| m.peak_pending_events),
-            chip_utilization: devices.iter().map(|m| m.chip_utilization).sum::<f64>()
-                / devices.len() as f64,
-            transactions: sum(|m| m.transactions),
-            memory_requests: sum(|m| m.memory_requests),
+            chip_utilization,
+            inter_chip_idleness: (1.0 - chip_utilization).clamp(0.0, 1.0),
+            flp: FlpBreakdown {
+                non_pal: flp_mean(|f| f.non_pal),
+                pal1: flp_mean(|f| f.pal1),
+                pal2: flp_mean(|f| f.pal2),
+                pal3: flp_mean(|f| f.pal3),
+            },
+            transactions,
+            memory_requests,
+            requests_per_transaction: if transactions == 0 {
+                0.0
+            } else {
+                memory_requests as f64 / transactions as f64
+            },
+            gc: GcStats {
+                invocations: sum(|m| m.gc.invocations),
+                pages_migrated: sum(|m| m.gc.pages_migrated),
+                cross_plane_migrations: sum(|m| m.gc.cross_plane_migrations),
+                blocks_erased: sum(|m| m.gc.blocks_erased),
+            },
             failed_writes: sum(|m| m.failed_writes),
             refused_ios: sum(|m| m.refused_ios),
             work: devices
@@ -267,7 +267,7 @@ mod tests {
         assert_eq!(merged.bandwidth_kb_per_sec, only.bandwidth_kb_per_sec);
         assert_eq!(merged.avg_latency_ns, only.avg_latency_ns);
         assert_eq!(merged.p99_latency_ns, only.p99_latency_ns);
-        assert_eq!(array.skew.byte_imbalance, 1.0);
+        assert_eq!(array.skew.io_imbalance, 1.0);
     }
 
     #[test]
@@ -313,11 +313,62 @@ mod tests {
         let cold = device(100, 10 << 20, 4_000_000, 10_000.0);
         let hot = device(300, 30 << 20, 8_000_000, 30_000.0);
         let merged = ArrayMetrics::merge(1 << 20, vec![cold, hot], PlacementStats::default(), &[]);
-        assert_eq!(merged.skew.min_device_ios, 100);
-        assert_eq!(merged.skew.max_device_ios, 300);
         assert!((merged.skew.io_imbalance - 1.5).abs() < 1e-9);
-        assert!((merged.skew.byte_imbalance - 1.5).abs() < 1e-9);
-        assert!(merged.skew.elapsed_imbalance > 1.0);
+    }
+
+    /// The device-level figures that merge exactly from `RunMetrics` alone,
+    /// against closed forms for two devices; one device merges to itself.
+    #[test]
+    fn summary_merges_flp_gc_and_transaction_figures() {
+        let gc = |n: u64| GcStats {
+            invocations: n,
+            pages_migrated: 2 * n,
+            cross_plane_migrations: 3 * n,
+            blocks_erased: 4 * n,
+        };
+        let device_with = |requests: u64, txns: u64, [non_pal, pal1, pal2, pal3]: [f64; 4]| {
+            let util = requests as f64 / 400.0;
+            RunMetrics {
+                memory_requests: requests,
+                transactions: txns,
+                requests_per_transaction: requests as f64 / txns as f64,
+                flp: FlpBreakdown {
+                    non_pal,
+                    pal1,
+                    pal2,
+                    pal3,
+                },
+                gc: gc(txns),
+                chip_utilization: util,
+                inter_chip_idleness: 1.0 - util,
+                intra_chip_idleness: 0.3,
+                execution: sprinkler_ssd::ExecutionBreakdown {
+                    idle: 0.4,
+                    ..Default::default()
+                },
+                ..device(10, 1 << 20, 1_000_000, 5_000.0)
+            }
+        };
+        let a = device_with(100, 40, [0.5, 0.0, 0.0, 0.5]);
+        let b = device_with(300, 60, [0.0, 0.25, 0.0, 0.75]);
+        let summary = merge(vec![a.clone(), b.clone()]);
+        // 400 requests over 100 transactions.
+        assert_eq!(summary.requests_per_transaction, 4.0);
+        assert_eq!(summary.gc, gc(100));
+        // Weights 100/400 and 300/400: non-PAL 0.5 × 0.25, PAL1 0.25 × 0.75,
+        // PAL3 0.5 × 0.25 + 0.75 × 0.75.
+        assert_eq!(summary.flp.as_array(), [0.125, 0.1875, 0.0, 0.6875]);
+        // Utilization (0.25 + 0.75) / 2, and its complement.
+        assert_eq!(summary.inter_chip_idleness, 0.5);
+        // Not derivable from `RunMetrics`: left at the default.
+        assert_eq!(summary.intra_chip_idleness, 0.0);
+        assert_eq!(summary.execution, Default::default());
+        for only in [a, b] {
+            let summary = merge(vec![only.clone()]);
+            let figures = |m: &RunMetrics| (m.requests_per_transaction, m.gc, m.flp);
+            assert_eq!(figures(&summary), figures(&only));
+            assert_eq!(summary.inter_chip_idleness, only.inter_chip_idleness);
+        }
     }
 
     #[test]

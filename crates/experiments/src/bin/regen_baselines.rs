@@ -141,8 +141,8 @@ fn steady_replay(chips: usize) -> (RunMetrics, f64) {
     (metrics, allocs / (TOTAL - WARMUP) as f64)
 }
 
-/// The fragmented cell of `examples/gc_pressure.rs` under `kind`: 64 chips,
-/// 8 blocks per plane, GC on, pre-filled to 95%, a write-heavy 64 KB sweep.
+/// A Fig 17-style fragmented cell under `kind`: 64 chips, 8 blocks per
+/// plane, GC on, pre-filled to 95%, a write-heavy 64 KB sweep of 400 I/Os.
 ///
 /// # Panics
 ///
@@ -242,7 +242,7 @@ fn seed_metrics() -> Vec<(&'static str, f64)> {
     let scale = ExperimentScale::bench();
     let fig10 = fig10::run(&scale, None);
     let fig06 = fig06::run(&scale, None);
-    let fig12 = fig12::run(&scale, 3_000);
+    let fig12 = fig12::run(&scale, fig12::PAPER_IOS);
     let runs = |kind| {
         fig10
             .iter()

@@ -1,21 +1,21 @@
-//! Runs the named-scenario registry from the command line:
+//! Prints the paper's figures and the named scenarios from the command line:
 //!
 //! ```sh
 //! cargo run --release -p sprinkler_experiments --bin scenarios -- --quick
-//! cargo run --release -p sprinkler_experiments --bin scenarios -- enterprise-replay
+//! cargo run --release -p sprinkler_experiments --bin scenarios -- fig10 enterprise-replay
 //! ```
 //!
-//! With no arguments, runs every registered scenario at full scale.  Pass
-//! `--quick` (or `--bench`) for a smaller run, and/or scenario names to run a
-//! subset.  Any other argument prints the usage and exits 2 before anything
-//! runs.
+//! With no name, prints every registered figure and then every scenario at
+//! full scale.  Pass `--quick` (or `--bench`) for a smaller run, and/or names
+//! (`table1`, `fig01` … `fig17`, or a scenario) to print a subset.  Any other
+//! argument prints the usage and exits 2 before anything runs.
 
 use std::time::Instant;
 
 use sprinkler_experiments::runner::ExperimentScale;
-use sprinkler_experiments::{scenario, SCENARIO_NAMES};
+use sprinkler_experiments::scenario;
 
-const USAGE: &str = "usage: scenarios [--quick | --bench | --full] [scenario ...]";
+const USAGE: &str = "usage: scenarios [--quick | --bench | --full] [name ...]";
 
 /// Reports a rejected argument and exits 2.
 fn usage_error(message: &str) -> ! {
@@ -34,30 +34,29 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
         .collect();
-    if let Some(name) = requested.iter().find(|n| !SCENARIO_NAMES.contains(n)) {
+    if let Some(name) = requested
+        .iter()
+        .find(|&&name| !scenario::names().any(|known| known == name))
+    {
         usage_error(&format!(
-            "unknown scenario {name:?}; registered: {}",
-            SCENARIO_NAMES.join(", ")
+            "unknown name {name:?}; registered: {}",
+            scenario::names().collect::<Vec<_>>().join(", ")
         ));
     }
     let names: Vec<&str> = if requested.is_empty() {
-        SCENARIO_NAMES.to_vec()
+        scenario::names().collect()
     } else {
         requested
     };
 
     for name in names {
         let start = Instant::now();
-        let cells = scenario::run(name, &scale).expect("checked against SCENARIO_NAMES");
-        println!("{}", scenario::table(name, &cells).render());
-        println!(
-            "{} cells in {:.2} s\n",
-            cells.len(),
-            start.elapsed().as_secs_f64()
-        );
-        // Every scenario must complete all of its work; a silent empty cell
-        // set would let CI pass while covering nothing.
-        assert!(!cells.is_empty());
-        assert!(cells.iter().all(|c| c.metrics.io_count > 0));
+        let tables = scenario::report(name, &scale).expect("checked against the registry");
+        // An empty table would let CI pass while covering nothing.
+        assert!(!tables.is_empty() && tables.iter().all(|t| t.row_count() > 0));
+        for table in &tables {
+            println!("{table}");
+        }
+        println!("{name} in {:.2} s\n", start.elapsed().as_secs_f64());
     }
 }

@@ -12,8 +12,11 @@ use crate::runner::{run_grid, run_one_detailed, Cell, ExperimentScale};
 pub const FIG12_SCHEDULERS: [SchedulerKind; 3] =
     [SchedulerKind::Vas, SchedulerKind::Pas, SchedulerKind::Spk3];
 
+/// The length of the paper's `msnfs1` window, in I/Os.
+pub const PAPER_IOS: u64 = 3_000;
+
 /// Runs the time-series experiment over the first `io_count` requests of msnfs1
-/// (the paper uses three thousand): one `"msnfs1"` cell per scheduler, each
+/// (the paper uses [`PAPER_IOS`]): one `"msnfs1"` cell per scheduler, each
 /// carrying its per-I/O latency series.
 pub fn run(scale: &ExperimentScale, io_count: u64) -> Vec<Cell<String>> {
     let spec = workload("msnfs1").expect("msnfs1 is part of Table 1");

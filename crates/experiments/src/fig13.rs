@@ -6,6 +6,9 @@ use sprinkler_core::SchedulerKind;
 use crate::report::{fmt_pct, Table};
 use crate::runner::Cell;
 
+/// The schedulers Fig 13 plots.
+pub const FIG13_SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Pas, SchedulerKind::Spk3];
+
 /// Renders the execution breakdown of one scheduler across all workloads.
 pub fn breakdown_table(cells: &[Cell<String>], kind: SchedulerKind) -> Table {
     let mut table = Table::new(

@@ -26,10 +26,11 @@
 //! grid.  [`replay`]
 //! is the streaming [`sprinkler_workloads::TraceSource`] → SSD boundary every
 //! experiment feeds through (bounded admission + logical-capacity validation),
-//! [`scenario`] is the named-scenario registry (enterprise replay, GC
-//! steady-state, queue-depth sweep, mixed bursts, array scale-out and skew on
-//! the `sprinkler_array` frontend), and [`report`] renders plain-text tables
-//! whose rows mirror the paper's series.
+//! [`scenario`] is the named registry — every figure above by name, plus the
+//! operational scenarios (enterprise replay, GC steady-state, queue-depth
+//! sweep, mixed bursts, the `sprinkler_array` frontend, tenants) — that the
+//! `scenarios` binary prints, and [`report`] renders plain-text tables whose
+//! rows mirror the paper's series.
 //!
 //! Absolute numbers differ from the paper (our substrate is a from-scratch
 //! simulator, not the authors' testbed); the comparisons the paper draws — who
@@ -77,4 +78,3 @@ pub mod table1;
 pub use replay::{run_source, run_source_detailed, CapacityPolicy, ReplayError};
 pub use report::Table;
 pub use runner::{run_cells, run_matrix, run_one, to_host_requests, Cell, ExperimentScale};
-pub use scenario::SCENARIO_NAMES;

@@ -1,9 +1,16 @@
-//! The named-scenario registry.
+//! The named registry: every reproduced paper figure and every standing
+//! scenario, each rendered by the module that computes it.
 //!
-//! The figure modules reproduce the paper's published panels; the registry
-//! covers the *operational* situations a production many-chip SSD must handle,
-//! each as a named, deterministic, scale-aware experiment whose cells fan out
-//! over [`run_cells`](crate::runner::run_cells):
+//! [`report`] runs any registered name at a given scale and returns its
+//! tables; the `scenarios` binary prints them (CI runs every name at quick
+//! scale).  Each of the [`FIGURE_NAMES`] runs its figure module's `run` and
+//! renders that module's tables; `fig10` also renders Figs 11, 13 and 14,
+//! which read the same scheduler × workload matrix.
+//!
+//! The scenarios cover the *operational* situations a production many-chip
+//! SSD must handle, each a deterministic, scale-aware experiment whose cells
+//! fan out over [`run_cells`](crate::runner::run_cells) and render as one
+//! bandwidth and latency [`table`]:
 //!
 //! | scenario            | what it exercises |
 //! |---------------------|-------------------|
@@ -21,9 +28,7 @@
 //! Every scenario compares the conventional controller (VAS) against full
 //! Sprinkler (SPK3) and returns one [`Cell`] per variant and scheduler, keyed
 //! by the variant's label, so regressions in any operating regime — not just
-//! the paper's figures — are visible from one `run_all` call.  The
-//! `scenarios` binary runs the registry from the command line (CI runs it at
-//! quick scale).
+//! the paper's figures — are visible in one run of the binary.
 
 use sprinkler_array::{run_array, ArrayConfig, ArrayMetrics, RebalanceConfig};
 use sprinkler_core::SchedulerKind;
@@ -39,6 +44,20 @@ use sprinkler_workloads::{FootprintSlice, SlicedSource, TraceSource};
 use crate::replay::{run_source, run_source_detailed, CapacityPolicy};
 use crate::report::{fmt_f64, grid_table, Table};
 use crate::runner::{find, keys, run_grid, Cell, ExperimentScale};
+use crate::{fig01, fig06, fig10, fig11, fig12, fig13, fig14, fig15, fig15_scaling, fig16, fig17};
+
+/// The registered figure names, in paper order.
+pub const FIGURE_NAMES: [&str; 9] = [
+    "table1",
+    "fig01",
+    "fig06",
+    "fig10",
+    "fig12",
+    "fig15",
+    "fig15-scaling",
+    "fig16",
+    "fig17",
+];
 
 /// The registered scenario names, in run order.
 pub const SCENARIO_NAMES: [&str; 10] = [
@@ -110,12 +129,80 @@ pub fn run(name: &str, scale: &ExperimentScale) -> Option<Vec<Cell<String>>> {
     })
 }
 
-/// Runs every registered scenario, in [`SCENARIO_NAMES`] order.
-pub fn run_all(scale: &ExperimentScale) -> Vec<Vec<Cell<String>>> {
-    SCENARIO_NAMES
-        .iter()
-        .map(|name| run(name, scale).expect("registry names are valid"))
-        .collect()
+/// Every name [`report`] accepts: the figures, then the scenarios.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    FIGURE_NAMES.into_iter().chain(SCENARIO_NAMES)
+}
+
+/// Runs one registered figure or scenario at the given scale and renders
+/// every table it prints, in order.  Returns `None` for a name outside
+/// [`names`].
+///
+/// # Panics
+///
+/// Panics if a run completed no I/O: such a cell still renders a row, so a
+/// table could cover nothing and look fine.
+pub fn report(name: &str, scale: &ExperimentScale) -> Option<Vec<Table>> {
+    Some(match name {
+        "table1" => vec![crate::table1::run(scale).render()],
+        "fig01" => {
+            let cells = ran(fig01::run(scale));
+            vec![
+                fig01::bandwidth_table(&cells),
+                fig01::utilization_table(&cells),
+            ]
+        }
+        "fig06" => vec![fig06::render(&ran(fig06::run(scale, None)))],
+        "fig10" => {
+            let cells = ran(fig10::run(scale, None));
+            let mut tables = vec![
+                fig10::bandwidth_table(&cells),
+                fig10::iops_table(&cells),
+                fig10::latency_table(&cells),
+                fig10::queue_stall_table(&cells),
+                fig11::inter_chip_table(&cells),
+                fig11::intra_chip_table(&cells),
+            ];
+            tables.extend(fig13::FIG13_SCHEDULERS.map(|kind| fig13::breakdown_table(&cells, kind)));
+            tables.extend(fig14::FIG14_SCHEDULERS.map(|kind| fig14::flp_table(&cells, kind)));
+            tables
+        }
+        "fig12" => vec![fig12::render(&ran(fig12::run(scale, fig12::PAPER_IOS)))],
+        "fig15" => {
+            let cells = ran(fig15::run(scale, None));
+            fig15::CHIP_COUNTS
+                .map(|chips| fig15::panel(&cells, chips))
+                .to_vec()
+        }
+        "fig15-scaling" => {
+            let cells = ran(fig15_scaling::run(scale, None, None));
+            fig15_scaling::TRANSFER_SIZES_KB
+                .map(|kb| fig15_scaling::panel(&cells, kb))
+                .to_vec()
+        }
+        "fig16" => {
+            let cells = ran(fig16::run(scale, None));
+            fig16::CHIP_COUNTS
+                .map(|chips| fig16::panel(&cells, chips))
+                .to_vec()
+        }
+        "fig17" => {
+            let cells = ran(fig17::run(scale, None));
+            fig17::CHIP_COUNTS
+                .map(|chips| fig17::panel(&cells, chips))
+                .to_vec()
+        }
+        _ => vec![table(name, &ran(run(name, scale)?))],
+    })
+}
+
+/// Passes `cells` through once every one of them has completed I/O.
+fn ran<K>(cells: Vec<Cell<K>>) -> Vec<Cell<K>> {
+    assert!(
+        !cells.is_empty() && cells.iter().all(|c| c.metrics.io_count > 0),
+        "a registered run completed no I/O"
+    );
+    cells
 }
 
 /// Names a cell by its variant label.
@@ -746,15 +833,15 @@ mod tests {
     #[test]
     fn unknown_names_are_rejected() {
         assert!(run("no-such-scenario", &tiny()).is_none());
+        assert!(report("fig99", &tiny()).is_none());
     }
 
     #[test]
     fn every_registered_scenario_runs_and_reports() {
-        let outcomes = run_all(&tiny());
-        assert_eq!(outcomes.len(), SCENARIO_NAMES.len());
-        for (cells, name) in outcomes.iter().zip(SCENARIO_NAMES) {
+        for name in SCENARIO_NAMES {
+            let cells = run(name, &tiny()).expect("registry names are valid");
             assert!(!cells.is_empty(), "{name} produced no cells");
-            for cell in cells {
+            for cell in &cells {
                 assert!(
                     cell.metrics.io_count > 0,
                     "{name}/{} completed no I/Os",
@@ -762,8 +849,31 @@ mod tests {
                 );
                 assert!(cell.metrics.bandwidth_kb_per_sec > 0.0);
             }
-            let rendered = table(name, cells).render();
+            let rendered = table(name, &cells).render();
             assert!(rendered.contains(name));
+        }
+    }
+
+    /// Every figure name renders through the registry, the scaling sweep's
+    /// 1024-chip point included.
+    #[test]
+    fn every_registered_figure_renders_its_tables() {
+        let scale = ExperimentScale {
+            ios_per_workload: 24,
+            blocks_per_plane: 4,
+        };
+        for name in FIGURE_NAMES {
+            let tables = report(name, &scale).unwrap_or_else(|| panic!("{name} is unregistered"));
+            assert!(!tables.is_empty(), "{name} rendered no table");
+            for table in &tables {
+                assert!(
+                    table.row_count() > 0,
+                    "{name} rendered an empty table:\n{table}"
+                );
+            }
+            if name == "fig15-scaling" {
+                assert!(tables.iter().all(|t| t.render().contains("\n1024 ")));
+            }
         }
     }
 

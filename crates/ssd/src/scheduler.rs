@@ -78,7 +78,7 @@ impl<'a> SchedulerContext<'a> {
 }
 
 /// A device-level I/O scheduler implemented in the NVMHC.
-pub trait IoScheduler: fmt::Debug + Send {
+pub trait IoScheduler: fmt::Debug {
     /// Human-readable scheduler name ("VAS", "PAS", "SPK3", ...).
     fn name(&self) -> &'static str;
 

@@ -47,10 +47,6 @@ pub struct TenantAdmissionStats {
     pub throttles: u64,
     /// Payload bytes admitted.
     pub bytes: u64,
-    /// Total submission-to-admission delay, ns.
-    pub queued_delay_ns: u64,
-    /// Largest single submission-to-admission delay, ns.
-    pub max_queued_delay_ns: u64,
 }
 
 /// One record of the merged stream with its tenant attribution.
@@ -267,12 +263,9 @@ impl<'a> TenantMux<'a> {
                     lane.head = None;
                     lane.bucket.charge(clock, head.bytes);
                     let submitted = head.arrival;
-                    let queued = clock.saturating_since(submitted).as_nanos();
                     lane.stats.admitted += 1;
                     lane.stats.bytes += head.bytes;
-                    lane.stats.queued_delay_ns += queued;
-                    lane.stats.max_queued_delay_ns = lane.stats.max_queued_delay_ns.max(queued);
-                    if queued > 0 {
+                    if clock > submitted {
                         lane.stats.deferrals += 1;
                     }
                     if lane.head_throttled {

@@ -1,8 +1,8 @@
 //! Sprinkler — a reproduction of *"Sprinkler: Maximizing Resource Utilization in
 //! Many-Chip Solid State Disks"* (Jung & Kandemir, HPCA 2014) as a Rust workspace.
 //!
-//! This facade crate re-exports the workspace's crates under one roof so examples,
-//! integration tests, and downstream users can depend on a single package:
+//! This facade crate re-exports the workspace's crates under one roof so the
+//! integration tests and downstream users can depend on a single package:
 //!
 //! * [`sim`] — discrete-event simulation primitives (time, event queue, RNG, stats).
 //! * [`flash`] — the NAND flash microarchitecture model (geometry, ONFI timing,
@@ -23,7 +23,8 @@
 //!   isolation, and per-tenant QoS metrics ahead of the device scheduler.
 //! * [`experiments`] — one module per table/figure of the paper's evaluation,
 //!   the streaming replay boundary (bounded admission + logical-capacity
-//!   validation), and the named-scenario registry.
+//!   validation), and the named registry the `scenarios` binary prints every
+//!   figure and scenario through.
 //!
 //! # Quickstart
 //!
