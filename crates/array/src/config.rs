@@ -4,17 +4,21 @@ use sprinkler_ssd::SsdConfig;
 
 use crate::placement::{PlacementMap, RebalanceConfig, Rebalancer};
 use crate::splitter::StripeRouter;
-use crate::stripe::StripeMap;
 
 /// Upper bound on array width: each device replays on its own scoped thread,
 /// so the width is also the replay's thread fan-out.
 pub const MAX_DEVICES: usize = 64;
 
+/// The most stripes a rebalancing array tracks: its placement and heat tables
+/// hold one entry per stripe of the footprint, 24 bytes in all, so this caps
+/// them at 24 MiB.
+pub const MAX_TRACKED_STRIPES: u64 = 1 << 20;
+
 /// Configuration of a striped array of Sprinkler SSDs.
 ///
 /// Devices carry their own [`SsdConfig`] each, so arrays may be heterogeneous
 /// — mixed chip counts, queue depths, or flash timing profiles.  Placement
-/// starts as chunked round-robin ([`StripeMap`]); setting a
+/// is chunked round-robin (see [`PlacementMap`]); setting a
 /// [`RebalanceConfig`] turns on the adaptive placement layer that migrates
 /// hot stripes between devices during replay.
 ///
@@ -28,7 +32,7 @@ pub const MAX_DEVICES: usize = 64;
 ///     .with_devices(4)
 ///     .with_stripe_kb(256);
 /// config.validate().unwrap();
-/// assert_eq!(config.stripe_map().devices(), 4);
+/// assert_eq!(config.width(), 4);
 ///
 /// // Heterogeneous: a big device fronting two small ones.
 /// let hetero = ArrayConfig::heterogeneous(vec![
@@ -166,13 +170,6 @@ impl ArrayConfig {
         self.devices[device].geometry.capacity_bytes() / self.stripe_bytes
     }
 
-    /// Per-device whole-stripe slot capacities.
-    pub fn slot_caps(&self) -> Vec<u64> {
-        (0..self.width())
-            .map(|d| self.stripes_per_device(d))
-            .collect()
-    }
-
     /// Per-device service weights for load normalization: total flash chips,
     /// so a 32-chip device is expected to absorb twice a 16-chip device's
     /// traffic before either counts as overloaded.
@@ -190,48 +187,40 @@ impl ArrayConfig {
     /// `min over d of (slots(d) * n + d)` stripes — which reduces to
     /// `n * slots * stripe_bytes` for homogeneous arrays, today's formula.
     /// Migrations only ever move stripes into free slots below the same
-    /// caps, so the bound holds for adaptive placement too.
+    /// caps, so the bound holds for adaptive placement too, which further
+    /// tracks at most [`MAX_TRACKED_STRIPES`] stripes.
     pub fn logical_capacity_bytes(&self) -> u64 {
         let n = self.width() as u64;
-        (0..self.width())
+        let stripes = (0..self.width())
             .map(|d| (self.stripes_per_device(d).saturating_mul(n)).saturating_add(d as u64))
             .min()
-            .unwrap_or(0)
-            .saturating_mul(self.stripe_bytes)
-    }
-
-    /// The static striping map this configuration induces.
-    pub fn stripe_map(&self) -> StripeMap {
-        StripeMap::new(self.width(), self.stripe_bytes)
-    }
-
-    /// The initial (round-robin identity) placement map covering a global
-    /// footprint of `footprint_bytes`, with this configuration's per-device
-    /// slot capacities.
-    pub fn placement_map(&self, footprint_bytes: u64) -> PlacementMap {
-        let total_stripes = footprint_bytes.div_ceil(self.stripe_bytes);
-        PlacementMap::round_robin(
-            self.width(),
-            self.stripe_bytes,
-            total_stripes,
-            self.slot_caps(),
-        )
+            .unwrap_or(0);
+        let stripes = match self.rebalance {
+            Some(_) => stripes.min(MAX_TRACKED_STRIPES),
+            None => stripes,
+        };
+        stripes.saturating_mul(self.stripe_bytes)
     }
 
     /// The router that splits a source whose footprint bound is
-    /// `footprint_bytes` across this array: static striping, or, with a
-    /// rebalance tuning set, the adaptive placement layer starting from
-    /// [`ArrayConfig::placement_map`].
+    /// `footprint_bytes` (at most [`ArrayConfig::logical_capacity_bytes`])
+    /// across this array.  Its [`PlacementMap`] starts round-robin: with no
+    /// rebalance tuning it tracks no stripe, and with one it tracks the
+    /// footprint's stripes for a [`Rebalancer`] to move.
     pub fn router(&self, footprint_bytes: u64) -> StripeRouter {
-        match &self.rebalance {
-            None => StripeRouter::new(self.stripe_map()),
-            Some(rebalance) => {
-                let placement = self.placement_map(footprint_bytes);
-                let total_stripes = placement.total_stripes();
-                let rebalancer = Rebalancer::new(*rebalance, self.device_weights(), total_stripes);
-                StripeRouter::adaptive(placement, rebalancer)
-            }
-        }
+        let tracked = match self.rebalance {
+            Some(_) => footprint_bytes.div_ceil(self.stripe_bytes),
+            None => 0,
+        };
+        let slot_caps = (0..self.width())
+            .map(|d| self.stripes_per_device(d))
+            .collect();
+        let placement =
+            PlacementMap::round_robin(self.width(), self.stripe_bytes, tracked, slot_caps);
+        let rebalancer = self
+            .rebalance
+            .map(|tuning| Rebalancer::new(tuning, self.device_weights(), tracked));
+        StripeRouter::new(placement, rebalancer)
     }
 }
 
@@ -358,16 +347,51 @@ mod tests {
 
     #[test]
     fn placement_map_matches_the_static_capacity_contract() {
-        let config = ArrayConfig::new(SsdConfig::small_test())
+        use sprinkler_sim::SimTime;
+        use sprinkler_workloads::{TraceOp, TraceRecord};
+        let fixed = ArrayConfig::new(SsdConfig::small_test())
             .with_devices(3)
             .with_stripe_kb(64);
-        config.validate().unwrap();
-        let placement = config.placement_map(config.logical_capacity_bytes());
+        let inert = fixed.clone().with_rebalance(RebalanceConfig {
+            max_total_migrations: 0,
+            ..RebalanceConfig::default()
+        });
+        inert.validate().unwrap();
         // The full-capacity image fits the slot caps (round_robin would have
-        // panicked otherwise) and routes like the closed-form map.
-        let map = config.stripe_map();
+        // panicked otherwise), and the map tracking it routes like the
+        // static array's, which tracks no stripe.
+        let capacity = inert.logical_capacity_bytes();
+        assert_eq!(capacity, fixed.logical_capacity_bytes());
+        let mut tracked = inert.router(capacity);
+        let mut untracked = fixed.router(capacity);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         for offset in [0, 1, 65_535, 65_536, 400_000] {
-            assert_eq!(placement.locate(offset), map.locate(offset));
+            let record = TraceRecord {
+                id: 0,
+                arrival: SimTime::ZERO,
+                op: TraceOp::Read,
+                offset,
+                bytes: 70_000,
+            };
+            tracked.route(&record, &mut a);
+            untracked.route(&record, &mut b);
+            assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn rebalancing_capacity_stops_at_the_tracked_stripe_cap() {
+        // Four 256 GiB devices: a terabyte of 2 KiB stripes, 2^29 of them,
+        // far past what a rebalancer may track.
+        let fixed = ArrayConfig::new(SsdConfig::paper_default())
+            .with_devices(4)
+            .with_stripe_kb(2);
+        let adaptive = fixed.clone().with_rebalance(RebalanceConfig::default());
+        adaptive.validate().unwrap();
+        assert_eq!(fixed.logical_capacity_bytes(), 1 << 40);
+        assert_eq!(
+            adaptive.logical_capacity_bytes(),
+            MAX_TRACKED_STRIPES * fixed.stripe_bytes
+        );
     }
 }

@@ -5,17 +5,19 @@
 //! sharding layer.  This crate is that layer, kept deliberately simple and
 //! deterministic so scheduler comparisons stay attributable:
 //!
-//! * [`StripeMap`] — chunked round-robin striping of one logical byte address
-//!   space over N devices, with an exact LPN ↔ (device, local LPN) bijection
-//!   and loss-free splitting of requests that straddle stripe boundaries;
-//! * [`PlacementMap`] / [`Rebalancer`] — the adaptive layer: a remappable
-//!   stripe → (device, slot) indirection that starts round-robin-identical,
-//!   per-stripe heat tracking, and hot-stripe migration between replay
-//!   windows with the copy cost charged as injected device traffic
-//!   (enabled per-array via [`RebalanceConfig`]);
+//! * [`PlacementMap`] — chunked round-robin striping of one logical byte
+//!   address space over N devices, with an exact LPN ↔ (device, local LPN)
+//!   bijection and loss-free splitting of requests that straddle stripe
+//!   boundaries.  A static array's map tracks no stripe and computes every
+//!   placement in closed form; a rebalancing array's map tracks its
+//!   footprint's stripes so they can move;
+//! * [`Rebalancer`] — per-stripe heat tracking and hot-stripe migration
+//!   between replay windows, with the copy cost charged as injected device
+//!   traffic (enabled per-array via [`RebalanceConfig`]);
 //! * [`StripeRouter`] — routes the records of one trace, in trace order,
-//!   into per-device fragments with dense per-device ids and nondecreasing
-//!   arrivals, applying the rebalancer's migrations as it goes;
+//!   through the array's one [`PlacementMap`] into per-device fragments with
+//!   dense per-device ids and nondecreasing arrivals, applying the
+//!   rebalancer's migrations as it goes;
 //! * [`run_array`] — routes a streaming
 //!   [`TraceSource`](sprinkler_workloads::TraceSource) on the calling thread
 //!   into one bounded channel per device, while every device runs
@@ -51,11 +53,11 @@ pub mod metrics;
 pub mod placement;
 pub mod replay;
 pub mod splitter;
-pub mod stripe;
 
-pub use config::{ArrayConfig, MAX_DEVICES};
+pub use config::{ArrayConfig, MAX_DEVICES, MAX_TRACKED_STRIPES};
 pub use metrics::{ArrayMetrics, DeviceSkew};
-pub use placement::{Migration, PlacementMap, PlacementStats, RebalanceConfig, Rebalancer};
+pub use placement::{
+    Fragment, Migration, PlacementMap, PlacementStats, RebalanceConfig, Rebalancer,
+};
 pub use replay::{run_array, ArrayError};
 pub use splitter::StripeRouter;
-pub use stripe::{Fragment, StripeMap};

@@ -1,22 +1,20 @@
-//! Adaptive stripe placement: the remappable indirection layer between the
-//! global striped address space and the devices, plus the heat tracker and
-//! rebalancer that drive it.
+//! Stripe placement: the one map from the global striped address space to
+//! the devices, plus the heat tracker and rebalancer that remap it.
 //!
-//! [`StripeMap`](crate::StripeMap) is a closed-form bijection: global stripe
-//! `s` lives on device `s % n` at local slot `s / n`, forever.  That is
-//! exactly what a static RAID-0 layer computes, and exactly what a host-level
-//! placement layer cannot live with: a hot stripe is pinned to whatever
-//! device the modulus dealt it to.  [`PlacementMap`] starts from the same
-//! round-robin layout but holds it as *state* — a forward table
-//! `stripe → (device, slot)` and per-device slot occupancy — so stripes can
-//! be [migrated](PlacementMap::migrate) between devices while the
+//! Every array routes through a [`PlacementMap`].  Its layout is chunked
+//! round-robin over fixed-size stripes, like RAID-0: global stripe `s` lives
+//! on device `s % n` at local slot `s / n`.  A static array's map tracks no
+//! stripe, so every lookup takes that closed form.  A rebalancing array's map
+//! holds the same layout as *state* for its footprint's stripes — a forward
+//! table `stripe → (device, slot)` and per-device slot occupancy — so a hot
+//! stripe can be [migrated](PlacementMap::migrate) between devices while the
 //! LPN ↔ (device, local LPN) bijection is preserved by construction: a
 //! migration moves a stripe into a *free* slot, frees its old slot, and
-//! updates both directions of the table atomically.
+//! updates both directions of the table together.
 //!
 //! The adaptive pieces layer on top:
 //!
-//! * per-stripe **heat** — an EWMA of routed bytes, fed by the splitter on
+//! * per-stripe **heat** — an EWMA of routed bytes, fed by the router on
 //!   every record and decayed once per rebalance window;
 //! * a **[`Rebalancer`]** — between replay windows it compares per-device
 //!   heat loads (normalized by a per-device service weight, so heterogeneous
@@ -28,14 +26,28 @@
 //!   device and a stripe-sized write on the target, so rebalancing pays for
 //!   itself in simulated time like it would in a real JBOF.
 //!
-//! With no migrations applied, every lookup agrees with the closed-form
-//! [`StripeMap`](crate::StripeMap) — pinned by differential tests — so the
-//! indirection is
-//! behavior-preserving until a rebalancer actually acts.
+//! Until a migration is applied, a tracked stripe sits exactly where the
+//! closed form puts it, so a map that tracks stripes routes like one that
+//! tracks none — pinned by differential tests.
 
 use sprinkler_workloads::TraceRecord;
 
-use crate::stripe::Fragment;
+/// One piece of a split trace record: a contiguous local byte range on one
+/// device.  Fragments of a record that land locally contiguous on the same
+/// device (every *middle* stripe a device owns within a straddling record is
+/// locally adjacent to its previous one) are coalesced into a single fragment,
+/// so a 1-device array reproduces the original record exactly and a large
+/// request becomes at most a handful of per-device requests, not one per
+/// stripe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fragment {
+    /// The device the fragment lands on.
+    pub device: usize,
+    /// Byte offset in the device's *local* address space.
+    pub offset: u64,
+    /// Fragment length in bytes (≥ 1).
+    pub bytes: u64,
+}
 
 /// Sentinel for an unoccupied slot in the per-device occupancy tables.
 const FREE: u64 = u64::MAX;
@@ -55,16 +67,18 @@ pub struct Migration {
     pub to_slot: u64,
 }
 
-/// The remappable stripe → (device, local slot) indirection table.
+/// The stripe → (device, local slot) map: closed-form round-robin for every
+/// stripe it does not track, a remappable table for those it does.
 ///
 /// # Example
 ///
 /// ```
 /// use sprinkler_array::PlacementMap;
 ///
-/// // 4 devices, 1 MiB stripes, 8 tracked stripes, unbounded slots.
+/// // A rebalancing array tracks its footprint's stripes (8 here), starting
+/// // from the closed-form layout (see `locate`), and can move them.
 /// let mut map = PlacementMap::round_robin(4, 1 << 20, 8, vec![u64::MAX; 4]);
-/// assert_eq!(map.locate(5 << 20), (1, 1 << 20)); // identical to StripeMap
+/// assert_eq!(map.locate(5 << 20), (1, 1 << 20)); // stripe 5 → device 1, slot 1
 /// let m = map.migrate(5, 2).expect("device 2 has free slots");
 /// assert_eq!((m.from_device, m.to_device), (1, 2));
 /// assert_eq!(map.locate(5 << 20), (2, m.to_slot * (1 << 20)));
@@ -91,10 +105,10 @@ pub struct PlacementMap {
 }
 
 impl PlacementMap {
-    /// Builds the identity placement: the same chunked round-robin layout as
-    /// `StripeMap::new(devices, stripe_bytes)`, covering global stripes
-    /// `0..total_stripes`, with `slot_caps[d]` whole-stripe slots available
-    /// on device `d`.
+    /// Builds the chunked round-robin placement of `stripe_bytes`-sized
+    /// stripes over `devices` devices, tracking global stripes
+    /// `0..total_stripes` (none on a static array), with `slot_caps[d]`
+    /// whole-stripe slots available on device `d`.
     ///
     /// # Panics
     ///
@@ -157,12 +171,6 @@ impl PlacementMap {
         self.stripe_bytes
     }
 
-    /// Global stripes the table tracks (offsets past this fall back to the
-    /// closed-form round-robin layout, which migrations never touch).
-    pub fn total_stripes(&self) -> u64 {
-        self.forward.len() as u64
-    }
-
     /// The device currently holding global stripe `stripe`.
     pub fn stripe_device(&self, stripe: u64) -> usize {
         match self.forward.get(stripe as usize) {
@@ -183,6 +191,19 @@ impl PlacementMap {
     }
 
     /// Maps a global byte offset to `(device, local byte offset)`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use sprinkler_array::PlacementMap;
+    ///
+    /// // A static array: 4 devices, 1 MiB stripes, no tracked stripe.
+    /// let map = PlacementMap::round_robin(4, 1 << 20, 0, vec![u64::MAX; 4]);
+    /// let (device, local) = map.locate((5 << 20) + 17);
+    /// assert_eq!(device, 1); // stripe 5 → device 5 % 4
+    /// assert_eq!(local, (1 << 20) + 17); // local slot 5 / 4 = 1
+    /// assert_eq!(map.to_global(device, local), (5 << 20) + 17);
+    /// ```
     pub fn locate(&self, global_offset: u64) -> (usize, u64) {
         let (device, slot) = self.stripe_slot(global_offset / self.stripe_bytes);
         (
@@ -544,7 +565,6 @@ impl Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stripe::StripeMap;
     use sprinkler_sim::SimTime;
     use sprinkler_workloads::TraceOp;
 
@@ -558,27 +578,136 @@ mod tests {
         }
     }
 
+    /// A map over `devices` devices of `stripe_bytes` stripes that tracks no
+    /// stripe: a static array's map.
+    fn untracked(devices: usize, stripe_bytes: u64) -> PlacementMap {
+        PlacementMap::round_robin(devices, stripe_bytes, 0, vec![u64::MAX; devices])
+    }
+
+    fn split(map: &PlacementMap, record: &TraceRecord) -> Vec<Fragment> {
+        let mut fragments = Vec::new();
+        map.split_into(record, &mut fragments);
+        fragments
+    }
+
     #[test]
     fn identity_placement_matches_the_closed_form_map() {
         let stripe_bytes = 4096;
-        let map = StripeMap::new(3, stripe_bytes);
-        let placement = PlacementMap::round_robin(3, stripe_bytes, 64, vec![u64::MAX; 3]);
+        let tracked = PlacementMap::round_robin(3, stripe_bytes, 64, vec![u64::MAX; 3]);
+        let untracked = untracked(3, stripe_bytes);
         for offset in [0, 1, 4095, 4096, 12287, 12288, 64 * 4096 - 1, 999_999] {
-            assert_eq!(placement.locate(offset), map.locate(offset));
+            let stripe = offset / stripe_bytes;
+            let closed_form = (
+                (stripe % 3) as usize,
+                stripe / 3 * stripe_bytes + offset % stripe_bytes,
+            );
+            assert_eq!(untracked.locate(offset), closed_form);
+            assert_eq!(tracked.locate(offset), closed_form);
+            // Both maps invert: the local offset maps back to the global one.
+            let (device, local) = closed_form;
+            assert_eq!(untracked.to_global(device, local), offset);
+            assert_eq!(tracked.to_global(device, local), offset);
         }
         for device in 0..3 {
-            for local in [0, 1, 4096, 40960] {
+            for local in [0, 1, 4096, 40960, 1 << 30] {
                 assert_eq!(
-                    placement.to_global(device, local),
-                    map.to_global(device, local)
+                    tracked.to_global(device, local),
+                    untracked.to_global(device, local)
                 );
             }
         }
         // Splits agree too.
         let record = rec(1000, 30_000);
-        let mut fragments = Vec::new();
-        placement.split_into(&record, &mut fragments);
-        assert_eq!(fragments, map.split(&record));
+        assert_eq!(split(&tracked, &record), split(&untracked, &record));
+    }
+
+    #[test]
+    fn locate_and_to_global_are_inverse() {
+        let map = untracked(3, 4096);
+        for offset in [0, 1, 4095, 4096, 12287, 12288, 999_999] {
+            let (device, local) = map.locate(offset);
+            assert!(device < 3);
+            assert_eq!(map.to_global(device, local), offset);
+        }
+    }
+
+    #[test]
+    fn lpn_map_round_trips_and_respects_stripe_ownership() {
+        let map = untracked(4, 8192); // 4 pages per stripe at 2 KB pages
+        for lpn in 0..64 {
+            let (device, local) = map.locate_lpn(lpn, 2048);
+            assert_eq!(map.lpn_to_global(device, local, 2048), lpn);
+            // Page's stripe decides the device.
+            assert_eq!(device, ((lpn * 2048) / 8192 % 4) as usize);
+        }
+    }
+
+    #[test]
+    fn single_device_split_is_the_identity() {
+        let record = rec(1000, 20_000); // straddles several stripes
+        assert_eq!(
+            split(&untracked(1, 4096), &record),
+            [Fragment {
+                device: 0,
+                offset: 1000,
+                bytes: 20_000
+            }]
+        );
+    }
+
+    #[test]
+    fn straddling_records_split_loss_free_in_order() {
+        // Bytes [500, 3700): stripe 0 tail (500), stripe 1 (1000), stripe 2
+        // (1000), stripe 3 head (700).  Stripes 0 and 2 are device 0 and
+        // locally contiguous ([500,1000) then [1000,2000)) → coalesce; stripes
+        // 1 and 3 are device 1's local stripes 0 and 1 ([0,1000) then
+        // [1000,1700)) → coalesce.
+        assert_eq!(
+            split(&untracked(2, 1000), &rec(500, 3200)),
+            [
+                Fragment {
+                    device: 0,
+                    offset: 500,
+                    bytes: 1500
+                },
+                Fragment {
+                    device: 1,
+                    offset: 0,
+                    bytes: 1700
+                }
+            ]
+        );
+    }
+
+    #[test]
+    fn fragments_map_back_to_the_original_range() {
+        let map = untracked(5, 777);
+        let record = rec(123, 10_000);
+        let mut covered: Vec<(u64, u64)> = Vec::new();
+        for f in split(&map, &record) {
+            // Walk the fragment stripe by stripe back into global space.
+            let mut local = f.offset;
+            let mut left = f.bytes;
+            while left > 0 {
+                let take = (777 - local % 777).min(left);
+                covered.push((map.to_global(f.device, local), take));
+                local += take;
+                left -= take;
+            }
+        }
+        covered.sort_unstable();
+        let mut expect = record.offset;
+        for (start, len) in covered {
+            assert_eq!(start, expect, "global coverage has a gap or overlap");
+            expect = start + len;
+        }
+        assert_eq!(expect, record.offset + record.bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one device")]
+    fn zero_devices_is_rejected() {
+        let _ = untracked(0, 4096);
     }
 
     #[test]

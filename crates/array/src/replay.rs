@@ -248,6 +248,45 @@ mod tests {
         assert!(error.to_string().contains("capacity"));
     }
 
+    /// Regression: a rebalancing array sized its placement and heat tables
+    /// by the footprint alone, so a terabyte footprint of 2 KiB stripes built
+    /// 12 GiB of tables.  One stripe past the tracked-stripe cap is now
+    /// refused before any table is built.
+    #[test]
+    fn rebalancing_footprints_past_the_tracked_stripe_cap_are_refused() {
+        use crate::config::MAX_TRACKED_STRIPES;
+        use crate::placement::RebalanceConfig;
+        use sprinkler_sim::SimTime;
+        use sprinkler_workloads::{Trace, TraceOp, TraceRecord};
+        // Two 2 GiB devices hold 2^21 stripes of 2 KiB, twice the cap.
+        let config = ArrayConfig::new(SsdConfig::paper_default().with_blocks_per_plane(16))
+            .with_devices(2)
+            .with_stripe_kb(2)
+            .with_rebalance(RebalanceConfig::default());
+        let stripe = config.stripe_bytes;
+        let cap = MAX_TRACKED_STRIPES * stripe;
+        // One record on the last stripe of a footprint of `stripes` stripes.
+        let replay = |stripes: u64| {
+            let record = TraceRecord {
+                id: 0,
+                arrival: SimTime::ZERO,
+                op: TraceOp::Write,
+                offset: (stripes - 1) * stripe,
+                bytes: stripe,
+            };
+            let trace = Trace::new("edge", vec![record]);
+            run_array(&config, SchedulerKind::Vas, &mut trace.source())
+        };
+        assert_eq!(
+            replay(MAX_TRACKED_STRIPES + 1).err(),
+            Some(ArrayError::FootprintExceedsCapacity {
+                footprint_bytes: cap + stripe,
+                capacity_bytes: cap,
+            })
+        );
+        assert_eq!(replay(MAX_TRACKED_STRIPES).unwrap().summary.io_count, 1);
+    }
+
     #[test]
     fn invalid_configs_are_rejected() {
         let mut config = quick_config(2);

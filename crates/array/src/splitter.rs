@@ -1,16 +1,15 @@
 //! Routing one trace into per-device shares.
 //!
 //! [`StripeRouter`] takes the records of one time-ordered trace, in trace
-//! order, and splits each at stripe boundaries via the [`StripeMap`] (or, for
-//! an [adaptive](StripeRouter::adaptive) router, the current
-//! [`PlacementMap`]) into per-device fragments.  Each device's fragments are
+//! order, and splits each at stripe boundaries through the array's
+//! [`PlacementMap`] into per-device fragments.  Each device's fragments are
 //! renumbered 0, 1, 2, … and carry their record's arrival time, so when the
 //! trace's arrivals are nondecreasing every device's share is itself a valid
 //! request stream: nondecreasing arrivals, dense ids, fragments within the
 //! device's local address space.
 //!
-//! The **adaptive** router additionally feeds every routed stripe's bytes into
-//! a [`Rebalancer`]'s heat EWMA and, at window boundaries, applies the
+//! On a rebalancing array the router also feeds every routed stripe's bytes
+//! into a [`Rebalancer`]'s heat EWMA and, at window boundaries, applies the
 //! migrations it selects: the placement table is remapped and the copy cost is
 //! charged as injected traffic — a stripe-sized read on the source device and
 //! a stripe-sized write on the target, stamped with the routed record's
@@ -20,28 +19,18 @@
 
 use sprinkler_workloads::{TraceOp, TraceRecord};
 
-use crate::placement::{Migration, PlacementMap, PlacementStats, Rebalancer};
-use crate::stripe::{Fragment, StripeMap};
-
-/// The adaptive-placement state: the remappable placement table plus the
-/// heat tracker that drives it.
-#[derive(Debug)]
-struct Adaptive {
-    placement: PlacementMap,
-    rebalancer: Rebalancer,
-    /// Reusable scratch for each window's selected migrations.
-    migrations: Vec<Migration>,
-}
+use crate::placement::{Fragment, Migration, PlacementMap, PlacementStats, Rebalancer};
 
 /// Splits a trace's records, in trace order, into per-device fragments (see
 /// the module docs).
 #[derive(Debug)]
 pub struct StripeRouter {
-    /// The closed-form striping; it routes unless `adaptive` is set.
-    map: StripeMap,
-    /// `Some` on adaptive routers; `None` keeps routing byte-identical to the
-    /// closed-form striping.
-    adaptive: Option<Adaptive>,
+    /// Where each stripe lives; it tracks no stripe on a static array.
+    placement: PlacementMap,
+    /// The heat tracker that remaps `placement`, on rebalancing arrays only.
+    rebalancer: Option<Rebalancer>,
+    /// Reusable scratch for each window's selected migrations.
+    migrations: Vec<Migration>,
     /// Next per-device fragment id; each device's share is numbered 0, 1, 2,
     /// … so device replays see dense, monotonic request ids.
     next_ids: Vec<u64>,
@@ -51,44 +40,46 @@ pub struct StripeRouter {
 }
 
 impl StripeRouter {
-    /// Routes over `map.devices()` devices with static round-robin placement.
-    pub fn new(map: StripeMap) -> Self {
+    /// Routes over `placement.devices()` devices through `placement`, which
+    /// must track the trace's footprint when a `rebalancer` remaps it; the
+    /// rebalancer's selected migrations remap the table and inject their copy
+    /// traffic.
+    pub fn new(placement: PlacementMap, rebalancer: Option<Rebalancer>) -> Self {
         StripeRouter {
-            map,
-            adaptive: None,
-            next_ids: vec![0; map.devices()],
+            next_ids: vec![0; placement.devices()],
+            placement,
+            rebalancer,
+            migrations: Vec::new(),
             scratch: Vec::with_capacity(4),
-        }
-    }
-
-    /// Routes with **adaptive** placement: records route through `placement`
-    /// (which must start covering the trace's footprint), heat feeds
-    /// `rebalancer`, and selected migrations remap the table and inject their
-    /// copy traffic.
-    pub fn adaptive(placement: PlacementMap, rebalancer: Rebalancer) -> Self {
-        let map = StripeMap::new(placement.devices(), placement.stripe_bytes());
-        StripeRouter {
-            adaptive: Some(Adaptive {
-                placement,
-                rebalancer,
-                migrations: Vec::new(),
-            }),
-            ..Self::new(map)
         }
     }
 
     /// Routes one record: clears `out` and fills it with `(device, fragment)`
     /// pairs, the record's fragments in global address order followed, on
-    /// adaptive routers at a window boundary, by the copy traffic of the
+    /// rebalancing arrays at a window boundary, by the copy traffic of the
     /// migrations applied there.
     pub fn route(&mut self, record: &TraceRecord, out: &mut Vec<(usize, TraceRecord)>) {
         out.clear();
         let StripeRouter {
-            map,
-            adaptive,
+            placement,
+            rebalancer,
+            migrations,
             next_ids,
             scratch,
         } = self;
+        let stripe_bytes = placement.stripe_bytes();
+        if let Some(rebalancer) = rebalancer.as_mut() {
+            // Heat first: walk the record's stripes and charge each with its
+            // share of the bytes, against the *current* placement.
+            let mut offset = record.offset;
+            let mut remaining = record.bytes.max(1);
+            while remaining > 0 {
+                let take = (stripe_bytes - offset % stripe_bytes).min(remaining);
+                rebalancer.note(offset / stripe_bytes, take, placement);
+                offset += take;
+                remaining -= take;
+            }
+        }
         let mut emit = |device: usize, op, offset, bytes| {
             let id = next_ids[device];
             next_ids[device] += 1;
@@ -103,62 +94,37 @@ impl StripeRouter {
                 },
             ));
         };
-        match adaptive {
-            None => map.split_into(record, scratch),
-            Some(Adaptive {
-                placement,
-                rebalancer,
-                ..
-            }) => {
-                // Heat first: walk the record's stripes and charge each with
-                // its share of the bytes, against the *current* placement.
-                let stripe_bytes = placement.stripe_bytes();
-                let mut offset = record.offset;
-                let mut remaining = record.bytes.max(1);
-                while remaining > 0 {
-                    let take = (stripe_bytes - offset % stripe_bytes).min(remaining);
-                    rebalancer.note(offset / stripe_bytes, take, placement);
-                    offset += take;
-                    remaining -= take;
-                }
-                placement.split_into(record, scratch);
-            }
-        }
+        placement.split_into(record, scratch);
         for fragment in scratch.iter() {
             emit(fragment.device, record.op, fragment.offset, fragment.bytes);
         }
-        if let Some(Adaptive {
-            placement,
-            rebalancer,
-            migrations,
-        }) = adaptive
-        {
-            rebalancer.record_routed(placement, migrations);
-            let stripe_bytes = placement.stripe_bytes();
-            for migration in migrations.iter() {
-                // Charge the copy: a stripe-sized read where the stripe was,
-                // a stripe-sized write where it now lives.
-                emit(
-                    migration.from_device,
-                    TraceOp::Read,
-                    migration.from_slot * stripe_bytes,
-                    stripe_bytes,
-                );
-                emit(
-                    migration.to_device,
-                    TraceOp::Write,
-                    migration.to_slot * stripe_bytes,
-                    stripe_bytes,
-                );
-            }
+        let Some(rebalancer) = rebalancer else {
+            return;
+        };
+        rebalancer.record_routed(placement, migrations);
+        for migration in migrations.iter() {
+            // Charge the copy: a stripe-sized read where the stripe was, a
+            // stripe-sized write where it now lives.
+            emit(
+                migration.from_device,
+                TraceOp::Read,
+                migration.from_slot * stripe_bytes,
+                stripe_bytes,
+            );
+            emit(
+                migration.to_device,
+                TraceOp::Write,
+                migration.to_slot * stripe_bytes,
+                stripe_bytes,
+            );
         }
     }
 
-    /// The placement layer's counters so far: zero on static routers.
+    /// The placement layer's counters so far: zero on static arrays.
     pub fn placement_stats(&self) -> PlacementStats {
-        self.adaptive
+        self.rebalancer
             .as_ref()
-            .map(|state| state.rebalancer.stats)
+            .map(|rebalancer| rebalancer.stats)
             .unwrap_or_default()
     }
 }
@@ -167,6 +133,14 @@ impl StripeRouter {
 mod tests {
     use super::*;
     use crate::placement::RebalanceConfig;
+
+    /// A static array's router: `devices` devices of `stripe_bytes` stripes,
+    /// no tracked stripe, no rebalancer.
+    fn fixed(devices: usize, stripe_bytes: u64) -> StripeRouter {
+        let placement =
+            PlacementMap::round_robin(devices, stripe_bytes, 0, vec![u64::MAX; devices]);
+        StripeRouter::new(placement, None)
+    }
     use sprinkler_sim::SimTime;
     use sprinkler_workloads::{SyntheticSpec, Trace, TraceOp, TraceSource};
 
@@ -205,8 +179,7 @@ mod tests {
                 rec(2, 9, 2500, 1000), // straddle: dev 0 [500) + dev 1 [500)
             ],
         );
-        let mut router = StripeRouter::new(StripeMap::new(2, 1000));
-        let shares = shares(&mut router, &mut trace.source());
+        let shares = shares(&mut fixed(2, 1000), &mut trace.source());
         let pieces = |device: usize| -> Vec<(u64, u64, u64)> {
             shares[device]
                 .iter()
@@ -224,11 +197,18 @@ mod tests {
     fn sub_streams_keep_nondecreasing_arrivals_and_footprints() {
         let spec = SyntheticSpec::new("fan").with_footprint_mb(8);
         let mut source = spec.stream(400, 0xFA);
-        let footprint = source.footprint_bytes();
-        let map = StripeMap::new(3, 64 * 1024);
-        let shares = shares(&mut StripeRouter::new(map), &mut source);
+        let stripe = 64 * 1024;
+        // The whole-stripe image of the footprint on each device: the slot
+        // bound of a map that tracks the footprint's stripes.
+        let image = PlacementMap::round_robin(
+            3,
+            stripe,
+            source.footprint_bytes().div_ceil(stripe),
+            vec![u64::MAX; 3],
+        );
+        let shares = shares(&mut fixed(3, stripe), &mut source);
         for (device, share) in shares.iter().enumerate() {
-            let bound = map.local_footprint(footprint, device);
+            let bound = image.local_slot_bound(device);
             let mut last = SimTime::ZERO;
             for (next_id, record) in (0..).zip(share) {
                 assert!(record.arrival >= last, "arrivals must be nondecreasing");
@@ -244,8 +224,7 @@ mod tests {
         let spec = SyntheticSpec::new("sum").with_footprint_mb(16);
         let trace = spec.generate(300, 7);
         let total: u64 = trace.iter().map(|r| r.bytes).sum();
-        let mut router = StripeRouter::new(StripeMap::new(4, 128 * 1024));
-        let split_total: u64 = shares(&mut router, &mut trace.source())
+        let split_total: u64 = shares(&mut fixed(4, 128 * 1024), &mut trace.source())
             .iter()
             .flatten()
             .map(|r| r.bytes)
@@ -258,23 +237,21 @@ mod tests {
         let spec = SyntheticSpec::new("same").with_footprint_mb(8);
         let stripe = 64 * 1024u64;
         let total_stripes = (8u64 << 20).div_ceil(stripe);
-        let collect = |adaptive: bool| {
-            let mut router = if adaptive {
-                // A trigger the workload never reaches: placement stays put.
-                let config = RebalanceConfig {
-                    trigger_ratio: 1e18,
-                    ..RebalanceConfig::default()
-                };
-                StripeRouter::adaptive(
-                    PlacementMap::round_robin(3, stripe, total_stripes, vec![u64::MAX; 3]),
-                    Rebalancer::new(config, vec![1.0; 3], total_stripes),
-                )
-            } else {
-                StripeRouter::new(StripeMap::new(3, stripe))
-            };
-            shares(&mut router, &mut spec.stream(300, 0x11))
+        // A map tracking the footprint's stripes, with a trigger the
+        // workload never reaches so placement stays put, against one that
+        // tracks none.
+        let config = RebalanceConfig {
+            trigger_ratio: 1e18,
+            ..RebalanceConfig::default()
         };
-        assert_eq!(collect(false), collect(true));
+        let mut tracked = StripeRouter::new(
+            PlacementMap::round_robin(3, stripe, total_stripes, vec![u64::MAX; 3]),
+            Some(Rebalancer::new(config, vec![1.0; 3], total_stripes)),
+        );
+        assert_eq!(
+            shares(&mut tracked, &mut spec.stream(300, 0x11)),
+            shares(&mut fixed(3, stripe), &mut spec.stream(300, 0x11))
+        );
     }
 
     #[test]
@@ -291,12 +268,12 @@ mod tests {
             trigger_ratio: 1.1,
             ..RebalanceConfig::default()
         };
-        let mut router = StripeRouter::adaptive(
+        let mut router = StripeRouter::new(
             PlacementMap::round_robin(2, stripe, 4, vec![u64::MAX; 2]),
-            Rebalancer::new(config, vec![1.0; 2], 4),
+            Some(Rebalancer::new(config, vec![1.0; 2], 4)),
         );
         let shares = shares(&mut router, &mut trace.source());
-        let placement = &router.adaptive.as_ref().unwrap().placement;
+        let placement = &router.placement;
         let mut totals = [0u64; 2];
         let mut reads = 0u64;
         for (device, share) in shares.iter().enumerate() {

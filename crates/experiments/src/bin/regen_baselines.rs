@@ -30,7 +30,7 @@ use std::rc::Rc;
 use sprinkler_core::SchedulerKind;
 use sprinkler_experiments::runner::{find, mean, run_one_detailed, ExperimentScale};
 use sprinkler_experiments::{
-    fig01, fig06, fig10, fig12, fig15, fig15_scaling, fig16, fig17, scenario,
+    fig01, fig06, fig10, fig12, fig15, fig15_scaling, fig16, fig17, prefill, scenario,
 };
 use sprinkler_flash::Lpn;
 use sprinkler_sim::{AllocScope, CountingAllocator, SimTime};
@@ -159,7 +159,7 @@ fn gc_fragmented(kind: SchedulerKind) -> RunMetrics {
         .with_blocks_per_plane(scale.blocks_per_plane)
         .with_gc(GcConfig::enabled());
     let trace = scale.sweep_trace(64, 0.3, 0x6C);
-    let metrics = run_one_detailed(&config, kind, &trace, false, Some(0.95));
+    let metrics = run_one_detailed(&config, kind, &trace, false, Some(&prefill(&config, 0.95)));
     assert!(
         metrics.gc.cross_plane_migrations > 0,
         "the {} GC cell no longer migrates across planes",

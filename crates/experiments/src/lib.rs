@@ -75,6 +75,6 @@ pub mod runner;
 pub mod scenario;
 pub mod table1;
 
-pub use replay::{run_source, run_source_detailed, CapacityPolicy, ReplayError};
+pub use replay::{prefill, run_source, run_source_detailed, CapacityPolicy, ReplayError};
 pub use report::Table;
 pub use runner::{run_cells, run_matrix, run_one, to_host_requests, Cell, ExperimentScale};

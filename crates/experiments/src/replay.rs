@@ -19,6 +19,7 @@ use std::fmt;
 
 use sprinkler_core::SchedulerKind;
 use sprinkler_flash::Lpn;
+use sprinkler_ssd::ftl::Ftl;
 use sprinkler_ssd::request::{Direction, HostRequest};
 use sprinkler_ssd::{RunMetrics, Ssd, SsdConfig, SsdError};
 use sprinkler_workloads::{TraceRecord, TraceSource};
@@ -174,25 +175,41 @@ pub fn run_source(
     run_source_detailed(config, kind, source, policy, false, None)
 }
 
+/// A device pre-conditioned into a fragmented state (Fig 17 / the GC
+/// steady-state scenario): `config` and its FTL after random-LPN writes of
+/// `utilization` of the physical capacity (see [`Ftl::precondition`]).  The
+/// fill depends on the configuration alone, so every run on `config` can
+/// start from a copy of one fill ([`run_source_detailed`]).
+pub fn prefill(config: &SsdConfig, utilization: f64) -> (SsdConfig, Ftl) {
+    let mut ftl = Ftl::new(
+        config.geometry.clone(),
+        config.allocation,
+        config.gc.free_block_watermark,
+    );
+    ftl.precondition(utilization, 0xF17);
+    (config.clone(), ftl)
+}
+
 /// Like [`run_source`] but optionally records the per-I/O latency series
-/// (Fig 12) and pre-conditions the SSD into a fragmented state (Fig 17 / the
-/// GC steady-state scenario).
+/// (Fig 12) and starts the device from a copy of a [`prefill`]ed one.
 ///
 /// # Errors
 ///
-/// As [`run_source`].
+/// As [`run_source`]; [`ReplayError::InvalidConfig`] too when `prefilled`
+/// was filled for another configuration.
 pub fn run_source_detailed(
     config: &SsdConfig,
     kind: SchedulerKind,
     source: &mut dyn TraceSource,
     policy: CapacityPolicy,
     record_series: bool,
-    precondition: Option<f64>,
+    prefilled: Option<&(SsdConfig, Ftl)>,
 ) -> Result<RunMetrics, ReplayError> {
     let mut ssd = Ssd::with_series(config.clone(), kind.build(), record_series)
         .map_err(ReplayError::InvalidConfig)?;
-    if let Some(utilization) = precondition {
-        ssd.precondition(utilization, 0xF17);
+    if let Some((filled_config, ftl)) = prefilled {
+        ssd.copy_ftl(filled_config, ftl)
+            .map_err(ReplayError::InvalidConfig)?;
     }
     let error = Cell::new(None);
     let metrics = ssd.run_stream(RequestStream {
@@ -212,6 +229,7 @@ pub fn run_source_detailed(
 mod tests {
     use super::*;
     use sprinkler_sim::SimTime;
+    use sprinkler_ssd::GcConfig;
     use sprinkler_workloads::{SyntheticSpec, Trace, TraceOp};
 
     fn record(id: u64, offset: u64, bytes: u64) -> TraceRecord {
@@ -248,6 +266,54 @@ mod tests {
         .unwrap();
         assert_eq!(reject, wrap);
         assert_eq!(reject.io_count, 80);
+    }
+
+    /// A run started from a copy of a [`prefill`]ed device equals, field for
+    /// field, one whose device was pre-conditioned in place, under a
+    /// scheduler with and without `on_readdress`; a fill for another
+    /// configuration is refused.
+    #[test]
+    fn a_run_from_a_copied_fill_equals_one_filled_in_place() {
+        let config = SsdConfig::paper_default()
+            .with_chip_count(16)
+            .with_blocks_per_plane(8)
+            .with_gc(GcConfig::enabled());
+        let trace = SyntheticSpec::new("fragmented")
+            .with_read_fraction(0.3)
+            .with_footprint_mb(16)
+            .generate(150, 0xF17);
+        assert!(trace.footprint_bytes() <= config.geometry.capacity_bytes());
+        let filled = prefill(&config, 0.95);
+        for kind in [SchedulerKind::Vas, SchedulerKind::Spk3] {
+            let copied = run_source_detailed(
+                &config,
+                kind,
+                &mut trace.source(),
+                CapacityPolicy::Reject,
+                true,
+                Some(&filled),
+            )
+            .unwrap();
+            let mut in_place = Ssd::with_series(config.clone(), kind.build(), true).unwrap();
+            in_place.precondition(0.95, 0xF17);
+            let requests = trace
+                .iter()
+                .map(|record| record_to_request(record, config.page_size()));
+            assert_eq!(copied, in_place.run_stream(requests), "{kind}");
+            assert!(copied.gc.invocations > 0, "{kind}: the fill must force GC");
+        }
+        let other = config.clone().with_chip_count(32);
+        assert!(matches!(
+            run_source_detailed(
+                &other,
+                SchedulerKind::Vas,
+                &mut trace.source(),
+                CapacityPolicy::Reject,
+                false,
+                Some(&filled),
+            ),
+            Err(ReplayError::InvalidConfig(SsdError::InvalidConfig(_)))
+        ));
     }
 
     /// Locks the former spill behaviour as rejected: the seed converted

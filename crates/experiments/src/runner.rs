@@ -3,6 +3,7 @@
 use std::borrow::Borrow;
 
 use sprinkler_core::SchedulerKind;
+use sprinkler_ssd::ftl::Ftl;
 use sprinkler_ssd::request::HostRequest;
 use sprinkler_ssd::{RunMetrics, SsdConfig};
 use sprinkler_workloads::Trace;
@@ -135,17 +136,19 @@ pub fn run_one(config: &SsdConfig, kind: SchedulerKind, trace: &Trace) -> RunMet
 }
 
 /// Like [`run_one`] but records the per-I/O latency series (Fig 12) and optionally
-/// pre-conditions the SSD into a fragmented state (Fig 17).
+/// starts the SSD from a copy of a [`replay::prefill`]ed, fragmented one
+/// (Fig 17).
 ///
 /// # Panics
 ///
-/// Panics if `config` fails [`SsdConfig::validate`].
+/// Panics if `config` fails [`SsdConfig::validate`] or `prefilled` was
+/// filled for another configuration.
 pub fn run_one_detailed(
     config: &SsdConfig,
     kind: SchedulerKind,
     trace: &Trace,
     record_series: bool,
-    precondition: Option<f64>,
+    prefilled: Option<&(SsdConfig, Ftl)>,
 ) -> RunMetrics {
     replay::run_source_detailed(
         config,
@@ -153,7 +156,7 @@ pub fn run_one_detailed(
         &mut trace.source(),
         CapacityPolicy::Wrap,
         record_series,
-        precondition,
+        prefilled,
     )
     .expect("experiment configs are valid, and the wrap policy rejects no record")
 }
@@ -291,19 +294,29 @@ impl Sweep<'_> {
         scale: &ExperimentScale,
         fill: Option<f64>,
     ) -> Vec<Cell<(usize, u64)>> {
-        let points: Vec<(usize, u64)> = self
+        let config = |chips| self.device.clone().with_chip_count(chips);
+        // The fill depends on the device alone: fill each chip count's device
+        // once, and start every cell of that count from a copy.
+        let filled = run_cells(self.chip_counts, |&chips| {
+            fill.map(|fill| replay::prefill(&config(chips), fill))
+        });
+        let points: Vec<_> = self
             .chip_counts
             .iter()
-            .flat_map(|&chips| self.transfer_sizes_kb.iter().map(move |&kb| (chips, kb)))
+            .zip(&filled)
+            .flat_map(|(&chips, filled)| {
+                self.transfer_sizes_kb
+                    .iter()
+                    .map(move |&kb| (chips, kb, filled.as_ref()))
+            })
             .collect();
         run_grid(
             &points,
             self.schedulers,
-            |&point| point,
-            |&(chips, transfer_kb), kind| {
-                let config = self.device.clone().with_chip_count(chips);
+            |&(chips, kb, _)| (chips, kb),
+            |&(chips, transfer_kb, filled), kind| {
                 let trace = scale.sweep_trace(transfer_kb, self.read_fraction, self.seed);
-                run_one_detailed(&config, kind, &trace, false, fill)
+                run_one_detailed(&config(chips), kind, &trace, false, filled)
             },
         )
     }
@@ -420,7 +433,8 @@ mod tests {
         let trace = SyntheticSpec::new("d")
             .with_read_fraction(0.0)
             .generate(40, 9);
-        let metrics = run_one_detailed(&config, SchedulerKind::Spk3, &trace, true, Some(0.5));
+        let filled = replay::prefill(&config, 0.5);
+        let metrics = run_one_detailed(&config, SchedulerKind::Spk3, &trace, true, Some(&filled));
         assert_eq!(metrics.io_count, 40);
         assert_eq!(metrics.latency_series.len(), 40);
     }

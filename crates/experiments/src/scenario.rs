@@ -41,7 +41,7 @@ use sprinkler_tenants::{
 };
 use sprinkler_workloads::{FootprintSlice, SlicedSource, TraceSource};
 
-use crate::replay::{run_source, run_source_detailed, CapacityPolicy};
+use crate::replay::{prefill, run_source, run_source_detailed, CapacityPolicy};
 use crate::report::{fmt_f64, grid_table, Table};
 use crate::runner::{find, keys, run_grid, Cell, ExperimentScale};
 use crate::{fig01, fig06, fig10, fig11, fig12, fig13, fig14, fig15, fig15_scaling, fig16, fig17};
@@ -259,6 +259,7 @@ fn gc_steady_state(scale: &ExperimentScale) -> Vec<Cell<String>> {
         .with_gc(GcConfig::enabled());
     // A footprint of half the logical capacity keeps overwrites hot.
     let footprint_mb = (config.geometry.capacity_bytes() / (2 * 1024 * 1024)).max(1);
+    let filled = prefill(&config, 0.90);
     run_grid(&["fragmented-90pct"], &SCHEDULERS, label, |_, kind| {
         let spec = SyntheticSpec::new("gc-steady")
             .with_read_fraction(0.3)
@@ -271,7 +272,7 @@ fn gc_steady_state(scale: &ExperimentScale) -> Vec<Cell<String>> {
             &mut spec.stream(scale.ios_per_workload, 0x6C),
             CapacityPolicy::Reject,
             false,
-            Some(0.90),
+            Some(&filled),
         )
         .expect("the GC workload fits the device")
     })

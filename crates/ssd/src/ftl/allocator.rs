@@ -77,6 +77,7 @@ pub struct PlaneLocation {
 /// alloc.mark_valid(addr, Lpn::new(0));
 /// assert_eq!(alloc.total_valid_pages(), 1);
 /// ```
+#[derive(Clone)]
 pub struct Allocator {
     geometry: FlashGeometry,
     policy: AllocationPolicy,

@@ -39,6 +39,7 @@ const CHUNK_LPNS: u64 = 1 << CHUNK_BITS;
 /// assert!(!map.covers(Lpn::new(1024)));
 /// assert!(map.lookup(Lpn::new(1024)).is_none());
 /// ```
+#[derive(Clone)]
 pub struct PageMap {
     /// Chunk directory; an empty chunk has never been written.
     chunks: Vec<Box<[u32]>>,

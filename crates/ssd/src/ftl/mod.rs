@@ -55,7 +55,7 @@ pub struct WriteAllocation {
 /// assert_eq!(preview.chip, ftl.geometry().chip_index(w.addr.channel, w.addr.way));
 /// assert_eq!(preview.die, w.addr.die);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Ftl {
     geometry: FlashGeometry,
     map: PageMap,

@@ -371,6 +371,27 @@ impl Ssd {
         self.ftl.precondition(utilization, seed);
     }
 
+    /// Starts this device from a copy of `ftl`, the FTL of a device built
+    /// from `config` and pre-conditioned once, so that many runs on one
+    /// configuration share a single fill instead of each repeating
+    /// [`Ssd::precondition`].  Must be called before [`Ssd::run`] or
+    /// [`Ssd::run_stream`].
+    ///
+    /// # Errors
+    ///
+    /// [`SsdError::InvalidConfig`], leaving the device unchanged, when
+    /// `config` is not this device's configuration: the FTL would not match
+    /// its geometry, allocation policy or GC watermark.
+    pub fn copy_ftl(&mut self, config: &SsdConfig, ftl: &Ftl) -> Result<(), SsdError> {
+        if *config != self.config {
+            return Err(SsdError::InvalidConfig(
+                "the FTL to copy belongs to a device of another configuration".to_string(),
+            ));
+        }
+        self.ftl.clone_from(ftl);
+        Ok(())
+    }
+
     /// Runs the simulation over a trace of host requests and returns the collected
     /// metrics.  Requests may arrive in any order; they are sorted by arrival time
     /// and then replayed through the bounded-admission streaming loop of
@@ -1180,6 +1201,31 @@ mod tests {
         assert_eq!(metrics.io_count, 400);
         assert!(metrics.gc.invocations > 0, "GC should have run");
         assert!(metrics.gc.blocks_erased > 0);
+    }
+
+    #[test]
+    fn a_copied_fill_runs_like_an_in_place_fill_of_the_same_config() {
+        let config = SsdConfig::small_test()
+            .with_blocks_per_plane(4)
+            .with_gc(GcConfig::enabled());
+        let mut filled = Ftl::new(
+            config.geometry.clone(),
+            config.allocation,
+            config.gc.free_block_watermark,
+        );
+        filled.precondition(0.90, 7);
+        let build = || Ssd::new(config.clone(), Box::new(CommitAllScheduler::new())).unwrap();
+        let mut in_place = build();
+        in_place.precondition(0.90, 7);
+        let mut copied = build();
+        let other = config.clone().with_blocks_per_plane(8);
+        assert!(matches!(
+            copied.copy_ftl(&other, &filled),
+            Err(SsdError::InvalidConfig(_))
+        ));
+        copied.copy_ftl(&config, &filled).unwrap();
+        let trace = || (0..60).map(|i| write_req(i, i * 100, i % 32, 1));
+        assert_eq!(copied.run(trace()), in_place.run(trace()));
     }
 
     #[test]

@@ -303,14 +303,6 @@ impl TraceSource for TenantMux<'_> {
         self.footprint
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        let mut total = 0u64;
-        for lane in &self.lanes {
-            total += lane.source.remaining_hint()? + u64::from(lane.head.is_some());
-        }
-        Some(total)
-    }
-
     fn next_record(&mut self) -> Option<TraceRecord> {
         self.next_tagged().map(|tagged| tagged.record)
     }

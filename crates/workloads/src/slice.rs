@@ -98,10 +98,6 @@ impl<S: TraceSource> TraceSource for SlicedSource<S> {
         self.slice.end()
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        self.inner.remaining_hint()
-    }
-
     fn next_record(&mut self) -> Option<TraceRecord> {
         let mut record = self.inner.next_record()?;
         debug_assert!(

@@ -58,12 +58,6 @@ pub trait TraceSource {
     /// yields.
     fn footprint_bytes(&self) -> u64;
 
-    /// Number of records still to come, when the source knows it up front.
-    /// Streaming parsers return `None`.
-    fn remaining_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Pulls the next record, or `None` when the trace is exhausted.
     fn next_record(&mut self) -> Option<TraceRecord>;
 
@@ -113,10 +107,6 @@ impl TraceSource for TraceCursor<'_> {
         self.footprint
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        Some((self.trace.len() - self.next) as u64)
-    }
-
     fn next_record(&mut self) -> Option<TraceRecord> {
         let record = self.trace.records().get(self.next).copied()?;
         self.next += 1;
@@ -153,14 +143,11 @@ mod tests {
         let mut source = trace.source();
         assert_eq!(source.name(), "t");
         assert_eq!(source.footprint_bytes(), 4096 + 2048);
-        assert_eq!(source.remaining_hint(), Some(2));
         let first = source.next_record().unwrap();
         assert_eq!(first.id, 0);
-        assert_eq!(source.remaining_hint(), Some(1));
         assert_eq!(source.next_record().unwrap().id, 1);
         assert!(source.next_record().is_none());
         assert!(source.next_record().is_none(), "exhaustion is sticky");
-        assert_eq!(source.remaining_hint(), Some(0));
     }
 
     #[test]

@@ -107,10 +107,6 @@ impl TraceSource for SweepStream {
         (self.spec.footprint_mb * 1024 * 1024).max(self.spec.transfer_kb * 1024)
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        Some(self.count - self.next_id)
-    }
-
     fn next_record(&mut self) -> Option<TraceRecord> {
         if self.next_id >= self.count {
             return None;
@@ -203,7 +199,6 @@ mod tests {
         let trace = spec.generate(120, 9);
         let mut stream = spec.stream(120, 9);
         assert_eq!(stream.name(), "sweep-64KB");
-        assert_eq!(stream.remaining_hint(), Some(120));
         for expected in trace.iter() {
             assert_eq!(stream.next_record().as_ref(), Some(expected));
         }

@@ -193,10 +193,6 @@ impl TraceSource for SyntheticStream {
         self.footprint
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        Some(self.count - self.next_id)
-    }
-
     fn next_record(&mut self) -> Option<TraceRecord> {
         if self.next_id >= self.count {
             return None;
@@ -346,12 +342,10 @@ mod tests {
         let mut stream = spec.stream(300, 17);
         assert_eq!(stream.name(), "twin");
         assert_eq!(stream.footprint_bytes(), 32 * 1024 * 1024);
-        assert_eq!(stream.remaining_hint(), Some(300));
         for expected in trace.iter() {
             assert_eq!(stream.next_record().as_ref(), Some(expected));
         }
         assert!(stream.next_record().is_none());
-        assert_eq!(stream.remaining_hint(), Some(0));
     }
 
     #[test]

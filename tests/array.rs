@@ -126,23 +126,22 @@ fn array_summary_round_trips_its_latency_histogram_for_all_schedulers() {
     }
 }
 
-/// The adaptive-placement refactor is behavior-preserving by default: with no
-/// `RebalanceConfig` set, a width-4 replay must stay *metric-for-metric
-/// identical* — full `RunMetrics` equality per device, histogram buckets
-/// included — to the same replay before the indirection layer existed.  The
-/// pre-refactor behavior is reproduced here by construction: `rebalance: None`
-/// routes through the closed-form `StripeMap`, and this test pins the whole
-/// struct so any accidental divergence (id renumbering, arrival order, heat
-/// side effects) fails loudly for every scheduler.
+/// Tracking stripes changes nothing until a stripe moves: a width-4 replay
+/// whose `PlacementMap` tracks no stripe (`rebalance: None`, every lookup in
+/// closed form) must stay *metric-for-metric identical* — full `RunMetrics`
+/// equality per device, histogram buckets included — to the same replay
+/// whose map tracks the footprint's stripes for a rebalancer that may never
+/// act.  The test pins the whole struct, so any divergence between the
+/// tracked and closed-form lookups (id renumbering, arrival order, heat side
+/// effects) fails loudly for every scheduler.
 #[test]
 fn rebalancer_off_replay_is_identical_to_static_striping_for_all_schedulers() {
     let static_config = ArrayConfig::new(device_config())
         .with_stripe_kb(64)
         .with_devices(4);
     assert!(static_config.rebalance.is_none(), "default must be static");
-    // The same array through the adaptive machinery with a rebalancer that
-    // can never act (zero migration budget): still byte-identical, proving
-    // the indirection layer itself changes nothing.
+    // The same array with its footprint's stripes tracked, under a
+    // rebalancer that can never act (zero migration budget).
     let inert_config = static_config
         .clone()
         .with_rebalance(sprinkler::array::RebalanceConfig {

@@ -4,7 +4,7 @@
 
 use sprinkler::core::SchedulerKind;
 use sprinkler::experiments::runner::{run_one, run_one_detailed, ExperimentScale};
-use sprinkler::experiments::to_host_requests;
+use sprinkler::experiments::{prefill, to_host_requests};
 use sprinkler::flash::Lpn;
 use sprinkler::sim::SimTime;
 use sprinkler::ssd::request::{Direction, HostRequest};
@@ -91,7 +91,8 @@ fn gc_pipeline_works_through_the_facade() {
         .with_blocks_per_plane(8)
         .with_gc(GcConfig::enabled());
     let trace = SweepSpec::new(16).with_read_fraction(0.2).generate(150, 11);
-    let metrics = run_one_detailed(&config, SchedulerKind::Spk3, &trace, false, Some(0.95));
+    let filled = prefill(&config, 0.95);
+    let metrics = run_one_detailed(&config, SchedulerKind::Spk3, &trace, false, Some(&filled));
     assert_eq!(metrics.io_count, 150);
     assert!(
         metrics.gc.invocations > 0,

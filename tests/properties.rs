@@ -7,8 +7,7 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use sprinkler::array::{
-    run_array, ArrayConfig, ArrayError, PlacementMap, RebalanceConfig, StripeMap, StripeRouter,
-    MAX_DEVICES,
+    run_array, ArrayConfig, ArrayError, PlacementMap, RebalanceConfig, StripeRouter, MAX_DEVICES,
 };
 use sprinkler::core::faro::{FaroCandidate, FaroConfig, FaroScratch, FaroSelector};
 use sprinkler::core::reference::ReferenceScheduler;
@@ -336,6 +335,51 @@ fn run_recorded(
     let metrics = ssd.run(requests.to_vec());
     let stream = log.lock().unwrap().clone();
     (metrics, stream)
+}
+
+/// The exclusive upper bound on the local bytes `device` sees of a global
+/// footprint of `footprint` bytes striped round-robin in `stripe_bytes`
+/// stripes over `devices` devices: its owned stripes below the footprint,
+/// the last one cut short when the footprint ends inside it.
+fn footprint_image(footprint: u64, devices: usize, stripe_bytes: u64, device: usize) -> u64 {
+    let (n, d) = (devices as u64, device as u64);
+    let stripes = footprint.div_ceil(stripe_bytes);
+    if stripes <= d {
+        return 0;
+    }
+    // Device `d` owns stripes d, d + n, d + 2n, … below `stripes`.
+    let owned = (stripes - d - 1) / n + 1;
+    let last = d + (owned - 1) * n;
+    let last_len = if last == stripes - 1 {
+        footprint - last * stripe_bytes
+    } else {
+        stripe_bytes
+    };
+    (owned - 1) * stripe_bytes + last_len
+}
+
+#[test]
+fn local_footprint_matches_a_brute_force_image() {
+    for devices in [1, 2, 3, 4, 7] {
+        let stripe = 64;
+        let map = PlacementMap::round_robin(devices, stripe, 0, vec![u64::MAX; devices]);
+        for footprint in [0u64, 1, 63, 64, 65, 200, 448, 449, 1000] {
+            // Brute force: the max local extent any byte below the footprint
+            // reaches, per device.
+            let mut expect = vec![0u64; devices];
+            for b in 0..footprint {
+                let (d, local) = map.locate(b);
+                expect[d] = expect[d].max(local + 1);
+            }
+            for (d, &want) in expect.iter().enumerate() {
+                assert_eq!(
+                    footprint_image(footprint, devices, stripe, d),
+                    want,
+                    "devices={devices} footprint={footprint} d={d}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -734,11 +778,11 @@ proptest! {
         prop_assert_eq!(index, original.len());
     }
 
-    /// The striping map's LPN mapping is a bijection within the array
-    /// footprint: `locate_lpn` round-trips through `lpn_to_global` for every
-    /// page, distinct global LPNs never collide on the same (device, local)
-    /// pair, and each local LPN stays inside the device's local footprint
-    /// image.
+    /// A static array's map (one that tracks no stripe) is an LPN bijection
+    /// within the array footprint: `locate_lpn` round-trips through
+    /// `lpn_to_global` for every page, distinct global LPNs never collide on
+    /// the same (device, local) pair, and each device's highest local page
+    /// ends exactly at its image of the footprint.
     #[test]
     fn stripe_lpn_map_is_a_bijection_within_the_footprint(
         devices in 1usize..8,
@@ -746,8 +790,10 @@ proptest! {
         footprint_pages in 1u64..512,
     ) {
         let page = 2048u64;
-        let map = StripeMap::new(devices, stripe_pages * page);
+        let stripe_bytes = stripe_pages * page;
+        let map = PlacementMap::round_robin(devices, stripe_bytes, 0, vec![u64::MAX; devices]);
         let mut seen = std::collections::HashSet::new();
+        let mut extent = vec![0u64; devices];
         for lpn in 0..footprint_pages {
             let (device, local) = map.locate_lpn(lpn, page);
             prop_assert!(device < devices);
@@ -760,9 +806,13 @@ proptest! {
                 seen.insert((device, local)),
                 "distinct LPNs must map to distinct (device, local) pairs"
             );
-            // The local page sits inside the device's local footprint image.
-            let local_bound = map.local_footprint(footprint_pages * page, device);
-            prop_assert!((local + 1) * page <= local_bound);
+            extent[device] = extent[device].max((local + 1) * page);
+        }
+        for (device, &extent) in extent.iter().enumerate() {
+            prop_assert_eq!(
+                extent,
+                footprint_image(footprint_pages * page, devices, stripe_bytes, device)
+            );
         }
     }
 
@@ -777,7 +827,7 @@ proptest! {
         offset in 0u64..(1 << 22),
         bytes in 1u64..(1 << 20),
     ) {
-        let map = StripeMap::new(devices, stripe_pages * 2048);
+        let map = PlacementMap::round_robin(devices, stripe_pages * 2048, 0, vec![u64::MAX; devices]);
         let record = sprinkler::workloads::TraceRecord {
             id: 0,
             arrival: SimTime::ZERO,
@@ -785,7 +835,8 @@ proptest! {
             offset,
             bytes,
         };
-        let fragments = map.split(&record);
+        let mut fragments = Vec::new();
+        map.split_into(&record, &mut fragments);
         let total: u64 = fragments.iter().map(|f| f.bytes).sum();
         prop_assert_eq!(total, bytes, "split must preserve byte totals");
         let mut devices_seen = std::collections::HashSet::new();
@@ -815,8 +866,9 @@ proptest! {
         let expected: u64 = spec.generate(120, seed).iter().map(|r| r.bytes).sum();
         let mut source = spec.stream(120, seed);
         let footprint = source.footprint_bytes();
-        let map = StripeMap::new(devices, stripe_kb * 1024);
-        let mut router = StripeRouter::new(map);
+        let stripe_bytes = stripe_kb * 1024;
+        let map = PlacementMap::round_robin(devices, stripe_bytes, 0, vec![u64::MAX; devices]);
+        let mut router = StripeRouter::new(map, None);
         let mut routed = Vec::new();
         let mut last_arrival = vec![SimTime::ZERO; devices];
         let mut next_id = vec![0u64; devices];
@@ -830,7 +882,8 @@ proptest! {
                 );
                 prop_assert_eq!(fragment.id, next_id[device], "fragment ids must be dense");
                 prop_assert!(
-                    fragment.offset + fragment.bytes <= map.local_footprint(footprint, device),
+                    fragment.offset + fragment.bytes
+                        <= footprint_image(footprint, devices, stripe_bytes, device),
                     "fragments must respect the local footprint bound"
                 );
                 last_arrival[device] = fragment.arrival;
@@ -1086,10 +1139,6 @@ impl TraceSource for BackloggedSource {
         self.bytes
     }
 
-    fn remaining_hint(&self) -> Option<u64> {
-        Some(self.remaining)
-    }
-
     fn next_record(&mut self) -> Option<TraceRecord> {
         if self.remaining == 0 {
             return None;
@@ -1242,5 +1291,147 @@ proptest! {
             );
             prop_assert_eq!(stats[lane].admitted, stream.0, "lane {}", lane);
         }
+    }
+}
+
+/// The bytes a parser-fuzz mutation draws from: digits, the two formats'
+/// separators and number punctuation, the comment marker, and letters.
+const FUZZ_BYTES: &[u8] = b"0123456789, \t.+-#abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+/// Applies one parser-fuzz mutation to `line`: replace, insert or delete a
+/// byte; truncate; or swap two fields (comma-separated in `csv`, else
+/// whitespace-separated).  Lines are ASCII, so every byte index is a char
+/// boundary.
+fn mutate_line(
+    line: &str,
+    csv: bool,
+    (kind, at, other, byte): (usize, usize, usize, usize),
+) -> String {
+    let mut bytes = line.as_bytes().to_vec();
+    let byte = FUZZ_BYTES[byte % FUZZ_BYTES.len()];
+    match kind {
+        0 if !bytes.is_empty() => {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+        }
+        1 => bytes.insert(at % (bytes.len() + 1), byte),
+        2 if !bytes.is_empty() => {
+            bytes.remove(at % bytes.len());
+        }
+        3 => bytes.truncate(at % (bytes.len() + 1)),
+        4 => {
+            let mut fields: Vec<&str> = if csv {
+                line.split(',').collect()
+            } else {
+                line.split_whitespace().collect()
+            };
+            let n = fields.len();
+            if n > 0 {
+                fields.swap(at % n, other % n);
+            }
+            return fields.join(if csv { "," } else { " " });
+        }
+        _ => {}
+    }
+    String::from_utf8(bytes).expect("the corpus and the mutation bytes are ASCII")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The text-trace parser, fuzzed: lines of either sample corpus with
+    /// bytes replaced, inserted or deleted, lines truncated and fields
+    /// swapped.  Parsing never panics, under either `MalformedPolicy`.
+    /// Skipping yields records with dense ids, nondecreasing arrivals, at
+    /// least one byte and an extent that does not overflow, and counts every
+    /// line exactly once.  Stopping on errors stops at the first malformed
+    /// line, names it, and yields exactly the records skipping yielded
+    /// before it.  And the skipping parse replays, wrapped into a small
+    /// device, completing one I/O per record.
+    #[test]
+    fn mutated_trace_text_parses_without_panics_or_lost_lines(
+        blkparse in prop_oneof![Just(false), Just(true)],
+        mutations in prop::collection::vec(
+            (0usize..64, (0usize..5, 0usize..512, 0usize..16, 0usize..128)),
+            1..12,
+        ),
+        scheduler_index in 0usize..5,
+    ) {
+        use sprinkler::experiments::{run_source, CapacityPolicy};
+        use sprinkler::workloads::parse::{SAMPLE_BLKPARSE, SAMPLE_MSR_CSV};
+        let corpus = if blkparse { SAMPLE_BLKPARSE } else { SAMPLE_MSR_CSV };
+        let mut lines: Vec<String> = corpus.lines().map(str::to_string).collect();
+        for (line, mutation) in mutations {
+            let line = line % lines.len();
+            lines[line] = mutate_line(&lines[line], !blkparse, mutation);
+        }
+        let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
+        let parse = |policy| TextTraceSource::from_text("fuzz", text.clone()).with_policy(policy);
+
+        // Skip: every record well formed, every line counted once.  `clean`
+        // is how many records came before the first malformed line.
+        let mut skip = parse(MalformedPolicy::Skip);
+        let mut records = Vec::new();
+        let mut clean = None;
+        while let Some(record) = skip.next_record() {
+            if clean.is_none() && skip.stats().skipped_malformed > 0 {
+                clean = Some(records.len());
+            }
+            prop_assert_eq!(record.id, records.len() as u64, "ids must be dense");
+            prop_assert!(records.last().is_none_or(|r: &TraceRecord| r.arrival <= record.arrival));
+            prop_assert!(record.bytes >= 1);
+            prop_assert!(record.offset.checked_add(record.bytes).is_some());
+            records.push(record);
+        }
+        let clean = clean.unwrap_or(records.len());
+        prop_assert!(skip.error().is_none());
+        let stats = skip.stats();
+        prop_assert_eq!(stats.parsed, records.len() as u64);
+        prop_assert_eq!(
+            stats.parsed + stats.skipped_malformed + stats.skipped_zero_sized + stats.ignored,
+            lines.len() as u64,
+            "every line is a record, malformed, zero-sized or ignored: {:?}", stats
+        );
+
+        // Error: the same records up to the first malformed line, which a
+        // parse of that line alone, in the detected format, also refuses.
+        let mut strict = parse(MalformedPolicy::Error);
+        let strict_records: Vec<TraceRecord> = std::iter::from_fn(|| strict.next_record()).collect();
+        prop_assert_eq!(&strict_records[..], &records[..clean]);
+        let malformed = |line: &str| {
+            let format = skip.format().expect("a malformed line is a record line");
+            let mut alone = TextTraceSource::from_text("line", line.to_string())
+                .with_format(format)
+                .with_policy(MalformedPolicy::Error);
+            while alone.next_record().is_some() {}
+            alone.error().is_some()
+        };
+        match strict.error() {
+            None => {
+                prop_assert_eq!(stats.skipped_malformed, 0);
+                prop_assert_eq!(strict_records.len(), records.len());
+            }
+            Some(error) => {
+                prop_assert!(stats.skipped_malformed > 0);
+                let at = error.line_number as usize - 1;
+                prop_assert_eq!(&error.line, lines[at].trim_end());
+                prop_assert!(malformed(&lines[at]), "{:?} is not malformed", error);
+                prop_assert!(
+                    lines[..at].iter().all(|line| !malformed(line)),
+                    "a malformed line precedes {:?}", error
+                );
+            }
+        }
+
+        // The skipping parse replays: one completed I/O per record.
+        let kind = SchedulerKind::ALL[scheduler_index];
+        let metrics = run_source(
+            &SsdConfig::small_test(),
+            kind,
+            &mut parse(MalformedPolicy::Skip),
+            CapacityPolicy::Wrap,
+        )
+        .expect("the wrap policy rejects no record");
+        prop_assert_eq!(metrics.io_count, records.len() as u64);
     }
 }
