@@ -28,21 +28,9 @@
 
 use sprinkler_ssd::request::TagId;
 
-/// Configuration of the over-commitment policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaroConfig {
-    /// Maximum committed-but-incomplete memory requests FARO keeps per chip.
-    pub overcommit_depth: usize,
-}
-
-impl Default for FaroConfig {
-    fn default() -> Self {
-        // Two dies × four planes: enough depth to fill a PAL3 transaction twice.
-        FaroConfig {
-            overcommit_depth: 16,
-        }
-    }
-}
+/// Maximum committed-but-incomplete memory requests FARO keeps per chip:
+/// with two dies × four planes, enough to fill a PAL3 transaction twice.
+pub const OVERCOMMIT_DEPTH: usize = 16;
 
 /// One candidate memory request targeting a specific chip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +77,9 @@ struct TagRun {
 
 /// Reusable working buffers for [`FaroSelector::select_into`].
 ///
-/// The selector itself is `Copy` serializable configuration, so the ranking
-/// loop's working storage lives with the caller and is threaded through each
-/// selection; after warm-up no selection allocates.
+/// The selector holds no state, so the ranking loop's working storage lives
+/// with the caller and is threaded through each selection; after warm-up no
+/// selection allocates.
 #[derive(Debug, Clone, Default)]
 pub struct FaroScratch {
     /// The tag runs not chosen yet, in candidate order.
@@ -109,36 +97,9 @@ pub struct FaroScratch {
 
 /// The FARO candidate selector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaroSelector {
-    config: FaroConfig,
-}
+pub struct FaroSelector;
 
 impl FaroSelector {
-    /// Creates a selector with the given configuration.
-    pub fn new(config: FaroConfig) -> Self {
-        FaroSelector { config }
-    }
-
-    /// The configured over-commitment depth.
-    pub fn overcommit_depth(&self) -> usize {
-        self.config.overcommit_depth
-    }
-
-    /// Overlap depth of a candidate set: the number of distinct (die, plane) pairs
-    /// it would activate on the chip.
-    pub fn overlap_depth(candidates: &[FaroCandidate]) -> usize {
-        let mut pairs: Vec<(u32, u32)> = candidates.iter().map(|c| (c.die, c.plane)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs.len()
-    }
-
-    /// Connectivity of `tag` within a candidate set: how many candidates belong to
-    /// it.
-    pub fn connectivity(candidates: &[FaroCandidate], tag: TagId) -> usize {
-        candidates.iter().filter(|c| c.tag == tag).count()
-    }
-
     /// Selects up to `capacity` candidates for one chip by Algorithm 1 as
     /// written: repeatedly pick the tag whose candidates contribute the
     /// highest overlap depth (ties broken by connectivity, then arrival
@@ -150,7 +111,6 @@ impl FaroSelector {
     /// pick exactly what it picks, in the same order.  Candidates need not
     /// be grouped by tag.
     pub fn select(&self, candidates: &[FaroCandidate], capacity: usize) -> Vec<(TagId, u32)> {
-        let capacity = capacity.min(self.config.overcommit_depth);
         let mut selected = Vec::new();
         let mut remaining = candidates.to_vec();
         let mut occupied: Vec<(u32, u32)> = Vec::new();
@@ -241,7 +201,6 @@ impl FaroSelector {
         out: &mut Vec<(TagId, u32)>,
         scratch: &mut FaroScratch,
     ) -> bool {
-        let capacity = capacity.min(self.config.overcommit_depth);
         if capacity == 0 || candidates.is_empty() {
             return false;
         }
@@ -349,30 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_depth_counts_distinct_die_plane_pairs() {
-        let cs = vec![
-            cand(1, 0, 0, 0, 0),
-            cand(1, 1, 0, 0, 0),
-            cand(2, 0, 0, 1, 1),
-            cand(3, 0, 1, 0, 2),
-        ];
-        assert_eq!(FaroSelector::overlap_depth(&cs), 3);
-        assert_eq!(FaroSelector::overlap_depth(&[]), 0);
-    }
-
-    #[test]
-    fn connectivity_counts_same_tag_members() {
-        let cs = vec![
-            cand(1, 0, 0, 0, 0),
-            cand(1, 1, 0, 1, 0),
-            cand(2, 0, 1, 0, 1),
-        ];
-        assert_eq!(FaroSelector::connectivity(&cs, TagId(1)), 2);
-        assert_eq!(FaroSelector::connectivity(&cs, TagId(2)), 1);
-        assert_eq!(FaroSelector::connectivity(&cs, TagId(9)), 0);
-    }
-
-    #[test]
     fn tag_with_highest_overlap_depth_wins() {
         // Tag 1 covers one plane twice; tag 2 covers two different planes.
         let cs = vec![
@@ -381,7 +316,7 @@ mod tests {
             cand(2, 0, 0, 1, 1),
             cand(2, 1, 1, 0, 1),
         ];
-        let selector = FaroSelector::new(FaroConfig::default());
+        let selector = FaroSelector;
         let picked = selector.select(&cs, 2);
         assert_eq!(picked.len(), 2);
         assert!(picked.iter().all(|(t, _)| *t == TagId(2)));
@@ -395,7 +330,7 @@ mod tests {
             cand(3, 1, 0, 0, 5),
             cand(4, 0, 0, 1, 1),
         ];
-        let selector = FaroSelector::new(FaroConfig::default());
+        let selector = FaroSelector;
         let picked = selector.select(&cs, 1);
         assert_eq!(picked, vec![(TagId(3), 0)]);
     }
@@ -403,7 +338,7 @@ mod tests {
     #[test]
     fn arrival_order_breaks_remaining_ties() {
         let cs = vec![cand(7, 0, 0, 0, 3), cand(8, 0, 0, 1, 1)];
-        let selector = FaroSelector::new(FaroConfig::default());
+        let selector = FaroSelector;
         let picked = selector.select(&cs, 1);
         // Same overlap (1) and connectivity (1); the older tag (rank 1) wins.
         assert_eq!(picked, vec![(TagId(8), 0)]);
@@ -414,14 +349,15 @@ mod tests {
         let cs: Vec<FaroCandidate> = (0..20)
             .map(|i| cand(i as u64, 0, (i % 2) as u32, (i % 4) as u32, i))
             .collect();
-        let selector = FaroSelector::new(FaroConfig {
-            overcommit_depth: 4,
-        });
-        assert_eq!(selector.overcommit_depth(), 4);
-        assert_eq!(selector.select(&cs, 100).len(), 4);
-        assert_eq!(selector.select(&cs, 2).len(), 2);
-        assert!(selector.select(&cs, 0).is_empty());
-        assert!(selector.select(&[], 5).is_empty());
+        let mut scratch = FaroScratch::default();
+        for capacity in [0, 2, OVERCOMMIT_DEPTH, 100] {
+            let expected = capacity.min(cs.len());
+            assert_eq!(FaroSelector.select(&cs, capacity).len(), expected);
+            let mut out = Vec::new();
+            FaroSelector.select_into(&cs, capacity, &mut out, &mut scratch);
+            assert_eq!(out.len(), expected);
+        }
+        assert!(FaroSelector.select(&[], 5).is_empty());
     }
 
     /// Pins the single-tag fast path to the general ranking loop: for any
@@ -437,9 +373,7 @@ mod tests {
             cand(5, 0, 0, 0, 3),
             cand(5, 9, 1, 1, 3),
         ];
-        let selector = FaroSelector::new(FaroConfig {
-            overcommit_depth: 16,
-        });
+        let selector = FaroSelector;
         let mut scratch = FaroScratch::default();
         for capacity in 0..=6 {
             let mut fast = Vec::new();
@@ -449,7 +383,7 @@ mod tests {
             // (occupied set is empty at sort time), truncated to capacity.
             let mut expected: Vec<(TagId, u32)> = cs.iter().map(|c| (c.tag, c.page)).collect();
             expected.sort_unstable_by_key(|&(_, page)| page);
-            expected.truncate(capacity.min(selector.overcommit_depth()));
+            expected.truncate(capacity);
             assert_eq!(fast, expected, "capacity {capacity}");
             assert_eq!(
                 selector.select(&cs, capacity),
@@ -470,7 +404,7 @@ mod tests {
 
     #[test]
     fn select_into_appends_and_reports_the_fast_path() {
-        let selector = FaroSelector::new(FaroConfig::default());
+        let selector = FaroSelector;
         let mut scratch = FaroScratch::default();
         let mut out = vec![(TagId(99), 0)];
 
@@ -506,7 +440,7 @@ mod tests {
             cand(3, 0, 0, 0, 2),
         ];
         let interleaved = [0, 2, 4, 1, 3].map(|i| grouped[i]);
-        let selector = FaroSelector::new(FaroConfig::default());
+        let selector = FaroSelector;
         for capacity in 1..=5 {
             assert_eq!(
                 selector.select(&interleaved, capacity),
@@ -525,7 +459,7 @@ mod tests {
             cand(3, 0, 0, 1, 2),
             cand(5, 0, 1, 0, 2),
         ];
-        let selector = FaroSelector::new(FaroConfig::default());
+        let selector = FaroSelector;
         let mut scratch = FaroScratch::default();
         for capacity in 1..=3 {
             let mut picked = Vec::new();
@@ -544,7 +478,7 @@ mod tests {
             cand(2, 0, 1, 0, 1),
             cand(2, 1, 1, 1, 1),
         ];
-        let selector = FaroSelector::new(FaroConfig::default());
+        let selector = FaroSelector;
         let picked = selector.select(&cs, 10);
         assert_eq!(picked.len(), 4);
         let mut unique = picked.clone();

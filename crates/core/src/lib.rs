@@ -2,21 +2,22 @@
 //!
 //! This crate is the paper's primary contribution: device-level I/O schedulers for
 //! many-chip SSDs, implemented against the [`sprinkler_ssd::scheduler::IoScheduler`]
-//! trait:
+//! trait.  The five controllers of §5.1 are one type, [`Scheduler`], built
+//! from a [`SchedulerKind`]; they differ on two axes only:
 //!
-//! * [`VirtualAddressScheduler`] (**VAS**) — the conventional FIFO scheduler that
-//!   composes memory requests strictly in I/O arrival order and suffers
-//!   head-of-line blocking on chip conflicts (§3, Fig 4).
-//! * [`PhysicalAddressScheduler`] (**PAS**) — a physical-address-aware scheduler
-//!   that skips busy chips at commit time (coarse-grain out-of-order execution,
-//!   §3, Fig 5) but never over-commits.
-//! * [`SprinklerScheduler`] — the paper's proposal, combining
-//!   [`rios`] (Resource-driven I/O Scheduling: compose and commit per *chip*,
-//!   traversing chips channel-offset-first, ignoring I/O boundaries) and
-//!   [`faro`] (FLP-aware Request Over-commitment: commit multiple requests per
-//!   chip, prioritized by overlap depth then connectivity, so the flash controller
-//!   can coalesce high-FLP transactions).  The three evaluated variants are
-//!   SPK1 (FARO only), SPK2 (RIOS only), and SPK3 (both).
+//! * **composition** — **VAS** (the conventional FIFO scheduler, §3 Fig 4),
+//!   **PAS** (physical-address-aware, skipping busy chips, §3 Fig 5) and
+//!   **SPK1** compose memory requests in I/O arrival order; **SPK2** and
+//!   **SPK3** compose per *chip* by [`rios`] (Resource-driven I/O Scheduling,
+//!   traversing chips channel-offset-first and ignoring I/O boundaries);
+//! * **commitment depth** — SPK1 and SPK3 over-commit several requests per
+//!   chip by [`faro`] (FLP-aware Request Over-commitment, prioritized by
+//!   overlap depth then connectivity, so the flash controller can coalesce
+//!   high-FLP transactions); the others commit one.
+//!
+//! [`reference`](mod@reference) holds the naive full-scan twin of each kind,
+//! which the property tests compare [`Scheduler`] against commitment by
+//! commitment.
 //!
 //! # Example
 //!
@@ -40,18 +41,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod faro;
-pub mod pas;
 pub mod reference;
 pub mod rios;
 pub mod sprinkler;
-pub mod vas;
 
-pub use faro::{FaroConfig, FaroSelector};
-pub use pas::PhysicalAddressScheduler;
+pub use faro::FaroSelector;
 pub use reference::ReferenceScheduler;
 pub use rios::RiosTraversal;
-pub use sprinkler::SprinklerScheduler;
-pub use vas::VirtualAddressScheduler;
+pub use sprinkler::Scheduler;
 
 use sprinkler_ssd::IoScheduler;
 
@@ -91,15 +88,9 @@ impl SchedulerKind {
         }
     }
 
-    /// Instantiates the scheduler with default parameters.
+    /// Instantiates the scheduler of this kind.
     pub fn build(self) -> Box<dyn IoScheduler> {
-        match self {
-            SchedulerKind::Vas => Box::new(VirtualAddressScheduler::new()),
-            SchedulerKind::Pas => Box::new(PhysicalAddressScheduler::new()),
-            SchedulerKind::Spk1 => Box::new(SprinklerScheduler::spk1()),
-            SchedulerKind::Spk2 => Box::new(SprinklerScheduler::spk2()),
-            SchedulerKind::Spk3 => Box::new(SprinklerScheduler::spk3()),
-        }
+        Box::new(Scheduler::new(self))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Executable reference specification of the five schedulers.
 //!
 //! These are the straightforward full-scan implementations the optimized hot
-//! paths (`vas`, `pas`, `sprinkler` over the device queue's incremental indices)
+//! paths ([`crate::Scheduler`] over the device queue's incremental indices)
 //! must be observationally equivalent to: per round they re-derive the FUA
 //! horizon by walking the queue, answer every write-after-read question by
 //! scanning all earlier tags, and bucket candidate pages by chip from scratch —
@@ -27,7 +27,7 @@ use sprinkler_flash::FlashGeometry;
 use sprinkler_ssd::request::TagId;
 use sprinkler_ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
 
-use crate::faro::{FaroCandidate, FaroConfig, FaroSelector};
+use crate::faro::{FaroCandidate, FaroSelector, OVERCOMMIT_DEPTH};
 use crate::rios::RiosTraversal;
 use crate::SchedulerKind;
 
@@ -80,7 +80,7 @@ impl ReferenceScheduler {
     pub fn new(kind: SchedulerKind) -> Self {
         ReferenceScheduler {
             kind,
-            faro: FaroSelector::new(FaroConfig::default()),
+            faro: FaroSelector,
             traversal: None,
         }
     }
@@ -98,7 +98,7 @@ impl ReferenceScheduler {
     fn per_chip_capacity(&self, ctx: &SchedulerContext<'_>) -> usize {
         let depth = match self.kind {
             SchedulerKind::Vas | SchedulerKind::Pas | SchedulerKind::Spk2 => 1,
-            SchedulerKind::Spk1 | SchedulerKind::Spk3 => self.faro.overcommit_depth(),
+            SchedulerKind::Spk1 | SchedulerKind::Spk3 => OVERCOMMIT_DEPTH,
         };
         depth.min(ctx.max_committed_per_chip())
     }
@@ -269,15 +269,15 @@ mod tests {
         };
         let mut reference = ReferenceScheduler::new(kind);
         reference.initialize(&geometry);
-        reference.schedule(&ctx)
+        let mut out = Vec::new();
+        reference.schedule_into(&ctx, &mut out);
+        out
     }
 
     /// The reference twins agree with the optimized schedulers on a small mixed
     /// queue (the exhaustive randomized comparison lives in tests/properties.rs).
     #[test]
     fn reference_matches_optimized_on_a_mixed_queue() {
-        use crate::{PhysicalAddressScheduler, SprinklerScheduler, VirtualAddressScheduler};
-
         let mut queue = DeviceQueue::new(8);
         admit(&mut queue, 0, Direction::Read, 0, &[0, 1]);
         admit(&mut queue, 1, Direction::Write, 1, &[2, 3]); // page 0 WAR-blocked
@@ -292,17 +292,12 @@ mod tests {
             ledger: &ledger,
         };
 
-        let mut optimized: Vec<Box<dyn IoScheduler>> = vec![
-            Box::new(VirtualAddressScheduler::new()),
-            Box::new(PhysicalAddressScheduler::new()),
-            Box::new(SprinklerScheduler::spk1()),
-            Box::new(SprinklerScheduler::spk2()),
-            Box::new(SprinklerScheduler::spk3()),
-        ];
-        for (kind, fast) in SchedulerKind::ALL.iter().zip(optimized.iter_mut()) {
+        for kind in SchedulerKind::ALL {
+            let mut fast = crate::Scheduler::new(kind);
             fast.initialize(&geometry);
-            let fast_out = fast.schedule(&ctx);
-            let ref_out = schedule(*kind, &queue);
+            let mut fast_out = Vec::new();
+            fast.schedule_into(&ctx, &mut fast_out);
+            let ref_out = schedule(kind, &queue);
             assert_eq!(fast_out, ref_out, "{kind} diverges from its reference");
         }
     }

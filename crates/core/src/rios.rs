@@ -49,33 +49,11 @@ impl RiosTraversal {
         &self.order
     }
 
-    /// The visit rank of a chip: `order()[position(chip)] == chip`.  Lets sparse
-    /// chip sets be visited in traversal order without walking all chips.
-    /// Returns `None` for chips outside the geometry.
-    pub fn position(&self, chip: usize) -> Option<usize> {
-        self.position.get(chip).copied()
-    }
-
-    /// The whole inverse permutation as a slice (`positions()[chip]` is the
-    /// visit rank of `chip`), for hot loops that look up many chips per round
-    /// without the per-call `Option`.
+    /// The inverse permutation: `positions()[chip]` is the visit rank of
+    /// `chip`, so `order()[positions()[chip]] == chip`.  Lets sparse chip
+    /// sets be visited in traversal order without walking all chips.
     pub fn positions(&self) -> &[usize] {
         &self.position
-    }
-
-    /// Number of chips covered.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True when the traversal covers no chips.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Iterates the chips in visit order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.order.iter().copied()
     }
 }
 
@@ -87,9 +65,7 @@ mod tests {
     fn covers_every_chip_exactly_once() {
         let g = FlashGeometry::paper_default();
         let t = RiosTraversal::new(&g);
-        assert_eq!(t.len(), g.total_chips());
-        assert!(!t.is_empty());
-        let mut sorted: Vec<usize> = t.iter().collect();
+        let mut sorted = t.order().to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..g.total_chips()).collect::<Vec<_>>());
     }
@@ -98,10 +74,10 @@ mod tests {
     fn position_is_the_inverse_of_order() {
         let g = FlashGeometry::paper_default();
         let t = RiosTraversal::new(&g);
+        assert_eq!(t.positions().len(), g.total_chips());
         for (rank, &chip) in t.order().iter().enumerate() {
-            assert_eq!(t.position(chip), Some(rank));
+            assert_eq!(t.positions()[chip], rank);
         }
-        assert_eq!(t.position(g.total_chips()), None);
     }
 
     #[test]
@@ -110,15 +86,13 @@ mod tests {
         let t = RiosTraversal::new(&g);
         let channels = g.channels;
         // The first `channels` visited chips must all be way 0, one per channel.
-        let first: Vec<usize> = t.iter().take(channels).collect();
-        for (i, &chip) in first.iter().enumerate() {
+        for (i, &chip) in t.order()[..channels].iter().enumerate() {
             let loc = g.chip_location(chip);
             assert_eq!(loc.way, 0);
             assert_eq!(loc.channel as usize, i);
         }
         // The next block is way 1.
-        let second: Vec<usize> = t.iter().skip(channels).take(channels).collect();
-        for &chip in &second {
+        for &chip in &t.order()[channels..2 * channels] {
             assert_eq!(g.chip_location(chip).way, 1);
         }
     }

@@ -1,21 +1,31 @@
-//! The Sprinkler scheduler: RIOS + FARO (§4).
+//! The paper's five device-level schedulers as one type (§3, §4, §5.1).
 //!
-//! Sprinkler "sprinkles" memory requests across the SSD's internal resources:
+//! VAS, PAS and the Sprinkler variants SPK1–3 differ on two axes only:
 //!
-//! * with **RIOS** enabled it ignores the I/O order of the device-level queue and
-//!   composes/commits memory requests per flash chip, visiting chips in the
-//!   channel-offset-first traversal of [`RiosTraversal`] so that commits stripe
+//! * **composition** — VAS, PAS and SPK1 compose memory requests in
+//!   device-queue (I/O arrival) order; SPK2 and SPK3 compose per *chip* by
+//!   RIOS (§4.1), ignoring I/O boundaries and visiting chips in the
+//!   channel-offset-first order of [`RiosTraversal`], so commits stripe
 //!   across channels and pipeline within them;
-//! * with **FARO** enabled it over-commits several memory requests per chip —
-//!   prioritized by overlap depth, then connectivity — so the flash controller can
-//!   coalesce them into a single die-interleaved, multi-plane transaction;
-//! * with both disabled pieces it degrades to the corresponding SPK1/SPK2 variants
-//!   the paper evaluates.
+//! * **commitment depth** — VAS, PAS and SPK2 commit at most one memory
+//!   request per chip; SPK1 and SPK3 over-commit up to [`OVERCOMMIT_DEPTH`]
+//!   by FARO (§4.2), prioritized by overlap depth, then connectivity, so the
+//!   flash controller can coalesce one die-interleaved, multi-plane
+//!   transaction.
 //!
-//! Sprinkler also supports readdressing (§4.3): when garbage collection
-//! migrates live data across planes, the substrate refreshes the placement
-//! previews of queued tags, which keeps its resource-driven decisions
-//! accurate.
+//! The queue-order walk takes its last two rules from the kind too.  A full
+//! chip stalls the walk — the head-of-line blocking of Fig 4 — except under
+//! PAS, which skips the page and keeps committing to idle chips
+//! (coarse-grain out-of-order execution, Fig 5).  And every kind but VAS
+//! defers a write page while an earlier queued read of the same logical page
+//! is uncommitted (§4.4).  VAS never reads physical addresses: the per-chip
+//! occupancy it stalls on models the backpressure its in-order pipeline
+//! meets, not placement knowledge.
+//!
+//! The Sprinkler variants support readdressing (§4.3): when garbage
+//! collection migrates live data across planes, the substrate refreshes the
+//! placement previews of queued tags, which keeps their resource-driven
+//! decisions accurate.
 
 use std::sync::Arc;
 
@@ -26,8 +36,9 @@ use sprinkler_ssd::request::TagId;
 use sprinkler_ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
 use sprinkler_ssd::{pri_die, pri_page, pri_plane, CandidateView};
 
-use crate::faro::{FaroCandidate, FaroConfig, FaroScratch, FaroSelector};
+use crate::faro::{FaroCandidate, FaroScratch, FaroSelector, OVERCOMMIT_DEPTH};
 use crate::rios::RiosTraversal;
+use crate::SchedulerKind;
 
 /// The tag of a candidate-index row: the queue slot its request occupies.
 #[inline]
@@ -50,19 +61,20 @@ fn candidate_at(cands: &CandidateView<'_>, row: usize) -> FaroCandidate {
     }
 }
 
-/// The Sprinkler device-level scheduler (SPK1 / SPK2 / SPK3).
+/// One of the paper's five schedulers, chosen by its [`SchedulerKind`].
 ///
-/// Scheduling rounds are allocation-free after warm-up: the per-chip candidate
-/// buckets, the traversal cursor, and the in-order commit counters are reusable
-/// scratch buffers owned by the scheduler, and candidates are pulled from the
-/// device queue's incremental per-chip index instead of re-scanning every queued
-/// tag.  Per-round cost is therefore proportional to the *newly schedulable
-/// work*, not to queue depth × pages or to the chip population.
+/// Scheduling rounds are allocation-free after warm-up: the rank bitmap,
+/// FARO's candidate and pick buffers, and the queue-order commit counters are
+/// reusable scratch buffers owned by the scheduler, and the resource-driven
+/// round pulls candidates from the device queue's incremental per-chip index
+/// instead of re-scanning every queued tag, so its cost is proportional to the
+/// *newly schedulable work*, not to queue depth × pages or to the chip
+/// population.
 #[derive(Debug, Clone)]
-pub struct SprinklerScheduler {
-    use_rios: bool,
-    use_faro: bool,
-    faro: FaroSelector,
+pub struct Scheduler {
+    kind: SchedulerKind,
+    /// RIOS's chip visit order, built by `initialize`; until then the
+    /// resource-driven round visits chips by index.
     traversal: Option<RiosTraversal>,
     /// Scratch: rank-indexed occupancy bitmap — bit `r` is set when the chip
     /// with traversal rank `r` has schedulable work this round.  Scanning the
@@ -76,8 +88,8 @@ pub struct SprinklerScheduler {
     /// chip has more than one (single-survivor chips commit straight from the
     /// columns).
     cand_scratch: Vec<FaroCandidate>,
-    /// Scratch: per-chip commits made this round by the in-order path.  Only the
-    /// chips listed in `newly_dirty` are non-zero between rounds.
+    /// Scratch: per-chip commits made this round by the queue-order walk.
+    /// Only the chips listed in `newly_dirty` are non-zero between rounds.
     newly: Vec<usize>,
     newly_dirty: Vec<usize>,
     /// Scratch: FARO's per-selection working buffers.
@@ -88,31 +100,11 @@ pub struct SprinklerScheduler {
     telemetry: Option<Arc<TelemetryCounters>>,
 }
 
-impl SprinklerScheduler {
-    /// Full Sprinkler: RIOS and FARO together (the paper's SPK3).
-    pub fn spk3() -> Self {
-        Self::with_components(true, true, FaroConfig::default())
-    }
-
-    /// FARO-only Sprinkler (SPK1): over-commitment without resource-driven
-    /// composition.
-    pub fn spk1() -> Self {
-        Self::with_components(false, true, FaroConfig::default())
-    }
-
-    /// RIOS-only Sprinkler (SPK2): resource-driven composition without
-    /// over-commitment.
-    pub fn spk2() -> Self {
-        Self::with_components(true, false, FaroConfig::default())
-    }
-
-    /// Builds a Sprinkler variant with explicit component switches and FARO
-    /// parameters.
-    pub fn with_components(use_rios: bool, use_faro: bool, faro: FaroConfig) -> Self {
-        SprinklerScheduler {
-            use_rios,
-            use_faro,
-            faro: FaroSelector::new(faro),
+impl Scheduler {
+    /// Creates the scheduler of `kind`.
+    pub fn new(kind: SchedulerKind) -> Self {
+        Scheduler {
+            kind,
             traversal: None,
             round_bits: Vec::new(),
             round_chip: Vec::new(),
@@ -132,18 +124,33 @@ impl SprinklerScheduler {
         }
     }
 
-    fn per_chip_capacity(&self) -> usize {
-        if self.use_faro {
-            self.faro.overcommit_depth()
-        } else {
-            1
-        }
+    /// Whether this kind over-commits by FARO (SPK1, SPK3).
+    fn overcommits(&self) -> bool {
+        matches!(self.kind, SchedulerKind::Spk1 | SchedulerKind::Spk3)
     }
 
-    /// SPK1 path: in-order composition (the parallelism dependency remains) but
-    /// with over-commitment so controllers can still build high-FLP transactions.
+    /// Per-chip commit capacity: the over-commitment depth under FARO, 1
+    /// without it, never past the ledger's cap.
+    fn per_chip_capacity(&self, ctx: &SchedulerContext<'_>) -> usize {
+        let depth = if self.overcommits() {
+            OVERCOMMIT_DEPTH
+        } else {
+            1
+        };
+        depth.min(ctx.max_committed_per_chip())
+    }
+
+    /// Queue-order composition (VAS, PAS, SPK1): walk the tags in arrival
+    /// order up to the FUA horizon, committing every uncommitted page whose
+    /// chip has room.  A full chip stalls the walk, except under PAS, which
+    /// skips the page; every kind but VAS defers only the write page an
+    /// earlier uncommitted read of its logical page blocks (§4.4) and keeps
+    /// composing.
+    // lint: hot-path
     fn schedule_in_order(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
-        let capacity = self.per_chip_capacity().min(ctx.max_committed_per_chip());
+        let capacity = self.per_chip_capacity(ctx);
+        let skip_full = self.kind == SchedulerKind::Pas;
+        let check_hazards = self.kind != SchedulerKind::Vas;
         if self.newly.len() < ctx.chip_count() {
             self.newly.resize(ctx.chip_count(), 0);
         }
@@ -157,22 +164,20 @@ impl SprinklerScheduler {
                 self.count(|t| &t.hazard_horizon_clips);
                 break;
             }
-            let is_write = tag.host.direction.is_write();
+            let is_checked_write = check_hazards && tag.host.direction.is_write();
             for page in tag.uncommitted_pages() {
                 let chip = tag.placements[page as usize].chip;
                 if ctx.outstanding(chip) + self.newly[chip] >= capacity {
-                    // Like VAS, composition is in-order: the first request that
-                    // cannot be committed stalls everything behind it.
+                    if skip_full {
+                        continue;
+                    }
                     return;
                 }
-                if is_write
+                if is_checked_write
                     && ctx
                         .queue
                         .has_blocking_read(tag.host.lpn_at(page).value(), tag.seq)
                 {
-                    // §4.4 hazard policy: a write-after-read conflict is a data
-                    // dependency on one logical page, not a resource collision —
-                    // defer only the blocked page and keep composing.
                     self.count(|t| &t.hazard_war_deferrals);
                     continue;
                 }
@@ -185,10 +190,11 @@ impl SprinklerScheduler {
         }
     }
 
-    /// RIOS path (SPK2/SPK3): visit the chips that have uncommitted candidate
-    /// pages — straight from the device queue's columnar per-chip index — in
-    /// traversal order, committing up to the per-chip capacity; FARO decides
-    /// which candidates win when there are more than fit.
+    /// Resource-driven composition (SPK2, SPK3): visit the chips that have
+    /// uncommitted candidate pages — straight from the device queue's
+    /// columnar per-chip index — in traversal order, committing up to the
+    /// per-chip capacity; FARO decides which candidates win when there are
+    /// more than fit.
     ///
     /// The round is data-oriented end to end: both passes stream the queue's
     /// seq/pri/lpn/slot columns and the ledger's outstanding column as plain
@@ -198,11 +204,13 @@ impl SprinklerScheduler {
     /// marks each chip with headroom in a rank-indexed bitmap; pass 2 scans
     /// the bitmap words with `trailing_zeros` — visiting chips in traversal
     /// order without a sort — and filters each chip's rows (FUA horizon,
-    /// §4.4 write-after-read) on the spot.  The dominant many-chip shape, one surviving candidate per
-    /// chip, commits straight from the columns without building a
-    /// [`FaroCandidate`] at all.
+    /// §4.4 write-after-read) on the spot.  The dominant many-chip shape, one
+    /// surviving candidate per chip, commits straight from the columns
+    /// without building a [`FaroCandidate`] at all.
+    // lint: hot-path
     fn schedule_resource_driven(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
-        let capacity = self.per_chip_capacity().min(ctx.max_committed_per_chip());
+        let capacity = self.per_chip_capacity(ctx);
+        let overcommit = self.overcommits();
         let bound = ctx.queue.horizon_seq();
         let chip_count = ctx.chip_count();
         let cands = ctx.queue.candidate_view();
@@ -266,7 +274,7 @@ impl SprinklerScheduler {
                         self.count(|t| &t.hazard_war_deferrals);
                         continue;
                     }
-                    if self.use_faro {
+                    if overcommit {
                         self.count(|t| &t.faro_fast_path_rounds);
                     }
                     out.push(Commitment {
@@ -299,7 +307,7 @@ impl SprinklerScheduler {
                     survivors += 1;
                     if survivors == 1 {
                         first_row = row;
-                        if !self.use_faro {
+                        if !overcommit {
                             // No over-commitment: the rows arrive in
                             // (admission seq, page) order, so the first
                             // non-blocked one is the oldest — nothing further
@@ -320,7 +328,7 @@ impl SprinklerScheduler {
                         // A single candidate trivially satisfies FARO's
                         // fast-path condition (one tag, vacuous ordering) —
                         // commit it straight from the columns.
-                        if self.use_faro {
+                        if overcommit {
                             self.count(|t| &t.faro_fast_path_rounds);
                         }
                         out.push(Commitment {
@@ -331,7 +339,7 @@ impl SprinklerScheduler {
                     _ => {
                         let room = capacity - outstanding[chip] as usize;
                         self.faro_picks.clear();
-                        let fast = self.faro.select_into(
+                        let fast = FaroSelector.select_into(
                             &self.cand_scratch,
                             room,
                             &mut self.faro_picks,
@@ -352,14 +360,9 @@ impl SprinklerScheduler {
     }
 }
 
-impl IoScheduler for SprinklerScheduler {
+impl IoScheduler for Scheduler {
     fn name(&self) -> &'static str {
-        match (self.use_rios, self.use_faro) {
-            (false, true) => "SPK1",
-            (true, false) => "SPK2",
-            (true, true) => "SPK3",
-            (false, false) => "SPK0",
-        }
+        self.kind.label()
     }
 
     fn initialize(&mut self, geometry: &FlashGeometry) {
@@ -371,18 +374,20 @@ impl IoScheduler for SprinklerScheduler {
     }
 
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
-        if self.use_rios {
-            self.schedule_resource_driven(ctx, out);
-        } else {
-            self.schedule_in_order(ctx, out);
+        match self.kind {
+            SchedulerKind::Vas | SchedulerKind::Pas | SchedulerKind::Spk1 => {
+                self.schedule_in_order(ctx, out);
+            }
+            SchedulerKind::Spk2 | SchedulerKind::Spk3 => self.schedule_resource_driven(ctx, out),
         }
     }
 
     /// The substrate refreshes the stale placement previews of queued tags
-    /// when GC migrates a page; Sprinkler needs nothing more, because its
-    /// per-round, per-chip grouping is rebuilt from those previews anyway.
+    /// when GC migrates a page; the Sprinkler variants need nothing more,
+    /// because their per-round, per-chip grouping is rebuilt from those
+    /// previews anyway.  VAS and PAS pay the stale-readdressing penalty.
     fn supports_readdressing(&self) -> bool {
-        true
+        !matches!(self.kind, SchedulerKind::Vas | SchedulerKind::Pas)
     }
 }
 
@@ -394,6 +399,12 @@ mod tests {
     use sprinkler_ssd::queue::DeviceQueue;
     use sprinkler_ssd::request::{Direction, HostRequest, Placement, TagId};
     use sprinkler_ssd::CommitmentLedger;
+
+    use SchedulerKind::{Pas, Spk1, Spk2, Spk3, Vas};
+
+    /// The ledger cap of most cases: above [`OVERCOMMIT_DEPTH`], so the
+    /// kind's own depth binds.
+    const CAP: usize = 32;
 
     /// Admits `host` with page `i` at `(chip, die, plane) = pages[i]` and
     /// returns its tag.
@@ -409,7 +420,7 @@ mod tests {
 
     /// Admits request `id` at `pages`; ids count from 0 on a fresh queue, so
     /// each is also its tag.
-    fn admit(queue: &mut DeviceQueue, id: u64, dir: Direction, pages: Vec<(usize, u32, u32)>) {
+    fn admit(queue: &mut DeviceQueue, id: u64, dir: Direction, pages: &[(usize, u32, u32)]) {
         let host = HostRequest::new(
             id,
             SimTime::ZERO,
@@ -417,52 +428,140 @@ mod tests {
             Lpn::new(id * 1000),
             pages.len() as u32,
         );
-        assert_eq!(admit_at(queue, host, &pages), TagId(id));
+        assert_eq!(admit_at(queue, host, pages), TagId(id));
     }
 
-    fn run_scheduler(
-        scheduler: &mut SprinklerScheduler,
+    /// Admits read `id` with page `i` on die 0, plane 0 of `chips[i]`.
+    fn admit_on(queue: &mut DeviceQueue, id: u64, chips: &[usize]) {
+        let pages: Vec<_> = chips.iter().map(|&chip| (chip, 0, 0)).collect();
+        admit(queue, id, Direction::Read, &pages);
+    }
+
+    /// One round of `kind` over `queue`, with `outstanding[chip]` requests
+    /// already committed under a ledger cap of `cap`.
+    fn schedule(
+        kind: SchedulerKind,
         queue: &DeviceQueue,
+        cap: usize,
         outstanding: &[usize],
     ) -> Vec<Commitment> {
         let geometry = FlashGeometry::small_test();
+        let mut scheduler = Scheduler::new(kind);
         scheduler.initialize(&geometry);
-        let ledger = CommitmentLedger::from_outstanding(32, outstanding);
+        let ledger = CommitmentLedger::from_outstanding(cap, outstanding);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
             geometry: &geometry,
             queue,
             ledger: &ledger,
         };
-        scheduler.schedule(&ctx)
+        let mut out = Vec::new();
+        scheduler.schedule_into(&ctx, &mut out);
+        out
+    }
+
+    fn chip_of(queue: &DeviceQueue, commitment: &Commitment) -> usize {
+        queue.tag(commitment.tag).unwrap().placements[commitment.page as usize].chip
+    }
+
+    /// The commitments as `(tag, page)` pairs.
+    fn pairs(out: &[Commitment]) -> Vec<(u64, u32)> {
+        out.iter().map(|c| (c.tag.0, c.page)).collect()
+    }
+
+    /// The two axes: every kind is named by its label, and only FARO's kinds
+    /// commit more than one request to a chip in a round.
+    #[test]
+    fn variant_names_and_components() {
+        let mut queue = DeviceQueue::new(8);
+        admit_on(&mut queue, 0, &[0, 0, 0]);
+        for kind in SchedulerKind::ALL {
+            assert_eq!(Scheduler::new(kind).name(), kind.label());
+            let out = schedule(kind, &queue, CAP, &[0; 4]);
+            let expected = if matches!(kind, Spk1 | Spk3) { 3 } else { 1 };
+            assert_eq!(out.len(), expected, "{kind}");
+        }
     }
 
     #[test]
-    fn variant_names_and_components() {
-        assert_eq!(SprinklerScheduler::spk1().name(), "SPK1");
-        assert_eq!(SprinklerScheduler::spk2().name(), "SPK2");
-        assert_eq!(SprinklerScheduler::spk3().name(), "SPK3");
-        assert_eq!(
-            SprinklerScheduler::with_components(false, false, FaroConfig::default()).name(),
-            "SPK0"
-        );
+    fn vas_commits_in_strict_io_order_when_no_conflicts() {
+        let mut queue = DeviceQueue::new(8);
+        admit_on(&mut queue, 0, &[0, 1]);
+        admit_on(&mut queue, 1, &[2, 3]);
+        let out = schedule(Vas, &queue, CAP, &[0; 4]);
+        let tags: Vec<u64> = out.iter().map(|c| c.tag.0).collect();
+        assert_eq!(tags, vec![0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn a_chip_conflict_stalls_vas_but_pas_skips_it() {
+        let mut queue = DeviceQueue::new(8);
+        admit_on(&mut queue, 0, &[0, 1]);
+        admit_on(&mut queue, 1, &[0, 3]); // collides with tag 0 on chip 0
+        admit_on(&mut queue, 2, &[2, 3]); // no collision, but behind tag 1
+
+        // VAS: tag 0 commits both pages, then tag 1's first page collides on
+        // chip 0 and the pipeline stops, though chips 2 and 3 are idle.
+        let out = schedule(Vas, &queue, CAP, &[0; 4]);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|c| c.tag == TagId(0)));
+        // PAS: tag 1's chip-0 page is skipped but its chip-3 page commits;
+        // tag 2's chip-2 page commits, its chip-3 page is skipped.
+        let out = schedule(Pas, &queue, CAP, &[0; 4]);
+        let tags: Vec<u64> = out.iter().map(|c| c.tag.0).collect();
+        assert_eq!(tags, vec![0, 0, 1, 2]);
+    }
+
+    #[test]
+    fn a_busy_chip_stalls_vas_but_pas_skips_it() {
+        let mut queue = DeviceQueue::new(8);
+        admit_on(&mut queue, 0, &[1, 2]);
+        let busy = [0, 1, 0, 0]; // chip 1 already has work
+        assert!(schedule(Vas, &queue, CAP, &busy).is_empty());
+        let out = schedule(Pas, &queue, CAP, &busy);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].page, 1);
+    }
+
+    #[test]
+    fn already_committed_pages_are_skipped() {
+        let mut queue = DeviceQueue::new(8);
+        admit_on(&mut queue, 0, &[0, 1]);
+        assert!(queue.commit_page(TagId(0), 0, SimTime::ZERO));
+        for kind in SchedulerKind::ALL {
+            let out = schedule(kind, &queue, CAP, &[0; 4]);
+            assert_eq!(pairs(&out), [(0, 1)], "{kind}");
+        }
+    }
+
+    #[test]
+    fn fua_acts_as_a_reordering_barrier() {
+        let mut queue = DeviceQueue::new(8);
+        admit_on(&mut queue, 0, &[0]);
+        let fua =
+            HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(50), 1).with_fua(true);
+        admit_at(&mut queue, fua, &[(0, 0, 0)]);
+        admit_on(&mut queue, 2, &[3]);
+        // Tag 2's chip is idle, but it arrived after the uncommitted FUA write.
+        for kind in SchedulerKind::ALL {
+            let out = schedule(kind, &queue, CAP, &[0; 4]);
+            assert_eq!(pairs(&out)[0], (0, 0), "{kind}");
+            assert!(out.iter().all(|c| c.tag != TagId(2)), "{kind}");
+        }
     }
 
     #[test]
     fn spk3_commits_beyond_io_boundaries() {
         let mut queue = DeviceQueue::new(8);
         // Tag 0 collides with tag 1 on chip 0; tag 2 targets chips 2 and 3.
-        admit(&mut queue, 0, Direction::Read, vec![(0, 0, 0), (1, 0, 0)]);
-        admit(&mut queue, 1, Direction::Read, vec![(0, 0, 1), (3, 0, 0)]);
-        admit(&mut queue, 2, Direction::Read, vec![(2, 0, 0), (3, 0, 1)]);
-        let mut spk3 = SprinklerScheduler::spk3();
-        let out = run_scheduler(&mut spk3, &queue, &[0, 0, 0, 0]);
+        admit(&mut queue, 0, Direction::Read, &[(0, 0, 0), (1, 0, 0)]);
+        admit(&mut queue, 1, Direction::Read, &[(0, 0, 1), (3, 0, 0)]);
+        admit(&mut queue, 2, Direction::Read, &[(2, 0, 0), (3, 0, 1)]);
+        let out = schedule(Spk3, &queue, CAP, &[0; 4]);
         // Every chip receives work; the chip-0 collision does not stop chips 2/3,
         // and over-commitment allows both chip-0 requests to be committed.
-        let chips: std::collections::HashSet<usize> = out
-            .iter()
-            .map(|c| queue.tag(c.tag).unwrap().placements[c.page as usize].chip)
-            .collect();
+        let chips: std::collections::HashSet<usize> =
+            out.iter().map(|c| chip_of(&queue, c)).collect();
         assert_eq!(chips.len(), 4);
         assert_eq!(out.len(), 6, "all six pages are committed in one round");
     }
@@ -470,43 +569,31 @@ mod tests {
     #[test]
     fn spk2_commits_at_most_one_request_per_chip() {
         let mut queue = DeviceQueue::new(8);
-        admit(&mut queue, 0, Direction::Read, vec![(0, 0, 0), (0, 0, 1)]);
-        admit(&mut queue, 1, Direction::Read, vec![(0, 1, 0), (2, 0, 0)]);
-        let mut spk2 = SprinklerScheduler::spk2();
-        let out = run_scheduler(&mut spk2, &queue, &[0, 0, 0, 0]);
-        let chip0_commits = out
-            .iter()
-            .filter(|c| queue.tag(c.tag).unwrap().placements[c.page as usize].chip == 0)
-            .count();
-        assert_eq!(chip0_commits, 1);
+        admit(&mut queue, 0, Direction::Read, &[(0, 0, 0), (0, 0, 1)]);
+        admit(&mut queue, 1, Direction::Read, &[(0, 1, 0), (2, 0, 0)]);
+        let out = schedule(Spk2, &queue, CAP, &[0; 4]);
+        assert_eq!(out.iter().filter(|c| chip_of(&queue, c) == 0).count(), 1);
         // Chip 2 still gets its request (resource-driven, not I/O ordered).
-        assert!(out
-            .iter()
-            .any(|c| queue.tag(c.tag).unwrap().placements[c.page as usize].chip == 2));
+        assert!(out.iter().any(|c| chip_of(&queue, c) == 2));
     }
 
     #[test]
     fn spk2_skips_chips_with_outstanding_work() {
         let mut queue = DeviceQueue::new(8);
-        admit(&mut queue, 0, Direction::Read, vec![(0, 0, 0), (1, 0, 0)]);
-        let mut spk2 = SprinklerScheduler::spk2();
-        let out = run_scheduler(&mut spk2, &queue, &[1, 0, 0, 0]);
+        admit_on(&mut queue, 0, &[0, 1]);
+        let out = schedule(Spk2, &queue, CAP, &[1, 0, 0, 0]);
         assert_eq!(out.len(), 1);
-        assert_eq!(
-            queue.tag(out[0].tag).unwrap().placements[out[0].page as usize].chip,
-            1
-        );
+        assert_eq!(chip_of(&queue, &out[0]), 1);
     }
 
     #[test]
     fn spk1_overcommits_but_blocks_in_order() {
         let mut queue = DeviceQueue::new(8);
         // Tag 0: two requests to chip 0 (different planes) — both can over-commit.
-        admit(&mut queue, 0, Direction::Read, vec![(0, 0, 0), (0, 0, 1)]);
+        admit(&mut queue, 0, Direction::Read, &[(0, 0, 0), (0, 0, 1)]);
         // Tag 1 targets chip 1.
-        admit(&mut queue, 1, Direction::Read, vec![(1, 0, 0)]);
-        let mut spk1 = SprinklerScheduler::spk1();
-        let out = run_scheduler(&mut spk1, &queue, &[0, 0, 0, 0]);
+        admit_on(&mut queue, 1, &[1]);
+        let out = schedule(Spk1, &queue, CAP, &[0; 4]);
         assert_eq!(
             out.len(),
             3,
@@ -514,8 +601,7 @@ mod tests {
         );
 
         // With chip 0 saturated to the FARO depth, SPK1 stalls at the head:
-        let depth = SprinklerScheduler::spk1().faro.overcommit_depth();
-        let out = run_scheduler(&mut spk1, &queue, &[depth, 0, 0, 0]);
+        let out = schedule(Spk1, &queue, CAP, &[OVERCOMMIT_DEPTH, 0, 0, 0]);
         assert!(out.is_empty(), "in-order composition blocks behind chip 0");
     }
 
@@ -523,16 +609,10 @@ mod tests {
     fn spk3_prefers_high_overlap_tags_under_pressure() {
         let mut queue = DeviceQueue::new(8);
         // Tag 0 concentrates on one plane of chip 0, tag 1 spans two dies.
-        admit(&mut queue, 0, Direction::Read, vec![(0, 0, 0), (0, 0, 0)]);
-        admit(&mut queue, 1, Direction::Read, vec![(0, 0, 1), (0, 1, 1)]);
-        let mut spk3 = SprinklerScheduler::with_components(
-            true,
-            true,
-            FaroConfig {
-                overcommit_depth: 2,
-            },
-        );
-        let out = run_scheduler(&mut spk3, &queue, &[0, 0, 0, 0]);
+        admit(&mut queue, 0, Direction::Read, &[(0, 0, 0), (0, 0, 0)]);
+        admit(&mut queue, 1, Direction::Read, &[(0, 0, 1), (0, 1, 1)]);
+        // A ledger cap of 2 leaves room for one tag's two pages.
+        let out = schedule(Spk3, &queue, 2, &[0; 4]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|c| c.tag == TagId(1)));
     }
@@ -545,52 +625,36 @@ mod tests {
         admit_at(&mut queue, read, &[(0, 0, 0), (1, 0, 0)]);
         let write = HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(1), 1);
         let writer = admit_at(&mut queue, write, &[(2, 0, 0)]);
-        let mut spk3 = SprinklerScheduler::spk3();
-        let out = run_scheduler(&mut spk3, &queue, &[0, 0, 0, 0]);
+        let out = schedule(Spk3, &queue, CAP, &[0; 4]);
         assert!(out.iter().all(|c| c.tag != writer));
         assert_eq!(out.len(), 2);
     }
 
-    /// Locks in the unified §4.4 hazard policy on *both* composition paths: a
-    /// two-page write with exactly one WAR-blocked page commits the unblocked
-    /// page and defers only the blocked one — the in-order path no longer stalls
-    /// the whole round, and the resource-driven path behaves identically.
+    /// Locks in the §4.4 hazard policy on both composition paths: a two-page
+    /// write with exactly one WAR-blocked page commits the unblocked page and
+    /// defers only the blocked one, under every kind that checks hazards.
+    /// VAS checks none and commits both.
     #[test]
     fn war_hazard_defers_only_the_blocked_page_on_both_paths() {
-        let build_queue = || {
-            let mut queue = DeviceQueue::new(8);
-            // Tag 0 reads LPN 0 (uncommitted) on chip 3.
-            let read = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 1);
-            assert_eq!(admit_at(&mut queue, read, &[(3, 0, 0)]), TagId(0));
-            // Tag 1 writes LPN 0..2: page 0 is WAR-blocked, page 1 is free.
-            let write = HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(0), 2);
-            assert_eq!(
-                admit_at(&mut queue, write, &[(0, 0, 0), (1, 0, 0)]),
-                TagId(1)
-            );
-            queue
-        };
-        for mut scheduler in [SprinklerScheduler::spk1(), SprinklerScheduler::spk3()] {
-            let queue = build_queue();
-            let out = run_scheduler(&mut scheduler, &queue, &[0, 0, 0, 0]);
+        let mut queue = DeviceQueue::new(8);
+        // Tag 0 reads LPN 0 (uncommitted) on chip 3.
+        let read = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 1);
+        admit_at(&mut queue, read, &[(3, 0, 0)]);
+        // Tag 1 writes LPN 0..2: page 0 is WAR-blocked, page 1 is free.
+        let write = HostRequest::new(1, SimTime::ZERO, Direction::Write, Lpn::new(0), 2);
+        admit_at(&mut queue, write, &[(0, 0, 0), (1, 0, 0)]);
+        for kind in SchedulerKind::ALL {
+            let out = schedule(kind, &queue, CAP, &[0; 4]);
             let tag1_pages: Vec<u32> = out
                 .iter()
                 .filter(|c| c.tag == TagId(1))
                 .map(|c| c.page)
                 .collect();
-            assert_eq!(
-                tag1_pages,
-                vec![1],
-                "{}: exactly the unblocked page of the write must commit",
-                scheduler.name()
-            );
+            let expected = if kind == Vas { vec![0, 1] } else { vec![1] };
+            assert_eq!(tag1_pages, expected, "{kind}");
             assert!(
-                out.contains(&Commitment {
-                    tag: TagId(0),
-                    page: 0
-                }),
-                "{}: the read must still be composed",
-                scheduler.name()
+                pairs(&out).contains(&(0, 0)),
+                "{kind}: the read must still be composed"
             );
         }
     }

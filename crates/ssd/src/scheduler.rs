@@ -2,10 +2,11 @@
 //!
 //! All the controllers the paper compares — VAS, PAS, and the Sprinkler variants —
 //! are implemented against this trait (in the `sprinkler-core` crate).  The SSD
-//! substrate invokes [`IoScheduler::schedule`] whenever scheduling-relevant state
-//! changes (tag admission, memory-request completion, transaction completion); the
-//! scheduler inspects the device queue and the commitment ledger's occupancy view
-//! and returns the memory requests it wants to compose and commit.
+//! substrate invokes [`IoScheduler::schedule_into`] whenever scheduling-relevant
+//! state changes (tag admission, memory-request completion, transaction
+//! completion); the scheduler inspects the device queue and the commitment
+//! ledger's occupancy view and appends the memory requests it wants to compose
+//! and commit.
 
 use std::fmt;
 use std::sync::Arc;
@@ -99,14 +100,6 @@ pub trait IoScheduler: fmt::Debug {
     /// already-committed page) are ignored by the SSD, and commitments beyond
     /// a chip's hard capacity are deferred.
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>);
-
-    /// Allocating convenience wrapper around [`IoScheduler::schedule_into`]
-    /// for tests and tools that don't manage a reusable buffer.
-    fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Commitment> {
-        let mut out = Vec::new();
-        self.schedule_into(ctx, &mut out);
-        out
-    }
 
     /// Notification that a committed memory request completed.
     fn on_complete(&mut self, _tag: TagId, _page: u32) {}
@@ -223,7 +216,8 @@ mod tests {
         let ctx = ctx_fixture(&queue, &ledger, &geometry);
         let mut sched = CommitAllScheduler::new();
         assert_eq!(sched.name(), "commit-all");
-        let commitments = sched.schedule(&ctx);
+        let mut commitments = Vec::new();
+        sched.schedule_into(&ctx, &mut commitments);
         // Chip 0 has no budget left, so its pages are skipped.
         assert!(commitments
             .iter()

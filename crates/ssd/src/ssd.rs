@@ -328,7 +328,9 @@ impl Ssd {
             plane_busy: vec![Duration::ZERO; total_chips],
             chip_kick_pending: vec![false; total_chips],
             schedule_pending: false,
-            commit_buf: Vec::new(),
+            // The paper's schedulers propose at most each chip's headroom
+            // in a round, so a round fits in the in-flight bound.
+            commit_buf: Vec::with_capacity(in_flight_bound),
             txn_scratch,
             telemetry,
             gc_jobs: vec![None; gc_planes],
@@ -604,8 +606,8 @@ impl Ssd {
             return;
         }
         TelemetryCounters::incr(&self.telemetry.sched_rounds);
-        // The commitment buffer is taken out of `self` for the borrow, reused
-        // every round (capacity sticks at the high-water mark).
+        // The commitment buffer is taken out of `self` for the borrow and
+        // reused every round (pre-sized to the in-flight bound).
         let mut commitments = std::mem::take(&mut self.commit_buf);
         commitments.clear();
         {

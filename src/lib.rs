@@ -10,8 +10,9 @@
 //! * [`ssd`] — the many-chip SSD substrate (NVMHC queue, DMA, the per-chip
 //!   transaction fold, channels, page-level FTL with GC, metrics, and the
 //!   `IoScheduler` trait).
-//! * [`core`] — the paper's contribution: VAS, PAS, and the Sprinkler schedulers
-//!   (RIOS, FARO, SPK1/2/3).
+//! * [`core`] — the paper's contribution: one `Scheduler` for VAS, PAS and the
+//!   Sprinkler variants SPK1/2/3 (RIOS composition, FARO over-commitment),
+//!   keyed by `SchedulerKind`.
 //! * [`workloads`] — synthetic Table 1 enterprise traces, microbenchmark sweeps,
 //!   the streaming `TraceSource` abstraction, and the MSR-CSV/blkparse text-trace
 //!   parser with its embedded sample corpus.

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sprinkler::array::{
     run_array, ArrayConfig, ArrayError, PlacementMap, RebalanceConfig, StripeRouter, MAX_DEVICES,
 };
-use sprinkler::core::faro::{FaroCandidate, FaroConfig, FaroScratch, FaroSelector};
+use sprinkler::core::faro::{FaroCandidate, FaroScratch, FaroSelector};
 use sprinkler::core::reference::ReferenceScheduler;
 use sprinkler::core::SchedulerKind;
 use sprinkler::experiments::replay::record_to_request;
@@ -652,9 +652,8 @@ proptest! {
     fn one_pass_faro_matches_algorithm_one(
         candidates in arb_faro_candidates(),
         capacity in 0usize..21,
-        depth in 1usize..25,
     ) {
-        let selector = FaroSelector::new(FaroConfig { overcommit_depth: depth });
+        let selector = FaroSelector;
         let mut scratch = FaroScratch::default();
         let first_tag = candidates[0].tag;
         let later = candidates.iter().position(|c| c.tag != first_tag);
@@ -665,7 +664,7 @@ proptest! {
             prop_assert_eq!(out[0], (TagId(u64::MAX), 0), "earlier output was overwritten");
             prop_assert_eq!(&out[1..], &selector.select(set, capacity)[..]);
             let one_tag = !set.is_empty() && set.iter().all(|c| c.tag == set[0].tag);
-            prop_assert_eq!(fast, one_tag && capacity.min(depth) > 0);
+            prop_assert_eq!(fast, one_tag && capacity > 0);
         }
     }
 
