@@ -100,6 +100,13 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
+// The unit tests of VAS and PAS, the two in-order kinds that commit one
+// request per chip.
+#[cfg(test)]
+mod pas;
+#[cfg(test)]
+mod vas;
+
 #[cfg(test)]
 mod tests {
     use super::*;

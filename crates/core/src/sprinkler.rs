@@ -392,7 +392,7 @@ impl IoScheduler for Scheduler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sprinkler_flash::Lpn;
     use sprinkler_sim::SimTime;
@@ -400,15 +400,19 @@ mod tests {
     use sprinkler_ssd::request::{Direction, HostRequest, Placement, TagId};
     use sprinkler_ssd::CommitmentLedger;
 
-    use SchedulerKind::{Pas, Spk1, Spk2, Spk3, Vas};
+    use SchedulerKind::{Spk1, Spk2, Spk3, Vas};
 
     /// The ledger cap of most cases: above [`OVERCOMMIT_DEPTH`], so the
     /// kind's own depth binds.
-    const CAP: usize = 32;
+    pub(crate) const CAP: usize = 32;
 
     /// Admits `host` with page `i` at `(chip, die, plane) = pages[i]` and
     /// returns its tag.
-    fn admit_at(queue: &mut DeviceQueue, host: HostRequest, pages: &[(usize, u32, u32)]) -> TagId {
+    pub(crate) fn admit_at(
+        queue: &mut DeviceQueue,
+        host: HostRequest,
+        pages: &[(usize, u32, u32)],
+    ) -> TagId {
         let placement = |page: u32| {
             let (chip, die, plane) = pages[page as usize];
             Placement { chip, die, plane }
@@ -432,14 +436,14 @@ mod tests {
     }
 
     /// Admits read `id` with page `i` on die 0, plane 0 of `chips[i]`.
-    fn admit_on(queue: &mut DeviceQueue, id: u64, chips: &[usize]) {
+    pub(crate) fn admit_on(queue: &mut DeviceQueue, id: u64, chips: &[usize]) {
         let pages: Vec<_> = chips.iter().map(|&chip| (chip, 0, 0)).collect();
         admit(queue, id, Direction::Read, &pages);
     }
 
     /// One round of `kind` over `queue`, with `outstanding[chip]` requests
     /// already committed under a ledger cap of `cap`.
-    fn schedule(
+    pub(crate) fn schedule(
         kind: SchedulerKind,
         queue: &DeviceQueue,
         cap: usize,
@@ -481,46 +485,6 @@ mod tests {
             let expected = if matches!(kind, Spk1 | Spk3) { 3 } else { 1 };
             assert_eq!(out.len(), expected, "{kind}");
         }
-    }
-
-    #[test]
-    fn vas_commits_in_strict_io_order_when_no_conflicts() {
-        let mut queue = DeviceQueue::new(8);
-        admit_on(&mut queue, 0, &[0, 1]);
-        admit_on(&mut queue, 1, &[2, 3]);
-        let out = schedule(Vas, &queue, CAP, &[0; 4]);
-        let tags: Vec<u64> = out.iter().map(|c| c.tag.0).collect();
-        assert_eq!(tags, vec![0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn a_chip_conflict_stalls_vas_but_pas_skips_it() {
-        let mut queue = DeviceQueue::new(8);
-        admit_on(&mut queue, 0, &[0, 1]);
-        admit_on(&mut queue, 1, &[0, 3]); // collides with tag 0 on chip 0
-        admit_on(&mut queue, 2, &[2, 3]); // no collision, but behind tag 1
-
-        // VAS: tag 0 commits both pages, then tag 1's first page collides on
-        // chip 0 and the pipeline stops, though chips 2 and 3 are idle.
-        let out = schedule(Vas, &queue, CAP, &[0; 4]);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|c| c.tag == TagId(0)));
-        // PAS: tag 1's chip-0 page is skipped but its chip-3 page commits;
-        // tag 2's chip-2 page commits, its chip-3 page is skipped.
-        let out = schedule(Pas, &queue, CAP, &[0; 4]);
-        let tags: Vec<u64> = out.iter().map(|c| c.tag.0).collect();
-        assert_eq!(tags, vec![0, 0, 1, 2]);
-    }
-
-    #[test]
-    fn a_busy_chip_stalls_vas_but_pas_skips_it() {
-        let mut queue = DeviceQueue::new(8);
-        admit_on(&mut queue, 0, &[1, 2]);
-        let busy = [0, 1, 0, 0]; // chip 1 already has work
-        assert!(schedule(Vas, &queue, CAP, &busy).is_empty());
-        let out = schedule(Pas, &queue, CAP, &busy);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].page, 1);
     }
 
     #[test]
