@@ -7,9 +7,11 @@
 //!   (never a global: experiment harnesses run many devices concurrently and
 //!   per-run figures must stay deterministic), shared via `Arc` between the
 //!   SSD substrate and its scheduler, and frozen into a [`TelemetrySnapshot`]
-//!   when the run's metrics are finalized.  A relaxed fetch-add on an
-//!   uncontended cache line costs a few cycles, so the counters are always on
-//!   — every experiment, scenario, and BENCH baseline carries them.
+//!   when the run's metrics are finalized.  The counters are always on —
+//!   every experiment, scenario, and BENCH baseline carries them — but not
+//!   free: even relaxed and uncontended, a `fetch_add` is a `lock`-prefixed
+//!   read-modify-write on x86-64, which also orders the loads and stores
+//!   around it, and the replay loop makes dozens of them per I/O.
 //! * [`CountingAllocator`] — a test-only global allocator that counts
 //!   allocations and allocated bytes per thread.  Test binaries install it
 //!   with `#[global_allocator]` and use [`AllocScope`] to assert that a

@@ -10,10 +10,11 @@
 //! that support them.
 //!
 //! Per-request state is slot-indexed, with no hashing on the replay path:
-//! in-flight memory requests live in a slab addressed by `u32` handles, the
-//! pending set and live transaction of a chip are stored at the chip's index,
-//! and GC jobs at their plane's index.  Events carry only those handles, so
-//! an event entry stays small.
+//! in-flight memory requests live in a slab addressed by `u32` handles, a
+//! chip's live transaction is stored at the chip's index, delivered requests
+//! wait in [`PendingSets`]' per-(die, plane) lists, and GC jobs sit at their
+//! plane's index.  Events carry only those handles, so an event entry stays
+//! small.
 //!
 //! Four of the six event kinds come from sources that schedule in
 //! nondecreasing time, so each source gets a FIFO lane of the
@@ -27,9 +28,10 @@
 //! A chip runs one transaction at a time (§2.2): it is busy while its slot in
 //! `live` holds one.  The [`CommitmentLedger`], which the schedulers read,
 //! counts a chip's committed-but-incomplete memory requests; the
-//! [`controller`](crate::controller) fold gives a transaction's members and
-//! phase times, and its chip and plane busy time are summed when it
-//! completes, for the chip utilization and intra-chip idleness metrics.
+//! [`controller`](crate::controller) fold ([`PendingSets::fold`]) gives a
+//! transaction's members and phase times, and its chip and plane busy time
+//! are summed when it completes, for the chip utilization and intra-chip
+//! idleness metrics.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -40,7 +42,7 @@ use sprinkler_sim::{Duration, EventQueue, SimTime, TelemetryCounters};
 use crate::cand::MAX_REQUEST_PAGES;
 use crate::channel::Channel;
 use crate::config::SsdConfig;
-use crate::controller::{build_transaction, PendingRequest, TxnScratch};
+use crate::controller::{PendingRequest, PendingSets};
 use crate::dma::DmaEngine;
 use crate::error::SsdError;
 use crate::ftl::Ftl;
@@ -218,8 +220,9 @@ pub struct Ssd {
     /// enforcement lives in the ledger; see [`CommitmentLedger`] for the
     /// invariant.
     ledger: CommitmentLedger,
-    /// Per chip: the delivered memory requests waiting to join a transaction.
-    pending: Vec<Vec<PendingRequest>>,
+    /// Every chip's delivered memory requests waiting to join a
+    /// transaction, with the fold's scratch and member pool.
+    pending: PendingSets,
     /// The live transaction of each chip; a chip is busy while it has one.
     live: Vec<Option<LiveTransaction>>,
     /// Per chip: total time the chip was busy with transactions.
@@ -230,8 +233,6 @@ pub struct Ssd {
     schedule_pending: bool,
     /// Reusable commitment buffer for scheduling rounds (`schedule_into`).
     commit_buf: Vec<Commitment>,
-    /// Reusable scratch and member pool for transaction building.
-    txn_scratch: TxnScratch,
     /// Always-on hot-path counters, shared with the scheduler and frozen into
     /// the run metrics at finalize.
     telemetry: Arc<TelemetryCounters>,
@@ -288,19 +289,11 @@ impl Ssd {
         let telemetry = Arc::clone(metrics.telemetry());
         scheduler.attach_telemetry(&telemetry);
         let total_chips = geometry.total_chips();
-        // Pre-size the transaction scratch to its structural bounds so the
-        // steady-state hot loop never grows it: a chip's pending set is capped
-        // by the per-chip commitment budget, a transaction folds at most one
-        // request per (die, plane), and at most one transaction per chip is
-        // live at a time.
-        let mut txn_scratch = TxnScratch::new();
-        txn_scratch.preallocate(
-            config.max_committed_per_chip,
-            geometry.dies_per_chip * geometry.planes_per_die,
-            total_chips,
-        );
         // In-flight host memory requests are bounded by the commitment ledger
-        // (every committed page is at most one in-flight memory request).
+        // (every committed page is at most one in-flight memory request), so
+        // the slab and the pending sets' node arena are pre-sized to that
+        // bound.  GC traffic is not charged to the ledger: it may grow both
+        // past the bound, to their high-water marks.
         let in_flight_bound = total_chips.saturating_mul(config.max_committed_per_chip);
         let gc_planes = if config.gc.enabled {
             geometry.total_planes()
@@ -318,11 +311,7 @@ impl Ssd {
             waiting_host: VecDeque::new(),
             mem_requests: MemSlab::with_capacity(in_flight_bound),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
-            // A chip's host pending set is capped by the per-chip commitment
-            // budget; pre-size it so a chip's first writes never grow it.
-            pending: (0..total_chips)
-                .map(|_| Vec::with_capacity(config.max_committed_per_chip))
-                .collect(),
+            pending: PendingSets::new(&geometry, in_flight_bound),
             live: (0..total_chips).map(|_| None).collect(),
             chip_busy: vec![Duration::ZERO; total_chips],
             plane_busy: vec![Duration::ZERO; total_chips],
@@ -331,7 +320,6 @@ impl Ssd {
             // The paper's schedulers propose at most each chip's headroom
             // in a round, so a round fits in the in-flight bound.
             commit_buf: Vec::with_capacity(in_flight_bound),
-            txn_scratch,
             telemetry,
             gc_jobs: vec![None; gc_planes],
             readdressed_lpns: Vec::new(),
@@ -742,7 +730,7 @@ impl Ssd {
             "{addr} lies outside the device geometry"
         );
         let chip = geometry.chip_index(addr.channel, addr.way);
-        self.pending[chip].push(pending);
+        self.pending.push(chip, pending);
         if self.live[chip].is_none() {
             self.schedule_chip_kick(chip, now);
         }
@@ -764,12 +752,7 @@ impl Ssd {
         if self.live[chip_index].is_some() {
             return;
         }
-        let Some(built) = build_transaction(
-            &mut self.pending[chip_index],
-            &self.config.geometry,
-            &self.config.timing,
-            &mut self.txn_scratch,
-        ) else {
+        let Some(built) = self.pending.fold(chip_index, &self.config.timing) else {
             return;
         };
         // The issue bus phase (commands, addresses, program data in) holds
@@ -837,8 +820,8 @@ impl Ssd {
                 self.complete_mem_request(member, now);
             }
         }
-        self.txn_scratch.recycle_members(members);
-        if !self.pending[chip].is_empty() {
+        self.pending.recycle_members(members);
+        if !self.pending.is_empty(chip) {
             self.schedule_chip_kick(chip, now);
         }
         self.request_schedule(now);
