@@ -31,33 +31,34 @@ use std::sync::Arc;
 
 use sprinkler_flash::FlashGeometry;
 use sprinkler_sim::TelemetryCounters;
-use sprinkler_ssd::queue::SLOT_WRITE;
 use sprinkler_ssd::request::TagId;
 use sprinkler_ssd::scheduler::{Commitment, IoScheduler, SchedulerContext};
-use sprinkler_ssd::{pri_die, pri_page, pri_plane, CandidateView};
+use sprinkler_ssd::{pri_die, pri_plane, Row};
 
 use crate::faro::{FaroCandidate, FaroScratch, FaroSelector, OVERCOMMIT_DEPTH};
 use crate::rios::RiosTraversal;
 use crate::SchedulerKind;
 
-/// The tag of a candidate-index row: the queue slot its request occupies.
+/// Builds one FARO candidate from a candidate-index row: tag from the slot,
+/// page/die/plane unpacked from the priority key, arrival rank from the
+/// admission sequence.
 #[inline]
-fn tag_at(cands: &CandidateView<'_>, row: usize) -> TagId {
-    TagId(u64::from(cands.slot[row]))
+fn candidate_of(row: &Row) -> FaroCandidate {
+    FaroCandidate {
+        tag: row.tag(),
+        page: row.page(),
+        die: pri_die(row.pri),
+        plane: pri_plane(row.pri),
+        arrival_rank: row.seq as usize,
+    }
 }
 
-/// Builds one FARO candidate from a candidate-index row: tag from the slot
-/// column, page/die/plane unpacked from the priority key, arrival rank from
-/// the admission sequence.
+/// A commitment of a candidate-index row's page.
 #[inline]
-fn candidate_at(cands: &CandidateView<'_>, row: usize) -> FaroCandidate {
-    let pri = cands.pri[row];
-    FaroCandidate {
-        tag: tag_at(cands, row),
-        page: pri_page(pri),
-        die: pri_die(pri),
-        plane: pri_plane(pri),
-        arrival_rank: cands.seq[row] as usize,
+fn commit_of(row: &Row) -> Commitment {
+    Commitment {
+        tag: row.tag(),
+        page: row.page(),
     }
 }
 
@@ -85,8 +86,8 @@ pub struct Scheduler {
     /// only read under a set bit, so the array is never cleared).
     round_chip: Vec<u32>,
     /// Scratch: one chip's surviving FARO candidates, materialized only when a
-    /// chip has more than one (single-survivor chips commit straight from the
-    /// columns).
+    /// chip has more than one (single-survivor chips commit straight from
+    /// their row).
     cand_scratch: Vec<FaroCandidate>,
     /// Scratch: per-chip commits made this round by the queue-order walk.
     /// Only the chips listed in `newly_dirty` are non-zero between rounds.
@@ -153,6 +154,8 @@ impl Scheduler {
         let check_hazards = self.kind != SchedulerKind::Vas;
         if self.newly.len() < ctx.chip_count() {
             self.newly.resize(ctx.chip_count(), 0);
+            // A round dirties each chip at most once.
+            self.newly_dirty.reserve(ctx.chip_count());
         }
         for &chip in &self.newly_dirty {
             self.newly[chip] = 0;
@@ -192,20 +195,17 @@ impl Scheduler {
 
     /// Resource-driven composition (SPK2, SPK3): visit the chips that have
     /// uncommitted candidate pages — straight from the device queue's
-    /// columnar per-chip index — in traversal order, committing up to the
+    /// per-chip row lists — in traversal order, committing up to the
     /// per-chip capacity; FARO decides which candidates win when there are
     /// more than fit.
     ///
-    /// The round is data-oriented end to end: both passes stream the queue's
-    /// seq/pri/lpn/slot columns and the ledger's outstanding column as plain
-    /// slices (no per-candidate `TagState` chase — page, die and plane are
-    /// unpacked from the priority key, the slot column is the tag, and the
-    /// direction comes from the queue's byte-per-slot flag column).  Pass 1
-    /// marks each chip with headroom in a rank-indexed bitmap; pass 2 scans
-    /// the bitmap words with `trailing_zeros` — visiting chips in traversal
-    /// order without a sort — and filters each chip's rows (FUA horizon,
-    /// §4.4 write-after-read) on the spot.  The dominant many-chip shape, one
-    /// surviving candidate per chip, commits straight from the columns
+    /// No per-candidate `TagState` chase: a row carries its seq, LPN, tag
+    /// and direction, and page, die and plane are unpacked from its priority
+    /// key.  Pass 1 marks each chip with headroom in a rank-indexed bitmap;
+    /// pass 2 scans the bitmap words with `trailing_zeros` — visiting chips
+    /// in traversal order without a sort — and filters each chip's rows (FUA
+    /// horizon, §4.4 write-after-read) on the spot.  The dominant many-chip
+    /// shape, one surviving candidate per chip, commits straight from the row
     /// without building a [`FaroCandidate`] at all.
     // lint: hot-path
     fn schedule_resource_driven(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
@@ -214,7 +214,6 @@ impl Scheduler {
         let bound = ctx.queue.horizon_seq();
         let chip_count = ctx.chip_count();
         let cands = ctx.queue.candidate_view();
-        let slot_flags = ctx.queue.slot_flag_bits();
         let outstanding = ctx.ledger.outstanding_slice();
 
         // Pass 1 — one walk of the active-chip list: mark every chip that has
@@ -256,57 +255,46 @@ impl Scheduler {
                 let rank = (word_index << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let chip = self.round_chip[rank] as usize;
-                let range = cands.range(chip);
 
                 // Straight-line path for the dominant many-chip shape: one
                 // candidate row on the chip — filter it and commit straight
-                // from the columns, no loop state, no FARO materialization.
-                if range.len() == 1 {
-                    let row = range.start;
-                    let seq = cands.seq[row];
-                    if seq > bound {
+                // from the row, no loop state, no FARO materialization.
+                if let (1, Some(row)) = (cands.len(chip), cands.head(chip)) {
+                    if row.seq > bound {
                         self.count(|t| &t.hazard_horizon_clips);
                         continue;
                     }
-                    if slot_flags[cands.slot[row] as usize] & SLOT_WRITE != 0
-                        && ctx.queue.has_blocking_read(cands.lpn[row], seq)
-                    {
+                    if !row.read && ctx.queue.has_blocking_read(row.lpn, row.seq) {
                         self.count(|t| &t.hazard_war_deferrals);
                         continue;
                     }
                     if overcommit {
                         self.count(|t| &t.faro_fast_path_rounds);
                     }
-                    out.push(Commitment {
-                        tag: tag_at(&cands, row),
-                        page: pri_page(cands.pri[row]),
-                    });
+                    out.push(commit_of(row));
                     continue;
                 }
 
                 // Filter the chip's rows; materialize FARO candidates lazily —
                 // only once a second survivor proves the chip needs ranking.
                 self.cand_scratch.clear();
-                let mut first_row = usize::MAX;
+                let mut first = None;
                 let mut survivors = 0usize;
-                for row in range {
-                    let seq = cands.seq[row];
-                    if seq > bound {
+                for row in cands.rows_of(chip) {
+                    if row.seq > bound {
                         // Rows are ordered by admission seq: everything past
                         // the FUA horizon is off limits.
                         self.count(|t| &t.hazard_horizon_clips);
                         break;
                     }
-                    if slot_flags[cands.slot[row] as usize] & SLOT_WRITE != 0
-                        && ctx.queue.has_blocking_read(cands.lpn[row], seq)
-                    {
+                    if !row.read && ctx.queue.has_blocking_read(row.lpn, row.seq) {
                         // §4.4: defer only the hazard-blocked page.
                         self.count(|t| &t.hazard_war_deferrals);
                         continue;
                     }
                     survivors += 1;
                     if survivors == 1 {
-                        first_row = row;
+                        first = Some(row);
                         if !overcommit {
                             // No over-commitment: the rows arrive in
                             // (admission seq, page) order, so the first
@@ -316,25 +304,22 @@ impl Scheduler {
                         }
                         continue;
                     }
-                    if survivors == 2 {
-                        self.cand_scratch.push(candidate_at(&cands, first_row));
+                    if let (2, Some(first)) = (survivors, first) {
+                        self.cand_scratch.push(candidate_of(first));
                     }
-                    self.cand_scratch.push(candidate_at(&cands, row));
+                    self.cand_scratch.push(candidate_of(row));
                 }
 
-                match survivors {
-                    0 => {}
-                    1 => {
+                match (survivors, first) {
+                    (0, _) | (_, None) => {}
+                    (1, Some(row)) => {
                         // A single candidate trivially satisfies FARO's
                         // fast-path condition (one tag, vacuous ordering) —
-                        // commit it straight from the columns.
+                        // commit it straight from the row.
                         if overcommit {
                             self.count(|t| &t.faro_fast_path_rounds);
                         }
-                        out.push(Commitment {
-                            tag: tag_at(&cands, first_row),
-                            page: pri_page(cands.pri[first_row]),
-                        });
+                        out.push(commit_of(row));
                     }
                     _ => {
                         let room = capacity - outstanding[chip] as usize;

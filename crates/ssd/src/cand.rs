@@ -1,40 +1,33 @@
-//! Columnar (struct-of-arrays) candidate index for the scheduler hot path.
+//! The index of uncommitted pages: one row per page, on per-chip lists.
 //!
-//! [`CandidateIndex`] stores every uncommitted page of every queued tag as one
-//! row in four parallel column arrays — admission sequence, packed priority
-//! key, logical page number, and queue slot (which is the tag) — grouped per
-//! flash chip into contiguous CSR-style extents of a shared arena.  A
-//! scheduling round walks plain `&[u64]`/`&[u32]` slices: no per-chip heap
-//! vectors, no `Option` unwrapping, no pointer chase per candidate.
+//! `CandidateIndex` holds every uncommitted page of every queued tag as one
+//! [`Row`] of a single arena: admission sequence, logical page number, packed
+//! priority key, queue slot (which is the tag), chip, and whether the page
+//! belongs to a read.  The schedulers ask two questions of that one set:
 //!
-//! # Layout
-//!
-//! Each chip owns one *extent* `[start, start + cap)` of the arena; the first
-//! `len` rows are live and sorted ascending by `(seq, pri)`.  Because the
-//! priority key packs the page offset into its high bits (see [`pack_pri`]),
-//! `(seq, pri)` order is exactly the `(seq, page)` arrival order the
-//! schedulers require, and the die/plane coordinates ride along for free — a
-//! FARO candidate is built without touching the tag's placement vector.
+//! * RIOS (§4.1) walks a chip's uncommitted pages in arrival order.  Each
+//!   chip's rows form a doubly linked list sorted by `(seq, pri)`.  Because
+//!   the priority key packs the page offset into its high bits (see
+//!   [`pack_pri`]), that is exactly the `(seq, page)` arrival order the
+//!   schedulers require, and the die/plane coordinates ride along for free —
+//!   a FARO candidate is built without touching the tag's placement vector.
+//! * The §4.4 write-after-read check asks whether an older queued read still
+//!   has an uncommitted page at an LPN.  Each read row is also chained from
+//!   its LPN's bucket of a 512-bucket Fibonacci hash, so the check walks one
+//!   short chain instead of scanning the queue.
 //!
 //! # Maintenance
 //!
-//! The index is maintained incrementally at mutation time (admit, commit,
-//! retire, readdress), like the per-chip sorted vectors it replaces: a
-//! per-round rebuild would be O(total uncommitted pages) and the full-scale
-//! 1024-chip workload keeps tens of thousands of pages in flight.  Inserts and
-//! removes memmove within one extent; a full extent relocates to the end of
-//! the arena with doubled capacity (amortized O(1)); and when dead space
-//! exceeds 4× the live rows the arena is compacted into a retained spare
-//! buffer, keeping the whole index a few cache-resident kilobytes at steady
-//! state.  All buffers retain their capacity across churn, so index
-//! maintenance performs no allocations once the high-water mark is reached —
-//! the same contract the zero-allocation replay gate enforces on the rest of
-//! the queue.
+//! `CandidateIndex::insert` returns the new row's handle, which the queue
+//! keeps per page of the tag, so commit, retire and GC readdressing unlink or
+//! move a row by its handle, with no search and no shift.  Admission seqs
+//! only grow, so admitting a tag appends each row at its chip's tail; only
+//! `CandidateIndex::relocate` (GC readdressing, §4.3) walks back from the
+//! tail, to put an old seq on another chip.  A removed row joins an intrusive
+//! free list that the next insert takes from, so the arena grows only at its
+//! high-water mark and index maintenance allocates nothing at steady state.
 
-use std::ops::Range;
-
-/// Smallest extent capacity handed to a chip on its first insert.
-const MIN_EXTENT_CAP: u32 = 4;
+use crate::request::TagId;
 
 /// The most dies per chip a priority key can tell apart (its 6-bit die
 /// field); `SsdConfig::validate` refuses larger geometries.
@@ -87,319 +80,404 @@ pub fn pri_plane(pri: u32) -> u32 {
     pri & 0x3f
 }
 
-/// One chip's contiguous range of the column arena.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Extent {
-    start: u32,
-    len: u32,
-    cap: u32,
+/// End of a chip list, a hazard chain or the free list.
+const NIL: u32 = u32::MAX;
+
+/// Buckets of the read-LPN hazard chains.  Must stay a power of two: the
+/// bucket hash takes the top `log2(HAZARD_BUCKETS)` bits.
+const HAZARD_BUCKETS: usize = 512;
+
+/// The hazard bucket of a logical page number.  Fibonacci hashing spreads the
+/// sequential LPN ranges real workloads produce across the whole bucket space
+/// before the top bits are taken.
+#[inline]
+pub(crate) fn hazard_bucket(lpn: u64) -> usize {
+    const _: () = assert!(HAZARD_BUCKETS == 1 << 9);
+    (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - 9)) as usize
 }
 
-/// Borrowed view of the candidate columns for one scheduling round.
-///
-/// All fields are plain slices over the shared arena; [`CandidateView::range`]
-/// gives the contiguous row range owned by a chip.  The view is `Copy`, so hot
-/// loops can destructure it into locals without borrow gymnastics.
+/// One uncommitted page of a queued tag.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    /// Admission sequence number of the page's tag.
+    pub seq: u64,
+    /// Logical page number (for the write-after-read hazard check).
+    pub lpn: u64,
+    /// Packed priority key (see [`pack_pri`]).
+    pub pri: u32,
+    /// The queue slot the page's request occupies, which is its tag.
+    pub(crate) slot: u32,
+    /// The chip whose list holds the row.
+    pub(crate) chip: u32,
+    /// Previous row on the chip's list (`NIL` at its head).
+    prev: u32,
+    /// Next row on the chip's list (`NIL` at its tail), or on the free list
+    /// once the row is freed.
+    next: u32,
+    /// Next row on the LPN bucket's hazard chain (`NIL` at its end).
+    hazard_next: u32,
+    /// Whether the page belongs to a read.
+    pub read: bool,
+}
+
+impl Row {
+    /// The row's tag: the queue slot its request occupies.
+    #[inline]
+    pub fn tag(&self) -> TagId {
+        TagId(u64::from(self.slot))
+    }
+
+    /// The row's page offset within its request.
+    #[inline]
+    pub fn page(&self) -> u32 {
+        pri_page(self.pri)
+    }
+}
+
+/// One chip's list of rows, and the chip's place in the active list.
+#[derive(Debug, Clone, Copy)]
+struct ChipList {
+    head: u32,
+    tail: u32,
+    len: u32,
+    /// The chip's index in the active list while `len > 0`.
+    pos: u32,
+}
+
+impl ChipList {
+    const EMPTY: ChipList = ChipList {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+        pos: NIL,
+    };
+}
+
+/// Borrowed view of the index for one scheduling round.  `Copy`, so hot loops
+/// can hold it beside other borrows of the queue.
 #[derive(Debug, Clone, Copy)]
 pub struct CandidateView<'a> {
-    /// Chips with at least one live row, ascending.
+    /// Chips with at least one row, unordered.
     pub active: &'a [u32],
-    /// Admission sequence column.
-    pub seq: &'a [u64],
-    /// Packed priority column (see [`pack_pri`]).
-    pub pri: &'a [u32],
-    /// Logical page number column (for the write-after-read hazard check).
-    pub lpn: &'a [u64],
-    /// Queue slot column: the slot the row's request occupies, which is its
-    /// tag (`TagId(slot)`).
-    pub slot: &'a [u32],
-    extents: &'a [Extent],
+    /// The row arena, indexed by row handle; freed rows included.
+    pub(crate) rows: &'a [Row],
+    chips: &'a [ChipList],
 }
 
-impl CandidateView<'_> {
-    /// The arena row range holding `chip`'s live candidates, sorted by
-    /// `(seq, pri)`.  Empty for chips without work.
+impl<'a> CandidateView<'a> {
+    /// Rows on `chip` (0 for chips without work).
     #[inline]
-    pub fn range(&self, chip: usize) -> Range<usize> {
-        match self.extents.get(chip) {
-            Some(ext) => ext.start as usize..(ext.start + ext.len) as usize,
-            None => 0..0,
+    pub fn len(&self, chip: usize) -> usize {
+        self.chips.get(chip).map_or(0, |list| list.len as usize)
+    }
+
+    /// The oldest row on `chip`, or `None` for chips without work.
+    #[inline]
+    pub fn head(&self, chip: usize) -> Option<&'a Row> {
+        self.rows.get(self.chips.get(chip)?.head as usize)
+    }
+
+    /// `chip`'s rows in `(seq, pri)` order.
+    #[inline]
+    pub fn rows_of(&self, chip: usize) -> ChipRows<'a> {
+        ChipRows {
+            rows: self.rows,
+            cursor: self.chips.get(chip).map_or(NIL, |list| list.head),
         }
     }
 }
 
-/// The struct-of-arrays per-chip candidate index.
-#[derive(Debug, Clone, Default)]
-pub struct CandidateIndex {
-    col_seq: Vec<u64>,
-    col_pri: Vec<u32>,
-    col_lpn: Vec<u64>,
-    col_slot: Vec<u32>,
-    /// Per-chip extents; grows to the highest chip index seen.
-    extents: Vec<Extent>,
-    /// Sorted chip indices with at least one live row.
+/// Iterator over one chip's rows in `(seq, pri)` order.
+#[derive(Debug, Clone)]
+pub struct ChipRows<'a> {
+    rows: &'a [Row],
+    cursor: u32,
+}
+
+impl<'a> Iterator for ChipRows<'a> {
+    type Item = &'a Row;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Row> {
+        let row = self.rows.get(self.cursor as usize)?;
+        self.cursor = row.next;
+        Some(row)
+    }
+}
+
+/// The row arena with its per-chip lists and read-LPN hazard chains.
+#[derive(Debug, Clone)]
+pub(crate) struct CandidateIndex {
+    /// Live rows and freed ones.
+    rows: Vec<Row>,
+    /// First freed row (`NIL` when none).
+    free: u32,
+    /// Per-chip lists; grows to the highest chip seen.
+    chips: Vec<ChipList>,
+    /// Chips with at least one row, unordered.
     active: Vec<u32>,
-    /// Chips whose extent holds arena capacity (`cap > 0`), unordered: the
-    /// active chips plus those emptied since the last compaction.  Compaction
-    /// resets only these, so it never walks every chip's extent.
-    held: Vec<u32>,
-    /// Live rows across all extents.
-    live: u32,
-    /// Compaction spares: the arena is rewritten into these and the buffers
-    /// are swapped, so both sets retain their high-water capacity.
-    spare_seq: Vec<u64>,
-    spare_pri: Vec<u32>,
-    spare_lpn: Vec<u64>,
-    spare_slot: Vec<u32>,
+    /// First row of each hazard bucket's chain (`NIL` when empty).
+    hazard_heads: Vec<u32>,
+}
+
+impl Default for CandidateIndex {
+    fn default() -> Self {
+        CandidateIndex {
+            rows: Vec::new(),
+            free: NIL,
+            chips: Vec::new(),
+            active: Vec::new(),
+            hazard_heads: vec![NIL; HAZARD_BUCKETS],
+        }
+    }
 }
 
 impl CandidateIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Live rows (uncommitted candidate pages) across all chips.
-    pub fn len(&self) -> usize {
-        self.live as usize
-    }
-
-    /// True when no chip has candidates.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Sorted chip indices with at least one live row.
-    pub fn active_chips(&self) -> &[u32] {
-        &self.active
-    }
-
-    /// The live row range of one chip (empty for chips without work).
-    pub fn chip_range(&self, chip: usize) -> Range<usize> {
-        match self.extents.get(chip) {
-            Some(ext) => ext.start as usize..(ext.start + ext.len) as usize,
-            None => 0..0,
-        }
-    }
-
-    /// Borrowed columnar view for a scheduling round.
-    pub fn view(&self) -> CandidateView<'_> {
+    /// Borrowed view for a scheduling round.
+    pub(crate) fn view(&self) -> CandidateView<'_> {
         CandidateView {
             active: &self.active,
-            seq: &self.col_seq,
-            pri: &self.col_pri,
-            lpn: &self.col_lpn,
-            slot: &self.col_slot,
-            extents: &self.extents,
+            rows: &self.rows,
+            chips: &self.chips,
         }
     }
 
-    /// Binary search for `(seq, pri)` within one extent.  Returns the row
-    /// offset relative to the extent start.
-    fn search(&self, ext: Extent, seq: u64, pri: u32) -> Result<usize, usize> {
-        let start = ext.start as usize;
-        let len = ext.len as usize;
-        let seqs = &self.col_seq[start..start + len];
-        let pris = &self.col_pri[start..start + len];
-        let (mut lo, mut hi) = (0usize, len);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if (seqs[mid], pris[mid]) < (seq, pri) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < len && seqs[lo] == seq && pris[lo] == pri {
-            Ok(lo)
+    /// Adds one uncommitted page as a row on `chip`'s list, in `(seq, pri)`
+    /// order, chained from its LPN's hazard bucket when it is a read page.
+    /// Returns the row's handle.  `(seq, pri)` must be unique per chip.
+    // lint: hot-path
+    pub(crate) fn insert(
+        &mut self,
+        chip: usize,
+        seq: u64,
+        pri: u32,
+        lpn: u64,
+        slot: u32,
+        read: bool,
+    ) -> u32 {
+        let row = Row {
+            seq,
+            lpn,
+            pri,
+            slot,
+            chip: chip as u32,
+            prev: NIL,
+            next: NIL,
+            hazard_next: NIL,
+            read,
+        };
+        let handle = if self.free == NIL {
+            self.rows.push(row);
+            (self.rows.len() - 1) as u32
         } else {
-            Err(lo)
+            let handle = self.free;
+            self.free = self.rows[handle as usize].next;
+            self.rows[handle as usize] = row;
+            handle
+        };
+        self.link(handle);
+        if read {
+            let bucket = hazard_bucket(lpn);
+            self.rows[handle as usize].hazard_next = self.hazard_heads[bucket];
+            self.hazard_heads[bucket] = handle;
         }
+        handle
     }
 
-    /// Inserts one candidate row.  `(seq, pri)` must be unique per chip.
+    /// Unlinks row `handle` from its chip's list and hazard chain and frees
+    /// it.
     // lint: hot-path
-    pub fn insert(&mut self, chip: usize, seq: u64, pri: u32, lpn: u64, slot: u32) {
-        if chip >= self.extents.len() {
-            self.extents.resize(chip + 1, Extent::default());
-        }
-        if self.extents[chip].len == self.extents[chip].cap {
-            self.grow(chip);
-        }
-        let ext = self.extents[chip];
-        let pos = match self.search(ext, seq, pri) {
-            // Admission seqs are unique per page, so duplicates cannot occur.
-            Ok(_) => {
-                debug_assert!(false, "duplicate candidate row");
-                return;
-            }
-            Err(pos) => pos,
-        };
-        let start = ext.start as usize;
-        let len = ext.len as usize;
-        self.col_seq
-            .copy_within(start + pos..start + len, start + pos + 1);
-        self.col_pri
-            .copy_within(start + pos..start + len, start + pos + 1);
-        self.col_lpn
-            .copy_within(start + pos..start + len, start + pos + 1);
-        self.col_slot
-            .copy_within(start + pos..start + len, start + pos + 1);
-        self.col_seq[start + pos] = seq;
-        self.col_pri[start + pos] = pri;
-        self.col_lpn[start + pos] = lpn;
-        self.col_slot[start + pos] = slot;
-        if ext.len == 0 {
-            let at = self.active.partition_point(|&c| (c as usize) < chip);
-            self.active.insert(at, chip as u32);
-        }
-        self.extents[chip].len += 1;
-        self.live += 1;
-    }
-
-    /// Removes one candidate row.  Missing rows are tolerated (mirrors the
-    /// sorted-vector index this replaces).
-    // lint: hot-path
-    pub fn remove(&mut self, chip: usize, seq: u64, pri: u32) {
-        let Some(&ext) = self.extents.get(chip) else {
-            return;
-        };
-        let Ok(pos) = self.search(ext, seq, pri) else {
-            return;
-        };
-        let start = ext.start as usize;
-        let len = ext.len as usize;
-        self.col_seq
-            .copy_within(start + pos + 1..start + len, start + pos);
-        self.col_pri
-            .copy_within(start + pos + 1..start + len, start + pos);
-        self.col_lpn
-            .copy_within(start + pos + 1..start + len, start + pos);
-        self.col_slot
-            .copy_within(start + pos + 1..start + len, start + pos);
-        self.extents[chip].len -= 1;
-        self.live -= 1;
-        if self.extents[chip].len == 0 {
-            if let Ok(at) = self.active.binary_search(&(chip as u32)) {
-                self.active.remove(at);
+    pub(crate) fn remove(&mut self, handle: u32) {
+        self.unlink(handle);
+        let row = self.rows[handle as usize];
+        if row.read {
+            let bucket = hazard_bucket(row.lpn);
+            if self.hazard_heads[bucket] == handle {
+                self.hazard_heads[bucket] = row.hazard_next;
+            } else {
+                let mut cursor = self.hazard_heads[bucket];
+                while cursor != NIL && self.rows[cursor as usize].hazard_next != handle {
+                    cursor = self.rows[cursor as usize].hazard_next;
+                }
+                debug_assert!(cursor != NIL, "row {handle} is not on its hazard chain");
+                if let Some(before) = self.rows.get_mut(cursor as usize) {
+                    before.hazard_next = row.hazard_next;
+                }
             }
         }
-        self.maybe_compact();
+        self.rows[handle as usize].next = self.free;
+        self.free = handle;
     }
 
-    /// Relocates a full extent to the end of the arena with doubled capacity.
-    fn grow(&mut self, chip: usize) {
-        let ext = self.extents[chip];
-        if ext.cap == 0 {
-            self.held.push(chip as u32);
-        }
-        let new_cap = (ext.cap * 2).max(MIN_EXTENT_CAP);
-        let new_start = self.col_seq.len();
-        self.col_seq.resize(new_start + new_cap as usize, 0);
-        self.col_pri.resize(new_start + new_cap as usize, 0);
-        self.col_lpn.resize(new_start + new_cap as usize, 0);
-        self.col_slot.resize(new_start + new_cap as usize, 0);
-        let (start, len) = (ext.start as usize, ext.len as usize);
-        self.col_seq.copy_within(start..start + len, new_start);
-        self.col_pri.copy_within(start..start + len, new_start);
-        self.col_lpn.copy_within(start..start + len, new_start);
-        self.col_slot.copy_within(start..start + len, new_start);
-        self.extents[chip] = Extent {
-            start: new_start as u32,
-            len: ext.len,
-            cap: new_cap,
-        };
-        // Keep the compaction spares' capacity at least as large as the arena:
-        // compaction output is strictly smaller than the arena it replaces, so
-        // sizing the spares here (at the only point the arena itself grows)
-        // guarantees compaction never allocates at steady state.  Compaction
-        // itself must NOT run here: the caller is mid-insert and a compaction
-        // would reset the just-grown (still empty) extent.
-        let need = self.col_seq.len();
-        self.reserve_spares(need);
-    }
-
-    fn reserve_spares(&mut self, need: usize) {
-        if self.spare_seq.capacity() < need {
-            self.spare_seq.reserve(need - self.spare_seq.len());
-            self.spare_pri.reserve(need - self.spare_pri.len());
-            self.spare_lpn.reserve(need - self.spare_lpn.len());
-            self.spare_slot.reserve(need - self.spare_slot.len());
+    /// Moves row `handle` to `chip` with priority key `pri` (GC readdressing,
+    /// §4.3).  The key's page offset is unchanged, so a row that stays on its
+    /// chip keeps its place on the list.
+    pub(crate) fn relocate(&mut self, handle: u32, chip: usize, pri: u32) {
+        self.rows[handle as usize].pri = pri;
+        if self.rows[handle as usize].chip as usize != chip {
+            self.unlink(handle);
+            self.rows[handle as usize].chip = chip as u32;
+            self.link(handle);
         }
     }
 
-    /// Compacts the arena once dead space (relocation garbage plus idle extent
-    /// capacity) exceeds 4× the live rows, restoring cache locality.
-    fn maybe_compact(&mut self) {
-        if self.col_seq.len() > 64 && self.live as usize * 4 < self.col_seq.len() {
-            self.compact();
+    /// Whether a read row of `lpn` has a seq below `seq`.
+    // lint: hot-path
+    #[inline]
+    pub(crate) fn blocks(&self, lpn: u64, seq: u64) -> bool {
+        let mut cursor = self.hazard_heads[hazard_bucket(lpn)];
+        while let Some(row) = self.rows.get(cursor as usize) {
+            if row.lpn == lpn && row.seq < seq {
+                return true;
+            }
+            cursor = row.hazard_next;
         }
+        false
     }
 
-    /// Rewrites every live extent tightly (with 50% slack) into the spare
-    /// buffers, in chip order, and swaps them in.  Emptied extents give up
-    /// their capacity.  O(live rows + held extents), never O(chips), and
-    /// allocation-free once the spares have reached the arena's high-water
-    /// capacity.
-    fn compact(&mut self) {
+    /// Links row `handle` into its chip's list at its `(seq, pri)` place,
+    /// walking back from the tail.
+    fn link(&mut self, handle: u32) {
+        let Row { seq, pri, chip, .. } = self.rows[handle as usize];
+        let chip = chip as usize;
+        if chip >= self.chips.len() {
+            self.chips.resize(chip + 1, ChipList::EMPTY);
+            // The active list never holds more chips than there are lists.
+            self.active.reserve(self.chips.len() - self.active.len());
+        }
         let Self {
-            col_seq,
-            col_pri,
-            col_lpn,
-            col_slot,
-            extents,
+            rows,
+            chips,
             active,
-            held,
-            spare_seq,
-            spare_pri,
-            spare_lpn,
-            spare_slot,
             ..
         } = self;
-        for &chip in held.iter() {
-            let ext = &mut extents[chip as usize];
-            if ext.len == 0 {
-                *ext = Extent::default();
+        let list = &mut chips[chip];
+        let mut after = list.tail;
+        while after != NIL && (rows[after as usize].seq, rows[after as usize].pri) > (seq, pri) {
+            after = rows[after as usize].prev;
+        }
+        let before = match rows.get(after as usize) {
+            Some(row) => row.next,
+            None => list.head,
+        };
+        rows[handle as usize].prev = after;
+        rows[handle as usize].next = before;
+        match rows.get_mut(after as usize) {
+            Some(row) => row.next = handle,
+            None => list.head = handle,
+        }
+        match rows.get_mut(before as usize) {
+            Some(row) => row.prev = handle,
+            None => list.tail = handle,
+        }
+        if list.len == 0 {
+            list.pos = active.len() as u32;
+            active.push(chip as u32);
+        }
+        list.len += 1;
+    }
+
+    /// Unlinks row `handle` from its chip's list, dropping the chip from the
+    /// active list when it empties.
+    fn unlink(&mut self, handle: u32) {
+        let Self {
+            rows,
+            chips,
+            active,
+            ..
+        } = self;
+        let Row {
+            prev, next, chip, ..
+        } = rows[handle as usize];
+        let list = &mut chips[chip as usize];
+        match rows.get_mut(prev as usize) {
+            Some(row) => row.next = next,
+            None => list.head = next,
+        }
+        match rows.get_mut(next as usize) {
+            Some(row) => row.prev = prev,
+            None => list.tail = prev,
+        }
+        list.len -= 1;
+        if list.len == 0 {
+            let pos = list.pos as usize;
+            active.swap_remove(pos);
+            if let Some(&moved) = active.get(pos) {
+                chips[moved as usize].pos = pos as u32;
             }
         }
-        held.clear();
-        held.extend_from_slice(active);
-        let total: usize = active
-            .iter()
-            .map(|&chip| {
-                let len = extents[chip as usize].len as usize;
-                len + len / 2 + 2
-            })
-            .sum();
-        spare_seq.clear();
-        spare_seq.resize(total, 0);
-        spare_pri.clear();
-        spare_pri.resize(total, 0);
-        spare_lpn.clear();
-        spare_lpn.resize(total, 0);
-        spare_slot.clear();
-        spare_slot.resize(total, 0);
-        let mut cursor = 0usize;
-        for &chip in active.iter() {
-            let ext = &mut extents[chip as usize];
-            let (start, len) = (ext.start as usize, ext.len as usize);
-            let cap = len + len / 2 + 2;
-            spare_seq[cursor..cursor + len].copy_from_slice(&col_seq[start..start + len]);
-            spare_pri[cursor..cursor + len].copy_from_slice(&col_pri[start..start + len]);
-            spare_lpn[cursor..cursor + len].copy_from_slice(&col_lpn[start..start + len]);
-            spare_slot[cursor..cursor + len].copy_from_slice(&col_slot[start..start + len]);
-            *ext = Extent {
-                start: cursor as u32,
-                len: len as u32,
-                cap: cap as u32,
-            };
-            cursor += cap;
+    }
+
+    /// Debug-build audit of the links: every chip list runs head to tail in
+    /// strictly increasing `(seq, pri)` with matching back links, length and
+    /// tail; the active list holds exactly the chips with rows; the hazard
+    /// chains hold exactly the listed read rows, each in its LPN's bucket;
+    /// and every row is either listed or free.  Returns the listed rows'
+    /// handles, ascending.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn audit(&self) -> Vec<u32> {
+        let arena = self.rows.len();
+        let mut listed: Vec<u32> = Vec::new();
+        let mut busy = 0usize;
+        for (chip, list) in self.chips.iter().enumerate() {
+            let (mut prev, mut cursor, mut len) = (NIL, list.head, 0u32);
+            while cursor != NIL && len <= list.len {
+                let row = &self.rows[cursor as usize];
+                debug_assert_eq!(row.chip as usize, chip, "row on another chip's list");
+                debug_assert_eq!(row.prev, prev, "chip list back link diverged");
+                if let Some(last) = self.rows.get(prev as usize) {
+                    debug_assert!(
+                        (last.seq, last.pri) < (row.seq, row.pri),
+                        "chip rows not sorted"
+                    );
+                }
+                listed.push(cursor);
+                (prev, cursor, len) = (cursor, row.next, len + 1);
+            }
+            debug_assert_eq!(
+                (len, prev),
+                (list.len, list.tail),
+                "chip list length or tail"
+            );
+            if list.len > 0 {
+                busy += 1;
+                debug_assert_eq!(
+                    self.active.get(list.pos as usize),
+                    Some(&(chip as u32)),
+                    "active list position diverged"
+                );
+            }
         }
-        debug_assert_eq!(cursor, total);
-        std::mem::swap(col_seq, spare_seq);
-        std::mem::swap(col_pri, spare_pri);
-        std::mem::swap(col_lpn, spare_lpn);
-        std::mem::swap(col_slot, spare_slot);
+        debug_assert_eq!(busy, self.active.len(), "active list holds an idle chip");
+        listed.sort_unstable();
+        debug_assert!(listed.windows(2).all(|w| w[0] < w[1]), "row listed twice");
+
+        let mut chained: Vec<u32> = Vec::new();
+        for (bucket, &head) in self.hazard_heads.iter().enumerate() {
+            let mut cursor = head;
+            while cursor != NIL && chained.len() <= arena {
+                let row = &self.rows[cursor as usize];
+                debug_assert!(row.read, "a write row on a hazard chain");
+                debug_assert_eq!(hazard_bucket(row.lpn), bucket, "row in the wrong bucket");
+                chained.push(cursor);
+                cursor = row.hazard_next;
+            }
+        }
+        chained.sort_unstable();
+        let reads: Vec<u32> = listed
+            .iter()
+            .copied()
+            .filter(|&handle| self.rows[handle as usize].read)
+            .collect();
+        debug_assert_eq!(chained, reads, "hazard chains diverged from the read rows");
+
+        let (mut free, mut cursor) = (0usize, self.free);
+        while cursor != NIL && free <= arena {
+            free += 1;
+            cursor = self.rows[cursor as usize].next;
+        }
+        debug_assert_eq!(listed.len() + free, arena, "rows neither listed nor free");
+        listed
     }
 }
 
@@ -409,8 +487,9 @@ mod tests {
 
     fn rows(index: &CandidateIndex, chip: usize) -> Vec<(u64, u32, u64, u32)> {
         let view = index.view();
-        view.range(chip)
-            .map(|i| (view.seq[i], view.pri[i], view.lpn[i], view.slot[i]))
+        assert_eq!(view.rows_of(chip).count(), view.len(chip));
+        view.rows_of(chip)
+            .map(|row| (row.seq, row.pri, row.lpn, row.slot))
             .collect()
     }
 
@@ -426,95 +505,52 @@ mod tests {
 
     #[test]
     fn rows_stay_sorted_within_a_chip() {
-        let mut index = CandidateIndex::new();
-        index.insert(3, 10, pack_pri(1, 0, 0), 101, 7);
-        index.insert(3, 5, pack_pri(0, 1, 2), 50, 2);
-        index.insert(3, 10, pack_pri(0, 0, 1), 100, 7);
-        assert_eq!(index.len(), 3);
-        assert_eq!(index.active_chips(), &[3]);
+        let mut index = CandidateIndex::default();
+        index.insert(3, 10, pack_pri(1, 0, 0), 101, 7, false);
+        index.insert(3, 5, pack_pri(0, 1, 2), 50, 2, false);
+        index.insert(3, 10, pack_pri(0, 0, 1), 100, 7, false);
+        assert_eq!(index.view().active, &[3]);
         let got = rows(&index, 3);
         assert_eq!(got[0], (5, pack_pri(0, 1, 2), 50, 2));
         assert_eq!(got[1], (10, pack_pri(0, 0, 1), 100, 7));
         assert_eq!(got[2], (10, pack_pri(1, 0, 0), 101, 7));
+        assert_eq!(index.view().head(3).map(Row::page), Some(0));
+        index.audit();
     }
 
     #[test]
     fn remove_keeps_active_set_and_live_count_coherent() {
-        let mut index = CandidateIndex::new();
-        index.insert(0, 1, pack_pri(0, 0, 0), 10, 0);
-        index.insert(2, 2, pack_pri(0, 0, 0), 20, 1);
-        assert_eq!(index.active_chips(), &[0, 2]);
-        index.remove(0, 1, pack_pri(0, 0, 0));
-        assert_eq!(index.active_chips(), &[2]);
-        assert_eq!(index.len(), 1);
-        // Removing a missing row is tolerated.
-        index.remove(0, 1, pack_pri(0, 0, 0));
-        index.remove(9, 1, pack_pri(0, 0, 0));
-        assert_eq!(index.len(), 1);
+        let mut index = CandidateIndex::default();
+        let first = index.insert(0, 1, pack_pri(0, 0, 0), 10, 0, true);
+        index.insert(2, 2, pack_pri(0, 0, 0), 20, 1, false);
+        assert_eq!(index.view().active, &[0, 2]);
+        assert!(index.blocks(10, 2));
+        index.remove(first);
+        assert_eq!(index.view().active, &[2]);
+        assert_eq!((index.view().len(0), index.view().len(2)), (0, 1));
+        assert!(!index.blocks(10, 2));
+        assert_eq!(index.audit().len(), 1);
+        // The freed row is the next one handed out.
+        assert_eq!(index.insert(5, 3, pack_pri(0, 0, 0), 30, 2, true), first);
+        assert_eq!(index.audit().len(), 2);
     }
 
+    /// A row moved onto a chip holding younger rows walks back from the tail
+    /// to its place; one that stays on its chip only takes the new key.
     #[test]
-    fn growth_and_compaction_preserve_every_row() {
-        let mut index = CandidateIndex::new();
-        // Enough rows on few chips to force several extent relocations.
-        for seq in 0..256u64 {
-            index.insert(
-                (seq % 3) as usize,
-                seq,
-                pack_pri(seq as u32, 0, 0),
-                seq,
-                seq as u32,
-            );
+    fn relocation_walks_back_to_the_rows_place() {
+        let mut index = CandidateIndex::default();
+        let old = index.insert(0, 1, pack_pri(2, 0, 0), 12, 0, true);
+        for seq in [0, 2, 3] {
+            index.insert(4, seq, pack_pri(0, 0, 0), seq, seq as u32, false);
         }
-        assert_eq!(index.len(), 256);
-        // Drain most of them to trigger compaction.
-        for seq in 0..250u64 {
-            index.remove((seq % 3) as usize, seq, pack_pri(seq as u32, 0, 0));
-        }
-        assert_eq!(index.len(), 6);
-        let mut survivors: Vec<u64> = (0..3)
-            .flat_map(|chip| rows(&index, chip).into_iter().map(|(seq, ..)| seq))
-            .collect();
-        survivors.sort_unstable();
-        assert_eq!(survivors, (250..256).collect::<Vec<_>>());
-        for chip in 0..3 {
-            let chip_rows = rows(&index, chip);
-            assert!(chip_rows.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
-    fn compaction_releases_only_emptied_extents() {
-        let mut index = CandidateIndex::new();
-        // One row on each of 40 chips: 40 minimum-size extents.
-        for chip in 0..40u64 {
-            index.insert(chip as usize, chip, pack_pri(0, 0, 0), chip, 0);
-        }
-        assert_eq!(index.held.len(), 40);
-        // Emptying all but two chips compacts along the way (dead space
-        // passes 4x the live rows).
-        for chip in (0..40u64).filter(|&c| c != 7 && c != 31) {
-            index.remove(chip as usize, chip, pack_pri(0, 0, 0));
-        }
-        assert_eq!(index.active_chips(), &[7, 31]);
-        // Exactly the held chips own arena capacity.
-        for (chip, ext) in index.extents.iter().enumerate() {
-            assert_eq!(
-                ext.cap > 0,
-                index.held.contains(&(chip as u32)),
-                "chip {chip}"
-            );
-        }
-        assert!(index.held.len() < 40, "compaction must have run");
-        index.compact();
-        assert_eq!(index.held, vec![7, 31]);
-        assert_eq!(index.extents[3], Extent::default());
-        // A released chip takes fresh capacity at the end of the arena.
-        index.insert(3, 100, pack_pri(1, 0, 0), 100, 1);
-        assert_eq!(index.held, vec![7, 31, 3]);
-        assert_eq!(rows(&index, 3), vec![(100, pack_pri(1, 0, 0), 100, 1)]);
-        assert_eq!(rows(&index, 7), vec![(7, pack_pri(0, 0, 0), 7, 0)]);
-        assert_eq!(rows(&index, 31), vec![(31, pack_pri(0, 0, 0), 31, 0)]);
-        assert_eq!(index.len(), 3);
+        index.relocate(old, 4, pack_pri(2, 1, 1));
+        let seqs: Vec<u64> = rows(&index, 4).iter().map(|row| row.0).collect();
+        assert_eq!(seqs, [0, 1, 2, 3]);
+        assert_eq!(index.view().active, &[4]);
+        index.relocate(old, 4, pack_pri(2, 0, 1));
+        assert_eq!(rows(&index, 4)[1], (1, pack_pri(2, 0, 1), 12, 0));
+        assert!(index.blocks(12, 2), "the hazard chain keeps the moved row");
+        assert_eq!(index.audit().len(), 4);
     }
 }

@@ -1,9 +1,9 @@
 //! Deep debug-mode invariant validation across the scheduler's shared state.
 //!
 //! [`DeviceQueue::validate_candidate_index`] checks the queue's *internal*
-//! consistency (each tag's id is its slot, the slot flag column, and the
-//! columnar candidate index and read-hazard chains against a rebuild from
-//! the queued tag states).  This module goes one
+//! consistency (each tag's id is its slot, and the candidate rows, the
+//! slots' row handles and the read-hazard chains against a rebuild from the
+//! queued tag states).  This module goes one
 //! layer up and cross-checks the structures that must agree *with each
 //! other* for Sprinkler's chip-level accounting to mean anything:
 //!

@@ -56,7 +56,7 @@ pub mod request;
 pub mod scheduler;
 pub mod ssd;
 
-pub use cand::{pack_pri, pri_die, pri_page, pri_plane, CandidateView};
+pub use cand::{pack_pri, pri_die, pri_page, pri_plane, CandidateView, Row};
 pub use config::{AllocationPolicy, GcConfig, SsdConfig};
 pub use debug_invariants::{validate_context, validate_round};
 pub use error::SsdError;

@@ -20,34 +20,27 @@
 //! the request occupies as its [`TagId`], the way an NCQ tag names its queue
 //! entry, so every operation on a queued tag is one index with no lookup.  The
 //! number is reused once the tag retires; ordering is always by admission
-//! sequence number, never by tag value.  Each slot's direction is mirrored into
-//! a byte *slot column* so the scheduler hot path reads one small contiguous
-//! array instead of chasing `Option<TagState>`.
+//! sequence number, never by tag value.
 //!
-//! On top of the slots the queue maintains three incremental indices that turn the
+//! On top of the slots the queue maintains two incremental indices that turn the
 //! scheduler hot path from full-queue scans into point lookups:
 //!
-//! * a **columnar per-chip candidate index** ([`crate::cand::CandidateIndex`]) —
-//!   for every flash chip, the uncommitted pages targeting it as rows of four
-//!   parallel columns (seq/priority/lpn/tag) in a contiguous CSR-style extent,
-//!   ordered by arrival, so resource-driven schedulers iterate plain slices and
-//!   visit only chips that actually have work;
-//! * a **read-LPN hazard index** — one `(lpn, seq)` entry per uncommitted page
-//!   of a queued read, chained from the LPN's hash bucket, so the §4.4
-//!   write-after-read check walks one short chain instead of scanning the queue;
+//! * the **candidate index** (`cand::CandidateIndex`) — every
+//!   uncommitted page as one row, on its chip's list in arrival order and,
+//!   for a read page, on its LPN's hazard chain, so resource-driven
+//!   schedulers visit only chips that actually have work and the §4.4
+//!   write-after-read check walks one short chain.  Each slot keeps its
+//!   pages' row handles in a buffer reused across admissions, so commit,
+//!   retire and readdressing reach a row with no search;
 //! * a **pending-FUA index** — the admission sequence numbers of queued
 //!   force-unit-access tags that are not yet fully committed, so the reordering
-//!   horizon is an O(1) lookup.
+//!   horizon is an O(1) lookup.  It is a sorted vector, bounded by the queue
+//!   depth.
 //!
-//! The hazard index keeps its entries in one slab with a free list: a read
-//! page's admission links an entry at the head of its bucket's chain and its
-//! commit unlinks it, O(1) for the short chains a 512-bucket Fibonacci hash
-//! gives, with no element shifting however many pages are queued.  The FUA
-//! index is a sorted vector, bounded by the queue depth.  Neither is a
-//! B-tree or hash map: their storage is retained across churn and grows only
-//! at its high-water mark, so index maintenance performs no allocations at
-//! steady state (a B-tree frees and re-allocates nodes as sets empty and
-//! refill, which defeats the zero-allocation replay gate).
+//! Neither is a B-tree or hash map: their storage is retained across churn and
+//! grows only at its high-water mark, so index maintenance performs no
+//! allocations at steady state (a B-tree frees and re-allocates nodes as sets
+//! empty and refill, which defeats the zero-allocation replay gate).
 //!
 //! To keep the indices coherent, all mutation of queued tag state goes through the
 //! queue ([`DeviceQueue::commit_page`], [`DeviceQueue::complete_page`],
@@ -55,129 +48,11 @@
 
 use sprinkler_sim::SimTime;
 
-use crate::cand::{pack_pri, pri_page, CandidateIndex, CandidateView};
+use crate::cand::{pack_pri, CandidateIndex, CandidateView};
 use crate::request::{HostRequest, Placement, TagId};
 
 /// Sentinel for "no slot" in the intrusive arrival-order list.
 const NIL: usize = usize::MAX;
-
-/// Bit set in the slot flag column for write tags.
-pub const SLOT_WRITE: u8 = 1;
-
-/// Buckets of the read-LPN hazard index.  Must stay a power of two: the
-/// bucket hash takes the top `log2(HAZARD_BUCKETS)` bits.
-const HAZARD_BUCKETS: usize = 512;
-
-/// The hazard-index bucket of a logical page number.  Fibonacci hashing
-/// spreads the sequential LPN ranges real workloads produce across the whole
-/// bucket space before the top bits are taken.
-#[inline]
-fn hazard_bucket(lpn: u64) -> usize {
-    const _: () = assert!(HAZARD_BUCKETS == 1 << 9);
-    (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - 9)) as usize
-}
-
-/// End of a hazard chain or of the hazard slab's free list.
-const NO_ENTRY: u32 = u32::MAX;
-
-/// One uncommitted page of a queued read.
-#[derive(Debug, Clone, Copy)]
-struct HazardEntry {
-    lpn: u64,
-    seq: u64,
-    /// The next entry of the bucket chain, or of the free list once freed.
-    next: u32,
-}
-
-/// The §4.4 read-LPN hazard index: every uncommitted page of a queued read
-/// as one `(lpn, seq)` entry, chained from the LPN's [`hazard_bucket`].
-///
-/// Entries live in one slab; a removed entry joins an intrusive free list
-/// and the next insert reuses it, so the slab grows only at its high-water
-/// mark.  Chains are unordered: a query walks its bucket's whole chain.
-#[derive(Debug, Clone)]
-struct ReadHazards {
-    /// First entry of each bucket's chain (`NO_ENTRY` when empty).
-    heads: Vec<u32>,
-    entries: Vec<HazardEntry>,
-    /// First free slab entry (`NO_ENTRY` when none).
-    free: u32,
-    /// Live entries.
-    len: usize,
-}
-
-impl ReadHazards {
-    fn new() -> Self {
-        ReadHazards {
-            heads: vec![NO_ENTRY; HAZARD_BUCKETS],
-            entries: Vec::new(),
-            free: NO_ENTRY,
-            len: 0,
-        }
-    }
-
-    /// Links `(lpn, seq)` at the head of its bucket's chain.
-    // lint: hot-path
-    fn insert(&mut self, lpn: u64, seq: u64) {
-        let bucket = hazard_bucket(lpn);
-        let entry = HazardEntry {
-            lpn,
-            seq,
-            next: self.heads[bucket],
-        };
-        let index = if self.free == NO_ENTRY {
-            self.entries.push(entry);
-            (self.entries.len() - 1) as u32
-        } else {
-            let index = self.free;
-            self.free = self.entries[index as usize].next;
-            self.entries[index as usize] = entry;
-            index
-        };
-        self.heads[bucket] = index;
-        self.len += 1;
-    }
-
-    /// Unlinks `(lpn, seq)` from its bucket's chain and frees its entry.
-    // lint: hot-path
-    fn remove(&mut self, lpn: u64, seq: u64) {
-        let bucket = hazard_bucket(lpn);
-        let mut prev = NO_ENTRY;
-        let mut cursor = self.heads[bucket];
-        while cursor != NO_ENTRY {
-            let entry = self.entries[cursor as usize];
-            if entry.lpn == lpn && entry.seq == seq {
-                if prev == NO_ENTRY {
-                    self.heads[bucket] = entry.next;
-                } else {
-                    self.entries[prev as usize].next = entry.next;
-                }
-                self.entries[cursor as usize].next = self.free;
-                self.free = cursor;
-                self.len -= 1;
-                return;
-            }
-            prev = cursor;
-            cursor = entry.next;
-        }
-        debug_assert!(false, "no hazard entry for lpn {lpn}, seq {seq}");
-    }
-
-    /// Whether an entry of `lpn` has a seq below `seq`.
-    // lint: hot-path
-    #[inline]
-    fn blocks(&self, lpn: u64, seq: u64) -> bool {
-        let mut cursor = self.heads[hazard_bucket(lpn)];
-        while cursor != NO_ENTRY {
-            let entry = &self.entries[cursor as usize];
-            if entry.lpn == lpn && entry.seq < seq {
-                return true;
-            }
-            cursor = entry.next;
-        }
-        false
-    }
-}
 
 /// A fixed-size page bitmap packed into `u64` words.
 ///
@@ -340,30 +215,6 @@ pub struct TagState {
 }
 
 impl TagState {
-    /// Creates the state for a tag.  The admission sequence number starts at
-    /// 0; [`DeviceQueue::admit`] assigns the real id and seq.
-    pub fn new(
-        id: TagId,
-        host: HostRequest,
-        admitted_at: SimTime,
-        placements: Vec<Placement>,
-    ) -> Self {
-        let pages = host.pages as usize;
-        debug_assert_eq!(placements.len(), pages);
-        TagState {
-            id,
-            seq: 0,
-            host,
-            admitted_at,
-            placements,
-            committed: PageBits::new(pages),
-            completed: PageBits::new(pages),
-            committed_count: 0,
-            completed_count: 0,
-            first_commit_at: None,
-        }
-    }
-
     /// Number of pages in the I/O request.
     pub fn pages(&self) -> usize {
         self.host.pages as usize
@@ -372,11 +223,6 @@ impl TagState {
     /// Page offsets not yet committed, ascending (a bitmap bit-scan).
     pub fn uncommitted_pages(&self) -> impl Iterator<Item = u32> + '_ {
         self.committed.zeros()
-    }
-
-    /// Number of pages not yet committed.
-    pub fn uncommitted_count(&self) -> usize {
-        self.pages() - self.committed_count
     }
 
     /// True once every page has been committed.
@@ -416,6 +262,9 @@ struct Slot {
     /// The queued tag when `live`; otherwise the slot's last tag, whose
     /// buffers the next admission into the slot refills.
     state: TagState,
+    /// Each page's candidate-index row handle; a committed page's handle is
+    /// stale.  Refilled in place by each admission, like `placements`.
+    rows: Vec<u32>,
     /// Whether `state` is a queued tag.
     live: bool,
     /// Previous slot in arrival order (`NIL` at the head).
@@ -457,8 +306,6 @@ pub struct DeviceQueue {
     slots: Vec<Slot>,
     /// Recycled slot indices.
     free: Vec<usize>,
-    /// Slot column: per-slot flags ([`SLOT_WRITE`]).
-    slot_flags: Vec<u8>,
     /// First slot in arrival order (`NIL` when empty).
     head: usize,
     /// Last slot in arrival order (`NIL` when empty).
@@ -466,10 +313,8 @@ pub struct DeviceQueue {
     len: usize,
     /// Next admission sequence number.
     next_seq: u64,
-    /// Columnar per-chip candidate index of every uncommitted page.
+    /// One row per uncommitted page: per-chip lists and read-LPN hazard chains.
     cand: CandidateIndex,
-    /// Read-LPN hazard index: one entry per uncommitted page of a queued read.
-    read_hazards: ReadHazards,
     /// Sorted admission seqs of queued FUA tags not yet fully committed.
     fua_pending: Vec<u64>,
 }
@@ -481,13 +326,11 @@ impl DeviceQueue {
             capacity,
             slots: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
-            slot_flags: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
             len: 0,
             next_seq: 0,
-            cand: CandidateIndex::new(),
-            read_hazards: ReadHazards::new(),
+            cand: CandidateIndex::default(),
             fua_pending: Vec::with_capacity(capacity),
         }
     }
@@ -530,7 +373,7 @@ impl DeviceQueue {
             return None;
         }
         // Reserve the storage slot first: its index is the tag, and the index
-        // entries carry it so hot-path consumers reach the state directly.
+        // rows carry it so hot-path consumers reach the state directly.
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
@@ -547,11 +390,11 @@ impl DeviceQueue {
                         completed_count: 0,
                         first_commit_at: None,
                     },
+                    rows: Vec::new(),
                     live: false,
                     prev: NIL,
                     next: NIL,
                 });
-                self.slot_flags.push(0);
                 self.slots.len() - 1
             }
         };
@@ -559,7 +402,7 @@ impl DeviceQueue {
         let pages = host.pages as usize;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let state = &mut self.slots[slot].state;
+        let Slot { state, rows, .. } = &mut self.slots[slot];
         state.id = id;
         state.seq = seq;
         state.host = host;
@@ -573,24 +416,17 @@ impl DeviceQueue {
         state.committed_count = 0;
         state.completed_count = 0;
         state.first_commit_at = None;
-        self.slot_flags[slot] = if host.direction.is_write() {
-            SLOT_WRITE
-        } else {
-            0
-        };
 
-        for (page, p) in state.placements.iter().enumerate() {
-            let lpn = host.lpn_at(page as u32).value();
-            self.cand.insert(
+        rows.clear();
+        for (page, p) in (0..).zip(&state.placements) {
+            rows.push(self.cand.insert(
                 p.chip,
                 seq,
-                pack_pri(page as u32, p.die, p.plane),
-                lpn,
+                pack_pri(page, p.die, p.plane),
+                host.lpn_at(page).value(),
                 slot as u32,
-            );
-            if host.direction.is_read() {
-                self.read_hazards.insert(lpn, seq);
-            }
+                host.direction.is_read(),
+            ));
         }
         if host.fua {
             // Admission seqs are monotonic, so this is a push in practice.
@@ -635,54 +471,32 @@ impl DeviceQueue {
         }
         self.free.push(slot);
         self.len -= 1;
-        // Drop any remaining index entries for uncommitted pages.
-        let state = &self.slots[slot].state;
-        for page in state.uncommitted_pages() {
-            let p = state.placements[page as usize];
-            self.cand
-                .remove(p.chip, state.seq, pack_pri(page, p.die, p.plane));
-            if state.host.direction.is_read() {
-                self.read_hazards
-                    .remove(state.host.lpn_at(page).value(), state.seq);
-            }
+        // Drop the rows of any still-uncommitted pages.
+        let entry = &self.slots[slot];
+        for page in entry.state.uncommitted_pages() {
+            self.cand.remove(entry.rows[page as usize]);
         }
-        if let Ok(pos) = self.fua_pending.binary_search(&state.seq) {
+        if let Ok(pos) = self.fua_pending.binary_search(&entry.state.seq) {
             self.fua_pending.remove(pos);
         }
-        Some(state.host)
+        Some(entry.state.host)
     }
 
-    /// Marks a page of a queued tag committed, keeping the hazard and chip indices
-    /// coherent.  Returns `false` when the tag is not queued, the page offset is
-    /// out of range, or the page was already committed.
+    /// Marks a page of a queued tag committed, dropping its candidate row.
+    /// Returns `false` when the tag is not queued, the page offset is out of
+    /// range, or the page was already committed.
     // lint: hot-path
     pub fn commit_page(&mut self, id: TagId, page: u32, now: SimTime) -> bool {
-        let Some(state) = self
-            .slots
-            .get_mut(id.0 as usize)
-            .filter(|slot| slot.live)
-            .map(|slot| &mut slot.state)
-        else {
+        let Some(entry) = self.slots.get_mut(id.0 as usize).filter(|slot| slot.live) else {
             return false;
         };
+        let state = &mut entry.state;
         if page as usize >= state.pages() || !state.mark_committed(page, now) {
             return false;
         }
-        let seq = state.seq;
-        let p = state.placements[page as usize];
-        let read_lpn = state
-            .host
-            .direction
-            .is_read()
-            .then(|| state.host.lpn_at(page).value());
-        let fua_done = state.host.fua && state.fully_committed();
-        self.cand
-            .remove(p.chip, seq, pack_pri(page, p.die, p.plane));
-        if let Some(lpn) = read_lpn {
-            self.read_hazards.remove(lpn, seq);
-        }
-        if fua_done {
-            if let Ok(pos) = self.fua_pending.binary_search(&seq) {
+        self.cand.remove(entry.rows[page as usize]);
+        if state.host.fua && state.fully_committed() {
+            if let Ok(pos) = self.fua_pending.binary_search(&state.seq) {
                 self.fua_pending.remove(pos);
             }
         }
@@ -707,38 +521,24 @@ impl DeviceQueue {
     }
 
     /// Rewrites the placement preview of every queued, still-uncommitted page
-    /// addressing `lpn` (GC readdressing, §4.3), keeping the chip index coherent.
+    /// addressing `lpn` (GC readdressing, §4.3), moving its candidate row.
     pub fn refresh_placements(&mut self, lpn: u64, preview: Placement) {
         // The arrival-order list links only live slots.
         let mut cursor = self.head;
         while cursor != NIL {
             let slot = &mut self.slots[cursor];
-            let next = slot.next;
             let state = &mut slot.state;
-            let start = state.host.start_lpn.value();
-            let page = lpn.wrapping_sub(start);
+            let page = lpn.wrapping_sub(state.host.start_lpn.value());
             if page < u64::from(state.host.pages) && !state.committed.get(page as usize) {
                 let old = std::mem::replace(&mut state.placements[page as usize], preview);
                 if old != preview {
-                    let (seq, page) = (state.seq, page as u32);
+                    let pri = pack_pri(page as u32, preview.die, preview.plane);
                     self.cand
-                        .remove(old.chip, seq, pack_pri(page, old.die, old.plane));
-                    self.cand.insert(
-                        preview.chip,
-                        seq,
-                        pack_pri(page, preview.die, preview.plane),
-                        lpn,
-                        cursor as u32,
-                    );
+                        .relocate(slot.rows[page as usize], preview.chip, pri);
                 }
             }
-            cursor = next;
+            cursor = slot.next;
         }
-    }
-
-    /// Queued tag identifiers in arrival order.
-    pub fn tags_in_order(&self) -> impl Iterator<Item = TagId> + '_ {
-        self.iter_states().map(|state| state.id)
     }
 
     /// Queued tag states in arrival order.
@@ -756,17 +556,6 @@ impl DeviceQueue {
     /// A queued tag's state; `None` when the tag is not queued.
     pub fn tag(&self, id: TagId) -> Option<&TagState> {
         self.slots.get(id.0 as usize)?.queued()
-    }
-
-    /// A queued tag's admission sequence number.
-    pub fn seq_of(&self, id: TagId) -> Option<u64> {
-        self.tag(id).map(|state| state.seq)
-    }
-
-    /// Total uncommitted pages across all queued tags (O(1)): the candidate
-    /// index holds one row per uncommitted page.
-    pub fn total_uncommitted_pages(&self) -> usize {
-        self.cand.len()
     }
 
     // ------------------------------------------------------------------
@@ -787,7 +576,7 @@ impl DeviceQueue {
     // lint: hot-path
     #[inline]
     pub fn has_blocking_read(&self, lpn: u64, seq: u64) -> bool {
-        self.read_hazards.blocks(lpn, seq)
+        self.cand.blocks(lpn, seq)
     }
 
     /// The pending-FUA horizon entries: admission seqs of queued FUA tags not
@@ -797,163 +586,55 @@ impl DeviceQueue {
         &self.fua_pending
     }
 
-    /// The columnar candidate view for one scheduling round: active chips,
-    /// CSR-style per-chip row ranges, and the seq/pri/lpn/tag columns.
+    /// The candidate view for one scheduling round: the active chips, each
+    /// chip's rows in arrival order, and the row arena.
     pub fn candidate_view(&self) -> CandidateView<'_> {
         self.cand.view()
     }
 
-    /// Slot column: flag bits ([`SLOT_WRITE`]) per slot, indexed by tag.
-    pub fn slot_flag_bits(&self) -> &[u8] {
-        &self.slot_flags
-    }
-
-    /// Chips with at least one uncommitted candidate page, in ascending chip
-    /// order.  Iterating this instead of every chip keeps resource-driven
-    /// scheduling rounds proportional to queued work, not to the chip population.
-    pub fn candidate_chips(&self) -> impl Iterator<Item = usize> + '_ {
-        self.cand.active_chips().iter().map(|&chip| chip as usize)
-    }
-
-    /// The uncommitted candidate pages targeting one chip, in arrival order
-    /// (admission seq, then page offset), as `(seq, page, tag)`.
-    pub fn chip_candidates(&self, chip: usize) -> impl Iterator<Item = (u64, u32, TagId)> + '_ {
-        let view = self.cand.view();
-        self.cand.chip_range(chip).map(move |row| {
-            (
-                view.seq[row],
-                pri_page(view.pri[row]),
-                TagId(u64::from(view.slot[row])),
-            )
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Storage introspection (regression tests for bounded memory)
-    // ------------------------------------------------------------------
-
-    /// Number of storage slots ever allocated.  Bounded by the queue capacity, no
-    /// matter how many I/Os have been served.
-    pub fn allocated_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total live entries across the chip, read-LPN, and FUA indices.  Bounded
-    /// by the number of queued uncommitted pages.
-    pub fn index_entries(&self) -> usize {
-        self.cand.len() + self.read_hazards.len + self.fua_pending.len()
-    }
-
     /// Debug-build invariant checker: checks that each queued tag's id is its
-    /// slot and cross-validates the incremental columnar candidate index, the
-    /// slot column and the hazard chains against a from-scratch rebuild from
-    /// the queued tag states.  Compiled to a no-op in release builds; the
-    /// differential property tests call it after every scheduling round.
+    /// slot, and rebuilds the candidate rows, the slots' row handles and the
+    /// hazard chains from the queued tag states.  Compiled to a no-op in
+    /// release builds; the differential property tests call it after every
+    /// scheduling round.
     pub fn validate_candidate_index(&self) {
         #[cfg(debug_assertions)]
         {
-            let mut expected: Vec<(usize, u64, u32, u64, u32)> = Vec::new();
+            let rows = self.cand.view().rows;
+            let mut expected: Vec<u32> = Vec::new();
             for (slot, entry) in self.slots.iter().enumerate() {
                 let Some(state) = entry.queued() else {
                     continue;
                 };
                 debug_assert_eq!(state.id, TagId(slot as u64), "a tag's id is its slot");
-                debug_assert_eq!(
-                    self.slot_flags[slot] & SLOT_WRITE != 0,
-                    state.host.direction.is_write(),
-                    "stale slot flag column"
-                );
+                debug_assert_eq!(entry.rows.len(), state.pages(), "one row handle per page");
                 for page in state.uncommitted_pages() {
                     let p = state.placements[page as usize];
-                    expected.push((
-                        p.chip,
-                        state.seq,
-                        pack_pri(page, p.die, p.plane),
-                        state.host.lpn_at(page).value(),
-                        slot as u32,
-                    ));
+                    let handle = entry.rows[page as usize];
+                    let row = &rows[handle as usize];
+                    debug_assert_eq!(
+                        (row.chip as usize, row.seq, row.pri, row.lpn),
+                        (
+                            p.chip,
+                            state.seq,
+                            pack_pri(page, p.die, p.plane),
+                            state.host.lpn_at(page).value()
+                        ),
+                        "row {handle} diverged from page {page} of tag {slot}"
+                    );
+                    debug_assert_eq!(
+                        (row.slot as usize, row.read),
+                        (slot, state.host.direction.is_read()),
+                        "row {handle} diverged from tag {slot}"
+                    );
+                    expected.push(handle);
                 }
             }
             expected.sort_unstable();
-            debug_assert_eq!(expected.len(), self.cand.len());
-
-            let view = self.cand.view();
-            let mut actual: Vec<(usize, u64, u32, u64, u32)> = Vec::new();
-            let mut previous_chip = None;
-            for &chip in view.active {
-                debug_assert!(previous_chip < Some(chip), "active chips not sorted");
-                previous_chip = Some(chip);
-                let range = view.range(chip as usize);
-                debug_assert!(!range.is_empty(), "active chip without rows");
-                let mut previous_row = None;
-                for row in range {
-                    let key = (view.seq[row], view.pri[row]);
-                    debug_assert!(previous_row < Some(key), "chip rows not sorted");
-                    previous_row = Some(key);
-                    actual.push((
-                        chip as usize,
-                        view.seq[row],
-                        view.pri[row],
-                        view.lpn[row],
-                        view.slot[row],
-                    ));
-                }
-            }
-            actual.sort_unstable();
             debug_assert_eq!(
-                expected, actual,
-                "columnar candidate index diverged from a from-scratch rebuild"
-            );
-
-            // The hazard chains hold exactly the uncommitted read pages, each
-            // in its LPN's bucket, and every slab entry is either chained or
-            // free: a lost link or a cycle shows up as a count mismatch.
-            let hazards = &self.read_hazards;
-            let slab = hazards.entries.len();
-            let mut chained: Vec<(u64, u64)> = Vec::new();
-            for (bucket, &head) in hazards.heads.iter().enumerate() {
-                let mut cursor = head;
-                while cursor != NO_ENTRY && chained.len() <= slab {
-                    let entry = hazards.entries[cursor as usize];
-                    debug_assert_eq!(
-                        hazard_bucket(entry.lpn),
-                        bucket,
-                        "hazard entry chained in the wrong bucket"
-                    );
-                    chained.push((entry.lpn, entry.seq));
-                    cursor = entry.next;
-                }
-            }
-            let mut free = 0usize;
-            let mut cursor = hazards.free;
-            while cursor != NO_ENTRY && free <= slab {
-                free += 1;
-                cursor = hazards.entries[cursor as usize].next;
-            }
-            debug_assert_eq!(
-                chained.len(),
-                hazards.len,
-                "hazard chains lost or repeated an entry"
-            );
-            debug_assert_eq!(
-                chained.len() + free,
-                slab,
-                "hazard slab entries neither chained nor free"
-            );
-            chained.sort_unstable();
-            let mut expected_hazards: Vec<(u64, u64)> = self
-                .iter_states()
-                .filter(|state| state.host.direction.is_read())
-                .flat_map(|state| {
-                    state
-                        .uncommitted_pages()
-                        .map(move |page| (state.host.lpn_at(page).value(), state.seq))
-                })
-                .collect();
-            expected_hazards.sort_unstable();
-            debug_assert_eq!(
-                expected_hazards, chained,
-                "read-LPN hazard index diverged from the queued tag states"
+                expected,
+                self.cand.audit(),
+                "candidate rows diverged from the queued tags' uncommitted pages"
             );
         }
     }
@@ -962,6 +643,7 @@ impl DeviceQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cand::hazard_bucket;
     use crate::request::Direction;
     use proptest::prelude::*;
     use sprinkler_flash::Lpn;
@@ -994,6 +676,39 @@ mod tests {
             .expect("the queue has room")
     }
 
+    /// Queued tags in arrival order.
+    fn tags(q: &DeviceQueue) -> Vec<TagId> {
+        q.iter_states().map(|state| state.id).collect()
+    }
+
+    fn seq_of(q: &DeviceQueue, tag: TagId) -> u64 {
+        q.tag(tag).expect("the tag is queued").seq
+    }
+
+    /// Chips with candidate rows, ascending.
+    fn candidate_chips(q: &DeviceQueue) -> Vec<u32> {
+        let mut chips = q.candidate_view().active.to_vec();
+        chips.sort_unstable();
+        chips
+    }
+
+    /// One chip's rows in arrival order, as `(page, tag)`.
+    fn chip_rows(q: &DeviceQueue, chip: usize) -> Vec<(u32, TagId)> {
+        let view = q.candidate_view();
+        view.rows_of(chip)
+            .map(|row| (row.page(), row.tag()))
+            .collect()
+    }
+
+    /// Candidate rows across all chips: one per uncommitted page.
+    fn listed_rows(q: &DeviceQueue) -> usize {
+        let view = q.candidate_view();
+        view.active
+            .iter()
+            .map(|&chip| view.len(chip as usize))
+            .sum()
+    }
+
     #[test]
     fn admit_and_retire_roundtrip() {
         let mut q = DeviceQueue::new(4);
@@ -1005,7 +720,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         assert!(!q.is_full());
-        assert_eq!(q.tags_in_order().collect::<Vec<_>>(), vec![first, second]);
+        assert_eq!(tags(&q), vec![first, second]);
         q.validate_candidate_index();
         let retired = q.retire(first).unwrap();
         assert_eq!(retired.id, 0);
@@ -1033,7 +748,7 @@ mod tests {
         let third = admit(&mut q, host(2, 1));
         assert_eq!(third, first);
         assert_eq!(q.tag(third).unwrap().host.id, 2);
-        assert_eq!(q.tags_in_order().collect::<Vec<_>>(), vec![second, third]);
+        assert_eq!(tags(&q), vec![second, third]);
     }
 
     #[test]
@@ -1042,7 +757,6 @@ mod tests {
         let tag = q
             .admit(host(7, 3), SimTime::from_nanos(10), placement)
             .unwrap();
-        assert_eq!(q.tag(tag).unwrap().uncommitted_count(), 3);
         assert_eq!(
             q.tag(tag).unwrap().uncommitted_pages().collect::<Vec<_>>(),
             vec![0, 1, 2]
@@ -1104,19 +818,22 @@ mod tests {
         let mut q = DeviceQueue::new(4);
         let first = admit(&mut q, host(0, 2));
         let second = admit(&mut q, host(1, 5));
-        assert_eq!(q.total_uncommitted_pages(), 7);
+        assert_eq!(listed_rows(&q), 7);
         assert!(q.commit_page(second, 0, SimTime::ZERO));
-        assert_eq!(q.total_uncommitted_pages(), 6);
+        assert_eq!(listed_rows(&q), 6);
         q.retire(first).unwrap();
-        assert_eq!(q.total_uncommitted_pages(), 4);
+        assert_eq!(listed_rows(&q), 4);
+        q.validate_candidate_index();
     }
 
     #[test]
     fn tag_state_page_count() {
-        let placements = (0..4).map(placement).collect();
-        let state = TagState::new(TagId(1), host(1, 4), SimTime::ZERO, placements);
+        let mut q = DeviceQueue::new(4);
+        let tag = admit(&mut q, host(1, 4));
+        let state = q.tag(tag).unwrap();
         assert_eq!(state.pages(), 4);
-        assert_eq!(state.seq, 0);
+        assert_eq!(state.seq, 0, "the first admission has seq 0");
+        assert_eq!(state.uncommitted_pages().count(), 4);
     }
 
     #[test]
@@ -1124,12 +841,12 @@ mod tests {
         let mut q = DeviceQueue::new(4);
         let first = admit(&mut q, host(9, 1));
         let second = admit(&mut q, host(3, 1));
-        let (a, b) = (q.seq_of(first).unwrap(), q.seq_of(second).unwrap());
+        let (a, b) = (seq_of(&q, first), seq_of(&q, second));
         assert!(a < b, "arrival order must be reflected in seqs");
         q.retire(first).unwrap();
         let third = admit(&mut q, host(9, 1));
         assert!(third < second, "the reused slot has the smaller number");
-        assert!(q.seq_of(third).unwrap() > b, "seqs never repeat");
+        assert!(seq_of(&q, third) > b, "seqs never repeat");
     }
 
     #[test]
@@ -1137,18 +854,14 @@ mod tests {
         let mut q = DeviceQueue::new(4);
         let first = admit(&mut q, host(0, 2));
         let second = admit(&mut q, host(1, 2));
-        assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(candidate_chips(&q), vec![0, 1]);
         // Chip 0 holds page 0 of both tags, in arrival order.
-        let chip0: Vec<(u32, TagId)> = q
-            .chip_candidates(0)
-            .map(|(_, page, tag)| (page, tag))
-            .collect();
-        assert_eq!(chip0, vec![(0, first), (0, second)]);
+        assert_eq!(chip_rows(&q, 0), vec![(0, first), (0, second)]);
         assert!(q.commit_page(first, 0, SimTime::ZERO));
-        let chip0: Vec<TagId> = q.chip_candidates(0).map(|(_, _, tag)| tag).collect();
-        assert_eq!(chip0, vec![second]);
+        assert_eq!(chip_rows(&q, 0), vec![(0, second)]);
         q.retire(second).unwrap();
-        assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(candidate_chips(&q), vec![1]);
+        q.validate_candidate_index();
     }
 
     #[test]
@@ -1161,7 +874,7 @@ mod tests {
             plane: 1,
         };
         q.refresh_placements(500, moved);
-        assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(candidate_chips(&q), vec![3]);
         assert_eq!(q.tag(tag).unwrap().placements[0], moved);
         q.validate_candidate_index();
         // A same-chip die/plane move rewrites the row's priority key too.
@@ -1183,11 +896,11 @@ mod tests {
     fn read_lpn_index_answers_hazard_queries() {
         let mut q = DeviceQueue::new(4);
         let reader = admit(&mut q, read_host(0, 100, 4));
-        let writer_seq = q.seq_of(reader).unwrap() + 1;
+        let writer_seq = seq_of(&q, reader) + 1;
         assert!(q.has_blocking_read(102, writer_seq));
         assert!(!q.has_blocking_read(104, writer_seq));
         // Reads at or after the writer's seq do not block it.
-        assert!(!q.has_blocking_read(102, q.seq_of(reader).unwrap()));
+        assert!(!q.has_blocking_read(102, seq_of(&q, reader)));
         assert!(q.commit_page(reader, 2, SimTime::ZERO));
         assert!(!q.has_blocking_read(102, writer_seq));
         assert!(q.has_blocking_read(101, writer_seq));
@@ -1202,9 +915,9 @@ mod tests {
         admit(&mut q, read_host(0, 0, 1));
         let fua = admit(&mut q, host(1, 2).with_fua(true));
         admit(&mut q, read_host(2, 50, 1));
-        assert_eq!(q.horizon_seq(), q.seq_of(fua).unwrap());
+        assert_eq!(q.horizon_seq(), seq_of(&q, fua));
         assert!(q.commit_page(fua, 0, SimTime::ZERO));
-        assert_eq!(q.horizon_seq(), q.seq_of(fua).unwrap());
+        assert_eq!(q.horizon_seq(), seq_of(&q, fua));
         assert!(q.commit_page(fua, 1, SimTime::ZERO));
         assert_eq!(q.horizon_seq(), u64::MAX);
     }
@@ -1241,7 +954,7 @@ mod tests {
                 next_admit += 1;
             }
             // Retire the oldest tag after committing and completing its pages.
-            let oldest = q.tags_in_order().next().unwrap();
+            let oldest = tags(&q)[0];
             assert_eq!(q.tag(oldest).unwrap().host.id, retired);
             for page in 0..3 {
                 assert!(q.commit_page(oldest, page, SimTime::ZERO));
@@ -1251,20 +964,22 @@ mod tests {
             retired += 1;
 
             assert!(
-                q.allocated_slots() <= DEPTH,
+                q.slots.len() <= DEPTH,
                 "slot storage grew past the queue depth: {}",
-                q.allocated_slots()
+                q.slots.len()
             );
+            // The row arena holds live and freed rows: it never grows past
+            // the most pages ever queued at once.
+            let index = q.candidate_view().rows.len() + q.fua_pending.len();
             assert!(
-                q.index_entries() <= DEPTH * 3 + DEPTH,
-                "index storage grew past the queued work: {}",
-                q.index_entries()
+                index <= DEPTH * 3 + DEPTH,
+                "index storage grew past the queued work: {index}"
             );
         }
         assert!(q.is_empty());
-        assert_eq!(q.total_uncommitted_pages(), 0);
-        assert_eq!(q.index_entries(), 0);
-        assert!(q.allocated_slots() <= DEPTH);
+        assert_eq!(listed_rows(&q), 0);
+        assert!(q.fua_pending.is_empty());
+        assert!(q.slots.len() <= DEPTH);
         q.validate_candidate_index();
     }
 
@@ -1275,7 +990,7 @@ mod tests {
         assert!(q.commit_page(first, 1, SimTime::from_nanos(5)));
         assert_eq!(q.tag(first).unwrap().placements.len(), 3);
         assert_eq!(q.tag(first).unwrap().placements[2].chip, 2);
-        assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(candidate_chips(&q), vec![0, 2]);
 
         q.retire(first).unwrap();
         // The next admission takes the retired slot and refills the buffers
@@ -1284,7 +999,7 @@ mod tests {
             .admit(read_host(1, 10, 2), SimTime::ZERO, |_| placement(5))
             .unwrap();
         assert_eq!(second, first, "the retired slot is reused");
-        assert_eq!(q.allocated_slots(), 1);
+        assert_eq!(q.slots.len(), 1);
         let tag = q.tag(second).unwrap();
         assert_eq!(tag.id, second);
         assert_eq!(tag.host.id, 1);
@@ -1294,26 +1009,24 @@ mod tests {
             tag.placements.capacity() >= 3,
             "the placement buffer is reused"
         );
-        assert_eq!(tag.uncommitted_count(), 2);
+        assert!(tag.uncommitted_pages().eq([0, 1]));
         assert!(tag.completed.zeros().eq([0, 1]));
         assert_eq!(tag.first_commit_at, None);
-        assert_eq!(q.candidate_chips().collect::<Vec<_>>(), vec![5]);
+        assert_eq!(candidate_chips(&q), vec![5]);
+        assert_eq!(q.slots[0].rows.len(), 2, "one row handle per page");
         q.validate_candidate_index();
     }
 
     #[test]
     fn iter_states_matches_arrival_order_after_interior_retire() {
         let mut q = DeviceQueue::new(4);
-        let tags: Vec<TagId> = (0..4u64).map(|id| admit(&mut q, host(id, 1))).collect();
-        q.retire(tags[1]).unwrap();
-        q.retire(tags[2]).unwrap();
+        let admitted: Vec<TagId> = (0..4u64).map(|id| admit(&mut q, host(id, 1))).collect();
+        q.retire(admitted[1]).unwrap();
+        q.retire(admitted[2]).unwrap();
         let late = admit(&mut q, host(4, 1));
         // The late tag reuses a freed slot number yet still queues last.
-        assert!(late < tags[3]);
-        assert_eq!(
-            q.tags_in_order().collect::<Vec<_>>(),
-            vec![tags[0], tags[3], late]
-        );
+        assert!(late < admitted[3]);
+        assert_eq!(tags(&q), vec![admitted[0], admitted[3], late]);
         let hosts: Vec<u64> = q.iter_states().map(|s| s.host.id).collect();
         assert_eq!(hosts, vec![0, 3, 4]);
         let seqs: Vec<u64> = q.iter_states().map(|s| s.seq).collect();
@@ -1348,22 +1061,27 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random admits (reads and writes over overlapping LPN ranges, some
-        /// starting at LPNs that share one bucket), page commits, and
-        /// retires: after every step the hazard
-        /// index answers each probe LPN at each queued tag's seq, the seq
-        /// after it and the end of time as a scan of the queue does, and
-        /// the debug validator rebuilds the chains from the tag states.
+        /// starting at LPNs that share one bucket), page commits, retires
+        /// and readdressing (a queued LPN's preview moves to a drawn chip,
+        /// die and plane, often onto a chip holding younger rows): after
+        /// every step the hazard index answers each probe LPN at each
+        /// queued tag's seq, the seq after it and the end of time as a scan
+        /// of the queue does, and the debug validator rebuilds the rows,
+        /// row handles and chains from the tag states.
         #[test]
         fn hazard_index_answers_like_a_scan_of_the_queue(
-            steps in prop::collection::vec((0u8..8, 0usize..60, 1u32..5), 1..60),
+            steps in prop::collection::vec(
+                (0u8..10, 0usize..60, 1u32..5, (0usize..6, 0u32..2, 0u32..2)),
+                1..60,
+            ),
         ) {
             let shared = bucket_sharing_lpns();
             let probes: Vec<u64> = (0..24)
                 .chain(shared.iter().flat_map(|&lpn| lpn..lpn + 4))
                 .collect();
             let mut q = DeviceQueue::new(6);
-            for (id, &(kind, pick, pages)) in steps.iter().enumerate() {
-                let queued: Vec<TagId> = q.tags_in_order().collect();
+            for (id, &(kind, pick, pages, (chip, die, plane))) in steps.iter().enumerate() {
+                let queued = tags(&q);
                 let target = queued.get(pick % queued.len().max(1)).copied();
                 match (kind, target) {
                     (0..=3, _) => {
@@ -1386,6 +1104,11 @@ mod tests {
                     (4 | 5, Some(tag)) => {
                         let page = pick as u32 % q.tag(tag).unwrap().pages() as u32;
                         q.commit_page(tag, page, SimTime::ZERO);
+                    }
+                    (8 | 9, Some(tag)) => {
+                        let host = q.tag(tag).unwrap().host;
+                        let lpn = host.lpn_at(pick as u32 % host.pages).value();
+                        q.refresh_placements(lpn, Placement { chip, die, plane });
                     }
                     (_, Some(tag)) => {
                         q.retire(tag).unwrap();

@@ -504,12 +504,20 @@ impl Ssd {
     }
 
     /// Takes a host request in at `now`: it waits for a queue tag, and a
-    /// scheduling round is requested.  A request of zero pages, or longer
-    /// than `MAX_REQUEST_PAGES`, is refused instead: the first has no page
-    /// whose completion could retire its tag, and the second's page offsets
-    /// would collide in the candidate keys.
+    /// scheduling round is requested.  A request of zero pages, longer than
+    /// `MAX_REQUEST_PAGES`, or whose LPN range runs past `u64::MAX` is
+    /// refused instead: the first has no page whose completion could retire
+    /// its tag, the second's page offsets would collide in the candidate
+    /// keys, and the third's last pages have no LPN.
     fn ingest(&mut self, now: SimTime, request: HostRequest) {
-        if request.pages == 0 || request.pages > MAX_REQUEST_PAGES {
+        if request.pages == 0
+            || request.pages > MAX_REQUEST_PAGES
+            || request
+                .start_lpn
+                .value()
+                .checked_add(u64::from(request.pages) - 1)
+                .is_none()
+        {
             self.refused_ios += 1;
             return;
         }
@@ -1459,6 +1467,25 @@ mod tests {
         let metrics = run_small(trace);
         assert_eq!((metrics.io_count, metrics.refused_ios), (1, 8));
         assert_eq!(metrics.run_start_ns, 10_000);
+    }
+
+    /// Regression: a request whose LPN range ran past `u64::MAX` overflowed
+    /// `Lpn::offset`: it panicked in debug builds, and in release its last
+    /// pages wrapped onto LPNs 0 and up.  It is now refused at ingestion; a
+    /// range ending exactly at `u64::MAX` is served.
+    #[test]
+    fn requests_past_the_last_lpn_are_refused() {
+        let last = u64::MAX - 1;
+        let metrics = run_small(vec![
+            write_req(0, 0, last, 4),
+            read_req(1, 1, last, 3),
+            write_req(2, 2, last, 2),
+            read_req(3, 3, last, 2),
+            read_req(4, 4, 0, 1),
+        ]);
+        assert_eq!((metrics.io_count, metrics.refused_ios), (3, 2));
+        assert_eq!(metrics.failed_writes, 2, "LPNs past the space fail to map");
+        assert_eq!(metrics.run_start_ns, 2_000);
     }
 
     /// Every event handled is counted once under its kind.  A lone write

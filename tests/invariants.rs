@@ -3,11 +3,12 @@
 //!
 //! A wrapper scheduler calls `validate_context` on every scheduling round, so
 //! a whole replay cross-checks — after each round — the commitment ledger
-//! against the per-tag `PageBits` masks, the read-LPN hazard entries and FUA
-//! horizon against a from-scratch rebuild from the queued tag states, and the
-//! queue's own columnar candidate index.  The traces are chosen to push every
-//! structure: mixed reads/writes (hazard index), FUA-heavy streams (horizon),
-//! and an overwrite-heavy GC run (GC requests must *not* touch the ledger).
+//! against the per-tag `PageBits` masks, and the FUA horizon and the queue's
+//! candidate index (its rows, the slots' row handles and the read-LPN hazard
+//! chains) against a from-scratch rebuild from the queued tag states.  The
+//! traces are chosen to push every structure: mixed reads/writes (hazard
+//! chains), FUA-heavy streams (horizon), and an overwrite-heavy GC run (GC
+//! requests must *not* touch the ledger).
 //!
 //! The validator compiles to a no-op in release builds; the negative test
 //! (a deliberately desynchronized queue/ledger pair must panic) is therefore

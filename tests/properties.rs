@@ -407,9 +407,10 @@ proptest! {
     /// device is built: for any small device it either refuses the config
     /// with a typed error, which `Ssd::new` returns too, or the device it
     /// accepts completes a short multi-page mixed replay, FUA included,
-    /// under VAS and SPK3.  Sometimes the replay also carries requests longer
-    /// than a candidate key's 20-bit page field, or of zero pages: the device
-    /// refuses exactly those and completes every other I/O.
+    /// under VAS and SPK3.  Sometimes the replay also carries up to two
+    /// requests each longer than a candidate key's 20-bit page field, of zero
+    /// pages, or whose LPN range runs past `u64::MAX`: the device refuses
+    /// exactly those and completes every other I/O.
     #[test]
     fn validated_configs_complete_every_io(
         config in arb_small_config(),
@@ -422,6 +423,7 @@ proptest! {
             0..3,
         ),
         empty in prop::collection::vec((0u64..100, arb_direction(), 0u64..1 << 32), 0..3),
+        past_end in prop::collection::vec((0u64..100, arb_direction(), 0u64..4, 0u32..4), 0..3),
     ) {
         if let Err(error) = config.validate() {
             let built = Ssd::new(config, SchedulerKind::Vas.build());
@@ -449,9 +451,20 @@ proptest! {
             let start = Lpn::new(lpn % space);
             HostRequest { pages: 0, ..HostRequest::new(id, SimTime::from_micros(at), dir, start, 1) }
         });
-        let replay: Vec<HostRequest> =
-            requests.iter().cloned().chain(too_long).chain(zero_pages).collect();
-        let refused = (oversized.len() + empty.len()) as u64;
+        // The last page would sit `extra + 1` LPNs past `u64::MAX`.
+        let wrapping = past_end.iter().enumerate().map(|(i, &(at, dir, back, extra))| {
+            let id = (specs.len() + oversized.len() + empty.len() + i) as u64;
+            let start = Lpn::new(u64::MAX - back);
+            HostRequest::new(id, SimTime::from_micros(at), dir, start, back as u32 + 2 + extra)
+        });
+        let replay: Vec<HostRequest> = requests
+            .iter()
+            .cloned()
+            .chain(too_long)
+            .chain(zero_pages)
+            .chain(wrapping)
+            .collect();
+        let refused = (oversized.len() + empty.len() + past_end.len()) as u64;
         for kind in [SchedulerKind::Vas, SchedulerKind::Spk3] {
             let metrics = Ssd::new(config.clone(), kind.build()).unwrap().run(replay.clone());
             prop_assert_eq!(metrics.io_count, requests.len() as u64, "{} lost I/Os", kind);
@@ -609,13 +622,13 @@ proptest! {
     /// so the expected streams differ from the seed's — but fast and reference
     /// must still agree commitment by commitment.
     ///
-    /// With the data-oriented core, "optimized" now means the fully columnar
-    /// round path: CSR candidate extents with packed (page, die, plane)
-    /// priority keys, dense slot-handle columns, the bitmask page states, and
-    /// the slice-based ledger/hazard reads.  The reference twin still walks
-    /// the queue naively (`sprinkler_core::reference` is untouched), and the
-    /// `RecordingScheduler` wrapper additionally cross-validates the columnar
-    /// index against a from-scratch rebuild on every round of both replays.
+    /// "Optimized" means the indexed round path: per-chip row lists with
+    /// packed (page, die, plane) priority keys, hazard chains, the bitmask
+    /// page states, and the slice-based ledger reads.  The reference twin
+    /// still walks the queue naively (`sprinkler_core::reference` is
+    /// untouched), and the `RecordingScheduler` wrapper additionally
+    /// cross-validates the candidate index against a from-scratch rebuild on
+    /// every round of both replays.
     #[test]
     fn refactored_schedulers_match_their_reference_twins(
         requests in arb_requests(40),

@@ -38,11 +38,11 @@
 //! general path over several tags per chip, and the writes' write-after-read
 //! queries walk a hazard index holding hundreds of uncommitted read pages.
 //!
-//! The 1024-chip cell and the long-read cell replay under every
-//! [`SchedulerKind`]; the two 64-chip 8-page cells under SPK3 only, because
-//! the queue-order kinds grow the read-hazard slab (SPK1) and the candidate
-//! arena (VAS) there to a high-water mark they reach only after the warm-up
-//! (see the `FOUND:` lines of CHANGES.md).
+//! Every cell replays under every [`SchedulerKind`] but one: the 64-chip
+//! fixed-footprint cell leaves SPK1 out, because SPK1 queues more
+//! uncommitted pages there after the warm-up than during it, and so grows
+//! the candidate index's row arena (see the SPK1 `FOUND:` line of
+//! CHANGES.md).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -219,24 +219,29 @@ fn assert_zero_alloc_steady_state(
 }
 
 /// Steady-state replay on the 64-chip paper geometry allocates nothing
-/// under SPK3 (SPK1 grows the read-hazard slab here after warm-up).
+/// under every kind but SPK1, which grows the candidate index's row arena
+/// here after warm-up (its `FOUND:` line in CHANGES.md).
 #[test]
 #[ignore = "release-mode perf gate; run via cargo test --release --test zero_alloc -- --ignored"]
 fn steady_state_replay_is_allocation_free_small() {
-    let config = SsdConfig::paper_default().with_blocks_per_plane(64);
-    let requests = steady_requests(6_000, 3_000, PAGES, fixed_footprint);
-    assert_zero_alloc_steady_state(config, SchedulerKind::Spk3, requests, 3_000);
+    use SchedulerKind::{Pas, Spk2, Spk3, Vas};
+    for kind in [Vas, Pas, Spk2, Spk3] {
+        let config = SsdConfig::paper_default().with_blocks_per_plane(64);
+        let requests = steady_requests(6_000, 3_000, PAGES, fixed_footprint);
+        assert_zero_alloc_steady_state(config, kind, requests, 3_000);
+    }
 }
 
 /// The steady state writes chips and LPNs that warm-up never wrote: the
-/// pending sets and FTL tables must already hold them.  SPK3 only (VAS
-/// grows the candidate arena here after warm-up).
+/// pending sets and FTL tables must already hold them, under every kind.
 #[test]
 #[ignore = "release-mode perf gate; run via cargo test --release --test zero_alloc -- --ignored"]
 fn steady_state_writes_to_unwritten_chips_are_allocation_free() {
-    let config = SsdConfig::paper_default().with_blocks_per_plane(64);
-    let requests = steady_requests(6_000, 3_000, PAGES, split_footprint);
-    assert_zero_alloc_steady_state(config, SchedulerKind::Spk3, requests, 3_000);
+    for kind in SchedulerKind::ALL {
+        let config = SsdConfig::paper_default().with_blocks_per_plane(64);
+        let requests = steady_requests(6_000, 3_000, PAGES, split_footprint);
+        assert_zero_alloc_steady_state(config, kind, requests, 3_000);
+    }
 }
 
 /// The same proof at 1024 chips under every scheduler: pool sizing, not
