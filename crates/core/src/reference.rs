@@ -255,7 +255,7 @@ mod tests {
                 plane: (chip % 4) as u32,
             }
         };
-        assert_eq!(queue.admit(host, SimTime::ZERO, placement), Some(TagId(id)));
+        assert_eq!(queue.admit(host, placement), Some(TagId(id)));
     }
 
     fn schedule(kind: SchedulerKind, queue: &DeviceQueue) -> Vec<Commitment> {

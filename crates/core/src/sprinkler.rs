@@ -402,9 +402,7 @@ pub(crate) mod tests {
             let (chip, die, plane) = pages[page as usize];
             Placement { chip, die, plane }
         };
-        queue
-            .admit(host, SimTime::ZERO, placement)
-            .expect("the queue has room")
+        queue.admit(host, placement).expect("the queue has room")
     }
 
     /// Admits request `id` at `pages`; ids count from 0 on a fresh queue, so
@@ -476,7 +474,7 @@ pub(crate) mod tests {
     fn already_committed_pages_are_skipped() {
         let mut queue = DeviceQueue::new(8);
         admit_on(&mut queue, 0, &[0, 1]);
-        assert!(queue.commit_page(TagId(0), 0, SimTime::ZERO));
+        assert!(queue.commit_page(TagId(0), 0));
         for kind in SchedulerKind::ALL {
             let out = schedule(kind, &queue, CAP, &[0; 4]);
             assert_eq!(pairs(&out), [(0, 1)], "{kind}");

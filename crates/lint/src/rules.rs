@@ -132,9 +132,9 @@ pub const RULES: &[RuleInfo] = &[
                   statically.  Functions tagged with a `// lint: hot-path` comment (and any \
                   whole files under [no-hot-alloc] `file =`) must not contain Vec::new, \
                   vec![, Box::new, .to_vec(, .collect(, or .clone( — reuse pooled buffers \
-                  (the pending sets' member pool, the queue's slot-kept tag states) or preallocate in \
-                  constructors.  Push/insert into retained-capacity buffers is allowed: \
-                  capacity sticks at the high-water mark.",
+                  (the queue's slot-kept tag states, the one arena of in-flight memory-request \
+                  records) or preallocate in constructors.  Push/insert into retained-capacity \
+                  buffers is allowed: capacity sticks at the high-water mark.",
     },
 ];
 

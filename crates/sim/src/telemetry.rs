@@ -8,10 +8,12 @@
 //!   per-run figures must stay deterministic), shared via `Arc` between the
 //!   SSD substrate and its scheduler, and frozen into a [`TelemetrySnapshot`]
 //!   when the run's metrics are finalized.  The counters are always on —
-//!   every experiment, scenario, and BENCH baseline carries them — but not
-//!   free: even relaxed and uncontended, a `fetch_add` is a `lock`-prefixed
-//!   read-modify-write on x86-64, which also orders the loads and stores
-//!   around it, and the replay loop makes dozens of them per I/O.
+//!   every experiment, scenario, and BENCH baseline carries them — and the
+//!   replay loop bumps them dozens of times per I/O.  A run's counters have
+//!   one writer, the thread that runs its simulation, so an increment is a
+//!   relaxed load and store rather than a `fetch_add`, which on x86-64 is a
+//!   `lock`-prefixed read-modify-write that also orders the loads and stores
+//!   around it.
 //! * [`CountingAllocator`] — a test-only global allocator that counts
 //!   allocations and allocated bytes per thread.  Test binaries install it
 //!   with `#[global_allocator]` and use [`AllocScope`] to assert that a
@@ -25,7 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Relaxed-ordering atomic counters for the scheduling/replay hot path.
 ///
 /// All increments use [`Ordering::Relaxed`]: the counters are statistics, not
-/// synchronization, and per-run totals are read only after the run completed.
+/// synchronization, each has one writer (see [`TelemetryCounters::incr`]),
+/// and per-run totals are read only after the run completed.
 #[derive(Debug, Default)]
 pub struct TelemetryCounters {
     /// Scheduling rounds executed (one per non-trivial `run_scheduler` call).
@@ -52,9 +55,14 @@ impl TelemetryCounters {
     }
 
     /// Adds one to a counter.  Relaxed ordering: statistics only.
+    ///
+    /// Single-writer contract: only the thread that runs the simulation the
+    /// counters belong to increments them, so a relaxed load and store
+    /// counts exactly; two threads incrementing one counter concurrently
+    /// could lose counts.  Other threads may read the counters at any time.
     #[inline]
     pub fn incr(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 
     /// Freezes the current counter values into a plain snapshot.

@@ -1,102 +1,124 @@
-//! The transaction fold: how a chip's pending memory requests become one flash
-//! transaction, and how long that transaction takes.
+//! In-flight memory requests and the transaction fold: how a chip's pending
+//! memory requests become one flash transaction, and how long that
+//! transaction takes.
 //!
-//! Delivered memory requests wait in [`PendingSets`] until their chip is
-//! idle.  A chip executes at most one page request per (die, plane) under one
-//! command sequence (§2.2), so [`PendingSets::fold`] takes the first request
+//! `MemRequests` is one arena of in-flight memory-request records.  A
+//! request's record lives there from commitment (or GC issue) to
+//! completion, addressed by a recycled `u32` handle, which is what events
+//! carry and what a built transaction hands back, and ordered by its
+//! monotone [`MemReqId`] (ids are never reused, so ties break by age).  A
+//! record's one link threads, in turn, its (die, plane)'s pending list from
+//! delivery, its transaction's member chain, and the free list.
+//!
+//! A chip executes at most one page request per (die, plane) under one
+//! command sequence (§2.2), so `MemRequests::fold` takes the first request
 //! in service order of each (die, plane) for one operation — die
 //! interleaving plus plane sharing.  The more requests the scheduler has
 //! over-committed for the chip, the higher the flash-level parallelism of the
 //! transaction — this is exactly the mechanism FARO exploits.
 //!
-//! Each (chip, die, plane) keeps two lists in service order, one of GC
-//! traffic and one of host traffic, threaded through one node arena, and
-//! each chip a bitset of the (die, plane) pairs that hold a request.  A fold
-//! visits only the occupied pairs and the requests it takes, never the
-//! chip's whole pending set: a GC job that queues a victim block's valid
-//! pages on one plane costs each fold one list head, not a scan of them all.
-//!
-//! Requests are identified twice: by their monotone [`MemReqId`], which orders
-//! service (ids are never reused, so ties break by age), and by the SSD's
-//! recycled `u32` slab handle, which is what a built transaction hands back.
+//! Each (chip, die, plane) keeps two pending lists in service order, one of
+//! GC traffic and one of host traffic, and each chip a bitset of the
+//! (die, plane) pairs that hold a request.  A fold visits only the occupied
+//! pairs and the requests it takes, never the chip's whole pending set: a GC
+//! job that queues a victim block's valid pages on one plane costs each fold
+//! one list head, not a scan of them all.
 
-use sprinkler_flash::{FlashGeometry, FlashOp, FlashTiming, ParallelismLevel, PhysicalPageAddr};
+use sprinkler_flash::{
+    FlashGeometry, FlashOp, FlashTiming, Lpn, ParallelismLevel, PhysicalPageAddr,
+};
 use sprinkler_sim::{Duration, SimTime};
 
-use crate::request::MemReqId;
+use crate::request::{MemReqId, TagId};
 
-/// A memory request delivered to its chip, ready to join a flash
-/// transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingRequest {
-    /// The memory request's identifier (monotone: the service-order
-    /// tie-break).
-    pub id: MemReqId,
-    /// The request's slab handle in the SSD (recycled, so never used for
-    /// ordering).
-    pub handle: u32,
-    /// Fully resolved physical address.
-    pub addr: PhysicalPageAddr,
-    /// The flash operation required.
-    pub op: FlashOp,
-    /// When the request reached its chip's pending set.
-    pub delivered_at: SimTime,
-    /// Whether this is internal garbage-collection traffic (served with priority).
-    pub gc: bool,
-    /// Extra service delay (stale readdressing penalty for schedulers without a
-    /// readdressing callback).
-    pub extra_delay: Duration,
+/// What a memory request does, and so what its completion sets off.  Each GC
+/// role carries the index of the plane whose job it serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Page `page` of host tag `tag`.
+    Host {
+        tag: TagId,
+        page: u32,
+    },
+    /// Reads a valid page, which is then programmed at `to`.
+    GcRead {
+        plane: usize,
+        to: PhysicalPageAddr,
+    },
+    GcProgram {
+        plane: usize,
+    },
+    GcErase {
+        plane: usize,
+    },
+}
+
+/// One in-flight memory request: the unit the scheduler commits and the
+/// fold coalesces into flash transactions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemRequest {
+    /// Monotone identifier (the fold's service-order tie-break).
+    pub(crate) id: MemReqId,
+    pub(crate) role: Role,
+    pub(crate) lpn: Lpn,
+    /// The flash operation: a host read is `Read`, a host write `Program`.
+    pub(crate) op: FlashOp,
+    /// The chip a host commitment charged on the ledger (for GC traffic,
+    /// the chip it runs on).
+    pub(crate) chip: usize,
+    /// The next record of its pending list, member chain or free list.
+    pub(crate) next: u32,
+    /// When the request reached its chip (set at delivery).
+    delivered_at: SimTime,
+    /// Extra service delay (the stale readdressing penalty for schedulers
+    /// without a readdressing callback).
+    extra_delay: Duration,
+    /// Page offset within its block (MLC programs are slower on odd pages).
+    page: u32,
+    /// The (die, plane) pair within the chip: `die × planes_per_die + plane`.
+    pair: u16,
+}
+
+impl MemRequest {
+    /// Whether this is internal garbage-collection traffic (served with
+    /// priority).
+    fn is_gc(&self) -> bool {
+        !matches!(self.role, Role::Host { .. })
+    }
+
+    fn key(&self) -> ServiceKey {
+        (!self.is_gc(), self.delivered_at, self.id)
+    }
 }
 
 /// A folded flash transaction: its members and its phase times.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BuiltTransaction {
-    /// The slab handles of the member memory requests, one per (die, plane),
-    /// in service order.
-    pub members: Vec<u32>,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BuiltTransaction {
+    /// The handle of the first member in service order; each member's
+    /// record links the next.
+    pub(crate) first: u32,
+    /// The number of members, one per (die, plane).
+    pub(crate) requests: usize,
     /// The transaction's flash-level parallelism.
-    pub level: ParallelismLevel,
+    pub(crate) level: ParallelismLevel,
     /// The issue bus phase: commands, addresses, and program data in.
-    pub issue_bus: Duration,
+    pub(crate) issue_bus: Duration,
     /// The cell phase: members overlap, so it is the slowest member's.
-    pub cell_time: Duration,
+    pub(crate) cell_time: Duration,
     /// The completion bus phase: read data out and the status poll.
-    pub completion_bus: Duration,
+    pub(crate) completion_bus: Duration,
     /// The largest extra delay among the members.
-    pub extra_delay: Duration,
+    pub(crate) extra_delay: Duration,
 }
 
 /// Service order: GC traffic first, then oldest delivery, then the monotone
 /// id (a total order, so a fold never depends on delivery order).
 type ServiceKey = (bool, SimTime, MemReqId);
 
-/// End of a list, or of the node arena's free list.
+/// End of a list or chain, or of the free list.
 const NO_NODE: u32 = u32::MAX;
 
-/// One pending request in the arena: what the fold reads, plus its link.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    id: MemReqId,
-    delivered_at: SimTime,
-    extra_delay: Duration,
-    handle: u32,
-    /// Page offset within its block (MLC programs are slower on odd pages).
-    page: u32,
-    /// The next node of its list, or of the free list once freed.
-    next: u32,
-    /// The (die, plane) pair within the chip: `die × planes_per_die + plane`.
-    pair: u16,
-    op: FlashOp,
-    gc: bool,
-}
-
-impl Node {
-    fn key(&self) -> ServiceKey {
-        (!self.gc, self.delivered_at, self.id)
-    }
-}
-
-/// A singly linked list of arena nodes, in service order.
+/// A singly linked list of records, in service order.
 #[derive(Debug, Clone, Copy)]
 struct List {
     head: u32,
@@ -109,49 +131,50 @@ impl List {
         tail: NO_NODE,
     };
 
-    /// Links node `index` in service order: at the tail, unless the tail is
-    /// keyed after it (a write whose data arrived at the instant a younger
-    /// read was delivered), then after the last node keyed before it.
-    fn link(&mut self, nodes: &mut [Node], index: u32) {
-        let key = nodes[index as usize].key();
+    /// Links record `index` in service order: at the tail, unless the tail
+    /// is keyed after it (a write whose data arrived at the instant a
+    /// younger read was delivered), then after the last record keyed before
+    /// it.
+    fn link(&mut self, records: &mut [MemRequest], index: u32) {
+        let key = records[index as usize].key();
         if self.tail == NO_NODE {
             self.head = index;
             self.tail = index;
-        } else if nodes[self.tail as usize].key() < key {
-            nodes[self.tail as usize].next = index;
+        } else if records[self.tail as usize].key() < key {
+            records[self.tail as usize].next = index;
             self.tail = index;
         } else {
             // Keys are unique and the tail's is later, so the walk stops at
             // or before the tail.
             let mut prev = NO_NODE;
             let mut at = self.head;
-            while nodes[at as usize].key() < key {
+            while records[at as usize].key() < key {
                 prev = at;
-                at = nodes[at as usize].next;
+                at = records[at as usize].next;
             }
-            nodes[index as usize].next = at;
+            records[index as usize].next = at;
             match prev {
                 NO_NODE => self.head = index,
-                _ => nodes[prev as usize].next = index,
+                _ => records[prev as usize].next = index,
             }
         }
     }
 
-    /// Unlinks and returns the first node of operation `op`, or `NO_NODE`.
-    fn take_first(&mut self, nodes: &mut [Node], op: FlashOp) -> u32 {
+    /// Unlinks and returns the first record of operation `op`, or `NO_NODE`.
+    fn take_first(&mut self, records: &mut [MemRequest], op: FlashOp) -> u32 {
         let mut prev = NO_NODE;
         let mut at = self.head;
-        while at != NO_NODE && nodes[at as usize].op != op {
+        while at != NO_NODE && records[at as usize].op != op {
             prev = at;
-            at = nodes[at as usize].next;
+            at = records[at as usize].next;
         }
         if at == NO_NODE {
             return NO_NODE;
         }
-        let next = nodes[at as usize].next;
+        let next = records[at as usize].next;
         match prev {
             NO_NODE => self.head = next,
-            _ => nodes[prev as usize].next = next,
+            _ => records[prev as usize].next = next,
         }
         if self.tail == at {
             self.tail = prev;
@@ -182,20 +205,19 @@ impl PairLists {
     }
 }
 
-/// Every chip's pending memory requests, and the fold that turns them into
-/// flash transactions.
+/// One arena of in-flight memory-request records, and the fold that turns
+/// each chip's delivered requests into flash transactions.
 ///
-/// Requests live in one node arena with an intrusive free list, pre-sized to
-/// the in-flight bound the SSD passes in; GC traffic is not charged to the
+/// Records live in one `Vec` with an intrusive free list, pre-sized to the
+/// in-flight bound the SSD passes in; GC traffic is not charged to the
 /// commitment ledger, so it may grow the arena past that, to its high-water
-/// mark.  Each (chip, die, plane) threads two lists through the arena, GC and
-/// host traffic, each in service order, and each chip keeps a bitset of its
-/// occupied pairs.  Once the arena and the member pool have grown to their
-/// high-water marks, pushing and folding perform no allocations: the member
-/// `Vec` handed out inside [`BuiltTransaction`] comes back through
-/// [`PendingSets::recycle_members`] when the transaction completes.
+/// mark.  Each (chip, die, plane) threads two pending lists through the
+/// arena, GC and host traffic, each in service order, and each chip keeps a
+/// bitset of its occupied pairs.  A fold chains its members through the same
+/// link, so once the arena has grown to its high-water mark, inserting,
+/// pushing, folding and removing perform no allocations.
 #[derive(Debug)]
-pub struct PendingSets {
+pub(crate) struct MemRequests {
     planes_per_die: usize,
     /// (die, plane) pairs per chip.
     pairs: usize,
@@ -209,25 +231,23 @@ pub struct PendingSets {
     occupied: Vec<u64>,
     /// Per chip: its pending requests.
     counts: Vec<usize>,
-    nodes: Vec<Node>,
-    /// First free arena node (`NO_NODE` when none).
+    records: Vec<MemRequest>,
+    /// First free record (`NO_NODE` when none).
     free: u32,
-    /// Fold scratch: the nodes taken into the transaction.
+    /// Records not on the free list.
+    live: usize,
+    /// Fold scratch: the records taken into the transaction.
     picked: Vec<u32>,
-    /// Recycled member-handle buffers for [`BuiltTransaction::members`].
-    member_pool: Vec<Vec<u32>>,
 }
 
-impl PendingSets {
-    /// Empty pending sets for every chip of `geometry`, the arena pre-sized
-    /// to `in_flight` requests.  The member pool holds a buffer per chip
-    /// plus one, since at most one transaction per chip is live while
-    /// another is built, each at most one request per (die, plane).
-    pub fn new(geometry: &FlashGeometry, in_flight: usize) -> Self {
+impl MemRequests {
+    /// An empty arena for every chip of `geometry`, pre-sized to `in_flight`
+    /// requests.
+    pub(crate) fn new(geometry: &FlashGeometry, in_flight: usize) -> Self {
         let chips = geometry.total_chips();
         let pairs = geometry.dies_per_chip * geometry.planes_per_die;
         let words = pairs.div_ceil(64);
-        PendingSets {
+        MemRequests {
             planes_per_die: geometry.planes_per_die,
             pairs,
             words,
@@ -241,56 +261,104 @@ impl PendingSets {
             ],
             occupied: vec![0; chips * words],
             counts: vec![0; chips],
-            nodes: Vec::with_capacity(in_flight),
+            records: Vec::with_capacity(in_flight),
             free: NO_NODE,
+            live: 0,
             picked: Vec::with_capacity(pairs),
-            member_pool: (0..=chips).map(|_| Vec::with_capacity(pairs)).collect(),
         }
     }
 
-    /// Whether nothing is pending on `chip`.
-    pub fn is_empty(&self, chip: usize) -> bool {
-        self.counts[chip] == 0
+    /// Whether `chip` has delivered requests waiting for a transaction.
+    pub(crate) fn has_pending(&self, chip: usize) -> bool {
+        self.counts[chip] != 0
     }
 
-    /// Adds `request`, delivered to `chip`, to its (die, plane)'s GC or host
-    /// list in service order.
+    /// Whether no record is in flight, so none is pending either.
+    pub(crate) fn is_drained(&self) -> bool {
+        self.live == 0 && self.counts.iter().all(|&count| count == 0)
+    }
+
+    /// Adds the record of a request committed to `chip` (or issued by GC),
+    /// not yet delivered, and returns its handle.
     // lint: hot-path
-    pub fn push(&mut self, chip: usize, request: PendingRequest) {
-        let (die, plane) = (request.addr.die as usize, request.addr.plane as usize);
+    pub(crate) fn insert(
+        &mut self,
+        id: MemReqId,
+        role: Role,
+        lpn: Lpn,
+        op: FlashOp,
+        chip: usize,
+    ) -> u32 {
+        let record = MemRequest {
+            id,
+            role,
+            lpn,
+            op,
+            chip,
+            next: NO_NODE,
+            delivered_at: SimTime::ZERO,
+            extra_delay: Duration::ZERO,
+            page: 0,
+            pair: 0,
+        };
+        self.live += 1;
+        if self.free == NO_NODE {
+            self.records.push(record);
+            (self.records.len() - 1) as u32
+        } else {
+            let handle = self.free;
+            self.free = self.records[handle as usize].next;
+            self.records[handle as usize] = record;
+            handle
+        }
+    }
+
+    /// The record of in-flight request `handle`.
+    pub(crate) fn get(&self, handle: u32) -> &MemRequest {
+        &self.records[handle as usize]
+    }
+
+    /// Frees the record of a completed request and returns it.  Its `next`
+    /// is still its link at removal: the member chain's next member.
+    // lint: hot-path
+    pub(crate) fn remove(&mut self, handle: u32) -> MemRequest {
+        let record = self.records[handle as usize];
+        self.records[handle as usize].next = self.free;
+        self.free = handle;
+        self.live -= 1;
+        record
+    }
+
+    /// Delivers request `handle` to `chip` at `addr`: links it into its
+    /// (die, plane)'s GC or host list in service order.  The record is
+    /// unlinked since its insert, so its `next` is still `NO_NODE`.
+    // lint: hot-path
+    pub(crate) fn push(
+        &mut self,
+        chip: usize,
+        handle: u32,
+        addr: PhysicalPageAddr,
+        now: SimTime,
+        extra_delay: Duration,
+    ) {
+        let (die, plane) = (addr.die as usize, addr.plane as usize);
         debug_assert!(
             plane < self.planes_per_die && die * self.planes_per_die < self.pairs,
-            "{} lies outside the chip's (die, plane) pairs",
-            request.addr
+            "{addr} lies outside the chip's (die, plane) pairs"
         );
         let pair = die * self.planes_per_die + plane;
-        let node = Node {
-            id: request.id,
-            delivered_at: request.delivered_at,
-            extra_delay: request.extra_delay,
-            handle: request.handle,
-            page: request.addr.page,
-            next: NO_NODE,
-            pair: pair as u16,
-            op: request.op,
-            gc: request.gc,
-        };
-        let index = if self.free == NO_NODE {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        } else {
-            let index = self.free;
-            self.free = self.nodes[index as usize].next;
-            self.nodes[index as usize] = node;
-            index
-        };
+        let record = &mut self.records[handle as usize];
+        record.delivered_at = now;
+        record.extra_delay = extra_delay;
+        record.page = addr.page;
+        record.pair = pair as u16;
         let lists = &mut self.lists[chip * self.pairs + pair];
-        let list = if request.gc {
+        let list = if record.is_gc() {
             &mut lists.gc
         } else {
             &mut lists.host
         };
-        list.link(&mut self.nodes, index);
+        list.link(&mut self.records, handle);
         self.occupied[chip * self.words + pair / 64] |= 1 << (pair % 64);
         self.counts[chip] += 1;
         if cfg!(debug_assertions) {
@@ -299,8 +367,8 @@ impl PendingSets {
     }
 
     /// Folds `chip`'s pending requests into the best transaction currently
-    /// possible and removes its members.  Returns `None` when nothing is
-    /// pending.
+    /// possible, unlinks its members and chains them in service order.
+    /// Returns `None` when nothing is pending.
     ///
     /// Selection rules:
     /// 1. GC traffic is served before host traffic.
@@ -313,24 +381,24 @@ impl PendingSets {
     /// gives the first request of the seed's operation, from its GC list
     /// first and then its host list.  Only the members are sorted, and the
     /// distinct dies are counted as pairs are visited in (die, plane)
-    /// order.  The work is O(occupied pairs + members) plus the nodes of
+    /// order.  The work is O(occupied pairs + members) plus the records of
     /// the other operation a list holds ahead of the taken one.
     // lint: hot-path
-    pub fn fold(&mut self, chip: usize, timing: &FlashTiming) -> Option<BuiltTransaction> {
+    pub(crate) fn fold(&mut self, chip: usize, timing: &FlashTiming) -> Option<BuiltTransaction> {
         if self.counts[chip] == 0 {
             return None;
         }
         let lists = &mut self.lists[chip * self.pairs..(chip + 1) * self.pairs];
         let occupied = &mut self.occupied[chip * self.words..(chip + 1) * self.words];
-        let nodes = &mut self.nodes;
+        let records = &mut self.records;
 
-        let mut seed: Option<&Node> = None;
+        let mut seed: Option<&MemRequest> = None;
         for (w, &word) in occupied.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let pair = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let head = &nodes[lists[pair].head() as usize];
+                let head = &records[lists[pair].head() as usize];
                 if seed.is_none_or(|seed| head.key() < seed.key()) {
                     seed = Some(head);
                 }
@@ -348,9 +416,9 @@ impl PendingSets {
                 bits &= bits - 1;
                 let pair = w * 64 + bit;
                 let pair_lists = &mut lists[pair];
-                let mut taken = pair_lists.gc.take_first(nodes, op);
+                let mut taken = pair_lists.gc.take_first(records, op);
                 if taken == NO_NODE {
-                    taken = pair_lists.host.take_first(nodes, op);
+                    taken = pair_lists.host.take_first(records, op);
                 }
                 if pair_lists.is_empty() {
                     *word &= !(1 << bit);
@@ -359,8 +427,8 @@ impl PendingSets {
                     continue;
                 }
                 debug_assert!(
-                    usize::from(nodes[taken as usize].pair) == pair
-                        && nodes[taken as usize].op == op,
+                    usize::from(records[taken as usize].pair) == pair
+                        && records[taken as usize].op == op,
                     "a member must sit on the pair whose list held it and share the seed's operation"
                 );
                 self.picked.push(taken);
@@ -370,39 +438,34 @@ impl PendingSets {
             }
         }
         self.picked
-            .sort_unstable_by_key(|&index| nodes[index as usize].key());
+            .sort_unstable_by_key(|&index| records[index as usize].key());
 
-        let mut members = self.member_pool.pop().unwrap_or_default();
-        members.clear();
+        // Chains the members from the last, so the chain runs in service
+        // order from `first`.
+        let mut first = NO_NODE;
         let mut extra_delay = Duration::ZERO;
         let mut cell_time = Duration::ZERO;
-        for &index in &self.picked {
-            let node = &mut nodes[index as usize];
-            members.push(node.handle);
-            extra_delay = extra_delay.max(node.extra_delay);
-            cell_time = cell_time.max(timing.cell_latency(op, node.page));
-            node.next = self.free;
-            self.free = index;
+        for &index in self.picked.iter().rev() {
+            let record = &mut records[index as usize];
+            extra_delay = extra_delay.max(record.extra_delay);
+            cell_time = cell_time.max(timing.cell_latency(op, record.page));
+            record.next = first;
+            first = index;
         }
-        let requests = members.len();
+        let requests = self.picked.len();
         self.counts[chip] -= requests;
         if cfg!(debug_assertions) {
             self.check_chip(chip);
         }
         Some(BuiltTransaction {
-            members,
+            first,
+            requests,
             level: ParallelismLevel::of(dies, requests),
             issue_bus: timing.issue_bus_time(op, requests, self.page_size),
             cell_time,
             completion_bus: timing.completion_bus_time(op, requests, self.page_size),
             extra_delay,
         })
-    }
-
-    /// Returns a spent member buffer (from [`BuiltTransaction::members`]) to
-    /// the pool.
-    pub fn recycle_members(&mut self, buffer: Vec<u32>) {
-        self.member_pool.push(buffer);
     }
 
     /// Asserts `chip`'s structure: each list holds only its own pair's
@@ -420,23 +483,23 @@ impl PendingSets {
                 let mut last = NO_NODE;
                 let mut at = list.head;
                 while at != NO_NODE {
-                    let node = &self.nodes[at as usize];
+                    let record = &self.records[at as usize];
                     assert!(
-                        usize::from(node.pair) == pair && node.gc == gc,
+                        usize::from(record.pair) == pair && record.is_gc() == gc,
                         "request {:?} sits in another pair's or class's list",
-                        node.id
+                        record.id
                     );
                     assert!(
-                        last_key.is_none_or(|key| key < node.key()),
+                        last_key.is_none_or(|key| key < record.key()),
                         "request {:?} is out of service order",
-                        node.id
+                        record.id
                     );
-                    last_key = Some(node.key());
+                    last_key = Some(record.key());
                     last = at;
                     len += 1;
-                    at = node.next;
+                    at = record.next;
                 }
-                assert_eq!(list.tail, last, "a list's tail is not its last node");
+                assert_eq!(list.tail, last, "a list's tail is not its last record");
             }
             let bit = self.occupied[chip * self.words + pair / 64] >> (pair % 64) & 1;
             assert_eq!(bit == 1, len > 0, "pair {pair}'s occupancy bit is stale");
@@ -470,63 +533,101 @@ mod tests {
         }
     }
 
-    fn pending(id: u64, die: u32, plane: u32, op: FlashOp, at: u64, gc: bool) -> PendingRequest {
-        PendingRequest {
+    /// Roles for test records: the fold reads of a role only whether it is
+    /// GC traffic.
+    const HOST: Role = Role::Host {
+        tag: TagId(0),
+        page: 0,
+    };
+    const GC: Role = Role::GcErase { plane: 0 };
+
+    /// A request as the sorted reference sees it, with its record's handle.
+    #[derive(Debug, Clone, Copy)]
+    struct Request {
+        id: MemReqId,
+        handle: u32,
+        addr: PhysicalPageAddr,
+        op: FlashOp,
+        at: SimTime,
+        role: Role,
+        extra_delay: Duration,
+    }
+
+    impl Request {
+        /// Inserts the record, as at commitment or GC issue.
+        fn insert(&mut self, sets: &mut MemRequests) {
+            self.handle = sets.insert(self.id, self.role, Lpn::new(0), self.op, 0);
+        }
+
+        /// Delivers the inserted record to chip 0.
+        fn push(&self, sets: &mut MemRequests) {
+            sets.push(0, self.handle, self.addr, self.at, self.extra_delay);
+        }
+    }
+
+    fn pending(id: u64, die: u32, plane: u32, op: FlashOp, at: u64, gc: bool) -> Request {
+        Request {
             id: MemReqId(id),
-            handle: id as u32,
+            handle: NO_NODE,
             addr: PhysicalPageAddr {
-                channel: 0,
-                way: 0,
                 die,
                 plane,
-                block: 1,
-                page: 0,
+                ..PhysicalPageAddr::default()
             },
             op,
-            delivered_at: SimTime::from_nanos(at),
-            gc,
+            at: SimTime::from_nanos(at),
+            role: if gc { GC } else { HOST },
             extra_delay: Duration::ZERO,
         }
     }
 
-    /// The paper-shaped chip with `requests` delivered in order.
-    fn chip_of(requests: Vec<PendingRequest>) -> PendingSets {
-        let mut sets = PendingSets::new(&geometry(), requests.len());
-        for request in requests {
-            sets.push(0, request);
+    /// The paper-shaped chip with `requests` committed and delivered in
+    /// order.
+    fn chip_of(requests: Vec<Request>) -> MemRequests {
+        let mut sets = MemRequests::new(&geometry(), requests.len());
+        for mut request in requests {
+            request.insert(&mut sets);
+            request.push(&mut sets);
         }
         sets
     }
 
-    /// Folds the chip with the paper's timing.
-    fn fold(sets: &mut PendingSets) -> Option<BuiltTransaction> {
-        sets.fold(0, &FlashTiming::paper_default())
+    /// The ids of `built`'s members, walking their chain.
+    fn members(sets: &MemRequests, built: &BuiltTransaction) -> Vec<u64> {
+        std::iter::successors(Some(built.first), |&at| Some(sets.get(at).next))
+            .take(built.requests)
+            .map(|at| sets.get(at).id.0)
+            .collect()
+    }
+
+    /// Folds the chip with the paper's timing: the member ids and the
+    /// transaction.
+    fn fold(sets: &mut MemRequests) -> Option<(Vec<u64>, BuiltTransaction)> {
+        let built = sets.fold(0, &FlashTiming::paper_default())?;
+        Some((members(sets, &built), built))
     }
 
     /// Sort-then-greedy fold: sort every request of the seed's operation
     /// into service order, then take each whose (die, plane) is still free.
-    /// The differential reference for [`PendingSets::fold`].
+    /// The differential reference for [`MemRequests::fold`], giving the
+    /// member ids beside the transaction.
     fn build_transaction_sorted(
-        pending: &mut Vec<PendingRequest>,
+        pending: &mut Vec<Request>,
         geometry: &FlashGeometry,
         timing: &FlashTiming,
-    ) -> Option<BuiltTransaction> {
+    ) -> Option<(Vec<u64>, BuiltTransaction)> {
         let seed_index = pending
             .iter()
             .enumerate()
-            .min_by_key(|(_, r)| (!r.gc, r.delivered_at, r.id))
+            .min_by_key(|(_, r)| (r.role == HOST, r.at, r.id))
             .map(|(i, _)| i)?;
         let op = pending[seed_index].op;
         let mut order: Vec<usize> = (0..pending.len())
             .filter(|&i| pending[i].op == op)
             .collect();
         order.sort_by_key(|&i| {
-            (
-                i != seed_index,
-                !pending[i].gc,
-                pending[i].delivered_at,
-                pending[i].id,
-            )
+            let r = &pending[i];
+            (i != seed_index, r.role == HOST, r.at, r.id)
         });
         let mut taken: Vec<(u32, u32)> = Vec::new();
         let mut accepted = Vec::new();
@@ -540,7 +641,8 @@ mod tests {
         let mut dies: Vec<u32> = taken.iter().map(|&(die, _)| die).collect();
         dies.sort_unstable();
         dies.dedup();
-        let members = accepted.iter().map(|&i| pending[i].handle).collect();
+        let members = accepted.iter().map(|&i| pending[i].id.0).collect();
+        let first = pending[accepted[0]].handle;
         let extra_delay = accepted
             .iter()
             .map(|&i| pending[i].extra_delay)
@@ -556,30 +658,32 @@ mod tests {
         for &i in &accepted {
             pending.swap_remove(i);
         }
-        Some(BuiltTransaction {
-            members,
+        let built = BuiltTransaction {
+            first,
+            requests,
             level: ParallelismLevel::of(dies.len(), requests),
             issue_bus: timing.issue_bus_time(op, requests, geometry.page_size),
             cell_time,
             completion_bus: timing.completion_bus_time(op, requests, geometry.page_size),
             extra_delay,
-        })
+        };
+        Some((members, built))
     }
 
     #[test]
     fn empty_controller_builds_nothing() {
         let mut sets = chip_of(Vec::new());
-        assert!(sets.is_empty(0));
+        assert!(!sets.has_pending(0) && sets.is_drained());
         assert!(fold(&mut sets).is_none());
     }
 
     #[test]
     fn single_request_builds_non_pal_transaction() {
         let mut sets = chip_of(vec![pending(1, 0, 0, FlashOp::Read, 10, false)]);
-        let built = fold(&mut sets).unwrap();
+        let (members, built) = fold(&mut sets).unwrap();
         assert_eq!(built.level, ParallelismLevel::NonPal);
-        assert_eq!(built.members, vec![1]);
-        assert!(sets.is_empty(0));
+        assert_eq!(members, vec![1]);
+        assert!(!sets.has_pending(0));
     }
 
     #[test]
@@ -590,12 +694,12 @@ mod tests {
             pending(3, 1, 0, FlashOp::Read, 12, false),
             pending(4, 1, 1, FlashOp::Read, 13, false),
         ]);
-        let built = fold(&mut sets).unwrap();
-        assert_eq!(built.members.len(), 4);
+        let (members, built) = fold(&mut sets).unwrap();
+        assert_eq!(members.len(), 4);
         assert_eq!(built.level, ParallelismLevel::Pal3);
         // The four cell phases overlap: one read's time, not four.
         assert_eq!(built.cell_time, Duration::from_micros(20));
-        assert!(sets.is_empty(0));
+        assert!(!sets.has_pending(0));
     }
 
     /// One fast (even) and one slow (odd) MLC page on two dies: the
@@ -605,7 +709,7 @@ mod tests {
         let mut slow = pending(2, 1, 0, FlashOp::Program, 11, false);
         slow.addr.page = 3;
         let mut sets = chip_of(vec![pending(1, 0, 0, FlashOp::Program, 10, false), slow]);
-        let built = fold(&mut sets).unwrap();
+        let (_, built) = fold(&mut sets).unwrap();
         assert_eq!(built.level, ParallelismLevel::Pal2);
         assert_eq!(built.cell_time, Duration::from_micros(2200));
     }
@@ -616,11 +720,9 @@ mod tests {
             pending(1, 0, 0, FlashOp::Read, 10, false),
             pending(2, 0, 0, FlashOp::Read, 11, false),
         ]);
-        let built = fold(&mut sets).unwrap();
-        assert_eq!(built.members, vec![1]);
+        assert_eq!(fold(&mut sets).unwrap().0, vec![1]);
         assert_eq!(sets.counts[0], 1);
-        let second = fold(&mut sets).unwrap();
-        assert_eq!(second.members, vec![2]);
+        assert_eq!(fold(&mut sets).unwrap().0, vec![2]);
     }
 
     #[test]
@@ -629,11 +731,11 @@ mod tests {
             pending(1, 0, 0, FlashOp::Read, 10, false),
             pending(2, 1, 0, FlashOp::Program, 11, false),
         ]);
-        let built = fold(&mut sets).unwrap();
-        assert_eq!(built.members, vec![1]);
+        let (members, built) = fold(&mut sets).unwrap();
+        assert_eq!(members, vec![1]);
         assert_eq!(built.cell_time, Duration::from_micros(20));
-        let next = fold(&mut sets).unwrap();
-        assert_eq!(next.members, vec![2]);
+        let (members, next) = fold(&mut sets).unwrap();
+        assert_eq!(members, vec![2]);
         assert_eq!(next.cell_time, Duration::from_micros(200));
     }
 
@@ -643,11 +745,10 @@ mod tests {
             pending(1, 0, 0, FlashOp::Program, 20, false),
             pending(2, 1, 0, FlashOp::Read, 10, false),
         ]);
-        let built = fold(&mut sets).unwrap();
-        assert_eq!(built.members, vec![2]);
+        assert_eq!(fold(&mut sets).unwrap().0, vec![2]);
         // The program is left, alone.
-        let next = fold(&mut sets).unwrap();
-        assert_eq!(next.members, vec![1]);
+        let (members, next) = fold(&mut sets).unwrap();
+        assert_eq!(members, vec![1]);
         assert_eq!(next.cell_time, Duration::from_micros(200));
     }
 
@@ -657,11 +758,10 @@ mod tests {
             pending(1, 0, 0, FlashOp::Read, 10, false),
             pending(2, 0, 1, FlashOp::Program, 50, true),
         ]);
-        let built = fold(&mut sets).unwrap();
-        assert_eq!(built.members, vec![2]);
+        assert_eq!(fold(&mut sets).unwrap().0, vec![2]);
         // The read is left, alone.
-        let next = fold(&mut sets).unwrap();
-        assert_eq!(next.members, vec![1]);
+        let (members, next) = fold(&mut sets).unwrap();
+        assert_eq!(members, vec![1]);
         assert_eq!(next.cell_time, Duration::from_micros(20));
     }
 
@@ -671,7 +771,7 @@ mod tests {
         a.extra_delay = Duration::from_micros(5);
         let mut b = pending(2, 1, 0, FlashOp::Read, 11, false);
         b.extra_delay = Duration::from_micros(9);
-        let built = fold(&mut chip_of(vec![a, b])).unwrap();
+        let (_, built) = fold(&mut chip_of(vec![a, b])).unwrap();
         assert_eq!(built.extra_delay, Duration::from_micros(9));
     }
 
@@ -681,10 +781,10 @@ mod tests {
             pending(9, 0, 2, FlashOp::Read, 12, false),
             pending(7, 1, 3, FlashOp::Read, 10, false),
         ]);
-        let built = fold(&mut sets).unwrap();
+        let (members, built) = fold(&mut sets).unwrap();
         // Service order: the seed (oldest) request is first, whatever its
         // delivery order or its (die, plane).
-        assert_eq!(built.members, vec![7, 9]);
+        assert_eq!(members, vec![7, 9]);
         assert_eq!(built.level, ParallelismLevel::Pal2);
     }
 
@@ -696,28 +796,21 @@ mod tests {
     fn gc_reads_on_one_plane_fold_one_at_a_time_beside_host_reads() {
         let mut requests = Vec::new();
         for age in 0..2 {
-            for plane in 1..8 {
-                let id = age * 10 + plane;
-                requests.push(pending(
-                    id,
-                    plane as u32 / 4,
-                    plane as u32 % 4,
-                    FlashOp::Read,
-                    age,
-                    false,
-                ));
+            for plane in 1..8u32 {
+                let id = age * 10 + u64::from(plane);
+                requests.push(pending(id, plane / 4, plane % 4, FlashOp::Read, age, false));
             }
         }
         requests.extend((100..140).map(|id| pending(id, 0, 0, FlashOp::Read, 5, true)));
         let mut left = requests.len();
         let mut sets = chip_of(requests);
         for i in 0..40 {
-            let built = fold(&mut sets).unwrap();
+            let (members, built) = fold(&mut sets).unwrap();
             let mut expected = vec![100 + i];
             if i < 2 {
                 expected.extend((1..8).map(|plane| i * 10 + plane));
             }
-            assert_eq!(built.members, expected, "fold {i}");
+            assert_eq!(members, expected, "fold {i}");
             let level = if i < 2 {
                 ParallelismLevel::Pal3
             } else {
@@ -726,7 +819,6 @@ mod tests {
             assert_eq!(built.level, level, "fold {i}");
             left -= expected.len();
             assert_eq!(sets.counts[0], left);
-            sets.recycle_members(built.members);
         }
         assert!(fold(&mut sets).is_none());
     }
@@ -741,17 +833,18 @@ mod tests {
             pending(7, 0, 0, FlashOp::Read, 20, false),
             pending(5, 0, 0, FlashOp::Program, 20, false),
         ]);
-        let order: Vec<Vec<u32>> = (0..3).map(|_| fold(&mut sets).unwrap().members).collect();
+        let order: Vec<Vec<u64>> = (0..3).map(|_| fold(&mut sets).unwrap().0).collect();
         assert_eq!(order, vec![vec![3], vec![5], vec![7]]);
     }
 
     /// One drawn step of a chip's traffic: (kind, die, plane, op, clock
     /// ticks, extra delay, page offset).  Kinds: 0 advances the clock; 1
     /// delivers a GC request; 2–3 deliver a host read; 4 commits a host
-    /// write, whose data then waits in the DMA engine's FIFO; 5 delivers the
-    /// oldest such write; 6–7 fold.  GC requests and host reads take a
-    /// fresh id at delivery, and a write its commit's id, so a write can
-    /// arrive at the same instant as a younger read, after it.
+    /// write, whose record then waits unlinked while its data crosses the
+    /// DMA engine's FIFO; 5 delivers the oldest such write; 6–7 fold and
+    /// complete the members.  GC requests and host reads take a fresh id at
+    /// delivery, and a write its commit's id, so a write can arrive at the
+    /// same instant as a younger read, after it.
     type Step = (u8, u32, u32, u8, u64, u64, u32);
 
     fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
@@ -769,37 +862,44 @@ mod tests {
         )
     }
 
-    /// Replays `steps` on a one-chip pending set of `dies` × `planes` and
-    /// on a `Vec` folded by [`build_transaction_sorted`], asserting equal
-    /// transactions at every fold and then until both drain.
+    /// Replays `steps` on a one-chip arena of `dies` × `planes` and on a
+    /// `Vec` folded by [`build_transaction_sorted`], asserting equal
+    /// transactions at every fold and then until both drain.  Each fold's
+    /// members are completed at once, so later records reuse their handles
+    /// while other records sit in the pending lists or, unlinked, in the
+    /// DMA engine.
     fn assert_fold_matches_the_sorted_reference(steps: &[Step], dies: u32, planes: u32) {
         let g = chip_geometry(dies as usize, planes as usize);
         let timing = FlashTiming::paper_default();
         let ops = [FlashOp::Read, FlashOp::Program, FlashOp::Erase];
-        let mut sets = PendingSets::new(&g, 4);
+        let mut sets = MemRequests::new(&g, 4);
         let mut reference = Vec::new();
         let mut dma = std::collections::VecDeque::new();
         let (mut now, mut next_id) = (0, 0);
-        // Folds both sides once; returns whether a transaction was built.
-        let fold_both = |sets: &mut PendingSets, reference: &mut Vec<PendingRequest>| {
-            let built = sets.fold(0, &timing);
-            assert_eq!(built, build_transaction_sorted(reference, &g, &timing));
+        // Folds both sides once and completes the members, reading each
+        // link before its record is freed; returns whether a transaction
+        // was built.
+        let fold_both = |sets: &mut MemRequests, reference: &mut Vec<Request>| {
+            let folded = sets
+                .fold(0, &timing)
+                .map(|built| (members(sets, &built), built));
+            assert_eq!(folded, build_transaction_sorted(reference, &g, &timing));
             assert_eq!(sets.counts[0], reference.len());
-            let Some(built) = built else { return false };
-            sets.recycle_members(built.members);
+            let Some((_, built)) = folded else {
+                return false;
+            };
+            let mut member = built.first;
+            for _ in 0..built.requests {
+                member = sets.remove(member).next;
+            }
             true
         };
-        for &(kind, die, plane, op, ticks, delay, page) in steps {
-            let mut request = pending(
-                next_id,
-                die % dies,
-                plane % planes,
-                ops[op as usize],
-                now,
-                kind == 1,
-            );
-            // Slab handles are recycled, so they are unrelated to age.
-            request.handle = (next_id as u32 * 7 + 3) % 41;
+        // After the drawn steps, every write still crossing the DMA engine
+        // is delivered.
+        let deliveries = std::iter::repeat_n(&(5, 0, 0, 0, 0, 0, 0), steps.len());
+        for &(kind, die, plane, op, ticks, delay, page) in steps.iter().chain(deliveries) {
+            let op = ops[op as usize];
+            let mut request = pending(next_id, die % dies, plane % planes, op, now, kind == 1);
             request.extra_delay = Duration::from_micros(delay);
             request.addr.page = page;
             let delivered = match kind {
@@ -808,21 +908,19 @@ mod tests {
                     None
                 }
                 1 => Some(request),
-                2 | 3 => Some(PendingRequest {
+                2 | 3 => Some(Request {
                     op: FlashOp::Read,
                     ..request
                 }),
                 4 => {
-                    dma.push_back(PendingRequest {
-                        op: FlashOp::Program,
-                        gc: false,
-                        ..request
-                    });
+                    request.op = FlashOp::Program;
+                    request.insert(&mut sets);
+                    dma.push_back(request);
                     next_id += 1;
                     None
                 }
-                5 => dma.pop_front().map(|write| PendingRequest {
-                    delivered_at: SimTime::from_nanos(now),
+                5 => dma.pop_front().map(|write| Request {
+                    at: SimTime::from_nanos(now),
                     ..write
                 }),
                 _ => {
@@ -830,22 +928,18 @@ mod tests {
                     None
                 }
             };
-            if let Some(request) = delivered {
+            if let Some(mut request) = delivered {
+                if kind != 5 {
+                    request.insert(&mut sets);
+                }
                 next_id = next_id.max(request.id.0 + 1);
-                reference.push(request.clone());
-                sets.push(0, request);
+                request.push(&mut sets);
+                reference.push(request);
             }
         }
-        for write in dma.drain(..) {
-            let write = PendingRequest {
-                delivered_at: SimTime::from_nanos(now),
-                ..write
-            };
-            reference.push(write.clone());
-            sets.push(0, write);
-        }
         while fold_both(&mut sets, &mut reference) {}
-        assert!(sets.is_empty(0) && reference.is_empty());
+        assert!(reference.is_empty());
+        assert!(sets.is_drained(), "every record must be freed");
     }
 
     proptest! {
@@ -853,10 +947,10 @@ mod tests {
 
         /// The fold and the sort-then-greedy reference agree on every
         /// transaction built from the same deliveries — members and their
-        /// order, the parallelism level, all three phase times and
-        /// `extra_delay` — until the set drains.  Each drawn sequence runs
-        /// on a drawn 1–4 dies × 1–4 planes chip and on a 64 × 64 chip,
-        /// whose occupancy bitset spans 64 words.
+        /// order, the first member's handle, the parallelism level, all
+        /// three phase times and `extra_delay` — until the arena drains.
+        /// Each drawn sequence runs on a drawn 1–4 dies × 1–4 planes chip
+        /// and on a 64 × 64 chip, whose occupancy bitset spans 64 words.
         #[test]
         fn fold_matches_the_sorted_reference_over_deliveries(
             dies in 1u32..5,

@@ -7,11 +7,12 @@
 //!   ([`queue`], [`request`], [`dma`]),
 //! * the per-chip commitment ledger that enforces the over-commitment cap with
 //!   full per-round headroom ([`ledger`]),
-//! * the transaction fold, which keeps each chip's delivered memory requests
-//!   in service-ordered per-(die, plane) lists, coalesces them into flash
-//!   transactions with die interleaving and plane sharing, and times them
-//!   ([`controller`]), and the channels whose buses those transactions share
-//!   ([`channel`]),
+//! * one arena of in-flight memory-request records, each held from
+//!   commitment to completion, and the transaction fold, which keeps each
+//!   chip's delivered requests in service-ordered per-(die, plane) lists,
+//!   coalesces them into flash transactions with die interleaving and plane
+//!   sharing, and times them ([`controller`]), and the channels whose buses
+//!   those transactions share ([`channel`]),
 //! * a page-level FTL with static plane striping and greedy garbage collection
 //!   ([`ftl`]),
 //! * the [`scheduler::IoScheduler`] trait the paper's controllers (VAS, PAS,

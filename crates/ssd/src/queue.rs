@@ -46,8 +46,6 @@
 //! queue ([`DeviceQueue::commit_page`], [`DeviceQueue::complete_page`],
 //! [`DeviceQueue::refresh_placements`]); queued tags are only handed out immutably.
 
-use sprinkler_sim::SimTime;
-
 use crate::cand::{pack_pri, CandidateIndex, CandidateView};
 use crate::request::{HostRequest, Placement, TagId};
 
@@ -196,8 +194,6 @@ pub struct TagState {
     pub seq: u64,
     /// The originating host request.
     pub host: HostRequest,
-    /// When the tag was admitted into the device queue.
-    pub admitted_at: SimTime,
     /// Physical placement preview per page (filled by the FTL preprocessor).
     pub placements: Vec<Placement>,
     /// Whether each page has been committed as a memory request.
@@ -210,8 +206,6 @@ pub struct TagState {
     committed_count: usize,
     /// Number of set bits in `completed` (kept so fullness checks are O(1)).
     completed_count: usize,
-    /// When the first memory request of this tag was committed.
-    pub first_commit_at: Option<SimTime>,
 }
 
 impl TagState {
@@ -236,12 +230,11 @@ impl TagState {
     }
 
     /// Marks a page committed.  Returns `false` if it was already committed.
-    pub fn mark_committed(&mut self, page: u32, now: SimTime) -> bool {
+    pub fn mark_committed(&mut self, page: u32) -> bool {
         if !self.committed.set(page as usize) {
             return false;
         }
         self.committed_count += 1;
-        self.first_commit_at.get_or_insert(now);
         true
     }
 
@@ -294,7 +287,7 @@ impl Slot {
 /// assert!(!q.is_full());
 /// let host = HostRequest::new(0, SimTime::ZERO, Direction::Read, Lpn::new(0), 1);
 /// let placement = Placement { chip: 0, die: 0, plane: 0 };
-/// let tag = q.admit(host, SimTime::ZERO, |_| placement).unwrap();
+/// let tag = q.admit(host, |_| placement).unwrap();
 /// assert_eq!(tag, TagId(0), "the first tag is slot 0");
 /// assert_eq!(q.len(), 1);
 /// assert_eq!(q.retire(tag), Some(host));
@@ -366,7 +359,6 @@ impl DeviceQueue {
     pub fn admit(
         &mut self,
         host: HostRequest,
-        now: SimTime,
         mut placement_of: impl FnMut(u32) -> Placement,
     ) -> Option<TagId> {
         if self.is_full() {
@@ -382,13 +374,11 @@ impl DeviceQueue {
                         id: TagId(0),
                         seq: 0,
                         host,
-                        admitted_at: now,
                         placements: Vec::new(),
                         committed: PageBits::default(),
                         completed: PageBits::default(),
                         committed_count: 0,
                         completed_count: 0,
-                        first_commit_at: None,
                     },
                     rows: Vec::new(),
                     live: false,
@@ -406,7 +396,6 @@ impl DeviceQueue {
         state.id = id;
         state.seq = seq;
         state.host = host;
-        state.admitted_at = now;
         state.placements.clear();
         state
             .placements
@@ -415,7 +404,6 @@ impl DeviceQueue {
         state.completed.reset(pages);
         state.committed_count = 0;
         state.completed_count = 0;
-        state.first_commit_at = None;
 
         rows.clear();
         for (page, p) in (0..).zip(&state.placements) {
@@ -486,12 +474,12 @@ impl DeviceQueue {
     /// Returns `false` when the tag is not queued, the page offset is out of
     /// range, or the page was already committed.
     // lint: hot-path
-    pub fn commit_page(&mut self, id: TagId, page: u32, now: SimTime) -> bool {
+    pub fn commit_page(&mut self, id: TagId, page: u32) -> bool {
         let Some(entry) = self.slots.get_mut(id.0 as usize).filter(|slot| slot.live) else {
             return false;
         };
         let state = &mut entry.state;
-        if page as usize >= state.pages() || !state.mark_committed(page, now) {
+        if page as usize >= state.pages() || !state.mark_committed(page) {
             return false;
         }
         self.cand.remove(entry.rows[page as usize]);
@@ -647,6 +635,7 @@ mod tests {
     use crate::request::Direction;
     use proptest::prelude::*;
     use sprinkler_flash::Lpn;
+    use sprinkler_sim::SimTime;
 
     fn host(id: u64, pages: u32) -> HostRequest {
         HostRequest::new(
@@ -672,8 +661,7 @@ mod tests {
     }
 
     fn admit(q: &mut DeviceQueue, host: HostRequest) -> TagId {
-        q.admit(host, SimTime::ZERO, placement)
-            .expect("the queue has room")
+        q.admit(host, placement).expect("the queue has room")
     }
 
     /// Queued tags in arrival order.
@@ -713,9 +701,7 @@ mod tests {
     fn admit_and_retire_roundtrip() {
         let mut q = DeviceQueue::new(4);
         let first = admit(&mut q, host(0, 2));
-        let second = q
-            .admit(host(1, 3), SimTime::from_nanos(5), placement)
-            .unwrap();
+        let second = q.admit(host(1, 3), placement).unwrap();
         assert_eq!((first, second), (TagId(0), TagId(1)), "tags are slots");
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
@@ -740,7 +726,7 @@ mod tests {
         assert!(q.is_full());
         assert_eq!(q.capacity(), 2);
         // Over-capacity admission is rejected, not silently allowed.
-        assert_eq!(q.admit(host(2, 1), SimTime::ZERO, placement), None);
+        assert_eq!(q.admit(host(2, 1), placement), None);
         assert_eq!(q.len(), 2);
         assert!(q.tag(TagId(2)).is_none());
         // Retiring frees the slot, and so its number, for a new admission.
@@ -754,25 +740,19 @@ mod tests {
     #[test]
     fn tag_commit_and_complete_bitmaps() {
         let mut q = DeviceQueue::new(4);
-        let tag = q
-            .admit(host(7, 3), SimTime::from_nanos(10), placement)
-            .unwrap();
+        let tag = q.admit(host(7, 3), placement).unwrap();
         assert_eq!(
             q.tag(tag).unwrap().uncommitted_pages().collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        assert!(q.commit_page(tag, 1, SimTime::from_nanos(20)));
-        assert!(!q.commit_page(tag, 1, SimTime::from_nanos(30)));
-        assert!(
-            !q.commit_page(tag, 3, SimTime::from_nanos(30)),
-            "past the end"
-        );
+        assert!(q.commit_page(tag, 1));
+        assert!(!q.commit_page(tag, 1));
+        assert!(!q.commit_page(tag, 3), "past the end");
         let state = q.tag(tag).unwrap();
-        assert_eq!(state.first_commit_at, Some(SimTime::from_nanos(20)));
         assert_eq!(state.uncommitted_pages().collect::<Vec<_>>(), vec![0, 2]);
         assert!(!state.fully_committed());
-        assert!(q.commit_page(tag, 0, SimTime::from_nanos(40)));
-        assert!(q.commit_page(tag, 2, SimTime::from_nanos(40)));
+        assert!(q.commit_page(tag, 0));
+        assert!(q.commit_page(tag, 2));
         assert!(q.tag(tag).unwrap().fully_committed());
         assert!(!q.tag(tag).unwrap().fully_completed());
         assert_eq!(q.complete_page(tag, 0), Some(false));
@@ -785,7 +765,7 @@ mod tests {
         assert_eq!(q.complete_page(tag, 2), Some(true), "the tag is done");
         assert!(q.tag(tag).unwrap().fully_completed());
         q.retire(tag).unwrap();
-        assert!(!q.commit_page(tag, 0, SimTime::ZERO), "retired tags reject");
+        assert!(!q.commit_page(tag, 0), "retired tags reject");
         assert_eq!(q.complete_page(tag, 0), None);
     }
 
@@ -819,7 +799,7 @@ mod tests {
         let first = admit(&mut q, host(0, 2));
         let second = admit(&mut q, host(1, 5));
         assert_eq!(listed_rows(&q), 7);
-        assert!(q.commit_page(second, 0, SimTime::ZERO));
+        assert!(q.commit_page(second, 0));
         assert_eq!(listed_rows(&q), 6);
         q.retire(first).unwrap();
         assert_eq!(listed_rows(&q), 4);
@@ -857,7 +837,7 @@ mod tests {
         assert_eq!(candidate_chips(&q), vec![0, 1]);
         // Chip 0 holds page 0 of both tags, in arrival order.
         assert_eq!(chip_rows(&q, 0), vec![(0, first), (0, second)]);
-        assert!(q.commit_page(first, 0, SimTime::ZERO));
+        assert!(q.commit_page(first, 0));
         assert_eq!(chip_rows(&q, 0), vec![(0, second)]);
         q.retire(second).unwrap();
         assert_eq!(candidate_chips(&q), vec![1]);
@@ -887,7 +867,7 @@ mod tests {
         assert_eq!(q.tag(tag).unwrap().placements[0], rotated);
         q.validate_candidate_index();
         // Committed pages are not rewritten.
-        assert!(q.commit_page(tag, 0, SimTime::ZERO));
+        assert!(q.commit_page(tag, 0));
         q.refresh_placements(500, placement(0));
         assert_eq!(q.tag(tag).unwrap().placements[0], rotated);
     }
@@ -901,7 +881,7 @@ mod tests {
         assert!(!q.has_blocking_read(104, writer_seq));
         // Reads at or after the writer's seq do not block it.
         assert!(!q.has_blocking_read(102, seq_of(&q, reader)));
-        assert!(q.commit_page(reader, 2, SimTime::ZERO));
+        assert!(q.commit_page(reader, 2));
         assert!(!q.has_blocking_read(102, writer_seq));
         assert!(q.has_blocking_read(101, writer_seq));
         q.retire(reader).unwrap();
@@ -916,9 +896,9 @@ mod tests {
         let fua = admit(&mut q, host(1, 2).with_fua(true));
         admit(&mut q, read_host(2, 50, 1));
         assert_eq!(q.horizon_seq(), seq_of(&q, fua));
-        assert!(q.commit_page(fua, 0, SimTime::ZERO));
+        assert!(q.commit_page(fua, 0));
         assert_eq!(q.horizon_seq(), seq_of(&q, fua));
-        assert!(q.commit_page(fua, 1, SimTime::ZERO));
+        assert!(q.commit_page(fua, 1));
         assert_eq!(q.horizon_seq(), u64::MAX);
     }
 
@@ -957,7 +937,7 @@ mod tests {
             let oldest = tags(&q)[0];
             assert_eq!(q.tag(oldest).unwrap().host.id, retired);
             for page in 0..3 {
-                assert!(q.commit_page(oldest, page, SimTime::ZERO));
+                assert!(q.commit_page(oldest, page));
                 assert_eq!(q.complete_page(oldest, page), Some(page == 2));
             }
             assert!(q.retire(oldest).is_some());
@@ -987,7 +967,7 @@ mod tests {
     fn admit_with_fills_placements_and_recycles_storage() {
         let mut q = DeviceQueue::new(2);
         let first = admit(&mut q, host(0, 3));
-        assert!(q.commit_page(first, 1, SimTime::from_nanos(5)));
+        assert!(q.commit_page(first, 1));
         assert_eq!(q.tag(first).unwrap().placements.len(), 3);
         assert_eq!(q.tag(first).unwrap().placements[2].chip, 2);
         assert_eq!(candidate_chips(&q), vec![0, 2]);
@@ -995,9 +975,7 @@ mod tests {
         q.retire(first).unwrap();
         // The next admission takes the retired slot and refills the buffers
         // it kept, fully reset.
-        let second = q
-            .admit(read_host(1, 10, 2), SimTime::ZERO, |_| placement(5))
-            .unwrap();
+        let second = q.admit(read_host(1, 10, 2), |_| placement(5)).unwrap();
         assert_eq!(second, first, "the retired slot is reused");
         assert_eq!(q.slots.len(), 1);
         let tag = q.tag(second).unwrap();
@@ -1011,7 +989,6 @@ mod tests {
         );
         assert!(tag.uncommitted_pages().eq([0, 1]));
         assert!(tag.completed.zeros().eq([0, 1]));
-        assert_eq!(tag.first_commit_at, None);
         assert_eq!(candidate_chips(&q), vec![5]);
         assert_eq!(q.slots[0].rows.len(), 2, "one row handle per page");
         q.validate_candidate_index();
@@ -1099,11 +1076,11 @@ mod tests {
                             pages,
                         );
                         let full = q.is_full();
-                        prop_assert_eq!(q.admit(host, SimTime::ZERO, placement).is_none(), full);
+                        prop_assert_eq!(q.admit(host, placement).is_none(), full);
                     }
                     (4 | 5, Some(tag)) => {
                         let page = pick as u32 % q.tag(tag).unwrap().pages() as u32;
-                        q.commit_page(tag, page, SimTime::ZERO);
+                        q.commit_page(tag, page);
                     }
                     (8 | 9, Some(tag)) => {
                         let host = q.tag(tag).unwrap().host;

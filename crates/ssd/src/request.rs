@@ -4,7 +4,8 @@
 //! device-level queue as a *tag*; the NVMHC later composes it into page-sized
 //! *memory requests* (the atomic flash I/O unit) which are committed to the flash
 //! controllers and eventually coalesced into flash transactions.  An in-flight
-//! memory request is one record in the SSD's slab, named by its [`MemReqId`].
+//! memory request is one record in the SSD's one arena of in-flight
+//! memory-request records, named by its [`MemReqId`].
 
 use std::fmt;
 
@@ -48,7 +49,7 @@ impl fmt::Display for Direction {
 /// A tag is valid from [`DeviceQueue::admit`] until [`DeviceQueue::retire`];
 /// after that its number names the next request admitted into the same slot.
 /// `Ssd` holds no tag past retirement, since a tag retires only after its
-/// last memory request has left the slab.  Arrival order is the admission
+/// last memory request's record is freed.  Arrival order is the admission
 /// sequence ([`TagState::seq`]), never the tag value.
 ///
 /// [`DeviceQueue::admit`]: crate::queue::DeviceQueue::admit

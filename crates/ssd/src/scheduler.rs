@@ -182,7 +182,7 @@ mod tests {
                 die: 0,
                 plane: i % geometry.planes_per_die as u32,
             };
-            assert_eq!(q.admit(host, SimTime::ZERO, placement), Some(TagId(t)));
+            assert_eq!(q.admit(host, placement), Some(TagId(t)));
         }
         q
     }

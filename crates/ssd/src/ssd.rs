@@ -10,11 +10,13 @@
 //! that support them.
 //!
 //! Per-request state is slot-indexed, with no hashing on the replay path:
-//! in-flight memory requests live in a slab addressed by `u32` handles, a
-//! chip's live transaction is stored at the chip's index, delivered requests
-//! wait in [`PendingSets`]' per-(die, plane) lists, and GC jobs sit at their
-//! plane's index.  Events carry only those handles, so an event entry stays
-//! small.
+//! every in-flight memory request is one record in `MemRequests`, one arena
+//! of in-flight memory-request records addressed by `u32` handles, from
+//! commitment (or GC issue) to completion; delivered requests wait on its
+//! per-(die, plane) lists, a chip's live transaction is stored at the chip's
+//! index as its first member's handle and its member count, and GC jobs sit
+//! at their plane's index.  Events carry only those handles, so an event
+//! entry stays small.
 //!
 //! Four of the six event kinds come from sources that schedule in
 //! nondecreasing time, so each source gets a FIFO lane of the
@@ -28,7 +30,7 @@
 //! A chip runs one transaction at a time (§2.2): it is busy while its slot in
 //! `live` holds one.  The [`CommitmentLedger`], which the schedulers read,
 //! counts a chip's committed-but-incomplete memory requests; the
-//! [`controller`](crate::controller) fold ([`PendingSets::fold`]) gives a
+//! [`controller`](crate::controller) fold (`MemRequests::fold`) gives a
 //! transaction's members and phase times, and its chip and plane busy time
 //! are summed when it completes, for the chip utilization and intra-chip
 //! idleness metrics.
@@ -42,7 +44,7 @@ use sprinkler_sim::{Duration, EventQueue, SimTime, TelemetryCounters};
 use crate::cand::MAX_REQUEST_PAGES;
 use crate::channel::Channel;
 use crate::config::SsdConfig;
-use crate::controller::{PendingRequest, PendingSets};
+use crate::controller::{MemRequest, MemRequests, Role};
 use crate::dma::DmaEngine;
 use crate::error::SsdError;
 use crate::ftl::Ftl;
@@ -61,7 +63,7 @@ const CHIP_KICK_LANE: usize = 1;
 const DMA_LANE: usize = 2;
 
 /// Simulation events.  Every payload is a `u32` handle: a memory request's
-/// slab handle or a chip index.
+/// record handle or a chip index.
 #[derive(Debug, Clone, Copy)]
 enum SsdEvent {
     /// Run the scheduler.
@@ -83,8 +85,10 @@ enum SsdEvent {
 #[derive(Debug)]
 struct LiveTransaction {
     channel: usize,
-    /// Slab handles of the member memory requests, one per (die, plane).
-    members: Vec<u32>,
+    /// The handle of the first member; each member's record links the next.
+    first: u32,
+    /// Members, one per (die, plane).
+    requests: usize,
     level: ParallelismLevel,
     /// When the issue bus phase started: the chip is busy from here until
     /// the transaction completes.
@@ -95,22 +99,6 @@ struct LiveTransaction {
     completion_bus: Duration,
 }
 
-/// The role a memory request plays in its plane's garbage-collection job.
-#[derive(Debug, Clone, Copy)]
-enum GcRole {
-    /// Reads a valid page, which is then programmed at `to`.
-    Read {
-        plane: usize,
-        to: PhysicalPageAddr,
-    },
-    Program {
-        plane: usize,
-    },
-    Erase {
-        plane: usize,
-    },
-}
-
 /// The garbage-collection job running on one plane.
 #[derive(Debug, Clone)]
 struct GcJob {
@@ -118,68 +106,6 @@ struct GcJob {
     outstanding_programs: usize,
     erase_addr: PhysicalPageAddr,
     erase_issued: bool,
-}
-
-/// An in-flight page-level memory request: the unit the scheduler commits
-/// and the transaction fold coalesces into flash transactions.
-#[derive(Debug)]
-struct InFlight {
-    /// Monotone identifier (the fold's service-order tie-break).
-    id: MemReqId,
-    /// The tag and page offset of a host request; `None` for GC traffic.
-    host: Option<(TagId, u32)>,
-    lpn: Lpn,
-    direction: Direction,
-    /// The chip the request runs on, whose ledger a host commitment charges.
-    chip: usize,
-    /// `Some` for GC traffic.
-    gc: Option<GcRole>,
-}
-
-/// In-flight memory requests, addressed by dense `u32` handles.
-///
-/// A `Vec` of slots plus a free list: a finished request's slot goes to the
-/// next one, so the slab stays at the high-water mark of in-flight requests
-/// and a lookup is one index.  Handles are recycled and carry no age;
-/// ordering uses the monotone [`MemReqId`] stored in the entry.
-#[derive(Debug, Default)]
-struct MemSlab {
-    slots: Vec<Option<InFlight>>,
-    free: Vec<u32>,
-}
-
-impl MemSlab {
-    fn with_capacity(capacity: usize) -> Self {
-        MemSlab {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-        }
-    }
-
-    // lint: hot-path
-    fn insert(&mut self, entry: InFlight) -> u32 {
-        match self.free.pop() {
-            Some(handle) => {
-                self.slots[handle as usize] = Some(entry);
-                handle
-            }
-            None => {
-                self.slots.push(Some(entry));
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    fn get(&self, handle: u32) -> Option<&InFlight> {
-        self.slots.get(handle as usize)?.as_ref()
-    }
-
-    // lint: hot-path
-    fn remove(&mut self, handle: u32) -> Option<InFlight> {
-        let entry = self.slots.get_mut(handle as usize)?.take()?;
-        self.free.push(handle);
-        Some(entry)
-    }
 }
 
 /// The simulated many-chip SSD.
@@ -214,15 +140,14 @@ pub struct Ssd {
     events: EventQueue<SsdEvent>,
 
     waiting_host: VecDeque<HostRequest>,
-    mem_requests: MemSlab,
+    /// Every in-flight memory request's record, from commitment (or GC
+    /// issue) to completion, with each chip's pending lists and the fold.
+    mem_requests: MemRequests,
     /// Commitment accounting, maintained incrementally (commit, completion)
     /// so scheduling rounds never rebuild an O(chip count) view.  All cap
     /// enforcement lives in the ledger; see [`CommitmentLedger`] for the
     /// invariant.
     ledger: CommitmentLedger,
-    /// Every chip's delivered memory requests waiting to join a
-    /// transaction, with the fold's scratch and member pool.
-    pending: PendingSets,
     /// The live transaction of each chip; a chip is busy while it has one.
     live: Vec<Option<LiveTransaction>>,
     /// Per chip: total time the chip was busy with transactions.
@@ -291,9 +216,9 @@ impl Ssd {
         let total_chips = geometry.total_chips();
         // In-flight host memory requests are bounded by the commitment ledger
         // (every committed page is at most one in-flight memory request), so
-        // the slab and the pending sets' node arena are pre-sized to that
-        // bound.  GC traffic is not charged to the ledger: it may grow both
-        // past the bound, to their high-water marks.
+        // the arena of in-flight records is pre-sized to that bound.  GC
+        // traffic is not charged to the ledger: it may grow the arena past
+        // the bound, to its high-water mark.
         let in_flight_bound = total_chips.saturating_mul(config.max_committed_per_chip);
         let gc_planes = if config.gc.enabled {
             geometry.total_planes()
@@ -309,9 +234,8 @@ impl Ssd {
             // The heap holds at most one transaction phase per chip.
             events: EventQueue::with_lanes(&[1, total_chips, 0], total_chips),
             waiting_host: VecDeque::new(),
-            mem_requests: MemSlab::with_capacity(in_flight_bound),
+            mem_requests: MemRequests::new(&geometry, in_flight_bound),
             ledger: CommitmentLedger::new(total_chips, config.max_committed_per_chip),
-            pending: PendingSets::new(&geometry, in_flight_bound),
             live: (0..total_chips).map(|_| None).collect(),
             chip_busy: vec![Duration::ZERO; total_chips],
             plane_busy: vec![Duration::ZERO; total_chips],
@@ -494,6 +418,17 @@ impl Ssd {
                 .all(|(&chip, &planes)| planes <= chip * planes_per_chip as u64),
             "a chip's planes were busy longer than the chip"
         );
+        // Every admitted page completes exactly once: a replay leaves no
+        // tag, record, transaction, GC job or ledger charge behind.
+        debug_assert!(
+            self.queue.is_empty()
+                && self.waiting_host.is_empty()
+                && self.mem_requests.is_drained()
+                && self.live.iter().all(Option::is_none)
+                && self.gc_jobs.iter().all(Option::is_none)
+                && self.ledger.outstanding_slice().iter().all(|&n| n == 0),
+            "the replay did not drain: work is still in flight at the end of the run"
+        );
         RunMetrics {
             peak_pending_events: self.events.peak_len() as u64,
             failed_writes: self.failed_writes,
@@ -579,7 +514,7 @@ impl Ssd {
             // buffer the slot kept from its last tag — no intermediate Vec
             // per admission.
             let ftl = &self.ftl;
-            let admitted = self.queue.admit(request, now, |page| {
+            let admitted = self.queue.admit(request, |page| {
                 ftl.preview(request.lpn_at(page), request.direction)
             });
             debug_assert!(
@@ -646,20 +581,21 @@ impl Ssd {
             return false;
         }
         let host = tag.host;
-        if !self.queue.commit_page(tag_id, page, now) {
+        if !self.queue.commit_page(tag_id, page) {
             return false;
         }
         self.ledger.commit(chip);
         let id = self.next_mreq_id();
-        let handle = self.mem_requests.insert(InFlight {
-            id,
-            host: Some((tag_id, page)),
-            lpn: host.lpn_at(page),
-            direction: host.direction,
-            chip,
-            gc: None,
-        });
-        if host.direction.is_write() {
+        let op = if host.direction.is_write() {
+            FlashOp::Program
+        } else {
+            FlashOp::Read
+        };
+        let role = Role::Host { tag: tag_id, page };
+        let handle = self
+            .mem_requests
+            .insert(id, role, host.lpn_at(page), op, chip);
+        if op == FlashOp::Program {
             // Write payload must cross the host interface before the flash program
             // can be composed (memory request composition + data movement, Fig 3).
             let ready = self.dma.transfer(now, page_size);
@@ -675,19 +611,14 @@ impl Ssd {
     // Delivery to chips and transaction execution
     // ------------------------------------------------------------------
 
+    /// Delivers host request `handle`: a read goes to its page's current
+    /// address, a write to the page the FTL allocates for it.
     fn deliver_to_controller(&mut self, handle: u32, now: SimTime) {
-        let Some(entry) = self.mem_requests.get(handle) else {
-            return;
-        };
-        let (id, lpn, direction) = (entry.id, entry.lpn, entry.direction);
-        if entry.gc.is_some() {
-            // GC traffic is delivered directly by the GC path, never here.
-            debug_assert!(false, "GC requests must not reach deliver_to_controller");
-            return;
-        }
-
-        let (addr, op) = if direction.is_read() {
-            (self.ftl.translate_read(lpn), FlashOp::Read)
+        let &MemRequest { role, lpn, op, .. } = self.mem_requests.get(handle);
+        // GC traffic is delivered directly by the GC path, never here.
+        debug_assert!(matches!(role, Role::Host { .. }), "{role:?} is GC traffic");
+        let addr = if op == FlashOp::Read {
+            self.ftl.translate_read(lpn)
         } else {
             match self.ftl.allocate_write(lpn) {
                 Some(alloc) => {
@@ -695,7 +626,7 @@ impl Ssd {
                     if self.config.gc.enabled && self.ftl.needs_gc(plane) {
                         self.start_gc(plane, now);
                     }
-                    (alloc.addr, FlashOp::Program)
+                    alloc.addr
                 }
                 None => {
                     // The SSD is completely full, or the page lies past the
@@ -714,31 +645,25 @@ impl Ssd {
             } else {
                 Duration::ZERO
             };
-
-        self.deliver_pending(
-            PendingRequest {
-                id,
-                handle,
-                addr,
-                op,
-                delivered_at: now,
-                gc: false,
-                extra_delay,
-            },
-            now,
-        );
+        self.deliver_pending(handle, addr, extra_delay, now);
     }
 
-    /// Adds a request to its chip's pending set and kicks the chip if idle.
-    fn deliver_pending(&mut self, pending: PendingRequest, now: SimTime) {
-        let addr = pending.addr;
+    /// Links request `handle` into its chip's pending lists and kicks the
+    /// chip if idle.
+    fn deliver_pending(
+        &mut self,
+        handle: u32,
+        addr: PhysicalPageAddr,
+        extra_delay: Duration,
+        now: SimTime,
+    ) {
         let geometry = &self.config.geometry;
         debug_assert!(
             geometry.check_addr(addr).is_ok(),
             "{addr} lies outside the device geometry"
         );
         let chip = geometry.chip_index(addr.channel, addr.way);
-        self.pending.push(chip, pending);
+        self.mem_requests.push(chip, handle, addr, now, extra_delay);
         if self.live[chip].is_none() {
             self.schedule_chip_kick(chip, now);
         }
@@ -760,7 +685,7 @@ impl Ssd {
         if self.live[chip_index].is_some() {
             return;
         }
-        let Some(built) = self.pending.fold(chip_index, &self.config.timing) else {
+        let Some(built) = self.mem_requests.fold(chip_index, &self.config.timing) else {
             return;
         };
         // The issue bus phase (commands, addresses, program data in) holds
@@ -771,7 +696,8 @@ impl Ssd {
         let grant = self.channels[channel].acquire(now + built.extra_delay, built.issue_bus);
         self.live[chip_index] = Some(LiveTransaction {
             channel,
-            members: built.members,
+            first: built.first,
+            requests: built.requests,
             level: built.level,
             start: grant.start,
             bus_time: built.issue_bus + built.completion_bus,
@@ -801,25 +727,21 @@ impl Ssd {
         };
         // Every member sits on its own (die, plane), each busy for the
         // whole cell phase.
-        let requests = live.members.len();
         self.chip_busy[chip] += now.saturating_since(live.start);
-        self.plane_busy[chip] += live.cell_time * requests as u64;
+        self.plane_busy[chip] += live.cell_time * live.requests as u64;
         self.metrics.record_transaction(
             live.level,
-            requests,
+            live.requests,
             live.bus_time,
             live.contention,
             live.cell_time,
         );
         let page_size = self.config.page_size() as u64;
-        let members = live.members;
-        for &member in &members {
-            let Some(entry) = self.mem_requests.get(member) else {
-                continue;
-            };
-            if let Some(role) = entry.gc {
-                self.gc_request_done(member, role, now);
-            } else if entry.direction.is_read() {
+        let mut member = live.first;
+        for _ in 0..live.requests {
+            // Completion frees a member's record, so its link is read first.
+            let &MemRequest { role, op, next, .. } = self.mem_requests.get(member);
+            if matches!(role, Role::Host { .. }) && op == FlashOp::Read {
                 // Read payload returns to the host through the DMA engine.
                 let done = self.dma.transfer(now, page_size);
                 self.events
@@ -827,49 +749,81 @@ impl Ssd {
             } else {
                 self.complete_mem_request(member, now);
             }
+            member = next;
         }
-        self.pending.recycle_members(members);
-        if !self.pending.is_empty(chip) {
+        if self.mem_requests.has_pending(chip) {
             self.schedule_chip_kick(chip, now);
         }
         self.request_schedule(now);
     }
 
+    /// Frees a finished request's record and acts on its role: a host page
+    /// retires its ledger charge, and its tag once every page is done; a GC
+    /// step moves its plane's job on.
     fn complete_mem_request(&mut self, handle: u32, now: SimTime) {
-        let Some(InFlight { host, chip, .. }) = self.mem_requests.remove(handle) else {
-            return;
-        };
-        if let Some((tag_id, page)) = host {
-            // Every host commitment was charged to the ledger at commit time;
-            // the ledger audits that this retirement has a matching charge
-            // instead of silently saturating.
-            self.ledger.retire(chip);
-            let finished = self.queue.complete_page(tag_id, page) == Some(true);
-            self.scheduler.on_complete(tag_id, page);
-            // A tag retires only after its last memory request has left the
-            // slab, so nothing holds its number once an admission reuses it.
-            let retired = if finished {
-                self.queue.retire(tag_id)
-            } else {
-                None
-            };
-            if let Some(host) = retired {
-                let bytes = host.bytes(self.config.page_size());
-                self.metrics
-                    .record_io(host.id, host.direction.is_read(), bytes, host.arrival, now);
-                // Tenant attribution measures from the pre-admission
-                // submission time; a no-op unless lanes were configured.
-                self.metrics.record_tenant_io(
-                    host.tenant,
-                    host.direction.is_read(),
-                    bytes,
-                    host.submitted,
-                    now,
-                );
-                self.try_admit(now);
+        let MemRequest {
+            role, lpn, chip, ..
+        } = self.mem_requests.remove(handle);
+        match role {
+            Role::Host { tag, page } => {
+                // Every host commitment was charged to the ledger at commit
+                // time; the ledger audits that this retirement has a
+                // matching charge instead of silently saturating.
+                self.ledger.retire(chip);
+                let finished = self.queue.complete_page(tag, page) == Some(true);
+                self.scheduler.on_complete(tag, page);
+                // A tag retires only after its last memory request's record
+                // is freed, so nothing holds its number once an admission
+                // reuses it.
+                let retired = if finished {
+                    self.queue.retire(tag)
+                } else {
+                    None
+                };
+                if let Some(host) = retired {
+                    let bytes = host.bytes(self.config.page_size());
+                    self.metrics.record_io(
+                        host.id,
+                        host.direction.is_read(),
+                        bytes,
+                        host.arrival,
+                        now,
+                    );
+                    // Tenant attribution measures from the pre-admission
+                    // submission time; a no-op unless lanes were configured.
+                    self.metrics.record_tenant_io(
+                        host.tenant,
+                        host.direction.is_read(),
+                        bytes,
+                        host.submitted,
+                        now,
+                    );
+                    self.try_admit(now);
+                }
+                self.request_schedule(now);
+            }
+            Role::GcRead { plane, to } => {
+                // The read content is now re-programmed at its new home.
+                if let Some(job) = self.gc_jobs[plane].as_mut() {
+                    job.outstanding_reads -= 1;
+                    job.outstanding_programs += 1;
+                }
+                let role = Role::GcProgram { plane };
+                self.issue_gc(role, lpn, to, FlashOp::Program, now);
+            }
+            Role::GcProgram { plane } => {
+                let erase_due = self.gc_jobs[plane].as_mut().is_some_and(|job| {
+                    job.outstanding_programs -= 1;
+                    job.outstanding_reads == 0 && job.outstanding_programs == 0 && !job.erase_issued
+                });
+                if erase_due {
+                    self.issue_gc_erase(plane, now);
+                }
+            }
+            Role::GcErase { plane } => {
+                self.gc_jobs[plane] = None;
             }
         }
-        self.request_schedule(now);
     }
 
     // ------------------------------------------------------------------
@@ -905,7 +859,7 @@ impl Ssd {
         });
         // Valid pages are read first; their programs are issued as the reads finish.
         for migration in &plan.migrations {
-            let role = GcRole::Read {
+            let role = Role::GcRead {
                 plane,
                 to: migration.to,
             };
@@ -936,66 +890,16 @@ impl Ssd {
     /// Creates a GC memory request and delivers it straight to the controller.
     fn issue_gc(
         &mut self,
-        role: GcRole,
+        role: Role,
         lpn: Lpn,
         addr: PhysicalPageAddr,
         op: FlashOp,
         now: SimTime,
     ) {
         let id = self.next_mreq_id();
-        let direction = if op == FlashOp::Read {
-            Direction::Read
-        } else {
-            Direction::Write
-        };
-        let handle = self.mem_requests.insert(InFlight {
-            id,
-            host: None,
-            lpn,
-            direction,
-            chip: self.config.geometry.chip_index(addr.channel, addr.way),
-            gc: Some(role),
-        });
-        self.deliver_pending(
-            PendingRequest {
-                id,
-                handle,
-                addr,
-                op,
-                delivered_at: now,
-                gc: true,
-                extra_delay: Duration::ZERO,
-            },
-            now,
-        );
-    }
-
-    fn gc_request_done(&mut self, handle: u32, role: GcRole, now: SimTime) {
-        let Some(InFlight { lpn, .. }) = self.mem_requests.remove(handle) else {
-            return;
-        };
-        match role {
-            GcRole::Read { plane, to } => {
-                // The read content is now re-programmed at its new home.
-                if let Some(job) = self.gc_jobs[plane].as_mut() {
-                    job.outstanding_reads -= 1;
-                    job.outstanding_programs += 1;
-                }
-                self.issue_gc(GcRole::Program { plane }, lpn, to, FlashOp::Program, now);
-            }
-            GcRole::Program { plane } => {
-                let erase_due = self.gc_jobs[plane].as_mut().is_some_and(|job| {
-                    job.outstanding_programs -= 1;
-                    job.outstanding_reads == 0 && job.outstanding_programs == 0 && !job.erase_issued
-                });
-                if erase_due {
-                    self.issue_gc_erase(plane, now);
-                }
-            }
-            GcRole::Erase { plane } => {
-                self.gc_jobs[plane] = None;
-            }
-        }
+        let chip = self.config.geometry.chip_index(addr.channel, addr.way);
+        let handle = self.mem_requests.insert(id, role, lpn, op, chip);
+        self.deliver_pending(handle, addr, Duration::ZERO, now);
     }
 
     fn issue_gc_erase(&mut self, plane: usize, now: SimTime) {
@@ -1005,7 +909,7 @@ impl Ssd {
         job.erase_issued = true;
         let erase_addr = job.erase_addr;
         self.issue_gc(
-            GcRole::Erase { plane },
+            Role::GcErase { plane },
             Lpn::new(0),
             erase_addr,
             FlashOp::Erase,
@@ -1550,8 +1454,7 @@ mod tests {
         );
         assert!(ssd.gc_jobs.len() <= planes);
         assert!(ssd.gc_jobs.iter().all(Option::is_none));
-        assert!(ssd.mem_requests.slots.iter().all(Option::is_none));
-        assert_eq!(ssd.mem_requests.free.len(), ssd.mem_requests.slots.len());
+        assert!(ssd.mem_requests.is_drained());
         assert!(ssd.live.iter().all(Option::is_none));
     }
 

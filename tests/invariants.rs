@@ -262,8 +262,8 @@ fn desynchronized_ledger_is_caught() {
         die: 0,
         plane: 0,
     };
-    let tag = queue.admit(host, SimTime::ZERO, |_| placement).unwrap();
-    assert!(queue.commit_page(tag, 0, SimTime::ZERO));
+    let tag = queue.admit(host, |_| placement).unwrap();
+    assert!(queue.commit_page(tag, 0));
 
     // One page is committed on chip 0, but this ledger was never charged.
     let ledger = CommitmentLedger::new(4, 8);

@@ -3,9 +3,9 @@
 //! This binary installs [`CountingAllocator`] as its global allocator and
 //! replays a steady-state workload through `Ssd::run_stream`: a warm-up
 //! prefix sizes every pool (device-queue tag states, FARO scratch, the
-//! event queue's DMA lane, the FTL map; the commitment buffer, the pending
-//! sets' node arena and member pool, the queue's other lanes and its heap
-//! are pre-sized to their bounds), then an [`AllocScope`] opens at the warm-up boundary and must
+//! event queue's DMA lane, the FTL map; the commitment buffer, the one
+//! arena of in-flight memory-request records, the queue's other lanes and
+//! its heap are pre-sized to their bounds), then an [`AllocScope`] opens at the warm-up boundary and must
 //! observe **zero allocation events** until the trace is exhausted.  Any
 //! per-I/O allocation that sneaks back into the
 //! queue/scheduler/controller/chip path turns this from 0 into thousands, so
@@ -25,8 +25,8 @@
 //! * warm-up writes the even 8-page bases of the 4096-LPN span and the steady
 //!   state the odd ones, which land on chips (ways 1/3/5/7) that warm-up only
 //!   read, and on LPNs it never mapped.  This proves the pools are sized to
-//!   their structural bounds rather than warmed by luck: the pending sets'
-//!   node arena is pre-sized to the in-flight bound (`total_chips ×
+//!   their structural bounds rather than warmed by luck: the arena of
+//!   in-flight memory-request records is pre-sized to the in-flight bound (`total_chips ×
 //!   max_committed_per_chip`; GC, off here, may grow it past that, since
 //!   GC traffic is not charged to the ledger), and the FTL's dense tables
 //!   allocate a chunk only for a new 64 Ki-LPN range or a new block index,
