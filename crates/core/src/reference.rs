@@ -57,11 +57,8 @@ pub fn write_after_read_blocked(ctx: &SchedulerContext<'_>, writer: TagId, lpn: 
         }
         let start = tag.host.start_lpn.value();
         let end = start + tag.host.pages as u64;
-        if (start..end).contains(&lpn) {
-            let page = (lpn - start) as usize;
-            if !tag.committed[page] {
-                return true;
-            }
+        if (start..end).contains(&lpn) && !tag.is_committed((lpn - start) as u32) {
+            return true;
         }
     }
     false
@@ -118,7 +115,7 @@ impl ReferenceScheduler {
         for tag in ctx.tags().take(horizon) {
             let is_write = tag.host.direction.is_write();
             for page in tag.uncommitted_pages() {
-                let chip = tag.placements[page as usize].chip;
+                let chip = tag.placement(page).chip;
                 if ctx.outstanding(chip) + newly[chip] >= capacity {
                     if skip_conflicts {
                         continue;
@@ -154,7 +151,7 @@ impl ReferenceScheduler {
                 {
                     continue;
                 }
-                let placement = tag.placements[page as usize];
+                let placement = tag.placement(page);
                 if placement.chip < chip_count {
                     per_chip[placement.chip].push(FaroCandidate {
                         tag: tag.id,

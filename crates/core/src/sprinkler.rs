@@ -169,7 +169,7 @@ impl Scheduler {
             }
             let is_checked_write = check_hazards && tag.host.direction.is_write();
             for page in tag.uncommitted_pages() {
-                let chip = tag.placements[page as usize].chip;
+                let chip = tag.placement(page).chip;
                 if ctx.outstanding(chip) + self.newly[chip] >= capacity {
                     if skip_full {
                         continue;
@@ -448,7 +448,11 @@ pub(crate) mod tests {
     }
 
     fn chip_of(queue: &DeviceQueue, commitment: &Commitment) -> usize {
-        queue.tag(commitment.tag).unwrap().placements[commitment.page as usize].chip
+        queue
+            .tag(commitment.tag)
+            .unwrap()
+            .placement(commitment.page)
+            .chip
     }
 
     /// The commitments as `(tag, page)` pairs.

@@ -1,27 +1,25 @@
 //! Deep debug-mode invariant validation across the scheduler's shared state.
 //!
 //! [`DeviceQueue::validate_candidate_index`] checks the queue's *internal*
-//! consistency (each tag's id is its slot, and the candidate rows, the
-//! slots' row handles and the read-hazard chains against a rebuild from the
-//! queued tag states).  This module goes one
+//! consistency (each tag's id is its slot, one entry per page with page
+//! counts that match, and the candidate rows, the entries' row handles and
+//! the read-hazard chains against a rebuild from the queued tag states).
+//! This module goes one
 //! layer up and cross-checks the structures that must agree *with each
 //! other* for Sprinkler's chip-level accounting to mean anything:
 //!
-//! - ledger outstanding counts vs the per-tag [`PageBits`] commit/complete
-//!   masks (the ledger is charged exactly once per committed host page and
-//!   credited exactly once per completed one, atomically with the bit flips
-//!   in `Ssd::commit_memory_request` / `Ssd::complete_mem_request`; GC
-//!   requests never touch the ledger);
+//! - ledger outstanding counts vs the per-page states of the queued tags
+//!   (the ledger is charged exactly once per committed host page and
+//!   credited exactly once per completed one, atomically with the state
+//!   changes in `Ssd::commit_memory_request` / `Ssd::complete_mem_request`;
+//!   GC requests never touch the ledger);
 //! - the FUA reordering-horizon entries vs the queued FUA tags;
-//! - per-tag mask sanity (`completed ⊆ committed`, masks bounded by the
-//!   request's page count) and per-page placements within geometry bounds;
+//! - per-page placements within geometry bounds;
 //! - the hard commitment cap.
 //!
 //! Everything here compiles to a no-op in release builds: callers are the
 //! differential property tests and `tests/invariants.rs`, which wrap a
 //! scheduler and validate after every round.
-//!
-//! [`PageBits`]: crate::queue::PageBits
 
 use crate::ledger::CommitmentLedger;
 use crate::queue::DeviceQueue;
@@ -50,45 +48,29 @@ pub fn validate_round(queue: &DeviceQueue, ledger: &CommitmentLedger) {
         let mut expected_fua: Vec<u64> = Vec::new();
 
         for state in queue.iter_states() {
-            let pages = state.pages();
-            debug_assert_eq!(
-                state.placements.len(),
-                pages,
-                "tag {:?}: placement table length diverged from the page count",
-                state.id
-            );
-            let mut fully_committed = true;
-            for page in 0..pages as u32 {
-                let committed = state.committed.get(page as usize);
-                let completed = state.completed.get(page as usize);
-                debug_assert!(
-                    committed || !completed,
-                    "tag {:?} page {page}: completed without being committed",
-                    state.id
-                );
-                fully_committed &= committed;
-                let placement = state.placements[page as usize];
+            for page in 0..state.pages() as u32 {
+                let placement = state.placement(page);
                 debug_assert!(
                     placement.chip < chips,
                     "tag {:?} page {page}: placement chip {} outside geometry ({chips} chips)",
                     state.id,
                     placement.chip
                 );
-                if committed && !completed {
+                if state.is_committed(page) && !state.is_completed(page) {
                     expected_outstanding[placement.chip] += 1;
                 }
             }
-            if state.host.fua && !fully_committed {
+            if state.host.fua && !state.fully_committed() {
                 expected_fua.push(state.seq);
             }
         }
 
-        // Ledger vs PageBits: outstanding commitments per chip must equal the
-        // committed-but-incomplete host pages placed there, exactly.
+        // Ledger vs page states: outstanding commitments per chip must equal
+        // the committed-but-incomplete host pages placed there, exactly.
         debug_assert_eq!(
             expected_outstanding,
             ledger.outstanding_slice(),
-            "ledger outstanding counts diverged from the queue's commit/complete masks"
+            "ledger outstanding counts diverged from the queued tags' page states"
         );
         for chip in 0..chips {
             debug_assert!(

@@ -12,7 +12,7 @@
 //! arrival order is threaded through the slots as an intrusive doubly-linked list so
 //! [`DeviceQueue::retire`] is O(1).  A retired tag's [`TagState`] stays in its
 //! slot, marked not live, and the next admission into the slot refills its
-//! buffers in place, so steady-state admission allocates nothing.  Total
+//! page buffer in place, so steady-state admission allocates nothing.  Total
 //! storage is O(queue depth), independent of how many I/Os have ever been
 //! served.
 //!
@@ -29,9 +29,10 @@
 //!   uncommitted page as one row, on its chip's list in arrival order and,
 //!   for a read page, on its LPN's hazard chain, so resource-driven
 //!   schedulers visit only chips that actually have work and the §4.4
-//!   write-after-read check walks one short chain.  Each slot keeps its
-//!   pages' row handles in a buffer reused across admissions, so commit,
-//!   retire and readdressing reach a row with no search;
+//!   write-after-read check walks one short chain.  A queued tag keeps one
+//!   entry per page, its placement preview and its state (queued with its
+//!   row handle, committed or completed), so commit, retire and readdressing
+//!   reach a row with no search;
 //! * a **pending-FUA index** — the admission sequence numbers of queued
 //!   force-unit-access tags that are not yet fully committed, so the reordering
 //!   horizon is an O(1) lookup.  It is a sorted vector, bounded by the queue
@@ -52,135 +53,23 @@ use crate::request::{HostRequest, Placement, TagId};
 /// Sentinel for "no slot" in the intrusive arrival-order list.
 const NIL: usize = usize::MAX;
 
-/// A fixed-size page bitmap packed into `u64` words.
-///
-/// Replaces the per-tag `Vec<bool>` commitment/completion bitmaps: pages per
-/// tag are bounded by the transfer size, so a handful of words covers even the
-/// 4 MB configuration, and [`PageBits::zeros`] turns the "which pages are
-/// uncommitted" scan into a bit-scan over one or two cache lines.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PageBits {
-    words: Vec<u64>,
-    len: usize,
+/// Where one page of a queued tag stands.  Completion follows commitment, so
+/// a page passes through the three states in order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PageState {
+    /// Not yet committed; the page's candidate row handle.
+    Queued(u32),
+    /// Committed as a memory request that has not completed.
+    Committed,
+    /// Its memory request has completed.
+    Completed,
 }
 
-static BIT_TRUE: bool = true;
-static BIT_FALSE: bool = false;
-
-impl PageBits {
-    /// Creates an all-zero bitmap of `pages` bits.
-    pub fn new(pages: usize) -> Self {
-        PageBits {
-            words: vec![0; pages.div_ceil(64)],
-            len: pages,
-        }
-    }
-
-    /// Resets the bitmap to `pages` all-zero bits, retaining word capacity.
-    pub fn reset(&mut self, pages: usize) {
-        self.words.clear();
-        self.words.resize(pages.div_ceil(64), 0);
-        self.len = pages;
-    }
-
-    /// Number of bits tracked.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitmap tracks no pages.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether bit `index` is set.  Out-of-range bits read as unset.
-    #[inline]
-    pub fn get(&self, index: usize) -> bool {
-        self.words
-            .get(index / 64)
-            .is_some_and(|word| word >> (index % 64) & 1 != 0)
-    }
-
-    /// Sets bit `index`; returns `false` if it was already set.
-    #[inline]
-    pub fn set(&mut self, index: usize) -> bool {
-        debug_assert!(index < self.len, "page {index} out of range");
-        let word = &mut self.words[index / 64];
-        let mask = 1u64 << (index % 64);
-        if *word & mask != 0 {
-            return false;
-        }
-        *word |= mask;
-        true
-    }
-
-    /// The complement of word `w`, with bits past `len` masked off.
-    #[inline]
-    fn zeros_in_word(&self, w: usize) -> u64 {
-        match self.words.get(w) {
-            Some(&word) => {
-                let remaining = self.len - w * 64;
-                if remaining >= 64 {
-                    !word
-                } else {
-                    !word & ((1u64 << remaining) - 1)
-                }
-            }
-            None => 0,
-        }
-    }
-
-    /// Iterates the positions of unset bits, ascending — a `trailing_zeros`
-    /// bit-scan, allocation-free.
-    pub fn zeros(&self) -> ZeroBits<'_> {
-        ZeroBits {
-            bits: self,
-            word: 0,
-            mask: self.zeros_in_word(0),
-        }
-    }
-}
-
-/// `PageBits` indexes like the `Vec<bool>` it replaced, so the reference
-/// schedulers (`sprinkler_core::reference`) read `state.committed[page]`
-/// unchanged and stay a textually untouched differential oracle.
-impl std::ops::Index<usize> for PageBits {
-    type Output = bool;
-
-    #[inline]
-    fn index(&self, index: usize) -> &bool {
-        if self.get(index) {
-            &BIT_TRUE
-        } else {
-            &BIT_FALSE
-        }
-    }
-}
-
-/// Iterator over the unset bit positions of a [`PageBits`].
-#[derive(Debug, Clone)]
-pub struct ZeroBits<'a> {
-    bits: &'a PageBits,
-    word: usize,
-    mask: u64,
-}
-
-impl Iterator for ZeroBits<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        while self.mask == 0 {
-            self.word += 1;
-            if self.word >= self.bits.words.len() {
-                return None;
-            }
-            self.mask = self.bits.zeros_in_word(self.word);
-        }
-        let bit = self.mask.trailing_zeros();
-        self.mask &= self.mask - 1;
-        Some(self.word as u32 * 64 + bit)
-    }
+/// One page of a queued tag: its placement preview and where it stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Page {
+    placement: Placement,
+    state: PageState,
 }
 
 /// Per-tag state while the I/O request sits in the device queue.
@@ -194,18 +83,14 @@ pub struct TagState {
     pub seq: u64,
     /// The originating host request.
     pub host: HostRequest,
-    /// Physical placement preview per page (filled by the FTL preprocessor).
-    pub placements: Vec<Placement>,
-    /// Whether each page has been committed as a memory request.
-    pub committed: PageBits,
-    /// Whether each page's memory request has fully completed.  This is the
-    /// per-queue-entry completion bitmap described in §4.4 ("The Order of Output
-    /// Data").
-    pub completed: PageBits,
-    /// Number of set bits in `committed` (kept so fullness checks are O(1)).
-    committed_count: usize,
-    /// Number of set bits in `completed` (kept so fullness checks are O(1)).
-    completed_count: usize,
+    /// One entry per page, in page order.  The entries' states are the
+    /// per-queue-entry completion bitmap described in §4.4 ("The Order of
+    /// Output Data").
+    pages: Vec<Page>,
+    /// Number of `Queued` entries (kept so fullness checks are O(1)).
+    uncommitted: usize,
+    /// Number of entries not yet `Completed`.
+    incomplete: usize,
 }
 
 impl TagState {
@@ -214,38 +99,50 @@ impl TagState {
         self.host.pages as usize
     }
 
-    /// Page offsets not yet committed, ascending (a bitmap bit-scan).
+    /// Page `page`'s physical placement preview (filled by the FTL
+    /// preprocessor, moved by GC readdressing while the page is queued).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `page` is out of range, as do the other page accessors.
+    pub fn placement(&self, page: u32) -> Placement {
+        self.pages[page as usize].placement
+    }
+
+    /// Whether page `page` has been committed as a memory request.
+    pub fn is_committed(&self, page: u32) -> bool {
+        !matches!(self.pages[page as usize].state, PageState::Queued(_))
+    }
+
+    /// Whether page `page`'s memory request has completed.
+    pub fn is_completed(&self, page: u32) -> bool {
+        self.pages[page as usize].state == PageState::Completed
+    }
+
+    /// Page offsets not yet committed, ascending.
     pub fn uncommitted_pages(&self) -> impl Iterator<Item = u32> + '_ {
-        self.committed.zeros()
+        self.queued_rows().map(|(page, _)| page)
     }
 
     /// True once every page has been committed.
     pub fn fully_committed(&self) -> bool {
-        self.committed_count == self.pages()
+        self.uncommitted == 0
     }
 
-    /// True once every page's memory request has completed.
-    pub fn fully_completed(&self) -> bool {
-        self.completed_count == self.pages()
-    }
-
-    /// Marks a page committed.  Returns `false` if it was already committed.
-    pub fn mark_committed(&mut self, page: u32) -> bool {
-        if !self.committed.set(page as usize) {
-            return false;
-        }
-        self.committed_count += 1;
-        true
-    }
-
-    /// Marks a page's memory request completed (sets its bitmap bit).  Returns
-    /// `false` if it was already completed.
-    pub fn mark_completed(&mut self, page: u32) -> bool {
-        if !self.completed.set(page as usize) {
-            return false;
-        }
-        self.completed_count += 1;
-        true
+    /// Each uncommitted page with its candidate row handle, ascending; a
+    /// fully committed tag yields nothing without a scan.
+    fn queued_rows(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let pages = if self.fully_committed() {
+            &[][..]
+        } else {
+            &self.pages[..]
+        };
+        (0..)
+            .zip(pages)
+            .filter_map(|(page, entry)| match entry.state {
+                PageState::Queued(row) => Some((page, row)),
+                PageState::Committed | PageState::Completed => None,
+            })
     }
 }
 
@@ -253,11 +150,8 @@ impl TagState {
 #[derive(Debug, Clone)]
 struct Slot {
     /// The queued tag when `live`; otherwise the slot's last tag, whose
-    /// buffers the next admission into the slot refills.
+    /// page buffer the next admission into the slot refills.
     state: TagState,
-    /// Each page's candidate-index row handle; a committed page's handle is
-    /// stale.  Refilled in place by each admission, like `placements`.
-    rows: Vec<u32>,
     /// Whether `state` is a queued tag.
     live: bool,
     /// Previous slot in arrival order (`NIL` at the head).
@@ -352,9 +246,9 @@ impl DeviceQueue {
     /// now occupies; `None` — without admitting — when the queue is already
     /// at capacity.
     ///
-    /// `placement_of` produces each page's placement preview in place (called
-    /// once per page, in page order), filling the buffers the slot kept from
-    /// its last tag, so steady-state admission performs no allocations.
+    /// `placement_of` produces each page's placement preview (called once per
+    /// page, in page order), filling the page buffer the slot kept from its
+    /// last tag, so steady-state admission performs no allocations.
     #[must_use = "admission fails when the queue is full; the request would be lost"]
     pub fn admit(
         &mut self,
@@ -374,13 +268,10 @@ impl DeviceQueue {
                         id: TagId(0),
                         seq: 0,
                         host,
-                        placements: Vec::new(),
-                        committed: PageBits::default(),
-                        completed: PageBits::default(),
-                        committed_count: 0,
-                        completed_count: 0,
+                        pages: Vec::new(),
+                        uncommitted: 0,
+                        incomplete: 0,
                     },
-                    rows: Vec::new(),
                     live: false,
                     prev: NIL,
                     next: NIL,
@@ -392,29 +283,28 @@ impl DeviceQueue {
         let pages = host.pages as usize;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let Slot { state, rows, .. } = &mut self.slots[slot];
+        let state = &mut self.slots[slot].state;
         state.id = id;
         state.seq = seq;
         state.host = host;
-        state.placements.clear();
-        state
-            .placements
-            .extend((0..host.pages).map(&mut placement_of));
-        state.committed.reset(pages);
-        state.completed.reset(pages);
-        state.committed_count = 0;
-        state.completed_count = 0;
-
-        rows.clear();
-        for (page, p) in (0..).zip(&state.placements) {
-            rows.push(self.cand.insert(
-                p.chip,
+        state.uncommitted = pages;
+        state.incomplete = pages;
+        state.pages.clear();
+        state.pages.reserve(pages);
+        for page in 0..host.pages {
+            let placement = placement_of(page);
+            let row = self.cand.insert(
+                placement.chip,
                 seq,
-                pack_pri(page, p.die, p.plane),
+                pack_pri(page, placement.die, placement.plane),
                 host.lpn_at(page).value(),
                 slot as u32,
                 host.direction.is_read(),
-            ));
+            );
+            state.pages.push(Page {
+                placement,
+                state: PageState::Queued(row),
+            });
         }
         if host.fua {
             // Admission seqs are monotonic, so this is a push in practice.
@@ -460,14 +350,14 @@ impl DeviceQueue {
         self.free.push(slot);
         self.len -= 1;
         // Drop the rows of any still-uncommitted pages.
-        let entry = &self.slots[slot];
-        for page in entry.state.uncommitted_pages() {
-            self.cand.remove(entry.rows[page as usize]);
+        let state = &self.slots[slot].state;
+        for (_, row) in state.queued_rows() {
+            self.cand.remove(row);
         }
-        if let Ok(pos) = self.fua_pending.binary_search(&entry.state.seq) {
+        if let Ok(pos) = self.fua_pending.binary_search(&state.seq) {
             self.fua_pending.remove(pos);
         }
-        Some(entry.state.host)
+        Some(state.host)
     }
 
     /// Marks a page of a queued tag committed, dropping its candidate row.
@@ -475,14 +365,19 @@ impl DeviceQueue {
     /// range, or the page was already committed.
     // lint: hot-path
     pub fn commit_page(&mut self, id: TagId, page: u32) -> bool {
-        let Some(entry) = self.slots.get_mut(id.0 as usize).filter(|slot| slot.live) else {
+        let Some(slot) = self.slots.get_mut(id.0 as usize).filter(|slot| slot.live) else {
             return false;
         };
-        let state = &mut entry.state;
-        if page as usize >= state.pages() || !state.mark_committed(page) {
+        let state = &mut slot.state;
+        let Some(entry) = state.pages.get_mut(page as usize) else {
             return false;
-        }
-        self.cand.remove(entry.rows[page as usize]);
+        };
+        let PageState::Queued(row) = entry.state else {
+            return false;
+        };
+        entry.state = PageState::Committed;
+        self.cand.remove(row);
+        state.uncommitted -= 1;
         if state.host.fua && state.fully_committed() {
             if let Ok(pos) = self.fua_pending.binary_search(&state.seq) {
                 self.fua_pending.remove(pos);
@@ -491,10 +386,11 @@ impl DeviceQueue {
         true
     }
 
-    /// Marks a page's memory request completed.  Returns `None` when the tag
-    /// is not queued, the page offset is out of range, or the page was already
-    /// completed; otherwise `Some(done)`, where `done` says the tag has now
-    /// committed and completed every page and is ready to retire.
+    /// Marks a committed page's memory request completed.  Returns `None`
+    /// when the tag is not queued, the page offset is out of range, or the
+    /// page is not committed or already completed; otherwise `Some(done)`,
+    /// where `done` says every page of the tag has now completed and the tag
+    /// is ready to retire.
     // lint: hot-path
     pub fn complete_page(&mut self, id: TagId, page: u32) -> Option<bool> {
         let state = &mut self
@@ -502,14 +398,19 @@ impl DeviceQueue {
             .get_mut(id.0 as usize)
             .filter(|slot| slot.live)?
             .state;
-        if page as usize >= state.pages() || !state.mark_completed(page) {
+        let entry = state.pages.get_mut(page as usize)?;
+        if entry.state != PageState::Committed {
             return None;
         }
-        Some(state.fully_committed() && state.fully_completed())
+        entry.state = PageState::Completed;
+        state.incomplete -= 1;
+        Some(state.incomplete == 0)
     }
 
-    /// Rewrites the placement preview of every queued, still-uncommitted page
-    /// addressing `lpn` (GC readdressing, §4.3), moving its candidate row.
+    /// Rewrites the placement preview of every queued, still-uncommitted read
+    /// of `lpn` to `preview`, where GC readdressing (§4.3) moved its data,
+    /// and moves its candidate row.  A queued write keeps its preview: that is
+    /// the write's static placement, where `Ftl::allocate_write` still aims it.
     pub fn refresh_placements(&mut self, lpn: u64, preview: Placement) {
         // The arrival-order list links only live slots.
         let mut cursor = self.head;
@@ -517,12 +418,14 @@ impl DeviceQueue {
             let slot = &mut self.slots[cursor];
             let state = &mut slot.state;
             let page = lpn.wrapping_sub(state.host.start_lpn.value());
-            if page < u64::from(state.host.pages) && !state.committed.get(page as usize) {
-                let old = std::mem::replace(&mut state.placements[page as usize], preview);
-                if old != preview {
-                    let pri = pack_pri(page as u32, preview.die, preview.plane);
-                    self.cand
-                        .relocate(slot.rows[page as usize], preview.chip, pri);
+            if state.host.direction.is_read() && page < u64::from(state.host.pages) {
+                let entry = &mut state.pages[page as usize];
+                if let PageState::Queued(row) = entry.state {
+                    if entry.placement != preview {
+                        entry.placement = preview;
+                        let pri = pack_pri(page as u32, preview.die, preview.plane);
+                        self.cand.relocate(row, preview.chip, pri);
+                    }
                 }
             }
             cursor = slot.next;
@@ -581,9 +484,10 @@ impl DeviceQueue {
     }
 
     /// Debug-build invariant checker: checks that each queued tag's id is its
-    /// slot, and rebuilds the candidate rows, the slots' row handles and the
-    /// hazard chains from the queued tag states.  Compiled to a no-op in
-    /// release builds; the differential property tests call it after every
+    /// slot, that it keeps one entry per page and that its page counts match
+    /// its entries, and rebuilds the candidate rows, the entries' row handles
+    /// and the hazard chains from the queued tag states.  Compiled to a no-op
+    /// in release builds; the differential property tests call it after every
     /// scheduling round.
     pub fn validate_candidate_index(&self) {
         #[cfg(debug_assertions)]
@@ -595,10 +499,19 @@ impl DeviceQueue {
                     continue;
                 };
                 debug_assert_eq!(state.id, TagId(slot as u64), "a tag's id is its slot");
-                debug_assert_eq!(entry.rows.len(), state.pages(), "one row handle per page");
-                for page in state.uncommitted_pages() {
-                    let p = state.placements[page as usize];
-                    let handle = entry.rows[page as usize];
+                debug_assert_eq!(state.pages.len(), state.pages(), "one entry per page");
+                let pages = state.pages.iter();
+                let queued = pages
+                    .clone()
+                    .filter(|p| matches!(p.state, PageState::Queued(_)));
+                let incomplete = pages.filter(|p| p.state != PageState::Completed);
+                debug_assert_eq!(
+                    (state.uncommitted, state.incomplete),
+                    (queued.count(), incomplete.count()),
+                    "tag {slot}: page counts diverged from its entries"
+                );
+                for (page, handle) in state.queued_rows() {
+                    let p = state.placement(page);
                     let row = &rows[handle as usize];
                     debug_assert_eq!(
                         (row.chip as usize, row.seq, row.pri, row.lpn),
@@ -745,6 +658,12 @@ mod tests {
             q.tag(tag).unwrap().uncommitted_pages().collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
+        assert_eq!(
+            q.complete_page(tag, 1),
+            None,
+            "a page completes only after it is committed"
+        );
+        assert!(!q.tag(tag).unwrap().is_completed(1));
         assert!(q.commit_page(tag, 1));
         assert!(!q.commit_page(tag, 1));
         assert!(!q.commit_page(tag, 3), "past the end");
@@ -754,7 +673,7 @@ mod tests {
         assert!(q.commit_page(tag, 0));
         assert!(q.commit_page(tag, 2));
         assert!(q.tag(tag).unwrap().fully_committed());
-        assert!(!q.tag(tag).unwrap().fully_completed());
+        assert!(!q.tag(tag).unwrap().is_completed(0));
         assert_eq!(q.complete_page(tag, 0), Some(false));
         assert_eq!(q.complete_page(tag, 1), Some(false));
         assert_eq!(
@@ -763,34 +682,10 @@ mod tests {
             "double completion is rejected"
         );
         assert_eq!(q.complete_page(tag, 2), Some(true), "the tag is done");
-        assert!(q.tag(tag).unwrap().fully_completed());
+        assert!((0..3).all(|page| q.tag(tag).unwrap().is_completed(page)));
         q.retire(tag).unwrap();
         assert!(!q.commit_page(tag, 0), "retired tags reject");
         assert_eq!(q.complete_page(tag, 0), None);
-    }
-
-    #[test]
-    fn page_bitmaps_index_like_vectors_and_scan_zeros() {
-        let mut bits = PageBits::new(130);
-        assert_eq!(bits.len(), 130);
-        assert!(bits.set(0));
-        assert!(bits.set(64));
-        assert!(bits.set(129));
-        assert!(!bits.set(64), "double set is rejected");
-        assert!(bits[0] && bits[64] && bits[129]);
-        assert!(!bits[1] && !bits[128]);
-        let zeros: Vec<u32> = bits.zeros().collect();
-        assert_eq!(zeros.len(), 127);
-        assert_eq!(zeros[0], 1);
-        assert_eq!(zeros[62], 63);
-        assert_eq!(zeros[63], 65);
-        assert_eq!(*zeros.last().unwrap(), 128);
-        // The tail bits past `len` are never reported as zeros.
-        let empty = PageBits::new(0);
-        assert!(empty.is_empty());
-        assert_eq!(empty.zeros().count(), 0);
-        let one = PageBits::new(65);
-        assert_eq!(one.zeros().count(), 65);
     }
 
     #[test]
@@ -848,14 +743,25 @@ mod tests {
     fn chip_index_follows_placement_refreshes() {
         let mut q = DeviceQueue::new(4);
         let tag = admit(&mut q, read_host(0, 500, 1));
+        let write = admit(
+            &mut q,
+            HostRequest {
+                start_lpn: Lpn::new(500),
+                ..host(1, 1)
+            },
+        );
         let moved = Placement {
             chip: 3,
             die: 0,
             plane: 1,
         };
         q.refresh_placements(500, moved);
+        assert_eq!(candidate_chips(&q), vec![0, 3]);
+        // A queued write keeps its static placement preview.
+        assert_eq!(q.tag(write).unwrap().placement(0), placement(0));
+        q.retire(write).unwrap();
         assert_eq!(candidate_chips(&q), vec![3]);
-        assert_eq!(q.tag(tag).unwrap().placements[0], moved);
+        assert_eq!(q.tag(tag).unwrap().placement(0), moved);
         q.validate_candidate_index();
         // A same-chip die/plane move rewrites the row's priority key too.
         let rotated = Placement {
@@ -864,12 +770,12 @@ mod tests {
             plane: 0,
         };
         q.refresh_placements(500, rotated);
-        assert_eq!(q.tag(tag).unwrap().placements[0], rotated);
+        assert_eq!(q.tag(tag).unwrap().placement(0), rotated);
         q.validate_candidate_index();
         // Committed pages are not rewritten.
         assert!(q.commit_page(tag, 0));
         q.refresh_placements(500, placement(0));
-        assert_eq!(q.tag(tag).unwrap().placements[0], rotated);
+        assert_eq!(q.tag(tag).unwrap().placement(0), rotated);
     }
 
     #[test]
@@ -968,8 +874,8 @@ mod tests {
         let mut q = DeviceQueue::new(2);
         let first = admit(&mut q, host(0, 3));
         assert!(q.commit_page(first, 1));
-        assert_eq!(q.tag(first).unwrap().placements.len(), 3);
-        assert_eq!(q.tag(first).unwrap().placements[2].chip, 2);
+        assert_eq!(q.tag(first).unwrap().pages.len(), 3);
+        assert_eq!(q.tag(first).unwrap().placement(2).chip, 2);
         assert_eq!(candidate_chips(&q), vec![0, 2]);
 
         q.retire(first).unwrap();
@@ -982,15 +888,12 @@ mod tests {
         assert_eq!(tag.id, second);
         assert_eq!(tag.host.id, 1);
         assert_eq!(tag.pages(), 2);
-        assert_eq!(tag.placements, vec![placement(5); 2]);
-        assert!(
-            tag.placements.capacity() >= 3,
-            "the placement buffer is reused"
-        );
+        assert!((0..2).all(|page| tag.placement(page) == placement(5)));
+        assert_eq!(tag.pages.len(), 2, "one entry per page");
+        assert!(tag.pages.capacity() >= 3, "the page buffer is reused");
         assert!(tag.uncommitted_pages().eq([0, 1]));
-        assert!(tag.completed.zeros().eq([0, 1]));
+        assert!(!tag.is_completed(0) && !tag.is_completed(1));
         assert_eq!(candidate_chips(&q), vec![5]);
-        assert_eq!(q.slots[0].rows.len(), 2, "one row handle per page");
         q.validate_candidate_index();
     }
 
@@ -1021,7 +924,7 @@ mod tests {
                 let start = state.host.start_lpn.value();
                 state.host.direction.is_read()
                     && (start..start + u64::from(state.host.pages)).contains(&lpn)
-                    && !state.committed[(lpn - start) as usize]
+                    && !state.is_committed((lpn - start) as u32)
             })
     }
 
@@ -1044,7 +947,7 @@ mod tests {
         /// every step the hazard index answers each probe LPN at each
         /// queued tag's seq, the seq after it and the end of time as a scan
         /// of the queue does, and the debug validator rebuilds the rows,
-        /// row handles and chains from the tag states.
+        /// page entries and chains from the tag states.
         #[test]
         fn hazard_index_answers_like_a_scan_of_the_queue(
             steps in prop::collection::vec(

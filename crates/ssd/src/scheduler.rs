@@ -143,7 +143,7 @@ impl IoScheduler for CommitAllScheduler {
             .extend((0..ctx.chip_count()).map(|c| ctx.capacity_left(c)));
         for tag in ctx.tags() {
             for page in tag.uncommitted_pages() {
-                let chip = tag.placements[page as usize].chip;
+                let chip = tag.placement(page).chip;
                 if self.budget.get(chip).copied().unwrap_or(0) == 0 {
                     continue;
                 }
@@ -221,7 +221,7 @@ mod tests {
         // Chip 0 has no budget left, so its pages are skipped.
         assert!(commitments
             .iter()
-            .all(|c| queue.tag(c.tag).unwrap().placements[c.page as usize].chip != 0));
+            .all(|c| queue.tag(c.tag).unwrap().placement(c.page).chip != 0));
         // All other pages are committed.
         assert!(!commitments.is_empty());
         // No duplicates.

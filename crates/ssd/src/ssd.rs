@@ -5,7 +5,7 @@
 //! scheduler-driven memory-request composition and commitment → host DMA → FTL
 //! translation/allocation → per-chip transaction folding (one request per
 //! (die, plane)) → channel-arbitrated bus phases and overlapped cell phases →
-//! completion upcalls, bitmap clearing, and I/O retirement.  Garbage collection
+//! completion upcalls, per-page completion marking, and I/O retirement.  Garbage collection
 //! injects internal flash traffic and fires readdressing callbacks for schedulers
 //! that support them.
 //!
@@ -102,10 +102,10 @@ struct LiveTransaction {
 /// The garbage-collection job running on one plane.
 #[derive(Debug, Clone)]
 struct GcJob {
-    outstanding_reads: usize,
-    outstanding_programs: usize,
+    /// Valid pages whose program at their new home has not completed.
+    pages_left: usize,
+    /// The victim block, erased once `pages_left` reaches 0.
     erase_addr: PhysicalPageAddr,
-    erase_issued: bool,
 }
 
 /// The simulated many-chip SSD.
@@ -571,7 +571,7 @@ impl Ssd {
         if page as usize >= tag.pages() {
             return false;
         }
-        let chip = tag.placements[page as usize].chip;
+        let chip = tag.placement(page).chip;
         // Commitments beyond the chip's headroom are deferred to a later round.
         // `outstanding` already reflects this round's commits exactly once, so
         // the headroom available within a single round is the full
@@ -804,17 +804,13 @@ impl Ssd {
             }
             Role::GcRead { plane, to } => {
                 // The read content is now re-programmed at its new home.
-                if let Some(job) = self.gc_jobs[plane].as_mut() {
-                    job.outstanding_reads -= 1;
-                    job.outstanding_programs += 1;
-                }
                 let role = Role::GcProgram { plane };
                 self.issue_gc(role, lpn, to, FlashOp::Program, now);
             }
             Role::GcProgram { plane } => {
                 let erase_due = self.gc_jobs[plane].as_mut().is_some_and(|job| {
-                    job.outstanding_programs -= 1;
-                    job.outstanding_reads == 0 && job.outstanding_programs == 0 && !job.erase_issued
+                    job.pages_left -= 1;
+                    job.pages_left == 0
                 });
                 if erase_due {
                     self.issue_gc_erase(plane, now);
@@ -852,10 +848,8 @@ impl Ssd {
             }
         }
         self.gc_jobs[plane] = Some(GcJob {
-            outstanding_reads: plan.migrations.len(),
-            outstanding_programs: 0,
+            pages_left: plan.migrations.len(),
             erase_addr: plan.erase_addr,
-            erase_issued: false,
         });
         // Valid pages are read first; their programs are issued as the reads finish.
         for migration in &plan.migrations {
@@ -903,11 +897,9 @@ impl Ssd {
     }
 
     fn issue_gc_erase(&mut self, plane: usize, now: SimTime) {
-        let Some(job) = self.gc_jobs[plane].as_mut() else {
+        let Some(GcJob { erase_addr, .. }) = self.gc_jobs[plane] else {
             return;
         };
-        job.erase_issued = true;
-        let erase_addr = job.erase_addr;
         self.issue_gc(
             Role::GcErase { plane },
             Lpn::new(0),
@@ -1462,5 +1454,36 @@ mod tests {
     fn gc_state_is_not_built_when_gc_is_off() {
         let ssd = Ssd::new(SsdConfig::small_test(), Box::new(CommitAllScheduler::new())).unwrap();
         assert!(ssd.gc_jobs.is_empty());
+    }
+
+    /// Readdressing moves a queued read of a migrated LPN to where its data
+    /// now lives, but a queued write keeps its static placement preview:
+    /// `Ftl::allocate_write` still aims the write there.
+    #[test]
+    fn readdressing_leaves_queued_write_previews() {
+        let mut ssd =
+            Ssd::new(SsdConfig::small_test(), Box::new(CommitAllScheduler::new())).unwrap();
+        let lpn = Lpn::new(0);
+        let home = ssd.ftl.preview(lpn, Direction::Write);
+        let ftl = &ssd.ftl;
+        let [write, read] = [write_req(0, 0, 0, 1), read_req(1, 0, 0, 1)].map(|host| {
+            let preview = ftl.preview(lpn, host.direction);
+            ssd.queue.admit(host, |_| preview).unwrap()
+        });
+        // Fill LPN 0's static plane by overwriting an LPN that shares it, so
+        // LPN 0's data spills to a neighbouring plane.
+        let other = (1..)
+            .map(Lpn::new)
+            .find(|&other| ssd.ftl.preview(other, Direction::Write) == home)
+            .unwrap();
+        while !ssd.ftl.allocate_write(other).unwrap().spilled {}
+        assert!(ssd.ftl.allocate_write(lpn).unwrap().spilled);
+        let moved = ssd.ftl.preview(lpn, Direction::Read);
+        assert_ne!(moved, home);
+
+        ssd.refresh_placements(lpn);
+        assert_eq!(ssd.queue.tag(read).unwrap().placement(0), moved);
+        assert_eq!(ssd.queue.tag(write).unwrap().placement(0), home);
+        ssd.queue.validate_candidate_index();
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! A wrapper scheduler calls `validate_context` on every scheduling round, so
 //! a whole replay cross-checks — after each round — the commitment ledger
-//! against the per-tag `PageBits` masks, and the FUA horizon and the queue's
-//! candidate index (its rows, the slots' row handles and the read-LPN hazard
-//! chains) against a from-scratch rebuild from the queued tag states.  The
+//! against the queued tags' per-page states, and the FUA horizon and the
+//! queue's candidate index (its rows, the page entries' row handles and the
+//! read-LPN hazard chains) against a from-scratch rebuild from the queued tag
+//! states.  The
 //! traces are chosen to push every structure: mixed reads/writes (hazard
 //! chains), FUA-heavy streams (horizon), and an overwrite-heavy GC run (GC
 //! requests must *not* touch the ledger).

@@ -623,12 +623,11 @@ proptest! {
     /// must still agree commitment by commitment.
     ///
     /// "Optimized" means the indexed round path: per-chip row lists with
-    /// packed (page, die, plane) priority keys, hazard chains, the bitmask
-    /// page states, and the slice-based ledger reads.  The reference twin
-    /// still walks the queue naively (`sprinkler_core::reference` is
-    /// untouched), and the `RecordingScheduler` wrapper additionally
-    /// cross-validates the candidate index against a from-scratch rebuild on
-    /// every round of both replays.
+    /// packed (page, die, plane) priority keys, hazard chains, the tags'
+    /// page entries, and the slice-based ledger reads.  The reference twin
+    /// still walks the queue naively (`sprinkler_core::reference`), and the
+    /// `RecordingScheduler` wrapper additionally cross-validates the candidate
+    /// index against a from-scratch rebuild on every round of both replays.
     #[test]
     fn refactored_schedulers_match_their_reference_twins(
         requests in arb_requests(40),
