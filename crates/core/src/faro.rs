@@ -16,15 +16,24 @@
 //!
 //! # Cost
 //!
-//! [`FaroSelector::select_into`], the scheduler's path, splits a chip's
-//! candidates into per-tag runs once, then makes one pass over the runs
-//! still waiting per ranking step: a run's connectivity and arrival rank
-//! never change while it waits, and its overlap depth is counted from its
-//! own rows against a stamp per `(die, plane)` pair.  One step is
-//! O(remaining candidates) and a selection is at most `capacity` steps.
+//! [`FaroSelector::select_streamed`], the scheduler's path, is a streaming
+//! front end plus a ranking loop.  The scheduler streams a chip's surviving
+//! rows in as its walk filters them, so one walk of the rows both filters
+//! and ranks.  As candidates stream in, the front end keeps each tag run's
+//! first-step score: its length (connectivity), its least arrival rank and
+//! its distinct `(die, plane)` pairs (its overlap depth before any pair is
+//! occupied), counted against a stamp per pair.  When the best run covers
+//! the chip's room, or is the only run, the selection is that run's first
+//! pages in page order, and nothing else runs; on `seqread256k-64` 85% of
+//! the rankings have room 1 and end there.  Otherwise the ranking loop takes
+//! the later steps, each one pass over the runs still waiting: a run's
+//! connectivity and arrival rank never change while it waits, and its
+//! overlap depth is recounted from its own rows.  One step is O(remaining
+//! candidates) and a selection is at most `capacity` steps.
+//! [`FaroSelector::select_into`] runs the same path over a slice.
 //! [`FaroSelector::select`] keeps Algorithm 1 as written — each step
 //! rescans every remaining candidate once per tag — as the oracle the
-//! one-pass ranking and the reference scheduler are checked against.
+//! streaming selection and the reference scheduler are checked against.
 
 use sprinkler_ssd::request::TagId;
 
@@ -64,7 +73,7 @@ fn pair_key(candidate: &FaroCandidate) -> usize {
     (candidate.die as usize) << 6 | candidate.plane as usize
 }
 
-/// One tag's run of rows in a selection's candidate slice, with the ranking
+/// One tag's run of rows in a selection's candidates, with the ranking
 /// inputs that do not change while the tag waits.
 #[derive(Debug, Clone, Copy)]
 struct TagRun {
@@ -73,16 +82,34 @@ struct TagRun {
     end: usize,
     /// The least arrival rank among the run's rows.
     rank: usize,
+    /// The run's distinct `(die, plane)` pairs: its overlap depth in the
+    /// first ranking step, before any pair is occupied.
+    pairs: usize,
+    /// Whether the run's pages ascend in push order.
+    sorted: bool,
 }
 
-/// Reusable working buffers for [`FaroSelector::select_into`].
+impl TagRun {
+    /// The run's first-step score, compared as the ranking loop compares:
+    /// overlap depth, then connectivity, then the older arrival.
+    #[inline]
+    fn first_score(&self) -> (usize, usize, usize) {
+        (self.pairs, self.end - self.start, usize::MAX - self.rank)
+    }
+}
+
+/// Reusable working buffers for [`FaroSelector::select_into`] and
+/// [`FaroSelector::select_streamed`].
 ///
-/// The selector holds no state, so the ranking loop's working storage lives
-/// with the caller and is threaded through each selection; after warm-up no
+/// The selector holds no state, so the working storage lives with the
+/// caller and is threaded through each selection; after warm-up no
 /// selection allocates.
 #[derive(Debug, Clone, Default)]
 pub struct FaroScratch {
-    /// The tag runs not chosen yet, in candidate order.
+    /// The candidates streamed in by the current selection, in order.
+    candidates: Vec<FaroCandidate>,
+    /// The tag runs of `candidates`; the ranking loop drops each run it
+    /// chooses.
     runs: Vec<TagRun>,
     /// Per `(die, plane)` key, the last stamp written there: the
     /// selection's occupied stamp once a pick activates the pair, otherwise
@@ -93,6 +120,19 @@ pub struct FaroScratch {
     stamp: u64,
     /// The chosen run's rows, ordered for commitment.
     members: Vec<FaroCandidate>,
+}
+
+/// Stores a closed run, moving `best` to it when it scores strictly higher
+/// than the best stored so far: the first of the runs that score highest.
+#[inline]
+fn close_run(run: TagRun, runs: &mut Vec<TagRun>, best: &mut usize) {
+    if runs
+        .get(*best)
+        .is_some_and(|leader| run.first_score() > leader.first_score())
+    {
+        *best = runs.len();
+    }
+    runs.push(run);
 }
 
 /// The FARO candidate selector.
@@ -179,21 +219,11 @@ impl FaroSelector {
         selected
     }
 
-    /// [`FaroSelector::select`] in one pass per ranking step, with
-    /// caller-provided output and working buffers (allocation-free once
-    /// warmed up).  Selections are *appended* to `out`.  Returns `true` when
-    /// the single-tag fast path resolved the selection.
-    ///
-    /// Each tag's candidates must be contiguous in `candidates`, as a
-    /// chip's candidate-index rows are: they sort by admission seq, one per
-    /// tag.  A run's connectivity (its length) and arrival rank (its least)
-    /// are fixed while the tag waits; its overlap depth is recounted each
-    /// step from its own rows, a `(die, plane)` pair counting when neither
-    /// an earlier pick nor an earlier row of the run has stamped it.  The
-    /// runs are visited in candidate order and a later run must score
-    /// strictly higher to win, as in [`FaroSelector::select`], so the picks
-    /// and their order are Algorithm 1's.
-    // lint: hot-path
+    /// [`FaroSelector::select`] over a slice, through
+    /// [`FaroSelector::select_streamed`]: caller-provided output and working
+    /// buffers (allocation-free once warmed up), selections *appended* to
+    /// `out`, and `true` returned when the single-tag fast path resolved the
+    /// selection.  Each tag's candidates must be contiguous in `candidates`.
     pub fn select_into(
         &self,
         candidates: &[FaroCandidate],
@@ -201,51 +231,133 @@ impl FaroSelector {
         out: &mut Vec<(TagId, u32)>,
         scratch: &mut FaroScratch,
     ) -> bool {
-        if capacity == 0 || candidates.is_empty() {
-            return false;
-        }
+        self.select_streamed(candidates.iter().copied(), capacity, out, scratch)
+    }
+
+    /// Selects up to `capacity` of `candidates` for one chip, appending the
+    /// picks to `out` exactly as [`FaroSelector::select`] orders them.
+    /// Returns `true` when the single-tag fast path resolved the selection:
+    /// every candidate belongs to one tag and `capacity` is not 0.  The
+    /// stream is always drained, whatever `capacity` is.
+    ///
+    /// Each tag's candidates must be contiguous in the stream, as a chip's
+    /// candidate-index rows are: they sort by admission seq, one per tag.
+    /// The front end copies the candidates into `scratch` as they stream in
+    /// and keeps each tag run's first-step score: its distinct `(die,
+    /// plane)` pairs (overlap depth before any pair is occupied), counted
+    /// against a stamp per pair, its length (connectivity) and its least
+    /// arrival rank.  Step 1 picks the first run that scores strictly
+    /// highest; with no pair occupied yet, its pages go in page order.  When
+    /// that run fills `capacity`, or no other run is left, the selection
+    /// ends there.  Otherwise each later step recounts every waiting run's
+    /// overlap depth from its own rows, a pair counting when neither an
+    /// earlier pick nor an earlier row of the run has stamped it.  The runs
+    /// are visited in stream order and a later run must score strictly
+    /// higher to win, as in [`FaroSelector::select`], so the picks and their
+    /// order are Algorithm 1's.
+    // lint: hot-path
+    pub fn select_streamed(
+        &self,
+        candidates: impl IntoIterator<Item = FaroCandidate>,
+        capacity: usize,
+        out: &mut Vec<(TagId, u32)>,
+        scratch: &mut FaroScratch,
+    ) -> bool {
         let FaroScratch {
+            candidates: pushed,
             runs,
             stamps,
             stamp,
             members,
         } = scratch;
+        pushed.clear();
         runs.clear();
-        for (i, c) in candidates.iter().enumerate() {
-            match runs.last_mut() {
-                Some(run) if run.tag == c.tag => {
-                    run.end = i + 1;
-                    run.rank = run.rank.min(c.arrival_rank);
+        if stamps.len() < PAIR_KEYS {
+            stamps.resize(PAIR_KEYS, 0);
+        }
+        // The open run, its last page and the best closed run live in
+        // locals; a run is stored and scored when the next tag's first
+        // candidate, or the stream's end, closes it.
+        let mut open: Option<TagRun> = None;
+        let mut last_page = 0;
+        let mut best = 0;
+        let mut current = *stamp;
+        for candidate in candidates {
+            let index = pushed.len();
+            pushed.push(candidate);
+            let run = match &mut open {
+                Some(run) if run.tag == candidate.tag => {
+                    run.end = index + 1;
+                    run.rank = run.rank.min(candidate.arrival_rank);
+                    run.sorted &= last_page < candidate.page;
+                    run
                 }
-                _ => runs.push(TagRun {
-                    tag: c.tag,
-                    start: i,
-                    end: i + 1,
-                    rank: c.arrival_rank,
-                }),
+                _ => {
+                    if let Some(closed) = open.take() {
+                        close_run(closed, runs, &mut best);
+                    }
+                    current += 1;
+                    open.insert(TagRun {
+                        tag: candidate.tag,
+                        start: index,
+                        end: index + 1,
+                        rank: candidate.arrival_rank,
+                        pairs: 0,
+                        sorted: true,
+                    })
+                }
+            };
+            last_page = candidate.page;
+            // Only the open run is counting, so the newest stamp is its own.
+            let mark = &mut stamps[pair_key(&candidate)];
+            if *mark != current {
+                *mark = current;
+                run.pairs += 1;
             }
         }
+        *stamp = current;
+        let Some(last) = open else {
+            return false;
+        };
+        close_run(last, runs, &mut best);
+        if capacity == 0 {
+            return false;
+        }
+        let candidates = &pushed[..];
         debug_assert!(
             runs.iter()
                 .enumerate()
                 .all(|(i, run)| runs[i + 1..].iter().all(|later| later.tag != run.tag)),
             "FARO candidates are not grouped by tag"
         );
+        let run = runs[best];
+        let pages = &candidates[run.start..run.end];
         let start = out.len();
-        // Fast path for the dominant many-chip shape: every candidate belongs to
-        // one tag, so Algorithm 1 degenerates to "over-commit that tag's pages
-        // in page order" — no ranking steps.
-        if runs.len() == 1 {
-            out.extend(candidates.iter().map(|c| (c.tag, c.page)));
-            out[start..].sort_unstable_by_key(|&(_, page)| page);
-            out.truncate(start + capacity);
-            return true;
-        }
-        if stamps.len() < PAIR_KEYS {
-            stamps.resize(PAIR_KEYS, 0);
+        // Fast path for the dominant many-chip shape: every candidate belongs
+        // to one tag, so Algorithm 1 degenerates to "over-commit that tag's
+        // pages in page order" — no ranking steps.  A best run that fills the
+        // room ends the selection the same way, without reporting the fast
+        // path.
+        let single = runs.len() == 1;
+        let in_page_order = if run.sorted {
+            pages
+        } else {
+            members.clear();
+            members.extend_from_slice(pages);
+            members.sort_unstable_by_key(|c| c.page);
+            &members[..]
+        };
+        let take = capacity.min(pages.len());
+        out.extend(in_page_order[..take].iter().map(|c| (c.tag, c.page)));
+        if single || pages.len() >= capacity {
+            return single;
         }
         *stamp += 1;
         let occupied = *stamp;
+        for c in pages {
+            stamps[pair_key(c)] = occupied;
+        }
+        runs.remove(best);
         while out.len() - start < capacity && !runs.is_empty() {
             let mut best: Option<(usize, usize, usize, usize)> = None;
             for (index, run) in runs.iter().enumerate() {
@@ -296,6 +408,7 @@ impl FaroSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cand(tag: u64, page: u32, die: u32, plane: u32, rank: usize) -> FaroCandidate {
         FaroCandidate {
@@ -485,5 +598,56 @@ mod tests {
         unique.sort_by_key(|(t, p)| (t.0, *p));
         unique.dedup();
         assert_eq!(unique.len(), 4);
+    }
+
+    /// A chip's candidates as a round streams them: 1–8 tags of 1–8 rows,
+    /// each tag's rows contiguous, dies and planes below 4 (so tags share
+    /// and repeat pairs), a distinct arrival rank per tag in no particular
+    /// order, and each tag's pages a scrambled run of distinct offsets.
+    fn arb_chip_candidates() -> impl Strategy<Value = Vec<FaroCandidate>> {
+        let tag = (
+            1usize..9,
+            prop::collection::vec((0u32..4, 0u32..4), 8..9),
+            0usize..1000,
+            (0u32..4, 0u32..8),
+        );
+        prop::collection::vec(tag, 1..9).prop_map(|tags| {
+            let mut candidates = Vec::new();
+            for (index, (len, pairs, rank, (stride, offset))) in tags.into_iter().enumerate() {
+                for (row, (die, plane)) in pairs.into_iter().take(len).enumerate() {
+                    candidates.push(FaroCandidate {
+                        tag: TagId(index as u64),
+                        // An odd stride is a unit mod 8: distinct pages.
+                        page: (row as u32 * (2 * stride + 1) + offset) % 8,
+                        die,
+                        plane,
+                        arrival_rank: rank * 8 + index,
+                    });
+                }
+            }
+            candidates
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The streaming front end and the ranking loop pick exactly what
+        /// Algorithm 1 as written picks, in the same order, for every room
+        /// up to the over-commitment depth, and report the fast path exactly
+        /// when one tag holds every candidate.  One scratch serves every
+        /// room, so nothing a selection leaves behind may leak into the
+        /// next.
+        #[test]
+        fn streaming_selection_matches_algorithm_one(candidates in arb_chip_candidates()) {
+            let one_tag = candidates.iter().all(|c| c.tag == candidates[0].tag);
+            let mut scratch = FaroScratch::default();
+            for room in 1..=OVERCOMMIT_DEPTH {
+                let mut picked = Vec::new();
+                let fast = FaroSelector.select_into(&candidates, room, &mut picked, &mut scratch);
+                prop_assert_eq!(&picked, &FaroSelector.select(&candidates, room), "room {}", room);
+                prop_assert_eq!(fast, one_tag, "room {}", room);
+            }
+        }
     }
 }

@@ -26,6 +26,15 @@
 //! tail, to put an old seq on another chip.  A removed row joins an intrusive
 //! free list that the next insert takes from, so the arena grows only at its
 //! high-water mark and index maintenance allocates nothing at steady state.
+//!
+//! Linking a row onto a chip's list, by admission or by GC relocation, also
+//! lists the chip in the *wake log* ([`CandidateView::woken`]), once per
+//! chip (a per-chip mark), so a resource-driven scheduling round can revisit
+//! only the chips that gained work.  The log is sized with the chip lists
+//! and so never holds more entries than there are chips.  The SSD substrate
+//! clears it (`DeviceQueue::clear_woken`) right after each round has read
+//! it, before it applies the round's commitments; committing or retiring a
+//! row never lists its chip, since losing a row gains a chip nothing.
 
 use crate::request::TagId;
 
@@ -159,6 +168,9 @@ impl ChipList {
 pub struct CandidateView<'a> {
     /// Chips with at least one row, unordered.
     pub active: &'a [u32],
+    /// Chips that gained a row since the wake log was last cleared, each
+    /// once, in first-gain order; a listed chip may have lost its rows since.
+    pub woken: &'a [u32],
     /// The row arena, indexed by row handle; freed rows included.
     pub(crate) rows: &'a [Row],
     chips: &'a [ChipList],
@@ -216,6 +228,10 @@ pub(crate) struct CandidateIndex {
     chips: Vec<ChipList>,
     /// Chips with at least one row, unordered.
     active: Vec<u32>,
+    /// Chips that gained a row since the last `clear_woken`, each once.
+    woken: Vec<u32>,
+    /// Per chip: whether it is listed in `woken`.
+    woken_mark: Vec<bool>,
     /// First row of each hazard bucket's chain (`NIL` when empty).
     hazard_heads: Vec<u32>,
 }
@@ -227,6 +243,8 @@ impl Default for CandidateIndex {
             free: NIL,
             chips: Vec::new(),
             active: Vec::new(),
+            woken: Vec::new(),
+            woken_mark: Vec::new(),
             hazard_heads: vec![NIL; HAZARD_BUCKETS],
         }
     }
@@ -237,6 +255,7 @@ impl CandidateIndex {
     pub(crate) fn view(&self) -> CandidateView<'_> {
         CandidateView {
             active: &self.active,
+            woken: &self.woken,
             rows: &self.rows,
             chips: &self.chips,
         }
@@ -321,6 +340,15 @@ impl CandidateIndex {
         }
     }
 
+    /// Empties the wake log.
+    // lint: hot-path
+    pub(crate) fn clear_woken(&mut self) {
+        for &chip in &self.woken {
+            self.woken_mark[chip as usize] = false;
+        }
+        self.woken.clear();
+    }
+
     /// Whether a read row of `lpn` has a seq below `seq`.
     // lint: hot-path
     #[inline]
@@ -336,14 +364,21 @@ impl CandidateIndex {
     }
 
     /// Links row `handle` into its chip's list at its `(seq, pri)` place,
-    /// walking back from the tail.
+    /// walking back from the tail, and lists the chip in the wake log.
     fn link(&mut self, handle: u32) {
         let Row { seq, pri, chip, .. } = self.rows[handle as usize];
         let chip = chip as usize;
         if chip >= self.chips.len() {
             self.chips.resize(chip + 1, ChipList::EMPTY);
-            // The active list never holds more chips than there are lists.
+            self.woken_mark.resize(chip + 1, false);
+            // Neither the active list nor the wake log ever holds more chips
+            // than there are lists.
             self.active.reserve(self.chips.len() - self.active.len());
+            self.woken.reserve(self.chips.len() - self.woken.len());
+        }
+        if !self.woken_mark[chip] {
+            self.woken_mark[chip] = true;
+            self.woken.push(chip as u32);
         }
         let Self {
             rows,
@@ -449,6 +484,13 @@ impl CandidateIndex {
             }
         }
         debug_assert_eq!(busy, self.active.len(), "active list holds an idle chip");
+        debug_assert!(
+            self.woken
+                .iter()
+                .all(|&chip| self.woken_mark[chip as usize])
+                && self.woken_mark.iter().filter(|&&mark| mark).count() == self.woken.len(),
+            "the wake log diverged from its marks"
+        );
         listed.sort_unstable();
         debug_assert!(listed.windows(2).all(|w| w[0] < w[1]), "row listed twice");
 
@@ -533,6 +575,26 @@ mod tests {
         // The freed row is the next one handed out.
         assert_eq!(index.insert(5, 3, pack_pri(0, 0, 0), 30, 2, true), first);
         assert_eq!(index.audit().len(), 2);
+    }
+
+    /// Admission and relocation list the chip that gained a row, once per
+    /// chip until the log is cleared; removal lists nothing.
+    #[test]
+    fn the_wake_log_lists_each_chip_that_gained_a_row_once() {
+        let mut index = CandidateIndex::default();
+        let moved = index.insert(3, 1, pack_pri(0, 0, 0), 10, 0, true);
+        index.insert(1, 2, pack_pri(0, 0, 0), 20, 1, false);
+        index.insert(3, 2, pack_pri(1, 0, 0), 21, 1, false);
+        assert_eq!(index.view().woken, &[3, 1]);
+        index.clear_woken();
+        assert!(index.view().woken.is_empty());
+        index.remove(moved);
+        assert!(index.view().woken.is_empty(), "losing a row wakes nothing");
+        let row = index.insert(0, 3, pack_pri(0, 0, 0), 30, 2, false);
+        index.relocate(row, 2, pack_pri(0, 1, 0));
+        index.relocate(row, 2, pack_pri(0, 0, 1));
+        assert_eq!(index.view().woken, &[0, 2]);
+        index.audit();
     }
 
     /// A row moved onto a chip holding younger rows walks back from the tail

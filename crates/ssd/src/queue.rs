@@ -477,10 +477,16 @@ impl DeviceQueue {
         &self.fua_pending
     }
 
-    /// The candidate view for one scheduling round: the active chips, each
-    /// chip's rows in arrival order, and the row arena.
+    /// The candidate view for one scheduling round: the active chips, the
+    /// wake log, each chip's rows in arrival order, and the row arena.
     pub fn candidate_view(&self) -> CandidateView<'_> {
         self.cand.view()
+    }
+
+    /// Empties the candidate index's wake log ([`CandidateView::woken`]).
+    /// The SSD substrate calls it right after each scheduling round.
+    pub fn clear_woken(&mut self) {
+        self.cand.clear_woken();
     }
 
     /// Debug-build invariant checker: checks that each queued tag's id is its

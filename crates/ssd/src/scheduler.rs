@@ -99,6 +99,17 @@ pub trait IoScheduler: fmt::Debug {
     /// to the high-water mark.  Commitments that are invalid (unknown tag,
     /// already-committed page) are ignored by the SSD, and commitments beyond
     /// a chip's hard capacity are deferred.
+    ///
+    /// The context carries two change logs: the chips that gained a
+    /// candidate row ([`CandidateView::woken`](crate::cand::CandidateView::woken))
+    /// and the chips whose ledger headroom rose
+    /// ([`CommitmentLedger::freed`]).  The substrate clears both right after
+    /// each call returns, before it applies `out`, so the next call's logs
+    /// list exactly what changed in between; a round skipped because the
+    /// queue is empty clears nothing.  A scheduler that keeps state across
+    /// rounds on these logs must rebuild it from the context alone (for
+    /// instance from [`CandidateView::active`](crate::cand::CandidateView::active))
+    /// on its first call after [`IoScheduler::initialize`].
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>);
 
     /// Notification that a committed memory request completed.

@@ -550,6 +550,11 @@ impl Ssd {
             };
             self.scheduler.schedule_into(&ctx, &mut commitments);
         }
+        // The round has read the change logs; what applying its commitments
+        // changes (a failed write's retirement, an admission, a GC
+        // relocation) goes into the next round's.
+        self.ledger.clear_freed();
+        self.queue.clear_woken();
         let mut committed_any = false;
         for &Commitment { tag, page } in &commitments {
             committed_any |= self.commit_memory_request(tag, page, now);
@@ -639,12 +644,15 @@ impl Ssd {
             }
         };
 
-        let extra_delay =
-            if !self.scheduler.supports_readdressing() && self.take_readdressed(lpn.value()) {
-                self.config.gc.stale_readdress_penalty
-            } else {
-                Duration::ZERO
-            };
+        // A read of an LPN that GC moved across planes re-translates its
+        // stale address.  A write has nothing stale: the FTL picked its page
+        // just now, and its new mapping spares a later read the penalty too.
+        let stale = !self.scheduler.supports_readdressing() && self.take_readdressed(lpn.value());
+        let extra_delay = if stale && op == FlashOp::Read {
+            self.config.gc.stale_readdress_penalty
+        } else {
+            Duration::ZERO
+        };
         self.deliver_pending(handle, addr, extra_delay, now);
     }
 
@@ -1454,6 +1462,30 @@ mod tests {
     fn gc_state_is_not_built_when_gc_is_off() {
         let ssd = Ssd::new(SsdConfig::small_test(), Box::new(CommitAllScheduler::new())).unwrap();
         assert!(ssd.gc_jobs.is_empty());
+    }
+
+    /// Without `on_readdress`, only a read of an LPN that GC moved across
+    /// planes pays the stale-readdress penalty.  A write pays nothing, and
+    /// its new mapping clears the LPN, so a later read pays nothing either.
+    #[test]
+    fn only_reads_pay_the_stale_readdress_penalty() {
+        let penalty = SsdConfig::small_test().gc.stale_readdress_penalty;
+        let readdressed = || {
+            let mut ssd =
+                Ssd::new(SsdConfig::small_test(), Box::new(CommitAllScheduler::new())).unwrap();
+            ssd.readdressed_lpns.push(0);
+            ssd
+        };
+        let mut writer = readdressed();
+        writer.replay([write_req(0, 0, 0, 1)], 8);
+        assert!(writer.readdressed_lpns.is_empty());
+        let metrics = writer.finalize();
+        assert_eq!(
+            assert_lone_page_figures(&metrics, FlashOp::Program),
+            215_017
+        );
+        let metrics = readdressed().run([read_req(0, 0, 0, 1)]);
+        assert_eq!(metrics.elapsed_ns, 35_192 + penalty.as_nanos());
     }
 
     /// Readdressing moves a queued read of a migrated LPN to where its data

@@ -170,11 +170,13 @@ fn gc_pressure_does_not_desynchronize_the_ledger() {
 }
 
 /// A GC storm that forces cross-plane migrations: a small device (4 blocks
-/// per plane, watermark 1) rewritten with one-page I/Os over a 460-LPN span
-/// in a scattered order, a quarter of them reads.  GC then moves valid pages
-/// to other planes, so `on_readdress` and placement refresh run for
-/// schedulers that support readdressing, and the stale-readdress penalty is
-/// charged for those that do not.
+/// per plane, watermark 1) rewritten with one-page I/Os over a 461-LPN span
+/// in a scattered order, a quarter of them reads.  The span is odd, so each
+/// LPN's visits rotate through the four residues of `i mod 4`: every LPN is
+/// both written and read.  GC then moves valid pages to other planes, so
+/// `on_readdress` and placement refresh run for schedulers that support
+/// readdressing, and the stale-readdress penalty is charged for those that
+/// do not, on a migrated LPN's next read.
 fn crossing_config(penalty: Duration) -> SsdConfig {
     SsdConfig::small_test()
         .with_blocks_per_plane(4)
@@ -197,7 +199,7 @@ fn crossing_trace() -> Vec<HostRequest> {
                 i,
                 SimTime::from_micros(i * 30),
                 direction,
-                Lpn::new((i * 7919) % 460),
+                Lpn::new((i * 7919) % 461),
                 1,
             )
         })
