@@ -259,8 +259,6 @@ mod tests {
         let geometry = FlashGeometry::small_test();
         let ledger = CommitmentLedger::new(geometry.total_chips(), 8);
         let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            geometry: &geometry,
             queue,
             ledger: &ledger,
         };
@@ -283,8 +281,6 @@ mod tests {
         let geometry = FlashGeometry::small_test();
         let ledger = CommitmentLedger::new(geometry.total_chips(), 8);
         let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            geometry: &geometry,
             queue: &queue,
             ledger: &ledger,
         };
@@ -320,8 +316,6 @@ mod tests {
         let geometry = FlashGeometry::small_test();
         let ledger = CommitmentLedger::new(geometry.total_chips(), 8);
         let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            geometry: &geometry,
             queue: &queue,
             ledger: &ledger,
         };

@@ -28,16 +28,15 @@
 //! decisions accurate.
 //!
 //! The resource-driven round re-derives no decision that cannot have
-//! changed.  The substrate logs each chip that gained a candidate row (the
-//! candidate index's wake log) or ledger headroom (the ledger's `freed` log)
-//! and clears both logs after every round; the round remembers the chips it
-//! held a row back on.  So after its first round it marks only those chips,
-//! unless the active-chip list is shorter, and a round costs what changed
-//! since the last one: on a 64-chip device serving 256 KB reads, about 1.3
-//! chips marked instead of a walk of the ~46 with work.  A chip with several
-//! rows streams its survivors into FARO as the walk filters them
-//! ([`FaroSelector::select_streamed`]), so one walk of its rows filters and
-//! ranks.
+//! changed.  The substrate logs each chip that gained a candidate row or
+//! completed a committed page, and so gained ledger headroom, in one change
+//! log that it clears after every round; the round remembers the chips it
+//! held a row back on.  The round marks only those chips, so it costs what
+//! changed since the last one: on a 64-chip device serving 256 KB reads,
+//! about 1.3 chips marked instead of a walk of the ~46 with work.  A chip
+//! with several rows streams its survivors into FARO as the walk filters
+//! them ([`FaroSelector::select_streamed`]), so one walk of its rows filters
+//! and ranks.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -96,13 +95,6 @@ pub struct Scheduler {
     /// words with `trailing_zeros` visits the round's chips in traversal order
     /// without sorting anything.
     round_bits: Vec<u64>,
-    /// Scratch: rank → chip back-map for the bits set this round (entries are
-    /// only read under a set bit, so the array is never cleared).
-    round_chip: Vec<u32>,
-    /// Whether a resource-driven round has run since `initialize`: the first
-    /// one marks from the active-chip list, later ones may mark from the
-    /// change logs and `held`.
-    primed: bool,
     /// The chips the last resource-driven round held a row back on (§4.4
     /// write-after-read hazard or FUA horizon), each once; pre-sized to the
     /// chip count.
@@ -126,8 +118,6 @@ impl Scheduler {
             kind,
             traversal: None,
             round_bits: Vec::new(),
-            round_chip: Vec::new(),
-            primed: false,
             held: Vec::new(),
             newly: Vec::new(),
             newly_dirty: Vec::new(),
@@ -223,15 +213,16 @@ impl Scheduler {
     /// key.
     ///
     /// Pass 1 marks each chip with work and headroom in a rank-indexed
-    /// bitmap.  The first round after `initialize` marks from the active-chip
-    /// list.  A later one marks from whichever is shorter: that list, or the
-    /// two change logs plus `held` — the ledger's `freed` (headroom rose),
-    /// the candidate index's `woken` (a row arrived) and the chips the last
-    /// round held a row back on.  Both hold every chip that can commit.
-    /// After a round, each chip it visited has no rows, is at the kind's
-    /// capacity, or held a row back: FARO commits `min(room, survivors)`,
-    /// and SPK2 commits one row into a capacity of one.  Only a logged
-    /// arrival or retirement takes a chip out of the first two states.
+    /// bitmap, from the candidate index's change log (a row arrived, or a
+    /// committed page completed and released a ledger slot) plus `held`, the
+    /// chips the last round held a row back on.  Together they hold every
+    /// chip that can commit.  After a round, each chip it visited has no
+    /// rows, is at the kind's capacity, or held a row back: FARO commits
+    /// `min(room, survivors)`, and SPK2 commits one row into a capacity of
+    /// one.  Only a logged arrival or completion takes a chip out of the
+    /// first two states, and the first round's log lists every chip with
+    /// rows, since the substrate initializes the scheduler before it admits
+    /// anything.
     ///
     /// Pass 2 scans the bitmap words with `trailing_zeros` — visiting chips
     /// in traversal order without a sort — and filters each chip's rows (FUA
@@ -239,9 +230,8 @@ impl Scheduler {
     /// shape, one candidate row on the chip, commits straight from the row;
     /// a chip with more goes to [`Scheduler::compose_chip`].
     ///
-    /// A round so costs the shorter list, the rows of the chips it visits
-    /// and one pass over the bitmap's words, not a walk of every chip with
-    /// work.
+    /// A round so costs the log, the rows of the chips it visits and one
+    /// pass over the bitmap's words, not a walk of every chip with work.
     // lint: hot-path
     fn schedule_resource_driven(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
         let capacity = self.per_chip_capacity(ctx);
@@ -262,52 +252,30 @@ impl Scheduler {
             self.round_bits.resize(words, 0);
         }
         self.round_bits[..words].fill(0);
-        if self.round_chip.len() < rank_space {
-            self.round_chip.resize(rank_space, 0);
-        }
         let rank_of = |chip: usize| match positions {
             Some(pos) => pos.get(chip).copied(),
             None => Some(chip),
         };
-        let (round_bits, round_chip) = (&mut self.round_bits, &mut self.round_chip);
-        let mut mark = |chip: u32| {
+        let round_bits = &mut self.round_bits;
+        for &chip in cands.changed.iter().chain(&self.held) {
             let chip = chip as usize;
             if chip >= chip_count || outstanding[chip] as usize >= capacity || cands.len(chip) == 0
             {
-                return;
+                continue;
             }
             if let Some(rank) = rank_of(chip) {
                 round_bits[rank >> 6] |= 1u64 << (rank & 63);
-                round_chip[rank] = chip as u32;
-            }
-        };
-        let freed = ctx.ledger.freed();
-        if self.primed && freed.len() + cands.woken.len() + self.held.len() < cands.active.len() {
-            for &chip in freed {
-                mark(chip);
-            }
-            for &chip in cands.woken {
-                mark(chip);
-            }
-            for &chip in &self.held {
-                mark(chip);
-            }
-        } else {
-            for &chip in cands.active {
-                mark(chip);
             }
         }
-        self.primed = true;
         self.held.clear();
         #[cfg(debug_assertions)]
-        for &chip in cands.active {
-            let chip = chip as usize;
-            if chip < chip_count && (outstanding[chip] as usize) < capacity {
+        for (chip, &charged) in outstanding.iter().enumerate() {
+            if cands.len(chip) > 0 && (charged as usize) < capacity {
                 if let Some(rank) = rank_of(chip) {
                     debug_assert!(
                         self.round_bits[rank >> 6] & 1u64 << (rank & 63) != 0,
                         "chip {chip} has rows and headroom, but neither the change \
-                         logs nor the held chips named it"
+                         log nor the held chips named it"
                     );
                 }
             }
@@ -319,7 +287,10 @@ impl Scheduler {
             while word != 0 {
                 let rank = (word_index << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
-                let chip = self.round_chip[rank] as usize;
+                let chip = self
+                    .traversal
+                    .as_ref()
+                    .map_or(rank, |rios| rios.order()[rank]);
 
                 // Straight-line path for the dominant many-chip shape: one
                 // candidate row on the chip — filter it and commit straight
@@ -428,13 +399,10 @@ impl IoScheduler for Scheduler {
         self.kind.label()
     }
 
-    /// Builds the RIOS traversal and resets the round state: the next
-    /// resource-driven round marks from the active-chip list again.  The
-    /// held-chip list is sized here, since a round holds each chip back at
-    /// most once.
+    /// Builds the RIOS traversal and empties the held-chip list, sized here
+    /// since a round holds each chip back at most once.
     fn initialize(&mut self, geometry: &FlashGeometry) {
         self.traversal = Some(RiosTraversal::new(geometry));
-        self.primed = false;
         self.held.clear();
         self.held.reserve(geometry.total_chips());
     }
@@ -523,8 +491,6 @@ pub(crate) mod tests {
         scheduler.initialize(&geometry);
         let ledger = CommitmentLedger::from_outstanding(cap, outstanding);
         let ctx = SchedulerContext {
-            now: SimTime::ZERO,
-            geometry: &geometry,
             queue,
             ledger: &ledger,
         };
@@ -698,8 +664,8 @@ pub(crate) mod tests {
 
     /// One scheduler kept across rounds on one queue and ledger, driven the
     /// way `Ssd::run_scheduler` drives it: each round's commitments are
-    /// checked against the reference twin's, both change logs are cleared,
-    /// and only then are the commitments applied.
+    /// checked against the reference twin's, the change log is cleared, and
+    /// only then are the commitments applied.
     struct Rounds {
         kind: SchedulerKind,
         geometry: FlashGeometry,
@@ -709,17 +675,17 @@ pub(crate) mod tests {
     }
 
     impl Rounds {
-        /// A fresh queue and a ledger holding `outstanding[chip]` charges
-        /// under a cap of 2, so SPK3's capacity is 2 and SPK2's is 1.
-        fn new(kind: SchedulerKind, outstanding: &[usize]) -> Self {
+        /// A fresh queue and an idle ledger with a cap of 2, so SPK3's
+        /// capacity is 2 and SPK2's is 1.
+        fn new(kind: SchedulerKind) -> Self {
             let geometry = FlashGeometry::small_test();
             let mut scheduler = Scheduler::new(kind);
             scheduler.initialize(&geometry);
             Rounds {
                 kind,
+                ledger: CommitmentLedger::new(geometry.total_chips(), 2),
                 geometry,
                 queue: DeviceQueue::new(8),
-                ledger: CommitmentLedger::from_outstanding(2, outstanding),
                 scheduler,
             }
         }
@@ -742,11 +708,21 @@ pub(crate) mod tests {
             assert_eq!(admit_at(&mut self.queue, host, &pages), TagId(id));
         }
 
+        /// Admits read tag 0 with the kind's capacity of pages on each of
+        /// chips 1–3 and commits them all in one round, so those chips are
+        /// full and each charge is a committed page that can complete.
+        fn fill_chips_1_to_3(&mut self) {
+            let capacity = self.capacity();
+            let chips: Vec<usize> = (1..4)
+                .flat_map(|chip| std::iter::repeat_n(chip, capacity))
+                .collect();
+            self.admit(0, Direction::Read, 10_000, false, &chips);
+            assert_eq!(self.round().len(), chips.len(), "{}", self.kind);
+        }
+
         /// Runs one round and returns its commitments as `(tag, page)` pairs.
         fn round(&mut self) -> Vec<(u64, u32)> {
             let ctx = SchedulerContext {
-                now: SimTime::ZERO,
-                geometry: &self.geometry,
                 queue: &self.queue,
                 ledger: &self.ledger,
             };
@@ -757,8 +733,7 @@ pub(crate) mod tests {
             let mut expected = Vec::new();
             reference.schedule_into(&ctx, &mut expected);
             assert_eq!(out, expected, "{}: the round diverged", self.kind);
-            self.ledger.clear_freed();
-            self.queue.clear_woken();
+            self.queue.clear_changed();
             for commitment in &out {
                 let chip = chip_of(&self.queue, commitment);
                 assert!(self.queue.commit_page(commitment.tag, commitment.page));
@@ -775,21 +750,20 @@ pub(crate) mod tests {
         }
     }
 
-    /// A chip at its capacity is skipped until a retirement frees a slot,
-    /// and commits in the round right after it.  Chips 1–3 stay at capacity
-    /// with rows, so the rounds after the first mark from the change logs.
+    /// A chip at its capacity is skipped until a completion frees a slot,
+    /// and commits in the round right after it, which the change log names.
+    /// Chips 1–3 stay at capacity with rows throughout.
     #[test]
     fn a_full_chip_commits_in_the_round_after_a_retirement() {
         for kind in [Spk2, Spk3] {
-            let mut rounds = Rounds::new(kind, &[0; 4]);
+            let mut rounds = Rounds::new(kind);
             let chips: Vec<usize> = (0..12).map(|page| page % 4).collect();
             rounds.admit(0, Direction::Read, 0, false, &chips);
             let first = rounds.round();
             assert_eq!(first.len(), 4 * rounds.capacity(), "{kind}");
             assert!(rounds.round().is_empty(), "{kind}: every chip is full");
             rounds.complete(0, 0);
-            assert_eq!(rounds.ledger.freed(), &[0]);
-            assert!(rounds.queue.candidate_view().woken.is_empty());
+            assert_eq!(rounds.queue.candidate_view().changed, &[0]);
             let next = if kind == Spk3 { 8 } else { 4 };
             assert_eq!(rounds.round(), [(0, next)], "{kind}");
             assert!(rounds.round().is_empty(), "{kind}");
@@ -798,22 +772,22 @@ pub(crate) mod tests {
 
     /// A write deferred behind an older uncommitted read of its LPN (§4.4)
     /// is held, and commits in the round after the read commits, although
-    /// its own chip logged neither a row nor a retirement.
+    /// its own chip logged neither a row nor a completion.
     #[test]
     fn a_deferred_write_commits_in_the_round_after_its_read() {
         for kind in [Spk2, Spk3] {
-            let full = if kind == Spk3 { 2 } else { 1 };
-            let mut rounds = Rounds::new(kind, &[0, full, full, full]);
-            rounds.admit(0, Direction::Read, 0, false, &[1]);
-            rounds.admit(1, Direction::Read, 100, false, &[2, 3]);
-            rounds.admit(2, Direction::Write, 0, false, &[0]);
+            let mut rounds = Rounds::new(kind);
+            rounds.fill_chips_1_to_3();
+            rounds.admit(1, Direction::Read, 0, false, &[1]);
+            rounds.admit(2, Direction::Read, 100, false, &[2, 3]);
+            rounds.admit(3, Direction::Write, 0, false, &[0]);
             assert!(rounds.round().is_empty(), "{kind}: the write waits");
-            rounds.ledger.retire(1);
+            // Tag 0's page 0 sits on chip 1.
+            rounds.complete(0, 0);
             // The read commits; the write still sees it uncommitted.
-            assert_eq!(rounds.round(), [(0, 0)], "{kind}");
-            assert!(rounds.ledger.freed().is_empty());
-            assert!(rounds.queue.candidate_view().woken.is_empty());
-            assert_eq!(rounds.round(), [(2, 0)], "{kind}");
+            assert_eq!(rounds.round(), [(1, 0)], "{kind}");
+            assert!(rounds.queue.candidate_view().changed.is_empty());
+            assert_eq!(rounds.round(), [(3, 0)], "{kind}");
         }
     }
 
@@ -822,37 +796,20 @@ pub(crate) mod tests {
     #[test]
     fn a_chip_clipped_by_a_fua_tag_commits_once_the_tag_is_committed() {
         for kind in [Spk2, Spk3] {
-            let full = if kind == Spk3 { 2 } else { 1 };
-            let mut rounds = Rounds::new(kind, &[0, full, full, full]);
-            rounds.admit(0, Direction::Read, 100, false, &[2, 3]);
-            rounds.admit(1, Direction::Write, 200, true, &[1]);
-            rounds.admit(2, Direction::Read, 300, false, &[0]);
+            let mut rounds = Rounds::new(kind);
+            rounds.fill_chips_1_to_3();
+            rounds.admit(1, Direction::Read, 100, false, &[2, 3]);
+            rounds.admit(2, Direction::Write, 200, true, &[1]);
+            rounds.admit(3, Direction::Read, 300, false, &[0]);
             assert!(
                 rounds.round().is_empty(),
-                "{kind}: tag 2 is past the horizon"
+                "{kind}: tag 3 is past the horizon"
             );
-            rounds.ledger.retire(1);
-            assert_eq!(rounds.round(), [(1, 0)], "{kind}");
-            assert_eq!(rounds.queue.horizon_seq(), u64::MAX);
+            // Tag 0's page 0 sits on chip 1.
+            rounds.complete(0, 0);
             assert_eq!(rounds.round(), [(2, 0)], "{kind}");
-        }
-    }
-
-    /// `initialize` re-primes a scheduler: moved to a fresh queue whose
-    /// admissions no log lists any more, it marks from the active-chip list.
-    #[test]
-    fn initialize_reprimes_a_scheduler_moved_to_a_fresh_queue() {
-        for kind in [Spk2, Spk3] {
-            let mut rounds = Rounds::new(kind, &[0; 4]);
-            rounds.admit(0, Direction::Read, 0, false, &[0, 1]);
-            assert_eq!(rounds.round().len(), 2, "{kind}");
-            rounds.queue = DeviceQueue::new(8);
-            rounds.ledger = CommitmentLedger::new(4, 2);
-            rounds.admit(0, Direction::Read, 50, false, &[2, 3, 2]);
-            rounds.queue.clear_woken();
-            rounds.scheduler.initialize(&rounds.geometry);
-            let expected = if kind == Spk3 { 3 } else { 2 };
-            assert_eq!(rounds.round().len(), expected, "{kind}");
+            assert_eq!(rounds.queue.horizon_seq(), u64::MAX);
+            assert_eq!(rounds.round(), [(3, 0)], "{kind}");
         }
     }
 }

@@ -27,14 +27,19 @@
 //! free list that the next insert takes from, so the arena grows only at its
 //! high-water mark and index maintenance allocates nothing at steady state.
 //!
-//! Linking a row onto a chip's list, by admission or by GC relocation, also
-//! lists the chip in the *wake log* ([`CandidateView::woken`]), once per
-//! chip (a per-chip mark), so a resource-driven scheduling round can revisit
-//! only the chips that gained work.  The log is sized with the chip lists
-//! and so never holds more entries than there are chips.  The SSD substrate
-//! clears it (`DeviceQueue::clear_woken`) right after each round has read
-//! it, before it applies the round's commitments; committing or retiring a
-//! row never lists its chip, since losing a row gains a chip nothing.
+//! The index also keeps the *change log* ([`CandidateView::changed`]): the
+//! chips that can take work they could not take at the last round.  Linking
+//! a row onto a chip's list, by admission or by GC relocation, lists the
+//! chip, and so does `DeviceQueue::complete_page` for the chip of the page
+//! it completes, whose ledger charge the substrate retires with it.  Each
+//! chip is listed once: it carries the epoch it was last listed in, so
+//! clearing the log is one increment.  A resource-driven scheduling round
+//! so revisits only the chips that gained a row or headroom.  The log is
+//! sized with the chip lists and so never holds more entries than there are
+//! chips.  The SSD substrate clears it (`DeviceQueue::clear_changed`) right
+//! after each round has read it, before it applies the round's commitments;
+//! committing or retiring a row never lists its chip, since losing a row
+//! gains a chip nothing.
 
 use crate::request::TagId;
 
@@ -143,14 +148,12 @@ impl Row {
     }
 }
 
-/// One chip's list of rows, and the chip's place in the active list.
+/// One chip's list of rows.
 #[derive(Debug, Clone, Copy)]
 struct ChipList {
     head: u32,
     tail: u32,
     len: u32,
-    /// The chip's index in the active list while `len > 0`.
-    pos: u32,
 }
 
 impl ChipList {
@@ -158,7 +161,6 @@ impl ChipList {
         head: NIL,
         tail: NIL,
         len: 0,
-        pos: NIL,
     };
 }
 
@@ -166,11 +168,10 @@ impl ChipList {
 /// can hold it beside other borrows of the queue.
 #[derive(Debug, Clone, Copy)]
 pub struct CandidateView<'a> {
-    /// Chips with at least one row, unordered.
-    pub active: &'a [u32],
-    /// Chips that gained a row since the wake log was last cleared, each
-    /// once, in first-gain order; a listed chip may have lost its rows since.
-    pub woken: &'a [u32],
+    /// Chips that gained a row or completed a committed page since the
+    /// change log was last cleared, each once, in first-change order; a
+    /// listed chip may have lost its rows or headroom since.
+    pub changed: &'a [u32],
     /// The row arena, indexed by row handle; freed rows included.
     pub(crate) rows: &'a [Row],
     chips: &'a [ChipList],
@@ -226,12 +227,13 @@ pub(crate) struct CandidateIndex {
     free: u32,
     /// Per-chip lists; grows to the highest chip seen.
     chips: Vec<ChipList>,
-    /// Chips with at least one row, unordered.
-    active: Vec<u32>,
-    /// Chips that gained a row since the last `clear_woken`, each once.
-    woken: Vec<u32>,
-    /// Per chip: whether it is listed in `woken`.
-    woken_mark: Vec<bool>,
+    /// Chips listed since the last `clear_changed`, each once.
+    changed: Vec<u32>,
+    /// Per chip: the epoch it was last listed in; it is in `changed` while
+    /// that is the current `epoch`.
+    stamps: Vec<u64>,
+    /// The change log's epoch, moved on by every `clear_changed`.
+    epoch: u64,
     /// First row of each hazard bucket's chain (`NIL` when empty).
     hazard_heads: Vec<u32>,
 }
@@ -242,9 +244,10 @@ impl Default for CandidateIndex {
             rows: Vec::new(),
             free: NIL,
             chips: Vec::new(),
-            active: Vec::new(),
-            woken: Vec::new(),
-            woken_mark: Vec::new(),
+            changed: Vec::new(),
+            stamps: Vec::new(),
+            // Above every chip's initial stamp of 0, so no chip is listed.
+            epoch: 1,
             hazard_heads: vec![NIL; HAZARD_BUCKETS],
         }
     }
@@ -254,8 +257,7 @@ impl CandidateIndex {
     /// Borrowed view for a scheduling round.
     pub(crate) fn view(&self) -> CandidateView<'_> {
         CandidateView {
-            active: &self.active,
-            woken: &self.woken,
+            changed: &self.changed,
             rows: &self.rows,
             chips: &self.chips,
         }
@@ -340,13 +342,21 @@ impl CandidateIndex {
         }
     }
 
-    /// Empties the wake log.
+    /// Lists `chip` in the change log, once until the log is cleared.  The
+    /// chip must have had a row: `link` sizes the log with the chip lists.
     // lint: hot-path
-    pub(crate) fn clear_woken(&mut self) {
-        for &chip in &self.woken {
-            self.woken_mark[chip as usize] = false;
+    pub(crate) fn note(&mut self, chip: usize) {
+        if self.stamps[chip] != self.epoch {
+            self.stamps[chip] = self.epoch;
+            self.changed.push(chip as u32);
         }
-        self.woken.clear();
+    }
+
+    /// Empties the change log: the next epoch unlists every chip at once.
+    // lint: hot-path
+    pub(crate) fn clear_changed(&mut self) {
+        self.epoch += 1;
+        self.changed.clear();
     }
 
     /// Whether a read row of `lpn` has a seq below `seq`.
@@ -364,28 +374,18 @@ impl CandidateIndex {
     }
 
     /// Links row `handle` into its chip's list at its `(seq, pri)` place,
-    /// walking back from the tail, and lists the chip in the wake log.
+    /// walking back from the tail, and lists the chip in the change log.
     fn link(&mut self, handle: u32) {
         let Row { seq, pri, chip, .. } = self.rows[handle as usize];
         let chip = chip as usize;
         if chip >= self.chips.len() {
             self.chips.resize(chip + 1, ChipList::EMPTY);
-            self.woken_mark.resize(chip + 1, false);
-            // Neither the active list nor the wake log ever holds more chips
-            // than there are lists.
-            self.active.reserve(self.chips.len() - self.active.len());
-            self.woken.reserve(self.chips.len() - self.woken.len());
+            self.stamps.resize(chip + 1, 0);
+            // The change log never holds more chips than there are lists.
+            self.changed.reserve(self.chips.len() - self.changed.len());
         }
-        if !self.woken_mark[chip] {
-            self.woken_mark[chip] = true;
-            self.woken.push(chip as u32);
-        }
-        let Self {
-            rows,
-            chips,
-            active,
-            ..
-        } = self;
+        self.note(chip);
+        let Self { rows, chips, .. } = self;
         let list = &mut chips[chip];
         let mut after = list.tail;
         while after != NIL && (rows[after as usize].seq, rows[after as usize].pri) > (seq, pri) {
@@ -405,22 +405,12 @@ impl CandidateIndex {
             Some(row) => row.prev = handle,
             None => list.tail = handle,
         }
-        if list.len == 0 {
-            list.pos = active.len() as u32;
-            active.push(chip as u32);
-        }
         list.len += 1;
     }
 
-    /// Unlinks row `handle` from its chip's list, dropping the chip from the
-    /// active list when it empties.
+    /// Unlinks row `handle` from its chip's list.
     fn unlink(&mut self, handle: u32) {
-        let Self {
-            rows,
-            chips,
-            active,
-            ..
-        } = self;
+        let Self { rows, chips, .. } = self;
         let Row {
             prev, next, chip, ..
         } = rows[handle as usize];
@@ -434,26 +424,18 @@ impl CandidateIndex {
             None => list.tail = prev,
         }
         list.len -= 1;
-        if list.len == 0 {
-            let pos = list.pos as usize;
-            active.swap_remove(pos);
-            if let Some(&moved) = active.get(pos) {
-                chips[moved as usize].pos = pos as u32;
-            }
-        }
     }
 
     /// Debug-build audit of the links: every chip list runs head to tail in
     /// strictly increasing `(seq, pri)` with matching back links, length and
-    /// tail; the active list holds exactly the chips with rows; the hazard
-    /// chains hold exactly the listed read rows, each in its LPN's bucket;
-    /// and every row is either listed or free.  Returns the listed rows'
-    /// handles, ascending.
+    /// tail; the change log lists exactly the chips stamped with the current
+    /// epoch; the hazard chains hold exactly the listed read rows, each in
+    /// its LPN's bucket; and every row is either listed or free.  Returns the
+    /// listed rows' handles, ascending.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn audit(&self) -> Vec<u32> {
         let arena = self.rows.len();
         let mut listed: Vec<u32> = Vec::new();
-        let mut busy = 0usize;
         for (chip, list) in self.chips.iter().enumerate() {
             let (mut prev, mut cursor, mut len) = (NIL, list.head, 0u32);
             while cursor != NIL && len <= list.len {
@@ -474,22 +456,12 @@ impl CandidateIndex {
                 (list.len, list.tail),
                 "chip list length or tail"
             );
-            if list.len > 0 {
-                busy += 1;
-                debug_assert_eq!(
-                    self.active.get(list.pos as usize),
-                    Some(&(chip as u32)),
-                    "active list position diverged"
-                );
-            }
         }
-        debug_assert_eq!(busy, self.active.len(), "active list holds an idle chip");
+        let stamped = self.stamps.iter().filter(|&&stamp| stamp == self.epoch);
+        let logged = |&chip: &u32| self.stamps[chip as usize] == self.epoch;
         debug_assert!(
-            self.woken
-                .iter()
-                .all(|&chip| self.woken_mark[chip as usize])
-                && self.woken_mark.iter().filter(|&&mark| mark).count() == self.woken.len(),
-            "the wake log diverged from its marks"
+            stamped.count() == self.changed.len() && self.changed.iter().all(logged),
+            "the change log diverged from its stamps"
         );
         listed.sort_unstable();
         debug_assert!(listed.windows(2).all(|w| w[0] < w[1]), "row listed twice");
@@ -551,7 +523,7 @@ mod tests {
         index.insert(3, 10, pack_pri(1, 0, 0), 101, 7, false);
         index.insert(3, 5, pack_pri(0, 1, 2), 50, 2, false);
         index.insert(3, 10, pack_pri(0, 0, 1), 100, 7, false);
-        assert_eq!(index.view().active, &[3]);
+        assert_eq!(index.view().changed, &[3]);
         let got = rows(&index, 3);
         assert_eq!(got[0], (5, pack_pri(0, 1, 2), 50, 2));
         assert_eq!(got[1], (10, pack_pri(0, 0, 1), 100, 7));
@@ -565,10 +537,9 @@ mod tests {
         let mut index = CandidateIndex::default();
         let first = index.insert(0, 1, pack_pri(0, 0, 0), 10, 0, true);
         index.insert(2, 2, pack_pri(0, 0, 0), 20, 1, false);
-        assert_eq!(index.view().active, &[0, 2]);
+        assert_eq!((index.view().len(0), index.view().len(2)), (1, 1));
         assert!(index.blocks(10, 2));
         index.remove(first);
-        assert_eq!(index.view().active, &[2]);
         assert_eq!((index.view().len(0), index.view().len(2)), (0, 1));
         assert!(!index.blocks(10, 2));
         assert_eq!(index.audit().len(), 1);
@@ -577,23 +548,24 @@ mod tests {
         assert_eq!(index.audit().len(), 2);
     }
 
-    /// Admission and relocation list the chip that gained a row, once per
-    /// chip until the log is cleared; removal lists nothing.
+    /// Admission and relocation list the chip that gained a row in the
+    /// change log, once per chip until the log is cleared, and a cleared log
+    /// lists a chip again; removal lists nothing.
     #[test]
     fn the_wake_log_lists_each_chip_that_gained_a_row_once() {
         let mut index = CandidateIndex::default();
         let moved = index.insert(3, 1, pack_pri(0, 0, 0), 10, 0, true);
         index.insert(1, 2, pack_pri(0, 0, 0), 20, 1, false);
         index.insert(3, 2, pack_pri(1, 0, 0), 21, 1, false);
-        assert_eq!(index.view().woken, &[3, 1]);
-        index.clear_woken();
-        assert!(index.view().woken.is_empty());
+        assert_eq!(index.view().changed, &[3, 1]);
+        index.clear_changed();
+        assert!(index.view().changed.is_empty());
         index.remove(moved);
-        assert!(index.view().woken.is_empty(), "losing a row wakes nothing");
-        let row = index.insert(0, 3, pack_pri(0, 0, 0), 30, 2, false);
+        assert!(index.view().changed.is_empty(), "removal lists nothing");
+        let row = index.insert(1, 3, pack_pri(0, 0, 0), 30, 2, false);
         index.relocate(row, 2, pack_pri(0, 1, 0));
         index.relocate(row, 2, pack_pri(0, 0, 1));
-        assert_eq!(index.view().woken, &[0, 2]);
+        assert_eq!(index.view().changed, &[1, 2]);
         index.audit();
     }
 
@@ -609,7 +581,7 @@ mod tests {
         index.relocate(old, 4, pack_pri(2, 1, 1));
         let seqs: Vec<u64> = rows(&index, 4).iter().map(|row| row.0).collect();
         assert_eq!(seqs, [0, 1, 2, 3]);
-        assert_eq!(index.view().active, &[4]);
+        assert_eq!((index.view().len(0), index.view().len(4)), (0, 4));
         index.relocate(old, 4, pack_pri(2, 0, 1));
         assert_eq!(rows(&index, 4)[1], (1, pack_pri(2, 0, 1), 12, 0));
         assert!(index.blocks(12, 2), "the hazard chain keeps the moved row");

@@ -29,17 +29,6 @@
 //!
 //! Whether a chip is running a transaction is not the ledger's fact: the SSD
 //! owns each chip's live transaction.
-//!
-//! # Change log
-//!
-//! [`CommitmentLedger::retire`] also lists the chip whose headroom rose in
-//! [`CommitmentLedger::freed`], once per chip (a per-chip mark), so a
-//! resource-driven scheduling round can revisit only the chips that gained
-//! headroom instead of walking every chip with work.  The log is pre-sized
-//! to the chip count and never grows.  The SSD substrate clears it with
-//! [`CommitmentLedger::clear_freed`] right after each round has read it,
-//! before it applies the round's commitments, so whatever those change is
-//! in the next round's log.
 
 /// The per-chip commitment ledger.
 ///
@@ -64,10 +53,6 @@ pub struct CommitmentLedger {
     max_committed_per_chip: usize,
     /// Outstanding committed-but-incomplete requests per chip (dense column).
     outstanding: Vec<u32>,
-    /// Chips retired on since the last `clear_freed`, each listed once.
-    freed: Vec<u32>,
-    /// Per chip: whether it is listed in `freed`.
-    freed_mark: Vec<bool>,
 }
 
 impl CommitmentLedger {
@@ -78,8 +63,6 @@ impl CommitmentLedger {
         CommitmentLedger {
             max_committed_per_chip,
             outstanding: vec![0; total_chips],
-            freed: Vec::with_capacity(total_chips),
-            freed_mark: vec![false; total_chips],
         }
     }
 
@@ -146,8 +129,7 @@ impl CommitmentLedger {
         self.audit(chip);
     }
 
-    /// Credits one retirement (memory-request completion) to a chip and
-    /// lists the chip in [`CommitmentLedger::freed`].
+    /// Credits one retirement (memory-request completion) to a chip.
     ///
     /// An unmatched retirement never silently saturates: it trips a debug
     /// assertion, and in release builds the counter is left at zero.
@@ -159,27 +141,8 @@ impl CommitmentLedger {
         );
         if let Some(entry) = self.outstanding.get_mut(chip) {
             *entry = entry.saturating_sub(1);
-            if !self.freed_mark[chip] {
-                self.freed_mark[chip] = true;
-                self.freed.push(chip as u32);
-            }
         }
         self.audit(chip);
-    }
-
-    /// The chips retired on since the last [`CommitmentLedger::clear_freed`],
-    /// each once, in first-retirement order: every chip whose headroom rose.
-    pub fn freed(&self) -> &[u32] {
-        &self.freed
-    }
-
-    /// Empties the [`CommitmentLedger::freed`] log.
-    // lint: hot-path
-    pub fn clear_freed(&mut self) {
-        for &chip in &self.freed {
-            self.freed_mark[chip as usize] = false;
-        }
-        self.freed.clear();
     }
 
     /// Debug-build audit: `outstanding` stays within the cap.  Compiled out
@@ -244,23 +207,6 @@ mod tests {
         ledger.commit(0);
         #[cfg(debug_assertions)]
         panic!("commit must panic before reaching this point (beyond the cap)");
-    }
-
-    /// A chip is listed once however often it retires, and a cleared log
-    /// lists it again.
-    #[test]
-    fn retirements_are_logged_once_per_chip_until_cleared() {
-        let mut ledger = CommitmentLedger::from_outstanding(4, &[2, 1, 3]);
-        assert!(ledger.freed().is_empty());
-        ledger.retire(2);
-        ledger.retire(0);
-        ledger.retire(2);
-        ledger.commit(1);
-        assert_eq!(ledger.freed(), &[2, 0]);
-        ledger.clear_freed();
-        assert!(ledger.freed().is_empty());
-        ledger.retire(0);
-        assert_eq!(ledger.freed(), &[0]);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //!   write-after-read check walks one short chain.  A queued tag keeps one
 //!   entry per page, its placement preview and its state (queued with its
 //!   row handle, committed or completed), so commit, retire and readdressing
-//!   reach a row with no search;
+//!   reach a row with no search.  Its change log lists each chip that gained
+//!   a row or completed a committed page since the last round;
 //! * a **pending-FUA index** — the admission sequence numbers of queued
 //!   force-unit-access tags that are not yet fully committed, so the reordering
 //!   horizon is an O(1) lookup.  It is a sorted vector, bounded by the queue
@@ -386,11 +387,13 @@ impl DeviceQueue {
         true
     }
 
-    /// Marks a committed page's memory request completed.  Returns `None`
-    /// when the tag is not queued, the page offset is out of range, or the
-    /// page is not committed or already completed; otherwise `Some(done)`,
-    /// where `done` says every page of the tag has now completed and the tag
-    /// is ready to retire.
+    /// Marks a committed page's memory request completed and lists the
+    /// page's chip in the change log ([`CandidateView::changed`]): the
+    /// substrate retires the page's ledger charge with it, so that chip's
+    /// headroom rose.  Returns `None` when the tag is not queued, the page
+    /// offset is out of range, or the page is not committed or already
+    /// completed; otherwise `Some(done)`, where `done` says every page of the
+    /// tag has now completed and the tag is ready to retire.
     // lint: hot-path
     pub fn complete_page(&mut self, id: TagId, page: u32) -> Option<bool> {
         let state = &mut self
@@ -403,6 +406,9 @@ impl DeviceQueue {
             return None;
         }
         entry.state = PageState::Completed;
+        // Readdressing moves only queued pages, so a committed page's
+        // placement is still the chip it was charged to at commit.
+        self.cand.note(entry.placement.chip);
         state.incomplete -= 1;
         Some(state.incomplete == 0)
     }
@@ -477,16 +483,16 @@ impl DeviceQueue {
         &self.fua_pending
     }
 
-    /// The candidate view for one scheduling round: the active chips, the
-    /// wake log, each chip's rows in arrival order, and the row arena.
+    /// The candidate view for one scheduling round: the change log, each
+    /// chip's rows in arrival order, and the row arena.
     pub fn candidate_view(&self) -> CandidateView<'_> {
         self.cand.view()
     }
 
-    /// Empties the candidate index's wake log ([`CandidateView::woken`]).
-    /// The SSD substrate calls it right after each scheduling round.
-    pub fn clear_woken(&mut self) {
-        self.cand.clear_woken();
+    /// Empties the change log ([`CandidateView::changed`]).  The SSD
+    /// substrate calls it right after each scheduling round.
+    pub fn clear_changed(&mut self) {
+        self.cand.clear_changed();
     }
 
     /// Debug-build invariant checker: checks that each queued tag's id is its
@@ -592,11 +598,13 @@ mod tests {
         q.tag(tag).expect("the tag is queued").seq
     }
 
+    /// More chips than any case places a page on.
+    const CHIPS: usize = 16;
+
     /// Chips with candidate rows, ascending.
-    fn candidate_chips(q: &DeviceQueue) -> Vec<u32> {
-        let mut chips = q.candidate_view().active.to_vec();
-        chips.sort_unstable();
-        chips
+    fn candidate_chips(q: &DeviceQueue) -> Vec<usize> {
+        let view = q.candidate_view();
+        (0..CHIPS).filter(|&chip| view.len(chip) > 0).collect()
     }
 
     /// One chip's rows in arrival order, as `(page, tag)`.
@@ -610,10 +618,7 @@ mod tests {
     /// Candidate rows across all chips: one per uncommitted page.
     fn listed_rows(q: &DeviceQueue) -> usize {
         let view = q.candidate_view();
-        view.active
-            .iter()
-            .map(|&chip| view.len(chip as usize))
-            .sum()
+        (0..CHIPS).map(|chip| view.len(chip)).sum()
     }
 
     #[test]
@@ -782,6 +787,43 @@ mod tests {
         assert!(q.commit_page(tag, 0));
         q.refresh_placements(500, placement(0));
         assert_eq!(q.tag(tag).unwrap().placement(0), rotated);
+    }
+
+    /// Completing a committed page lists the chip its ledger charge sits
+    /// on, once per chip until the log is cleared; committing and retiring
+    /// list nothing.  Readdressing moves only a queued page, so a committed
+    /// page of the moved LPN still lists the chip it was charged to.
+    #[test]
+    fn completing_a_page_lists_its_charged_chip_once() {
+        let mut q = DeviceQueue::new(8);
+        let first = admit(&mut q, read_host(0, 500, 2));
+        let second = admit(&mut q, read_host(1, 500, 1));
+        let pair = q.admit(host(2, 2), |_| placement(2)).unwrap();
+        let dropped = admit(&mut q, host(3, 2));
+        assert_eq!(q.candidate_view().changed, &[0, 1, 2]);
+        q.clear_changed();
+        for page in 0..2 {
+            assert!(q.commit_page(first, page));
+            assert!(q.commit_page(pair, page));
+        }
+        assert!(q.commit_page(dropped, 0));
+        assert!(q.retire(dropped).is_some());
+        assert!(q.candidate_view().changed.is_empty());
+        assert_eq!(q.complete_page(pair, 0), Some(false));
+        assert_eq!(q.complete_page(first, 1), Some(false));
+        assert_eq!(q.complete_page(pair, 1), Some(true));
+        assert_eq!(q.candidate_view().changed, &[2, 1], "each chip once");
+        q.clear_changed();
+        assert!(q.candidate_view().changed.is_empty());
+        // LPN 500 moves to chip 3: the second read's queued page follows it,
+        // and its new chip is listed; the first read's committed page stays.
+        q.refresh_placements(500, placement(3));
+        assert_eq!(q.tag(second).unwrap().placement(0), placement(3));
+        assert_eq!(q.candidate_view().changed, &[3]);
+        q.clear_changed();
+        assert_eq!(q.complete_page(first, 0), Some(true));
+        assert_eq!(q.candidate_view().changed, &[0]);
+        q.validate_candidate_index();
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use sprinkler_flash::FlashGeometry;
-use sprinkler_sim::{SimTime, TelemetryCounters};
+use sprinkler_sim::TelemetryCounters;
 
 use crate::ftl::PageMigration;
 use crate::ledger::CommitmentLedger;
@@ -39,10 +39,6 @@ pub struct Commitment {
 /// they only return [`Commitment`]s.
 #[derive(Debug)]
 pub struct SchedulerContext<'a> {
-    /// Current simulation time.
-    pub now: SimTime,
-    /// Flash geometry (chip/die/plane counts).
-    pub geometry: &'a FlashGeometry,
     /// The device-level queue with per-tag commitment/completion state.
     pub queue: &'a DeviceQueue,
     /// The commitment ledger: per-chip occupancy and the hard commitment cap.
@@ -100,16 +96,15 @@ pub trait IoScheduler: fmt::Debug {
     /// already-committed page) are ignored by the SSD, and commitments beyond
     /// a chip's hard capacity are deferred.
     ///
-    /// The context carries two change logs: the chips that gained a
-    /// candidate row ([`CandidateView::woken`](crate::cand::CandidateView::woken))
-    /// and the chips whose ledger headroom rose
-    /// ([`CommitmentLedger::freed`]).  The substrate clears both right after
-    /// each call returns, before it applies `out`, so the next call's logs
-    /// list exactly what changed in between; a round skipped because the
-    /// queue is empty clears nothing.  A scheduler that keeps state across
-    /// rounds on these logs must rebuild it from the context alone (for
-    /// instance from [`CandidateView::active`](crate::cand::CandidateView::active))
-    /// on its first call after [`IoScheduler::initialize`].
+    /// The context carries one change log,
+    /// [`CandidateView::changed`](crate::cand::CandidateView::changed): the
+    /// chips that gained a candidate row or completed a committed page, so
+    /// the only chips whose rows or ledger headroom can have grown.  The
+    /// substrate clears it right after each call returns, before it applies
+    /// `out`, so the next call's log lists exactly what changed in between;
+    /// a round skipped because the queue is empty clears nothing.  The
+    /// substrate calls [`IoScheduler::initialize`] before it admits
+    /// anything, so the first call's log lists every chip with rows.
     fn schedule_into(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>);
 
     /// Notification that a committed memory request completed.
@@ -170,19 +165,7 @@ mod tests {
     use super::*;
     use crate::request::{Direction, HostRequest, Placement};
     use sprinkler_flash::Lpn;
-
-    fn ctx_fixture<'a>(
-        queue: &'a DeviceQueue,
-        ledger: &'a CommitmentLedger,
-        geometry: &'a FlashGeometry,
-    ) -> SchedulerContext<'a> {
-        SchedulerContext {
-            now: SimTime::ZERO,
-            geometry,
-            queue,
-            ledger,
-        }
-    }
+    use sprinkler_sim::SimTime;
 
     fn make_queue(geometry: &FlashGeometry) -> DeviceQueue {
         let mut q = DeviceQueue::new(8);
@@ -206,7 +189,10 @@ mod tests {
             .map(|chip| chip.min(2))
             .collect();
         let ledger = CommitmentLedger::from_outstanding(2, &outstanding);
-        let ctx = ctx_fixture(&queue, &ledger, &geometry);
+        let ctx = SchedulerContext {
+            queue: &queue,
+            ledger: &ledger,
+        };
         assert_eq!(ctx.tags().count(), 2);
         assert_eq!(ctx.outstanding(2), 2);
         assert_eq!(ctx.capacity_left(0), 2);
@@ -224,7 +210,10 @@ mod tests {
             .map(|chip| if chip == 0 { 2 } else { 0 })
             .collect();
         let ledger = CommitmentLedger::from_outstanding(2, &outstanding);
-        let ctx = ctx_fixture(&queue, &ledger, &geometry);
+        let ctx = SchedulerContext {
+            queue: &queue,
+            ledger: &ledger,
+        };
         let mut sched = CommitAllScheduler::new();
         assert_eq!(sched.name(), "commit-all");
         let mut commitments = Vec::new();

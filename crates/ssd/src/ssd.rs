@@ -543,18 +543,14 @@ impl Ssd {
         commitments.clear();
         {
             let ctx = SchedulerContext {
-                now,
-                geometry: &self.config.geometry,
                 queue: &self.queue,
                 ledger: &self.ledger,
             };
             self.scheduler.schedule_into(&ctx, &mut commitments);
         }
-        // The round has read the change logs; what applying its commitments
-        // changes (a failed write's retirement, an admission, a GC
-        // relocation) goes into the next round's.
-        self.ledger.clear_freed();
-        self.queue.clear_woken();
+        // The round has read the change log; whatever changes from here on
+        // goes into the next round's.
+        self.queue.clear_changed();
         let mut committed_any = false;
         for &Commitment { tag, page } in &commitments {
             committed_any |= self.commit_memory_request(tag, page, now);
@@ -776,7 +772,14 @@ impl Ssd {
             Role::Host { tag, page } => {
                 // Every host commitment was charged to the ledger at commit
                 // time; the ledger audits that this retirement has a
-                // matching charge instead of silently saturating.
+                // matching charge instead of silently saturating.  The
+                // change log names the page's placed chip as the one whose
+                // headroom rose.
+                debug_assert_eq!(
+                    self.queue.tag(tag).map(|state| state.placement(page).chip),
+                    Some(chip),
+                    "{tag} page {page}: charged to chip {chip}, placed elsewhere"
+                );
                 self.ledger.retire(chip);
                 let finished = self.queue.complete_page(tag, page) == Some(true);
                 self.scheduler.on_complete(tag, page);

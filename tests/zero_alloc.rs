@@ -6,10 +6,10 @@
 //! event queue's DMA lane, the FTL map; the commitment buffer, the one
 //! arena of in-flight memory-request records, the queue's other lanes and
 //! its heap are pre-sized to their bounds, and so are the round's change
-//! logs and held-chip list: the ledger's `freed` log to the chip count, the
-//! candidate index's wake log with its chip lists, the scheduler's held
-//! chips to the chip count at `initialize`), then an [`AllocScope`] opens at the warm-up boundary and must
-//! observe **zero allocation events** until the trace is exhausted.  Any
+//! log and held-chip list: the candidate index's change log with its chip
+//! lists, the scheduler's held chips to the chip count at `initialize`),
+//! then an [`AllocScope`] opens at the warm-up boundary and must observe
+//! **zero allocation events** until the trace is exhausted.  Any
 //! per-I/O allocation that sneaks back into the
 //! queue/scheduler/controller/chip path turns this from 0 into thousands, so
 //! the gate is unambiguous.
