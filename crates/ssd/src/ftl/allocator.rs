@@ -8,17 +8,34 @@
 //! the FTL preprocessor expose a stable physical layout preview to the schedulers
 //! before the data is actually written — the capability PAS and Sprinkler rely on.
 //!
+//! Everything is numbered flat.  A plane is its index in chip, die, plane
+//! order (`(chip × dies + die) × planes_per_die + plane`), and a page is a
+//! [`FlatPage`] (plane index, block, page), whose physical page number is
+//! `plane × pages_per_plane + block × pages_per_block + page`, the
+//! [`FlashGeometry::ppn_of`] numbering.  Two tables, built once by nested loops
+//! without a division, turn flat numbers into places:
+//!
+//! - the location table holds each plane index's (channel, way, die, plane);
+//! - the stripe table is the policy as a stripe order: entry `lpn % planes` is
+//!   the plane index of the LPN's static plane.  Each policy is an order in
+//!   which the four axes count up, fastest first.
+//!
+//! So a static placement costs one division and two table loads, and a page
+//! number splits into (plane, block, page) with two divisions.
+//!
 //! State is flat and index-addressed.  Each plane has one [`Cursor`] (active
 //! block, next page, free-block order).  Per-block state — the valid-page bitmap
 //! and the in-use flag — is stored block-major (`block × planes + plane`), so a
 //! fresh device, whose planes all start on block 0, touches one contiguous row.
 //! The LPN each valid page holds sits beside the valid bits, like a NAND page's
 //! spare area: one table per block index, allocated when a page of that block
-//! index is first marked valid on any plane.
+//! index is first marked valid on any plane.  A running count of the pages
+//! [`Allocator::allocate`] can still hand out lets garbage collection check,
+//! before it moves anything, that every valid page of a victim has a place.
 
 use std::fmt;
 
-use sprinkler_flash::{FlashGeometry, Lpn, PhysicalPageAddr};
+use sprinkler_flash::{FlashGeometry, Lpn, PhysicalPageAddr, Ppn};
 
 use crate::config::AllocationPolicy;
 
@@ -59,6 +76,17 @@ pub struct PlaneLocation {
     pub plane: u32,
 }
 
+/// A physical page by flat numbers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlatPage {
+    /// Flat plane index.
+    pub plane: usize,
+    /// Block within the plane.
+    pub block: u32,
+    /// Page within the block.
+    pub page: u32,
+}
+
 /// Page allocator and valid-page directory for the whole SSD.
 ///
 /// # Example
@@ -71,10 +99,14 @@ pub struct PlaneLocation {
 /// let g = FlashGeometry::small_test();
 /// let mut alloc = Allocator::new(g.clone(), AllocationPolicy::ChannelWayDiePlane);
 /// let place = alloc.static_placement(Lpn::new(0));
-/// let addr = alloc.allocate(alloc.plane_index_of(place)).unwrap();
+/// let page = alloc.allocate(alloc.plane_index_of(place)).unwrap();
+/// assert_eq!((page.block, page.page), (0, 0));
+/// let addr = alloc.addr_of(page);
 /// assert_eq!(addr.channel, place.channel);
-/// assert_eq!(addr.page, 0);
-/// alloc.mark_valid(addr, Lpn::new(0));
+/// // Flat page numbers are the geometry's.
+/// assert_eq!(alloc.ppn_of(page), g.ppn_of(addr));
+/// assert_eq!(alloc.page_of(g.ppn_of(addr)), page);
+/// alloc.mark_valid(page, Lpn::new(0));
 /// assert_eq!(alloc.total_valid_pages(), 1);
 /// ```
 #[derive(Clone)]
@@ -83,6 +115,14 @@ pub struct Allocator {
     policy: AllocationPolicy,
     /// Planes in the SSD.
     planes: usize,
+    /// Pages per plane and per block, for flat page numbers.
+    pages_per_plane: u64,
+    pages_per_block: u32,
+    /// Each flat plane index's location.
+    locations: Box<[PlaneLocation]>,
+    /// The policy's stripe order: the flat plane index of each residue
+    /// `lpn % planes`.
+    stripe: Box<[u32]>,
     /// One cursor per plane.
     cursors: Vec<Cursor>,
     /// Per plane, a ring of `blocks_per_plane` slots holding its erased
@@ -98,6 +138,9 @@ pub struct Allocator {
     owners: Vec<Box<[u32]>>,
     /// Valid pages across the SSD.
     live: u64,
+    /// Pages [`Allocator::allocate`] can still hand out: every free block's,
+    /// plus the rest of each active block.
+    free_pages: u64,
 }
 
 impl fmt::Debug for Allocator {
@@ -106,8 +149,62 @@ impl fmt::Debug for Allocator {
             .field("geometry", &self.geometry)
             .field("policy", &self.policy)
             .field("live_pages", &self.live)
+            .field("free_pages", &self.free_pages)
             .finish_non_exhaustive()
     }
+}
+
+/// Each flat plane index's location, in flat order: one chip's (die, plane)
+/// pairs, repeated with each chip's (channel, way).
+fn plane_locations(g: &FlashGeometry) -> Box<[PlaneLocation]> {
+    let mut chip = Vec::with_capacity(g.dies_per_chip * g.planes_per_die);
+    for die in 0..g.dies_per_chip as u32 {
+        chip.extend((0..g.planes_per_die as u32).map(|plane| PlaneLocation {
+            channel: 0,
+            way: 0,
+            die,
+            plane,
+        }));
+    }
+    let mut locations = Vec::with_capacity(g.total_planes());
+    for channel in 0..g.channels as u32 {
+        for way in 0..g.chips_per_channel as u32 {
+            locations.extend(chip.iter().map(|&loc| PlaneLocation {
+                channel,
+                way,
+                ..loc
+            }));
+        }
+    }
+    locations.into_boxed_slice()
+}
+
+/// The policy's stripe order: the flat plane index of each residue `lpn %
+/// planes`.  The residue counts up the (channel, way, die, plane) axes in
+/// the policy's order, fastest first, so each policy is one order of four
+/// nested loops.
+fn stripe_order(g: &FlashGeometry, policy: AllocationPolicy) -> Box<[u32]> {
+    // Each axis as (count, step of the flat plane index).
+    let planes_per_chip = g.dies_per_chip * g.planes_per_die;
+    let channel = (g.channels, g.chips_per_channel * planes_per_chip);
+    let way = (g.chips_per_channel, planes_per_chip);
+    let die = (g.dies_per_chip, g.planes_per_die);
+    let plane = (g.planes_per_die, 1);
+    let [first, second, third, fourth] = match policy {
+        AllocationPolicy::ChannelWayDiePlane => [channel, way, die, plane],
+        AllocationPolicy::WayChannelDiePlane => [way, channel, die, plane],
+        AllocationPolicy::DiePlaneChannelWay => [die, plane, channel, way],
+    };
+    let mut order = Vec::with_capacity(g.total_planes());
+    for i4 in 0..fourth.0 {
+        for i3 in 0..third.0 {
+            for i2 in 0..second.0 {
+                let base = i4 * fourth.1 + i3 * third.1 + i2 * second.1;
+                order.extend((0..first.0).map(|i1| (base + i1 * first.1) as u32));
+            }
+        }
+    }
+    order.into_boxed_slice()
 }
 
 impl Allocator {
@@ -124,6 +221,10 @@ impl Allocator {
         };
         Allocator {
             planes,
+            pages_per_plane: geometry.pages_per_plane() as u64,
+            pages_per_block: geometry.pages_per_block as u32,
+            locations: plane_locations(&geometry),
+            stripe: stripe_order(&geometry, policy),
             cursors: vec![cursor; planes],
             erased: vec![0; blocks],
             valid: vec![0; blocks],
@@ -132,6 +233,7 @@ impl Allocator {
                 .map(|_| Box::default())
                 .collect(),
             live: 0,
+            free_pages: geometry.total_pages() as u64,
             geometry,
             policy,
         }
@@ -147,49 +249,17 @@ impl Allocator {
         self.planes
     }
 
+    /// The flat index of the plane a logical page is statically placed on:
+    /// one division and a load from the stripe table.
+    #[inline]
+    pub fn static_plane(&self, lpn: Lpn) -> usize {
+        self.stripe[(lpn.value() % self.planes as u64) as usize] as usize
+    }
+
     /// The static plane-selection function: which channel/way/die/plane a logical
     /// page is placed on, independent of when it is written.
     pub fn static_placement(&self, lpn: Lpn) -> PlaneLocation {
-        let g = &self.geometry;
-        let mut idx = lpn.value();
-        let (channel, way, die, plane) = match self.policy {
-            AllocationPolicy::ChannelWayDiePlane => {
-                let channel = idx % g.channels as u64;
-                idx /= g.channels as u64;
-                let way = idx % g.chips_per_channel as u64;
-                idx /= g.chips_per_channel as u64;
-                let die = idx % g.dies_per_chip as u64;
-                idx /= g.dies_per_chip as u64;
-                let plane = idx % g.planes_per_die as u64;
-                (channel, way, die, plane)
-            }
-            AllocationPolicy::WayChannelDiePlane => {
-                let way = idx % g.chips_per_channel as u64;
-                idx /= g.chips_per_channel as u64;
-                let channel = idx % g.channels as u64;
-                idx /= g.channels as u64;
-                let die = idx % g.dies_per_chip as u64;
-                idx /= g.dies_per_chip as u64;
-                let plane = idx % g.planes_per_die as u64;
-                (channel, way, die, plane)
-            }
-            AllocationPolicy::DiePlaneChannelWay => {
-                let die = idx % g.dies_per_chip as u64;
-                idx /= g.dies_per_chip as u64;
-                let plane = idx % g.planes_per_die as u64;
-                idx /= g.planes_per_die as u64;
-                let channel = idx % g.channels as u64;
-                idx /= g.channels as u64;
-                let way = idx % g.chips_per_channel as u64;
-                (channel, way, die, plane)
-            }
-        };
-        PlaneLocation {
-            channel: channel as u32,
-            way: way as u32,
-            die: die as u32,
-            plane: plane as u32,
-        }
+        self.plane_location(self.static_plane(lpn))
     }
 
     /// Flat plane index of a plane location.
@@ -210,37 +280,64 @@ impl Allocator {
     }
 
     /// The plane location of a flat plane index.
+    #[inline]
     pub fn plane_location(&self, plane_index: usize) -> PlaneLocation {
-        let g = &self.geometry;
-        let plane = (plane_index % g.planes_per_die) as u32;
-        let rest = plane_index / g.planes_per_die;
-        let die = (rest % g.dies_per_chip) as u32;
-        let chip = rest / g.dies_per_chip;
-        let loc = g.chip_location(chip);
-        PlaneLocation {
-            channel: loc.channel,
-            way: loc.way,
-            die,
-            plane,
+        self.locations[plane_index]
+    }
+
+    /// The flat physical page number of `page`.
+    #[inline]
+    pub fn ppn_of(&self, page: FlatPage) -> Ppn {
+        Ppn::new(
+            page.plane as u64 * self.pages_per_plane
+                + u64::from(page.block) * u64::from(self.pages_per_block)
+                + u64::from(page.page),
+        )
+    }
+
+    /// Splits a flat physical page number into plane, block and page: two
+    /// divisions.
+    #[inline]
+    pub fn page_of(&self, ppn: Ppn) -> FlatPage {
+        let plane = ppn.value() / self.pages_per_plane;
+        let within = ppn.value() - plane * self.pages_per_plane;
+        let block = within / u64::from(self.pages_per_block);
+        FlatPage {
+            plane: plane as usize,
+            block: block as u32,
+            page: (within - block * u64::from(self.pages_per_block)) as u32,
         }
     }
 
-    /// A deterministic physical address for reads of never-written logical pages.
-    /// Keeps unmapped reads exercising the same parallelism as mapped ones.
-    pub fn deterministic_addr(&self, lpn: Lpn) -> PhysicalPageAddr {
-        let g = &self.geometry;
-        let loc = self.static_placement(lpn);
-        let planes_total =
-            (g.channels * g.chips_per_channel * g.dies_per_chip * g.planes_per_die) as u64;
-        let seq = lpn.value() / planes_total;
+    /// The structured address of `page`, its plane's from the location table.
+    #[inline]
+    pub fn addr_of(&self, page: FlatPage) -> PhysicalPageAddr {
+        let loc = self.plane_location(page.plane);
         PhysicalPageAddr {
             channel: loc.channel,
             way: loc.way,
             die: loc.die,
             plane: loc.plane,
-            block: (seq / g.pages_per_block as u64 % g.blocks_per_plane as u64) as u32,
-            page: (seq % g.pages_per_block as u64) as u32,
+            block: page.block,
+            page: page.page,
         }
+    }
+
+    /// A deterministic physical address for reads of never-written logical pages.
+    /// Keeps unmapped reads exercising the same parallelism as mapped ones: the
+    /// `n`-th LPN of a static plane reads its `n`-th page, wrapping at the
+    /// plane's end.
+    pub fn deterministic_addr(&self, lpn: Lpn) -> PhysicalPageAddr {
+        let planes = self.planes as u64;
+        let seq = lpn.value() / planes;
+        let residue = lpn.value() - seq * planes;
+        let within = seq % self.pages_per_plane;
+        let block = within / u64::from(self.pages_per_block);
+        self.addr_of(FlatPage {
+            plane: self.stripe[residue as usize] as usize,
+            block: block as u32,
+            page: (within - block * u64::from(self.pages_per_block)) as u32,
+        })
     }
 
     /// Number of free (erased, unallocated) blocks in a plane.
@@ -249,20 +346,29 @@ impl Allocator {
         (self.geometry.blocks_per_plane - cursor.fresh as usize) + cursor.erased_len as usize
     }
 
+    /// Pages [`Allocator::allocate`] can still hand out across the SSD.
+    #[inline]
+    pub fn free_pages(&self) -> u64 {
+        self.free_pages
+    }
+
     /// Allocates the next physical page in `plane_index`, opening the next free
     /// block when the plane has no active block with room.  Returns `None` when
     /// the plane has neither (GC must reclaim space first).
-    pub fn allocate(&mut self, plane_index: usize) -> Option<PhysicalPageAddr> {
-        let loc = self.plane_location(plane_index);
+    #[inline]
+    pub fn allocate(&mut self, plane_index: usize) -> Option<FlatPage> {
         let blocks = self.geometry.blocks_per_plane as u32;
         let cursor = &mut self.cursors[plane_index];
-        if cursor.active == NO_BLOCK || cursor.next_page >= self.geometry.pages_per_block as u32 {
+        if cursor.active == NO_BLOCK || cursor.next_page >= self.pages_per_block {
             let block = if cursor.fresh < blocks {
                 cursor.fresh += 1;
                 cursor.fresh - 1
             } else if cursor.erased_len > 0 {
                 let slot = plane_index * blocks as usize + cursor.erased_head as usize;
-                cursor.erased_head = (cursor.erased_head + 1) % blocks;
+                cursor.erased_head += 1;
+                if cursor.erased_head == blocks {
+                    cursor.erased_head = 0;
+                }
                 cursor.erased_len -= 1;
                 self.erased[slot]
             } else {
@@ -274,11 +380,9 @@ impl Allocator {
         }
         let page = cursor.next_page;
         cursor.next_page += 1;
-        Some(PhysicalPageAddr {
-            channel: loc.channel,
-            way: loc.way,
-            die: loc.die,
-            plane: loc.plane,
+        self.free_pages -= 1;
+        Some(FlatPage {
+            plane: plane_index,
             block: cursor.active,
             page,
         })
@@ -289,34 +393,35 @@ impl Allocator {
         block as usize * self.planes + plane_index
     }
 
-    /// Marks the page at `addr` valid: it now holds the live data of `lpn`.
+    /// Marks `page` valid: it now holds the live data of `lpn`.
     ///
     /// # Panics
     ///
     /// Panics if `lpn` does not fit the `u32` spare-area entry.
-    pub fn mark_valid(&mut self, addr: PhysicalPageAddr, lpn: Lpn) {
+    #[inline]
+    pub fn mark_valid(&mut self, page: FlatPage, lpn: Lpn) {
         assert!(
             lpn.value() <= u64::from(u32::MAX),
             "{lpn:?} does not fit a u32 spare-area entry"
         );
-        let plane = self.plane_index_of_addr(addr);
-        let slot = self.block_slot(plane, addr.block);
-        let bit = 1u128 << addr.page;
+        let slot = self.block_slot(page.plane, page.block);
+        let bit = 1u128 << page.page;
         if self.valid[slot] & bit == 0 {
             self.valid[slot] |= bit;
             self.live += 1;
         }
-        let owners = &mut self.owners[addr.block as usize];
+        let owners = &mut self.owners[page.block as usize];
         if owners.is_empty() {
             *owners = vec![0; self.geometry.pages_per_block * self.planes].into_boxed_slice();
         }
-        owners[addr.page as usize * self.planes + plane] = lpn.value() as u32;
+        owners[page.page as usize * self.planes + page.plane] = lpn.value() as u32;
     }
 
-    /// Marks the page at `addr` invalid (its data was overwritten or migrated).
-    pub fn mark_invalid(&mut self, addr: PhysicalPageAddr) {
-        let slot = self.block_slot(self.plane_index_of_addr(addr), addr.block);
-        let bit = 1u128 << addr.page;
+    /// Marks `page` invalid (its data was overwritten or migrated).
+    #[inline]
+    pub fn mark_invalid(&mut self, page: FlatPage) {
+        let slot = self.block_slot(page.plane, page.block);
+        let bit = 1u128 << page.page;
         if self.valid[slot] & bit != 0 {
             self.valid[slot] &= !bit;
             self.live -= 1;
@@ -334,11 +439,10 @@ impl Allocator {
         self.valid_bits(plane_index, block).count_ones() as usize
     }
 
-    /// The LPN whose data `page` of `block` in `plane_index` holds; meaningful
-    /// only while the page is valid.
-    pub(crate) fn owner(&self, plane_index: usize, block: u32, page: u32) -> Lpn {
-        let owners = &self.owners[block as usize];
-        Lpn::new(owners[page as usize * self.planes + plane_index].into())
+    /// The LPN whose data `page` holds; meaningful only while it is valid.
+    pub(crate) fn owner(&self, page: FlatPage) -> Lpn {
+        let owners = &self.owners[page.block as usize];
+        Lpn::new(owners[page.page as usize * self.planes + page.plane].into())
     }
 
     /// Chooses a garbage-collection victim in `plane_index`: the in-use,
@@ -374,11 +478,18 @@ impl Allocator {
         self.in_use[slot] = false;
         let blocks = self.geometry.blocks_per_plane as u32;
         let cursor = &mut self.cursors[plane_index];
+        // The whole block is free again; if it was the active block, the
+        // pages left in it were already counted.
+        self.free_pages += u64::from(self.pages_per_block);
         if cursor.active == block {
+            self.free_pages -= u64::from(self.pages_per_block - cursor.next_page);
             cursor.active = NO_BLOCK;
             cursor.next_page = 0;
         }
-        let ring = (cursor.erased_head + cursor.erased_len) % blocks;
+        let mut ring = cursor.erased_head + cursor.erased_len;
+        if ring >= blocks {
+            ring -= blocks;
+        }
         cursor.erased_len += 1;
         self.erased[plane_index * blocks as usize + ring as usize] = block;
     }
@@ -509,8 +620,14 @@ mod tests {
         assert_eq!(victim, 0);
         // Pages 6 and 7 survive, and the spare area names their LPNs.
         assert_eq!(a.valid_bits(0, 0), 0b1100_0000);
-        assert_eq!(a.owner(0, 0, 6), Lpn::new(6));
-        assert_eq!(a.owner(0, 0, 7), Lpn::new(7));
+        for page in [6, 7] {
+            let at = FlatPage {
+                plane: 0,
+                block: 0,
+                page,
+            };
+            assert_eq!(a.owner(at), Lpn::new(page.into()));
+        }
         assert_eq!(
             a.total_valid_pages(),
             2 + a.geometry().pages_per_block as u64
@@ -598,6 +715,38 @@ mod tests {
         let addr2 = a.allocate(5).unwrap();
         a.mark_valid(addr2, Lpn::new(1));
         assert_eq!(a.total_valid_pages(), 2);
+    }
+
+    /// The free-page count is what `allocate` can still hand out: it falls by
+    /// one a page, and an erase gives back the whole block, less what an
+    /// erased active block had left.
+    #[test]
+    fn free_pages_count_what_allocate_can_hand_out() {
+        let mut a = alloc();
+        let g = a.geometry().clone();
+        let total = g.total_pages() as u64;
+        let pages = g.pages_per_block as u64;
+        assert_eq!(a.free_pages(), total);
+        for _ in 0..pages + 3 {
+            a.allocate(0).unwrap();
+        }
+        assert_eq!(a.free_pages(), total - pages - 3);
+        // Block 0 is full, block 1 is active with 3 pages programmed.
+        a.erase_block(0, 0);
+        assert_eq!(a.free_pages(), total - 3);
+        a.erase_block(0, 1);
+        assert_eq!(a.free_pages(), total);
+        a.erase_block(0, 1);
+        assert_eq!(a.free_pages(), total, "a free block is not counted twice");
+        // Handing out every page leaves the count at zero.
+        let mut handed_out = 0;
+        for plane in 0..a.plane_count() {
+            while a.allocate(plane).is_some() {
+                handed_out += 1;
+            }
+        }
+        assert_eq!(handed_out, total);
+        assert_eq!(a.free_pages(), 0);
     }
 
     /// Allocates every page of plane 0, so the plane holds no free block.

@@ -85,11 +85,13 @@ impl PageMap {
     }
 
     /// Whether `lpn` lies inside the logical space.
+    #[inline]
     pub fn covers(&self, lpn: Lpn) -> bool {
         lpn.value() < self.lpns
     }
 
     /// Looks up the physical location of a logical page.
+    #[inline]
     pub fn lookup(&self, lpn: Lpn) -> Option<Ppn> {
         let chunk = self.chunks.get((lpn.value() >> CHUNK_BITS) as usize)?;
         let entry = *chunk.get((lpn.value() % CHUNK_LPNS) as usize)?;
@@ -104,6 +106,7 @@ impl PageMap {
     ///
     /// Panics if `lpn` lies outside the logical space (see [`PageMap::covers`])
     /// or `ppn` is not below `u32::MAX`.
+    #[inline]
     pub fn map(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
         assert!(
             ppn.value() < u64::from(u32::MAX),

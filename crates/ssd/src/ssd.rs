@@ -623,9 +623,8 @@ impl Ssd {
         } else {
             match self.ftl.allocate_write(lpn) {
                 Some(alloc) => {
-                    let plane = self.ftl.plane_index_of_addr(alloc.addr);
-                    if self.config.gc.enabled && self.ftl.needs_gc(plane) {
-                        self.start_gc(plane, now);
+                    if self.config.gc.enabled && self.ftl.needs_gc(alloc.plane_index) {
+                        self.start_gc(alloc.plane_index, now);
                     }
                     alloc.addr
                 }
@@ -1459,6 +1458,48 @@ mod tests {
         assert!(ssd.gc_jobs.iter().all(Option::is_none));
         assert!(ssd.mem_requests.is_drained());
         assert!(ssd.live.iter().all(Option::is_none));
+    }
+
+    /// Every page the FTL hands out is one the device programs: at the end
+    /// of a replay, the pages still free are the capacity less the host
+    /// pages placed and the pages GC moved, plus the pages of the blocks GC
+    /// erased.  Driving a GC-enabled device full makes some collections meet
+    /// a victim with more valid pages than the device has free ones; such a
+    /// collection must move nothing, since the device issues no flash work
+    /// for a plan it never gets.
+    #[test]
+    fn gc_that_cannot_place_its_victim_hands_out_no_page() {
+        let config = SsdConfig::small_test().with_gc(GcConfig::enabled());
+        let total = config.geometry.total_pages() as u64;
+        let block_pages = config.geometry.pages_per_block as u64;
+        let writes = 1424;
+        for seed in 0..16 {
+            let mut rng = sprinkler_sim::DeterministicRng::seeded(seed);
+            let distinct = total * 9 / 10;
+            let lpns: Vec<u64> = (0..writes)
+                .map(|i| {
+                    if i < distinct {
+                        i
+                    } else {
+                        rng.uniform_u64(total)
+                    }
+                })
+                .collect();
+            let trace = lpns
+                .iter()
+                .zip(0..)
+                .map(|(&lpn, i)| write_req(i, 3 * i, lpn, 1));
+            let mut ssd = Ssd::new(config.clone(), Box::new(CommitAllScheduler::new())).unwrap();
+            ssd.replay(trace, 8);
+            let gc = ssd.ftl.gc_stats();
+            let placed = writes - ssd.failed_writes;
+            let free = std::iter::from_fn(|| ssd.ftl.allocate_write(Lpn::new(0))).count() as u64;
+            assert_eq!(
+                free,
+                total + gc.blocks_erased * block_pages - placed - gc.pages_migrated,
+                "seed {seed}: {placed} host pages placed, {gc:?}"
+            );
+        }
     }
 
     #[test]

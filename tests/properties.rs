@@ -144,7 +144,11 @@ fn check_ftl_against_model(steps: &[(u8, u64, usize)], span: u64, stride: u64) {
         match kind {
             0..=5 => {
                 let write = ftl.allocate_write(lpn).expect("the device never fills");
-                assert_eq!(write.invalidated, model.get(&lpn).copied(), "{lpn:?}");
+                assert_eq!(
+                    write.invalidated,
+                    model.get(&lpn).map(|&addr| geometry.ppn_of(addr)),
+                    "{lpn:?}"
+                );
                 assert!(
                     model.values().all(|&addr| addr != write.addr),
                     "{lpn:?} was written over live data at {}",
