@@ -93,7 +93,8 @@ pub struct Scheduler {
     /// Scratch: rank-indexed occupancy bitmap — bit `r` is set when the chip
     /// with traversal rank `r` has schedulable work this round.  Scanning the
     /// words with `trailing_zeros` visits the round's chips in traversal order
-    /// without sorting anything.
+    /// without sorting anything.  All-zero between rounds: a round takes
+    /// each word it marked as it visits it.
     round_bits: Vec<u64>,
     /// The chips the last resource-driven round held a row back on (§4.4
     /// write-after-read hazard or FUA horizon), each once; pre-sized to the
@@ -215,23 +216,27 @@ impl Scheduler {
     /// Pass 1 marks each chip with work and headroom in a rank-indexed
     /// bitmap, from the candidate index's change log (a row arrived, or a
     /// committed page completed and released a ledger slot) plus `held`, the
-    /// chips the last round held a row back on.  Together they hold every
-    /// chip that can commit.  After a round, each chip it visited has no
-    /// rows, is at the kind's capacity, or held a row back: FARO commits
-    /// `min(room, survivors)`, and SPK2 commits one row into a capacity of
-    /// one.  Only a logged arrival or completion takes a chip out of the
-    /// first two states, and the first round's log lists every chip with
-    /// rows, since the substrate initializes the scheduler before it admits
-    /// anything.
+    /// chips the last round held a row back on, and notes the lowest and
+    /// highest word it marks.  Together the log and `held` hold every chip
+    /// that can commit.  After a round, each chip it visited has no rows, is
+    /// at the kind's capacity, or held a row back: FARO commits `min(room,
+    /// survivors)`, and SPK2 commits one row into a capacity of one.  Only a
+    /// logged arrival or completion takes a chip out of the first two
+    /// states, and the first round's log lists every chip with rows, since
+    /// the substrate initializes the scheduler before it admits anything.
     ///
-    /// Pass 2 scans the bitmap words with `trailing_zeros` — visiting chips
-    /// in traversal order without a sort — and filters each chip's rows (FUA
+    /// Pass 2 scans only the words from the lowest mark to the highest with
+    /// `trailing_zeros` — visiting chips in traversal order without a sort —
+    /// taking each word as it goes, so the bitmap is all-zero between rounds
+    /// and no round clears it first.  It filters each chip's rows (FUA
     /// horizon, §4.4 write-after-read) on the spot.  The dominant many-chip
     /// shape, one candidate row on the chip, commits straight from the row;
     /// a chip with more goes to [`Scheduler::compose_chip`].
     ///
-    /// A round so costs the log, the rows of the chips it visits and one
-    /// pass over the bitmap's words, not a walk of every chip with work.
+    /// A round so costs the log, the rows of the chips it visits and the
+    /// words its marks span, not a walk of every chip with work nor of all
+    /// `chips / 64` words: at 1024 chips a round marks one or two chips of
+    /// 16 words, and most rounds commit nothing.
     // lint: hot-path
     fn schedule_resource_driven(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<Commitment>) {
         let capacity = self.per_chip_capacity(ctx);
@@ -251,12 +256,17 @@ impl Scheduler {
         if self.round_bits.len() < words {
             self.round_bits.resize(words, 0);
         }
-        self.round_bits[..words].fill(0);
+        debug_assert!(
+            self.round_bits.iter().all(|&word| word == 0),
+            "a round started with chips marked: the last round's sweep left a word set"
+        );
         let rank_of = |chip: usize| match positions {
             Some(pos) => pos.get(chip).copied(),
             None => Some(chip),
         };
         let round_bits = &mut self.round_bits;
+        // The marked words lie in `lo..hi`; empty when nothing is marked.
+        let (mut lo, mut hi) = (words, 0);
         for &chip in cands.changed.iter().chain(&self.held) {
             let chip = chip as usize;
             if chip >= chip_count || outstanding[chip] as usize >= capacity || cands.len(chip) == 0
@@ -264,7 +274,10 @@ impl Scheduler {
                 continue;
             }
             if let Some(rank) = rank_of(chip) {
-                round_bits[rank >> 6] |= 1u64 << (rank & 63);
+                let word = rank >> 6;
+                round_bits[word] |= 1u64 << (rank & 63);
+                lo = lo.min(word);
+                hi = hi.max(word + 1);
             }
         }
         self.held.clear();
@@ -281,9 +294,11 @@ impl Scheduler {
             }
         }
 
-        // Pass 2 — visit the marked ranks ascending and commit.
-        for word_index in 0..words {
-            let mut word = self.round_bits[word_index];
+        // Pass 2 — visit the marked ranks ascending and commit, clearing
+        // each word as it is taken, so the next round starts from an empty
+        // bitmap.
+        for word_index in lo..hi {
+            let mut word = std::mem::take(&mut self.round_bits[word_index]);
             while word != 0 {
                 let rank = (word_index << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;

@@ -7,10 +7,15 @@
 //! Most event sources of a simulation push in nondecreasing time: a handler
 //! that reschedules itself at "now", a fixed-delay timer, a FIFO server's
 //! completions.  Such a source gets a *lane*, a plain FIFO that costs O(1) per
-//! push and pop.  Every other event goes to one binary heap beside the lanes.
-//! A pop takes the least `(time, scheduling order)` among the lane heads and
-//! the heap top, so the pop order is the one a single heap over all events
-//! would give, ties included.
+//! push and pop.  Every other event goes to the heap side: a binary heap plus
+//! a front slot that holds an event scheduled ahead of everything in the
+//! heap, such as a status phase due a few nanoseconds after now, so that
+//! event neither sifts to the heap's root nor back down from it.  A pop
+//! takes the least `(time, scheduling order)` among the lane heads and the
+//! heap side's least (the slot, or the heap top when the slot is empty), so
+//! the pop order is the one a single heap over all events would give, ties
+//! included.  `(time, scheduling order)` is compared as one `u128` key, the
+//! time in the high half.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -19,7 +24,8 @@ use std::fmt;
 use crate::time::SimTime;
 
 /// A time-ordered queue of simulation events: FIFO lanes for sources that
-/// schedule in nondecreasing time, and a heap for the rest.
+/// schedule in nondecreasing time, and a heap with a front slot for the
+/// rest.
 ///
 /// The payload type `E` is completely opaque to the queue; only the firing time and
 /// an internal sequence number determine ordering.
@@ -45,22 +51,18 @@ pub struct EventQueue<E> {
     /// FIFO lanes, each nondecreasing in time (and so in `(time, seq)`).
     lanes: Vec<VecDeque<Entry<E>>>,
     heap: BinaryHeap<Entry<E>>,
-    /// The firing time and source of the least pending event, kept current
-    /// by every schedule and pop so that neither scans the sources twice.
-    next: Option<(SimTime, Source)>,
+    /// A heap-side event whose key is below every heap entry's.  A push
+    /// that beats both this event and the heap top takes its place, and the
+    /// event it beats moves into the heap.
+    front: Option<Entry<E>>,
     seq: u64,
     now: SimTime,
     len: usize,
     peak_len: usize,
 }
 
-/// Where a pending event is stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Heap,
-    Lane(usize),
-}
-
+/// A pending event.  The key is computed from its two fields rather than
+/// stored, so an entry is 16 bytes plus the payload (24 for an 8-byte one).
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -68,8 +70,10 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
+    /// `(time, seq)` as one number, so ordering two events is one compare.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(self.at.as_nanos()) << 64 | u128::from(self.seq)
     }
 }
 
@@ -103,7 +107,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Creates an empty event queue with no lanes, positioned at
-    /// [`SimTime::ZERO`]: every event goes to the heap.
+    /// [`SimTime::ZERO`]: every event goes to the heap side.
     pub fn new() -> Self {
         Self::with_lanes(&[], 0)
     }
@@ -118,7 +122,7 @@ impl<E> EventQueue<E> {
                 .map(|&capacity| VecDeque::with_capacity(capacity))
                 .collect(),
             heap: BinaryHeap::with_capacity(heap_capacity),
-            next: None,
+            front: None,
             seq: 0,
             now: SimTime::ZERO,
             len: 0,
@@ -126,15 +130,31 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `payload` to fire at absolute time `at`, on the heap.
+    /// Schedules `payload` to fire at absolute time `at`, on the heap side.
     ///
     /// Scheduling an event in the past (before the last popped event) is allowed but
     /// the event will fire "now"; the queue clamps it to the current time so
     /// simulated time never runs backwards.
+    // lint: hot-path
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let entry = self.entry(at, payload);
-        self.note_push(entry.at, Source::Heap);
-        self.heap.push(entry);
+        self.note_push();
+        if self
+            .heap_side()
+            .is_none_or(|least| entry.key() < least.key())
+        {
+            if let Some(beaten) = self.front.replace(entry) {
+                self.heap.push(beaten);
+            }
+        } else {
+            self.heap.push(entry);
+        }
+        debug_assert!(
+            self.front
+                .as_ref()
+                .is_none_or(|front| self.heap.peek().is_none_or(|top| front.key() < top.key())),
+            "the front slot holds an event behind the heap top"
+        );
     }
 
     /// Schedules `payload` to fire at absolute time `at`, at the back of FIFO
@@ -146,18 +166,18 @@ impl<E> EventQueue<E> {
     /// panics if `at` (after clamping) precedes the time of the event at the
     /// back of the lane: a lane holds only a source that schedules in
     /// nondecreasing time.
+    // lint: hot-path
     pub fn schedule_in(&mut self, lane: usize, at: SimTime, payload: E) {
         let entry = self.entry(at, payload);
-        let at = entry.at;
         let fifo = &mut self.lanes[lane];
         debug_assert!(
-            fifo.back().is_none_or(|last| last.at <= at),
+            fifo.back().is_none_or(|last| last.at <= entry.at),
             "lane {lane} went back in time: an event at {} ns after one at {} ns",
-            at.as_nanos(),
+            entry.at.as_nanos(),
             fifo.back().map_or(0, |last| last.at.as_nanos()),
         );
         fifo.push_back(entry);
-        self.note_push(at, Source::Lane(lane));
+        self.note_push();
     }
 
     fn entry(&mut self, at: SimTime, payload: E) -> Entry<E> {
@@ -170,47 +190,49 @@ impl<E> EventQueue<E> {
         entry
     }
 
-    /// Accounts for an event just scheduled at `at` in `source`.  Its sequence
-    /// number is the largest pending, so it is the next event only if it
-    /// fires strictly before the current one.
-    fn note_push(&mut self, at: SimTime, source: Source) {
-        if self.next.is_none_or(|(next_at, _)| at < next_at) {
-            self.next = Some((at, source));
-        }
+    /// Counts an event just scheduled.
+    fn note_push(&mut self) {
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
     }
 
-    /// Removes and returns the next event together with its firing time, advancing
-    /// the queue's notion of "now".
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, source) = self.next?;
-        let entry = match source {
-            Source::Heap => self.heap.pop(),
-            Source::Lane(lane) => self.lanes[lane].pop_front(),
-        }?;
-        self.now = at;
-        self.len -= 1;
-        self.next = self.least();
-        Some((at, entry.payload))
+    /// The heap side's least event: the front slot, or the heap top when
+    /// the slot is empty.
+    fn heap_side(&self) -> Option<&Entry<E>> {
+        self.front.as_ref().or_else(|| self.heap.peek())
     }
 
-    /// The least pending `(time, seq)` among the heap top and the lane heads.
-    fn least(&self) -> Option<(SimTime, Source)> {
-        let mut best = self.heap.peek().map(|top| (top.key(), Source::Heap));
+    /// Removes and returns the next event together with its firing time, advancing
+    /// the queue's notion of "now".
+    // lint: hot-path
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let mut least = self.heap_side().map(Entry::key);
+        let mut from_lane = None;
         for (lane, fifo) in self.lanes.iter().enumerate() {
             if let Some(head) = fifo.front() {
-                if best.is_none_or(|(key, _)| head.key() < key) {
-                    best = Some((head.key(), Source::Lane(lane)));
+                let key = head.key();
+                if least.is_none_or(|least| key < least) {
+                    least = Some(key);
+                    from_lane = Some(lane);
                 }
             }
         }
-        best.map(|((at, _), source)| (at, source))
+        let entry = match from_lane {
+            Some(lane) => self.lanes[lane].pop_front(),
+            None => self.front.take().or_else(|| self.heap.pop()),
+        }?;
+        self.now = entry.at;
+        self.len -= 1;
+        Some((entry.at, entry.payload))
     }
 
     /// Returns the firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next.map(|(at, _)| at)
+        self.heap_side()
+            .into_iter()
+            .chain(self.lanes.iter().filter_map(VecDeque::front))
+            .map(|entry| entry.at)
+            .min()
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -310,6 +332,49 @@ mod tests {
         assert!(s.contains("len"));
     }
 
+    #[test]
+    fn a_push_ahead_of_the_held_event_moves_it_into_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), "held");
+        q.schedule(SimTime::from_nanos(20), "behind");
+        assert_eq!(q.front.as_ref().map(|e| e.payload), Some("held"));
+        assert_eq!(q.heap.len(), 1);
+        q.schedule(SimTime::from_nanos(5), "ahead");
+        assert_eq!(q.front.as_ref().map(|e| e.payload), Some("ahead"));
+        assert_eq!(q.heap.len(), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [(5, "ahead"), (10, "held"), (20, "behind")].map(|(t, e)| (SimTime::from_nanos(t), e))
+        );
+    }
+
+    #[test]
+    fn a_held_event_ties_with_lane_heads_by_scheduling_order() {
+        let mut q = EventQueue::with_lanes(&[0, 0], 0);
+        q.schedule_in(0, SimTime::from_nanos(5), "lane 0 first");
+        q.schedule(SimTime::from_nanos(5), "held");
+        q.schedule_in(1, SimTime::from_nanos(5), "lane 1");
+        q.schedule_in(0, SimTime::from_nanos(5), "lane 0 second");
+        assert_eq!(q.front.as_ref().map(|e| e.payload), Some("held"));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["lane 0 first", "held", "lane 1", "lane 0 second"]);
+    }
+
+    #[test]
+    fn a_past_push_is_held_at_now_and_peeked() {
+        let mut q = EventQueue::with_lanes(&[0], 0);
+        q.schedule(SimTime::from_nanos(100), "first");
+        q.pop();
+        q.schedule(SimTime::from_nanos(300), "later");
+        q.schedule_in(0, SimTime::from_nanos(200), "lane");
+        q.schedule(SimTime::from_nanos(10), "past");
+        assert_eq!(q.front.as_ref().map(|e| e.payload), Some("past"));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(100)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), "past")));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(200)));
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lane 0 went back in time")]
@@ -347,8 +412,10 @@ mod tests {
     }
 
     /// One step of a random interleaving: `op` picks a push to one of three
-    /// lanes (0–2) or the heap (3–4), or a pop (5–7); `delta` moves the
-    /// pushed time.
+    /// lanes (0–2), a heap push at an arbitrary time (3–4) or at now plus
+    /// 0–3 ns (5), the status-phase shape that lands in the front slot, or a
+    /// pop (6–8); `delta` moves the pushed time.  After every step the
+    /// queue must peek what the reference peeks.
     fn replay(steps: &[(u8, u64)]) -> [(Vec<(SimTime, u32)>, usize); 2] {
         const LANES: usize = 3;
         let mut lanes = EventQueue::with_lanes(&[0; LANES], 0);
@@ -378,12 +445,17 @@ mod tests {
                     lanes.schedule(at, payload);
                     reference.schedule(at, payload);
                 }
+                5 => {
+                    let at = now + Duration::from_nanos(delta % 4);
+                    lanes.schedule(at, payload);
+                    reference.schedule(at, payload);
+                }
                 _ => {
                     got.extend(lanes.pop());
                     want.extend(reference.pop());
-                    assert_eq!(lanes.peek_time(), reference.heap.peek().map(|e| e.at));
                 }
             }
+            assert_eq!(lanes.peek_time(), reference.heap.peek().map(|e| e.at));
         }
         got.extend(std::iter::from_fn(|| lanes.pop()));
         want.extend(std::iter::from_fn(|| reference.pop()));
@@ -398,7 +470,7 @@ mod tests {
         /// at the same length.
         #[test]
         fn lanes_pop_like_a_single_heap(
-            steps in prop::collection::vec((0u8..8, 0u64..16), 0..400)
+            steps in prop::collection::vec((0u8..9, 0u64..16), 0..400)
         ) {
             let [(got, got_peak), (want, want_peak)] = replay(&steps);
             prop_assert_eq!(got, want);

@@ -126,7 +126,8 @@ pub struct Allocator {
     /// One cursor per plane.
     cursors: Vec<Cursor>,
     /// Per plane, a ring of `blocks_per_plane` slots holding its erased
-    /// blocks in erase order (plane-major).
+    /// blocks in erase order (plane-major).  Empty until the first erase:
+    /// only GC erases, so a device without it never builds the ring.
     erased: Vec<u32>,
     /// Valid-page bitmap per block, block-major.
     valid: Vec<u128>,
@@ -226,7 +227,7 @@ impl Allocator {
             locations: plane_locations(&geometry),
             stripe: stripe_order(&geometry, policy),
             cursors: vec![cursor; planes],
-            erased: vec![0; blocks],
+            erased: Vec::new(),
             valid: vec![0; blocks],
             in_use: vec![false; blocks],
             owners: (0..geometry.blocks_per_plane)
@@ -491,6 +492,9 @@ impl Allocator {
             ring -= blocks;
         }
         cursor.erased_len += 1;
+        if self.erased.is_empty() {
+            self.erased = vec![0; self.valid.len()];
+        }
         self.erased[plane_index * blocks as usize + ring as usize] = block;
     }
 
@@ -747,6 +751,31 @@ mod tests {
         }
         assert_eq!(handed_out, total);
         assert_eq!(a.free_pages(), 0);
+    }
+
+    /// Only an erase builds the erased-block ring, so a device that never
+    /// collects garbage never fills it; the first erase sizes it for every
+    /// plane.
+    #[test]
+    fn the_erased_block_ring_is_built_at_the_first_erase() {
+        let mut a = alloc();
+        let g = a.geometry().clone();
+        let last = a.plane_count() - 1;
+        for _ in 0..g.pages_per_block {
+            a.allocate(last).unwrap();
+        }
+        a.erase_block(last, 3);
+        assert!(a.erased.is_empty(), "a free block is not erased");
+        a.erase_block(last, 0);
+        assert_eq!(a.erased.len(), a.total_blocks());
+        assert_eq!(a.free_blocks(last), g.blocks_per_plane);
+        for block in (1..g.blocks_per_plane as u32).chain([0]) {
+            let page = a.allocate(last).unwrap();
+            assert_eq!((page.block, page.page), (block, 0));
+            for _ in 1..g.pages_per_block {
+                a.allocate(last).unwrap();
+            }
+        }
     }
 
     /// Allocates every page of plane 0, so the plane holds no free block.

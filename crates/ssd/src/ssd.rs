@@ -25,7 +25,10 @@
 //! and the DMA engine's completions (write data ready and read data
 //! returned, in the engine's strictly increasing FIFO order).  Only the two
 //! transaction phases, at most one per chip since a chip runs one
-//! transaction, go to the queue's heap.
+//! transaction, go to the queue's heap side.  A program's completion phase
+//! is a status read of a few tens of nanoseconds, so its `TxnComplete`
+//! usually fires ahead of every other heap-side event and waits in the
+//! queue's front slot instead of sifting through the heap.
 //!
 //! A chip runs one transaction at a time (§2.2): it is busy while its slot in
 //! `live` holds one.  The [`CommitmentLedger`], which the schedulers read,

@@ -341,6 +341,27 @@ fn run_recorded(
     (metrics, stream)
 }
 
+/// Replays `requests` under `kind` and under its reference twin on
+/// `config`, and asserts byte-identical commitment streams and equal I/O,
+/// byte, transaction and latency accounting.
+fn check_against_reference_twin(config: &SsdConfig, kind: SchedulerKind, requests: &[HostRequest]) {
+    let (fast_metrics, fast_stream) = run_recorded(config, kind.build(), requests);
+    let (ref_metrics, ref_stream) =
+        run_recorded(config, Box::new(ReferenceScheduler::new(kind)), requests);
+    assert_eq!(
+        &fast_stream, &ref_stream,
+        "{kind} commitment stream diverges from its reference"
+    );
+    assert_eq!(fast_metrics.io_count, ref_metrics.io_count);
+    assert_eq!(fast_metrics.memory_requests, ref_metrics.memory_requests);
+    assert_eq!(fast_metrics.bytes_read, ref_metrics.bytes_read);
+    assert_eq!(fast_metrics.bytes_written, ref_metrics.bytes_written);
+    assert_eq!(fast_metrics.transactions, ref_metrics.transactions);
+    assert_eq!(fast_metrics.avg_latency_ns, ref_metrics.avg_latency_ns);
+    assert_eq!(fast_metrics.p99_latency_ns, ref_metrics.p99_latency_ns);
+    assert_eq!(fast_metrics.elapsed_ns, ref_metrics.elapsed_ns);
+}
+
 /// The exclusive upper bound on the local bytes `device` sees of a global
 /// footprint of `footprint` bytes striped round-robin in `stripe_bytes`
 /// stripes over `devices` devices: its owned stripes below the footprint,
@@ -638,24 +659,22 @@ proptest! {
         scheduler_index in 0usize..5,
     ) {
         let kind = SchedulerKind::ALL[scheduler_index];
-        let config = SsdConfig::small_test();
-        let (fast_metrics, fast_stream) = run_recorded(&config, kind.build(), &requests);
-        let (ref_metrics, ref_stream) =
-            run_recorded(&config, Box::new(ReferenceScheduler::new(kind)), &requests);
-        prop_assert_eq!(
-            &fast_stream,
-            &ref_stream,
-            "{} commitment stream diverges from its reference",
-            kind
-        );
-        prop_assert_eq!(fast_metrics.io_count, ref_metrics.io_count);
-        prop_assert_eq!(fast_metrics.memory_requests, ref_metrics.memory_requests);
-        prop_assert_eq!(fast_metrics.bytes_read, ref_metrics.bytes_read);
-        prop_assert_eq!(fast_metrics.bytes_written, ref_metrics.bytes_written);
-        prop_assert_eq!(fast_metrics.transactions, ref_metrics.transactions);
-        prop_assert_eq!(fast_metrics.avg_latency_ns, ref_metrics.avg_latency_ns);
-        prop_assert_eq!(fast_metrics.p99_latency_ns, ref_metrics.p99_latency_ns);
-        prop_assert_eq!(fast_metrics.elapsed_ns, ref_metrics.elapsed_ns);
+        check_against_reference_twin(&SsdConfig::small_test(), kind, &requests);
+    }
+
+    /// The same differential check on devices wider than one word of the
+    /// resource-driven round's rank bitmap: 128 chips fill two words, and
+    /// 130 round up to 136 chips (8 channels of 17), three words with the
+    /// last one partial, so a round marks and sweeps chips in several words.
+    #[test]
+    fn reference_twins_match_past_one_bitmap_word(
+        requests in arb_requests(40),
+        scheduler_index in 0usize..5,
+        chips in prop_oneof![Just(128usize), Just(130)],
+    ) {
+        let kind = SchedulerKind::ALL[scheduler_index];
+        let config = SsdConfig::small_test().with_chip_count(chips);
+        check_against_reference_twin(&config, kind, &requests);
     }
 
     /// FARO's one-pass ranking picks what Algorithm 1 as written picks
